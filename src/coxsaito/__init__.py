@@ -3,12 +3,11 @@
 from .coxeter import (BasicInvariants, CoxeterDatum, anti_invariant_Q,
                       build_datum, builtin_invariants, poincare_closed_form,
                       poincare_equal, validate_invariants)
-from .field import RATIONALS, FieldContext, Scalar, scalar_arith
-from .fraction import FactoredFraction, fraction_simplify
-from .invariants_io import DkxStore, ingest_invariants
-from .matrix import Matrix, matrix_adjugate_inverse, matrix_det, matrix_mul
-from .poly import (MultiPoly, exact_divide, lowest_power_in_form, poly_arith,
-                   poly_partial, poly_subst_linear)
+from .field import RATIONALS, FieldContext, Scalar
+from .fraction import FactoredFraction
+from .invariants_io import ingest_invariants
+from .matrix import Matrix
+from .poly import MultiPoly, lowest_power_in_form
 from .saito import (PolyDerivation, SaitoContext, bk_matrix, build_context,
                     christoffel_star, derivation_bracket, dkx, frame_convert,
                     hk_product, nabla_D, primitive_derivation_apply, xi_basis)
@@ -17,15 +16,12 @@ from .verify import (CheckReport, CheckResult, check_flat_remark, check_hodge,
                      check_thm24_thm25_prop26, contact_order_check, run_suites)
 
 __all__ = [
-    "RATIONALS", "FieldContext", "Scalar", "scalar_arith",
-    "FactoredFraction", "fraction_simplify",
-    "Matrix", "matrix_adjugate_inverse", "matrix_det", "matrix_mul",
-    "MultiPoly", "exact_divide", "lowest_power_in_form", "poly_arith",
-    "poly_partial", "poly_subst_linear",
+    "RATIONALS", "FieldContext", "Scalar", "FactoredFraction", "Matrix",
+    "MultiPoly", "lowest_power_in_form",
     "BasicInvariants", "CoxeterDatum", "anti_invariant_Q", "build_datum",
     "builtin_invariants", "poincare_closed_form", "poincare_equal",
     "validate_invariants",
-    "DkxStore", "ingest_invariants",
+    "ingest_invariants",
     "PolyDerivation", "SaitoContext", "bk_matrix", "build_context",
     "christoffel_star", "derivation_bracket", "dkx", "frame_convert",
     "hk_product", "nabla_D", "primitive_derivation_apply", "xi_basis",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .coxeter import build_datum, builtin_invariants
 from .errors import (ConfigError, CoxsaitoError, ParseError, RankOutOfRange,
                      UnsupportedType, ValidationError)
-from .invariants_io import ingest_invariants, store_from_env
+from .invariants_io import ingest_invariants
 from .saito import build_context, derivation_degree, xi_basis
 from .verify import SUITE_ORDER, CheckReport, run_suites
 
@@ -91,15 +91,11 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
-def run(config: RunConfig, context_transform=None) -> int:
-    """Execute a verification run; `context_transform` is a fault-injection
-    seam used by the test harness to perturb cached values."""
+def run(config: RunConfig) -> int:
+    """Execute a verification run and emit its report; returns the exit code."""
     config.validate()
     datum, invariants = _build_pair(config)
-    store = store_from_env(datum, invariants)
-    ctx = build_context(datum, invariants, dkx_store=store)
-    if context_transform is not None:
-        context_transform(ctx)
+    ctx = build_context(datum, invariants)
     report = run_suites(ctx, config.suites if config.suites else "all",
                         config.k_max, config.m_max, config.p_max,
                         invariants_id=invariants.source)

@@ -316,20 +316,3 @@ class Scalar:
 
 
 RATIONALS = FieldContext((0, 1), "rational")
-
-
-def scalar_arith(a, b, op: str, ctx: FieldContext):
-    """Field arithmetic on two scalars of the same context: add | mul | div."""
-    a = ctx.coerce(a)
-    b = ctx.coerce(b)
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if ctx.is_zero(b):
-            raise DivisionByZero("division by zero")
-        if ctx.is_rational:
-            return a / b
-        return a * ctx.invert(b)
-    raise ValueError(f"unknown op {op!r}")

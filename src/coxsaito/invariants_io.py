@@ -1,4 +1,4 @@
-"""Invariant-file parsing, canonical serialization, and the D^k[X] disk cache.
+"""Invariant-file parsing and canonical serialization.
 
 The file format is JSON with every field element spelled out as a vector of
 rationals over the power basis of the field (a rational is a two-int array
@@ -18,27 +18,21 @@ rationals over the power basis of the field (a rational is a two-int array
     }
 
     scalar := [[num, den], ...]   # length = field degree
-
-The same encoding serializes polynomials and factored fractions for the
-optional content-addressed D^k[X] cache (COXSAITO_CACHE_DIR).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from fractions import Fraction
 from pathlib import Path
 
 from .coxeter import BasicInvariants, CoxeterDatum, validate_invariants
-from .errors import CoxsaitoError, ParseError
+from .errors import ParseError
 from .field import FieldContext
-from .fraction import FactoredFraction
 from .poly import MultiPoly
 
 
-# -- scalar / polynomial / fraction encoding ---------------------------------------
+# -- scalar / polynomial encoding ----------------------------------------------------
 
 
 def rational_to_json(q: Fraction):
@@ -85,22 +79,6 @@ def poly_from_json(node, nvars: int, field: FieldContext, where: str) -> MultiPo
     return MultiPoly.from_terms(nvars, items, field)
 
 
-def fraction_to_json(f: FactoredFraction) -> dict:
-    return {"numerator": poly_to_json(f.numerator),
-            "factors": [[poly_to_json(p), e] for p, e in f.factors],
-            "scalar": scalar_to_json(f.scalar, f.field)}
-
-
-def fraction_from_json(node, nvars: int, field: FieldContext,
-                       where: str) -> FactoredFraction:
-    num = poly_from_json(node["numerator"], nvars, field, f"{where}.numerator")
-    factors = tuple(
-        (poly_from_json(p, nvars, field, f"{where}.factors[{i}]"), int(e))
-        for i, (p, e) in enumerate(node["factors"]))
-    scalar = scalar_from_json(node["scalar"], field, f"{where}.scalar")
-    return FactoredFraction(num, factors, scalar)
-
-
 # -- invariant files ---------------------------------------------------------------------
 
 
@@ -113,7 +91,8 @@ def _expect(node, key, kind, where):
     return value
 
 
-def load_invariants_file(path) -> tuple[CoxeterDatum, BasicInvariants]:
+def ingest_invariants(path) -> tuple[CoxeterDatum, BasicInvariants]:
+    """Parse an invariants file and run the full validation on it."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -172,10 +151,6 @@ def load_invariants_file(path) -> tuple[CoxeterDatum, BasicInvariants]:
     return datum, invariants
 
 
-def ingest_invariants(path) -> tuple[CoxeterDatum, BasicInvariants]:
-    return load_invariants_file(path)
-
-
 def datum_to_json(datum: CoxeterDatum, invariants: BasicInvariants) -> dict:
     field = datum.field
     return {
@@ -190,56 +165,3 @@ def datum_to_json(datum: CoxeterDatum, invariants: BasicInvariants) -> dict:
                        for g in datum.generators],
         "invariants": [poly_to_json(p) for p in invariants.polys],
     }
-
-
-def context_key(datum: CoxeterDatum, invariants: BasicInvariants) -> str:
-    """Content hash identifying one (group, invariants) pair."""
-    blob = json.dumps(datum_to_json(datum, invariants), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
-
-
-# -- persisted D^k[X] tables -----------------------------------------------------------
-
-
-class DkxStore:
-    """Content-addressed on-disk cache of D^k[X] vectors (one JSON per k)."""
-
-    def __init__(self, directory, datum: CoxeterDatum,
-                 invariants: BasicInvariants):
-        self.directory = Path(directory)
-        self.key = context_key(datum, invariants)
-        self.nvars = datum.rank
-        self.field = datum.field
-
-    def _path(self, k: int) -> Path:
-        return self.directory / f"{self.key}.dk{k}.json"
-
-    def load(self, k: int):
-        path = self._path(k)
-        if not path.exists():
-            return None
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            entries = doc["entries"]
-            return tuple(
-                fraction_from_json(node, self.nvars, self.field,
-                                   f"cache[{i}]")
-                for i, node in enumerate(entries))
-        except (json.JSONDecodeError, KeyError, ParseError, CoxsaitoError):
-            return None  # treat a corrupt cache entry as a miss
-
-    def save(self, k: int, vec) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        doc = {"k": k, "entries": [fraction_to_json(f) for f in vec]}
-        tmp = self._path(k).with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, self._path(k))
-
-
-def store_from_env(datum: CoxeterDatum, invariants: BasicInvariants):
-    """DkxStore for COXSAITO_CACHE_DIR, or None when the variable is unset."""
-    directory = os.environ.get("COXSAITO_CACHE_DIR")
-    if not directory:
-        return None
-    return DkxStore(directory, datum, invariants)

@@ -1,15 +1,17 @@
 """Small exact matrices over polynomials or factored fractions.
 
-Everything here is sized by the group rank (<= 5 in practice), so
-determinants use memoized Laplace expansion and inverses go through the
-adjugate, keeping every entry exact.  A second family of helpers operates on
-bare scalar matrices (lists of field elements) for reflection matrices and
-Gram matrices.
+Everything here is sized by the group rank (<= 5 in practice), so one
+memoized Laplace table of minors (`MinorTable`) gives both the determinant and
+the adjugate, and inverses are adjugate over determinant, keeping every entry
+exact.  The same table, given an exact divisor, computes the reduced minors
+of a cleared matrix (see `saito.jdkx_inv`).  A second family of helpers
+operates on bare scalar matrices (lists of field elements) for reflection
+matrices and Gram matrices.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, NonPolynomialEntry, SingularMatrix
 from .field import FieldContext
 from .fraction import FactoredFraction
 from .poly import MultiPoly
@@ -149,58 +151,15 @@ class Matrix:
     # -- determinant / inverse ------------------------------------------------------
 
     def det(self):
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of non-square matrix")
-        zero, one = self._zero_one()
-        n = self.rows
-        memo: dict = {}
-
-        def minor(mask: int):
-            if mask == 0:
-                return one
-            cached = memo.get(mask)
-            if cached is not None:
-                return cached
-            r = n - bin(mask).count("1")
-            acc = zero
-            sign = 1
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    e = self.entries[r][j]
-                    if e:
-                        term = e * minor(mask & ~bit)
-                        acc = acc + term if sign > 0 else acc - term
-                    sign = -sign
-            memo[mask] = acc
-            return acc
-
-        return minor((1 << n) - 1)
-
-    def submatrix(self, drop_row: int, drop_col: int) -> "Matrix":
-        return Matrix([[e for j, e in enumerate(row) if j != drop_col]
-                       for i, row in enumerate(self.entries) if i != drop_row])
-
-    def adjugate(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise DimensionMismatch("adjugate of non-square matrix")
-        n = self.rows
-        if n == 1:
-            _, one = self._zero_one()
-            return Matrix([[one]])
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                cof = self.submatrix(i, j).det()
-                out[j][i] = cof if (i + j) % 2 == 0 else -cof
-        return Matrix(out)
+        return MinorTable(self).det()
 
     def inverse(self) -> "Matrix":
         """Adjugate-over-determinant inverse, entries as factored fractions."""
-        det = self.det()
+        table = MinorTable(self)
+        det = table.det()
         if not det:
             raise SingularMatrix("matrix has zero determinant")
-        adj = self.adjugate()
+        adj = table.adjugate()
         if isinstance(det, FactoredFraction):
             inv_det = det.reciprocal()
             return adj.map_entries(lambda e: (e * inv_det).simplify())
@@ -209,6 +168,75 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(e.render() for e in row) for row in self.entries)
         return f"Matrix[{body}]"
+
+
+class MinorTable:
+    """Memoized minors of a square matrix, reduced by an optional exact divisor.
+
+    `minor(rows, cols)` is the minor on a row and a column bitmask, expanded by
+    Laplace along its lowest row; every minor is computed once and shared by
+    the determinant and all l^2 cofactors of the adjugate.  With a polynomial
+    divisor d each t x t minor with t >= 2 is stored divided by d^(t-1), one
+    exact division per level; the 0 x 0 minor is then d, and a division that
+    fails raises NonPolynomialEntry.  Without a divisor the minors are plain.
+    """
+
+    __slots__ = ("entries", "full", "divisor", "empty", "zero", "memo")
+
+    def __init__(self, m: Matrix, divisor: MultiPoly | None = None):
+        if m.rows != m.cols:
+            raise DimensionMismatch("minors of a non-square matrix")
+        self.entries = m.entries
+        self.full = (1 << m.rows) - 1
+        self.divisor = divisor
+        self.zero, one = m._zero_one()
+        self.empty = one if divisor is None else divisor
+        self.memo: dict = {}
+
+    def minor(self, rows: int, cols: int):
+        if not rows:
+            return self.empty
+        r = (rows & -rows).bit_length() - 1
+        rest = rows & ~(1 << r)
+        if not rest:
+            return self.entries[r][cols.bit_length() - 1]
+        cached = self.memo.get((rows, cols))
+        if cached is not None:
+            return cached
+        row = self.entries[r]
+        acc = self.zero
+        sign = 1
+        for j in range(len(row)):
+            bit = 1 << j
+            if cols & bit:
+                e = row[j]
+                if e:
+                    term = e * self.minor(rest, cols & ~bit)
+                    acc = acc + term if sign > 0 else acc - term
+                sign = -sign
+        if self.divisor is not None:
+            reduced = acc.exact_divide(self.divisor)
+            if reduced is None:
+                t = bin(rows).count("1")
+                raise NonPolynomialEntry(
+                    f"a {t}x{t} minor is not divisible by the reduction divisor")
+            acc = reduced
+        self.memo[(rows, cols)] = acc
+        return acc
+
+    def det(self):
+        return self.minor(self.full, self.full)
+
+    def adjugate(self) -> Matrix:
+        """Transposed signed cofactors, reduced like the minors they are."""
+        full = self.full
+
+        def cofactor(i, j):
+            m = self.minor(full & ~(1 << i), full & ~(1 << j))
+            return m if (i + j) % 2 == 0 else -m
+
+        n = len(self.entries)
+        return Matrix([[cofactor(j, i) for j in range(n)] for i in range(n)])
 
 
 # -- plain scalar matrices -----------------------------------------------------
@@ -262,15 +290,3 @@ def smat_inverse(a, field: FieldContext):
                 factor = work[r][col]
                 work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
     return [row[n:] for row in work]
-
-
-def matrix_det(m: Matrix):
-    return m.det()
-
-
-def matrix_adjugate_inverse(m: Matrix) -> Matrix:
-    return m.inverse()
-
-
-def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b

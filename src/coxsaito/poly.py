@@ -410,28 +410,6 @@ def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(nvars))
 
 
-# -- spec-level operation aliases ---------------------------------------------
-
-def poly_arith(f: MultiPoly, g: MultiPoly, op: str) -> MultiPoly:
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_partial(f: MultiPoly, index: int) -> MultiPoly:
-    return f.partial(index)
-
-
-def poly_subst_linear(f: MultiPoly, matrix) -> MultiPoly:
-    return f.subst_linear(matrix)
-
-
-def exact_divide(f: MultiPoly, g: MultiPoly):
-    return f.exact_divide(g)
-
-
 def lowest_power_in_form(f: MultiPoly, form) -> int | float:
     """Largest m such that the linear form divides f m times (inf for f = 0).
 

@@ -17,7 +17,7 @@ from .coxeter import BasicInvariants, CoxeterDatum, jacobian
 from .errors import (CoxsaitoError, NonPolynomialCoefficients,
                      NonPolynomialEntry, SingularMatrix)
 from .fraction import FactoredFraction
-from .matrix import Matrix
+from .matrix import Matrix, MinorTable
 from .poly import MultiPoly
 
 
@@ -97,11 +97,9 @@ class SaitoContext:
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "hk_table",
-                 "_metric_G_inv", "_gamma_conn", "dkx_store", "det_jp_monic",
-                 "_qm_powers")
+                 "_metric_G_inv", "_gamma_conn", "det_jp_monic", "_qm_powers")
 
-    def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants,
-                 dkx_store=None):
+    def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
             raise CoxsaitoError("invariants must be validated before use")
         self.datum = datum
@@ -127,7 +125,6 @@ class SaitoContext:
         self.hk_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
         self._metric_G_inv = None
         self._gamma_conn = None
-        self.dkx_store = dkx_store
 
     @property
     def rank(self) -> int:
@@ -150,9 +147,8 @@ class SaitoContext:
         return table[e]
 
 
-def build_context(datum: CoxeterDatum, invariants: BasicInvariants,
-                  dkx_store=None) -> SaitoContext:
-    return SaitoContext(datum, invariants, dkx_store)
+def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoContext:
+    return SaitoContext(datum, invariants)
 
 
 # -- the primitive derivation and its powers -------------------------------------
@@ -188,23 +184,14 @@ def d_apply_matrix(m: Matrix, ctx: SaitoContext) -> Matrix:
 
 
 def dkx(k: int, ctx: SaitoContext):
-    """The vector D^k[X] of factored fractions; cached (and optionally persisted)."""
+    """The vector D^k[X] of factored fractions; cached."""
     if k < 0:
         raise ValueError("k must be >= 0")
     table = ctx.dkx_table
-    if k in table:
-        return table[k]
-    if ctx.dkx_store is not None:
-        loaded = ctx.dkx_store.load(k)
-        if loaded is not None:
-            table[k] = loaded
-            return loaded
-    prev = dkx(k - 1, ctx)
-    cur = tuple(primitive_derivation_apply(f, ctx) for f in prev)
-    table[k] = cur
-    if ctx.dkx_store is not None:
-        ctx.dkx_store.save(k, cur)
-    return cur
+    if k not in table:
+        table[k] = tuple(primitive_derivation_apply(f, ctx)
+                         for f in dkx(k - 1, ctx))
+    return table[k]
 
 
 def jdkx(k: int, ctx: SaitoContext) -> Matrix:
@@ -220,37 +207,22 @@ def jdkx(k: int, ctx: SaitoContext) -> Matrix:
 
 
 def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
-    table = ctx.jdkx_inv_table
-    if k not in table:
-        fast = _jdkx_inv_cleared(k, ctx)
-        table[k] = fast if fast is not None else jdkx(k, ctx).inverse()
-    return table[k]
+    """J(D^k[X])^{-1}, one route for every rank.
 
-
-def _divide_out(p: MultiPoly, qm: MultiPoly, times: int):
-    for _ in range(times):
-        if p is None:
-            return None
-        p = p.exact_divide(qm)
-    return p
-
-
-def _jdkx_inv_cleared(k: int, ctx: SaitoContext):
-    """Invert J(D^k[X]) by clearing the shared det-J(P) denominator first.
-
-    The cleared matrix N = J(D^k[X]) * q^(2k) is polynomial (q the monic
-    Jacobian determinant) and, by the Jacobi minor identity, every t x t
-    minor of N is divisible by q^(2k(t-1)); dividing the power out at each
-    level of the Laplace ladder keeps every intermediate as small as the
-    final answer, which is polynomial.  Returns None when the denominators
-    are not plain det-J(P) powers or an expected division fails (then the
-    generic adjugate-over-determinant route applies).
+    By the chain rule each entry of J(D^k[X]) has a denominator q^e with
+    e <= 2k (q the monic Jacobian determinant), so N = J(D^k[X]) q^(2k) is
+    polynomial.  With d = q^(2k) every t x t minor of N is divisible by
+    d^(t-1) (Sylvester's identity), and the reduced determinant
+    det N / d^(l-1) = d det J(D^k[X]) is a nonzero constant c; the inverse is
+    the reduced adjugate of N over c.  Every step is certified: a foreign
+    denominator, an exponent above 2k, a failed division or a non-constant
+    reduced determinant raises NonPolynomialEntry.
     """
+    table = ctx.jdkx_inv_table
+    if k in table:
+        return table[k]
     ell = ctx.rank
-    if ell == 1:
-        return None
-    qm = ctx.det_jp_monic
-    qkey = qm.canonical_key()
+    qkey = ctx.det_jp_monic.canonical_key()
     field = ctx.datum.field
     jd = jdkx(k, ctx)
     cleared = []
@@ -259,70 +231,29 @@ def _jdkx_inv_cleared(k: int, ctx: SaitoContext):
         for j in range(ell):
             e = jd[i, j].simplify()
             exp = 0
-            for f, fe in e.factors:
+            for f, exp in e.factors:
                 if f.canonical_key() != qkey:
-                    return None
-                exp = fe
+                    raise NonPolynomialEntry(
+                        f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
+                        f"factor other than det J(P): {e.render()}")
             if exp > 2 * k:
-                return None
-            p = e.numerator * field.invert(e.scalar)
-            if exp < 2 * k:
-                p = p * ctx.qm_power(2 * k - exp)
-            row.append(p)
+                raise NonPolynomialEntry(
+                    f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
+                    f"power {exp} > {2 * k} in its denominator")
+            row.append(e.numerator * field.invert(e.scalar)
+                       * ctx.qm_power(2 * k - exp))
         cleared.append(row)
-
-    from itertools import combinations
-    zero = MultiPoly.zero(ell, field)
-    # level[t][(rows, cols)] = (t x t minor of the cleared matrix) / q^(2k(t-1))
-    level = {((i,), (j,)): cleared[i][j]
-             for i in range(ell) for j in range(ell)}
-    for t in range(2, ell):
-        new = {}
-        for rows in combinations(range(ell), t):
-            rest = rows[1:]
-            for cols in combinations(range(ell), t):
-                acc = zero
-                sign = 1
-                for pos, s in enumerate(cols):
-                    e = cleared[rows[0]][s]
-                    if e:
-                        sub = level[(rest, cols[:pos] + cols[pos + 1:])]
-                        term = e * sub
-                        acc = acc + term if sign > 0 else acc - term
-                    sign = -sign
-                reduced = _divide_out(acc, qm, 2 * k)
-                if reduced is None:
-                    return None
-                new[(rows, cols)] = reduced
-        level = new
-
-    all_rows = tuple(range(ell))
-    det_acc = zero
-    sign = 1
-    for j in range(ell):
-        e = cleared[0][j]
-        if e:
-            sub = level[(all_rows[1:], all_rows[:j] + all_rows[j + 1:])]
-            term = e * sub
-            det_acc = det_acc + term if sign > 0 else det_acc - term
-        sign = -sign
-    det_reduced = _divide_out(det_acc, qm, 2 * k)
-    c = det_reduced.constant_value() if det_reduced is not None else None
+    minors = MinorTable(Matrix(cleared), divisor=ctx.qm_power(2 * k))
+    c = minors.det().constant_value()
     if c is None:
-        return None
+        raise NonPolynomialEntry(
+            f"reduced determinant of J(D^{k}[X]) is not a constant")
     if field.is_zero(c):
-        raise SingularMatrix("J(D^k[X]) is singular")
+        raise SingularMatrix(f"J(D^{k}[X]) is singular")
     inv_c = field.invert(c)
-    out = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            minor = level[(all_rows[:j] + all_rows[j + 1:],
-                           all_rows[:i] + all_rows[i + 1:])]
-            signed = minor if (i + j) % 2 == 0 else -minor
-            row.append(FactoredFraction.from_poly(signed * inv_c))
-        out.append(row)
-    return Matrix(out)
+    table[k] = minors.adjugate().map_entries(
+        lambda p: FactoredFraction.from_poly(p * inv_c))
+    return table[k]
 
 
 # -- B^(k), Christoffel matrices, connection ----------------------------------------

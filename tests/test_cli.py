@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coxsaito import cli
 from coxsaito.cli import RunConfig, main, run, run_basis
 from coxsaito.coxeter import build_datum, builtin_invariants
 from coxsaito.invariants_io import datum_to_json, poly_to_json
@@ -103,7 +104,19 @@ def test_invalid_invariants_file_exit_two(tmp_path, capsys):
     assert "nonzero constant multiple" in err
 
 
-def test_check_failure_exit_one(tmp_path):
+def tamper_contexts(monkeypatch, tamper):
+    """Make `run` build contexts that `tamper` perturbs before any check."""
+    real = cli.build_context
+
+    def factory(datum, invariants):
+        ctx = real(datum, invariants)
+        tamper(ctx)
+        return ctx
+
+    monkeypatch.setattr(cli, "build_context", factory)
+
+
+def test_check_failure_exit_one(tmp_path, monkeypatch):
     def tamper(ctx):
         bk_matrix(2, ctx)
         one = MultiPoly.const(2, 1)
@@ -113,12 +126,13 @@ def test_check_failure_exit_one(tmp_path):
     config = RunConfig(type_label="B", rank=2, suites=["lemma21"],
                        k_max=2, m_max=1, p_max=1, fmt="json",
                        out=str(tmp_path / "r.json"))
-    assert run(config, context_transform=tamper) == 1
+    tamper_contexts(monkeypatch, tamper)
+    assert run(config) == 1
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["summary"]["fail"] >= 1
 
 
-def test_integrity_error_exit_three(tmp_path):
+def test_integrity_error_exit_three(tmp_path, monkeypatch):
     # tampering with the Jacobian after the inverse is cached breaks the
     # polynomiality certification, which is an integrity failure, not a
     # regular check failure
@@ -129,28 +143,10 @@ def test_integrity_error_exit_three(tmp_path):
     config = RunConfig(type_label="A", rank=1, suites=["lemma21"],
                        k_max=1, m_max=1, p_max=1, fmt="json",
                        out=str(tmp_path / "r.json"))
-    assert run(config, context_transform=tamper) == 3
+    tamper_contexts(monkeypatch, tamper)
+    assert run(config) == 3
     doc = json.loads((tmp_path / "r.json").read_text())
     assert any("integrity" in c.get("witness", "") for c in doc["checks"])
-
-
-def test_cache_dir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("COXSAITO_CACHE_DIR", str(tmp_path / "cache"))
-    assert main(["verify", "--type", "A", "--rank", "1", "--format", "json",
-                 "--out", str(tmp_path / "r2.json")]) == 0
-    cached = list((tmp_path / "cache").glob("*.dk*.json"))
-    assert cached
-    # rerun hits the persisted D^k[X] tables; results identical modulo timing
-    assert main(["verify", "--type", "A", "--rank", "1", "--format", "json",
-                 "--out", str(tmp_path / "r3.json")]) == 0
-
-    def strip(path):
-        doc = json.loads(path.read_text())
-        for check in doc["checks"]:
-            check.pop("ms")
-        return doc
-
-    assert strip(tmp_path / "r2.json") == strip(tmp_path / "r3.json")
 
 
 def test_basis_rejects_negative_order():

@@ -6,7 +6,7 @@ from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
 from coxsaito.errors import (JacobianCriterionFailed, NotInvariant,
                              RankOutOfRange, UnsupportedType, WrongDegrees)
 from coxsaito.matrix import smat_eq, smat_identity, smat_mul, smat_transpose
-from coxsaito.poly import MultiPoly, exact_divide
+from coxsaito.poly import MultiPoly
 
 
 def normalized_form_set(datum):
@@ -83,7 +83,7 @@ def test_b2_invariants_and_jacobian_constant():
     assert inv.polys[1] == x ** 4 + y ** 4
     det = jacobian(inv.polys, 2).det()
     q = anti_invariant_Q(d)
-    assert exact_divide(det, q) == MultiPoly.const(2, -8)
+    assert det.exact_divide(q) == MultiPoly.const(2, -8)
 
 
 def test_a1_invariant():

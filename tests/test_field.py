@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from coxsaito.errors import DivisionByZero, NonInvertible
-from coxsaito.field import RATIONALS, FieldContext, scalar_arith
+from coxsaito.field import RATIONALS, FieldContext
 
 SQRT5 = FieldContext((-5, 0, 1), "sqrt(5)")
 
 
 def test_rational_add():
-    assert scalar_arith(Fraction(2, 3), Fraction(1, 6), "add", RATIONALS) == Fraction(5, 6)
+    assert RATIONALS.coerce(Fraction(2, 3)) + RATIONALS.coerce(Fraction(1, 6)) == Fraction(5, 6)
 
 
 def test_generator_squares_to_five():
@@ -20,16 +20,16 @@ def test_generator_squares_to_five():
 def test_golden_ratio_inverse():
     # 1 / ((1+sqrt5)/2) = (sqrt5-1)/2 since (1+sqrt5)(sqrt5-1) = 4
     phi = SQRT5.from_coeffs((Fraction(1, 2), Fraction(1, 2)))
-    inv = scalar_arith(SQRT5.one, phi, "div", SQRT5)
+    inv = SQRT5.invert(phi)
     assert inv == SQRT5.from_coeffs((Fraction(-1, 2), Fraction(1, 2)))
     assert phi * inv == 1
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith(1, 0, "div", RATIONALS)
+        RATIONALS.invert(0)
     with pytest.raises(DivisionByZero):
-        scalar_arith(SQRT5.one, SQRT5.zero, "div", SQRT5)
+        SQRT5.invert(SQRT5.zero)
 
 
 def test_reducible_minpoly_surfaces_as_noninvertible():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from coxsaito.errors import DivisionByZero
-from coxsaito.fraction import FactoredFraction, fraction_simplify
+from coxsaito.fraction import FactoredFraction
 from coxsaito.poly import MultiPoly
 
 
@@ -14,7 +14,7 @@ def xy():
 def test_simplify_cancels_factor():
     x, _ = xy()
     f = FactoredFraction(2 * x * x, ((x, 1),))
-    s = fraction_simplify(f)
+    s = f.simplify()
     assert s.is_poly()
     assert s.as_poly() == 2 * x
 
@@ -22,7 +22,7 @@ def test_simplify_cancels_factor():
 def test_simplify_leaves_irreducible_alone():
     x, y = xy()
     f = FactoredFraction(x * x + y * y, ((x - y, 1),))
-    s = fraction_simplify(f)
+    s = f.simplify()
     assert s.factors
     assert s == f
 
@@ -100,6 +100,19 @@ def test_equality_across_representations():
     b = FactoredFraction.from_poly(x + y)
     assert a == b
     assert not (a - b)
+
+
+def test_fractions_are_unhashable():
+    # 1/x, x/x^2 and y/(x*y) are equal, so no hash of the factored form
+    # could agree with ==
+    x, y = xy()
+    one = MultiPoly.const(2, 1)
+    forms = [FactoredFraction(one, ((x, 1),)), FactoredFraction(x, ((x, 2),)),
+             FactoredFraction(y, ((x, 1), (y, 1)))]
+    assert forms[0] == forms[1] == forms[2]
+    for f in forms:
+        with pytest.raises(TypeError):
+            hash(f)
 
 
 def test_render():

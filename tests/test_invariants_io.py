@@ -6,13 +6,10 @@ import pytest
 from coxsaito.coxeter import anti_invariant_Q, build_datum, builtin_invariants
 from coxsaito.errors import JacobianCriterionFailed, ParseError
 from coxsaito.field import FieldContext
-from coxsaito.fraction import FactoredFraction
-from coxsaito.invariants_io import (DkxStore, context_key, datum_to_json,
-                                    fraction_from_json, fraction_to_json,
-                                    ingest_invariants, store_from_env)
+from coxsaito.invariants_io import datum_to_json, ingest_invariants
 from coxsaito.matrix import smat_identity
 from coxsaito.poly import MultiPoly
-from coxsaito.saito import bk_matrix, build_context, dkx, xi_basis
+from coxsaito.saito import bk_matrix, build_context, xi_basis
 from coxsaito.verify import check_flat_remark, check_metric, contact_order_check
 
 
@@ -168,61 +165,3 @@ def test_h3_degree_one_basis(h3_context):
     for j, theta in enumerate(xi_basis(1, h3_context)):
         ok, _orders, witness = contact_order_check(theta, 1, h3_context.datum)
         assert ok, (j, witness)
-
-
-def test_context_key_stable_and_distinct():
-    b2 = build_datum("B", 2)
-    inv = builtin_invariants(b2)
-    key1 = context_key(b2, inv)
-    key2 = context_key(build_datum("B", 2), builtin_invariants(build_datum("B", 2)))
-    assert key1 == key2
-    a2 = build_datum("A", 2)
-    assert context_key(a2, builtin_invariants(a2)) != key1
-
-
-def test_fraction_serialization_roundtrip():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    f = FactoredFraction(x * x - y, ((x + y, 2), (x, 1)), Fraction(3, 2))
-    doc = fraction_to_json(f)
-    back = fraction_from_json(doc, 2, x.field, "test")
-    assert back == f
-    assert back.factors == f.factors
-
-
-def test_dkx_store_roundtrip(tmp_path):
-    datum = build_datum("B", 2)
-    inv = builtin_invariants(datum)
-    store = DkxStore(tmp_path, datum, inv)
-    ctx = build_context(datum, inv, dkx_store=store)
-    vec = dkx(2, ctx)
-    files = list(tmp_path.glob("*.dk*.json"))
-    assert files
-    # a second context reads the persisted tables
-    ctx2 = build_context(datum, inv, dkx_store=DkxStore(tmp_path, datum, inv))
-    vec2 = dkx(2, ctx2)
-    assert all(a == b for a, b in zip(vec, vec2))
-
-
-def test_dkx_store_corrupt_file_is_miss(tmp_path):
-    datum = build_datum("B", 2)
-    inv = builtin_invariants(datum)
-    store = DkxStore(tmp_path, datum, inv)
-    ctx = build_context(datum, inv, dkx_store=store)
-    dkx(1, ctx)
-    target = next(tmp_path.glob("*.dk1.json"))
-    target.write_text("{broken", encoding="utf-8")
-    assert DkxStore(tmp_path, datum, inv).load(1) is None
-
-
-def test_store_from_env(tmp_path, monkeypatch):
-    datum = build_datum("A", 1)
-    inv = builtin_invariants(datum)
-    monkeypatch.delenv("COXSAITO_CACHE_DIR", raising=False)
-    assert store_from_env(datum, inv) is None
-    monkeypatch.setenv("COXSAITO_CACHE_DIR", str(tmp_path))
-    store = store_from_env(datum, inv)
-    assert store is not None
-    ctx = build_context(datum, inv, dkx_store=store)
-    dkx(3, ctx)
-    assert list(tmp_path.glob("*.json"))

@@ -1,10 +1,10 @@
 import pytest
 
-from coxsaito.errors import SingularMatrix
+from coxsaito.errors import NonPolynomialEntry, SingularMatrix
 from coxsaito.field import RATIONALS, FieldContext
 from coxsaito.fraction import FactoredFraction
-from coxsaito.matrix import (Matrix, smat_eq, smat_identity, smat_inverse,
-                             smat_mul)
+from coxsaito.matrix import (Matrix, MinorTable, smat_eq, smat_identity,
+                             smat_inverse, smat_mul)
 from coxsaito.poly import MultiPoly
 
 
@@ -67,6 +67,27 @@ def test_det_three_by_three():
     one = MultiPoly.const(2, 1)
     m = Matrix([[x, y, zero], [zero, x, y], [y, zero, x]])
     assert m.det() == x ** 3 + y ** 3
+
+
+def test_reduced_minors_of_a_scaled_matrix():
+    # N = d*M: det N / d^2 = d det M and each cofactor of N over d is d times
+    # the cofactor of M; the 1 x 1 case has the 0 x 0 minor d as adjugate
+    x, y = xy()
+    zero = MultiPoly.zero(2)
+    one = MultiPoly.const(2, 1)
+    d = x * x - y
+    m = Matrix([[x, y, zero], [one, x, y], [y, zero, x + one]])
+    plain = MinorTable(m)
+    reduced = MinorTable(m * d, divisor=d)
+    assert reduced.det() == d * plain.det()
+    assert reduced.adjugate() == plain.adjugate() * d
+    assert MinorTable(Matrix([[x * d]]), divisor=d).adjugate() == Matrix([[d]])
+
+
+def test_reduced_minor_division_failure_raises():
+    x, y = xy()
+    with pytest.raises(NonPolynomialEntry):
+        MinorTable(Matrix([[x, y], [y, x]]), divisor=x + 2 * y).det()
 
 
 def test_transpose_and_mul():

@@ -5,7 +5,7 @@ import pytest
 
 from coxsaito.errors import ZeroForm
 from coxsaito.field import RATIONALS, FieldContext
-from coxsaito.poly import MultiPoly, exact_divide, lowest_power_in_form
+from coxsaito.poly import MultiPoly, lowest_power_in_form
 
 
 def xy():
@@ -37,12 +37,12 @@ def test_jacobian_column_of_sum_of_squares():
 
 def test_exact_divide_difference_of_squares():
     x, y = xy()
-    assert exact_divide(x * x - y * y, x - y) == x + y
+    assert (x * x - y * y).exact_divide(x - y) == x + y
 
 
 def test_exact_divide_not_divisible():
     x, y = xy()
-    assert exact_divide(x * x + y * y, x) is None
+    assert (x * x + y * y).exact_divide(x) is None
 
 
 def test_exact_divide_b2_jacobian_by_arrangement_poly():
@@ -50,7 +50,7 @@ def test_exact_divide_b2_jacobian_by_arrangement_poly():
     x, y = xy()
     det = 8 * x * y ** 3 - 8 * x ** 3 * y
     q = x * y * (x - y) * (x + y)
-    quotient = exact_divide(det, q)
+    quotient = det.exact_divide(q)
     assert quotient == MultiPoly.const(2, -8)
 
 

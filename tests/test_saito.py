@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
+from coxsaito.errors import NonPolynomialEntry
 from coxsaito.fraction import FactoredFraction
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
@@ -11,9 +12,11 @@ from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
                             derivation_bracket, derivation_degree,
                             derivation_transform, dkx, dp_apply,
                             dp_basis_derivation, frame_convert, hk_product,
-                            nabla_D, nabla_D_power, primitive_derivation,
-                            primitive_derivation_apply, xi_basis,
+                            jdkx, jdkx_inv, nabla_D, nabla_D_power,
+                            primitive_derivation, primitive_derivation_apply,
+                            xi_basis,
                             xi_coefficient_matrix)
+from coxsaito.verify import run_suites
 
 
 @pytest.fixture(scope="module")
@@ -287,17 +290,52 @@ def test_derivation_transform_fixes_xi(b2):
 
 
 @pytest.mark.parametrize("label,rank,k", [
-    ("B", 2, 1), ("B", 2, 2), ("A", 2, 1), ("A", 2, 2), ("I2", 4, 2)])
+    ("B", 2, 1), ("B", 2, 2), ("A", 2, 1), ("A", 2, 2), ("I2", 4, 2),
+    ("A", 1, 1), ("A", 1, 2), ("A", 1, 3), ("B", 3, 1), ("D", 3, 1)])
 def test_cleared_inverse_agrees_with_generic(label, rank, k):
-    # the reduced-minor fast path and the generic adjugate/determinant inverse
-    # are independent routes to J(D^k[X])^{-1}
-    from coxsaito.saito import _jdkx_inv_cleared, jdkx
+    # jdkx_inv (reduced minors of the cleared polynomial matrix) against the
+    # adjugate-over-determinant inverse of the factored-fraction matrix
     d = build_datum(label, rank)
     ctx = build_context(d, builtin_invariants(d))
-    fast = _jdkx_inv_cleared(k, ctx)
-    generic = jdkx(k, ctx).inverse()
-    assert fast is not None
-    assert fast == generic
+    reference = jdkx(k, ctx).inverse()
+    assert jdkx(k, ctx).is_fraction_mode
+    assert jdkx_inv(k, ctx) == reference
+
+
+def _tampered_b2(kind):
+    """B2 context whose cached J(D[X]) breaks one premise of jdkx_inv."""
+    d = build_datum("B", 2)
+    ctx = build_context(d, builtin_invariants(d))
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    one = MultiPoly.const(2, 1)
+    jd = jdkx(1, ctx)
+    if kind == "foreign":
+        bad = jd.with_entry(0, 0, jd[0, 0] + FactoredFraction(
+            one, ((x + 2 * y, 1),)))
+    elif kind == "exponent":
+        bad = jd.with_entry(0, 0, jd[0, 0] + FactoredFraction(
+            one, ((ctx.det_jp_monic, 3),)))
+    else:
+        bad = Matrix([[FactoredFraction.from_poly(x), MultiPoly.zero(2)],
+                      [MultiPoly.zero(2), one]])
+    ctx.jdkx_table[1] = bad
+    return ctx
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("foreign", "other than det J"), ("exponent", "power 3 > 2"),
+    ("nonconstant", "not a constant")])
+def test_jdkx_inv_rejects_broken_premises(kind, message):
+    with pytest.raises(NonPolynomialEntry, match=message):
+        jdkx_inv(1, _tampered_b2(kind))
+
+
+def test_foreign_denominator_is_an_integrity_failure():
+    report = run_suites(_tampered_b2("foreign"), ["theorems"], 1, 2, 1)
+    witnesses = [r.witness for r in report.results if r.integrity]
+    assert report.integrity_error
+    assert any("other than det J" in w for w in witnesses), witnesses
 
 
 def test_frame_convert_preserves_values(b2):
