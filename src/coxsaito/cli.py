@@ -159,9 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           help="comma-separated suites "
                                f"({', '.join(SUITE_ORDER)}) or 'all'")
-    p_verify.add_argument("--kmax", type=int, default=3)
-    p_verify.add_argument("--mmax", type=int, default=7)
-    p_verify.add_argument("--pmax", type=int, default=3)
+    # an unset bound is left out of the namespace: RunConfig holds the defaults
+    p_verify.add_argument("--kmax", dest="k_max", type=int, default=argparse.SUPPRESS)
+    p_verify.add_argument("--mmax", dest="m_max", type=int, default=argparse.SUPPRESS)
+    p_verify.add_argument("--pmax", dest="p_max", type=int, default=argparse.SUPPRESS)
 
     p_basis = sub.add_parser("basis", help="print a contact-order basis")
     _add_common(p_basis)
@@ -174,12 +175,11 @@ def _config_from_args(args) -> RunConfig:
     suites = None
     if getattr(args, "suite", "all") != "all":
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    bounds = {name: value for name, value in vars(args).items()
+              if name in ("k_max", "m_max", "p_max")}
     return RunConfig(type_label=args.type_label, rank=args.rank, i2_m=args.i2_m,
                      invariants_path=args.invariants_path, suites=suites,
-                     k_max=getattr(args, "kmax", 3),
-                     m_max=getattr(args, "mmax", 7),
-                     p_max=getattr(args, "pmax", 3),
-                     fmt=args.fmt, out=args.out)
+                     fmt=args.fmt, out=args.out, **bounds)
 
 
 def main(argv=None) -> int:

@@ -17,9 +17,10 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (CoxsaitoError, JacobianCriterionFailed, NotInvariant,
-                     RankOutOfRange, UnsupportedType, WrongDegrees)
+                     RankOutOfRange, SingularMatrix, UnsupportedType,
+                     WrongDegrees)
 from .field import RATIONALS, FieldContext
-from .matrix import (Matrix, smat_eq, smat_identity, smat_mul, smat_transpose)
+from .matrix import Matrix
 from .poly import MultiPoly
 
 # minimal polynomial of 2cos(pi/(2m)), ascending coefficients
@@ -68,7 +69,7 @@ class CoxeterDatum:
         # the induced substitution on polynomials uses the transpose
         self.generators = [[tuple(field.coerce(v) for v in row) for row in g]
                            for g in generators]
-        self.subst = [smat_transpose(g) for g in self.generators]
+        self.subst = [tuple(zip(*g)) for g in self.generators]
         self.exponents = tuple(int(e) for e in exponents)
         self.coxeter_number = self.exponents[-1] + 1
         self._form_polys = None
@@ -81,23 +82,23 @@ class CoxeterDatum:
             raise RankOutOfRange("rank must be >= 1")
         if len(self.gram) != ell or any(len(r) != ell for r in self.gram):
             raise CoxsaitoError("Gram matrix must be rank x rank")
-        if not smat_eq(self.gram, smat_transpose(self.gram)):
+        gram = Matrix.from_scalars(self.gram, ell, field)
+        if gram != gram.transpose():
             raise CoxsaitoError("Gram matrix must be symmetric")
-        from .matrix import smat_inverse  # det != 0 check
-        smat_inverse(self.gram, field)
+        if not gram.det():
+            raise SingularMatrix("scalar matrix is singular")
         if list(self.exponents) != sorted(self.exponents):
             raise CoxsaitoError("exponents must be ascending")
         h = self.coxeter_number
         if 2 * len(self.forms) != ell * h or sum(self.exponents) != len(self.forms):
             raise CoxsaitoError("hyperplane count must equal sum of exponents = rank*h/2")
-        ident = smat_identity(ell, field)
+        ident = Matrix.identity(ell, ell, field)
         form_set = {tuple(field.to_coeffs(c) for c in f) for f in self.forms}
         for idx, g in enumerate(self.generators):
-            if not smat_eq(smat_mul(g, g, field), ident):
+            gm = Matrix.from_scalars(g, ell, field)
+            if gm * gm != ident:
                 raise CoxsaitoError(f"generator {idx} is not an involution")
-            if not smat_eq(smat_mul(smat_transpose(g),
-                                    smat_mul(self.gram, g, field), field),
-                           self.gram):
+            if gm.transpose() * gram * gm != gram:
                 raise CoxsaitoError(f"generator {idx} does not preserve the Gram matrix")
             for f in self.forms:
                 image = [sum((g[j][i] * f[i] for i in range(ell)), field.coerce(0))
@@ -126,8 +127,7 @@ class CoxeterDatum:
 
     def form_polys(self) -> list[MultiPoly]:
         if self._form_polys is None:
-            unit = [[1 if j == i else 0 for j in range(self.rank)]
-                    for i in range(self.rank)]
+            unit = _unit_forms(self.rank)
             self._form_polys = [
                 MultiPoly.from_terms(self.rank, zip(unit, f), self.field)
                 for f in self.forms]
@@ -166,7 +166,7 @@ def _unit_forms(ell):
 
 
 def _swap_matrix(ell, i, j):
-    m = [[1 if c == r else 0 for c in range(ell)] for r in range(ell)]
+    m = _unit_forms(ell)
     m[i][i] = m[j][j] = 0
     m[i][j] = m[j][i] = 1
     return m
@@ -191,7 +191,7 @@ def _build_a(ell: int) -> CoxeterDatum:
         forms.append(f)
     gens = [_swap_matrix(ell, i, i + 1) for i in range(ell - 1)]
     # transposition with the projected-out coordinate: X_l -> -(X_1+...+X_l)
-    last = [[1 if c == r else 0 for c in range(ell)] for r in range(ell)]
+    last = _unit_forms(ell)
     for r in range(ell):
         last[r][ell - 1] = -1
     gens.append(last)
@@ -202,7 +202,7 @@ def _build_a(ell: int) -> CoxeterDatum:
 def _build_b(ell: int) -> CoxeterDatum:
     if ell < 1:
         raise RankOutOfRange("B requires rank >= 1")
-    gram = smat_identity(ell, RATIONALS)
+    gram = _unit_forms(ell)
     forms = _unit_forms(ell)
     for i in range(ell):
         for j in range(i + 1, ell):
@@ -211,8 +211,8 @@ def _build_b(ell: int) -> CoxeterDatum:
                 f[i], f[j] = 1, sign
                 forms.append(f)
     gens = [_swap_matrix(ell, i, i + 1) for i in range(ell - 1)]
-    flip = smat_identity(ell, RATIONALS)
-    flip[ell - 1][ell - 1] = Fraction(-1)
+    flip = _unit_forms(ell)
+    flip[ell - 1][ell - 1] = -1
     gens.append(flip)
     return CoxeterDatum("B", ell, RATIONALS, gram, forms, gens,
                         tuple(range(1, 2 * ell, 2)))
@@ -221,7 +221,7 @@ def _build_b(ell: int) -> CoxeterDatum:
 def _build_d(ell: int) -> CoxeterDatum:
     if ell < 3:
         raise RankOutOfRange("D requires rank >= 3")
-    gram = smat_identity(ell, RATIONALS)
+    gram = _unit_forms(ell)
     forms = []
     for i in range(ell):
         for j in range(i + 1, ell):
@@ -230,7 +230,7 @@ def _build_d(ell: int) -> CoxeterDatum:
                 f[i], f[j] = 1, sign
                 forms.append(f)
     gens = [_swap_matrix(ell, i, i + 1) for i in range(ell - 1)]
-    signed_swap = [[1 if c == r else 0 for c in range(ell)] for r in range(ell)]
+    signed_swap = _unit_forms(ell)
     signed_swap[ell - 2][ell - 2] = signed_swap[ell - 1][ell - 1] = 0
     signed_swap[ell - 2][ell - 1] = signed_swap[ell - 1][ell - 2] = -1
     gens.append(signed_swap)
@@ -262,7 +262,7 @@ def _build_i2(m: int) -> CoxeterDatum:
         [[field.one, field.coerce(0)], [field.coerce(0), -field.one]],
         [[cos_m(2), sin_m(2)], [sin_m(2), -cos_m(2)]],
     ]
-    gram = smat_identity(2, field)
+    gram = _unit_forms(2)
     return CoxeterDatum("I2", 2, field, gram, forms, gens, (1, m - 1))
 
 
@@ -334,14 +334,7 @@ def validate_invariants(datum: CoxeterDatum, polys,
         if p.is_zero() or p.homogeneous_degree() != want:
             raise WrongDegrees(
                 f"P_{j + 1} must be homogeneous of degree {want}")
-    det = jacobian(polys, ell).det()
-    rem = det
-    for f in datum.form_polys():
-        if rem is None:
-            break
-        rem = rem.exact_divide(f)
-    constant = rem.constant_value() if rem is not None else None
-    if constant is None or datum.field.is_zero(constant):
+    if jacobian(polys, ell).det().constant_quotient(datum.form_polys()) is None:
         raise JacobianCriterionFailed(
             "det J(P) is not a nonzero constant multiple of the arrangement polynomial")
     return BasicInvariants(polys, True, source)

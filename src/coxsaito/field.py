@@ -306,6 +306,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational-valued scalar equals, so must hash like, its Fraction
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __bool__(self):

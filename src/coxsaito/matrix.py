@@ -4,9 +4,10 @@ Everything here is sized by the group rank (<= 5 in practice), so one
 memoized Laplace table of minors (`MinorTable`) gives both the determinant and
 the adjugate, and inverses are adjugate over determinant, keeping every entry
 exact.  The same table, given an exact divisor, computes the reduced minors
-of a cleared matrix (see `saito.jdkx_inv`).  A second family of helpers
-operates on bare scalar matrices (lists of field elements) for reflection
-matrices and Gram matrices.
+of a cleared matrix (see `saito.jdkx_inv`).  Scalar matrices -- Gram and
+reflection matrices -- are matrices of constant polynomials
+(`Matrix.from_scalars`), so they share the same product, equality and
+determinant.
 """
 
 from __future__ import annotations
@@ -238,55 +239,3 @@ class MinorTable:
         n = len(self.entries)
         return Matrix([[cofactor(j, i) for j in range(n)] for i in range(n)])
 
-
-# -- plain scalar matrices -----------------------------------------------------
-
-
-def smat_identity(n: int, field: FieldContext):
-    return [[field.one if i == j else field.coerce(0) for j in range(n)]
-            for i in range(n)]
-
-
-def smat_mul(a, b, field: FieldContext):
-    n, k, m = len(a), len(b), len(b[0])
-    if any(len(row) != k for row in a):
-        raise DimensionMismatch("inner dimensions do not match")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = field.coerce(0)
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def smat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def smat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b))
-
-
-def smat_inverse(a, field: FieldContext):
-    """Gauss-Jordan inverse of a scalar matrix; raises SingularMatrix."""
-    n = len(a)
-    work = [list(row) + list(ident_row)
-            for row, ident_row in zip([list(r) for r in a], smat_identity(n, field))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not field.is_zero(work[r][col])), None)
-        if pivot is None:
-            raise SingularMatrix("scalar matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = field.invert(work[col][col])
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and not field.is_zero(work[r][col]):
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]

@@ -360,6 +360,16 @@ class MultiPoly:
                         del r[nk]
         return MultiPoly(self.nvars, q, self.field)
 
+    def constant_quotient(self, divisors):
+        """The nonzero constant c with self = c * prod(divisors), else None."""
+        rem = self
+        for d in divisors:
+            rem = rem.exact_divide(d)
+            if rem is None:
+                return None
+        c = rem.constant_value()
+        return None if c is None or self.field.is_zero(c) else c
+
     def monic(self):
         """Split off the leading coefficient: returns (monic poly, leading coeff)."""
         if self.is_zero():

@@ -154,13 +154,12 @@ def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoCont
 # -- the primitive derivation and its powers -------------------------------------
 
 
-def dp_apply(f, k: int, ctx: SaitoContext) -> FactoredFraction:
-    """Apply d/dP_k through the chain rule; k is 1-based."""
+def _apply_coeffs(coeffs, f, ctx: SaitoContext) -> FactoredFraction:
+    """sum_i coeffs[i] * df/dX_i, simplified."""
     if isinstance(f, MultiPoly):
         f = FactoredFraction.from_poly(f)
-    col = ctx.dp_column(k)
     acc = None
-    for i, c in enumerate(col):
+    for i, c in enumerate(coeffs):
         if not c:
             continue
         df = f.partial(i)
@@ -171,6 +170,11 @@ def dp_apply(f, k: int, ctx: SaitoContext) -> FactoredFraction:
     if acc is None:
         return FactoredFraction.zero(ctx.rank, ctx.datum.field)
     return acc.simplify()
+
+
+def dp_apply(f, k: int, ctx: SaitoContext) -> FactoredFraction:
+    """Apply d/dP_k through the chain rule; k is 1-based."""
+    return _apply_coeffs(ctx.dp_column(k), f, ctx)
 
 
 def primitive_derivation_apply(f, ctx: SaitoContext) -> FactoredFraction:
@@ -338,58 +342,21 @@ def nabla_D_power(theta: PolyDerivation, times: int, ctx: SaitoContext) -> PolyD
 
 
 def frame_convert(theta: PolyDerivation, target: str, ctx: SaitoContext) -> PolyDerivation:
+    """theta in the target frame: the coefficient row times J(P) into the
+    invariant frame (c_P = J(P)^T c_X), times J(P)^{-1} back into coordinates."""
     if target not in ("X", "P"):
         raise ValueError("target frame must be 'X' or 'P'")
     if theta.frame == target:
         return theta
-    ell = ctx.rank
-    c = theta.coeffs
-    out = []
-    if target == "P":
-        # c_P = J(P)^T c_X
-        for i in range(ell):
-            acc = None
-            for j in range(ell):
-                entry = ctx.jac_P[j, i]
-                if entry.is_zero() or not c[j]:
-                    continue
-                term = c[j] * entry
-                acc = term if acc is None else acc + term
-            out.append(acc.simplify() if acc is not None
-                       else FactoredFraction.zero(ell, ctx.datum.field))
-    else:
-        # c_X = J(P)^{-T} c_P
-        for i in range(ell):
-            acc = None
-            for j in range(ell):
-                entry = ctx.jac_P_inv[j, i]
-                if not entry or not c[j]:
-                    continue
-                term = c[j] * entry
-                acc = term if acc is None else acc + term
-            out.append(acc.simplify() if acc is not None
-                       else FactoredFraction.zero(ell, ctx.datum.field))
-    return PolyDerivation(target, out)
+    change = ctx.jac_P if target == "P" else ctx.jac_P_inv
+    row = (Matrix([theta.coeffs]) * change).simplify()
+    return PolyDerivation(target, row.entries[0])
 
 
 def derivation_apply(theta: PolyDerivation, f, ctx: SaitoContext) -> FactoredFraction:
-    """theta(f) for a coordinate-frame derivation."""
-    if theta.frame != "X":
-        theta = frame_convert(theta, "X", ctx)
-    if isinstance(f, MultiPoly):
-        f = FactoredFraction.from_poly(f)
-    acc = None
-    for i, c in enumerate(theta.coeffs):
-        if not c:
-            continue
-        df = f.partial(i)
-        if df.is_zero():
-            continue
-        term = c * df
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return FactoredFraction.zero(ctx.rank, ctx.datum.field)
-    return acc.simplify()
+    """theta(f) = sum_i c_i df/dX_i, with c the coordinate-frame coefficients
+    of theta (an invariant-frame theta is converted first)."""
+    return _apply_coeffs(frame_convert(theta, "X", ctx).coeffs, f, ctx)
 
 
 def derivation_bracket(theta: PolyDerivation, eta: PolyDerivation,

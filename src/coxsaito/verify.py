@@ -88,20 +88,14 @@ class _Runner:
                 name, ref, "fail", f"integrity error: {exc}", ms, integrity=True))
             return
         ms = (time.perf_counter() - t0) * 1000
-        if outcome is True:
-            self.results.append(CheckResult(name, ref, "pass", None, ms))
-        elif outcome is False:
-            self.results.append(CheckResult(name, ref, "fail", "check failed", ms))
-        elif isinstance(outcome, tuple):
-            ok, witness = outcome
-            if ok == "skipped":
-                self.results.append(CheckResult(name, ref, "skipped", witness, ms))
-            else:
-                self.results.append(CheckResult(
-                    name, ref, "pass" if ok else "fail",
-                    None if ok else witness, ms))
-        else:
+        if not isinstance(outcome, tuple):
             raise TypeError("check returned an unexpected outcome")
+        ok, witness = outcome
+        if ok == "skipped":
+            self.results.append(CheckResult(name, ref, "skipped", witness, ms))
+        else:
+            self.results.append(CheckResult(
+                name, ref, "pass" if ok else "fail", None if ok else witness, ms))
 
 
 def _matrix_mismatch(lhs: Matrix, rhs: Matrix, names=None):
@@ -160,14 +154,7 @@ def check_metric(ctx: SaitoContext):
                                 ctx.jac_P.transpose() * ctx.gram_poly * ctx.jac_P))
 
     def jacobian_criterion():
-        det = ctx.jac_P.det()
-        rem = det
-        for f in ctx.datum.form_polys():
-            if rem is None:
-                break
-            rem = rem.exact_divide(f)
-        c = rem.constant_value() if rem is not None else None
-        if c is None or ctx.datum.field.is_zero(c):
+        if ctx.jac_P.det().constant_quotient(ctx.datum.form_polys()) is None:
             return False, "det J(P) is not a nonzero constant multiple of Q"
         return True, None
 
@@ -351,13 +338,7 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
 
         def basis_det(m=m):
             det = xi_coefficient_matrix(m, ctx).det()
-            rem = det
-            for _ in range(m):
-                if rem is None:
-                    break
-                rem = rem.exact_divide(q)
-            c = rem.constant_value() if rem is not None else None
-            if c is None or ctx.datum.field.is_zero(c):
+            if det.constant_quotient([q] * m) is None:
                 return False, (f"det of xi^({m}) coefficient matrix is not a "
                                f"nonzero constant multiple of Q^{m}")
             return True, None

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
-from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
-                              jacobian, poincare_closed_form, poincare_equal,
+from coxsaito.coxeter import (CoxeterDatum, anti_invariant_Q, build_datum,
+                              builtin_invariants, jacobian,
+                              poincare_closed_form, poincare_equal,
                               validate_invariants)
-from coxsaito.errors import (JacobianCriterionFailed, NotInvariant,
-                             RankOutOfRange, UnsupportedType, WrongDegrees)
-from coxsaito.matrix import smat_eq, smat_identity, smat_mul, smat_transpose
+from coxsaito.errors import (CoxsaitoError, JacobianCriterionFailed,
+                             NotInvariant, RankOutOfRange, SingularMatrix,
+                             UnsupportedType, WrongDegrees)
+from coxsaito.field import RATIONALS
+from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 
 
@@ -55,12 +60,43 @@ def test_builtin_daten_structural_invariants(label, rank):
     d = build_datum(label, rank)
     ell, h = d.rank, d.coxeter_number
     assert d.size == sum(d.exponents) == ell * h // 2
-    ident = smat_identity(ell, d.field)
+    ident = Matrix.identity(ell, ell, d.field)
+    gram = Matrix.from_scalars(d.gram, ell, d.field)
     for g in d.generators:
-        assert smat_eq(smat_mul(g, g, d.field), ident)
-        assert smat_eq(
-            smat_mul(smat_transpose(g), smat_mul(d.gram, g, d.field), d.field),
-            d.gram)
+        g = Matrix.from_scalars(g, ell, d.field)
+        assert g * g == ident
+        assert g.transpose() * gram * g == gram
+
+
+_B2_FORMS = [[1, 0], [0, 1], [1, -1], [1, 1]]
+_B2_GENS = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+
+
+@pytest.mark.parametrize("rank,gram,forms,gens,exps,error,message", [
+    (0, [], [], [], (1,), RankOutOfRange, "rank must be >= 1"),
+    (2, [[1, 0]], _B2_FORMS, _B2_GENS, (1, 3), CoxsaitoError, "rank x rank"),
+    (2, [[1, 1], [0, 1]], _B2_FORMS, _B2_GENS, (1, 3), CoxsaitoError,
+     "symmetric"),
+    (2, [[1, 1], [1, 1]], _B2_FORMS, _B2_GENS, (1, 3), SingularMatrix,
+     "scalar matrix is singular"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS, _B2_GENS, (3, 1), CoxsaitoError,
+     "ascending"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS[:3], _B2_GENS, (1, 3), CoxsaitoError,
+     "hyperplane count"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS, [[[1, 1], [0, 1]]], (1, 3), CoxsaitoError,
+     "generator 0 is not an involution"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS, _B2_GENS + [[[1, 0], [1, -1]]], (1, 3),
+     CoxsaitoError, "generator 2 does not preserve the Gram matrix"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS,
+     [[[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]],
+     (1, 3), CoxsaitoError, "generator 0 does not fix the arrangement"),
+], ids=["rank", "gram-shape", "gram-asymmetric", "gram-singular",
+        "exponent-order", "hyperplane-count", "involution", "gram-preserved",
+        "arrangement-fixed"])
+def test_datum_check_rejections(rank, gram, forms, gens, exps, error, message):
+    with pytest.raises(CoxsaitoError, match=message) as info:
+        CoxeterDatum("X", rank, RATIONALS, gram, forms, gens, exps)
+    assert info.type is error
 
 
 def test_unsupported_and_out_of_range():

@@ -54,3 +54,12 @@ def test_render_and_describe():
     assert SQRT5.render(t + 1) == "(1+t)"
     assert SQRT5.describe() == "Q[t]/(t^2 - 5)"
     assert RATIONALS.describe() == "Q"
+
+
+def test_equal_scalars_hash_equal():
+    # a Scalar equal to a rational must hash like it (one set element)
+    half = SQRT5.coerce(Fraction(1, 2))
+    assert SQRT5.one == 1 and half == Fraction(1, 2)
+    assert hash(SQRT5.one) == hash(1)
+    assert hash(half) == hash(Fraction(1, 2))
+    assert len({SQRT5.one, 1}) == 1

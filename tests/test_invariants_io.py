@@ -7,7 +7,6 @@ from coxsaito.coxeter import anti_invariant_Q, build_datum, builtin_invariants
 from coxsaito.errors import JacobianCriterionFailed, ParseError
 from coxsaito.field import FieldContext
 from coxsaito.invariants_io import datum_to_json, ingest_invariants
-from coxsaito.matrix import smat_identity
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import bk_matrix, build_context, xi_basis
 from coxsaito.verify import check_flat_remark, check_metric, contact_order_check
@@ -120,8 +119,8 @@ def _h3_document():
         "field": field_doc,
         "rank": 3,
         "exponents": [1, 5, 9],
-        "gram": [[scalar_to_json(v, field) for v in row]
-                 for row in smat_identity(3, field)],
+        "gram": [[scalar_to_json(one if i == j else zero, field)
+                  for j in range(3)] for i in range(3)],
         "hyperplanes": [[scalar_to_json(v, field) for v in f]
                         for f in hyperplanes],
         "generators": [[[scalar_to_json(v, field) for v in row] for row in g]

@@ -3,8 +3,7 @@ import pytest
 from coxsaito.errors import NonPolynomialEntry, SingularMatrix
 from coxsaito.field import RATIONALS, FieldContext
 from coxsaito.fraction import FactoredFraction
-from coxsaito.matrix import (Matrix, MinorTable, smat_eq, smat_identity,
-                             smat_inverse, smat_mul)
+from coxsaito.matrix import Matrix, MinorTable
 from coxsaito.poly import MultiPoly
 
 
@@ -99,8 +98,7 @@ def test_transpose_and_mul():
 def test_scalar_matrix_inverse():
     field = FieldContext((-5, 0, 1), "sqrt(5)")
     t = field.generator()
-    a = [[field.one, t], [t, field.coerce(2)]]
-    inv = smat_inverse(a, field)
-    assert smat_eq(smat_mul(a, inv, field), smat_identity(2, field))
+    a = Matrix.from_scalars([[field.one, t], [t, 2]], 2, field)
+    assert (a * a.inverse()).simplify() == Matrix.identity(2, 2, field)
     with pytest.raises(SingularMatrix):
-        smat_inverse([[field.one, field.one], [field.one, field.one]], field)
+        Matrix.from_scalars([[1, 1], [1, 1]], 2, field).inverse()

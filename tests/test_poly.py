@@ -105,3 +105,16 @@ def test_render_graded_lex():
     x, y = xy()
     f = y ** 3 + x * x - 2 * y
     assert f.render() == "y^3+x^2-2*y"
+
+
+def test_constant_quotient():
+    x, y = xy()
+    forms = [x, x - y, x + y]
+    product = x * (x - y) * (x + y)
+    assert (product * Fraction(-3, 2)).constant_quotient(forms) == Fraction(-3, 2)
+    assert (product * 5).constant_quotient(reversed(forms)) == 5
+    assert MultiPoly.const(2, 7).constant_quotient([]) == 7
+    assert (product * y).constant_quotient(forms) is None       # non-constant
+    assert (product + y ** 3).constant_quotient(forms) is None  # indivisible
+    assert MultiPoly.zero(2).constant_quotient(forms) is None
+    assert MultiPoly.zero(2).constant_quotient([]) is None

@@ -151,9 +151,15 @@ def test_dp_frame_convert_is_primitive(b2):
         assert got == want
 
 
-def test_frame_roundtrip_on_xi1(b2):
-    for theta in xi_basis(1, b2):
-        round_tripped = frame_convert(frame_convert(theta, "P", b2), "X", b2)
+FRAME_GROUPS = pytest.mark.parametrize("label,rank", [
+    ("B", 2), ("I2", 5), ("A", 3)])
+
+
+@FRAME_GROUPS
+def test_frame_roundtrip_on_xi1(group_context, label, rank):
+    ctx = group_context(label, rank)
+    for theta in xi_basis(1, ctx):
+        round_tripped = frame_convert(frame_convert(theta, "P", ctx), "X", ctx)
         assert round_tripped == theta
 
 
@@ -338,18 +344,19 @@ def test_foreign_denominator_is_an_integrity_failure():
     assert any("other than det J" in w for w in witnesses), witnesses
 
 
-def test_frame_convert_preserves_values(b2):
+@FRAME_GROUPS
+def test_frame_convert_preserves_values(group_context, label, rank):
     # applying a derivation to coordinates and invariants gives the same
     # values in either frame
-    from coxsaito.saito import derivation_apply
-    theta = xi_basis(3, b2)[0]
-    theta_p = frame_convert(theta, "P", b2)
-    for i in range(2):
-        xi_coord = MultiPoly.variable(2, i, b2.datum.field)
-        assert derivation_apply(theta, xi_coord, b2) == \
-            derivation_apply(theta_p, xi_coord, b2)
-    for p in b2.invariants.polys:
-        assert derivation_apply(theta, p, b2) == derivation_apply(theta_p, p, b2)
+    ctx = group_context(label, rank)
+    theta = xi_basis(3, ctx)[0]
+    theta_p = frame_convert(theta, "P", ctx)
+    for i in range(ctx.rank):
+        xi_coord = MultiPoly.variable(ctx.rank, i, ctx.datum.field)
+        assert derivation_apply(theta, xi_coord, ctx) == \
+            derivation_apply(theta_p, xi_coord, ctx)
+    for p in ctx.invariants.polys:
+        assert derivation_apply(theta, p, ctx) == derivation_apply(theta_p, p, ctx)
 
 
 def test_poly_coeffs_raises_on_fractions(a1):
