@@ -39,11 +39,12 @@ _I2_MINPOLY = {
 
 
 def _normalize_form(coeffs, field: FieldContext):
+    """(lead, form / lead) for the first nonzero coefficient `lead`."""
     lead = next((c for c in coeffs if not field.is_zero(c)), None)
     if lead is None:
         raise CoxsaitoError("zero hyperplane form")
     inv = field.invert(lead)
-    return tuple(c * inv for c in coeffs)
+    return lead, tuple(c * inv for c in coeffs)
 
 
 class CoxeterDatum:
@@ -52,10 +53,15 @@ class CoxeterDatum:
     Constructing a datum verifies all structural invariants (generator
     involutions, Gram compatibility, arrangement closure, exponent count);
     a successfully built datum can be trusted by every downstream module.
+
+    `_check` also records, per generator s, the scalar c_s with
+    Q o s = c_s * Q for the arrangement polynomial Q: s maps each form to
+    c_H times a form, and c_s is the product of the c_H.
     """
 
     __slots__ = ("type_label", "rank", "field", "gram", "forms", "generators",
-                 "subst", "exponents", "coxeter_number", "_form_polys", "_q")
+                 "subst", "exponents", "coxeter_number", "q_multipliers",
+                 "_form_polys", "_q")
 
     def __init__(self, type_label: str, rank: int, field: FieldContext,
                  gram, forms, generators, exponents):
@@ -63,7 +69,7 @@ class CoxeterDatum:
         self.rank = rank
         self.field = field
         self.gram = [tuple(field.coerce(v) for v in row) for row in gram]
-        self.forms = [_normalize_form([field.coerce(c) for c in f], field)
+        self.forms = [_normalize_form([field.coerce(c) for c in f], field)[1]
                       for f in forms]
         # a generator maps the coefficient vector of a linear form to M * vector;
         # the induced substitution on polynomials uses the transpose
@@ -92,21 +98,35 @@ class CoxeterDatum:
         h = self.coxeter_number
         if 2 * len(self.forms) != ell * h or sum(self.exponents) != len(self.forms):
             raise CoxsaitoError("hyperplane count must equal sum of exponents = rank*h/2")
+        form_index = {f: i for i, f in enumerate(self.forms)}
+        if len(form_index) != len(self.forms):
+            # the product certificate below needs a permutation of the forms
+            raise CoxsaitoError("hyperplane forms must be distinct")
         ident = Matrix.identity(ell, ell, field)
-        form_set = {tuple(field.to_coeffs(c) for c in f) for f in self.forms}
+        self.q_multipliers = []
         for idx, g in enumerate(self.generators):
             gm = Matrix.from_scalars(g, ell, field)
             if gm * gm != ident:
                 raise CoxsaitoError(f"generator {idx} is not an involution")
             if gm.transpose() * gram * gm != gram:
                 raise CoxsaitoError(f"generator {idx} does not preserve the Gram matrix")
+            # s(alpha_H) = c_H * alpha_pi(H); Q o s = prod(c_H) * Q when pi
+            # permutes the forms
+            hit = set()
+            product = field.one
             for f in self.forms:
                 image = [sum((g[j][i] * f[i] for i in range(ell)), field.coerce(0))
                          for j in range(ell)]
-                image = _normalize_form(image, field)
-                if tuple(field.to_coeffs(c) for c in image) not in form_set:
+                lead, image = _normalize_form(image, field)
+                if image not in form_index:
                     raise CoxsaitoError(
                         f"generator {idx} does not fix the arrangement setwise")
+                hit.add(form_index[image])
+                product = product * lead
+            if len(hit) != len(self.forms):
+                raise CoxsaitoError(
+                    f"generator {idx} does not fix the arrangement setwise")
+            self.q_multipliers.append(product)
 
     # -- derived data ------------------------------------------------------------
 
@@ -341,15 +361,19 @@ def validate_invariants(datum: CoxeterDatum, polys,
 
 
 def anti_invariant_Q(datum: CoxeterDatum) -> MultiPoly:
-    """Product of all hyperplane forms; certified anti-invariant."""
+    """Product of all hyperplane forms; certified anti-invariant.
+
+    Q o s = c_s * Q with c_s from `CoxeterDatum.q_multipliers`, so Q is
+    anti-invariant exactly when every c_s is -1; nothing is substituted.
+    """
     if datum._q is None:
+        for idx, c in enumerate(datum.q_multipliers):
+            if c != -1:
+                raise CoxsaitoError(
+                    f"arrangement polynomial is not anti-invariant under generator {idx}")
         q = MultiPoly.const(datum.rank, 1, datum.field)
         for f in datum.form_polys():
             q = q * f
-        for idx, s in enumerate(datum.subst):
-            if q.subst_linear(s) != -q:
-                raise CoxsaitoError(
-                    f"arrangement polynomial is not anti-invariant under generator {idx}")
         datum._q = q
     return datum._q
 

@@ -1,19 +1,26 @@
 """Exact scalar arithmetic: rationals and simple algebraic extensions of Q.
 
-A scalar lives in Q[t]/(p(t)) for a monic polynomial p that is trusted to be
-irreducible (presets are vetted; a reducible p surfaces as NonInvertible the
-first time a division hits a zero divisor).  The degree-1 case degenerates to
-plain `fractions.Fraction` values: polynomials over Q carry no wrapper object
-at all, which keeps the common rational-coefficient pipelines fast.
+A scalar lives in Q[t]/(p(t)) for a monic polynomial p.  The constructor
+certifies that p is squarefree; irreducibility is trusted, not verified
+(presets are vetted; a reducible p surfaces as NonInvertible the first time a
+division hits a zero divisor).  The degree-1 case degenerates to plain
+`fractions.Fraction` values: polynomials over Q carry no wrapper object at
+all, which keeps the common rational-coefficient pipelines fast.
+
+Over an extension a `Scalar` is stored like FLINT's nf_elem: the power-basis
+coefficients as integer numerators over one common positive denominator,
+always in lowest terms.  A product is an integer convolution, an integer
+reduction modulo p and one gcd.  Fractions appear only at the edges:
+`coerce`, `from_coeffs`, `to_coeffs`, `render`, and the extended Euclid
+inside `invert`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, NonInvertible
-
-Rational = Fraction
 
 
 def _poly_trim(c: list[Fraction]) -> list[Fraction]:
@@ -26,10 +33,10 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     """Quotient and remainder of dense univariate rational polynomials."""
     if not b:
         raise DivisionByZero("univariate division by zero polynomial")
-    a = list(a)
+    a = _poly_trim(list(a))
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
+    while len(a) >= len(b):
         shift = len(a) - len(b)
         coef = a[-1] * inv_lead
         q[shift] = coef
@@ -39,15 +46,24 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return q, a
 
 
+def _is_squarefree(p: tuple[Fraction, ...]) -> bool:
+    """gcd(p, p') is constant."""
+    a = list(p)
+    b = _poly_trim([i * c for i, c in enumerate(p)][1:])
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return len(a) == 1
+
+
 class FieldContext:
     """A simple real algebraic number field Q[t]/(p(t)).
 
-    `minimal_polynomial` is given by ascending coefficients and must be monic
-    of degree >= 1.  Irreducibility is trusted, not verified.
+    `minimal_polynomial` is given by ascending coefficients and must be monic,
+    squarefree and of degree >= 1.  Irreducibility is trusted, not verified.
     """
 
-    __slots__ = ("minpoly", "degree", "generator_description", "_reduction",
-                 "zero", "one")
+    __slots__ = ("minpoly", "degree", "generator_description", "_rows",
+                 "_row_den", "zero", "one")
 
     def __init__(self, minimal_polynomial=(0, 1), generator_description="rational"):
         coeffs = tuple(Fraction(c) for c in minimal_polynomial)
@@ -55,6 +71,8 @@ class FieldContext:
             raise ValueError("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
+        if not _is_squarefree(coeffs):
+            raise ValueError("minimal polynomial must be squarefree")
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         self.generator_description = generator_description
@@ -69,15 +87,16 @@ class FieldContext:
                 shifted = [Fraction(0)] + list(prev[:-1])
                 overflow = prev[-1]
                 rows.append(tuple(s + overflow * b for s, b in zip(shifted, base)))
-        self._reduction = tuple(rows)
+        # the same rows as integers over one common denominator
+        self._row_den = math.lcm(1, *(c.denominator for row in rows for c in row))
+        self._rows = tuple(tuple((c * self._row_den).numerator for c in row)
+                           for row in rows)
         if d == 1:
             self.zero = Fraction(0)
             self.one = Fraction(1)
         else:
-            self.zero = Scalar((Fraction(0),) * d, self)
-            one = [Fraction(0)] * d
-            one[0] = Fraction(1)
-            self.one = Scalar(tuple(one), self)
+            self.zero = Scalar((0,) * d, 1, self)
+            self.one = Scalar((1,) + (0,) * (d - 1), 1, self)
 
     @property
     def is_rational(self) -> bool:
@@ -86,9 +105,7 @@ class FieldContext:
     def generator(self) -> "Scalar":
         if self.degree == 1:
             raise ValueError("degree-1 field has no nontrivial generator")
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return Scalar(tuple(coeffs), self)
+        return Scalar((0, 1) + (0,) * (self.degree - 2), 1, self)
 
     def coerce(self, value):
         """Lift an int, Fraction or Scalar into this field."""
@@ -99,33 +116,44 @@ class FieldContext:
         q = Fraction(value)
         if self.degree == 1:
             return q
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = q
-        return Scalar(tuple(coeffs), self)
+        return Scalar((q.numerator,) + (0,) * (self.degree - 1), q.denominator, self)
 
     def from_coeffs(self, coeffs):
-        vals = tuple(Fraction(c) for c in coeffs)
+        vals = [Fraction(c) for c in coeffs]
         if len(vals) != self.degree:
             raise ValueError("coefficient vector length must equal field degree")
         if self.degree == 1:
             return vals[0]
-        return Scalar(vals, self)
+        den = math.lcm(*(v.denominator for v in vals))
+        return _lowest(
+            [v.numerator * (den // v.denominator) for v in vals], den, self)
 
     def to_coeffs(self, value) -> tuple[Fraction, ...]:
         if isinstance(value, Scalar):
-            return value.coeffs
+            return tuple(Fraction(n, value.den) for n in value.num)
         return (Fraction(value),)
 
-    def reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        """Reduce a coefficient list of length <= 2d-1 modulo the minimal polynomial."""
+    def reduce(self, coeffs: list[int], den: int) -> "Scalar":
+        """The Scalar (sum_i coeffs[i] t^i) / den in lowest terms.
+
+        `coeffs` are 2d-1 integers and den > 0; the powers t^d .. t^(2d-2)
+        are folded in with the integer reduction rows.
+        """
         d = self.degree
-        out = list(coeffs[:d]) + [Fraction(0)] * (d - len(coeffs[:d]))
-        for i, c in enumerate(coeffs[d:]):
-            if c:
-                row = self._reduction[i]
-                for j in range(d):
-                    out[j] += c * row[j]
-        return tuple(out)
+        out = coeffs[:d]
+        high = coeffs[d:]
+        if any(high):
+            rd = self._row_den
+            if rd != 1:
+                out = [c * rd for c in out]
+                den *= rd
+            for c, row in zip(high, self._rows):
+                if c:
+                    out = [o + c * r for o, r in zip(out, row)]
+        g = math.gcd(*out, den)
+        if g != 1:
+            return Scalar(tuple([n // g for n in out]), den // g, self)
+        return Scalar(tuple(out), den, self)
 
     def invert(self, value):
         if self.degree == 1:
@@ -133,11 +161,18 @@ class FieldContext:
             if q == 0:
                 raise DivisionByZero("division by zero")
             return 1 / q
-        coeffs = self.to_coeffs(value)
-        if not any(coeffs):
-            raise DivisionByZero("division by zero")
-        # extended Euclid in Q[t] between the value and the minimal polynomial
-        r0, r1 = list(self.minpoly), _poly_trim(list(coeffs))
+        value = self.coerce(value)
+        if not any(value.num[1:]):
+            # a rational's inverse is rational: den / num[0]
+            p, q = value.den, value.num[0]
+            if not q:
+                raise DivisionByZero("division by zero")
+            if q < 0:
+                p, q = -p, -q
+            return Scalar((p,) + (0,) * (self.degree - 1), q, self)
+        # extended Euclid in Q[t] between the numerator and the minimal
+        # polynomial; (num / den)^-1 = den * num^-1
+        r0, r1 = list(self.minpoly), _poly_trim([Fraction(n) for n in value.num])
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while r1:
             q, r = _poly_divmod(r0, r1)
@@ -156,14 +191,14 @@ class FieldContext:
             raise NonInvertible(
                 "gcd with minimal polynomial is not constant; "
                 "the minimal polynomial is reducible")
-        inv_gcd = 1 / r0[0]
+        inv_gcd = value.den / r0[0]
         coeffs_out = [c * inv_gcd for c in s0]
         coeffs_out += [Fraction(0)] * (self.degree - len(coeffs_out))
-        return Scalar(self.reduce(coeffs_out), self)
+        return self.from_coeffs(coeffs_out)
 
     def is_zero(self, value) -> bool:
         if isinstance(value, Scalar):
-            return not any(value.coeffs)
+            return not any(value.num)
         return value == 0
 
     def render(self, value, symbol: str = "t") -> str:
@@ -217,38 +252,66 @@ class FieldContext:
         return f"FieldContext(degree={self.degree}, generator={self.generator_description})"
 
 
+def _lowest(num: list[int], den: int, ctx: FieldContext) -> "Scalar":
+    """The Scalar num/den (den > 0) in lowest terms."""
+    g = math.gcd(*num, den)
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
+    return Scalar(tuple(num), den, ctx)
+
+
 class Scalar:
-    """An element of a degree >= 2 number field, in the power basis."""
+    """An element of a degree >= 2 number field, in the power basis.
 
-    __slots__ = ("coeffs", "ctx")
+    The value is (sum_i num[i] t^i) / den with integer `num`, `den > 0` and
+    gcd(*num, den) == 1; zero is (0, ..., 0) / 1.  The form is canonical, so
+    `==` and `hash` compare the integers directly.
+    """
 
-    def __init__(self, coeffs: tuple[Fraction, ...], ctx: FieldContext):
-        self.coeffs = coeffs
+    __slots__ = ("num", "den", "ctx")
+
+    def __init__(self, num: tuple[int, ...], den: int, ctx: FieldContext):
+        self.num = num
+        self.den = den
         self.ctx = ctx
 
     def __add__(self, other):
         if isinstance(other, Scalar):
-            return Scalar(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.ctx)
+            da, db = self.den, other.den
+            if da == db:
+                num = [a + b for a, b in zip(self.num, other.num)]
+                if da == 1:
+                    return Scalar(tuple(num), 1, self.ctx)
+                return _lowest(num, da, self.ctx)
+            return _lowest([a * db + b * da for a, b in zip(self.num, other.num)],
+                           da * db, self.ctx)
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            if not other:
                 return self
-            c = list(self.coeffs)
-            c[0] += other
-            return Scalar(tuple(c), self.ctx)
+            p, q = other.numerator, other.denominator
+            num = [a * q for a in self.num]
+            num[0] += p * self.den
+            return _lowest(num, self.den * q, self.ctx)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(tuple(-a for a in self.coeffs), self.ctx)
+        return Scalar(tuple(-a for a in self.num), self.den, self.ctx)
 
     def __sub__(self, other):
         if isinstance(other, Scalar):
-            return Scalar(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.ctx)
+            da, db = self.den, other.den
+            if da == db:
+                num = [a - b for a, b in zip(self.num, other.num)]
+                if da == 1:
+                    return Scalar(tuple(num), 1, self.ctx)
+                return _lowest(num, da, self.ctx)
+            return _lowest([a * db - b * da for a, b in zip(self.num, other.num)],
+                           da * db, self.ctx)
         if isinstance(other, (int, Fraction)):
-            c = list(self.coeffs)
-            c[0] -= other
-            return Scalar(tuple(c), self.ctx)
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -256,28 +319,30 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            a, b = self.coeffs, other.coeffs
-            d = len(a)
-            prod = [Fraction(0)] * (2 * d - 1)
+            a, b = self.num, other.num
+            prod = [0] * (2 * len(a) - 1)
             for i, ai in enumerate(a):
                 if ai:
                     for j, bj in enumerate(b):
-                        if bj:
-                            prod[i + j] += ai * bj
-            return Scalar(self.ctx.reduce(prod), self.ctx)
+                        prod[i + j] += ai * bj
+            return self.ctx.reduce(prod, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            if not other:
                 return self.ctx.zero
-            return Scalar(tuple(a * other for a in self.coeffs), self.ctx)
+            return _lowest([a * other.numerator for a in self.num],
+                           self.den * other.denominator, self.ctx)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
+            p, q = other.numerator, other.denominator
+            if not p:
                 raise DivisionByZero("division by zero")
-            return Scalar(tuple(a / other for a in self.coeffs), self.ctx)
+            if p < 0:
+                p, q = -p, -q
+            return _lowest([a * q for a in self.num], self.den * p, self.ctx)
         if isinstance(other, Scalar):
             return self * self.ctx.invert(other)
         return NotImplemented
@@ -300,19 +365,22 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.coeffs == other.coeffs
+            return (self.num == other.num and self.den == other.den
+                    and (self.ctx is other.ctx
+                         or self.ctx.minpoly == other.ctx.minpoly))
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
         # a rational-valued scalar equals, so must hash like, its Fraction
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash(self.coeffs)
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return f"Scalar({self.ctx.render(self)})"

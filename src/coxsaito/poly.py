@@ -147,9 +147,7 @@ class MultiPoly:
     def canonical_key(self):
         """Hashable snapshot identifying this polynomial exactly."""
         if self._ckey is None:
-            self._ckey = (self.nvars,
-                          frozenset((k, self.field.to_coeffs(c))
-                                    for k, c in self.terms.items()))
+            self._ckey = (self.nvars, frozenset(self.terms.items()))
         return self._ckey
 
     def sort_key(self):

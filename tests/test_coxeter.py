@@ -90,13 +90,39 @@ _B2_GENS = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
     (2, [[1, 0], [0, 1]], _B2_FORMS,
      [[[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]],
      (1, 3), CoxsaitoError, "generator 0 does not fix the arrangement"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS[:3] + [[2, 0]], _B2_GENS, (1, 3),
+     CoxsaitoError, "hyperplane forms must be distinct"),
 ], ids=["rank", "gram-shape", "gram-asymmetric", "gram-singular",
         "exponent-order", "hyperplane-count", "involution", "gram-preserved",
-        "arrangement-fixed"])
+        "arrangement-fixed", "repeated-form"])
 def test_datum_check_rejections(rank, gram, forms, gens, exps, error, message):
     with pytest.raises(CoxsaitoError, match=message) as info:
         CoxeterDatum("X", rank, RATIONALS, gram, forms, gens, exps)
     assert info.type is error
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("D", 3), ("D", 4),
+    ("I2", 5), ("I2", 8),
+])
+def test_q_multipliers_match_substitution(label, rank):
+    # the recorded c_s is what substituting s into Q actually gives
+    d = build_datum(label, rank)
+    q = anti_invariant_Q(d)
+    for s, c in zip(d.subst, d.q_multipliers):
+        assert q.subst_linear(s) == c * q
+        assert c == -1
+
+
+def test_central_symmetry_is_not_a_reflection():
+    # -I is an involution preserving the Gram matrix and the arrangement, but
+    # Q o (-I) = Q for B2 (four forms), so Q is not anti-invariant under it
+    d = CoxeterDatum("X", 2, RATIONALS, [[1, 0], [0, 1]], _B2_FORMS,
+                     [_B2_GENS[0], [[-1, 0], [0, -1]]], (1, 3))
+    assert d.q_multipliers == [-1, 1]
+    with pytest.raises(CoxsaitoError,
+                       match="not anti-invariant under generator 1"):
+        anti_invariant_Q(d)
 
 
 def test_unsupported_and_out_of_range():

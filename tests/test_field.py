@@ -63,3 +63,28 @@ def test_equal_scalars_hash_equal():
     assert hash(SQRT5.one) == hash(1)
     assert hash(half) == hash(Fraction(1, 2))
     assert len({SQRT5.one, 1}) == 1
+
+
+def test_scalars_of_different_fields_are_unequal():
+    sqrt2 = FieldContext((-2, 0, 1), "sqrt(2)")
+    assert SQRT5.generator() != sqrt2.generator()
+    # a context with the same minimal polynomial is the same field
+    twin = FieldContext((-5, 0, 1), "another sqrt(5)")
+    assert SQRT5.generator() == twin.generator()
+    assert hash(SQRT5.generator()) == hash(twin.generator())
+
+
+def test_minimal_polynomial_must_be_squarefree():
+    # (t^2 - 5)^2 = t^4 - 10 t^2 + 25
+    with pytest.raises(ValueError, match="squarefree"):
+        FieldContext((25, 0, -10, 0, 1), "sqrt(5), twice")
+    FieldContext((-1, 0, 1), "squarefree but reducible")
+
+
+def test_non_integer_minimal_polynomial():
+    # t^2 - 5/4: t = sqrt(5)/2, the reduction row has denominator 4
+    half_sqrt5 = FieldContext((Fraction(-5, 4), 0, 1), "sqrt(5)/2")
+    t = half_sqrt5.generator()
+    assert t * t == Fraction(5, 4)
+    assert (t * t * t) == Fraction(5, 4) * t
+    assert half_sqrt5.invert(t) == Fraction(4, 5) * t

@@ -9,7 +9,8 @@ from coxsaito.field import FieldContext
 from coxsaito.invariants_io import datum_to_json, ingest_invariants
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import bk_matrix, build_context, xi_basis
-from coxsaito.verify import check_flat_remark, check_metric, contact_order_check
+from coxsaito.verify import (check_flat_remark, check_metric,
+                             check_thm24_thm25_prop26, contact_order_check)
 
 
 def write_doc(tmp_path, doc, name="group.json"):
@@ -62,6 +63,17 @@ def test_bad_scalar_shape_named_by_path(tmp_path):
     with pytest.raises(ParseError) as err:
         ingest_invariants(path)
     assert "$.gram[0][0]" in str(err.value)
+
+
+def test_non_squarefree_minimal_polynomial_rejected(tmp_path):
+    datum = build_datum("B", 2)
+    doc = datum_to_json(datum, builtin_invariants(datum))
+    # (t^2 - 5)^2; the field is parsed before any scalar of the file
+    doc["field"]["minimal_polynomial"] = [[25, 1], [0, 1], [-10, 1], [0, 1], [1, 1]]
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(ParseError,
+                       match=r"^\$\.field: minimal polynomial must be squarefree"):
+        ingest_invariants(path)
 
 
 def _h3_document():
@@ -150,6 +162,24 @@ def test_h3_file_validates(h3_context):
     assert h3_context.invariants.validated
     q = anti_invariant_Q(datum)
     assert q.homogeneous_degree() == 15
+
+
+def test_h3_q_multipliers_match_substitution(h3_context):
+    datum = h3_context.datum
+    q = anti_invariant_Q(datum)
+    assert len(datum.q_multipliers) == 15
+    for s, c in zip(datum.subst, datum.q_multipliers):
+        assert c == -1
+        assert q.subst_linear(s) == c * q
+
+
+def test_h3_theorem_suite_passes(h3_context):
+    results = check_thm24_thm25_prop26(h3_context, 1, 1)
+    assert [(r.name, r.status) for r in results] == [
+        (f"{name}/m={m}", "pass") for m in (0, 1)
+        for name in ("thm25.member", "thm25.basis", "thm25.2")] + [
+        ("thm24.1/k=1", "pass"), ("thm24.2/k=1", "pass"),
+        ("prop26/k=1", "pass")]
 
 
 def test_h3_suites_runnable(h3_context):

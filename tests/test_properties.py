@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from coxsaito.coxeter import build_datum, builtin_invariants, jacobian
-from coxsaito.field import FieldContext, RATIONALS
+from coxsaito.field import FieldContext, RATIONALS, _poly_divmod
 from coxsaito.errors import SingularMatrix
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, lowest_power_in_form
@@ -51,6 +51,69 @@ def run_field_axioms(iterations=ITERATIONS, seed=20240229) -> int:
         assert a * (b + c) == a * b + a * c
         if a:
             assert a * SQRT5.invert(a) == SQRT5.one
+        tested += 1
+    return tested
+
+
+def _oracle_reduce(coeffs, field):
+    """Fraction route: the remainder mod the minimal polynomial, d entries."""
+    _, rem = _poly_divmod(list(coeffs), list(field.minpoly))
+    return tuple(rem) + (Fraction(0),) * (field.degree - len(rem))
+
+
+def _oracle_mul(x, y, field):
+    prod = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] += xi * yj
+    return _oracle_reduce(prod, field)
+
+
+def _assert_canonical(v, field):
+    assert v.ctx is field and len(v.num) == field.degree
+    assert all(type(n) is int for n in v.num) and type(v.den) is int
+    assert v.den > 0 and math.gcd(*v.num, v.den) == 1
+    assert field.from_coeffs(field.to_coeffs(v)) == v
+    if not any(v.num[1:]):
+        assert hash(v) == hash(Fraction(v.num[0], v.den))
+
+
+def run_integer_kernel_oracle(iterations=ITERATIONS, seed=27182818) -> int:
+    """Scalar arithmetic against the Fraction-vector product reduced by
+    `_poly_divmod`, over Q(sqrt 5), the I2(5), I2(7), I2(8) preset fields and
+    Q[t]/(t^2 - 5/4), whose reduction row has denominator 4; a / b is
+    checked by multiplying back."""
+    fields = [SQRT5] + [build_datum("I2", m).field for m in (5, 7, 8)]
+    fields.append(FieldContext((Fraction(-5, 4), 0, 1), "sqrt(5)/2"))
+    rng = random.Random(seed)
+    tested = 0
+    while tested < iterations:
+        field = fields[tested % len(fields)]
+        a = _random_scalar(rng, field)
+        b = _random_scalar(rng, field)
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        n = rng.randint(0, 5)
+        x, y = field.to_coeffs(a), field.to_coeffs(b)
+        products = [
+            (a * b, _oracle_mul(x, y, field)),
+            (a + b, tuple(u + v for u, v in zip(x, y))),
+            (a - b, tuple(u - v for u, v in zip(x, y))),
+            (a / q, tuple(u / q for u in x)),
+            (a * q, tuple(u * q for u in x)),
+            (a + q, (x[0] + q,) + x[1:]),
+        ]
+        power = (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
+        for _ in range(n):
+            power = _oracle_mul(power, x, field)
+        for got, want in products + [(a ** n, power)]:
+            assert field.to_coeffs(got) == want
+            _assert_canonical(got, field)
+            assert got == field.from_coeffs(want)
+            assert hash(got) == hash(field.from_coeffs(want))
+        assert a / field.coerce(q) == a / q
+        if b:
+            _assert_canonical(a / b, field)
+            assert (a / b) * b == a
         tested += 1
     return tested
 
@@ -134,6 +197,10 @@ def run_lowest_power_rescaling(iterations=ITERATIONS, seed=14142135) -> int:
 
 def test_field_axioms_thousand():
     assert run_field_axioms() >= 1000
+
+
+def test_integer_kernel_matches_fraction_oracle_thousand():
+    assert run_integer_kernel_oracle() >= 1000
 
 
 def test_exact_divide_roundtrip_thousand():
