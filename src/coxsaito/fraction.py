@@ -60,7 +60,10 @@ class FactoredFraction:
             else:
                 merged[key] = (fm, e)
         self.numerator = numerator
-        self.factors = tuple(sorted(merged.values(), key=lambda fe: fe[0].sort_key()))
+        factors = tuple(merged.values())
+        if len(factors) > 1:
+            factors = tuple(sorted(factors, key=lambda fe: fe[0].sort_key()))
+        self.factors = factors
         self.scalar = scalar
 
     # -- constructors --------------------------------------------------------

@@ -12,10 +12,19 @@ or `field.Scalar` values over an extension; no zero coefficient is ever
 stored.  There is no floating point and no multivariate gcd anywhere: the
 only reduction primitive is `exact_divide`, which either produces the exact
 quotient or reports that none exists.
+
+Over Q, products and exact division run on Python ints, the content times
+integer polynomial split of FLINT's fmpq_mpoly: each operand is cleared to
+an integer term dict over one common denominator (`_int_cleared`), the work
+is integer arithmetic, and one Fraction is built per output coefficient.
+For division the divisor is also made primitive, and Gauss's lemma makes
+every step of a true division integral (`_divide_rational`).  Sums, partial
+derivatives and scalar multiples still operate on Fractions.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -195,9 +204,9 @@ class MultiPoly:
             self._check_compat(other)
             if not self.terms or not other.terms:
                 return MultiPoly.zero(self.nvars, self.field)
-            a, b = self.terms, other.terms
-            if self.field.degree == 1 and len(a) * len(b) > 256:
+            if self.field.degree == 1:
                 return self._mul_rational(other)
+            a, b = self.terms, other.terms
             if len(a) > len(b):
                 a, b = b, a
             out: dict = {}
@@ -238,7 +247,12 @@ class MultiPoly:
                      for k, c in self.terms.items()}
 
     def _mul_rational(self, other: "MultiPoly") -> "MultiPoly":
-        """Product over Q via integer arithmetic; Fraction gcds only on output."""
+        """The product over Q, at every operand size.
+
+        Both operands are cleared to integer term dicts, the schoolbook
+        product runs on Python ints, and one Fraction per output coefficient
+        divides by the product of the two common denominators.
+        """
         da, a = self._int_cleared()
         db, b = other._int_cleared()
         if len(a) > len(b):
@@ -323,6 +337,7 @@ class MultiPoly:
 
         Leading-term elimination under the fixed graded-lex order; a division
         step that cannot proceed proves non-divisibility for a single divisor.
+        Over Q the elimination runs on integers (`_divide_rational`).
         """
         if not isinstance(divisor, MultiPoly):
             raise TypeError("divisor must be a MultiPoly")
@@ -331,6 +346,8 @@ class MultiPoly:
             raise DivisionByZero("exact_divide by zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.nvars, self.field)
+        if self.field.degree == 1:
+            return self._divide_rational(divisor)
         gl_key, gl_coeff = divisor.leading()
         inv_lead = self.field.invert(gl_coeff)
         g_items = list(divisor.terms.items())
@@ -357,6 +374,58 @@ class MultiPoly:
                     else:
                         del r[nk]
         return MultiPoly(self.nvars, q, self.field)
+
+    def _divide_rational(self, divisor: "MultiPoly"):
+        """`exact_divide` over Q on Python ints.
+
+        With self = f / da and divisor = c * g / db, where f is an integer
+        polynomial and g a primitive one with positive leading coefficient,
+        self / divisor = (f / g) * db / (da * c).  By Gauss's lemma, g divides
+        f over Q only if it divides f over Z, and leading-term elimination
+        reproduces that integer quotient term by term.  So every step of a
+        true division is integral, and a nonzero `divmod` remainder proves
+        non-divisibility as surely as a leading monomial that does not
+        divide.  The quotient is rescaled to Fractions once, at the end.
+        """
+        da, r = self._int_cleared()
+        db, g = divisor._int_cleared()
+        gl_key = max(g)
+        content = math.gcd(*g.values())
+        if g[gl_key] < 0:
+            content = -content
+        if content != 1:
+            g = {k: c // content for k, c in g.items()}
+        lead = g.pop(gl_key)
+        g_items = list(g.items())
+        n = self.nvars
+        q: dict = {}
+        # Every key a step adds to r lies below the popped leading key, so a
+        # max-heap of negated keys holds each key of r exactly once; a key
+        # whose coefficient cancelled to 0 stays in r and is skipped.
+        heap = [-k for k in r]
+        heapq.heapify(heap)
+        while heap:
+            m = -heapq.heappop(heap)
+            v = r.pop(m)
+            if not v:
+                continue
+            if not _limb_divides(gl_key, m, n):
+                return None
+            qc, rem = divmod(v, lead)
+            if rem:
+                return None
+            qk = m - gl_key
+            q[qk] = qc
+            for k, c in g_items:
+                nk = k + qk
+                cur = r.get(nk)
+                if cur is None:
+                    heapq.heappush(heap, -nk)
+                    cur = 0
+                r[nk] = cur - qc * c
+        den = da * content
+        return MultiPoly(n, {k: Fraction(c * db, den) for k, c in q.items()},
+                         self.field)
 
     def constant_quotient(self, divisors):
         """The nonzero constant c with self = c * prod(divisors), else None."""

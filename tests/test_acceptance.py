@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 from conftest import fresh_context, report_elapsed, shared_context, shared_report
-from test_properties import (run_adjugate_inverse, run_exact_divide_roundtrip,
-                             run_field_axioms, run_lowest_power_rescaling,
+from test_properties import (run_adjugate_inverse, run_exact_divide_oracle,
+                             run_exact_divide_roundtrip, run_field_axioms,
+                             run_lowest_power_rescaling,
                              run_substitution_roundtrip)
 
 from coxsaito.coxeter import (build_datum, builtin_invariants,
@@ -183,6 +184,7 @@ def test_criterion_8_property_suites():
     counts = {
         "field axioms": run_field_axioms(),
         "exact_divide roundtrip": run_exact_divide_roundtrip(),
+        "exact_divide oracle": run_exact_divide_oracle(),
         "adjugate inverse": run_adjugate_inverse(),
         "substitution roundtrip": run_substitution_roundtrip(),
         "lowest power rescaling": run_lowest_power_rescaling(),

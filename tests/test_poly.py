@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxsaito.errors import ZeroForm
+from coxsaito.errors import DivisionByZero, ZeroForm
 from coxsaito.field import RATIONALS, FieldContext
 from coxsaito.poly import MultiPoly, lowest_power_in_form
 
@@ -43,6 +43,45 @@ def test_exact_divide_difference_of_squares():
 def test_exact_divide_not_divisible():
     x, y = xy()
     assert (x * x + y * y).exact_divide(x) is None
+
+
+def test_exact_divide_first_step_not_integral():
+    # cleared, the first step is 1 = 2 * q: the quotient x/2 - 3y/4 leaves 9y^2/4
+    x, y = xy()
+    assert (x * x).exact_divide(2 * x + 3 * y) is None
+
+
+def test_exact_divide_divisor_with_content_and_negative_lead():
+    x, y = xy()
+    g = -6 * x - 4 * y
+    assert (x * y * g).exact_divide(g) == x * y
+    assert ((x - y) * g).exact_divide(g) == x - y
+    assert (3 * x + 2 * y).exact_divide(g) == MultiPoly.const(2, Fraction(-1, 2))
+    assert g.exact_divide(3 * x + 2 * y) == MultiPoly.const(2, -2)
+    assert (x * x).exact_divide(g) is None
+
+
+def test_exact_divide_fractional_divisor_and_quotient():
+    x, y = xy()
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    g = x * half + y * third
+    assert (x * x * Fraction(1, 4) - y * y * Fraction(1, 9)).exact_divide(g) \
+        == x * half - y * third
+    assert g.exact_divide(3 * x + 2 * y) == MultiPoly.const(2, Fraction(1, 6))
+    quotient = ((x * third) * (2 * x + y)).exact_divide(2 * x + y)
+    assert quotient == x * third
+    assert all(type(c) is Fraction for c in quotient.terms.values())
+
+
+def test_exact_divide_zero_dividend_and_constant_divisor():
+    x, y = xy()
+    assert MultiPoly.zero(2).exact_divide(x + y) == MultiPoly.zero(2)
+    c = MultiPoly.const(2, Fraction(-3, 4))
+    assert (x * Fraction(1, 2) + y).exact_divide(c) \
+        == x * Fraction(-2, 3) + y * Fraction(-4, 3)
+    assert c.exact_divide(MultiPoly.const(2, 6)) == MultiPoly.const(2, Fraction(-1, 8))
+    with pytest.raises(DivisionByZero):
+        x.exact_divide(MultiPoly.zero(2))
 
 
 def test_exact_divide_b2_jacobian_by_arrangement_poly():

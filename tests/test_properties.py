@@ -13,7 +13,7 @@ from coxsaito.coxeter import build_datum, builtin_invariants, jacobian
 from coxsaito.field import FieldContext, RATIONALS, _poly_divmod
 from coxsaito.errors import SingularMatrix
 from coxsaito.matrix import Matrix
-from coxsaito.poly import MultiPoly, lowest_power_in_form
+from coxsaito.poly import MultiPoly, lowest_power_in_form, pack, unpack
 
 SQRT5 = FieldContext((-5, 0, 1), "sqrt(5)")
 
@@ -131,6 +131,102 @@ def run_exact_divide_roundtrip(iterations=ITERATIONS, seed=57721566) -> int:
     return tested
 
 
+def _random_rational_poly(rng, nvars, max_degree, terms):
+    """`terms` draws of monomials of total degree <= max_degree with
+    coefficients a/b, |a| <= 9, b <= 6, all times one scale outside +-1."""
+    scale = Fraction(rng.choice((-1, 1)) * rng.randint(2, 12), rng.randint(1, 5))
+    if abs(scale) == 1:
+        scale *= 7
+    items = []
+    for _ in range(terms):
+        degree = rng.randint(0, max_degree)
+        cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        exps = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+        items.append((exps, scale * Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+    return MultiPoly.from_terms(nvars, items)
+
+
+def _oracle_poly_divide(f, g):
+    """Leading-term elimination on Fractions: the quotient's terms or None."""
+    n = f.nvars
+    gl_key, gl_coeff = g.leading()
+    gl_exps = unpack(gl_key, n)
+    r = dict(f.terms)
+    q = {}
+    while r:
+        m = max(r)
+        if any(a > b for a, b in zip(gl_exps, unpack(m, n))):
+            return None
+        qk = m - gl_key
+        qc = r[m] / gl_coeff
+        q[qk] = qc
+        for k, c in g.terms.items():
+            acc = r.get(k + qk, 0) - qc * c
+            if acc:
+                r[k + qk] = acc
+            else:
+                del r[k + qk]
+    return q
+
+
+def _oracle_poly_mul(a, b):
+    """Schoolbook product on exponent vectors and Fractions: the terms."""
+    out = {}
+    b_terms = list(b.iter_terms())
+    for ea, ca in a.iter_terms():
+        for eb, cb in b_terms:
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {pack(e): c for e, c in out.items() if c}
+
+
+def run_exact_divide_oracle(iterations=ITERATIONS, seed=26535897) -> int:
+    """`exact_divide` and `*` over Q against the Fraction routes above.
+
+    Operands have 1-3 variables, fractional coefficients and a scale outside
+    +-1; half of the divisors have a negative leading coefficient.  Even
+    instances divide f * g by g, odd ones an arbitrary pair, so both quotients
+    and None are compared.  Products alternate between len(a) * len(b) <= 256
+    and > 256.
+    """
+    rng = random.Random(seed)
+    seen = {"quotient": 0, "none": 0, "small product": 0, "large product": 0}
+    tested = 0
+    while tested < iterations:
+        nvars = 1 + tested % 3
+        f = _random_rational_poly(rng, nvars, 4, rng.randint(1, 5))
+        g = _random_rational_poly(rng, nvars, 3, rng.randint(1, 4))
+        if g.is_zero():
+            continue
+        if (tested // 2 % 2 == 1) != (g.leading()[1] < 0):
+            g = -g
+        dividend = f * g if tested % 2 == 0 else f
+        want = _oracle_poly_divide(dividend, g)
+        got = dividend.exact_divide(g)
+        if want is None:
+            assert got is None, (dividend, g)
+            seen["none"] += 1
+        else:
+            assert got is not None and got.terms == want, (dividend, g)
+            assert all(type(c) is Fraction for c in got.terms.values())
+            seen["quotient"] += 1
+
+        large = tested % 2 == 1
+        nvars = 2 + tested // 2 % 2 if large else nvars
+        a = _random_rational_poly(rng, nvars, 8 if large else 4,
+                                  24 if large else rng.randint(1, 6))
+        b = _random_rational_poly(rng, nvars, 8 if large else 4,
+                                  24 if large else rng.randint(1, 6))
+        product = a * b
+        assert product.terms == _oracle_poly_mul(a, b), (a, b)
+        assert all(type(c) is Fraction for c in product.terms.values())
+        seen["large product" if len(a.terms) * len(b.terms) > 256
+             else "small product"] += 1
+        tested += 1
+    assert min(seen.values()) >= iterations // 4, seen
+    return tested
+
+
 def run_adjugate_inverse(iterations=ITERATIONS, seed=31415926) -> int:
     rng = random.Random(seed)
     ident = Matrix.identity(3, 3, RATIONALS)
@@ -205,6 +301,10 @@ def test_integer_kernel_matches_fraction_oracle_thousand():
 
 def test_exact_divide_roundtrip_thousand():
     assert run_exact_divide_roundtrip() >= 1000
+
+
+def test_exact_divide_matches_fraction_oracle_thousand():
+    assert run_exact_divide_oracle() >= 1000
 
 
 def test_adjugate_inverse_thousand():
