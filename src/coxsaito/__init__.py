@@ -10,7 +10,7 @@ from .matrix import Matrix
 from .poly import MultiPoly, lowest_power_in_form
 from .saito import (PolyDerivation, SaitoContext, bk_matrix, build_context,
                     christoffel_star, derivation_bracket, dkx, frame_convert,
-                    hk_product, nabla_D, primitive_derivation_apply, xi_basis)
+                    nabla_D, primitive_derivation_apply, xi_basis)
 from .verify import (CheckReport, CheckResult, check_flat_remark, check_hodge,
                      check_lemma21, check_lemma22, check_metric,
                      check_thm24_thm25_prop26, contact_order_check, run_suites)
@@ -24,7 +24,7 @@ __all__ = [
     "ingest_invariants",
     "PolyDerivation", "SaitoContext", "bk_matrix", "build_context",
     "christoffel_star", "derivation_bracket", "dkx", "frame_convert",
-    "hk_product", "nabla_D", "primitive_derivation_apply", "xi_basis",
+    "nabla_D", "primitive_derivation_apply", "xi_basis",
     "CheckReport", "CheckResult", "check_flat_remark", "check_hodge",
     "check_lemma21", "check_lemma22", "check_metric",
     "check_thm24_thm25_prop26", "contact_order_check", "run_suites",

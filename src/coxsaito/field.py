@@ -98,10 +98,6 @@ class FieldContext:
             self.zero = Scalar((0,) * d, 1, self)
             self.one = Scalar((1,) + (0,) * (d - 1), 1, self)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.degree == 1
-
     def generator(self) -> "Scalar":
         if self.degree == 1:
             raise ValueError("degree-1 field has no nontrivial generator")

@@ -1,76 +1,99 @@
-"""Fractions with factored denominators.
+"""Fractions whose denominators are powers of one polynomial.
 
-The denominators that actually occur in the pipeline are products of a few
-known homogeneous polynomials (Jacobian determinants, the arrangement
-polynomial, individual linear forms), so a fraction is kept as
+Every object the verifier builds -- the primitive derivation, D^k[X],
+J(P)^-1, G^-1, the connection matrices -- lives in the localization S[Q^-1],
+Q the arrangement polynomial and det J(P) = c Q.  So a fraction is kept as
 
-    numerator / (scalar * f1^e1 * ... * fr^er)
+    numerator / (scalar * q^exp)
 
-with each fi monic in graded-lex order.  Reduction never uses a gcd: `simplify`
-just retries exact division of the numerator by each factor.  Addition and
-multiplication merge factor multisets, so chains of operations on fractions
-with a shared denominator stay cheap.
+with q the monic polynomial of one shared `PowerBase`, which also caches the
+powers and partial derivatives of q.  An element with exp == 0 is a
+polynomial (over a nonzero scalar) and combines with any base; combining two
+different bases raises CoxsaitoError.  Reduction never uses a gcd: `simplify`
+just retries exact division of the numerator by q.
 """
 
 from __future__ import annotations
 
-from .errors import DivisionByZero
+from .errors import CoxsaitoError, DivisionByZero
 from .field import FieldContext
 from .poly import MultiPoly
 
 
-class FactoredFraction:
-    __slots__ = ("numerator", "factors", "scalar")
+class PowerBase:
+    """The monic polynomial q of the denominators c * q^e, with cached powers
+    and partial derivatives.  The caches are dicts filled idempotently, so a
+    base can be shared across concurrent readers."""
 
-    def __init__(self, numerator: MultiPoly, factors=(), scalar=None, _normalized=False):
+    __slots__ = ("q", "_powers", "_partials")
+
+    def __init__(self, p: MultiPoly):
+        if p.constant_value() is not None:
+            raise ValueError("a denominator base must be a nonconstant polynomial")
+        self.q, _ = p.monic()
+        self._powers = {0: MultiPoly.const(p.nvars, 1, p.field), 1: self.q}
+        self._partials: dict = {}
+
+    def power(self, e: int) -> MultiPoly:
+        table = self._powers
+        if e not in table:
+            table[e] = self.power(e - 1) * self.q
+        return table[e]
+
+    def partial(self, index: int) -> MultiPoly:
+        table = self._partials
+        if index not in table:
+            table[index] = self.q.partial(index)
+        return table[index]
+
+
+def _common_base(a: "FactoredFraction", b: "FactoredFraction"):
+    """The base of a result combining a and b."""
+    if not b.exp:
+        return a.base
+    if not a.exp or a.base is b.base:
+        return b.base
+    if a.base.q != b.base.q:
+        raise CoxsaitoError("fractions over different denominator bases")
+    return a.base
+
+
+def _new(numerator: MultiPoly, base, exp: int, scalar) -> "FactoredFraction":
+    """A fraction from already-normalized parts (scalar nonzero in the field)."""
+    f = object.__new__(FactoredFraction)
+    f.numerator = numerator
+    if numerator.terms:
+        f.base, f.exp, f.scalar = base, exp, scalar
+    else:
+        f.base, f.exp, f.scalar = base, 0, numerator.field.one
+    return f
+
+
+class FactoredFraction:
+    """numerator / (scalar * base.q^exp); base may be None when exp == 0."""
+
+    __slots__ = ("numerator", "base", "exp", "scalar")
+
+    def __init__(self, numerator: MultiPoly, base: PowerBase | None = None,
+                 exp: int = 0, scalar=None):
         field = numerator.field
-        if scalar is None:
-            scalar = field.one
-        if _normalized:
-            self.numerator = numerator
-            self.factors = factors
-            self.scalar = scalar
-            return
-        scalar = field.coerce(scalar)
+        scalar = field.one if scalar is None else field.coerce(scalar)
         if not scalar:
             raise DivisionByZero("zero denominator scalar")
-        if numerator.is_zero():
-            self.numerator = numerator
-            self.factors = ()
-            self.scalar = field.one
-            return
-        merged: dict = {}
-        for f, e in factors:
-            if e == 0:
-                continue
-            if e < 0:
-                raise ValueError("denominator exponents must be positive")
-            if f.is_zero():
-                raise DivisionByZero("zero denominator factor")
-            cv = f.constant_value()
-            if cv is not None:
-                scalar = scalar * (cv ** e if e > 1 else cv)
-                continue
-            fm, lead = f.monic()
-            scalar = scalar * (lead ** e if e > 1 else lead)
-            key = fm.canonical_key()
-            if key in merged:
-                old_f, old_e = merged[key]
-                merged[key] = (old_f, old_e + e)
-            else:
-                merged[key] = (fm, e)
+        if exp < 0:
+            raise ValueError("denominator exponents must be nonnegative")
+        if exp and base is None:
+            raise ValueError("a positive exponent needs a denominator base")
         self.numerator = numerator
-        factors = tuple(merged.values())
-        if len(factors) > 1:
-            factors = tuple(sorted(factors, key=lambda fe: fe[0].sort_key()))
-        self.factors = factors
-        self.scalar = scalar
+        self.base = base
+        self.exp = exp if numerator.terms else 0
+        self.scalar = scalar if numerator.terms else field.one
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "FactoredFraction":
-        return cls(p, (), p.field.one, _normalized=True)
+        return _new(p, None, 0, p.field.one)
 
     @classmethod
     def zero(cls, nvars: int, field: FieldContext) -> "FactoredFraction":
@@ -90,31 +113,17 @@ class FactoredFraction:
         return self.numerator.is_zero()
 
     def is_poly(self) -> bool:
-        return not self.factors
+        return not self.exp
 
     def homogeneous_degree(self):
         """Degree as a homogeneous rational function; None if not homogeneous."""
         if self.numerator.is_zero():
             return None
         num = self.numerator.homogeneous_degree()
-        if num is None:
-            return None
-        for f, e in self.factors:
-            d = f.homogeneous_degree()
-            if d is None:
-                return None
-            num -= d * e
-        return num
-
-    def _den_dict(self) -> dict:
-        return {f.canonical_key(): (f, e) for f, e in self.factors}
-
-    def denominator_poly(self) -> MultiPoly:
-        """The denominator multiplied out (without the scalar)."""
-        den = MultiPoly.const(self.nvars, 1, self.field)
-        for f, e in self.factors:
-            den = den * f ** e
-        return den
+        if num is None or not self.exp:
+            return num
+        d = self.base.q.homogeneous_degree()
+        return None if d is None else num - d * self.exp
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -127,33 +136,22 @@ class FactoredFraction:
             return self
         if self.is_zero():
             return other
-        if self.factors == other.factors and self.scalar == other.scalar:
-            return FactoredFraction(self.numerator + other.numerator,
-                                    self.factors, self.scalar)
-        da, db = self._den_dict(), other._den_dict()
+        base = _common_base(self, other)
         num_a, num_b = self.numerator, other.numerator
-        union: dict = dict(da)
-        for key, (f, e) in db.items():
-            if key in union:
-                union[key] = (f, max(union[key][1], e))
-            else:
-                union[key] = (f, e)
-        for key, (f, e) in union.items():
-            ea = da.get(key, (f, 0))[1]
-            eb = db.get(key, (f, 0))[1]
-            if e > ea:
-                num_a = num_a * f ** (e - ea)
-            if e > eb:
-                num_b = num_b * f ** (e - eb)
-        num = num_a * other.scalar + num_b * self.scalar
-        return FactoredFraction(num, tuple(union.values()),
-                                self.scalar * other.scalar)
+        ea, eb = self.exp, other.exp
+        if ea < eb:
+            num_a = num_a * base.power(eb - ea)
+        elif eb < ea:
+            num_b = num_b * base.power(ea - eb)
+        if self.scalar == other.scalar:
+            return _new(num_a + num_b, base, max(ea, eb), self.scalar)
+        return _new(num_a * other.scalar + num_b * self.scalar, base,
+                    max(ea, eb), self.scalar * other.scalar)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FactoredFraction(-self.numerator, self.factors, self.scalar,
-                                _normalized=True)
+        return _new(-self.numerator, self.base, self.exp, self.scalar)
 
     def __sub__(self, other):
         if isinstance(other, MultiPoly):
@@ -171,48 +169,29 @@ class FactoredFraction:
         if isinstance(other, FactoredFraction):
             if self.is_zero() or other.is_zero():
                 return FactoredFraction.zero(self.nvars, self.field)
-            return FactoredFraction(self.numerator * other.numerator,
-                                    self.factors + other.factors,
-                                    self.scalar * other.scalar)
+            return _new(self.numerator * other.numerator,
+                        _common_base(self, other), self.exp + other.exp,
+                        self.scalar * other.scalar)
         # plain scalar
         c = self.field.coerce(other)
         if not c:
             return FactoredFraction.zero(self.nvars, self.field)
-        return FactoredFraction(self.numerator * c, self.factors, self.scalar,
-                                _normalized=True)
+        return _new(self.numerator * c, self.base, self.exp, self.scalar)
 
     __rmul__ = __mul__
-
-    def reciprocal(self) -> "FactoredFraction":
-        if self.is_zero():
-            raise DivisionByZero("reciprocal of zero fraction")
-        num = self.denominator_poly() * self.scalar
-        return FactoredFraction(num, ((self.numerator, 1),))
-
-    def __truediv__(self, other):
-        if isinstance(other, FactoredFraction):
-            return self * other.reciprocal()
-        if isinstance(other, MultiPoly):
-            return FactoredFraction(self.numerator, self.factors + ((other, 1),),
-                                    self.scalar)
-        c = self.field.coerce(other)
-        if not c:
-            raise DivisionByZero("division by zero scalar")
-        if self.is_zero():
-            return self
-        return FactoredFraction(self.numerator, self.factors, self.scalar * c,
-                                _normalized=True)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             other = FactoredFraction.from_poly(other)
         if not isinstance(other, FactoredFraction):
             return NotImplemented
-        if self.factors == other.factors and self.scalar == other.scalar:
+        _common_base(self, other)
+        if self.exp == other.exp and self.scalar == other.scalar:
             return self.numerator == other.numerator
         return (self - other).is_zero()
 
-    # equal values can have different factored forms, so no hash agrees with ==
+    # equal values can have different forms (x/x^2 and 1/x), so no hash of
+    # the form agrees with ==
     __hash__ = None
 
     def __bool__(self):
@@ -221,58 +200,49 @@ class FactoredFraction:
     # -- reduction and calculus ------------------------------------------------
 
     def simplify(self) -> "FactoredFraction":
-        """Cancel denominator factors that exactly divide the numerator."""
-        if self.is_zero() or not self.factors:
+        """Cancel the powers of q that exactly divide the numerator."""
+        num, exp = self.numerator, self.exp
+        while exp:
+            quotient = num.exact_divide(self.base.q)
+            if quotient is None:
+                break
+            num, exp = quotient, exp - 1
+        if exp == self.exp:
             return self
-        num = self.numerator
-        kept = []
-        changed = False
-        for f, e in self.factors:
-            while e > 0:
-                q = num.exact_divide(f)
-                if q is None:
-                    break
-                num = q
-                e -= 1
-                changed = True
-            if e:
-                kept.append((f, e))
-        if not changed:
-            return self
-        return FactoredFraction(num, tuple(kept), self.scalar, _normalized=True)
+        return _new(num, self.base, exp, self.scalar)
 
     def as_poly(self):
-        """The exact polynomial value, or None if a denominator factor remains."""
+        """The exact polynomial value, or None if a power of q remains."""
         s = self.simplify()
-        if s.factors:
+        if s.exp:
             return None
         inv = self.field.invert(s.scalar)
         return s.numerator * inv
 
     def partial(self, index: int) -> "FactoredFraction":
-        """Partial derivative; the quotient rule keeps factors factored."""
-        result = FactoredFraction(self.numerator.partial(index), self.factors,
-                                  self.scalar)
-        for j, (f, e) in enumerate(self.factors):
-            df = f.partial(index)
-            if df.is_zero():
-                continue
-            bumped = tuple((g, ee + 1 if i == j else ee)
-                           for i, (g, ee) in enumerate(self.factors))
-            result = result + FactoredFraction(-(self.numerator * df) * e,
-                                               bumped, self.scalar)
-        return result
+        """Partial derivative by the quotient rule:
+        (num' q - e num q') / (c q^(e+1))."""
+        d_num = self.numerator.partial(index)
+        if not self.exp:
+            return _new(d_num, self.base, 0, self.scalar)
+        d_q = self.base.partial(index)
+        if d_q.is_zero():
+            return _new(d_num, self.base, self.exp, self.scalar)
+        num = self.numerator * (d_q * -self.exp)
+        if d_num:
+            num = d_num * self.base.q + num
+        return _new(num, self.base, self.exp + 1, self.scalar)
 
     def render(self, names=None) -> str:
         num = self.numerator.render(names)
-        if not self.factors and self.scalar == self.field.one:
+        if not self.exp and self.scalar == self.field.one:
             return num
         parts = []
         if self.scalar != self.field.one:
             parts.append(self.field.render(self.scalar))
-        for f, e in self.factors:
-            fs = f"({f.render(names)})"
-            parts.append(fs if e == 1 else f"{fs}^{e}")
+        if self.exp:
+            q = f"({self.base.q.render(names)})"
+            parts.append(q if self.exp == 1 else f"{q}^{self.exp}")
         return f"({num})/({'*'.join(parts)})"
 
     def __repr__(self):

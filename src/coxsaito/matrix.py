@@ -1,8 +1,10 @@
-"""Small exact matrices over polynomials or factored fractions.
+"""Small exact matrices over polynomials or fractions num / (c * q^e).
 
 Everything here is sized by the group rank (<= 5 in practice), so one
 memoized Laplace table of minors (`MinorTable`) gives both the determinant and
-the adjugate, and inverses are adjugate over determinant, keeping every entry
+the adjugate.  The one inverse is that of a polynomial matrix whose
+determinant is certified to be c * q^e for a given denominator base q (a
+nonzero constant c without one): the adjugate over c * q^e, every entry
 exact.  The same table, given an exact divisor, computes the reduced minors
 of a cleared matrix (see `saito.jdkx_inv`).  Scalar matrices -- Gram and
 reflection matrices -- are matrices of constant polynomials
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, NonPolynomialEntry, SingularMatrix
 from .field import FieldContext
-from .fraction import FactoredFraction
+from .fraction import FactoredFraction, PowerBase
 from .poly import MultiPoly
 
 
@@ -78,11 +80,6 @@ class Matrix:
         if not self.is_fraction_mode:
             return self
         return self.map_entries(lambda e: e.simplify())
-
-    def with_entry(self, i: int, j: int, value) -> "Matrix":
-        grid = [list(row) for row in self.entries]
-        grid[i][j] = value
-        return Matrix(grid)
 
     def column(self, j: int):
         return tuple(row[j] for row in self.entries)
@@ -154,17 +151,27 @@ class Matrix:
     def det(self):
         return MinorTable(self).det()
 
-    def inverse(self) -> "Matrix":
-        """Adjugate-over-determinant inverse, entries as factored fractions."""
+    def inverse(self, base: PowerBase | None = None) -> "Matrix":
+        """Adjugate over determinant, for a polynomial matrix.
+
+        The determinant is certified to be c * q^e with c a nonzero constant
+        and q the base's polynomial (c alone without a base); the entries are
+        adj / (c * q^e).  Any other determinant raises NonPolynomialEntry.
+        """
+        if self.is_fraction_mode:
+            raise TypeError("only polynomial matrices are inverted")
         table = MinorTable(self)
         det = table.det()
         if not det:
             raise SingularMatrix("matrix has zero determinant")
-        adj = table.adjugate()
-        if isinstance(det, FactoredFraction):
-            inv_det = det.reciprocal()
-            return adj.map_entries(lambda e: (e * inv_det).simplify())
-        return adj.map_entries(lambda e: FactoredFraction(e, ((det, 1),)))
+        e = 0 if base is None else det.total_degree() // base.q.total_degree()
+        c = det.constant_quotient([base.power(e)] if e else [])
+        if c is None:
+            raise NonPolynomialEntry(
+                "determinant is not a nonzero constant" if base is None else
+                "determinant is not a nonzero constant times a power of q")
+        return table.adjugate().map_entries(
+            lambda a: FactoredFraction(a, base, e, c))
 
     def __repr__(self):
         body = "; ".join(", ".join(e.render() for e in row) for row in self.entries)

@@ -63,13 +63,12 @@ def _limb_divides(a: int, b: int, nvars: int) -> bool:
 class MultiPoly:
     """A multivariate polynomial with exact coefficients in a fixed field."""
 
-    __slots__ = ("nvars", "terms", "field", "_ckey")
+    __slots__ = ("nvars", "terms", "field")
 
     def __init__(self, nvars: int, terms: dict, field: FieldContext = RATIONALS):
         self.nvars = nvars
         self.terms = terms
         self.field = field
-        self._ckey = None
 
     # -- constructors -----------------------------------------------------
 
@@ -152,17 +151,6 @@ class MultiPoly:
     def iter_terms(self):
         for k in sorted(self.terms, reverse=True):
             yield unpack(k, self.nvars), self.terms[k]
-
-    def canonical_key(self):
-        """Hashable snapshot identifying this polynomial exactly."""
-        if self._ckey is None:
-            self._ckey = (self.nvars, frozenset(self.terms.items()))
-        return self._ckey
-
-    def sort_key(self):
-        """Deterministic total order on polynomials (for canonical listings)."""
-        return (self.total_degree() if self.terms else -1,
-                sorted((k, self.field.to_coeffs(c)) for k, c in self.terms.items()))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -290,7 +278,7 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

@@ -1,10 +1,11 @@
 """Jacobian, metric, primitive derivation, connection and basis machinery.
 
-Everything is evaluated over the exact fraction field and then certified:
-whenever a theorem guarantees a matrix is polynomial, the entries are pushed
-through exact division against their accumulated denominator factors and a
-failure aborts with NonPolynomialEntry.  That certification is a free
-integrity check on the entire pipeline.
+Everything lives in the localization S[Q^-1]: each value is a fraction
+num / (c * q^e) over the context's one denominator base q, the monic
+det J(P) = c Q, and J(P) and G are inverted over that base.  Whenever a theorem
+guarantees a matrix is polynomial, the numerators are divided exactly by the
+powers of q and a failure aborts with NonPolynomialEntry.  That certification
+is a free integrity check on the entire pipeline.
 
 All row/column conventions follow the row-vector style of the source
 identities: a tuple of derivations is a row, coefficient matrices multiply it
@@ -16,7 +17,7 @@ from __future__ import annotations
 from .coxeter import BasicInvariants, CoxeterDatum, jacobian
 from .errors import (CoxsaitoError, NonPolynomialCoefficients,
                      NonPolynomialEntry, SingularMatrix)
-from .fraction import FactoredFraction
+from .fraction import FactoredFraction, PowerBase
 from .matrix import Matrix, MinorTable
 from .poly import MultiPoly
 
@@ -96,8 +97,8 @@ class SaitoContext:
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
-                 "bk_table", "christoffel_table", "xi_table", "hk_table",
-                 "_metric_G_inv", "_gamma_conn", "det_jp_monic", "_qm_powers")
+                 "bk_table", "christoffel_table", "xi_table", "q_base",
+                 "_metric_G_inv", "_gamma_conn")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -106,10 +107,8 @@ class SaitoContext:
         self.invariants = invariants
         ell = datum.rank
         self.jac_P = jacobian(invariants.polys, ell)
-        self.jac_P_inv = self.jac_P.inverse()
-        self.det_jp_monic, _ = self.jac_P.det().monic()
-        self._qm_powers = {0: MultiPoly.const(ell, 1, datum.field),
-                           1: self.det_jp_monic}
+        self.q_base = PowerBase(self.jac_P.det())
+        self.jac_P_inv = self.jac_P.inverse(self.q_base)
         self.gram_poly = Matrix.from_scalars(datum.gram, ell, datum.field)
         self.metric_G = self.jac_P.transpose() * self.gram_poly * self.jac_P
         if self.metric_G != self.metric_G.transpose():
@@ -122,7 +121,6 @@ class SaitoContext:
         self.bk_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
-        self.hk_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
         self._metric_G_inv = None
         self._gamma_conn = None
 
@@ -132,19 +130,12 @@ class SaitoContext:
 
     def metric_G_inv(self) -> Matrix:
         if self._metric_G_inv is None:
-            self._metric_G_inv = self.metric_G.inverse()
+            self._metric_G_inv = self.metric_G.inverse(self.q_base)
         return self._metric_G_inv
 
     def dp_column(self, k: int):
         """Coefficient vector of d/dP_k on coordinates: row k of J(P)^-1."""
         return tuple(self.jac_P_inv[k - 1, i] for i in range(self.rank))
-
-    def qm_power(self, e: int) -> MultiPoly:
-        """Cached powers of the monic Jacobian determinant."""
-        table = self._qm_powers
-        if e not in table:
-            table[e] = self.qm_power(e - 1) * self.det_jp_monic
-        return table[e]
 
 
 def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoContext:
@@ -188,7 +179,7 @@ def d_apply_matrix(m: Matrix, ctx: SaitoContext) -> Matrix:
 
 
 def dkx(k: int, ctx: SaitoContext):
-    """The vector D^k[X] of factored fractions; cached."""
+    """The vector D^k[X] of fractions over the context's base; cached."""
     if k < 0:
         raise ValueError("k must be >= 0")
     table = ctx.dkx_table
@@ -226,7 +217,7 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
     if k in table:
         return table[k]
     ell = ctx.rank
-    qkey = ctx.det_jp_monic.canonical_key()
+    base = ctx.q_base
     field = ctx.datum.field
     jd = jdkx(k, ctx)
     cleared = []
@@ -234,20 +225,18 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
         row = []
         for j in range(ell):
             e = jd[i, j].simplify()
-            exp = 0
-            for f, exp in e.factors:
-                if f.canonical_key() != qkey:
-                    raise NonPolynomialEntry(
-                        f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
-                        f"factor other than det J(P): {e.render()}")
-            if exp > 2 * k:
+            if e.exp and e.base is not base and e.base.q != base.q:
+                raise NonPolynomialEntry(
+                    f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
+                    f"factor other than det J(P): {e.render()}")
+            if e.exp > 2 * k:
                 raise NonPolynomialEntry(
                     f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
-                    f"power {exp} > {2 * k} in its denominator")
+                    f"power {e.exp} > {2 * k} in its denominator")
             row.append(e.numerator * field.invert(e.scalar)
-                       * ctx.qm_power(2 * k - exp))
+                       * base.power(2 * k - e.exp))
         cleared.append(row)
-    minors = MinorTable(Matrix(cleared), divisor=ctx.qm_power(2 * k))
+    minors = MinorTable(Matrix(cleared), divisor=base.power(2 * k))
     c = minors.det().constant_value()
     if c is None:
         raise NonPolynomialEntry(
@@ -377,15 +366,6 @@ def primitive_derivation(ctx: SaitoContext) -> PolyDerivation:
     return PolyDerivation("X", dkx(1, ctx))
 
 
-def dp_basis_derivation(k: int, ctx: SaitoContext) -> PolyDerivation:
-    """d/dP_k as an invariant-frame derivation; k is 1-based."""
-    ell = ctx.rank
-    field = ctx.datum.field
-    coeffs = [FactoredFraction.from_poly(
-        MultiPoly.const(ell, 1 if j == k - 1 else 0, field)) for j in range(ell)]
-    return PolyDerivation("P", coeffs)
-
-
 # -- the basis construction ------------------------------------------------------------
 
 
@@ -411,18 +391,6 @@ def xi_coefficient_matrix(m: int, ctx: SaitoContext) -> Matrix:
     xis = xi_basis(m, ctx)
     return Matrix([[xis[j].coeffs[i].as_poly() for j in range(ctx.rank)]
                    for i in range(ctx.rank)])
-
-
-def hk_product(k: int, ctx: SaitoContext) -> Matrix:
-    """H_k = (-1)^k (B^(1))^{-1} G ... (B^(k))^{-1} G (fraction matrix)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    table = ctx.hk_table
-    if k not in table:
-        prev = hk_product(k - 1, ctx)
-        step = bk_matrix(k, ctx).inverse() * ctx.metric_G
-        table[k] = (-(prev * step)).simplify()
-    return table[k]
 
 
 # -- group action on derivations ----------------------------------------------------

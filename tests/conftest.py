@@ -3,6 +3,7 @@ import time
 import pytest
 
 from coxsaito.coxeter import build_datum, builtin_invariants
+from coxsaito.matrix import Matrix
 from coxsaito.saito import build_context
 from coxsaito.verify import run_suites
 
@@ -24,6 +25,13 @@ def fresh_context(label, rank):
     """A private context, safe to mutate in fault-injection tests."""
     datum = build_datum(label, rank)
     return build_context(datum, builtin_invariants(datum))
+
+
+def with_entry(m, i, j, value):
+    """A copy of matrix m with entry (i, j) replaced, for tampering tests."""
+    grid = [list(row) for row in m.entries]
+    grid[i][j] = value
+    return Matrix(grid)
 
 
 def shared_report(label, rank, k_max=3, m_max=7, p_max=3):

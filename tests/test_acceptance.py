@@ -11,10 +11,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import fresh_context, report_elapsed, shared_context, shared_report
+from conftest import (fresh_context, report_elapsed, shared_context,
+                      shared_report, with_entry)
 from test_properties import (run_adjugate_inverse, run_exact_divide_oracle,
                              run_exact_divide_roundtrip, run_field_axioms,
-                             run_lowest_power_rescaling,
+                             run_fraction_oracle, run_lowest_power_rescaling,
                              run_substitution_roundtrip)
 
 from coxsaito.coxeter import (build_datum, builtin_invariants,
@@ -49,8 +50,9 @@ def test_criterion_1_rank_one_golden_values():
     ctx = build_context(datum, builtin_invariants(datum))
     x = MultiPoly.variable(1, 0)
 
-    assert dkx(1, ctx)[0] == FactoredFraction(MultiPoly.const(1, 1), ((x, 1),), 2)
-    assert dkx(2, ctx)[0] == FactoredFraction(MultiPoly.const(1, -1), ((x, 3),), 4)
+    assert ctx.q_base.q == x
+    assert dkx(1, ctx)[0] == FactoredFraction(MultiPoly.const(1, 1), ctx.q_base, 1, 2)
+    assert dkx(2, ctx)[0] == FactoredFraction(MultiPoly.const(1, -1), ctx.q_base, 3, 4)
     for k, val in ((1, 2), (2, 6), (3, 10)):
         assert bk_matrix(k, ctx) == Matrix([[MultiPoly.const(1, val)]])
     golden_xi = {0: MultiPoly.const(1, 1), 1: 2 * x, 2: -2 * x * x, 3: -4 * x ** 3}
@@ -146,7 +148,7 @@ def test_criterion_7_mutation_b2_matrix():
     ctx = fresh_context("B", 2)
     bk_matrix(2, ctx)
     one = MultiPoly.const(2, 1)
-    ctx.bk_table[2] = ctx.bk_table[2].with_entry(0, 0, ctx.bk_table[2][0, 0] + one)
+    ctx.bk_table[2] = with_entry(ctx.bk_table[2], 0, 0, ctx.bk_table[2][0, 0] + one)
     results = check_lemma21(ctx, 2)
     fails = [r for r in results if r.status == "fail"]
     located = [r for r in fails if r.witness and "(1,1)" in r.witness]
@@ -157,7 +159,7 @@ def test_criterion_7_mutation_b2_matrix():
 def test_criterion_7_mutation_metric():
     ctx = fresh_context("B", 2)
     one = MultiPoly.const(2, 1)
-    ctx.metric_G = ctx.metric_G.with_entry(1, 0, ctx.metric_G[1, 0] + one)
+    ctx.metric_G = with_entry(ctx.metric_G, 1, 0, ctx.metric_G[1, 0] + one)
     results = check_metric(ctx)
     fails = [r for r in results if r.status == "fail"]
     located = [r for r in fails if r.witness and "(2,1)" in r.witness
@@ -186,6 +188,7 @@ def test_criterion_8_property_suites():
         "exact_divide roundtrip": run_exact_divide_roundtrip(),
         "exact_divide oracle": run_exact_divide_oracle(),
         "adjugate inverse": run_adjugate_inverse(),
+        "fraction oracle": run_fraction_oracle(),
         "substitution roundtrip": run_substitution_roundtrip(),
         "lowest power rescaling": run_lowest_power_rescaling(),
     }

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import with_entry
 
 from coxsaito import cli
 from coxsaito.cli import RunConfig, main, run, run_basis
@@ -120,8 +121,8 @@ def test_check_failure_exit_one(tmp_path, monkeypatch):
     def tamper(ctx):
         bk_matrix(2, ctx)
         one = MultiPoly.const(2, 1)
-        ctx.bk_table[2] = ctx.bk_table[2].with_entry(
-            0, 0, ctx.bk_table[2][0, 0] + one)
+        ctx.bk_table[2] = with_entry(
+            ctx.bk_table[2], 0, 0, ctx.bk_table[2][0, 0] + one)
 
     config = RunConfig(type_label="B", rank=2, suites=["lemma21"],
                        k_max=2, m_max=1, p_max=1, fmt="json",
@@ -138,7 +139,7 @@ def test_integrity_error_exit_three(tmp_path, monkeypatch):
     # regular check failure
     def tamper(ctx):
         one = MultiPoly.const(1, 1)
-        ctx.jac_P = ctx.jac_P.with_entry(0, 0, ctx.jac_P[0, 0] + one)
+        ctx.jac_P = with_entry(ctx.jac_P, 0, 0, ctx.jac_P[0, 0] + one)
 
     config = RunConfig(type_label="A", rank=1, suites=["lemma21"],
                        k_max=1, m_max=1, p_max=1, fmt="json",

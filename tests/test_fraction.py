@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from coxsaito.errors import DivisionByZero
-from coxsaito.fraction import FactoredFraction
+from coxsaito.errors import CoxsaitoError, DivisionByZero
+from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.poly import MultiPoly
 
 
@@ -13,7 +13,7 @@ def xy():
 
 def test_simplify_cancels_factor():
     x, _ = xy()
-    f = FactoredFraction(2 * x * x, ((x, 1),))
+    f = FactoredFraction(2 * x * x, PowerBase(x), 1)
     s = f.simplify()
     assert s.is_poly()
     assert s.as_poly() == 2 * x
@@ -21,101 +21,121 @@ def test_simplify_cancels_factor():
 
 def test_simplify_leaves_irreducible_alone():
     x, y = xy()
-    f = FactoredFraction(x * x + y * y, ((x - y, 1),))
+    f = FactoredFraction(x * x + y * y, PowerBase(x - y), 1)
     s = f.simplify()
-    assert s.factors
+    assert s.exp == 1
     assert s == f
 
 
 def test_rank_one_iterated_derivative_bookkeeping():
-    # d/dx applied twice to 1/(2x) within the factored representation:
-    # 1/(2x) -> -1/(2x^2) -> 1/x^3; scaled by 1/2 the second derivative of
-    # 1/(2x) is 1/(2) * 2/x^3... here we check the quotient-rule partial.
+    # the quotient-rule partial on 1/(2x): -1/(2x^2), then 1/x^3
     x = MultiPoly.variable(1, 0)
-    f = FactoredFraction(MultiPoly.const(1, 1), ((x, 1),), 2)  # 1/(2x)
+    base = PowerBase(x)
+    f = FactoredFraction(MultiPoly.const(1, 1), base, 1, 2)
     df = f.partial(0).simplify()
-    assert df == FactoredFraction(MultiPoly.const(1, -1), ((x, 2),), 2)
+    assert df == FactoredFraction(MultiPoly.const(1, -1), base, 2, 2)
     d2f = df.partial(0).simplify()
-    assert d2f == FactoredFraction(MultiPoly.const(1, 1), ((x, 3),), 1)
+    assert d2f == FactoredFraction(MultiPoly.const(1, 1), base, 3, 1)
 
 
 def test_addition_with_common_denominator():
     x, y = xy()
-    a = FactoredFraction(x, ((x - y, 1),))
-    b = FactoredFraction(y, ((x - y, 1),))
+    base = PowerBase(x - y)
+    a = FactoredFraction(x, base, 1)
+    b = FactoredFraction(y, base, 1)
     assert (a - b).simplify().as_poly() == MultiPoly.const(2, 1)
 
 
 def test_addition_with_different_denominators():
-    x, y = xy()
-    a = FactoredFraction(MultiPoly.const(2, 1), ((x, 1),))
-    b = FactoredFraction(MultiPoly.const(2, 1), ((y, 1),))
-    s = a + b
-    assert s == FactoredFraction(x + y, ((x, 1), (y, 1)))
+    # 1/(2x) + 1/(3x^2) = (3x + 2)/(6x^2)
+    x, _ = xy()
+    base = PowerBase(x)
+    one = MultiPoly.const(2, 1)
+    s = FactoredFraction(one, base, 1, 2) + FactoredFraction(one, base, 2, 3)
+    assert s.exp == 2
+    assert s == FactoredFraction(3 * x + 2 * one, base, 2, 6)
 
 
-def test_mul_and_reciprocal():
+def test_mul_adds_exponents_and_scalars():
     x, y = xy()
-    f = FactoredFraction(x + y, ((x, 2),), 3)
-    g = f * f.reciprocal()
-    assert g.simplify().as_poly() == MultiPoly.const(2, 1)
+    base = PowerBase(x)
+    f = FactoredFraction(x + y, base, 2, 3)
+    g = f * FactoredFraction(y, base, 1, Fraction(1, 2))
+    assert (g.exp, g.scalar) == (3, Fraction(3, 2))
+    assert g == FactoredFraction((x + y) * y * 2, base, 3, 3)
 
 
 def test_division_by_zero_fraction():
     x, _ = xy()
-    zero = FactoredFraction.zero(2, x.field)
     with pytest.raises(DivisionByZero):
-        zero.reciprocal()
-    with pytest.raises(DivisionByZero):
-        FactoredFraction.from_poly(x) / 0
+        FactoredFraction(x, PowerBase(x), 1, 0)
+    assert (FactoredFraction(x, PowerBase(x), 1) * 0).is_zero()
 
 
 def test_zero_fraction_has_no_factors():
     x, _ = xy()
-    f = FactoredFraction(x - x, ((x, 3),), 7)
+    f = FactoredFraction(x - x, PowerBase(x), 3, 7)
     assert f.is_zero()
-    assert f.factors == ()
+    assert f.exp == 0
 
 
 def test_scalar_and_constant_factor_folding():
+    # the base keeps the monic q; the leading coefficient is dropped
     x, _ = xy()
-    f = FactoredFraction(x, ((MultiPoly.const(2, 4), 1), (2 * x, 1)))
-    # constant factor 4 and the leading 2 fold into the scalar; factor is monic x
-    assert f.scalar == 8
-    assert len(f.factors) == 1
-    assert f.factors[0][0] == x
+    assert PowerBase(2 * x).q == x
+    assert FactoredFraction(x, PowerBase(2 * x), 1, 4).as_poly() == \
+        MultiPoly.const(2, Fraction(1, 4))
+    with pytest.raises(ValueError):
+        PowerBase(MultiPoly.const(2, 4))
 
 
 def test_homogeneous_degree():
     x, y = xy()
-    f = FactoredFraction(x ** 3 + x * y * y, ((x - y, 2),))
+    f = FactoredFraction(x ** 3 + x * y * y, PowerBase(x - y), 2)
     assert f.homogeneous_degree() == 1
-    g = FactoredFraction(x + x * x, ())
+    g = FactoredFraction(x + x * x)
     assert g.homogeneous_degree() is None
 
 
 def test_equality_across_representations():
     x, y = xy()
-    a = FactoredFraction(x * x - y * y, ((x - y, 1),))
+    a = FactoredFraction(x * x - y * y, PowerBase(x - y), 1)
     b = FactoredFraction.from_poly(x + y)
     assert a == b
     assert not (a - b)
 
 
 def test_fractions_are_unhashable():
-    # 1/x, x/x^2 and y/(x*y) are equal, so no hash of the factored form
-    # could agree with ==
-    x, y = xy()
+    # 1/x, x/x^2 and 2/(2x) are equal, so no hash of the form could agree
+    # with ==
+    x, _ = xy()
+    base = PowerBase(x)
     one = MultiPoly.const(2, 1)
-    forms = [FactoredFraction(one, ((x, 1),)), FactoredFraction(x, ((x, 2),)),
-             FactoredFraction(y, ((x, 1), (y, 1)))]
+    forms = [FactoredFraction(one, base, 1), FactoredFraction(x, base, 2),
+             FactoredFraction(2 * one, base, 1, 2)]
     assert forms[0] == forms[1] == forms[2]
     for f in forms:
         with pytest.raises(TypeError):
             hash(f)
 
 
+def test_mixing_bases():
+    # polynomials (exp 0) combine with any base, and bases with equal q mix;
+    # bases with different q never do, even when one fraction's numerator is
+    # divisible by the other's q
+    x, y = xy()
+    over_x = FactoredFraction(y, PowerBase(x), 1)
+    over_y = FactoredFraction(x, PowerBase(y), 1)
+    poly = FactoredFraction(x * y)
+    assert (over_x * poly).simplify().as_poly() == y * y
+    assert over_x + FactoredFraction(y, PowerBase(x), 1) == over_x * 2
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a == b):
+        with pytest.raises(CoxsaitoError):
+            op(over_x, over_y)
+
+
 def test_render():
     x, y = xy()
-    f = FactoredFraction(-x, ((x - y, 1),), Fraction(2))
+    f = FactoredFraction(-x, PowerBase(x - y), 1, Fraction(2))
     assert f.render() == "(-x)/(2*(x-y))"
+    assert FactoredFraction(y, PowerBase(x), 3).render() == "(y)/((x)^3)"

@@ -2,7 +2,7 @@ import pytest
 
 from coxsaito.errors import NonPolynomialEntry, SingularMatrix
 from coxsaito.field import RATIONALS, FieldContext
-from coxsaito.fraction import FactoredFraction
+from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix, MinorTable
 from coxsaito.poly import MultiPoly
 
@@ -19,8 +19,9 @@ def test_det_of_rank_one_jacobian():
 
 def test_inverse_of_rank_one_jacobian():
     x = MultiPoly.variable(1, 0)
-    inv = Matrix([[2 * x]]).inverse()
-    assert inv[0, 0] == FactoredFraction(MultiPoly.const(1, 1), ((x, 1),), 2)
+    base = PowerBase(x)
+    inv = Matrix([[2 * x]]).inverse(base)
+    assert inv[0, 0] == FactoredFraction(MultiPoly.const(1, 1), base, 1, 2)
 
 
 def test_identity_det():
@@ -40,17 +41,23 @@ def test_poly_matrix_inverse_roundtrip():
     assert prod == ident
 
 
-def test_fraction_matrix_inverse_roundtrip():
+def test_inverse_certifies_det_as_power_of_base():
+    # det = -3 (x - y)^2: inverted over the base x - y, rejected over y and
+    # without a base; a fraction matrix is never inverted
     x, y = xy()
-    a = FactoredFraction(MultiPoly.const(2, 1), ((x, 1),))
-    b = FactoredFraction.from_poly(y)
-    c = FactoredFraction.zero(2, RATIONALS)
-    d = FactoredFraction(x + y, ((x, 2),))
-    m = Matrix([[a, b], [c, d]])
-    inv = m.inverse()
+    d = x - y
+    m = Matrix([[d, x * d], [y * d, (x * y - MultiPoly.const(2, 3)) * d]])
+    base = PowerBase(3 * x - 3 * y)
+    inv = m.inverse(base)
+    assert {(e.exp, e.scalar) for row in inv.entries for e in row} == {(2, -3)}
     ident = Matrix.identity(2, 2, RATIONALS)
-    assert (m * inv).simplify() == ident
-    assert (inv * m).simplify() == ident
+    assert (m * inv).simplify() == ident == (inv * m).simplify()
+    with pytest.raises(NonPolynomialEntry, match="power of q"):
+        m.inverse(PowerBase(y))
+    with pytest.raises(NonPolynomialEntry, match="not a nonzero constant$"):
+        m.inverse()
+    with pytest.raises(TypeError):
+        inv.inverse(base)
 
 
 def test_singular_matrix_raises():

@@ -9,9 +9,11 @@ import math
 import random
 from fractions import Fraction
 
-from coxsaito.coxeter import build_datum, builtin_invariants, jacobian
+from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
+                              jacobian)
 from coxsaito.field import FieldContext, RATIONALS, _poly_divmod
-from coxsaito.errors import SingularMatrix
+from coxsaito.errors import NonPolynomialEntry, SingularMatrix
+from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, lowest_power_in_form, pack, unpack
 
@@ -250,6 +252,171 @@ def run_adjugate_inverse(iterations=ITERATIONS, seed=31415926) -> int:
     return tested
 
 
+def _poly_dual(p, point, index=None):
+    """(p, dp/dx_index) at a rational point: p over the dual numbers, with
+    x_index + eps for x_index, and (x + eps)^e = x^e + e x^(e-1) eps."""
+    val = der = p.field.coerce(0)
+    for exps, c in p.iter_terms():
+        powers = [x ** e for x, e in zip(point, exps)]
+        val += c * math.prod(powers)
+        if index is not None and exps[index]:
+            e = exps[index]
+            powers[index] = e * point[index] ** (e - 1)
+            der += c * math.prod(powers)
+    return val, der
+
+
+def _fraction_dual(f, point, index):
+    """(f, df/dx_index) at the point: num / (c * q^e) over dual numbers."""
+    nv, nd = _poly_dual(f.numerator, point, index)
+    dv, dd = f.scalar, f.field.coerce(0)
+    if f.exp:
+        qv, qd = _poly_dual(f.base.q, point, index)
+        for _ in range(f.exp):
+            dv, dd = dv * qv, dv * qd + dd * qv
+    return nv / dv, (nd * dv - nv * dd) / (dv * dv)
+
+
+def _fraction_at(f, point, q_value):
+    """f at the point, given the value of its q there."""
+    return _poly_dual(f.numerator, point)[0] / (f.scalar * q_value ** f.exp)
+
+
+def _has_value(f, want, point, q_value):
+    """f == want at the point, cross-multiplied to avoid a field inversion."""
+    return _poly_dual(f.numerator, point)[0] == want * f.scalar * q_value ** f.exp
+
+
+def _random_poly(rng, field, nvars, max_degree, terms):
+    items = []
+    for _ in range(terms):
+        degree = rng.randint(0, max_degree)
+        cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        exps = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+        items.append((exps, _random_scalar(rng, field)))
+    return MultiPoly.from_terms(nvars, items, field)
+
+
+def _random_form_product(rng, field, nvars):
+    """A product of 1-2 nonzero linear forms with small coefficients."""
+    q = MultiPoly.const(nvars, 1, field)
+    for _ in range(rng.randint(1, 2)):
+        form = MultiPoly.zero(nvars, field)
+        while form.is_zero():
+            form = MultiPoly.from_terms(nvars, [
+                ([int(j == i) for j in range(nvars)],
+                 field.from_coeffs([rng.randint(-2, 2)
+                                    for _ in range(field.degree)]))
+                for i in range(nvars)], field)
+        q = q * form
+    return q
+
+
+def _random_fraction(rng, base, field, nvars):
+    """num * q^j / (c * q^e): j > 0 gives simplify something to cancel."""
+    num = _random_poly(rng, field, nvars, 2, rng.randint(0, 3))
+    j, e = rng.randint(0, 1), rng.randint(0, 2)
+    scalar = _random_scalar(rng, field) or field.one
+    return FactoredFraction(num * base.power(j), base, e, scalar), max(e - j, 0)
+
+
+def _random_det_matrix(rng, base, field, nvars, n):
+    """L D U with L, U unit triangular and D = diag(c_i q^a_i): det c q^sum."""
+    zero, one = MultiPoly.zero(nvars, field), MultiPoly.const(nvars, 1, field)
+    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    upper = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    diag = [[zero] * n for _ in range(n)]
+    powers = [rng.randint(0, 1) for _ in range(n)]
+    for i in range(n):
+        diag[i][i] = base.power(powers[i]) * (_random_scalar(rng, field)
+                                              or field.one)
+        for j in range(i):
+            lower[i][j] = _random_poly(rng, field, nvars, 1, 2)
+            upper[j][i] = _random_poly(rng, field, nvars, 1, 2)
+    return Matrix(lower) * Matrix(diag) * Matrix(upper), sum(powers)
+
+
+def run_fraction_oracle(iterations=ITERATIONS, seed=11235813) -> int:
+    """FactoredFraction against evaluation at random rational points with
+    q != 0, over Q and Q(sqrt 5), q a random product of linear forms.
+
+    Values of +, -, *, simplify and Matrix.inverse(base) are compared with
+    field arithmetic on the values, `partial` with the dual part of a
+    dual-number evaluation, and == with equality of values at two points.
+    A matrix whose det is not c * q^e must raise NonPolynomialEntry.
+    """
+    rng = random.Random(seed)
+    seen = {"cancelled": 0, "equal": 0, "unequal": 0, "rejected": 0}
+    tested = 0
+    while tested < iterations:
+        field = (RATIONALS, SQRT5)[tested % 2]
+        nvars = 2 + tested // 2 % 2
+        base = PowerBase(_random_form_product(rng, field, nvars))
+        points = []
+        while len(points) < 2:
+            point = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                              rng.randint(1, 5)) for _ in range(nvars)]
+            if _poly_dual(base.q, point)[0]:
+                points.append(point)
+        a, a_exp = _random_fraction(rng, base, field, nvars)
+        b = _random_fraction(rng, base, field, nvars)[0]
+        if tested % 4 == 0:
+            # b: the value of a over a higher power of q and another scalar
+            r = _random_scalar(rng, field) or field.one
+            t = rng.randint(0, 2)
+            b = FactoredFraction(a.numerator * base.power(t) * r, base,
+                                 a.exp + t, a.scalar * r)
+        c = _random_scalar(rng, field)
+        index = rng.randrange(nvars)
+        simplified = a.simplify()
+        assert simplified.exp <= a_exp
+        seen["cancelled"] += simplified.exp < a.exp
+        values = []
+        for point in points:
+            q_value = _poly_dual(base.q, point)[0]
+            va, da = _fraction_dual(a, point, index)
+            vb = _fraction_at(b, point, q_value)
+            values.append((va, vb))
+            for got, want in ((a + b, va + vb), (a - b, va - vb),
+                              (a * b, va * vb), (a * c, va * c),
+                              (-a, -va), (simplified, va), (a.partial(index), da)):
+                assert _has_value(got, want, point, q_value)
+        assert (a == b) == all(va == vb for va, vb in values)
+        seen["equal" if a == b else "unequal"] += 1
+
+        m, e = _random_det_matrix(rng, base, field, nvars,
+                                  3 if tested % 5 == 0 else 2)
+        inverse = m.inverse(base)
+        # every nonzero entry is adj / (c * q^e): m times the numerators is
+        # c * q^e times the identity
+        nonzero = [x for row in inverse.entries for x in row if x]
+        assert {(x.exp, x.scalar) for x in nonzero} == {(e, nonzero[0].scalar)}
+        point = points[0]
+        den = nonzero[0].scalar * _poly_dual(base.q, point)[0] ** e
+        mv = [[_poly_dual(x, point)[0] for x in row] for row in m.entries]
+        nv = [[_poly_dual(x.numerator, point)[0] for x in row]
+              for row in inverse.entries]
+        n = m.rows
+        for i in range(n):
+            for j in range(n):
+                assert sum((mv[i][t] * nv[t][j] for t in range(n)),
+                           field.coerce(0)) == (den if i == j else 0)
+        if tested % 10 == 0:
+            # a first row times x1 + 1 multiplies det by a foreign factor
+            shifted = MultiPoly.variable(nvars, 0, field) + MultiPoly.const(
+                nvars, 1, field)
+            bad = Matrix([[x * shifted for x in m.entries[0]], *m.entries[1:]])
+            try:
+                bad.inverse(base)
+            except NonPolynomialEntry:
+                seen["rejected"] += 1
+            else:
+                raise AssertionError("det not c * q^e was accepted")
+        tested += 1
+    assert min(seen.values()) >= iterations // 20, seen
+    return tested
+
+
 def run_substitution_roundtrip(iterations=ITERATIONS, seed=16180339) -> int:
     rng = random.Random(seed)
     tested = 0
@@ -318,7 +485,11 @@ def test_adjugate_inverse_on_builtin_jacobians():
         inv = builtin_invariants(datum)
         j = jacobian(inv.polys, datum.rank)
         ident = Matrix.identity(datum.rank, datum.rank, datum.field)
-        assert (j * j.inverse()).simplify() == ident
+        assert (j * j.inverse(PowerBase(anti_invariant_Q(datum)))).simplify() == ident
+
+
+def test_fraction_matches_evaluation_oracle_thousand():
+    assert run_fraction_oracle() >= 1000
 
 
 def test_substitution_roundtrip_thousand():

@@ -1,0 +1,31 @@
+"""The package runs on the standard library alone."""
+
+import ast
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_absolute_import_is_stdlib():
+    modules = sorted((ROOT / "src" / "coxsaito").glob("*.py"))
+    assert modules
+    foreign = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, n) for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, foreign
+
+
+def test_no_declared_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import fresh_context, shared_context, shared_report
+from conftest import fresh_context, shared_context, shared_report, with_entry
 
 from coxsaito.coxeter import build_datum, validate_invariants
 from coxsaito.matrix import Matrix
@@ -68,7 +68,7 @@ def test_failures_always_carry_witness():
     ctx = fresh_context("B", 2)
     bk_matrix(2, ctx)
     one = MultiPoly.const(2, 1)
-    tampered = ctx.bk_table[2].with_entry(0, 0, ctx.bk_table[2][0, 0] + one)
+    tampered = with_entry(ctx.bk_table[2], 0, 0, ctx.bk_table[2][0, 0] + one)
     ctx.bk_table[2] = tampered
     results = check_lemma21(ctx, 3)
     fails = [r for r in results if r.status == "fail"]
@@ -80,7 +80,7 @@ def test_mutated_b2_matrix_detected_with_entry_witness():
     ctx = fresh_context("B", 2)
     bk_matrix(2, ctx)
     one = MultiPoly.const(2, 1)
-    ctx.bk_table[2] = ctx.bk_table[2].with_entry(0, 0, ctx.bk_table[2][0, 0] + one)
+    ctx.bk_table[2] = with_entry(ctx.bk_table[2], 0, 0, ctx.bk_table[2][0, 0] + one)
     results = check_lemma21(ctx, 2)
     failed = {r.name for r in results if r.status == "fail"}
     assert "lemma21.4/k=1" in failed
@@ -91,7 +91,7 @@ def test_mutated_b2_matrix_detected_with_entry_witness():
 def test_mutated_metric_detected():
     ctx = fresh_context("B", 2)
     one = MultiPoly.const(2, 1)
-    ctx.metric_G = ctx.metric_G.with_entry(0, 1, ctx.metric_G[0, 1] + one)
+    ctx.metric_G = with_entry(ctx.metric_G, 0, 1, ctx.metric_G[0, 1] + one)
     results = check_metric(ctx)
     failed = {r.name for r in results if r.status == "fail"}
     assert "metric/recompute" in failed
@@ -110,6 +110,52 @@ def test_mutated_xi3_detected():
     assert "thm25.member/m=3" in failed or "prop26/k=1" in failed
     witnesses = [r.witness for r in results if r.status == "fail"]
     assert any(w for w in witnesses)
+
+
+def _assert_tampered(report, not_passed, inverting, premise):
+    """The checks not passed are as listed; of them, exactly the checks that
+    invert the tampered matrix are integrity failures naming its det premise."""
+    assert {r.name: r.status for r in report.results
+            if r.status != "pass"} == not_passed
+    broken = {r.name: r.witness for r in report.results if r.integrity}
+    assert set(broken) == inverting
+    assert all(premise in w for w in broken.values()), broken
+
+
+FLAT_SKIPS = {"flat.B1": "skipped", "flat.Bk/k=1": "skipped",
+              "flat.Bk/k=2": "skipped"}
+
+
+def test_tampered_metric_fails_where_it_did_and_names_det_premise():
+    # det G = c Q^2 is certified only when G is inverted; no CLI input
+    # reaches this state, since det J(P) = c Q is certified at ingest
+    ctx = fresh_context("B", 2)
+    one = MultiPoly.const(2, 1)
+    ctx.metric_G = with_entry(ctx.metric_G, 0, 1, ctx.metric_G[0, 1] + one)
+    fails = ["metric/symmetry", "metric/recompute", "lemma22.13/k=1",
+             "lemma22.13/k=2", "lemma22.B", "thm24.1/k=1", "thm24.2/k=1",
+             "prop26/k=1", "thm24.1/k=2", "thm24.2/k=2", "prop26/k=2",
+             "hodge.g0/p=1"]
+    inverting = {"lemma22.13/k=1", "lemma22.13/k=2", "thm24.1/k=1",
+                 "thm24.2/k=1", "thm24.1/k=2", "thm24.2/k=2", "hodge.g0/p=1"}
+    _assert_tampered(run_suites(ctx, "all", 2, 3, 1),
+                     dict.fromkeys(fails, "fail") | FLAT_SKIPS, inverting,
+                     "determinant is not a nonzero constant times a power of q")
+
+
+def test_tampered_b2_matrix_fails_where_it_did_and_names_det_premise():
+    # det B^(k) is a nonzero constant by Lemma 2.1 (2)
+    ctx = fresh_context("B", 2)
+    bk_matrix(2, ctx)
+    one = MultiPoly.const(2, 1)
+    ctx.bk_table[2] = with_entry(ctx.bk_table[2], 0, 0, ctx.bk_table[2][0, 0] + one)
+    fails = ["lemma21.4/k=1", "lemma21.2/k=2", "lemma21.3/k=2", "lemma21.4/k=2",
+             "thm24.1/k=1", "thm24.1/k=2", "thm24.2/k=2", "prop26/k=2"]
+    _assert_tampered(run_suites(ctx, "all", 3, 5, 2),
+                     dict.fromkeys(fails, "fail") | FLAT_SKIPS
+                     | {"flat.Bk/k=3": "skipped"},
+                     {"thm24.1/k=2", "prop26/k=2"},
+                     "determinant is not a nonzero constant")
 
 
 def test_flat_closed_forms_skipped_for_catalogue_b2():
