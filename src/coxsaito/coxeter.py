@@ -47,12 +47,24 @@ def _normalize_form(coeffs, field: FieldContext):
     return lead, tuple(c * inv for c in coeffs)
 
 
+def _rank_is_one(rows) -> bool:
+    """A scalar matrix has rank 1: some entry is nonzero, no 2x2 minor is."""
+    if not any(v for row in rows for v in row):
+        return False
+    n = len(rows)
+    return all(rows[i][j] * rows[k][m] == rows[i][m] * rows[k][j]
+               for i in range(n) for k in range(i + 1, n)
+               for j in range(n) for m in range(j + 1, n))
+
+
 class CoxeterDatum:
     """A concrete reflection-group realization.
 
-    Constructing a datum verifies all structural invariants (generator
-    involutions, Gram compatibility, arrangement closure, exponent count);
-    a successfully built datum can be trusted by every downstream module.
+    Constructing a datum verifies all structural invariants (each generator
+    an involution preserving the Gram matrix and the reflection in a listed
+    form, arrangement closure, the generators' orbits of their forms
+    covering every form, exponent count); a successfully built datum can be
+    trusted by every downstream module.
 
     `_check` also records, per generator s, the scalar c_s with
     Q o s = c_s * Q for the arrangement polynomial Q: s maps each form to
@@ -104,29 +116,55 @@ class CoxeterDatum:
             raise CoxsaitoError("hyperplane forms must be distinct")
         ident = Matrix.identity(ell, ell, field)
         self.q_multipliers = []
+        roots, perms = set(), []
         for idx, g in enumerate(self.generators):
             gm = Matrix.from_scalars(g, ell, field)
             if gm * gm != ident:
                 raise CoxsaitoError(f"generator {idx} is not an involution")
             if gm.transpose() * gram * gm != gram:
                 raise CoxsaitoError(f"generator {idx} does not preserve the Gram matrix")
+            if not _rank_is_one([[v - 1 if i == j else v for j, v in enumerate(row)]
+                                 for i, row in enumerate(g)]):
+                raise CoxsaitoError(
+                    f"generator {idx} is not a reflection: rank(M - I) != 1")
             # s(alpha_H) = c_H * alpha_pi(H); Q o s = prod(c_H) * Q when pi
             # permutes the forms
-            hit = set()
+            perm = []
+            root = None
             product = field.one
-            for f in self.forms:
+            for k, f in enumerate(self.forms):
                 image = [sum((g[j][i] * f[i] for i in range(ell)), field.coerce(0))
                          for j in range(ell)]
                 lead, image = _normalize_form(image, field)
                 if image not in form_index:
                     raise CoxsaitoError(
                         f"generator {idx} does not fix the arrangement setwise")
-                hit.add(form_index[image])
+                perm.append(form_index[image])
+                if perm[-1] == k and lead == -1:
+                    root = k
                 product = product * lead
-            if len(hit) != len(self.forms):
+            if len(set(perm)) != len(self.forms):
                 raise CoxsaitoError(
                     f"generator {idx} does not fix the arrangement setwise")
+            if root is None:
+                raise CoxsaitoError(
+                    f"generator {idx} is not the reflection in a hyperplane form")
+            roots.add(root)
+            perms.append(perm)
             self.q_multipliers.append(product)
+        # every hyperplane of a reflection group is W-conjugate to the
+        # hyperplane of a generator
+        frontier = list(roots)
+        while frontier:
+            k = frontier.pop()
+            for perm in perms:
+                if perm[k] not in roots:
+                    roots.add(perm[k])
+                    frontier.append(perm[k])
+        if len(roots) != len(self.forms):
+            raise CoxsaitoError(
+                "the generators' orbits of their reflecting forms miss "
+                f"{len(self.forms) - len(roots)} of {len(self.forms)} hyperplane forms")
 
     # -- derived data ------------------------------------------------------------
 

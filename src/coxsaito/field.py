@@ -13,6 +13,16 @@ always in lowest terms.  A product is an integer convolution, an integer
 reduction modulo p and one gcd.  Fractions appear only at the edges:
 `coerce`, `from_coeffs`, `to_coeffs`, `render`, and the extended Euclid
 inside `invert`.
+
+Polynomial products use Kronecker substitution instead (D. Harvey, J. Symb.
+Comp. 44, 2009).  `pack_operands` clears the coefficients of each operand to
+one common denominator and packs every numerator vector v into the int
+sum_i v[i] 2^(bits*i); a product of packed ints is then the convolution of
+the vectors, one 2d-1 slot int per coefficient pair.  The slot width
+bits = bitlen(max |num| of a) + bitlen(max |num| of b) + bitlen(n*d) + 1,
+with n = min(len a, len b) the most pairs that meet in one output monomial,
+keeps every slot of every sum in (-2^(bits-1), 2^(bits-1)).
+`unpack_reduced` reads the signed slots back and reduces each sum once.
 """
 
 from __future__ import annotations
@@ -151,6 +161,51 @@ class FieldContext:
             return Scalar(tuple([n // g for n in out]), den // g, self)
         return Scalar(tuple(out), den, self)
 
+    def pack_operands(self, a: dict, b: dict):
+        """(bits, den, packed a, packed b) for two term dicts of Scalars.
+
+        Each numerator vector v over its operand's common denominator
+        becomes the int sum_i v[i] * 2^(bits*i); den is the product of the
+        two common denominators.  A slot of a sum of packed products is a
+        sum of at most n*d numerator products, n = min(len(a), len(b)), so
+        the slot width of the module docstring keeps it in
+        (-2^(bits-1), 2^(bits-1)).
+        """
+        da, na, ba = _cleared(a)
+        db, nb, bb = _cleared(b)
+        bits = ba + bb + (min(len(a), len(b)) * self.degree).bit_length() + 1
+        return bits, da * db, _packed(na, bits), _packed(nb, bits)
+
+    def unpack_reduced(self, packed: dict, bits: int, den: int) -> dict:
+        """{key: Scalar} for the nonzero values among `packed` / `den`.
+
+        Each int holds 2d-1 signed slots of width `bits` (a sum of products
+        from `pack_operands`).  Adding 2^(bits-1) to every slot makes all of
+        them nonnegative, so each is read back with a shift and a mask; the
+        vector is reduced once.  A sum can vanish modulo p even when its
+        packed int does not, so zero results are dropped.
+        """
+        n = 2 * self.degree - 1
+        half = 1 << (bits - 1)
+        mask = (1 << bits) - 1
+        offset = 0
+        for _ in range(n):
+            offset = (offset << bits) | half
+        reduce = self.reduce
+        out = {}
+        for k, v in packed.items():
+            if not v:
+                continue
+            v += offset
+            coeffs = []
+            for _ in range(n):
+                coeffs.append((v & mask) - half)
+                v >>= bits
+            c = reduce(coeffs, den)
+            if any(c.num):
+                out[k] = c
+        return out
+
     def invert(self, value):
         if self.degree == 1:
             q = Fraction(value)
@@ -246,6 +301,36 @@ class FieldContext:
 
     def __repr__(self):
         return f"FieldContext(degree={self.degree}, generator={self.generator_description})"
+
+
+def _cleared(terms: dict):
+    """(den, {key: numerator vector over den}, bit length of max |numerator|)."""
+    den = 1
+    for c in terms.values():
+        d = c.den
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    top = 0
+    out = {}
+    for k, c in terms.items():
+        num = c.num
+        if c.den != den:
+            s = den // c.den
+            num = [n * s for n in num]
+        out[k] = num
+        top = max(top, max(num), -min(num))
+    return den, out, top.bit_length()
+
+
+def _packed(vectors: dict, bits: int) -> dict:
+    """{key: sum_i v[i] * 2^(bits*i)} for each vector v."""
+    out = {}
+    for k, v in vectors.items():
+        acc = 0
+        for n in reversed(v):
+            acc = (acc << bits) + n
+        out[k] = acc
+    return out
 
 
 def _lowest(num: list[int], den: int, ctx: FieldContext) -> "Scalar":

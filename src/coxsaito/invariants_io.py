@@ -46,7 +46,7 @@ def scalar_to_json(value, field: FieldContext):
 def scalar_from_json(node, field: FieldContext, where: str):
     if (not isinstance(node, list) or len(node) != field.degree
             or not all(isinstance(r, list) and len(r) == 2
-                       and all(isinstance(v, int) for v in r) for r in node)):
+                       and all(type(v) is int for v in r) for r in node)):
         raise ParseError(f"{where}: expected a scalar as {field.degree} "
                          "[numerator, denominator] pairs")
     try:
@@ -64,6 +64,8 @@ def poly_to_json(p: MultiPoly) -> dict:
 def poly_from_json(node, nvars: int, field: FieldContext, where: str) -> MultiPoly:
     if not isinstance(node, dict) or "terms" not in node:
         raise ParseError(f"{where}: expected an object with a 'terms' list")
+    if not isinstance(node["terms"], list):
+        raise ParseError(f"{where}.terms: expected a list")
     items = []
     for t, term in enumerate(node["terms"]):
         spot = f"{where}.terms[{t}]"
@@ -71,7 +73,7 @@ def poly_from_json(node, nvars: int, field: FieldContext, where: str) -> MultiPo
             raise ParseError(f"{spot}: expected an object")
         exps = term.get("exponents")
         if (not isinstance(exps, list) or len(exps) != nvars
-                or not all(isinstance(e, int) and e >= 0 for e in exps)):
+                or not all(type(e) is int and e >= 0 for e in exps)):
             raise ParseError(f"{spot}: bad exponent vector")
         coeff = scalar_from_json(term.get("coefficient"), field,
                                  f"{spot}.coefficient")
@@ -86,7 +88,8 @@ def _expect(node, key, kind, where):
     if not isinstance(node, dict) or key not in node:
         raise ParseError(f"{where}: missing key {key!r}")
     value = node[key]
-    if kind is not None and not isinstance(value, kind):
+    # exact types: JSON true/false are Python bools, which subclass int
+    if kind is not None and type(value) is not kind:
         raise ParseError(f"{where}.{key}: expected {kind.__name__}")
     return value
 
@@ -105,7 +108,7 @@ def ingest_invariants(path) -> tuple[CoxeterDatum, BasicInvariants]:
     minpoly = []
     for i, r in enumerate(minpoly_node):
         if not (isinstance(r, list) and len(r) == 2
-                and all(isinstance(v, int) for v in r)):
+                and all(type(v) is int for v in r)):
             raise ParseError(f"$.field.minimal_polynomial[{i}]: expected [num, den]")
         if r[1] == 0:
             raise ParseError(f"$.field.minimal_polynomial[{i}]: zero denominator")
@@ -117,7 +120,7 @@ def ingest_invariants(path) -> tuple[CoxeterDatum, BasicInvariants]:
         raise ParseError(f"$.field: {exc}") from None
     rank = _expect(doc, "rank", int, "$")
     exponents = _expect(doc, "exponents", list, "$")
-    if not all(isinstance(e, int) and e >= 1 for e in exponents):
+    if not all(type(e) is int and e >= 1 for e in exponents):
         raise ParseError("$.exponents: expected positive integers")
 
     def scalar_matrix(node, rows, cols, where):

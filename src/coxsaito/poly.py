@@ -13,13 +13,24 @@ stored.  There is no floating point and no multivariate gcd anywhere: the
 only reduction primitive is `exact_divide`, which either produces the exact
 quotient or reports that none exists.
 
-Over Q, products and exact division run on Python ints, the content times
-integer polynomial split of FLINT's fmpq_mpoly: each operand is cleared to
-an integer term dict over one common denominator (`_int_cleared`), the work
-is integer arithmetic, and one Fraction is built per output coefficient.
-For division the divisor is also made primitive, and Gauss's lemma makes
-every step of a true division integral (`_divide_rational`).  Sums, partial
-derivatives and scalar multiples still operate on Fractions.
+Every product of two polynomials is one integer schoolbook loop
+(`_int_product`).  Over Q it is the content times integer polynomial split
+of FLINT's fmpq_mpoly: each operand is cleared to an integer term dict over
+one common denominator (`_int_cleared`) and one Fraction is built per output
+coefficient.  Over a number field of degree d the coefficients are
+Kronecker-packed (`FieldContext.pack_operands`): each numerator vector over
+the operand's common denominator becomes one int with d slots of `bits`
+bits, `bits` = bitlen(max |num| of a) + bitlen(max |num| of b) +
+bitlen(min(len a, len b) * d) + 1, so that every one of the 2d-1 slots of
+every output coefficient stays in (-2^(bits-1), 2^(bits-1)).  Each output
+monomial is unpacked and reduced modulo the minimal polynomial once
+(`FieldContext.unpack_reduced`).  A one-term operand instead scales the
+other operand's coefficients and shifts its keys.
+
+Exact division over Q also runs on ints: the divisor is made primitive, and
+Gauss's lemma makes every step of a true division integral
+(`_divide_rational`).  Sums, partial derivatives and scalar multiples still
+operate on Fractions or Scalars.
 """
 
 from __future__ import annotations
@@ -50,6 +61,20 @@ def unpack(key: int, nvars: int) -> tuple[int, ...]:
 
 def key_degree(key: int, nvars: int) -> int:
     return key >> (nvars * LIMB)
+
+
+def _int_product(a: dict, b: dict) -> dict:
+    """Schoolbook product of two int term dicts; sums that cancel stay as 0."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            cur = get(k)
+            out[k] = ca * cb if cur is None else cur + ca * cb
+    return out
 
 
 def _limb_divides(a: int, b: int, nvars: int) -> bool:
@@ -194,25 +219,7 @@ class MultiPoly:
                 return MultiPoly.zero(self.nvars, self.field)
             if self.field.degree == 1:
                 return self._mul_rational(other)
-            a, b = self.terms, other.terms
-            if len(a) > len(b):
-                a, b = b, a
-            out: dict = {}
-            get = out.get
-            for ka, ca in a.items():
-                for kb, cb in b.items():
-                    k = ka + kb
-                    prod = ca * cb
-                    cur = get(k)
-                    if cur is None:
-                        out[k] = prod
-                    else:
-                        acc = cur + prod
-                        if acc:
-                            out[k] = acc
-                        else:
-                            del out[k]
-            return MultiPoly(self.nvars, out, self.field)
+            return self._mul_packed(other)
         if not isinstance(other, (int, Fraction, Scalar)):
             return NotImplemented
         c = self.field.coerce(other)
@@ -243,21 +250,37 @@ class MultiPoly:
         """
         da, a = self._int_cleared()
         db, b = other._int_cleared()
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                cur = get(k)
-                out[k] = ca * cb if cur is None else cur + ca * cb
         den = da * db
         terms = {}
-        for k, v in out.items():
+        for k, v in _int_product(a, b).items():
             if v:
                 terms[k] = Fraction(v, den)
         return MultiPoly(self.nvars, terms, self.field)
+
+    def _mul_packed(self, other: "MultiPoly") -> "MultiPoly":
+        """The product over a number field on Kronecker-packed ints.
+
+        A one-term operand scales the other operand and shifts its keys.
+        Otherwise `FieldContext.pack_operands` turns every coefficient into
+        one int, the schoolbook product runs on those ints, and
+        `FieldContext.unpack_reduced` reduces once per output monomial.
+        """
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            (ka, ca), = a.items()
+            out = {}
+            for kb, cb in b.items():
+                c = cb * ca
+                if c:
+                    out[ka + kb] = c
+            return MultiPoly(self.nvars, out, self.field)
+        field = self.field
+        bits, den, pa, pb = field.pack_operands(a, b)
+        return MultiPoly(self.nvars,
+                         field.unpack_reduced(_int_product(pa, pb), bits, den),
+                         field)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -478,28 +501,26 @@ def default_names(nvars: int) -> tuple[str, ...]:
 def lowest_power_in_form(f: MultiPoly, form) -> int | float:
     """Largest m such that the linear form divides f m times (inf for f = 0).
 
-    Computed by an invertible linear change of variables that turns the form
-    into the pivot coordinate, then reading off the minimum pivot exponent.
+    The contact order of the paper, computed by its definition: the number
+    of successive exact divisions of f by the form's polynomial.  A linear
+    form is irreducible and `exact_divide` by a single divisor decides
+    divisibility, so the count is exact.
     """
     field = f.field
     coeffs = [field.coerce(c) for c in form]
     if len(coeffs) != f.nvars:
         raise DimensionMismatch("form length != nvars")
-    pivot = next((i for i, c in enumerate(coeffs) if c), None)
-    if pivot is None:
+    if not any(coeffs):
         raise ZeroForm("the zero form divides nothing")
     if f.is_zero():
         return math.inf
-    inv_p = field.invert(coeffs[pivot])
-    zero, one = field.coerce(0), field.one
-    matrix = []
-    for i in range(f.nvars):
-        if i == pivot:
-            row = [-(c * inv_p) for c in coeffs]
-            row[pivot] = inv_p
-        else:
-            row = [one if j == i else zero for j in range(f.nvars)]
-        matrix.append(row)
-    g = f.subst_linear(matrix)
-    shift = (f.nvars - 1 - pivot) * LIMB
-    return min((k >> shift) & MASK for k in g.terms)
+    n = f.nvars
+    alpha = MultiPoly.from_terms(
+        n, [([1 if j == i else 0 for j in range(n)], c)
+            for i, c in enumerate(coeffs)], field)
+    order = 0
+    while True:
+        f = f.exact_divide(alpha)
+        if f is None:
+            return order
+        order += 1

@@ -105,6 +105,33 @@ def test_invalid_invariants_file_exit_two(tmp_path, capsys):
     assert "nonzero constant multiple" in err
 
 
+def test_non_list_terms_exit_two(tmp_path, capsys):
+    datum = build_datum("B", 2)
+    doc = datum_to_json(datum, builtin_invariants(datum))
+    doc["invariants"][0]["terms"] = 5
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--invariants", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "$.invariants[0].terms: expected a list" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("label,rank", [("I2", 5), ("A", 3)])
+@pytest.mark.parametrize("keep", [0, 1])
+def test_too_few_generators_fail(tmp_path, capsys, label, rank, keep):
+    # no generator, or one, certifies nothing about W: the file is refused
+    # instead of passing every invariance check vacuously
+    datum = build_datum(label, rank)
+    doc = datum_to_json(datum, builtin_invariants(datum))
+    doc["generators"] = doc["generators"][:keep]
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--invariants", str(path)]) != 0
+    err = capsys.readouterr().err
+    assert "orbits of their reflecting forms miss" in err
+
+
 def tamper_contexts(monkeypatch, tamper):
     """Make `run` build contexts that `tamper` perturbs before any check."""
     real = cli.build_context

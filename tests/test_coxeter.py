@@ -92,9 +92,16 @@ _B2_GENS = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
      (1, 3), CoxsaitoError, "generator 0 does not fix the arrangement"),
     (2, [[1, 0], [0, 1]], _B2_FORMS[:3] + [[2, 0]], _B2_GENS, (1, 3),
      CoxsaitoError, "hyperplane forms must be distinct"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS[:2], [[[0, 1], [1, 0]]], (1, 1),
+     CoxsaitoError, "generator 0 is not the reflection in a hyperplane form"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS, _B2_GENS[:1], (1, 3), CoxsaitoError,
+     "orbits of their reflecting forms miss 3 of 4 hyperplane forms"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS, [], (1, 3), CoxsaitoError,
+     "orbits of their reflecting forms miss 4 of 4 hyperplane forms"),
 ], ids=["rank", "gram-shape", "gram-asymmetric", "gram-singular",
         "exponent-order", "hyperplane-count", "involution", "gram-preserved",
-        "arrangement-fixed", "repeated-form"])
+        "arrangement-fixed", "repeated-form", "root-not-listed",
+        "orbit-misses-forms", "no-generators"])
 def test_datum_check_rejections(rank, gram, forms, gens, exps, error, message):
     with pytest.raises(CoxsaitoError, match=message) as info:
         CoxeterDatum("X", rank, RATIONALS, gram, forms, gens, exps)
@@ -115,14 +122,13 @@ def test_q_multipliers_match_substitution(label, rank):
 
 
 def test_central_symmetry_is_not_a_reflection():
-    # -I is an involution preserving the Gram matrix and the arrangement, but
-    # Q o (-I) = Q for B2 (four forms), so Q is not anti-invariant under it
-    d = CoxeterDatum("X", 2, RATIONALS, [[1, 0], [0, 1]], _B2_FORMS,
-                     [_B2_GENS[0], [[-1, 0], [0, -1]]], (1, 3))
-    assert d.q_multipliers == [-1, 1]
+    # -I is an involution preserving the Gram matrix and the arrangement, and
+    # Q o (-I) = Q for B2 (four forms); rank(-I - I) = 2, so the datum is
+    # rejected before Q is ever formed
     with pytest.raises(CoxsaitoError,
-                       match="not anti-invariant under generator 1"):
-        anti_invariant_Q(d)
+                       match="generator 1 is not a reflection: rank"):
+        CoxeterDatum("X", 2, RATIONALS, [[1, 0], [0, 1]], _B2_FORMS,
+                     [_B2_GENS[0], [[-1, 0], [0, -1]]], (1, 3))
 
 
 def test_unsupported_and_out_of_range():

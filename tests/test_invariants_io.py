@@ -76,6 +76,32 @@ def test_non_squarefree_minimal_polynomial_rejected(tmp_path):
         ingest_invariants(path)
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("invariants", 0, "terms"), 5, r"^\$\.invariants\[0\]\.terms: expected a list$"),
+    (("invariants", 1, "terms"), {"exponents": [4, 0]},
+     r"^\$\.invariants\[1\]\.terms: expected a list$"),
+    (("rank",), True, r"^\$\.rank: expected int$"),
+    (("exponents",), [True, 3], r"^\$\.exponents: expected positive integers$"),
+    (("gram", 0, 0), [[True, 1]], r"^\$\.gram\[0\]\[0\]: expected a scalar"),
+    (("field", "minimal_polynomial", 0), [0, True],
+     r"^\$\.field\.minimal_polynomial\[0\]: expected \[num, den\]$"),
+    (("invariants", 0, "terms", 0, "exponents"), [True, 1],
+     r"^\$\.invariants\[0\]\.terms\[0\]: bad exponent vector$"),
+], ids=["terms-int", "terms-object", "rank-bool", "exponent-bool",
+        "numerator-bool", "minpoly-bool", "monomial-bool"])
+def test_wrong_json_types_are_parse_errors(tmp_path, path, value, message):
+    # JSON true/false are Python bools, a subclass of int: they are rejected
+    # wherever an int is expected, and a non-list "terms" is a ParseError
+    datum = build_datum("B", 2)
+    doc = datum_to_json(datum, builtin_invariants(datum))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ParseError, match=message):
+        ingest_invariants(write_doc(tmp_path, doc))
+
+
 def _h3_document():
     """Icosahedral group over Q(sqrt 5): 15 reflections, invariant degrees
     2, 6, 10 built from symmetrized powers over the icosahedron/dodecahedron

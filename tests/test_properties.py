@@ -435,26 +435,150 @@ def run_substitution_roundtrip(iterations=ITERATIONS, seed=16180339) -> int:
     return tested
 
 
+def _oracle_lowest_power(f, form):
+    """The substitution route: change variables so the form becomes the pivot
+    coordinate, then read off the least pivot exponent."""
+    field = f.field
+    coeffs = [field.coerce(c) for c in form]
+    pivot = next(i for i, c in enumerate(coeffs) if c)
+    inv_p = field.invert(coeffs[pivot])
+    zero, one = field.coerce(0), field.one
+    matrix = []
+    for i in range(f.nvars):
+        if i == pivot:
+            row = [-(c * inv_p) for c in coeffs]
+            row[pivot] = inv_p
+        else:
+            row = [one if j == i else zero for j in range(f.nvars)]
+        matrix.append(row)
+    g = f.subst_linear(matrix)
+    return min(unpack(k, f.nvars)[pivot] for k in g.terms)
+
+
 def run_lowest_power_rescaling(iterations=ITERATIONS, seed=14142135) -> int:
+    """Contact order of base * alpha^power: at least `power`, unchanged when
+    the form is rescaled, and equal to the substitution route; half of the
+    instances over Q(sqrt 5)."""
     rng = random.Random(seed)
     tested = 0
     while tested < iterations:
-        form = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+        field = SQRT5 if tested % 2 else RATIONALS
+        form = [field.from_coeffs([Fraction(rng.randint(-3, 3))
+                                   for _ in range(field.degree)])
+                for _ in range(3)]
         if not any(form):
             continue
         power = rng.randint(0, 3)
-        base = _random_homogeneous(rng, 3, rng.randint(0, 2))
+        base = _random_poly(rng, field, 3, rng.randint(0, 2), rng.randint(1, 4))
         if base.is_zero():
             continue
         alpha = MultiPoly.from_terms(
             3, [([1 if j == i else 0 for j in range(3)], c)
-                for i, c in enumerate(form)])
+                for i, c in enumerate(form)], field)
         f = base * alpha ** power
         order = lowest_power_in_form(f, form)
-        scale = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+        scale = _random_scalar(rng, field)
+        if not scale:
+            continue
         assert order == lowest_power_in_form(f, [c * scale for c in form])
         assert order >= power
+        assert order == _oracle_lowest_power(f, form)
         tested += 1
+    return tested
+
+
+def _per_pair_product(a, b):
+    """The number-field product one Scalar operation at a time."""
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            k = ka + kb
+            prod = ca * cb
+            cur = out.get(k)
+            if cur is None:
+                out[k] = prod
+            else:
+                acc = cur + prod
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+    return MultiPoly(a.nvars, out, a.field)
+
+
+def _wide_scalar(rng, field):
+    """Numerators near +-2^64 over mixed, sometimes shared, denominators."""
+    den = rng.choice((1, 1, 3, rng.randint(1, 2 ** 20)))
+    return field.from_coeffs([
+        Fraction(rng.choice((-1, 1)) * (2 ** 64 + rng.randint(-99, 99)), den)
+        for _ in range(field.degree)])
+
+
+def _dense_form(field, nvars, degree, coeff):
+    """Every monomial of the given degree in the first two variables, one
+    coefficient: all pairs of two such operands pile onto the middle
+    monomials, so slots there come closest to the slot-width bound."""
+    return MultiPoly.from_terms(
+        nvars, [([i, degree - i] + [0] * (nvars - 2), coeff)
+                for i in range(degree + 1)], field)
+
+
+def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
+    """Packed number-field products against the per-pair Scalar product, over
+    the fields of `run_integer_kernel_oracle`.  Instances cycle through
+    small random operands (one-term ones included), numerators near 2^64
+    with signs and denominators mixed, dense operands whose coefficients all
+    share one extreme numerator, and a product x y-coefficient u z + v w that
+    cancels modulo p but not as an integer polynomial in t."""
+    fields = [SQRT5] + [build_datum("I2", m).field for m in (5, 7, 8)]
+    fields.append(FieldContext((Fraction(-5, 4), 0, 1), "sqrt(5)/2"))
+    rng = random.Random(seed)
+    kinds = {"small": 0, "one-term": 0, "wide": 0, "dense": 0, "cancel": 0}
+    tested = 0
+    while tested < iterations:
+        field = fields[tested % len(fields)]
+        nvars = rng.choice((2, 3))
+        kind = list(kinds)[(tested // len(fields)) % len(kinds)]
+        if kind == "small":
+            a = _random_poly(rng, field, nvars, 3, rng.randint(1, 6))
+            b = _random_poly(rng, field, nvars, 3, rng.randint(1, 6))
+        elif kind == "one-term":
+            a = _random_poly(rng, field, nvars, 3, 1)
+            b = _random_poly(rng, field, nvars, 3, rng.randint(1, 6))
+            if rng.random() < 0.5:
+                a, b = b, a
+        elif kind == "wide":
+            a, b = (MultiPoly.from_terms(
+                nvars, [([rng.randint(0, 3) for _ in range(nvars)],
+                         _wide_scalar(rng, field))
+                        for _ in range(rng.randint(2, 6))], field)
+                for _ in range(2))
+        elif kind == "dense":
+            top = 2 ** 64 - rng.randint(1, 99)
+            c = field.from_coeffs([rng.choice((-1, 1)) * top] * field.degree)
+            a = _dense_form(field, nvars, rng.randint(1, 4), c)
+            b = _dense_form(field, nvars, rng.randint(1, 4), c)
+        else:
+            u, v, z = (_random_scalar(rng, field) for _ in range(3))
+            if not (u and v and z):
+                continue
+            w = -(u * z) / v
+            x = MultiPoly.variable(nvars, 0, field)
+            y = MultiPoly.variable(nvars, 1, field)
+            a = x * u + y * v
+            b = x * w + y * z
+        if a.is_zero() or b.is_zero():
+            continue
+        got = a * b
+        assert got == _per_pair_product(a, b)
+        for c in got.terms.values():
+            assert c, "a zero coefficient was stored"
+            _assert_canonical(c, field)
+        if kind == "cancel":
+            assert pack([1, 1] + [0] * (nvars - 2)) not in got.terms
+        kinds[kind] += 1
+        tested += 1
+    assert min(kinds.values()) >= iterations // 10, kinds
     return tested
 
 
@@ -498,3 +622,7 @@ def test_substitution_roundtrip_thousand():
 
 def test_lowest_power_rescaling_thousand():
     assert run_lowest_power_rescaling() >= 1000
+
+
+def test_nf_product_matches_per_pair_oracle_thousand():
+    assert run_nf_product_oracle() >= 1000
