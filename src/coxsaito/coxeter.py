@@ -168,11 +168,6 @@ class CoxeterDatum:
 
     # -- derived data ------------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        """Number of reflecting hyperplanes."""
-        return len(self.forms)
-
     def label(self) -> str:
         if self.type_label == "I2":
             return f"I2({self.coxeter_number})"

@@ -14,15 +14,24 @@ reduction modulo p and one gcd.  Fractions appear only at the edges:
 `coerce`, `from_coeffs`, `to_coeffs`, `render`, and the extended Euclid
 inside `invert`.
 
-Polynomial products use Kronecker substitution instead (D. Harvey, J. Symb.
-Comp. 44, 2009).  `pack_operands` clears the coefficients of each operand to
-one common denominator and packs every numerator vector v into the int
-sum_i v[i] 2^(bits*i); a product of packed ints is then the convolution of
+`FieldContext` is also the only place that knows how a polynomial's
+coefficients become integers, so `poly.MultiPoly` has one product body and
+one elimination loop for every field.  For a product, `pack_operands` clears
+the coefficients of each operand to one common denominator; over Q each
+coefficient becomes its integer numerator and `unpack_reduced` builds one
+Fraction per nonzero sum.  Over an extension it uses Kronecker substitution
+(D. Harvey, J. Symb. Comp. 44, 2009): every numerator vector v becomes the
+int sum_i v[i] 2^(bits*i), so a product of packed ints is the convolution of
 the vectors, one 2d-1 slot int per coefficient pair.  The slot width
 bits = bitlen(max |num| of a) + bitlen(max |num| of b) + bitlen(n*d) + 1,
 with n = min(len a, len b) the most pairs that meet in one output monomial,
-keeps every slot of every sum in (-2^(bits-1), 2^(bits-1)).
-`unpack_reduced` reads the signed slots back and reduces each sum once.
+keeps every slot of every sum in (-2^(bits-1), 2^(bits-1)); `unpack_reduced`
+reads the signed slots back and reduces each sum once.  For exact division,
+`elimination_operands` over Q clears both operands to integers and makes the
+divisor primitive with a positive leading coefficient, so each step is a
+`divmod` and the quotient is rescaled once (`elimination_quotient`); over an
+extension the Scalars stay as they are and each step multiplies by the
+inverse of the divisor's leading coefficient.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ class FieldContext:
     """
 
     __slots__ = ("minpoly", "degree", "generator_description", "_rows",
-                 "_row_den", "zero", "one")
+                 "_row_den", "zero", "one", "lead_divmod")
 
     def __init__(self, minimal_polynomial=(0, 1), generator_description="rational"):
         coeffs = tuple(Fraction(c) for c in minimal_polynomial)
@@ -104,9 +113,11 @@ class FieldContext:
         if d == 1:
             self.zero = Fraction(0)
             self.one = Fraction(1)
+            self.lead_divmod = divmod
         else:
             self.zero = Scalar((0,) * d, 1, self)
             self.one = Scalar((1,) + (0,) * (d - 1), 1, self)
+            self.lead_divmod = _times_inverse
 
     def generator(self) -> "Scalar":
         if self.degree == 1:
@@ -162,29 +173,37 @@ class FieldContext:
         return Scalar(tuple(out), den, self)
 
     def pack_operands(self, a: dict, b: dict):
-        """(bits, den, packed a, packed b) for two term dicts of Scalars.
+        """(bits, den, packed a, packed b) for two term dicts of coefficients.
 
-        Each numerator vector v over its operand's common denominator
-        becomes the int sum_i v[i] * 2^(bits*i); den is the product of the
-        two common denominators.  A slot of a sum of packed products is a
-        sum of at most n*d numerator products, n = min(len(a), len(b)), so
-        the slot width of the module docstring keeps it in
+        den is the product of the two operands' common denominators.  Over Q
+        each coefficient becomes its integer numerator over that denominator
+        and `bits` is 0.  Over a number field each numerator vector v becomes
+        the int sum_i v[i] * 2^(bits*i); a slot of a sum of packed products
+        is a sum of at most n*d numerator products, n = min(len(a), len(b)),
+        so the slot width of the module docstring keeps it in
         (-2^(bits-1), 2^(bits-1)).
         """
+        if self.degree == 1:
+            da, na = _int_cleared(a)
+            db, nb = _int_cleared(b)
+            return 0, da * db, na, nb
         da, na, ba = _cleared(a)
         db, nb, bb = _cleared(b)
         bits = ba + bb + (min(len(a), len(b)) * self.degree).bit_length() + 1
         return bits, da * db, _packed(na, bits), _packed(nb, bits)
 
     def unpack_reduced(self, packed: dict, bits: int, den: int) -> dict:
-        """{key: Scalar} for the nonzero values among `packed` / `den`.
+        """{key: coefficient} for the nonzero values among `packed` / `den`.
 
-        Each int holds 2d-1 signed slots of width `bits` (a sum of products
-        from `pack_operands`).  Adding 2^(bits-1) to every slot makes all of
-        them nonnegative, so each is read back with a shift and a mask; the
+        Over Q each value is one Fraction.  Over a number field each int
+        holds 2d-1 signed slots of width `bits` (a sum of products from
+        `pack_operands`).  Adding 2^(bits-1) to every slot makes all of them
+        nonnegative, so each is read back with a shift and a mask; the
         vector is reduced once.  A sum can vanish modulo p even when its
         packed int does not, so zero results are dropped.
         """
+        if self.degree == 1:
+            return {k: Fraction(v, den) for k, v in packed.items() if v}
         n = 2 * self.degree - 1
         half = 1 << (bits - 1)
         mask = (1 << bits) - 1
@@ -205,6 +224,46 @@ class FieldContext:
             if any(c.num):
                 out[k] = c
         return out
+
+    def elimination_operands(self, f: dict, g: dict, lead_key: int):
+        """(r, lead, rest, scale): the operands for dividing f by g.
+
+        r is a fresh term dict for the dividend, rest the divisor's terms
+        without the one at `lead_key`, and `lead_divmod(v, lead)` the
+        quotient and remainder of a coefficient by the divisor's leading
+        coefficient; `elimination_quotient(q, scale)` turns the collected
+        quotient coefficients back into field elements.
+
+        Over Q, f = F / da and g = c * G / db with F an integer polynomial and
+        G a primitive one with positive leading coefficient; r and rest hold
+        the integers of F and G, lead is the leading coefficient of G and the
+        step is Python's divmod.  Over a number field r and rest hold the
+        Scalars themselves, lead is the inverse of g's leading coefficient
+        and a step is a product with remainder 0.
+        """
+        if self.degree == 1:
+            da, r = _int_cleared(f)
+            db, g = _int_cleared(g)
+            content = math.gcd(*g.values())
+            if g[lead_key] < 0:
+                content = -content
+            if content != 1:
+                g = {k: c // content for k, c in g.items()}
+            lead = g.pop(lead_key)
+            return r, lead, g, (db, da * content)
+        rest = dict(g)
+        return dict(f), self.invert(rest.pop(lead_key)), rest, None
+
+    def elimination_quotient(self, q: dict, scale) -> dict:
+        """The quotient's {key: coefficient} from the elimination's values.
+
+        Over Q, with the names of `elimination_operands`, the integer quotient
+        F / G is rescaled once by db / (da * c).
+        """
+        if self.degree == 1:
+            num, den = scale
+            return {k: Fraction(c * num, den) for k, c in q.items()}
+        return q
 
     def invert(self, value):
         if self.degree == 1:
@@ -301,6 +360,24 @@ class FieldContext:
 
     def __repr__(self):
         return f"FieldContext(degree={self.degree}, generator={self.generator_description})"
+
+
+def _int_cleared(terms: dict):
+    """(common denominator, {key: integer numerator over it}) of Fractions."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return 1, {k: c.numerator for k, c in terms.items()}
+    return den, {k: (c.numerator * den) // c.denominator
+                 for k, c in terms.items()}
+
+
+def _times_inverse(v, inv_lead):
+    """One elimination step over a number field: (v * inv_lead, 0)."""
+    return v * inv_lead, 0
 
 
 def _cleared(terms: dict):

@@ -112,9 +112,6 @@ class FactoredFraction:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def is_poly(self) -> bool:
-        return not self.exp
-
     def homogeneous_degree(self):
         """Degree as a homogeneous rational function; None if not homogeneous."""
         if self.numerator.is_zero():

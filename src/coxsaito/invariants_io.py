@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .coxeter import BasicInvariants, CoxeterDatum, validate_invariants
-from .errors import ParseError
+from .errors import CoxsaitoError, ParseError
 from .field import FieldContext
 from .poly import MultiPoly
 
@@ -148,8 +148,12 @@ def ingest_invariants(path) -> tuple[CoxeterDatum, BasicInvariants]:
     inv_node = _expect(doc, "invariants", list, "$")
     polys = [poly_from_json(p, rank, field, f"$.invariants[{i}]")
              for i, p in enumerate(inv_node)]
-    datum = CoxeterDatum(label, rank, field, gram, hyperplanes, generators,
-                         exponents)
+    try:
+        datum = CoxeterDatum(label, rank, field, gram, hyperplanes, generators,
+                             exponents)
+    except CoxsaitoError as exc:
+        # the file describes no valid Coxeter group: bad input, not a fault
+        raise ParseError(f"$: {exc}") from None
     invariants = validate_invariants(datum, polys, source=str(path))
     return datum, invariants
 

@@ -13,24 +13,16 @@ stored.  There is no floating point and no multivariate gcd anywhere: the
 only reduction primitive is `exact_divide`, which either produces the exact
 quotient or reports that none exists.
 
-Every product of two polynomials is one integer schoolbook loop
-(`_int_product`).  Over Q it is the content times integer polynomial split
-of FLINT's fmpq_mpoly: each operand is cleared to an integer term dict over
-one common denominator (`_int_cleared`) and one Fraction is built per output
-coefficient.  Over a number field of degree d the coefficients are
-Kronecker-packed (`FieldContext.pack_operands`): each numerator vector over
-the operand's common denominator becomes one int with d slots of `bits`
-bits, `bits` = bitlen(max |num| of a) + bitlen(max |num| of b) +
-bitlen(min(len a, len b) * d) + 1, so that every one of the 2d-1 slots of
-every output coefficient stays in (-2^(bits-1), 2^(bits-1)).  Each output
-monomial is unpacked and reduced modulo the minimal polynomial once
-(`FieldContext.unpack_reduced`).  A one-term operand instead scales the
-other operand's coefficients and shifts its keys.
-
-Exact division over Q also runs on ints: the divisor is made primitive, and
-Gauss's lemma makes every step of a true division integral
-(`_divide_rational`).  Sums, partial derivatives and scalar multiples still
-operate on Fractions or Scalars.
+Each operation has one body for every field; only `FieldContext` knows how
+a coefficient becomes integers and back.  A product with a one-term operand
+scales the other operand and shifts its keys.  Every other product is one
+integer schoolbook loop (`_int_product`) between `FieldContext.pack_operands`,
+which clears each operand's coefficients to ints over one common
+denominator, and `FieldContext.unpack_reduced`, which builds one coefficient
+per nonzero output sum.  Exact division is one leading-term elimination loop
+over a heap of keys: the field prepares the operands, takes each step's
+quotient and remainder, and rebuilds the quotient at the end.  Sums, partial
+derivatives and scalar multiples operate on the field's elements directly.
 """
 
 from __future__ import annotations
@@ -155,11 +147,6 @@ class MultiPoly:
             return degs.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        return self.homogeneous_degree() is not None
-
     def leading(self):
         """Leading (key, coefficient) in graded-lex order."""
         k = max(self.terms)
@@ -213,13 +200,29 @@ class MultiPoly:
         return MultiPoly(self.nvars, {k: -c for k, c in self.terms.items()}, self.field)
 
     def __mul__(self, other):
+        """The product, one body for every field.
+
+        A one-term operand scales the other operand and shifts its keys.
+        Otherwise `FieldContext.pack_operands` turns every coefficient into
+        one int, the schoolbook product runs on those ints, and
+        `FieldContext.unpack_reduced` builds one coefficient per nonzero sum.
+        """
         if isinstance(other, MultiPoly):
             self._check_compat(other)
-            if not self.terms or not other.terms:
+            a, b = self.terms, other.terms
+            if not a or not b:
                 return MultiPoly.zero(self.nvars, self.field)
-            if self.field.degree == 1:
-                return self._mul_rational(other)
-            return self._mul_packed(other)
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) == 1:
+                (ka, ca), = a.items()
+                return MultiPoly(self.nvars, {ka + kb: c for kb, cb in b.items()
+                                              if (c := cb * ca)}, self.field)
+            field = self.field
+            bits, den, pa, pb = field.pack_operands(a, b)
+            return MultiPoly(self.nvars,
+                             field.unpack_reduced(_int_product(pa, pb), bits, den),
+                             field)
         if not isinstance(other, (int, Fraction, Scalar)):
             return NotImplemented
         c = self.field.coerce(other)
@@ -228,59 +231,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, {k: v * c for k, v in self.terms.items()}, self.field)
 
     __rmul__ = __mul__
-
-    def _int_cleared(self):
-        """(common denominator, integer-coefficient term dict) over Q."""
-        den = 1
-        for c in self.terms.values():
-            d = c.denominator
-            if d != 1:
-                den = den * d // math.gcd(den, d)
-        if den == 1:
-            return 1, {k: c.numerator for k, c in self.terms.items()}
-        return den, {k: (c.numerator * den) // c.denominator
-                     for k, c in self.terms.items()}
-
-    def _mul_rational(self, other: "MultiPoly") -> "MultiPoly":
-        """The product over Q, at every operand size.
-
-        Both operands are cleared to integer term dicts, the schoolbook
-        product runs on Python ints, and one Fraction per output coefficient
-        divides by the product of the two common denominators.
-        """
-        da, a = self._int_cleared()
-        db, b = other._int_cleared()
-        den = da * db
-        terms = {}
-        for k, v in _int_product(a, b).items():
-            if v:
-                terms[k] = Fraction(v, den)
-        return MultiPoly(self.nvars, terms, self.field)
-
-    def _mul_packed(self, other: "MultiPoly") -> "MultiPoly":
-        """The product over a number field on Kronecker-packed ints.
-
-        A one-term operand scales the other operand and shifts its keys.
-        Otherwise `FieldContext.pack_operands` turns every coefficient into
-        one int, the schoolbook product runs on those ints, and
-        `FieldContext.unpack_reduced` reduces once per output monomial.
-        """
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            (ka, ca), = a.items()
-            out = {}
-            for kb, cb in b.items():
-                c = cb * ca
-                if c:
-                    out[ka + kb] = c
-            return MultiPoly(self.nvars, out, self.field)
-        field = self.field
-        bits, den, pa, pb = field.pack_operands(a, b)
-        return MultiPoly(self.nvars,
-                         field.unpack_reduced(_int_product(pa, pb), bits, den),
-                         field)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -346,9 +296,13 @@ class MultiPoly:
     def exact_divide(self, divisor: "MultiPoly"):
         """Exact quotient self / divisor, or None when no quotient exists.
 
-        Leading-term elimination under the fixed graded-lex order; a division
-        step that cannot proceed proves non-divisibility for a single divisor.
-        Over Q the elimination runs on integers (`_divide_rational`).
+        Leading terms are eliminated in graded-lex order; a leading monomial
+        that the divisor's does not divide, or a step with a nonzero
+        remainder, proves non-divisibility for a single divisor.  The field
+        prepares the operands (`FieldContext.elimination_operands`), takes
+        each step (`lead_divmod`) and rebuilds the quotient
+        (`elimination_quotient`): over Q the loop runs on integers, where by
+        Gauss's lemma every step of a true division is integral.
         """
         if not isinstance(divisor, MultiPoly):
             raise TypeError("divisor must be a MultiPoly")
@@ -357,56 +311,11 @@ class MultiPoly:
             raise DivisionByZero("exact_divide by zero polynomial")
         if self.is_zero():
             return MultiPoly.zero(self.nvars, self.field)
-        if self.field.degree == 1:
-            return self._divide_rational(divisor)
-        gl_key, gl_coeff = divisor.leading()
-        inv_lead = self.field.invert(gl_coeff)
-        g_items = list(divisor.terms.items())
-        n = self.nvars
-        r = dict(self.terms)
-        q: dict = {}
-        while r:
-            m = max(r)
-            if not _limb_divides(gl_key, m, n):
-                return None
-            qk = m - gl_key
-            qc = r[m] * inv_lead
-            q[qk] = qc
-            for k, c in g_items:
-                nk = k + qk
-                cur = r.get(nk)
-                sub = qc * c
-                if cur is None:
-                    r[nk] = -sub
-                else:
-                    acc = cur - sub
-                    if acc:
-                        r[nk] = acc
-                    else:
-                        del r[nk]
-        return MultiPoly(self.nvars, q, self.field)
-
-    def _divide_rational(self, divisor: "MultiPoly"):
-        """`exact_divide` over Q on Python ints.
-
-        With self = f / da and divisor = c * g / db, where f is an integer
-        polynomial and g a primitive one with positive leading coefficient,
-        self / divisor = (f / g) * db / (da * c).  By Gauss's lemma, g divides
-        f over Q only if it divides f over Z, and leading-term elimination
-        reproduces that integer quotient term by term.  So every step of a
-        true division is integral, and a nonzero `divmod` remainder proves
-        non-divisibility as surely as a leading monomial that does not
-        divide.  The quotient is rescaled to Fractions once, at the end.
-        """
-        da, r = self._int_cleared()
-        db, g = divisor._int_cleared()
-        gl_key = max(g)
-        content = math.gcd(*g.values())
-        if g[gl_key] < 0:
-            content = -content
-        if content != 1:
-            g = {k: c // content for k, c in g.items()}
-        lead = g.pop(gl_key)
+        field = self.field
+        gl_key = max(divisor.terms)
+        r, lead, g, scale = field.elimination_operands(self.terms, divisor.terms,
+                                                       gl_key)
+        step = field.lead_divmod
         g_items = list(g.items())
         n = self.nvars
         q: dict = {}
@@ -422,7 +331,7 @@ class MultiPoly:
                 continue
             if not _limb_divides(gl_key, m, n):
                 return None
-            qc, rem = divmod(v, lead)
+            qc, rem = step(v, lead)
             if rem:
                 return None
             qk = m - gl_key
@@ -432,11 +341,10 @@ class MultiPoly:
                 cur = r.get(nk)
                 if cur is None:
                     heapq.heappush(heap, -nk)
-                    cur = 0
-                r[nk] = cur - qc * c
-        den = da * content
-        return MultiPoly(n, {k: Fraction(c * db, den) for k, c in q.items()},
-                         self.field)
+                    r[nk] = -(qc * c)
+                else:
+                    r[nk] = cur - qc * c
+        return MultiPoly(n, field.elimination_quotient(q, scale), field)
 
     def constant_quotient(self, divisors):
         """The nonzero constant c with self = c * prod(divisors), else None."""

@@ -209,9 +209,9 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
     polynomial.  With d = q^(2k) every t x t minor of N is divisible by
     d^(t-1) (Sylvester's identity), and the reduced determinant
     det N / d^(l-1) = d det J(D^k[X]) is a nonzero constant c; the inverse is
-    the reduced adjugate of N over c.  Every step is certified: a foreign
-    denominator, an exponent above 2k, a failed division or a non-constant
-    reduced determinant raises NonPolynomialEntry.
+    the reduced adjugate of N over c, a polynomial matrix.  Every step is
+    certified: a foreign denominator, an exponent above 2k, a failed division
+    or a non-constant reduced determinant raises NonPolynomialEntry.
     """
     table = ctx.jdkx_inv_table
     if k in table:
@@ -243,9 +243,7 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
             f"reduced determinant of J(D^{k}[X]) is not a constant")
     if field.is_zero(c):
         raise SingularMatrix(f"J(D^{k}[X]) is singular")
-    inv_c = field.invert(c)
-    table[k] = minors.adjugate().map_entries(
-        lambda p: FactoredFraction.from_poly(p * inv_c))
+    table[k] = minors.adjugate() * field.invert(c)
     return table[k]
 
 

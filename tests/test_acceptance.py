@@ -16,7 +16,8 @@ from conftest import (fresh_context, report_elapsed, shared_context,
 from test_properties import (run_adjugate_inverse, run_exact_divide_oracle,
                              run_exact_divide_roundtrip, run_field_axioms,
                              run_fraction_oracle, run_lowest_power_rescaling,
-                             run_nf_product_oracle, run_substitution_roundtrip)
+                             run_nf_divide_oracle, run_nf_product_oracle,
+                             run_substitution_roundtrip)
 
 from coxsaito.coxeter import (build_datum, builtin_invariants,
                               poincare_closed_form, poincare_equal,
@@ -192,6 +193,7 @@ def test_criterion_8_property_suites():
         "substitution roundtrip": run_substitution_roundtrip(),
         "lowest power rescaling": run_lowest_power_rescaling(),
         "nf product oracle": run_nf_product_oracle(),
+        "nf exact_divide oracle": run_nf_divide_oracle(),
     }
     ok = all(v >= 1000 for v in counts.values())
     _announce("8", ok, f"({counts} randomized instances, fixed seeds)")

@@ -127,9 +127,24 @@ def test_too_few_generators_fail(tmp_path, capsys, label, rank, keep):
     doc["generators"] = doc["generators"][:keep]
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["verify", "--invariants", str(path)]) != 0
+    assert main(["verify", "--invariants", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "orbits of their reflecting forms miss" in err
+    assert "error: $: the generators' orbits of their reflecting forms miss" in err
+    assert "integrity error" not in err
+
+
+def test_singular_gram_exits_two(tmp_path, capsys):
+    # a file whose datum is rejected is invalid input (exit 2), not a fault
+    datum = build_datum("B", 2)
+    doc = datum_to_json(datum, builtin_invariants(datum))
+    one = [[1, 1]]
+    doc["gram"] = [[one, one], [one, one]]
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--invariants", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: $: scalar matrix is singular" in err
+    assert "integrity error" not in err
 
 
 def tamper_contexts(monkeypatch, tamper):

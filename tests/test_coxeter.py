@@ -22,7 +22,7 @@ def test_b2_datum():
     d = build_datum("B", 2)
     assert d.exponents == (1, 3)
     assert d.coxeter_number == 4
-    assert d.size == 4
+    assert len(d.forms) == 4
     # forms {x, y, x-y, x+y} after normalization
     expected = {((1,), (0,)), ((0,), (1,)), ((1,), (-1,)), ((1,), (1,))}
     got = {tuple(tuple(datum_c) for datum_c in f) for f in
@@ -34,7 +34,7 @@ def test_a1_datum():
     d = build_datum("A", 1)
     assert d.exponents == (1,)
     assert d.coxeter_number == 2
-    assert d.size == 1
+    assert len(d.forms) == 1
 
 
 def test_a2_gram_is_projected_metric():
@@ -46,7 +46,7 @@ def test_a2_gram_is_projected_metric():
 
 def test_i2_5_datum():
     d = build_datum("I2", 5)
-    assert d.size == 5
+    assert len(d.forms) == 5
     assert d.exponents == (1, 4)
     assert d.coxeter_number == 5
     assert d.field.degree == 4
@@ -59,7 +59,7 @@ def test_i2_5_datum():
 def test_builtin_daten_structural_invariants(label, rank):
     d = build_datum(label, rank)
     ell, h = d.rank, d.coxeter_number
-    assert d.size == sum(d.exponents) == ell * h // 2
+    assert len(d.forms) == sum(d.exponents) == ell * h // 2
     ident = Matrix.identity(ell, ell, d.field)
     gram = Matrix.from_scalars(d.gram, ell, d.field)
     for g in d.generators:

@@ -183,7 +183,7 @@ def test_custom_datum_has_no_builtin_catalogue(h3_context):
 def test_h3_file_validates(h3_context):
     datum = h3_context.datum
     assert datum.label() == "custom:H3"
-    assert datum.size == 15
+    assert len(datum.forms) == 15
     assert datum.coxeter_number == 10
     assert h3_context.invariants.validated
     q = anti_invariant_Q(datum)

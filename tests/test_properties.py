@@ -582,6 +582,88 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
     return tested
 
 
+def _max_loop_divide(f, g):
+    """Leading-term elimination one Scalar operation at a time, the largest
+    remaining key found by max() and the divisor's leading term multiplied
+    out and cancelled: (the quotient's terms or None, keys that cancelled)."""
+    gl_key, gl_coeff = g.leading()
+    gl_exps = unpack(gl_key, f.nvars)
+    inv_lead = f.field.invert(gl_coeff)
+    r = dict(f.terms)
+    q = {}
+    cancelled = 0
+    while r:
+        m = max(r)
+        if any(a > b for a, b in zip(gl_exps, unpack(m, f.nvars))):
+            return None, cancelled
+        qk = m - gl_key
+        qc = r[m] * inv_lead
+        q[qk] = qc
+        for k, c in g.terms.items():
+            nk = k + qk
+            cur = r.get(nk)
+            sub = qc * c
+            if cur is None:
+                r[nk] = -sub
+            else:
+                acc = cur - sub
+                if acc:
+                    r[nk] = acc
+                else:
+                    del r[nk]
+                    cancelled += k != gl_key
+    return q, cancelled
+
+
+def _fractional_scalar(rng, field):
+    """A scalar with denominator > 1 and an irrational part: neither 1 nor
+    integral."""
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5)))
+              for _ in range(field.degree)]
+    coeffs[0] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((2, 3, 5)))
+    coeffs[-1] = coeffs[-1] or Fraction(1, 3)
+    return field.from_coeffs(coeffs)
+
+
+def run_nf_divide_oracle(iterations=ITERATIONS, seed=33550336) -> int:
+    """Number-field `exact_divide` against the max() loop above, over the
+    fields of `run_integer_kernel_oracle` in 1-3 variables.  Even instances
+    divide f * g by g, odd ones an arbitrary pair, so both quotients and None
+    are compared; every other divisor is rescaled to a leading coefficient
+    with denominator > 1 and an irrational part."""
+    fields = [SQRT5] + [build_datum("I2", m).field for m in (5, 7, 8)]
+    fields.append(FieldContext((Fraction(-5, 4), 0, 1), "sqrt(5)/2"))
+    rng = random.Random(seed)
+    seen = {"quotient": 0, "none": 0, "fractional lead": 0, "cancelled": 0}
+    tested = 0
+    while tested < iterations:
+        field = fields[tested % len(fields)]
+        nvars = 1 + tested // len(fields) % 3
+        f = _random_poly(rng, field, nvars, 3, rng.randint(1, 5))
+        g = _random_poly(rng, field, nvars, 2, rng.randint(1, 4))
+        if f.is_zero() or g.is_zero():
+            continue
+        if tested // 2 % 2:
+            g = g * (_fractional_scalar(rng, field) / g.leading()[1])
+            seen["fractional lead"] += 1
+        dividend = f * g if tested % 2 == 0 else f
+        want, cancelled = _max_loop_divide(dividend, g)
+        got = dividend.exact_divide(g)
+        if want is None:
+            assert got is None, (dividend, g)
+            seen["none"] += 1
+        else:
+            assert got is not None and got.terms == want, (dividend, g)
+            for c in got.terms.values():
+                assert c, "a zero coefficient was stored"
+                _assert_canonical(c, field)
+            seen["quotient"] += 1
+        seen["cancelled"] += cancelled > 0
+        tested += 1
+    assert min(seen.values()) >= iterations // 10, seen
+    return tested
+
+
 def test_field_axioms_thousand():
     assert run_field_axioms() >= 1000
 
@@ -626,3 +708,7 @@ def test_lowest_power_rescaling_thousand():
 
 def test_nf_product_matches_per_pair_oracle_thousand():
     assert run_nf_product_oracle() >= 1000
+
+
+def test_nf_exact_divide_matches_max_loop_oracle_thousand():
+    assert run_nf_divide_oracle() >= 1000

@@ -25,6 +25,21 @@ def test_every_absolute_import_is_stdlib():
     assert not foreign, foreign
 
 
+def test_poly_reads_no_coefficient_layout():
+    # only FieldContext turns coefficients into integers and back: poly.py
+    # reads no numerator, denominator or field degree, and builds no scalar
+    path = ROOT / "src" / "coxsaito" / "poly.py"
+    layout = {"numerator", "denominator", "num", "den", "degree"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in layout:
+            found.append((node.lineno, "." + node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("Fraction", "Scalar")):
+            found.append((node.lineno, node.func.id + "(...)"))
+    assert not found, found
+
+
 def test_no_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
