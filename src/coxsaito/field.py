@@ -237,7 +237,10 @@ class FieldContext:
         Over Q, f = F / da and g = c * G / db with F an integer polynomial and
         G a primitive one with positive leading coefficient; r and rest hold
         the integers of F and G, lead is the leading coefficient of G and the
-        step is Python's divmod.  Over a number field r and rest hold the
+        step is Python's divmod.  By Gauss's lemma G divides F over Q only if
+        it divides F over Z, so every step of a true division is integral and
+        a nonzero remainder proves non-divisibility; the quotient is
+        (F / G) * db / (da * c).  Over a number field r and rest hold the
         Scalars themselves, lead is the inverse of g's leading coefficient
         and a step is a product with remainder 0.
         """

@@ -620,7 +620,8 @@ def _fractional_scalar(rng, field):
     integral."""
     coeffs = [Fraction(rng.randint(-9, 9), rng.choice((2, 3, 5)))
               for _ in range(field.degree)]
-    coeffs[0] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((2, 3, 5)))
+    den = rng.choice((2, 3, 5))
+    coeffs[0] = Fraction(rng.choice((-1, 1)) * (den * rng.randint(0, 3) + 1), den)
     coeffs[-1] = coeffs[-1] or Fraction(1, 3)
     return field.from_coeffs(coeffs)
 
