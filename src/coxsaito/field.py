@@ -1,11 +1,11 @@
 """Exact scalar arithmetic: rationals and simple algebraic extensions of Q.
 
 A scalar lives in Q[t]/(p(t)) for a monic polynomial p.  The constructor
-certifies that p is squarefree; irreducibility is trusted, not verified
-(presets are vetted; a reducible p surfaces as NonInvertible the first time a
-division hits a zero divisor).  The degree-1 case degenerates to plain
-`fractions.Fraction` values: polynomials over Q carry no wrapper object at
-all, which keeps the common rational-coefficient pipelines fast.
+certifies only that p is squarefree; irreducibility is trusted, not verified.
+The presets are vetted.  A reducible p may surface as NonInvertible when a
+division hits a zero divisor, but it can also let a "nonzero constant" check
+pass in a factor ring that is not a field.  In the degree-1 case a scalar is
+a plain `fractions.Fraction`.
 
 Over an extension a `Scalar` is stored like FLINT's nf_elem: the power-basis
 coefficients as integer numerators over one common positive denominator,
@@ -15,23 +15,31 @@ reduction modulo p and one gcd.  Fractions appear only at the edges:
 inside `invert`.
 
 `FieldContext` is also the only place that knows how a polynomial's
-coefficients become integers, so `poly.MultiPoly` has one product body and
-one elimination loop for every field.  For a product, `pack_operands` clears
-the coefficients of each operand to one common denominator; over Q each
-coefficient becomes its integer numerator and `unpack_reduced` builds one
-Fraction per nonzero sum.  Over an extension it uses Kronecker substitution
-(D. Harvey, J. Symb. Comp. 44, 2009): every numerator vector v becomes the
-int sum_i v[i] 2^(bits*i), so a product of packed ints is the convolution of
-the vectors, one 2d-1 slot int per coefficient pair.  The slot width
-bits = bitlen(max |num| of a) + bitlen(max |num| of b) + bitlen(n*d) + 1,
-with n = min(len a, len b) the most pairs that meet in one output monomial,
-keeps every slot of every sum in (-2^(bits-1), 2^(bits-1)); `unpack_reduced`
-reads the signed slots back and reduces each sum once.  For exact division,
-`elimination_operands` over Q clears both operands to integers and makes the
-divisor primitive with a positive leading coefficient, so each step is a
-`divmod` and the quotient is rescaled once (`elimination_quotient`); over an
-extension the Scalars stay as they are and each step multiplies by the
-inverse of the divisor's leading coefficient.
+coefficients are laid out, so `poly.MultiPoly` has one body per operation for
+every field.  A MultiPoly holds a term dict and one content.  Over Q this is
+FLINT's fmpq_mpoly split: the terms are ints and the content is their
+positive common denominator, canonical with gcd(content, *terms) == 1
+(`normalized`), so sums, scalings, derivatives, products and division all
+run on Python ints and a Fraction is built only by `element`, at the edges
+(`leading`, `constant_value`, `iter_terms`).  Over an extension the terms are
+the Scalars and the content is always 1, which makes `normalized`, `aligned`
+and `scaled` plain term-wise operations there.
+
+For a product, `pack_operands` turns each term into one int.  Over Q the
+terms are the ints and the denominator is the product of the contents; over
+an extension it uses Kronecker substitution (D. Harvey, J. Symb. Comp. 44,
+2009): every numerator vector v, cleared to the operand's common
+denominator, becomes the int sum_i v[i] 2^(bits*i), so a product of packed
+ints is the convolution of the vectors, one 2d-1 slot int per coefficient
+pair.  The slot width bits = bitlen(max |num| of a) + bitlen(max |num| of b)
++ bitlen(n*d) + 1, with n = min(len a, len b) the most pairs that meet in one
+output monomial, keeps every slot of every sum in (-2^(bits-1),
+2^(bits-1)); `unpack_reduced` reads the signed slots back and reduces each
+sum once.  For exact division, `elimination_operands` over Q makes the
+divisor's integer terms primitive with a positive leading coefficient, so
+each step is a `divmod` and the quotient is rescaled once
+(`elimination_quotient`); over an extension the Scalars stay as they are and
+each step multiplies by the inverse of the divisor's leading coefficient.
 """
 
 from __future__ import annotations
@@ -172,38 +180,111 @@ class FieldContext:
             return Scalar(tuple([n // g for n in out]), den // g, self)
         return Scalar(tuple(out), den, self)
 
-    def pack_operands(self, a: dict, b: dict):
-        """(bits, den, packed a, packed b) for two term dicts of coefficients.
+    # -- polynomial coefficients: a term dict over one content ------------
 
-        den is the product of the two operands' common denominators.  Over Q
-        each coefficient becomes its integer numerator over that denominator
-        and `bits` is 0.  Over a number field each numerator vector v becomes
-        the int sum_i v[i] * 2^(bits*i); a slot of a sum of packed products
-        is a sum of at most n*d numerator products, n = min(len(a), len(b)),
-        so the slot width of the module docstring keeps it in
+    def split(self, values: dict):
+        """(terms, content) of a MultiPoly whose coefficients are `values`.
+
+        `values` maps keys to nonzero field elements.  Over Q the terms are
+        the integer numerators over the least common denominator, which is
+        the content; the pair is canonical because each Fraction is in
+        lowest terms.  Over a number field the terms are the Scalars and the
+        content is 1.
+        """
+        if self.degree == 1:
+            den = 1
+            for c in values.values():
+                d = c.denominator
+                if d != 1:
+                    den = den * d // math.gcd(den, d)
+            if den == 1:
+                return {k: c.numerator for k, c in values.items()}, 1
+            return {k: c.numerator * (den // c.denominator)
+                    for k, c in values.items()}, den
+        return values, 1
+
+    def element(self, term, content):
+        """The field element of one term of a MultiPoly."""
+        if self.degree == 1:
+            return Fraction(term, content)
+        return term
+
+    def scalar_parts(self, value):
+        """(term, content) of an int, Fraction or Scalar as a constant
+        coefficient, or None when `value` is not a scalar."""
+        if isinstance(value, (int, Fraction)):
+            if self.degree == 1:
+                return value.numerator, value.denominator
+            return self.coerce(value), 1
+        if isinstance(value, Scalar):
+            return self.coerce(value), 1
+        return None
+
+    @staticmethod
+    def normalized(terms: dict, content):
+        """The canonical (terms, content): over Q the common factor of the
+        integer terms and the denominator is divided out.  A number-field
+        content is always 1, so there the pair is returned as it is."""
+        if content == 1:
+            return terms, 1
+        g = math.gcd(content, *terms.values())
+        if g == 1:
+            return terms, content
+        return {k: c // g for k, c in terms.items()}, content // g
+
+    @staticmethod
+    def aligned(a: dict, ca, b: dict, cb):
+        """(a', b', content): copies of two term dicts over one common content,
+        a' always a fresh dict.  Equal contents (every number-field pair)
+        need no rescaling."""
+        if ca == cb:
+            return dict(a), b, ca
+        g = math.gcd(ca, cb)
+        sa, sb = cb // g, ca // g
+        a = {k: c * sa for k, c in a.items()}
+        if sb != 1:
+            b = {k: c * sb for k, c in b.items()}
+        return a, b, ca * sa
+
+    def scaled(self, terms: dict, content, term, term_content, shift: int = 0):
+        """(terms, content) of a MultiPoly times the one-term coefficient
+        (term, term_content), every key moved by `shift`; a product that
+        vanishes (possible only modulo a reducible p) is dropped."""
+        out = {k + shift: p for k, c in terms.items() if (p := c * term)}
+        return self.normalized(out, content * term_content)
+
+    def pack_operands(self, a: dict, ca, b: dict, cb):
+        """(bits, den, packed a, packed b) for the terms of two MultiPolys.
+
+        Over Q the terms are integers already: they are the packed operands,
+        den is the product of the two contents and `bits` is 0.  Over a
+        number field den is the product of the two operands' common
+        Scalar denominators and each numerator vector v becomes the int
+        sum_i v[i] * 2^(bits*i); a slot of a sum of packed products is a
+        sum of at most n*d numerator products, n = min(len(a), len(b)), so
+        the slot width of the module docstring keeps it in
         (-2^(bits-1), 2^(bits-1)).
         """
         if self.degree == 1:
-            da, na = _int_cleared(a)
-            db, nb = _int_cleared(b)
-            return 0, da * db, na, nb
+            return 0, ca * cb, a, b
         da, na, ba = _cleared(a)
         db, nb, bb = _cleared(b)
         bits = ba + bb + (min(len(a), len(b)) * self.degree).bit_length() + 1
         return bits, da * db, _packed(na, bits), _packed(nb, bits)
 
-    def unpack_reduced(self, packed: dict, bits: int, den: int) -> dict:
-        """{key: coefficient} for the nonzero values among `packed` / `den`.
+    def unpack_reduced(self, packed: dict, bits: int, den: int):
+        """(terms, content) for the nonzero values among `packed` / `den`.
 
-        Over Q each value is one Fraction.  Over a number field each int
-        holds 2d-1 signed slots of width `bits` (a sum of products from
+        Over Q the nonzero sums are the terms over content den, made
+        canonical by one gcd.  Over a number field each int holds 2d-1
+        signed slots of width `bits` (a sum of products from
         `pack_operands`).  Adding 2^(bits-1) to every slot makes all of them
         nonnegative, so each is read back with a shift and a mask; the
         vector is reduced once.  A sum can vanish modulo p even when its
         packed int does not, so zero results are dropped.
         """
         if self.degree == 1:
-            return {k: Fraction(v, den) for k, v in packed.items() if v}
+            return self.normalized({k: v for k, v in packed.items() if v}, den)
         n = 2 * self.degree - 1
         half = 1 << (bits - 1)
         mask = (1 << bits) - 1
@@ -223,50 +304,53 @@ class FieldContext:
             c = reduce(coeffs, den)
             if any(c.num):
                 out[k] = c
-        return out
+        return out, 1
 
-    def elimination_operands(self, f: dict, g: dict, lead_key: int):
+    def elimination_operands(self, f: dict, cf, g: dict, cg, lead_key: int):
         """(r, lead, rest, scale): the operands for dividing f by g.
 
         r is a fresh term dict for the dividend, rest the divisor's terms
         without the one at `lead_key`, and `lead_divmod(v, lead)` the
-        quotient and remainder of a coefficient by the divisor's leading
-        coefficient; `elimination_quotient(q, scale)` turns the collected
-        quotient coefficients back into field elements.
+        quotient and remainder of a term by the divisor's leading term;
+        `elimination_quotient(q, scale)` turns the collected quotient terms
+        into the quotient's (terms, content).
 
-        Over Q, f = F / da and g = c * G / db with F an integer polynomial and
-        G a primitive one with positive leading coefficient; r and rest hold
+        Over Q, f = F / cf and g = c * G / cg with F the integer terms of f
+        and G primitive with a positive leading coefficient; r and rest hold
         the integers of F and G, lead is the leading coefficient of G and the
         step is Python's divmod.  By Gauss's lemma G divides F over Q only if
         it divides F over Z, so every step of a true division is integral and
         a nonzero remainder proves non-divisibility; the quotient is
-        (F / G) * db / (da * c).  Over a number field r and rest hold the
+        (F / G) * cg / (cf * c).  Over a number field r and rest hold the
         Scalars themselves, lead is the inverse of g's leading coefficient
         and a step is a product with remainder 0.
         """
-        if self.degree == 1:
-            da, r = _int_cleared(f)
-            db, g = _int_cleared(g)
-            content = math.gcd(*g.values())
-            if g[lead_key] < 0:
-                content = -content
-            if content != 1:
-                g = {k: c // content for k, c in g.items()}
-            lead = g.pop(lead_key)
-            return r, lead, g, (db, da * content)
         rest = dict(g)
-        return dict(f), self.invert(rest.pop(lead_key)), rest, None
+        lead = rest.pop(lead_key)
+        if self.degree == 1:
+            c = math.gcd(lead, *rest.values())
+            if lead < 0:
+                c = -c
+            if c != 1:
+                rest = {k: v // c for k, v in rest.items()}
+                lead //= c
+            return dict(f), lead, rest, (cg, cf * c)
+        return dict(f), self.invert(lead), rest, None
 
-    def elimination_quotient(self, q: dict, scale) -> dict:
-        """The quotient's {key: coefficient} from the elimination's values.
+    def elimination_quotient(self, q: dict, scale):
+        """The quotient's (terms, content) from the elimination's values.
 
         Over Q, with the names of `elimination_operands`, the integer quotient
-        F / G is rescaled once by db / (da * c).
+        F / G is rescaled once by cg / (cf * c).
         """
         if self.degree == 1:
             num, den = scale
-            return {k: Fraction(c * num, den) for k, c in q.items()}
-        return q
+            if den < 0:
+                num, den = -num, -den
+            if num != 1:
+                q = {k: v * num for k, v in q.items()}
+            return self.normalized(q, den)
+        return q, 1
 
     def invert(self, value):
         if self.degree == 1:
@@ -363,19 +447,6 @@ class FieldContext:
 
     def __repr__(self):
         return f"FieldContext(degree={self.degree}, generator={self.generator_description})"
-
-
-def _int_cleared(terms: dict):
-    """(common denominator, {key: integer numerator over it}) of Fractions."""
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    if den == 1:
-        return 1, {k: c.numerator for k, c in terms.items()}
-    return den, {k: (c.numerator * den) // c.denominator
-                 for k, c in terms.items()}
 
 
 def _times_inverse(v, inv_lead):

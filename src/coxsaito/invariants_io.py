@@ -29,7 +29,7 @@ from pathlib import Path
 from .coxeter import BasicInvariants, CoxeterDatum, validate_invariants
 from .errors import CoxsaitoError, ParseError
 from .field import FieldContext
-from .poly import MultiPoly
+from .poly import MASK, MultiPoly
 
 
 # -- scalar / polynomial encoding ----------------------------------------------------
@@ -73,7 +73,7 @@ def poly_from_json(node, nvars: int, field: FieldContext, where: str) -> MultiPo
             raise ParseError(f"{spot}: expected an object")
         exps = term.get("exponents")
         if (not isinstance(exps, list) or len(exps) != nvars
-                or not all(type(e) is int and e >= 0 for e in exps)):
+                or not all(type(e) is int and 0 <= e <= MASK for e in exps)):
             raise ParseError(f"{spot}: bad exponent vector")
         coeff = scalar_from_json(term.get("coefficient"), field,
                                  f"{spot}.coefficient")
@@ -113,7 +113,9 @@ def ingest_invariants(path) -> tuple[CoxeterDatum, BasicInvariants]:
         if r[1] == 0:
             raise ParseError(f"$.field.minimal_polynomial[{i}]: zero denominator")
         minpoly.append(Fraction(r[0], r[1]))
-    desc = field_node.get("generator_description", "custom")
+    desc = "custom"
+    if "generator_description" in field_node:
+        desc = _expect(field_node, "generator_description", str, "$.field")
     try:
         field = FieldContext(minpoly, desc)
     except ValueError as exc:

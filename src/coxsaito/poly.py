@@ -7,32 +7,35 @@ limb.  Under this packing
   * monomial product is integer addition of keys,
   * graded-lexicographic comparison (x1 > x2 > ...) is integer comparison,
 
-so the leading term is simply max(terms).  Coefficients are Fractions over Q
-or `field.Scalar` values over an extension; no zero coefficient is ever
-stored.  There is no floating point and no multivariate gcd anywhere: the
-only reduction primitive is `exact_divide`, which either produces the exact
-quotient or reports that none exists.
+so the leading term is simply max(terms).  An exponent must fit its limb:
+`pack` rejects one that does not, and a product whose total degree would not
+fit is refused.  There is no floating point and no multivariate gcd
+anywhere: the only reduction primitive is `exact_divide`, which either
+produces the exact quotient or reports that none exists.
 
-Each operation has one body for every field; only `FieldContext` knows how
-a coefficient becomes integers and back.  A product with a one-term operand
-scales the other operand and shifts its keys.  Every other product is one
-integer schoolbook loop (`_int_product`) between `FieldContext.pack_operands`,
-which clears each operand's coefficients to ints over one common
-denominator, and `FieldContext.unpack_reduced`, which builds one coefficient
-per nonzero output sum.  Exact division is one leading-term elimination loop
-over a heap of keys: the field prepares the operands, takes each step's
-quotient and remainder, and rebuilds the quotient at the end.  Sums, partial
-derivatives and scalar multiples operate on the field's elements directly.
+A polynomial is its term dict and one content, and only `FieldContext`
+knows what they hold (over Q: integer terms over one positive denominator;
+over an extension: Scalars and the content 1).  No zero term is ever stored
+and the pair is canonical.  Each operation has one body for every field.
+Sums bring both term dicts over one content (`FieldContext.aligned`) and
+merge them; scalar multiples, derivatives and products with a one-term
+operand scale the terms; every other product is one integer schoolbook loop
+(`_int_product`) between `FieldContext.pack_operands` and
+`FieldContext.unpack_reduced`.  Exact division is one leading-term
+elimination loop over a heap of keys: the field prepares the operands, takes
+each step's quotient and remainder, and rebuilds the quotient at the end.
+Every result passes through the field's canonical form.  Field elements are
+built only where a coefficient leaves the polynomial: `leading`,
+`constant_value` and `iter_terms`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 
 from .errors import DimensionMismatch, DivisionByZero, ZeroForm
-from .field import RATIONALS, FieldContext, Scalar
+from .field import RATIONALS, FieldContext
 
 LIMB = 24
 MASK = (1 << LIMB) - 1
@@ -43,6 +46,8 @@ def pack(exps) -> int:
     n = len(exps)
     key = sum(exps) << (n * LIMB)
     for i, e in enumerate(exps):
+        if not 0 <= e <= MASK:
+            raise DimensionMismatch(f"exponent {e} outside 0..{MASK}")
         key |= e << ((n - 1 - i) * LIMB)
     return key
 
@@ -78,13 +83,23 @@ def _limb_divides(a: int, b: int, nvars: int) -> bool:
 
 
 class MultiPoly:
-    """A multivariate polynomial with exact coefficients in a fixed field."""
+    """A multivariate polynomial with exact coefficients in a fixed field.
 
-    __slots__ = ("nvars", "terms", "field")
+    `terms` maps keys to nonzero terms and `content` is an opaque value that
+    only the field interprets (`FieldContext.split`, `FieldContext.element`):
+    over Q the terms are ints and the content is their positive common
+    denominator with gcd(content, *terms) == 1; over a number field the terms
+    are Scalars and the content is 1.  The form is canonical, so `==` and
+    `hash` compare it directly.
+    """
 
-    def __init__(self, nvars: int, terms: dict, field: FieldContext = RATIONALS):
+    __slots__ = ("nvars", "terms", "content", "field")
+
+    def __init__(self, nvars: int, terms: dict, field: FieldContext = RATIONALS,
+                 content=1):
         self.nvars = nvars
         self.terms = terms
+        self.content = content
         self.field = field
 
     # -- constructors -----------------------------------------------------
@@ -98,20 +113,20 @@ class MultiPoly:
         c = field.coerce(value)
         if not c:
             return cls(nvars, {}, field)
-        return cls(nvars, {0: c}, field)
+        terms, content = field.split({0: c})
+        return cls(nvars, terms, field, content)
 
     @classmethod
     def variable(cls, nvars: int, index: int, field: FieldContext = RATIONALS) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise DimensionMismatch(f"variable index {index} out of range")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {pack(exps): field.one}, field)
+        return cls.from_terms(nvars, [([int(i == index) for i in range(nvars)], 1)],
+                              field)
 
     @classmethod
     def from_terms(cls, nvars: int, items, field: FieldContext = RATIONALS) -> "MultiPoly":
         """Build from (exponent-vector, coefficient) pairs; merges duplicates."""
-        terms: dict = {}
+        values: dict = {}
         for exps, c in items:
             if len(exps) != nvars:
                 raise DimensionMismatch("exponent vector length != nvars")
@@ -119,13 +134,14 @@ class MultiPoly:
             if not c:
                 continue
             k = pack(exps)
-            cur = terms.get(k)
+            cur = values.get(k)
             acc = c if cur is None else cur + c
             if acc:
-                terms[k] = acc
+                values[k] = acc
             elif cur is not None:
-                del terms[k]
-        return cls(nvars, terms, field)
+                del values[k]
+        terms, content = field.split(values)
+        return cls(nvars, terms, field, content)
 
     # -- basic queries -----------------------------------------------------
 
@@ -150,19 +166,21 @@ class MultiPoly:
     def leading(self):
         """Leading (key, coefficient) in graded-lex order."""
         k = max(self.terms)
-        return k, self.terms[k]
+        return k, self.field.element(self.terms[k], self.content)
 
     def constant_value(self):
         """The scalar value if this polynomial is constant, else None."""
         if not self.terms:
-            return self.field.coerce(0)
+            return self.field.zero
         if len(self.terms) == 1 and 0 in self.terms:
-            return self.terms[0]
+            return self.field.element(self.terms[0], self.content)
         return None
 
     def iter_terms(self):
+        """(exponent vector, coefficient) pairs in descending graded-lex order."""
+        element, content = self.field.element, self.content
         for k in sorted(self.terms, reverse=True):
-            yield unpack(k, self.nvars), self.terms[k]
+            yield unpack(k, self.nvars), element(self.terms[k], content)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -178,18 +196,23 @@ class MultiPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
+        # copy the larger operand and merge the smaller one into it
+        if len(self.terms) < len(other.terms):
+            self, other = other, self
+        field = self.field
+        out, b, content = field.aligned(self.terms, self.content,
+                                        other.terms, other.content)
+        get = out.get
+        for k, c in b.items():
+            cur = get(k)
             if cur is None:
                 out[k] = c
+            elif acc := cur + c:
+                out[k] = acc
             else:
-                acc = cur + c
-                if acc:
-                    out[k] = acc
-                else:
-                    del out[k]
-        return MultiPoly(self.nvars, out, self.field)
+                del out[k]
+        terms, content = field.normalized(out, content)
+        return MultiPoly(self.nvars, terms, field, content)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -197,38 +220,42 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {k: -c for k, c in self.terms.items()}, self.field)
+        return MultiPoly(self.nvars, {k: -c for k, c in self.terms.items()},
+                         self.field, self.content)
 
     def __mul__(self, other):
         """The product, one body for every field.
 
         A one-term operand scales the other operand and shifts its keys.
-        Otherwise `FieldContext.pack_operands` turns every coefficient into
-        one int, the schoolbook product runs on those ints, and
-        `FieldContext.unpack_reduced` builds one coefficient per nonzero sum.
+        Otherwise `FieldContext.pack_operands` turns every term into one int,
+        the schoolbook product runs on those ints, and
+        `FieldContext.unpack_reduced` rebuilds the terms from the nonzero
+        sums.  A scalar (int, Fraction or Scalar) scales every term.
         """
+        field = self.field
         if isinstance(other, MultiPoly):
             self._check_compat(other)
-            a, b = self.terms, other.terms
+            a, ca, b, cb = self.terms, self.content, other.terms, other.content
             if not a or not b:
-                return MultiPoly.zero(self.nvars, self.field)
+                return MultiPoly.zero(self.nvars, field)
             if len(a) > len(b):
-                a, b = b, a
+                a, ca, b, cb = b, cb, a, ca
+            # no exponent of the product can leave its limb while the total
+            # degree, the top limb of the product's leading key, fits in one
+            if (max(a) + max(b)) >> (self.nvars * LIMB) > MASK:
+                raise DimensionMismatch(f"a product exponent would exceed {MASK}")
             if len(a) == 1:
-                (ka, ca), = a.items()
-                return MultiPoly(self.nvars, {ka + kb: c for kb, cb in b.items()
-                                              if (c := cb * ca)}, self.field)
-            field = self.field
-            bits, den, pa, pb = field.pack_operands(a, b)
-            return MultiPoly(self.nvars,
-                             field.unpack_reduced(_int_product(pa, pb), bits, den),
-                             field)
-        if not isinstance(other, (int, Fraction, Scalar)):
+                (ka, ta), = a.items()
+                terms, content = field.scaled(b, cb, ta, ca, ka)
+            else:
+                bits, den, pa, pb = field.pack_operands(a, ca, b, cb)
+                terms, content = field.unpack_reduced(_int_product(pa, pb), bits, den)
+            return MultiPoly(self.nvars, terms, field, content)
+        parts = field.scalar_parts(other)
+        if parts is None:
             return NotImplemented
-        c = self.field.coerce(other)
-        if not c:
-            return MultiPoly.zero(self.nvars, self.field)
-        return MultiPoly(self.nvars, {k: v * c for k, v in self.terms.items()}, self.field)
+        terms, content = field.scaled(self.terms, self.content, *parts)
+        return MultiPoly(self.nvars, terms, field, content)
 
     __rmul__ = __mul__
 
@@ -247,11 +274,12 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (self.nvars == other.nvars and self.content == other.content
+                    and self.terms == other.terms)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.content, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -269,7 +297,8 @@ class MultiPoly:
             e = (k >> shift) & MASK
             if e:
                 out[k - dec] = c * e
-        return MultiPoly(self.nvars, out, self.field)
+        terms, content = self.field.normalized(out, self.content)
+        return MultiPoly(self.nvars, terms, self.field, content)
 
     def subst_linear(self, matrix) -> "MultiPoly":
         """Substitute x_i -> sum_j matrix[i][j] * x_j."""
@@ -313,8 +342,8 @@ class MultiPoly:
             return MultiPoly.zero(self.nvars, self.field)
         field = self.field
         gl_key = max(divisor.terms)
-        r, lead, g, scale = field.elimination_operands(self.terms, divisor.terms,
-                                                       gl_key)
+        r, lead, g, scale = field.elimination_operands(
+            self.terms, self.content, divisor.terms, divisor.content, gl_key)
         step = field.lead_divmod
         g_items = list(g.items())
         n = self.nvars
@@ -344,7 +373,8 @@ class MultiPoly:
                     r[nk] = -(qc * c)
                 else:
                     r[nk] = cur - qc * c
-        return MultiPoly(n, field.elimination_quotient(q, scale), field)
+        terms, content = field.elimination_quotient(q, scale)
+        return MultiPoly(n, terms, field, content)
 
     def constant_quotient(self, divisors):
         """The nonzero constant c with self = c * prod(divisors), else None."""
@@ -360,10 +390,11 @@ class MultiPoly:
         """Split off the leading coefficient: returns (monic poly, leading coeff)."""
         if self.is_zero():
             return self, self.field.one
+        field = self.field
         _, lead = self.leading()
-        inv = self.field.invert(lead)
-        return MultiPoly(self.nvars, {k: c * inv for k, c in self.terms.items()},
-                         self.field), lead
+        terms, content = field.scaled(self.terms, self.content,
+                                      *field.scalar_parts(field.invert(lead)))
+        return MultiPoly(self.nvars, terms, field, content), lead
 
     # -- rendering -----------------------------------------------------------
 

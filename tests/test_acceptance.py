@@ -17,7 +17,7 @@ from test_properties import (run_adjugate_inverse, run_exact_divide_oracle,
                              run_exact_divide_roundtrip, run_field_axioms,
                              run_fraction_oracle, run_lowest_power_rescaling,
                              run_nf_divide_oracle, run_nf_product_oracle,
-                             run_substitution_roundtrip)
+                             run_q_kernel_oracle, run_substitution_roundtrip)
 
 from coxsaito.coxeter import (build_datum, builtin_invariants,
                               poincare_closed_form, poincare_equal,
@@ -194,6 +194,7 @@ def test_criterion_8_property_suites():
         "lowest power rescaling": run_lowest_power_rescaling(),
         "nf product oracle": run_nf_product_oracle(),
         "nf exact_divide oracle": run_nf_divide_oracle(),
+        "q kernel oracle": run_q_kernel_oracle(),
     }
     ok = all(v >= 1000 for v in counts.values())
     _announce("8", ok, f"({counts} randomized instances, fixed seeds)")

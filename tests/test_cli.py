@@ -117,6 +117,27 @@ def test_non_list_terms_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("invariants", 0, "terms", 0, "exponents"), [2 ** 24, 0],
+     "$.invariants[0].terms[0]: bad exponent vector"),
+    (("field", "generator_description"), {"name": "sqrt(2)"},
+     "$.field.generator_description: expected str"),
+], ids=["exponent-overflow", "description-object"])
+def test_out_of_range_values_exit_two(tmp_path, capsys, path, value, message):
+    datum = build_datum("B", 2)
+    doc = datum_to_json(datum, builtin_invariants(datum))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--invariants", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("label,rank", [("I2", 5), ("A", 3)])
 @pytest.mark.parametrize("keep", [0, 1])
 def test_too_few_generators_fail(tmp_path, capsys, label, rank, keep):

@@ -87,8 +87,13 @@ def test_non_squarefree_minimal_polynomial_rejected(tmp_path):
      r"^\$\.field\.minimal_polynomial\[0\]: expected \[num, den\]$"),
     (("invariants", 0, "terms", 0, "exponents"), [True, 1],
      r"^\$\.invariants\[0\]\.terms\[0\]: bad exponent vector$"),
+    (("invariants", 0, "terms", 0, "exponents"), [2 ** 24, 0],
+     r"^\$\.invariants\[0\]\.terms\[0\]: bad exponent vector$"),
+    (("field", "generator_description"), {"name": "sqrt(2)"},
+     r"^\$\.field\.generator_description: expected str$"),
 ], ids=["terms-int", "terms-object", "rank-bool", "exponent-bool",
-        "numerator-bool", "minpoly-bool", "monomial-bool"])
+        "numerator-bool", "minpoly-bool", "monomial-bool", "exponent-overflow",
+        "description-object"])
 def test_wrong_json_types_are_parse_errors(tmp_path, path, value, message):
     # JSON true/false are Python bools, a subclass of int: they are rejected
     # wherever an int is expected, and a non-list "terms" is a ParseError

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxsaito.errors import DivisionByZero, ZeroForm
+from coxsaito.errors import DimensionMismatch, DivisionByZero, ZeroForm
 from coxsaito.field import RATIONALS, FieldContext
 from coxsaito.poly import MultiPoly, lowest_power_in_form
 
@@ -33,6 +33,21 @@ def test_jacobian_column_of_sum_of_squares():
     p1 = x * x + y * y
     assert p1.partial(0) == 2 * x
     assert p1.partial(1) == 2 * y
+
+
+def test_exponents_outside_the_limb_are_rejected():
+    # an exponent that does not fit its 24-bit limb would carry into the next
+    with pytest.raises(DimensionMismatch):
+        MultiPoly.from_terms(3, [([2 ** 24, 0, 0], 1)])
+    with pytest.raises(DimensionMismatch):
+        MultiPoly.from_terms(2, [([-1, 2], 1)])
+    x = MultiPoly.variable(1, 0)
+    top = MultiPoly.from_terms(1, [([2 ** 24 - 1], 1)])
+    assert top.render() == "x^16777215"
+    with pytest.raises(DimensionMismatch):
+        x * top
+    with pytest.raises(DimensionMismatch):
+        top * (x + MultiPoly.const(1, 1))
 
 
 def test_exact_divide_difference_of_squares():
@@ -70,7 +85,8 @@ def test_exact_divide_fractional_divisor_and_quotient():
     assert g.exact_divide(3 * x + 2 * y) == MultiPoly.const(2, Fraction(1, 6))
     quotient = ((x * third) * (2 * x + y)).exact_divide(2 * x + y)
     assert quotient == x * third
-    assert all(type(c) is Fraction for c in quotient.terms.values())
+    assert all(type(c) is Fraction for _, c in quotient.iter_terms())
+    assert type(quotient.leading()[1]) is Fraction
 
 
 def test_exact_divide_zero_dividend_and_constant_divisor():

@@ -148,12 +148,18 @@ def _random_rational_poly(rng, nvars, max_degree, terms):
     return MultiPoly.from_terms(nvars, items)
 
 
+def _values(p):
+    """{key: coefficient} of a polynomial, read through `iter_terms`."""
+    return {pack(e): c for e, c in p.iter_terms()}
+
+
 def _oracle_poly_divide(f, g):
     """Leading-term elimination on Fractions: the quotient's terms or None."""
     n = f.nvars
     gl_key, gl_coeff = g.leading()
     gl_exps = unpack(gl_key, n)
-    r = dict(f.terms)
+    r = _values(f)
+    g_values = _values(g)
     q = {}
     while r:
         m = max(r)
@@ -162,7 +168,7 @@ def _oracle_poly_divide(f, g):
         qk = m - gl_key
         qc = r[m] / gl_coeff
         q[qk] = qc
-        for k, c in g.terms.items():
+        for k, c in g_values.items():
             acc = r.get(k + qk, 0) - qc * c
             if acc:
                 r[k + qk] = acc
@@ -209,8 +215,8 @@ def run_exact_divide_oracle(iterations=ITERATIONS, seed=26535897) -> int:
             assert got is None, (dividend, g)
             seen["none"] += 1
         else:
-            assert got is not None and got.terms == want, (dividend, g)
-            assert all(type(c) is Fraction for c in got.terms.values())
+            assert got is not None and _values(got) == want, (dividend, g)
+            assert all(type(c) is Fraction for _, c in got.iter_terms())
             seen["quotient"] += 1
 
         large = tested % 2 == 1
@@ -220,12 +226,149 @@ def run_exact_divide_oracle(iterations=ITERATIONS, seed=26535897) -> int:
         b = _random_rational_poly(rng, nvars, 8 if large else 4,
                                   24 if large else rng.randint(1, 6))
         product = a * b
-        assert product.terms == _oracle_poly_mul(a, b), (a, b)
-        assert all(type(c) is Fraction for c in product.terms.values())
+        assert _values(product) == _oracle_poly_mul(a, b), (a, b)
+        assert all(type(c) is Fraction for _, c in product.iter_terms())
         seen["large product" if len(a.terms) * len(b.terms) > 256
              else "small product"] += 1
         tested += 1
     assert min(seen.values()) >= iterations // 4, seen
+    return tested
+
+
+def _coefficients(p):
+    """{exponent vector: coefficient} read through `iter_terms`, which must
+    yield nonzero Fractions in descending graded-lex order."""
+    out = {}
+    keys = []
+    for e, c in p.iter_terms():
+        assert type(c) is Fraction and c, (p, e, c)
+        out[e] = c
+        keys.append(pack(e))
+    assert keys == sorted(keys, reverse=True)
+    return out
+
+
+def _dict_combine(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_partial(a, index):
+    out = {}
+    for e, c in a.items():
+        if e[index]:
+            d = list(e)
+            d[index] -= 1
+            out[tuple(d)] = c * e[index]
+    return out
+
+
+def _random_coefficients(rng, nvars, terms, integral=False):
+    """{exponent vector: Fraction} with denominators drawn from a few shared
+    values, so sums and products meet common and coprime denominators."""
+    out = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, 3) for _ in range(nvars))
+        den = 1 if integral else rng.choice((1, 2, 3, 4, 6, 9, 35))
+        out[e] = out.get(e, 0) + Fraction(rng.randint(-20, 20), den)
+    return {e: c for e, c in out.items() if c}
+
+
+def run_q_kernel_oracle(iterations=ITERATIONS, seed=16180339) -> int:
+    """The content x integer kernel over Q against dicts of Fractions.
+
+    Every operation is read back through the public accessors and compared
+    with the Fraction-dict result, and each result must compare and hash
+    equal to the polynomial `from_terms` builds from that dict.  A quarter
+    of the instances add an operand built to cancel to zero, a quarter one
+    built so the sum is integral, a quarter a one-term operand.
+    """
+    rng = random.Random(seed)
+    seen = {"cancel to zero": 0, "integral sum": 0, "one-term product": 0,
+            "multi-term product": 0, "quotient": 0, "none": 0}
+    tested = 0
+    while tested < iterations:
+        nvars = 1 + tested % 3
+        kind = tested // 3 % 4
+
+        def build(values):
+            return MultiPoly.from_terms(nvars, values.items())
+
+        def agrees(got, values):
+            assert _coefficients(got) == values, (got, values)
+            want = build(values)
+            assert got == want and hash(got) == hash(want), (got, values)
+
+        a_d = _random_coefficients(rng, nvars, rng.randint(1, 6))
+        if not a_d:
+            continue
+        a = build(a_d)
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        if kind == 0:
+            b = (a * q) * (-1 / q)
+            seen["cancel to zero"] += 1
+        elif kind == 1:
+            c_d = _random_coefficients(rng, nvars, rng.randint(0, 6), integral=True)
+            b = build(c_d) - a
+            assert all(c.denominator == 1 for _, c in (a + b).iter_terms())
+            agrees(a + b, c_d)
+            seen["integral sum"] += 1
+        elif kind == 2:
+            e = tuple(rng.randint(0, 3) for _ in range(nvars))
+            b = build({e: q})
+        else:
+            b = build(_random_coefficients(rng, nvars, rng.randint(1, 6)))
+        b_d = _coefficients(b)
+        agrees(a, a_d)
+        agrees(a + b, _dict_combine(a_d, b_d, 1))
+        agrees(a - b, _dict_combine(a_d, b_d, -1))
+        agrees(-a, {e: -c for e, c in a_d.items()})
+        assert -(-a) == a and hash(-(-a)) == hash(a)
+        assert a - b == a + (-b) and hash(a - b) == hash(a + (-b))
+        n = rng.randint(-6, 6)
+        agrees(a * n, {e: c * n for e, c in a_d.items() if n})
+        agrees(q * a, {e: c * q for e, c in a_d.items()})
+        agrees(a * 0, {})
+        agrees(a * Fraction(0), {})
+        index = rng.randrange(nvars)
+        agrees(a.partial(index), _dict_partial(a_d, index))
+        agrees(a * b, _dict_mul(a_d, b_d))
+        agrees(b * a, _dict_mul(a_d, b_d))
+        if b_d:
+            seen["one-term product" if min(len(a_d), len(b_d)) == 1
+                 else "multi-term product"] += 1
+            assert (a * b).exact_divide(b) == a
+            want = _oracle_poly_divide(a, b)
+            got = a.exact_divide(b)
+            if want is None:
+                assert got is None, (a, b)
+                seen["none"] += 1
+            else:
+                assert got is not None and _values(got) == want, (a, b)
+                seen["quotient"] += 1
+        top = max(a_d, key=lambda e: pack(e))
+        assert a.leading() == (pack(top), a_d[top])
+        monic, lead = a.monic()
+        assert lead == a_d[top]
+        agrees(monic, {e: c / lead for e, c in a_d.items()})
+        assert a.constant_value() == (a_d.get((0,) * nvars)
+                                      if set(a_d) <= {(0,) * nvars} else None)
+        assert MultiPoly.const(nvars, q).constant_value() == q
+        assert type(MultiPoly.zero(nvars).constant_value()) is Fraction
+        assert MultiPoly.zero(nvars).constant_value() == 0
+        tested += 1
+    assert min(seen.values()) >= iterations // 10, seen
     return tested
 
 
@@ -679,6 +822,10 @@ def test_exact_divide_roundtrip_thousand():
 
 def test_exact_divide_matches_fraction_oracle_thousand():
     assert run_exact_divide_oracle() >= 1000
+
+
+def test_q_kernel_matches_fraction_dict_oracle_thousand():
+    assert run_q_kernel_oracle() >= 1000
 
 
 def test_adjugate_inverse_thousand():

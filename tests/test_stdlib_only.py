@@ -40,6 +40,21 @@ def test_poly_reads_no_coefficient_layout():
     assert not found, found
 
 
+def test_poly_imports_no_fractions():
+    # a coefficient's type is the field's business: poly.py neither builds
+    # nor tests for a Fraction
+    path = ROOT / "src" / "coxsaito" / "poly.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(node.module)
+        elif isinstance(node, ast.Name) and node.id == "Fraction":
+            found.append(node.id)
+    assert not found, found
+
+
 def test_no_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
