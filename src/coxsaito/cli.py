@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .coxeter import build_datum, builtin_invariants
+from .coxeter import build_datum, builtin_invariants, is_dihedral_label
 from .errors import (ConfigError, CoxsaitoError, ParseError, RankOutOfRange,
                      UnsupportedType, ValidationError)
 from .invariants_io import ingest_invariants
@@ -57,7 +57,7 @@ def _build_pair(config: RunConfig):
     if config.invariants_path is not None:
         return ingest_invariants(config.invariants_path)
     label = config.type_label
-    if label.upper().startswith("I"):
+    if is_dihedral_label(label):
         if config.i2_m is None:
             raise ConfigError("I2 groups need --m")
         datum = build_datum("I2", config.i2_m)

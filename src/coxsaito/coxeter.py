@@ -89,7 +89,6 @@ class CoxeterDatum:
                            for g in generators]
         self.subst = [tuple(zip(*g)) for g in self.generators]
         self.exponents = tuple(int(e) for e in exponents)
-        self.coxeter_number = self.exponents[-1] + 1
         self._form_polys = None
         self._q = None
         self._check()
@@ -98,6 +97,10 @@ class CoxeterDatum:
         ell, field = self.rank, self.field
         if ell < 1:
             raise RankOutOfRange("rank must be >= 1")
+        if len(self.exponents) != ell:
+            raise CoxsaitoError(
+                f"expected {ell} exponents, got {len(self.exponents)}")
+        self.coxeter_number = self.exponents[-1] + 1
         if len(self.gram) != ell or any(len(r) != ell for r in self.gram):
             raise CoxsaitoError("Gram matrix must be rank x rank")
         gram = Matrix.from_scalars(self.gram, ell, field)
@@ -201,10 +204,15 @@ class BasicInvariants:
 # -- datum builders ---------------------------------------------------------------
 
 
+def is_dihedral_label(type_label: str) -> bool:
+    """True for the labels that name the dihedral family: I, I2, I2(m)."""
+    return type_label.upper() in ("I", "I2", "I2(M)")
+
+
 def build_datum(type_label: str, rank_or_m: int) -> CoxeterDatum:
-    t = type_label.upper().replace("I2(M)", "I2")
-    if t in ("I2", "I"):
+    if is_dihedral_label(type_label):
         return _build_i2(rank_or_m)
+    t = type_label.upper()
     if t == "A":
         return _build_a(rank_or_m)
     if t == "B":

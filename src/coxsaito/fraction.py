@@ -4,24 +4,25 @@ Every object the verifier builds -- the primitive derivation, D^k[X],
 J(P)^-1, G^-1, the connection matrices -- lives in the localization S[Q^-1],
 Q the arrangement polynomial and det J(P) = c Q.  So a fraction is kept as
 
-    numerator / (scalar * q^exp)
+    numerator / q^exp
 
 with q the monic polynomial of one shared `PowerBase`, which also caches the
-powers and partial derivatives of q.  An element with exp == 0 is a
-polynomial (over a nonzero scalar) and combines with any base; combining two
-different bases raises CoxsaitoError.  Reduction never uses a gcd: `simplify`
-just retries exact division of the numerator by q.
+powers and partial derivatives of q; a nonzero constant c is a unit and lives
+in the numerator.  An element with exp == 0 is a polynomial and combines with
+any base; combining two different bases raises CoxsaitoError.  Reduction
+never uses a gcd: `simplify` just retries exact division of the numerator by
+q.
 """
 
 from __future__ import annotations
 
-from .errors import CoxsaitoError, DivisionByZero
+from .errors import CoxsaitoError
 from .field import FieldContext
 from .poly import MultiPoly
 
 
 class PowerBase:
-    """The monic polynomial q of the denominators c * q^e, with cached powers
+    """The monic polynomial q of the denominators q^e, with cached powers
     and partial derivatives.  The caches are dicts filled idempotently, so a
     base can be shared across concurrent readers."""
 
@@ -58,28 +59,22 @@ def _common_base(a: "FactoredFraction", b: "FactoredFraction"):
     return a.base
 
 
-def _new(numerator: MultiPoly, base, exp: int, scalar) -> "FactoredFraction":
-    """A fraction from already-normalized parts (scalar nonzero in the field)."""
+def _new(numerator: MultiPoly, base, exp: int) -> "FactoredFraction":
+    """A fraction from already-normalized parts."""
     f = object.__new__(FactoredFraction)
     f.numerator = numerator
-    if numerator.terms:
-        f.base, f.exp, f.scalar = base, exp, scalar
-    else:
-        f.base, f.exp, f.scalar = base, 0, numerator.field.one
+    f.base = base
+    f.exp = exp if numerator.terms else 0
     return f
 
 
 class FactoredFraction:
-    """numerator / (scalar * base.q^exp); base may be None when exp == 0."""
+    """numerator / base.q^exp; base may be None when exp == 0."""
 
-    __slots__ = ("numerator", "base", "exp", "scalar")
+    __slots__ = ("numerator", "base", "exp")
 
     def __init__(self, numerator: MultiPoly, base: PowerBase | None = None,
-                 exp: int = 0, scalar=None):
-        field = numerator.field
-        scalar = field.one if scalar is None else field.coerce(scalar)
-        if not scalar:
-            raise DivisionByZero("zero denominator scalar")
+                 exp: int = 0):
         if exp < 0:
             raise ValueError("denominator exponents must be nonnegative")
         if exp and base is None:
@@ -87,13 +82,12 @@ class FactoredFraction:
         self.numerator = numerator
         self.base = base
         self.exp = exp if numerator.terms else 0
-        self.scalar = scalar if numerator.terms else field.one
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "FactoredFraction":
-        return _new(p, None, 0, p.field.one)
+        return _new(p, None, 0)
 
     @classmethod
     def zero(cls, nvars: int, field: FieldContext) -> "FactoredFraction":
@@ -140,15 +134,12 @@ class FactoredFraction:
             num_a = num_a * base.power(eb - ea)
         elif eb < ea:
             num_b = num_b * base.power(ea - eb)
-        if self.scalar == other.scalar:
-            return _new(num_a + num_b, base, max(ea, eb), self.scalar)
-        return _new(num_a * other.scalar + num_b * self.scalar, base,
-                    max(ea, eb), self.scalar * other.scalar)
+        return _new(num_a + num_b, base, max(ea, eb))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(-self.numerator, self.base, self.exp, self.scalar)
+        return _new(-self.numerator, self.base, self.exp)
 
     def __sub__(self, other):
         if isinstance(other, MultiPoly):
@@ -167,13 +158,12 @@ class FactoredFraction:
             if self.is_zero() or other.is_zero():
                 return FactoredFraction.zero(self.nvars, self.field)
             return _new(self.numerator * other.numerator,
-                        _common_base(self, other), self.exp + other.exp,
-                        self.scalar * other.scalar)
+                        _common_base(self, other), self.exp + other.exp)
         # plain scalar
         c = self.field.coerce(other)
         if not c:
             return FactoredFraction.zero(self.nvars, self.field)
-        return _new(self.numerator * c, self.base, self.exp, self.scalar)
+        return _new(self.numerator * c, self.base, self.exp)
 
     __rmul__ = __mul__
 
@@ -183,7 +173,7 @@ class FactoredFraction:
         if not isinstance(other, FactoredFraction):
             return NotImplemented
         _common_base(self, other)
-        if self.exp == other.exp and self.scalar == other.scalar:
+        if self.exp == other.exp:
             return self.numerator == other.numerator
         return (self - other).is_zero()
 
@@ -206,41 +196,33 @@ class FactoredFraction:
             num, exp = quotient, exp - 1
         if exp == self.exp:
             return self
-        return _new(num, self.base, exp, self.scalar)
+        return _new(num, self.base, exp)
 
     def as_poly(self):
         """The exact polynomial value, or None if a power of q remains."""
         s = self.simplify()
-        if s.exp:
-            return None
-        inv = self.field.invert(s.scalar)
-        return s.numerator * inv
+        return None if s.exp else s.numerator
 
     def partial(self, index: int) -> "FactoredFraction":
         """Partial derivative by the quotient rule:
-        (num' q - e num q') / (c q^(e+1))."""
+        (num' q - e num q') / q^(e+1)."""
         d_num = self.numerator.partial(index)
         if not self.exp:
-            return _new(d_num, self.base, 0, self.scalar)
+            return _new(d_num, self.base, 0)
         d_q = self.base.partial(index)
         if d_q.is_zero():
-            return _new(d_num, self.base, self.exp, self.scalar)
+            return _new(d_num, self.base, self.exp)
         num = self.numerator * (d_q * -self.exp)
         if d_num:
             num = d_num * self.base.q + num
-        return _new(num, self.base, self.exp + 1, self.scalar)
+        return _new(num, self.base, self.exp + 1)
 
     def render(self, names=None) -> str:
         num = self.numerator.render(names)
-        if not self.exp and self.scalar == self.field.one:
+        if not self.exp:
             return num
-        parts = []
-        if self.scalar != self.field.one:
-            parts.append(self.field.render(self.scalar))
-        if self.exp:
-            q = f"({self.base.q.render(names)})"
-            parts.append(q if self.exp == 1 else f"{q}^{self.exp}")
-        return f"({num})/({'*'.join(parts)})"
+        q = f"({self.base.q.render(names)})"
+        return f"({num})/({q if self.exp == 1 else f'{q}^{self.exp}'})"
 
     def __repr__(self):
         return f"FactoredFraction({self.render()})"

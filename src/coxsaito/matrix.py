@@ -1,12 +1,12 @@
-"""Small exact matrices over polynomials or fractions num / (c * q^e).
+"""Small exact matrices over polynomials or fractions num / q^e.
 
 Everything here is sized by the group rank (<= 5 in practice), so one
 memoized Laplace table of minors (`MinorTable`) gives both the determinant and
 the adjugate.  The one inverse is that of a polynomial matrix whose
 determinant is certified to be c * q^e for a given denominator base q (a
-nonzero constant c without one): the adjugate over c * q^e, every entry
-exact.  The same table, given an exact divisor, computes the reduced minors
-of a cleared matrix (see `saito.jdkx_inv`).  Scalar matrices -- Gram and
+nonzero constant c without one): the adjugate times c^-1 over q^e, every
+entry exact.  The same table, given an exact divisor, computes the reduced
+minors of a cleared matrix (see `saito.jdkx_inv`).  Scalar matrices -- Gram and
 reflection matrices -- are matrices of constant polynomials
 (`Matrix.from_scalars`), so they share the same product, equality and
 determinant.
@@ -156,7 +156,7 @@ class Matrix:
 
         The determinant is certified to be c * q^e with c a nonzero constant
         and q the base's polynomial (c alone without a base); the entries are
-        adj / (c * q^e).  Any other determinant raises NonPolynomialEntry.
+        (adj * c^-1) / q^e.  Any other determinant raises NonPolynomialEntry.
         """
         if self.is_fraction_mode:
             raise TypeError("only polynomial matrices are inverted")
@@ -170,8 +170,9 @@ class Matrix:
             raise NonPolynomialEntry(
                 "determinant is not a nonzero constant" if base is None else
                 "determinant is not a nonzero constant times a power of q")
+        inv = det.field.invert(c)
         return table.adjugate().map_entries(
-            lambda a: FactoredFraction(a, base, e, c))
+            lambda a: FactoredFraction(a * inv, base, e))
 
     def __repr__(self):
         body = "; ".join(", ".join(e.render() for e in row) for row in self.entries)

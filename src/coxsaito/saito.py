@@ -1,7 +1,7 @@
 """Jacobian, metric, primitive derivation, connection and basis machinery.
 
 Everything lives in the localization S[Q^-1]: each value is a fraction
-num / (c * q^e) over the context's one denominator base q, the monic
+num / q^e over the context's one denominator base q, the monic
 det J(P) = c Q, and J(P) and G are inverted over that base.  Whenever a theorem
 guarantees a matrix is polynomial, the numerators are divided exactly by the
 powers of q and a failure aborts with NonPolynomialEntry.  That certification
@@ -233,8 +233,7 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
                 raise NonPolynomialEntry(
                     f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
                     f"power {e.exp} > {2 * k} in its denominator")
-            row.append(e.numerator * field.invert(e.scalar)
-                       * base.power(2 * k - e.exp))
+            row.append(e.numerator * base.power(2 * k - e.exp))
         cleared.append(row)
     minors = MinorTable(Matrix(cleared), divisor=base.power(2 * k))
     c = minors.det().constant_value()
@@ -368,9 +367,10 @@ def primitive_derivation(ctx: SaitoContext) -> PolyDerivation:
 
 
 def xi_basis(m: int, ctx: SaitoContext):
-    """The l basis derivations of contact order m, coordinate frame, certified
-    polynomial.  Coefficient matrix: A J(D^k[X])^{-1} (m = 2k), with a trailing
-    J(P) factor for odd m = 2k+1."""
+    """The l basis derivations of contact order m, coordinate frame, with
+    polynomial coefficients.  Coefficient matrix: A J(D^k[X])^{-1} (m = 2k),
+    with a trailing J(P) factor for odd m = 2k+1; `jdkx_inv` certifies its
+    factor polynomial, so the product is."""
     if m < 0:
         raise ValueError("m must be >= 0")
     table = ctx.xi_table
@@ -379,8 +379,7 @@ def xi_basis(m: int, ctx: SaitoContext):
         prod = ctx.gram_poly * jdkx_inv(k, ctx)
         if m % 2 == 1:
             prod = prod * ctx.jac_P
-        coeff = _certify_poly_matrix(prod, f"xi^({m})")
-        table[m] = [PolyDerivation("X", coeff.column(j)) for j in range(ctx.rank)]
+        table[m] = [PolyDerivation("X", prod.column(j)) for j in range(ctx.rank)]
     return table[m]
 
 

@@ -52,8 +52,10 @@ def test_criterion_1_rank_one_golden_values():
     x = MultiPoly.variable(1, 0)
 
     assert ctx.q_base.q == x
-    assert dkx(1, ctx)[0] == FactoredFraction(MultiPoly.const(1, 1), ctx.q_base, 1, 2)
-    assert dkx(2, ctx)[0] == FactoredFraction(MultiPoly.const(1, -1), ctx.q_base, 3, 4)
+    assert dkx(1, ctx)[0] == FactoredFraction(MultiPoly.const(1, Fraction(1, 2)),
+                                              ctx.q_base, 1)
+    assert dkx(2, ctx)[0] == FactoredFraction(MultiPoly.const(1, Fraction(-1, 4)),
+                                              ctx.q_base, 3)
     for k, val in ((1, 2), (2, 6), (3, 10)):
         assert bk_matrix(k, ctx) == Matrix([[MultiPoly.const(1, val)]])
     golden_xi = {0: MultiPoly.const(1, 1), 1: 2 * x, 2: -2 * x * x, 3: -4 * x ** 3}

@@ -91,6 +91,18 @@ def test_config_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_only_dihedral_labels_select_i2(capsys):
+    # I, I2 and I2(m) in any case name I2; any other label starting with "I"
+    # is an unsupported type, not I2
+    assert main(["verify", "--type", "Ixyz", "--m", "5", "--suite", "metric"]) == 2
+    assert main(["verify", "--type", "Ixyz", "--rank", "2", "--m", "5",
+                 "--suite", "metric"]) == 2
+    assert "unsupported type 'Ixyz'" in capsys.readouterr().err
+    for label in ("i", "I2", "i2(M)"):
+        assert main(["verify", "--type", label, "--m", "5", "--suite", "metric"]) == 0
+        assert "group I2(5)" in capsys.readouterr().out
+
+
 def test_invalid_invariants_file_exit_two(tmp_path, capsys):
     datum = build_datum("B", 2)
     doc = datum_to_json(datum, builtin_invariants(datum))

@@ -98,10 +98,12 @@ _B2_GENS = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
      "orbits of their reflecting forms miss 3 of 4 hyperplane forms"),
     (2, [[1, 0], [0, 1]], _B2_FORMS, [], (1, 3), CoxsaitoError,
      "orbits of their reflecting forms miss 4 of 4 hyperplane forms"),
+    (2, [[1, 0], [0, 1]], _B2_FORMS, _B2_GENS, (), CoxsaitoError,
+     "expected 2 exponents, got 0"),
 ], ids=["rank", "gram-shape", "gram-asymmetric", "gram-singular",
         "exponent-order", "hyperplane-count", "involution", "gram-preserved",
         "arrangement-fixed", "repeated-form", "root-not-listed",
-        "orbit-misses-forms", "no-generators"])
+        "orbit-misses-forms", "no-generators", "exponent-count"])
 def test_datum_check_rejections(rank, gram, forms, gens, exps, error, message):
     with pytest.raises(CoxsaitoError, match=message) as info:
         CoxeterDatum("X", rank, RATIONALS, gram, forms, gens, exps)

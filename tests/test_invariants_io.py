@@ -91,9 +91,10 @@ def test_non_squarefree_minimal_polynomial_rejected(tmp_path):
      r"^\$\.invariants\[0\]\.terms\[0\]: bad exponent vector$"),
     (("field", "generator_description"), {"name": "sqrt(2)"},
      r"^\$\.field\.generator_description: expected str$"),
+    (("exponents",), [], r"^\$: expected 2 exponents, got 0$"),
 ], ids=["terms-int", "terms-object", "rank-bool", "exponent-bool",
         "numerator-bool", "minpoly-bool", "monomial-bool", "exponent-overflow",
-        "description-object"])
+        "description-object", "exponents-empty"])
 def test_wrong_json_types_are_parse_errors(tmp_path, path, value, message):
     # JSON true/false are Python bools, a subclass of int: they are rejected
     # wherever an int is expected, and a non-list "terms" is a ParseError

@@ -410,9 +410,9 @@ def _poly_dual(p, point, index=None):
 
 
 def _fraction_dual(f, point, index):
-    """(f, df/dx_index) at the point: num / (c * q^e) over dual numbers."""
+    """(f, df/dx_index) at the point: num / q^e over dual numbers."""
     nv, nd = _poly_dual(f.numerator, point, index)
-    dv, dd = f.scalar, f.field.coerce(0)
+    dv, dd = f.field.one, f.field.coerce(0)
     if f.exp:
         qv, qd = _poly_dual(f.base.q, point, index)
         for _ in range(f.exp):
@@ -422,12 +422,12 @@ def _fraction_dual(f, point, index):
 
 def _fraction_at(f, point, q_value):
     """f at the point, given the value of its q there."""
-    return _poly_dual(f.numerator, point)[0] / (f.scalar * q_value ** f.exp)
+    return _poly_dual(f.numerator, point)[0] / q_value ** f.exp
 
 
 def _has_value(f, want, point, q_value):
     """f == want at the point, cross-multiplied to avoid a field inversion."""
-    return _poly_dual(f.numerator, point)[0] == want * f.scalar * q_value ** f.exp
+    return _poly_dual(f.numerator, point)[0] == want * q_value ** f.exp
 
 
 def _random_poly(rng, field, nvars, max_degree, terms):
@@ -456,11 +456,12 @@ def _random_form_product(rng, field, nvars):
 
 
 def _random_fraction(rng, base, field, nvars):
-    """num * q^j / (c * q^e): j > 0 gives simplify something to cancel."""
+    """(num / c) q^j / q^e: j > 0 gives simplify something to cancel."""
     num = _random_poly(rng, field, nvars, 2, rng.randint(0, 3))
     j, e = rng.randint(0, 1), rng.randint(0, 2)
     scalar = _random_scalar(rng, field) or field.one
-    return FactoredFraction(num * base.power(j), base, e, scalar), max(e - j, 0)
+    return (FactoredFraction(num * base.power(j) * field.invert(scalar), base, e),
+            max(e - j, 0))
 
 
 def _random_det_matrix(rng, base, field, nvars, n):
@@ -504,11 +505,9 @@ def run_fraction_oracle(iterations=ITERATIONS, seed=11235813) -> int:
         a, a_exp = _random_fraction(rng, base, field, nvars)
         b = _random_fraction(rng, base, field, nvars)[0]
         if tested % 4 == 0:
-            # b: the value of a over a higher power of q and another scalar
-            r = _random_scalar(rng, field) or field.one
+            # b: the value of a over a higher power of q
             t = rng.randint(0, 2)
-            b = FactoredFraction(a.numerator * base.power(t) * r, base,
-                                 a.exp + t, a.scalar * r)
+            b = FactoredFraction(a.numerator * base.power(t), base, a.exp + t)
         c = _random_scalar(rng, field)
         index = rng.randrange(nvars)
         simplified = a.simplify()
@@ -530,12 +529,11 @@ def run_fraction_oracle(iterations=ITERATIONS, seed=11235813) -> int:
         m, e = _random_det_matrix(rng, base, field, nvars,
                                   3 if tested % 5 == 0 else 2)
         inverse = m.inverse(base)
-        # every nonzero entry is adj / (c * q^e): m times the numerators is
-        # c * q^e times the identity
-        nonzero = [x for row in inverse.entries for x in row if x]
-        assert {(x.exp, x.scalar) for x in nonzero} == {(e, nonzero[0].scalar)}
+        # every nonzero entry is (adj / c) / q^e: m times the numerators is
+        # q^e times the identity
+        assert {x.exp for row in inverse.entries for x in row if x} == {e}
         point = points[0]
-        den = nonzero[0].scalar * _poly_dual(base.q, point)[0] ** e
+        den = _poly_dual(base.q, point)[0] ** e
         mv = [[_poly_dual(x, point)[0] for x in row] for row in m.entries]
         nv = [[_poly_dual(x.numerator, point)[0] for x in row]
               for row in inverse.entries]

@@ -1,5 +1,5 @@
-"""The rendered B^(k) and xi^(m) of one group over Q and one over a number
-field, pinned to the seed-0 digests the benchmark checks against.
+"""The rendered B^(k) and xi^(m) of every benchmark group, pinned to the
+seed-0 statuses and digests the benchmark checks against.
 
 Each group runs through `perfbench.worker.run_pass`, the benchmark's own
 pass, with the bounds of the workload it belongs to; the test only reads
@@ -17,8 +17,9 @@ EXPECTED = json.loads((Path(inputs.__file__).resolve().parent / "expected.json")
                       .read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("group,workload", [("D3", "q-rank3"),
-                                            ("I2-5", "dihedral-nf")])
+@pytest.mark.parametrize("group,workload", [
+    (group, name) for name, bounds in inputs.WORKLOADS.items()
+    for group in bounds.groups])
 def test_seed_zero_statuses_and_digests(tmp_path, group, workload):
     bounds = inputs.WORKLOADS[workload]
     path = tmp_path / f"{group}.json"

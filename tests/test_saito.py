@@ -80,11 +80,11 @@ def test_b2_metric(b2):
 def test_a1_primitive_derivation(a1):
     base = a1.q_base
     dx = primitive_derivation_apply(MultiPoly.variable(1, 0), a1)
-    assert dx == FactoredFraction(MultiPoly.const(1, 1), base, 1, 2)
+    assert dx == FactoredFraction(MultiPoly.const(1, Fraction(1, 2)), base, 1)
     d2x = primitive_derivation_apply(dx, a1)
-    assert d2x == FactoredFraction(MultiPoly.const(1, -1), base, 3, 4)
+    assert d2x == FactoredFraction(MultiPoly.const(1, Fraction(-1, 4)), base, 3)
     d3x = primitive_derivation_apply(d2x, a1)
-    assert d3x == FactoredFraction(MultiPoly.const(1, 3), base, 5, 8)
+    assert d3x == FactoredFraction(MultiPoly.const(1, Fraction(3, 8)), base, 5)
 
 
 @pytest.mark.parametrize("label,rank", [
@@ -101,8 +101,10 @@ def test_primitive_derivation_on_invariants(label, rank):
 def test_dkx_values_and_cache(a1):
     x = x1()
     assert dkx(0, a1)[0].as_poly() == x
-    assert dkx(1, a1)[0] == FactoredFraction(MultiPoly.const(1, 1), a1.q_base, 1, 2)
-    assert dkx(2, a1)[0] == FactoredFraction(MultiPoly.const(1, -1), a1.q_base, 3, 4)
+    assert dkx(1, a1)[0] == FactoredFraction(MultiPoly.const(1, Fraction(1, 2)),
+                                             a1.q_base, 1)
+    assert dkx(2, a1)[0] == FactoredFraction(MultiPoly.const(1, Fraction(-1, 4)),
+                                             a1.q_base, 3)
     assert 2 in a1.dkx_table
 
 

@@ -88,6 +88,21 @@ def test_mutated_b2_matrix_detected_with_entry_witness():
     assert "(1,1)" in witness
 
 
+def test_witness_prints_polynomial_sides_as_polynomials():
+    # both sides of thm24.1 are polynomial matrices; B^(1)^-1 has a constant
+    # determinant, which the witness folds into the coefficients
+    ctx = fresh_context("A", 2)
+    bk_matrix(1, ctx)
+    one = MultiPoly.const(2, 1)
+    ctx.bk_table[1] = with_entry(ctx.bk_table[1], 0, 0, ctx.bk_table[1][0, 0] + one)
+    results = check_thm24_thm25_prop26(ctx, 1, 3)
+    witness = next(r.witness for r in results if r.name == "thm24.1/k=1")
+    assert witness == (
+        "entry (1,1): lhs = -32*x^2-32*x*y-32*y^2, "
+        "rhs = -18*x^2*y-18*x*y^2-32*x^2-32*x*y-32*y^2, "
+        "difference = 18*x^2*y+18*x*y^2")
+
+
 def test_mutated_metric_detected():
     ctx = fresh_context("B", 2)
     one = MultiPoly.const(2, 1)
