@@ -16,7 +16,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .coxeter import build_datum, builtin_invariants, is_dihedral_label
+from .coxeter import (build_datum, builtin_invariants, is_dihedral_label,
+                      series_builder)
 from .errors import (ConfigError, CoxsaitoError, ParseError, RankOutOfRange,
                      UnsupportedType, ValidationError)
 from .invariants_io import ingest_invariants
@@ -62,9 +63,10 @@ def _build_pair(config: RunConfig):
             raise ConfigError("I2 groups need --m")
         datum = build_datum("I2", config.i2_m)
     else:
+        build = series_builder(label)
         if config.rank is None:
             raise ConfigError(f"type {label} needs --rank")
-        datum = build_datum(label, config.rank)
+        datum = build(config.rank)
     return datum, builtin_invariants(datum)
 
 

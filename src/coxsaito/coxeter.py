@@ -209,17 +209,18 @@ def is_dihedral_label(type_label: str) -> bool:
     return type_label.upper() in ("I", "I2", "I2(M)")
 
 
+def series_builder(type_label: str):
+    """The datum builder of the A, B or D series a label names, by rank."""
+    builder = {"A": _build_a, "B": _build_b, "D": _build_d}.get(type_label.upper())
+    if builder is None:
+        raise UnsupportedType(f"unsupported type {type_label!r}")
+    return builder
+
+
 def build_datum(type_label: str, rank_or_m: int) -> CoxeterDatum:
     if is_dihedral_label(type_label):
         return _build_i2(rank_or_m)
-    t = type_label.upper()
-    if t == "A":
-        return _build_a(rank_or_m)
-    if t == "B":
-        return _build_b(rank_or_m)
-    if t == "D":
-        return _build_d(rank_or_m)
-    raise UnsupportedType(f"unsupported type {type_label!r}")
+    return series_builder(type_label)(rank_or_m)
 
 
 def _unit_forms(ell):

@@ -5,11 +5,9 @@ memoized Laplace table of minors (`MinorTable`) gives both the determinant and
 the adjugate.  The one inverse is that of a polynomial matrix whose
 determinant is certified to be c * q^e for a given denominator base q (a
 nonzero constant c without one): the adjugate times c^-1 over q^e, every
-entry exact.  The same table, given an exact divisor, computes the reduced
-minors of a cleared matrix (see `saito.jdkx_inv`).  Scalar matrices -- Gram and
-reflection matrices -- are matrices of constant polynomials
-(`Matrix.from_scalars`), so they share the same product, equality and
-determinant.
+entry exact.  Scalar matrices -- Gram and reflection matrices -- are matrices
+of constant polynomials (`Matrix.from_scalars`), so they share the same
+product, equality and determinant.
 """
 
 from __future__ import annotations
@@ -180,31 +178,26 @@ class Matrix:
 
 
 class MinorTable:
-    """Memoized minors of a square matrix, reduced by an optional exact divisor.
+    """Memoized minors of a square matrix.
 
     `minor(rows, cols)` is the minor on a row and a column bitmask, expanded by
     Laplace along its lowest row; every minor is computed once and shared by
-    the determinant and all l^2 cofactors of the adjugate.  With a polynomial
-    divisor d each t x t minor with t >= 2 is stored divided by d^(t-1), one
-    exact division per level; the 0 x 0 minor is then d, and a division that
-    fails raises NonPolynomialEntry.  Without a divisor the minors are plain.
+    the determinant and all l^2 cofactors of the adjugate.
     """
 
-    __slots__ = ("entries", "full", "divisor", "empty", "zero", "memo")
+    __slots__ = ("entries", "full", "one", "zero", "memo")
 
-    def __init__(self, m: Matrix, divisor: MultiPoly | None = None):
+    def __init__(self, m: Matrix):
         if m.rows != m.cols:
             raise DimensionMismatch("minors of a non-square matrix")
         self.entries = m.entries
         self.full = (1 << m.rows) - 1
-        self.divisor = divisor
-        self.zero, one = m._zero_one()
-        self.empty = one if divisor is None else divisor
+        self.zero, self.one = m._zero_one()
         self.memo: dict = {}
 
     def minor(self, rows: int, cols: int):
         if not rows:
-            return self.empty
+            return self.one
         r = (rows & -rows).bit_length() - 1
         rest = rows & ~(1 << r)
         if not rest:
@@ -223,13 +216,6 @@ class MinorTable:
                     term = e * self.minor(rest, cols & ~bit)
                     acc = acc + term if sign > 0 else acc - term
                 sign = -sign
-        if self.divisor is not None:
-            reduced = acc.exact_divide(self.divisor)
-            if reduced is None:
-                t = bin(rows).count("1")
-                raise NonPolynomialEntry(
-                    f"a {t}x{t} minor is not divisible by the reduction divisor")
-            acc = reduced
         self.memo[(rows, cols)] = acc
         return acc
 
@@ -237,7 +223,7 @@ class MinorTable:
         return self.minor(self.full, self.full)
 
     def adjugate(self) -> Matrix:
-        """Transposed signed cofactors, reduced like the minors they are."""
+        """Transposed signed cofactors."""
         full = self.full
 
         def cofactor(i, j):

@@ -1,11 +1,12 @@
 """Jacobian, metric, primitive derivation, connection and basis machinery.
 
 Everything lives in the localization S[Q^-1]: each value is a fraction
-num / q^e over the context's one denominator base q, the monic
-det J(P) = c Q, and J(P) and G are inverted over that base.  Whenever a theorem
-guarantees a matrix is polynomial, the numerators are divided exactly by the
-powers of q and a failure aborts with NonPolynomialEntry.  That certification
-is a free integrity check on the entire pipeline.
+num / q^e over the context's one denominator base q, the monic det J(P) = c Q;
+J(P) and G are inverted over that base and J(D^k[X]) through B^(k) (see
+`jdkx_inv`).  Whenever a theorem guarantees a matrix is polynomial, the
+numerators are divided exactly by the powers of q and a failure aborts with
+NonPolynomialEntry.  That certification is a free integrity check on the
+entire pipeline.
 
 All row/column conventions follow the row-vector style of the source
 identities: a tuple of derivations is a row, coefficient matrices multiply it
@@ -18,7 +19,7 @@ from .coxeter import BasicInvariants, CoxeterDatum, jacobian
 from .errors import (CoxsaitoError, NonPolynomialCoefficients,
                      NonPolynomialEntry, SingularMatrix)
 from .fraction import FactoredFraction, PowerBase
-from .matrix import Matrix, MinorTable
+from .matrix import Matrix
 from .poly import MultiPoly
 
 
@@ -98,7 +99,7 @@ class SaitoContext:
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "q_base",
-                 "_metric_G_inv", "_gamma_conn")
+                 "_bk_memo", "_metric_G_inv", "_gamma_conn")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -119,6 +120,7 @@ class SaitoContext:
         self.jdkx_table: dict = {}
         self.jdkx_inv_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
         self.bk_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
+        self._bk_memo: dict = {}
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
         self._metric_G_inv = None
@@ -201,52 +203,7 @@ def jdkx(k: int, ctx: SaitoContext) -> Matrix:
     return table[k]
 
 
-def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
-    """J(D^k[X])^{-1}, one route for every rank.
-
-    By the chain rule each entry of J(D^k[X]) has a denominator q^e with
-    e <= 2k (q the monic Jacobian determinant), so N = J(D^k[X]) q^(2k) is
-    polynomial.  With d = q^(2k) every t x t minor of N is divisible by
-    d^(t-1) (Sylvester's identity), and the reduced determinant
-    det N / d^(l-1) = d det J(D^k[X]) is a nonzero constant c; the inverse is
-    the reduced adjugate of N over c, a polynomial matrix.  Every step is
-    certified: a foreign denominator, an exponent above 2k, a failed division
-    or a non-constant reduced determinant raises NonPolynomialEntry.
-    """
-    table = ctx.jdkx_inv_table
-    if k in table:
-        return table[k]
-    ell = ctx.rank
-    base = ctx.q_base
-    field = ctx.datum.field
-    jd = jdkx(k, ctx)
-    cleared = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            e = jd[i, j].simplify()
-            if e.exp and e.base is not base and e.base.q != base.q:
-                raise NonPolynomialEntry(
-                    f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
-                    f"factor other than det J(P): {e.render()}")
-            if e.exp > 2 * k:
-                raise NonPolynomialEntry(
-                    f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
-                    f"power {e.exp} > {2 * k} in its denominator")
-            row.append(e.numerator * base.power(2 * k - e.exp))
-        cleared.append(row)
-    minors = MinorTable(Matrix(cleared), divisor=base.power(2 * k))
-    c = minors.det().constant_value()
-    if c is None:
-        raise NonPolynomialEntry(
-            f"reduced determinant of J(D^{k}[X]) is not a constant")
-    if field.is_zero(c):
-        raise SingularMatrix(f"J(D^{k}[X]) is singular")
-    table[k] = minors.adjugate() * field.invert(c)
-    return table[k]
-
-
-# -- B^(k), Christoffel matrices, connection ----------------------------------------
+# -- B^(k), the inverses of J(D^k[X]), Christoffel matrices, connection -----------
 
 
 def _certify_poly_matrix(m: Matrix, what: str) -> Matrix:
@@ -264,15 +221,68 @@ def _certify_poly_matrix(m: Matrix, what: str) -> Matrix:
     return Matrix(out)
 
 
+def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
+    """B^(k) for k >= 1, built once per context into a private memo.
+
+    By the chain rule each entry of J(D^k[X]) has a denominator q^e with
+    e <= 2k; a foreign denominator or a larger exponent raises
+    NonPolynomialEntry before the product is formed.
+    """
+    memo = ctx._bk_memo
+    if k not in memo:
+        jd = jdkx(k, ctx)
+        for i in range(ctx.rank):
+            for j in range(ctx.rank):
+                e = jd[i, j].simplify()
+                if e.exp and e.base.q != ctx.q_base.q:
+                    raise NonPolynomialEntry(
+                        f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
+                        f"factor other than det J(P): {e.render()}")
+                if e.exp > 2 * k:
+                    raise NonPolynomialEntry(
+                        f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
+                        f"power {e.exp} > {2 * k} in its denominator")
+        prod = (ctx.jac_P.transpose() * ctx.gram_poly * jd
+                * jdkx_inv(k - 1, ctx) * ctx.jac_P)
+        memo[k] = _certify_poly_matrix(-prod, f"B^({k})")
+    return memo[k]
+
+
+def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
+    """J(D^k[X])^{-1} = -J(D^(k-1)[X])^{-1} J(P) (B^(k))^{-1} J(P)^T A.
+
+    The definition of B^(k) solved for J(D^k[X])^{-1}: every factor is
+    polynomial once `Matrix.inverse` certifies that det B^(k) =
+    +-det A (det J(P))^2 det J(D^k[X]) / det J(D^(k-1)[X]), the reduced
+    determinant of J(D^k[X]), is a nonzero constant; a non-constant one
+    raises NonPolynomialEntry, a zero one SingularMatrix.  The entries of
+    J(D^k[X]) are certified by `_certified_bk`.  B^(k) is read from its
+    private memo, never from `bk_table`, so an entry overwritten in that table
+    reaches only the checks that read it and not xi^(2k).
+    """
+    table = ctx.jdkx_inv_table
+    if k not in table:
+        bk = _certified_bk(k, ctx)
+        try:
+            bk_inv = bk.inverse()
+        except SingularMatrix:
+            raise SingularMatrix(f"J(D^{k}[X]) is singular") from None
+        except NonPolynomialEntry:
+            raise NonPolynomialEntry(
+                f"reduced determinant of J(D^{k}[X]) is not a constant") from None
+        prod = jdkx_inv(k - 1, ctx) * (ctx.jac_P * bk_inv * ctx.jac_P.transpose()
+                                       * ctx.gram_poly)
+        table[k] = _certify_poly_matrix(-prod, f"J(D^{k}[X])^-1")
+    return table[k]
+
+
 def bk_matrix(k: int, ctx: SaitoContext) -> Matrix:
     """-J(P)^T A J(D^k[X]) J(D^(k-1)[X])^{-1} J(P), certified polynomial."""
     if k < 0:
         raise ValueError("k must be >= 0")
     table = ctx.bk_table
     if k not in table:
-        prod = (ctx.jac_P.transpose() * ctx.gram_poly * jdkx(k, ctx)
-                * jdkx_inv(k - 1, ctx) * ctx.jac_P)
-        table[k] = _certify_poly_matrix(-prod, f"B^({k})")
+        table[k] = _certified_bk(k, ctx)
     return table[k]
 
 

@@ -3,8 +3,10 @@ import time
 import pytest
 
 from coxsaito.coxeter import build_datum, builtin_invariants
+from coxsaito.errors import NonPolynomialEntry
 from coxsaito.matrix import Matrix
-from coxsaito.saito import build_context
+from coxsaito.poly import MultiPoly
+from coxsaito.saito import build_context, jdkx
 from coxsaito.verify import run_suites
 
 _CONTEXTS: dict = {}
@@ -32,6 +34,78 @@ def with_entry(m, i, j, value):
     grid = [list(row) for row in m.entries]
     grid[i][j] = value
     return Matrix(grid)
+
+
+class ReducedMinors:
+    """Minors of a square polynomial matrix reduced by an exact divisor d.
+
+    Each t x t minor with t >= 2 is kept divided by d^(t-1), one exact
+    division per Laplace level, so the 0 x 0 minor is d; a division that
+    fails raises NonPolynomialEntry.  Rows and columns are index tuples.
+    """
+
+    def __init__(self, m, divisor):
+        self.entries = m.entries
+        self.n = m.rows
+        self.divisor = divisor
+        self.zero = MultiPoly.zero(divisor.nvars, divisor.field)
+        self.memo = {}
+
+    def minor(self, rows, cols):
+        if not rows:
+            return self.divisor
+        if len(rows) == 1:
+            return self.entries[rows[0]][cols[0]]
+        if (rows, cols) not in self.memo:
+            acc = self.zero
+            for pos, j in enumerate(cols):
+                e = self.entries[rows[0]][j]
+                if e:
+                    term = e * self.minor(rows[1:], cols[:pos] + cols[pos + 1:])
+                    acc = acc + term if pos % 2 == 0 else acc - term
+            reduced = acc.exact_divide(self.divisor)
+            if reduced is None:
+                raise NonPolynomialEntry(
+                    f"a {len(rows)}x{len(rows)} minor is not divisible by the "
+                    "reduction divisor")
+            self.memo[(rows, cols)] = reduced
+        return self.memo[(rows, cols)]
+
+    def det(self):
+        full = tuple(range(self.n))
+        return self.minor(full, full)
+
+    def adjugate(self):
+        """Transposed signed cofactors, reduced like the minors they are."""
+        def cofactor(i, j):
+            rows = tuple(r for r in range(self.n) if r != i)
+            cols = tuple(c for c in range(self.n) if c != j)
+            m = self.minor(rows, cols)
+            return m if (i + j) % 2 == 0 else -m
+
+        return Matrix([[cofactor(j, i) for j in range(self.n)]
+                       for i in range(self.n)])
+
+
+def ladder_jdkx_inv(k, ctx):
+    """Reference J(D^k[X])^-1 by a reduced-minor ladder, independent of B^(k).
+
+    Each entry of J(D^k[X]) is num / q^e with e <= 2k, so N = q^(2k) J(D^k[X])
+    is polynomial.  With d = q^(2k) the reduced determinant det N / d^(l-1)
+    = d det J(D^k[X]) is a nonzero constant c, and the inverse is the reduced
+    adjugate of N over c.
+    """
+    base = ctx.q_base
+
+    def clear(e):
+        e = e.simplify()
+        assert e.exp <= 2 * k and (not e.exp or e.base.q == base.q)
+        return e.numerator * base.power(2 * k - e.exp)
+
+    minors = ReducedMinors(jdkx(k, ctx).map_entries(clear), base.power(2 * k))
+    c = minors.det().constant_value()
+    assert c is not None and not ctx.datum.field.is_zero(c)
+    return minors.adjugate() * ctx.datum.field.invert(c)
 
 
 def shared_report(label, rank, k_max=3, m_max=7, p_max=3):

@@ -1,12 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The D4 battery is feature-gated by COXSAITO_RUN_D4=1 because its
-exact rank-4 arithmetic takes far longer than the rest combined.
+lines.
 """
 
 import math
-import os
 import time
 from fractions import Fraction
 
@@ -32,11 +30,8 @@ from coxsaito.verify import (check_lemma21, check_metric,
                              check_thm24_thm25_prop26)
 
 GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3),
-          ("I2", 4), ("I2", 5), ("I2", 6)]
+          ("I2", 4), ("I2", 5), ("I2", 6), ("D", 4)]
 RANK_TWO = [("A", 2), ("B", 2), ("I2", 4), ("I2", 5), ("I2", 6)]
-RUN_D4 = os.environ.get("COXSAITO_RUN_D4") == "1"
-if RUN_D4:
-    GROUPS.append(("D", 4))
 
 
 def _announce(criterion: str, ok: bool, detail: str = ""):
@@ -87,14 +82,8 @@ def test_criterion_2_runtime_budget():
         elapsed = report_elapsed(label, rank)
         _announce(f"2-runtime[{label}{rank}]", elapsed < 5.0,
                   f"({elapsed:.2f}s < 5s)")
-    # the budget covers the always-on set; the D4 battery is gated precisely
-    # because its exact rank-4 arithmetic costs minutes on its own
-    mandatory = [g for g in GROUPS if g != ("D", 4)]
-    total = sum(report_elapsed(label, rank) for label, rank in mandatory)
+    total = sum(report_elapsed(label, rank) for label, rank in GROUPS)
     _announce("2-runtime[total]", total < 300.0, f"({total:.1f}s < 300s)")
-    if RUN_D4:
-        _announce("2-runtime[D4]", True,
-                  f"({report_elapsed('D', 4):.1f}s, gated battery)")
 
 
 @pytest.mark.parametrize("label,rank", GROUPS)

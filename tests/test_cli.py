@@ -95,6 +95,7 @@ def test_only_dihedral_labels_select_i2(capsys):
     # I, I2 and I2(m) in any case name I2; any other label starting with "I"
     # is an unsupported type, not I2
     assert main(["verify", "--type", "Ixyz", "--m", "5", "--suite", "metric"]) == 2
+    assert "unsupported type 'Ixyz'" in capsys.readouterr().err
     assert main(["verify", "--type", "Ixyz", "--rank", "2", "--m", "5",
                  "--suite", "metric"]) == 2
     assert "unsupported type 'Ixyz'" in capsys.readouterr().err

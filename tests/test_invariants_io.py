@@ -2,13 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import ladder_jdkx_inv
 
 from coxsaito.coxeter import anti_invariant_Q, build_datum, builtin_invariants
 from coxsaito.errors import JacobianCriterionFailed, ParseError
 from coxsaito.field import FieldContext
 from coxsaito.invariants_io import datum_to_json, ingest_invariants
 from coxsaito.poly import MultiPoly
-from coxsaito.saito import bk_matrix, build_context, xi_basis
+from coxsaito.saito import bk_matrix, build_context, jdkx_inv, xi_basis
 from coxsaito.verify import (check_flat_remark, check_metric,
                              check_thm24_thm25_prop26, contact_order_check)
 
@@ -226,3 +227,9 @@ def test_h3_degree_one_basis(h3_context):
     for j, theta in enumerate(xi_basis(1, h3_context)):
         ok, _orders, witness = contact_order_check(theta, 1, h3_context.datum)
         assert ok, (j, witness)
+
+
+def test_h3_jdkx_inv_matches_reduced_minor_ladder(h3_context):
+    # the differential oracle of test_saito over Q(sqrt 5)
+    for k in (1, 2):
+        assert jdkx_inv(k, h3_context) == ladder_jdkx_inv(k, h3_context), k

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import ReducedMinors
 
 from coxsaito.errors import NonPolynomialEntry, SingularMatrix
 from coxsaito.field import RATIONALS, FieldContext
@@ -80,24 +81,25 @@ def test_det_three_by_three():
 
 
 def test_reduced_minors_of_a_scaled_matrix():
-    # N = d*M: det N / d^2 = d det M and each cofactor of N over d is d times
-    # the cofactor of M; the 1 x 1 case has the 0 x 0 minor d as adjugate
+    # the test-side ladder behind ladder_jdkx_inv: for N = d*M, det N / d^2 =
+    # d det M and each cofactor of N over d is d times the cofactor of M; the
+    # 1 x 1 case has the 0 x 0 minor d as adjugate
     x, y = xy()
     zero = MultiPoly.zero(2)
     one = MultiPoly.const(2, 1)
     d = x * x - y
     m = Matrix([[x, y, zero], [one, x, y], [y, zero, x + one]])
     plain = MinorTable(m)
-    reduced = MinorTable(m * d, divisor=d)
+    reduced = ReducedMinors(m * d, d)
     assert reduced.det() == d * plain.det()
     assert reduced.adjugate() == plain.adjugate() * d
-    assert MinorTable(Matrix([[x * d]]), divisor=d).adjugate() == Matrix([[d]])
+    assert ReducedMinors(Matrix([[x * d]]), d).adjugate() == Matrix([[d]])
 
 
 def test_reduced_minor_division_failure_raises():
     x, y = xy()
     with pytest.raises(NonPolynomialEntry):
-        MinorTable(Matrix([[x, y], [y, x]]), divisor=x + 2 * y).det()
+        ReducedMinors(Matrix([[x, y], [y, x]]), x + 2 * y).det()
 
 
 def test_transpose_and_mul():

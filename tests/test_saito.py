@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import with_entry
+from conftest import ladder_jdkx_inv, with_entry
 
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
 from coxsaito.errors import NonPolynomialEntry
@@ -312,13 +312,25 @@ def test_derivation_transform_fixes_xi(b2):
     ("B", 2, 1), ("B", 2, 2), ("A", 2, 1), ("A", 2, 2), ("I2", 4, 2),
     ("A", 1, 1), ("A", 1, 2), ("A", 1, 3), ("B", 3, 1), ("D", 3, 1)])
 def test_cleared_inverse_agrees_with_generic(label, rank, k):
-    # jdkx_inv (reduced minors of the cleared polynomial matrix) is a two-sided
-    # inverse of J(D^k[X])
+    # jdkx_inv (solved from the definition of B^(k)) is a two-sided inverse of
+    # J(D^k[X])
     d = build_datum(label, rank)
     ctx = build_context(d, builtin_invariants(d))
     ident = Matrix.identity(ctx.rank, ctx.rank, d.field)
     assert (jdkx(k, ctx) * jdkx_inv(k, ctx)).simplify() == ident
     assert (jdkx_inv(k, ctx) * jdkx(k, ctx)).simplify() == ident
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", 1), ("A", 2), ("B", 2), ("I2", 5), ("I2", 8), ("A", 3), ("B", 3),
+    ("D", 3)])
+def test_jdkx_inv_matches_reduced_minor_ladder(label, rank):
+    # differential oracle: the B^(k) recursion against the reduced-minor
+    # ladder of the cleared matrix, a route that never forms B^(k)
+    d = build_datum(label, rank)
+    ctx = build_context(d, builtin_invariants(d))
+    for k in (1, 2, 3):
+        assert jdkx_inv(k, ctx) == ladder_jdkx_inv(k, ctx), k
 
 
 def _tampered_b2(kind):
