@@ -5,7 +5,8 @@
     coxsaito basis --type B --rank 2 -m 3
 
 Exit codes: 0 all selected checks passed (skipped does not count as failed),
-1 at least one check failed, 2 configuration or parse error, 3 internal
+1 at least one check failed, 2 configuration, parse or file error (an
+input that cannot be read, an --out that cannot be written), 3 internal
 integrity error (e.g. a polynomiality certification failure).
 """
 
@@ -46,6 +47,8 @@ class RunConfig:
         if self.k_max < 1 or self.m_max < 1 or self.p_max < 1:
             raise ConfigError("bounds must be >= 1")
         if self.suites is not None:
+            if not self.suites:
+                raise ConfigError("--suite names no suite")
             unknown = [s for s in self.suites if s not in SUITE_ORDER]
             if unknown:
                 raise ConfigError(
@@ -98,7 +101,7 @@ def run(config: RunConfig) -> int:
     config.validate()
     datum, invariants = _build_pair(config)
     ctx = build_context(datum, invariants)
-    report = run_suites(ctx, config.suites if config.suites else "all",
+    report = run_suites(ctx, "all" if config.suites is None else config.suites,
                         config.k_max, config.m_max, config.p_max,
                         invariants_id=invariants.source)
     if config.fmt == "json":
@@ -193,7 +196,7 @@ def main(argv=None) -> int:
             return run(config)
         return run_basis(config, args.order)
     except (ParseError, ValidationError, UnsupportedType, RankOutOfRange,
-            ConfigError, FileNotFoundError) as exc:
+            ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoxsaitoError as exc:

@@ -96,7 +96,11 @@ def _expect(node, key, kind, where):
 
 def ingest_invariants(path) -> tuple[CoxeterDatum, BasicInvariants]:
     """Parse an invariants file and run the full validation on it."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -19,9 +19,22 @@ over an extension: Scalars and the content 1).  No zero term is ever stored
 and the pair is canonical.  Each operation has one body for every field.
 Sums bring both term dicts over one content (`FieldContext.aligned`) and
 merge them; scalar multiples, derivatives and products with a one-term
-operand scale the terms; every other product is one integer schoolbook loop
-(`_int_product`) between `FieldContext.pack_operands` and
-`FieldContext.unpack_reduced`.  Exact division is one leading-term
+operand scale the terms.  Every other product runs on the ints that
+`FieldContext.pack_operands` makes of the terms, and
+`FieldContext.unpack_reduced` rebuilds the terms from the sums, so Q and
+number fields share both of its routes:
+
+  * the schoolbook loop `_int_product`, one multiply-add per pair of terms;
+  * Kronecker substitution `_kronecker_product`, which lays each operand out
+    on a dense grid of monomials as one big int, so that one big-int product
+    gives every sum.
+
+The route follows from the operand sizes alone: Kronecker when there are at
+least KRONECKER_MIN_PAIRS pairs and at least four pairs per slot of the grid
+that the total degrees bound, (high - low + 1) * (high + 1)^(n - 1) for
+product degrees low..high in n variables.  Sparse operands, and small
+ones, whose fixed cost the grid would not repay, take the schoolbook loop.
+Exact division is one leading-term
 elimination loop over a heap of keys: the field prepares the operands, takes
 each step's quotient and remainder, and rebuilds the quotient at the end.
 Every result passes through the field's canonical form.  Field elements are
@@ -32,6 +45,7 @@ built only where a coefficient leaves the polynomial: `leading`,
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 from .errors import DimensionMismatch, DivisionByZero, ZeroForm
@@ -39,6 +53,11 @@ from .field import RATIONALS, FieldContext
 
 LIMB = 24
 MASK = (1 << LIMB) - 1
+# Below this many pairs of terms a product stays on the schoolbook loop: the
+# Kronecker route's fixed cost (grid set-up, two packings, the read-back) is
+# not repaid.  On 2- and 3-variable dense operands the two routes cross
+# between about 400 and 2000 pairs.
+KRONECKER_MIN_PAIRS = 1024
 
 
 def pack(exps) -> int:
@@ -72,6 +91,78 @@ def _int_product(a: dict, b: dict) -> dict:
             cur = get(k)
             out[k] = ca * cb if cur is None else cur + ca * cb
     return out
+
+
+def _kronecker_product(a: dict, b: dict, nvars: int) -> dict:
+    """The product of two int term dicts by Kronecker substitution, nonzero
+    sums only.
+
+    A key maps to a point of a dense grid: (total degree - min degree, e_0,
+    ..., e_{n-2}), the last exponent being fixed by the degree.  Each operand
+    becomes one int with one slot of `width` bytes per grid point, the two
+    ints are multiplied once, and every slot of the product holds the sum of
+    the pairs that meet there: at most min(len a, len b) of them, so
+    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 1 bits, rounded
+    up to whole bytes, keep it in (-2^(8 width - 1), 2^(8 width - 1)).
+    Adding 2^(8 width - 1) to every slot makes them all nonnegative, so the
+    product is read back with one `to_bytes` and no borrows.
+    """
+    top = nvars * LIMB
+    low_a, low_b = min(a) >> top, min(b) >> top
+    low = low_a + low_b
+    high = (max(a) + max(b)) >> top
+    width = (max(map(abs, a.values())).bit_length()
+             + max(map(abs, b.values())).bit_length()
+             + min(len(a), len(b)).bit_length() + 8) // 8
+    # grid digits, slowest first: the degree above `low`, then e_0 .. e_{n-2},
+    # each of which is at most `high`
+    side = high + 1
+    shifts = [(nvars - 1 - i) * LIMB for i in range(nvars - 1)]
+    strides = [side ** i for i in range(nvars - 1, -1, -1)]
+    product = (_grid_int(a, low_a, top, shifts, strides, width)
+               * _grid_int(b, low_b, top, shifts, strides, width))
+    slots = (high - low + 1) * strides[0]
+    half = 1 << (8 * width - 1)
+    buf = (product + int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+           ).to_bytes(slots * width, "little")
+    # A key is linear in the grid digits: deg*(2^top + 1) + sum e_i*(2^sh_i - 1),
+    # so a row (all digits but the last fixed) is an arithmetic run of keys.
+    lead = (1 << top) + 1
+    if nvars == 1:
+        step, rows = lead, [(low * lead, high - low + 1)]
+    else:
+        step, rows = (1 << LIMB) - 1, []
+        for deg, *exps in itertools.product(range(low, high + 1),
+                                            *[range(side)] * (nvars - 2)):
+            base = deg * lead + sum(e * ((1 << s) - 1) for e, s in zip(exps, shifts))
+            # the last exponent deg - sum(exps) - e_{n-2} is never negative
+            rows.append((base, min(side, deg - sum(exps) + 1)))
+    from_bytes = int.from_bytes
+    out: dict = {}
+    for r, (base, length) in enumerate(rows):
+        start = r * side * width
+        out.update({k: v for k, o in zip(range(base, base + length * step, step),
+                                         range(start, start + length * width, width))
+                    if (v := from_bytes(buf[o:o + width], "little") - half)})
+    return out
+
+
+def _grid_int(terms: dict, low: int, top: int, shifts, strides, width: int) -> int:
+    """sum c * 2^(8 width idx(k)) over the terms, idx the grid slot of key k:
+    positive and negative coefficients go into one byte string each."""
+    keys = list(terms)
+    slots = [((k >> top) - low) * strides[0] for k in keys]
+    for s, t in zip(shifts, strides[1:]):
+        slots = [i + ((k >> s) & MASK) * t for i, k in zip(slots, keys)]
+    size = (max(slots) + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for i, c in zip(slots, terms.values()):
+        o = i * width
+        if c > 0:
+            pos[o:o + width] = c.to_bytes(width, "little")
+        else:
+            neg[o:o + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _limb_divides(a: int, b: int, nvars: int) -> bool:
@@ -228,9 +319,13 @@ class MultiPoly:
 
         A one-term operand scales the other operand and shifts its keys.
         Otherwise `FieldContext.pack_operands` turns every term into one int,
-        the schoolbook product runs on those ints, and
-        `FieldContext.unpack_reduced` rebuilds the terms from the nonzero
-        sums.  A scalar (int, Fraction or Scalar) scales every term.
+        the product runs on those ints, and `FieldContext.unpack_reduced`
+        rebuilds the terms from the nonzero sums.  The ints are multiplied
+        by Kronecker substitution (`_kronecker_product`) when the pairs of
+        terms number at least KRONECKER_MIN_PAIRS and at least four times
+        the slots of the grid that the total degrees bound (module
+        docstring), and by the schoolbook loop (`_int_product`) otherwise.
+        A scalar (int, Fraction or Scalar) scales every term.
         """
         field = self.field
         if isinstance(other, MultiPoly):
@@ -242,14 +337,23 @@ class MultiPoly:
                 a, ca, b, cb = b, cb, a, ca
             # no exponent of the product can leave its limb while the total
             # degree, the top limb of the product's leading key, fits in one
-            if (max(a) + max(b)) >> (self.nvars * LIMB) > MASK:
+            top = self.nvars * LIMB
+            high = (max(a) + max(b)) >> top
+            if high > MASK:
                 raise DimensionMismatch(f"a product exponent would exceed {MASK}")
             if len(a) == 1:
                 (ka, ta), = a.items()
                 terms, content = field.scaled(b, cb, ta, ca, ka)
             else:
+                pairs = len(a) * len(b)
+                # the floor first: it spares small products the min() scans
+                dense = (pairs >= KRONECKER_MIN_PAIRS
+                         and pairs >= 4 * (high - ((min(a) + min(b)) >> top) + 1)
+                         * (high + 1) ** (self.nvars - 1))
                 bits, den, pa, pb = field.pack_operands(a, ca, b, cb)
-                terms, content = field.unpack_reduced(_int_product(pa, pb), bits, den)
+                sums = (_kronecker_product(pa, pb, self.nvars) if dense
+                        else _int_product(pa, pb))
+                terms, content = field.unpack_reduced(sums, bits, den)
             return MultiPoly(self.nvars, terms, field, content)
         parts = field.scalar_parts(other)
         if parts is None:

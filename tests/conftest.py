@@ -5,7 +5,7 @@ import pytest
 from coxsaito.coxeter import build_datum, builtin_invariants
 from coxsaito.errors import NonPolynomialEntry
 from coxsaito.matrix import Matrix
-from coxsaito.poly import MultiPoly
+from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly
 from coxsaito.saito import build_context, jdkx
 from coxsaito.verify import run_suites
 
@@ -27,6 +27,22 @@ def fresh_context(label, rank):
     """A private context, safe to mutate in fault-injection tests."""
     datum = build_datum(label, rank)
     return build_context(datum, builtin_invariants(datum))
+
+
+def takes_kronecker(a: dict, b: dict, nvars: int) -> bool:
+    """Whether `MultiPoly.__mul__` multiplies term dicts a and b by Kronecker
+    substitution, recomputed here from the rule its docstring states: both
+    have two or more terms, there are at least KRONECKER_MIN_PAIRS pairs,
+    and the pairs are at least four times the slots of the grid that the
+    total degrees bound."""
+    if min(len(a), len(b)) < 2:
+        return False
+    top = nvars * LIMB
+    high = (max(a) >> top) + (max(b) >> top)
+    low = (min(a) >> top) + (min(b) >> top)
+    pairs = len(a) * len(b)
+    return (pairs >= KRONECKER_MIN_PAIRS
+            and pairs >= 4 * (high - low + 1) * (high + 1) ** (nvars - 1))
 
 
 def with_entry(m, i, j, value):

@@ -236,3 +236,33 @@ def test_run_basis_function(tmp_path):
     assert run_basis(config, 1) == 0
     doc = json.loads((tmp_path / "b.json").read_text())
     assert [e["degree"] for e in doc["basis"]] == [1, 3]
+
+
+def test_invariants_directory_exits_two(tmp_path, capsys):
+    assert main(["verify", "--invariants", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_utf8_invariants_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "café"}'.encode("latin-1"))
+    assert main(["verify", "--invariants", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["dir", "under_file"])
+def test_unwritable_out_exits_two(tmp_path, capsys, target):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("x", encoding="utf-8")
+    out = tmp_path if target == "dir" else blocker / "r.json"
+    assert main(["verify", "--type", "A", "--rank", "1", "--suite", "metric",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_empty_suite_list_exits_two(capsys):
+    assert main(["verify", "--type", "B", "--rank", "2", "--suite", ","]) == 2
+    assert "--suite names no suite" in capsys.readouterr().err

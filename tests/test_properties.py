@@ -9,6 +9,8 @@ import math
 import random
 from fractions import Fraction
 
+from conftest import takes_kronecker
+
 from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
                               jacobian)
 from coxsaito.field import FieldContext, RATIONALS, _poly_divmod
@@ -285,22 +287,90 @@ def _random_coefficients(rng, nvars, terms, integral=False):
     return {e: c for e, c in out.items() if c}
 
 
+def _monomials(nvars, low, high):
+    """Every exponent vector of total degree low..high."""
+    if nvars == 1:
+        return [(d,) for d in range(low, high + 1)]
+    return [(e,) + rest for e in range(high + 1)
+            for rest in _monomials(nvars - 1, max(0, low - e), high - e)]
+
+
+def _kronecker_numerators(rng, nvars, low, high):
+    """{exponent vector: nonzero int of either sign} on every monomial of
+    total degree low..high: dense enough for the Kronecker product route."""
+    return {e: rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.randint(1, 40))
+            for e in _monomials(nvars, low, high)}
+
+
+def _mirrored(values):
+    """f(-x_1, x_2, ...) for f given as {exponent vector: coefficient}."""
+    return {e: -c if e[0] % 2 else c for e, c in values.items()}
+
+
+def _over(numerators, den):
+    return {e: Fraction(c, den) for e, c in numerators.items()}
+
+
+KRONECKER_CASES = ("homogeneous", "non-homogeneous", "mirror")
+
+
+def _check_kronecker_product(rng, case: str) -> None:
+    """One product over Q that takes the Kronecker route, against the dict
+    oracle.  `homogeneous`: dense homogeneous operands of degree 8 to 12 in
+    three variables; `mirror`: one of them times its mirror f(-x, y, z), so
+    half of the product's sums cancel to zero; `non-homogeneous`: dense
+    operands of degrees d-4..d in two variables (a homogeneous one in two
+    variables has too few terms to take the route).  Coefficients have
+    mixed signs and one denominator per operand, so the reference product
+    runs on ints."""
+    nvars = 2 if case == "non-homogeneous" else 3
+
+    def numerators():
+        high = rng.randint(8, 12)
+        return _kronecker_numerators(rng, nvars, high - 4 if nvars == 2 else high, high)
+
+    a_n, a_den = numerators(), rng.randint(1, 35)
+    if case == "mirror":
+        b_n, b_den = _mirrored(a_n), a_den
+    else:
+        b_n, b_den = numerators(), rng.randint(1, 35)
+    a, b = (MultiPoly.from_terms(nvars, _over(n, den).items())
+            for n, den in ((a_n, a_den), (b_n, b_den)))
+    assert takes_kronecker(a.terms, b.terms, nvars), case
+    values = _over(_dict_mul(a_n, b_n), a_den * b_den)
+    want = MultiPoly.from_terms(nvars, values.items())
+    for got in (a * b, b * a):
+        assert _coefficients(got) == values, case
+        assert got == want and hash(got) == hash(want), case
+    if case == "mirror":
+        assert all(e[0] % 2 == 0 for e in values)
+    assert (a * b).exact_divide(b) == a
+
+
 def run_q_kernel_oracle(iterations=ITERATIONS, seed=16180339) -> int:
     """The content x integer kernel over Q against dicts of Fractions.
 
     Every operation is read back through the public accessors and compared
     with the Fraction-dict result, and each result must compare and hash
-    equal to the polynomial `from_terms` builds from that dict.  A quarter
-    of the instances add an operand built to cancel to zero, a quarter one
-    built so the sum is integral, a quarter a one-term operand.
+    equal to the polynomial `from_terms` builds from that dict.  A fifth
+    of the instances add an operand built to cancel to zero, a fifth one
+    built so the sum is integral, a fifth a one-term operand, and a fifth
+    are products that take the Kronecker route (`_check_kronecker_product`).
     """
     rng = random.Random(seed)
     seen = {"cancel to zero": 0, "integral sum": 0, "one-term product": 0,
             "multi-term product": 0, "quotient": 0, "none": 0}
+    kronecker = dict.fromkeys(KRONECKER_CASES, 0)
     tested = 0
     while tested < iterations:
         nvars = 1 + tested % 3
-        kind = tested // 3 % 4
+        kind = tested // 3 % 5
+        if kind == 4:
+            case = KRONECKER_CASES[tested % 3]
+            _check_kronecker_product(rng, case)
+            kronecker[case] += 1
+            tested += 1
+            continue
 
         def build(values):
             return MultiPoly.from_terms(nvars, values.items())
@@ -369,6 +439,7 @@ def run_q_kernel_oracle(iterations=ITERATIONS, seed=16180339) -> int:
         assert MultiPoly.zero(nvars).constant_value() == 0
         tested += 1
     assert min(seen.values()) >= iterations // 10, seen
+    assert min(kronecker.values()) >= iterations // 20, kronecker
     return tested
 
 
@@ -655,6 +726,12 @@ def _wide_scalar(rng, field):
         for _ in range(field.degree)])
 
 
+def _nonzero_scalar(rng, field):
+    """A scalar with every power-basis coordinate nonzero, of either sign."""
+    return field.from_coeffs([Fraction(rng.choice((-1, 1)) * rng.randint(1, 2 ** 20),
+                                       rng.randint(1, 4)) for _ in range(field.degree)])
+
+
 def _dense_form(field, nvars, degree, coeff):
     """Every monomial of the given degree in the first two variables, one
     coefficient: all pairs of two such operands pile onto the middle
@@ -669,17 +746,23 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
     the fields of `run_integer_kernel_oracle`.  Instances cycle through
     small random operands (one-term ones included), numerators near 2^64
     with signs and denominators mixed, dense operands whose coefficients all
-    share one extreme numerator, and a product x y-coefficient u z + v w that
-    cancels modulo p but not as an integer polynomial in t."""
+    share one extreme numerator, a product x y-coefficient u z + v w that
+    cancels modulo p but not as an integer polynomial in t, and products
+    that take the Kronecker route, in the cases of `_check_kronecker_product`
+    at degree 8 (the per-pair oracle is slow)."""
     fields = [SQRT5] + [build_datum("I2", m).field for m in (5, 7, 8)]
     fields.append(FieldContext((Fraction(-5, 4), 0, 1), "sqrt(5)/2"))
     rng = random.Random(seed)
-    kinds = {"small": 0, "one-term": 0, "wide": 0, "dense": 0, "cancel": 0}
+    kinds = {"small": 0, "one-term": 0, "wide": 0, "dense": 0, "cancel": 0,
+             "kronecker": 0}
+    # a Kronecker instance costs a thousand or more Scalar products in the
+    # oracle, so that kind comes once every three rounds of the others
+    schedule = [*list(kinds)[:-1] * 3, "kronecker"]
     tested = 0
     while tested < iterations:
         field = fields[tested % len(fields)]
         nvars = rng.choice((2, 3))
-        kind = list(kinds)[(tested // len(fields)) % len(kinds)]
+        kind = schedule[(tested // len(fields)) % len(schedule)]
         if kind == "small":
             a = _random_poly(rng, field, nvars, 3, rng.randint(1, 6))
             b = _random_poly(rng, field, nvars, 3, rng.randint(1, 6))
@@ -699,6 +782,20 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
             c = field.from_coeffs([rng.choice((-1, 1)) * top] * field.degree)
             a = _dense_form(field, nvars, rng.randint(1, 4), c)
             b = _dense_form(field, nvars, rng.randint(1, 4), c)
+        elif kind == "kronecker":
+            case = KRONECKER_CASES[tested // (len(fields) * len(schedule)) % 3]
+            nvars = 2 if case == "non-homogeneous" else 3
+            low = 4 if nvars == 2 else 8
+            a = MultiPoly.from_terms(nvars, [(e, _nonzero_scalar(rng, field))
+                                             for e in _monomials(nvars, low, 8)], field)
+            if case == "mirror":
+                b = MultiPoly.from_terms(nvars, _mirrored(dict(a.iter_terms())).items(),
+                                         field)
+            else:
+                b = MultiPoly.from_terms(nvars, [(e, _nonzero_scalar(rng, field))
+                                                 for e in _monomials(nvars, low, 8)],
+                                         field)
+            assert takes_kronecker(a.terms, b.terms, nvars), case
         else:
             u, v, z = (_random_scalar(rng, field) for _ in range(3))
             if not (u and v and z):
@@ -717,8 +814,11 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
             _assert_canonical(c, field)
         if kind == "cancel":
             assert pack([1, 1] + [0] * (nvars - 2)) not in got.terms
+        if kind == "kronecker" and case == "mirror":
+            assert all(unpack(k, nvars)[0] % 2 == 0 for k in got.terms)
         kinds[kind] += 1
         tested += 1
+    assert kinds.pop("kronecker") >= iterations // 20, kinds
     assert min(kinds.values()) >= iterations // 10, kinds
     return tested
 
