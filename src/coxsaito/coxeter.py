@@ -386,16 +386,21 @@ def validate_invariants(datum: CoxeterDatum, polys,
     ell = datum.rank
     if len(polys) != ell:
         raise WrongDegrees(f"expected {ell} polynomials, got {len(polys)}")
+
+    def check_degrees(degree):
+        for j, p in enumerate(polys):
+            want = datum.exponents[j] + 1
+            if degree(p) != want:
+                raise WrongDegrees(f"P_{j + 1} must be homogeneous of degree {want}")
+
+    # total degrees before any substitution, whose cost grows with the degree
+    check_degrees(MultiPoly.total_degree)
     for idx, s in enumerate(datum.subst):
         for j, p in enumerate(polys):
             if p.subst_linear(s) != p:
                 raise NotInvariant(
                     f"P_{j + 1} is not invariant under generator {idx}")
-    for j, p in enumerate(polys):
-        want = datum.exponents[j] + 1
-        if p.is_zero() or p.homogeneous_degree() != want:
-            raise WrongDegrees(
-                f"P_{j + 1} must be homogeneous of degree {want}")
+    check_degrees(MultiPoly.homogeneous_degree)
     if jacobian(polys, ell).det().constant_quotient(datum.form_polys()) is None:
         raise JacobianCriterionFailed(
             "det J(P) is not a nonzero constant multiple of the arrangement polynomial")

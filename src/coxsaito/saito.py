@@ -10,7 +10,9 @@ entire pipeline.
 
 All row/column conventions follow the row-vector style of the source
 identities: a tuple of derivations is a row, coefficient matrices multiply it
-from the right, and a single derivation's coefficients form a column.
+from the right, and a single derivation's coefficients form a column.  The
+rows the theorems speak of, xi^(m) (`xi_basis`, coordinate frame) and
+nabla_D^t xi^(m) (`nabla_xi`, invariant frame), are each built once here.
 """
 
 from __future__ import annotations
@@ -94,12 +96,14 @@ class SaitoContext:
 
     The caches are plain dicts filled on demand; fills are idempotent and
     value-identical, so a context can be shared across concurrent readers.
+    Each construction has one table, keyed by k, by m for `xi_table`, and by
+    (m, t) for `nabla_xi_table` (nabla_D^t xi^(m), filled from `xi_table`).
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
-                 "bk_table", "christoffel_table", "xi_table", "q_base",
-                 "_bk_memo", "_metric_G_inv", "_gamma_conn")
+                 "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
+                 "q_base", "_bk_memo", "_metric_G_inv", "_gamma_conn")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -123,6 +127,7 @@ class SaitoContext:
         self._bk_memo: dict = {}
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
+        self.nabla_xi_table: dict = {}
         self._metric_G_inv = None
         self._gamma_conn = None
 
@@ -134,10 +139,6 @@ class SaitoContext:
         if self._metric_G_inv is None:
             self._metric_G_inv = self.metric_G.inverse(self.q_base)
         return self._metric_G_inv
-
-    def dp_column(self, k: int):
-        """Coefficient vector of d/dP_k on coordinates: row k of J(P)^-1."""
-        return tuple(self.jac_P_inv[k - 1, i] for i in range(self.rank))
 
 
 def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoContext:
@@ -166,8 +167,9 @@ def _apply_coeffs(coeffs, f, ctx: SaitoContext) -> FactoredFraction:
 
 
 def dp_apply(f, k: int, ctx: SaitoContext) -> FactoredFraction:
-    """Apply d/dP_k through the chain rule; k is 1-based."""
-    return _apply_coeffs(ctx.dp_column(k), f, ctx)
+    """Apply d/dP_k through the chain rule: its coordinate coefficients are
+    row k of J(P)^-1; k is 1-based."""
+    return _apply_coeffs(ctx.jac_P_inv.entries[k - 1], f, ctx)
 
 
 def primitive_derivation_apply(f, ctx: SaitoContext) -> FactoredFraction:
@@ -328,12 +330,6 @@ def nabla_D(theta: PolyDerivation, ctx: SaitoContext) -> PolyDerivation:
     return PolyDerivation("P", out)
 
 
-def nabla_D_power(theta: PolyDerivation, times: int, ctx: SaitoContext) -> PolyDerivation:
-    for _ in range(times):
-        theta = nabla_D(theta, ctx)
-    return theta
-
-
 # -- frames, application, bracket ------------------------------------------------------
 
 
@@ -391,6 +387,21 @@ def xi_basis(m: int, ctx: SaitoContext):
             prod = prod * ctx.jac_P
         table[m] = [PolyDerivation("X", prod.column(j)) for j in range(ctx.rank)]
     return table[m]
+
+
+def nabla_xi(m: int, t: int, ctx: SaitoContext):
+    """nabla_D^t of the xi^(m) row, invariant frame, cached by (m, t): t = 0
+    converts `xi_basis(m)`, so a tampered `xi_table[m]` reaches every power."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    table = ctx.nabla_xi_table
+    if (m, t) not in table:
+        if t == 0:
+            row = [frame_convert(theta, "P", ctx) for theta in xi_basis(m, ctx)]
+        else:
+            row = [nabla_D(theta, ctx) for theta in nabla_xi(m, t - 1, ctx)]
+        table[(m, t)] = tuple(row)
+    return table[(m, t)]
 
 
 def xi_coefficient_matrix(m: int, ctx: SaitoContext) -> Matrix:

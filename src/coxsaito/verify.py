@@ -5,6 +5,9 @@ carries a witness that pins down the offending entry or index and renders the
 exact polynomial discrepancy.  Integrity errors raised inside a check (for
 example a polynomiality certification failure on tampered data) are recorded
 as failures flagged `integrity`, which the CLI maps to its own exit code.
+
+The checks compare; they do not construct: B^(k), Gamma*_k, xi^(m) and its
+nabla_D powers come from the caches of `saito`, built once per context.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .poly import MultiPoly, lowest_power_in_form
 from .saito import (PolyDerivation, SaitoContext, bk_matrix, christoffel_star,
                     d_apply_matrix, derivation_apply, derivation_bracket,
                     derivation_degree, derivation_transform, dp_apply,
-                    frame_convert, nabla_D, nabla_D_power,
-                    primitive_derivation, xi_basis, xi_coefficient_matrix)
+                    nabla_xi, primitive_derivation, xi_basis,
+                    xi_coefficient_matrix)
 
 
 @dataclass
@@ -98,21 +101,15 @@ class _Runner:
                 name, ref, "pass" if ok else "fail", None if ok else witness, ms))
 
 
-def _matrix_mismatch(lhs: Matrix, rhs: Matrix, names=None):
-    """First differing entry as a rendered witness, or None when equal."""
+def _cmp_matrices(lhs: Matrix, rhs: Matrix):
+    """(True, None) when equal, else False and the first differing entry."""
     for i in range(lhs.rows):
         for j in range(lhs.cols):
             a, b = lhs[i, j], rhs[i, j]
             if a != b:
-                diff = a - b
-                return (f"entry ({i + 1},{j + 1}): lhs = {a.render(names)}, "
-                        f"rhs = {b.render(names)}, difference = {diff.render(names)}")
-    return None
-
-
-def _cmp_matrices(lhs: Matrix, rhs: Matrix):
-    witness = _matrix_mismatch(lhs, rhs)
-    return (witness is None), witness
+                return False, (f"entry ({i + 1},{j + 1}): lhs = {a.render()}, "
+                               f"rhs = {b.render()}, difference = {(a - b).render()}")
+    return True, None
 
 
 # -- contact order -------------------------------------------------------------------
@@ -140,6 +137,15 @@ def contact_order_check(theta: PolyDerivation, m: int, datum: CoxeterDatum):
             witness = (f"hyperplane {h_index + 1} "
                        f"({datum.form_poly(h_index).render()}): order {order} < {m}")
     return ok, orders, witness
+
+
+def _contact_membership(m: int, ctx: SaitoContext):
+    """Every xi^(m)_j has contact order >= m along every hyperplane."""
+    for j, theta in enumerate(xi_basis(m, ctx)):
+        ok, _orders, witness = contact_order_check(theta, m, ctx.datum)
+        if not ok:
+            return False, f"xi^({m})_{j + 1}: {witness}"
+    return True, None
 
 
 # -- suites -----------------------------------------------------------------------------
@@ -307,34 +313,17 @@ def check_lemma22(ctx: SaitoContext):
     return r.results
 
 
-def _xi_p_matrix(m: int, ctx: SaitoContext) -> Matrix:
-    """Invariant-frame coefficient matrix of the xi^(m) row."""
-    return ctx.jac_P.transpose() * xi_coefficient_matrix(m, ctx)
-
-
-def _nabla_matrix(m: int, times: int, ctx: SaitoContext) -> Matrix:
-    """Columns: coefficients of nabla_D^times xi^(m)_j in the invariant frame."""
-    cols = []
-    for theta in xi_basis(m, ctx):
-        res = nabla_D_power(frame_convert(theta, "P", ctx), times, ctx)
-        cols.append(res.coeffs)
-    return Matrix([[cols[j][i] for j in range(ctx.rank)] for i in range(ctx.rank)])
+def _nabla_matrix(m: int, t: int, ctx: SaitoContext) -> Matrix:
+    """Columns: coefficients of nabla_D^t xi^(m)_j in the invariant frame."""
+    return Matrix([theta.coeffs for theta in nabla_xi(m, t, ctx)]).transpose()
 
 
 def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
     r = _Runner()
-    ell = ctx.rank
     h = ctx.datum.coxeter_number
     exps = ctx.datum.exponents
     q = anti_invariant_Q(ctx.datum)
     for m in range(0, m_max + 1):
-
-        def membership(m=m):
-            for j, theta in enumerate(xi_basis(m, ctx)):
-                ok, _orders, witness = contact_order_check(theta, m, ctx.datum)
-                if not ok:
-                    return False, f"xi^({m})_{j + 1}: {witness}"
-            return True, None
 
         def basis_det(m=m):
             det = xi_coefficient_matrix(m, ctx).det()
@@ -353,7 +342,8 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
             return True, None
 
         r.run(f"thm25.member/m={m}",
-              "Theorem 2.5 (1): xi^(m)_j lie in D^(m)(A)", membership)
+              "Theorem 2.5 (1): xi^(m)_j lie in D^(m)(A)",
+              lambda m=m: _contact_membership(m, ctx))
         r.run(f"thm25.basis/m={m}",
               "Theorem 2.5 (1) basis certificate: det = c Q^m", basis_det)
         r.run(f"thm25.2/m={m}",
@@ -364,7 +354,7 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
         def thm24_1(k=k):
             lhs = _nabla_matrix(2 * k + 1, 1, ctx)
             step = bk_matrix(k, ctx).inverse() * bk_matrix(k + 1, ctx)
-            rhs = (-( _xi_p_matrix(2 * k - 1, ctx) * step)).simplify()
+            rhs = (-(_nabla_matrix(2 * k - 1, 0, ctx) * step)).simplify()
             return _cmp_matrices(lhs, rhs)
 
         def thm24_2(k=k):
@@ -374,9 +364,9 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
             return _cmp_matrices(lhs, rhs)
 
         def prop26(k=k):
-            lhs = _xi_p_matrix(2 * k + 1, ctx)
+            lhs = _nabla_matrix(2 * k + 1, 0, ctx)
             step = bk_matrix(k, ctx).inverse() * ctx.metric_G
-            rhs = (-( _xi_p_matrix(2 * k - 1, ctx) * step)).simplify()
+            rhs = (-(_nabla_matrix(2 * k - 1, 0, ctx) * step)).simplify()
             return _cmp_matrices(lhs, rhs)
 
         r.run(f"thm24.1/k={k}",
@@ -393,7 +383,6 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
 
 def check_hodge(ctx: SaitoContext, p_max: int):
     r = _Runner()
-    ell = ctx.rank
     h = ctx.datum.coxeter_number
     exps = ctx.datum.exponents
     q = anti_invariant_Q(ctx.datum)
@@ -425,8 +414,7 @@ def check_hodge(ctx: SaitoContext, p_max: int):
 
         def g0_membership(p=p):
             d = primitive_derivation(ctx)
-            for j, theta in enumerate(xi_basis(2 * p - 1, ctx)):
-                eta = nabla_D_power(frame_convert(theta, "P", ctx), p, ctx)
+            for j, eta in enumerate(nabla_xi(2 * p - 1, p, ctx)):
                 br = derivation_bracket(d, eta, ctx)
                 if not br.is_zero():
                     bad = next(c for c in br.coeffs if not c.simplify().is_zero())
@@ -442,13 +430,6 @@ def check_hodge(ctx: SaitoContext, p_max: int):
                 return False, f"series differ: {lhs} vs {rhs}"
             return True, None
 
-        def contact(p=p):
-            for j, theta in enumerate(xi_basis(2 * p - 1, ctx)):
-                ok, _orders, witness = contact_order_check(theta, 2 * p - 1, ctx.datum)
-                if not ok:
-                    return False, f"xi^({2 * p - 1})_{j + 1}: {witness}"
-            return True, None
-
         r.run(f"hodge.winv/p={p}",
               "Theorem 1.2: basis of H^(p) is W-invariant", w_invariance)
         r.run(f"hodge.g0/p={p}",
@@ -457,7 +438,8 @@ def check_hodge(ctx: SaitoContext, p_max: int):
         r.run(f"hodge.poincare/p={p}",
               "Lemma 2.6B proof: Poincare series identity", poincare)
         r.run(f"hodge.contact/p={p}",
-              "Theorem 1.2: H^(p) inside D^(2p-1)(A)", contact)
+              "Theorem 1.2: H^(p) inside D^(2p-1)(A)",
+              lambda p=p: _contact_membership(2 * p - 1, ctx))
     return r.results
 
 

@@ -6,7 +6,8 @@ from coxsaito.coxeter import build_datum, builtin_invariants
 from coxsaito.errors import NonPolynomialEntry
 from coxsaito.matrix import Matrix
 from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly
-from coxsaito.saito import build_context, jdkx
+from coxsaito.saito import (PolyDerivation, build_context, jdkx, nabla_D,
+                            xi_coefficient_matrix)
 from coxsaito.verify import run_suites
 
 _CONTEXTS: dict = {}
@@ -122,6 +123,20 @@ def ladder_jdkx_inv(k, ctx):
     c = minors.det().constant_value()
     assert c is not None and not ctx.datum.field.is_zero(c)
     return minors.adjugate() * ctx.datum.field.invert(c)
+
+
+def xi_p_reference(m, ctx):
+    """Reference invariant-frame xi^(m) row: the columns of J(P)^T Xi, with
+    Xi the coordinate-frame coefficient matrix of xi^(m)."""
+    mat = ctx.jac_P.transpose() * xi_coefficient_matrix(m, ctx)
+    return [PolyDerivation("P", mat.column(j)) for j in range(ctx.rank)]
+
+
+def nabla_power_reference(theta, t, ctx):
+    """Reference nabla_D^t theta: t plain applications of nabla_D, uncached."""
+    for _ in range(t):
+        theta = nabla_D(theta, ctx)
+    return theta
 
 
 def shared_report(label, rank, k_max=3, m_max=7, p_max=3):

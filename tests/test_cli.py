@@ -118,6 +118,20 @@ def test_invalid_invariants_file_exit_two(tmp_path, capsys):
     assert "nonzero constant multiple" in err
 
 
+def test_huge_exponent_is_refused_before_substitution(tmp_path, capsys):
+    # a term of the largest exponent the parser accepts is caught by the
+    # degree check; substituting it would not finish
+    datum = build_datum("A", 2)
+    doc = datum_to_json(datum, builtin_invariants(datum))
+    one = doc["invariants"][1]["terms"][0]["coefficient"]
+    doc["invariants"][1]["terms"].append(
+        {"exponents": [2 ** 24 - 1, 0], "coefficient": one})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--invariants", str(path)]) == 2
+    assert "P_2 must be homogeneous of degree 3" in capsys.readouterr().err
+
+
 def test_non_list_terms_exit_two(tmp_path, capsys):
     datum = build_datum("B", 2)
     doc = datum_to_json(datum, builtin_invariants(datum))

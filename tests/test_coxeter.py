@@ -210,6 +210,16 @@ def test_validation_rejects_wrong_degrees():
         validate_invariants(d, [x * x + y * y, x ** 6 + y ** 6])
 
 
+def test_validation_checks_total_degree_before_invariance():
+    # x^5 + y^4 is neither invariant nor of degree 4; the degree is checked
+    # first, before any substitution
+    d = build_datum("B", 2)
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    with pytest.raises(WrongDegrees, match="P_2 must be homogeneous of degree 4"):
+        validate_invariants(d, [x * x + y * y, x ** 5 + y ** 4])
+
+
 def test_q_anti_invariance_b2():
     d = build_datum("B", 2)
     q = anti_invariant_Q(d)

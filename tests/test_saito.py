@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from conftest import ladder_jdkx_inv, with_entry
+from conftest import (ladder_jdkx_inv, nabla_power_reference, with_entry,
+                      xi_p_reference)
 
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
 from coxsaito.errors import NonPolynomialEntry
@@ -12,11 +13,9 @@ from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
                             christoffel_star, d_apply_matrix, derivation_apply,
                             derivation_bracket, derivation_degree,
                             derivation_transform, dkx, dp_apply,
-                            frame_convert, jdkx, jdkx_inv, nabla_D,
-                            nabla_D_power,
+                            frame_convert, jdkx, jdkx_inv, nabla_D, nabla_xi,
                             primitive_derivation, primitive_derivation_apply,
-                            xi_basis,
-                            xi_coefficient_matrix)
+                            xi_basis, xi_coefficient_matrix)
 from coxsaito.verify import run_suites
 
 
@@ -291,8 +290,21 @@ def test_bracket_of_nabla_power_with_d(b2, k):
     xi = xi_basis(2 * k - 1, b2)
     d = primitive_derivation(b2)
     for theta in xi:
-        eta = nabla_D_power(frame_convert(theta, "P", b2), k, b2)
+        eta = nabla_power_reference(frame_convert(theta, "P", b2), k, b2)
         assert derivation_bracket(d, eta, b2).is_zero()
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("I2", 5)])
+def test_nabla_xi_matches_references(label, rank):
+    # the cached chain from frame_convert agrees with J(P)^T Xi followed by
+    # uncached nabla_D loops, for every power read by the theorem checks
+    d = build_datum(label, rank)
+    ctx = build_context(d, builtin_invariants(d))
+    for m in range(8):
+        row = xi_p_reference(m, ctx)
+        for t in range(4):
+            want = [nabla_power_reference(theta, t, ctx) for theta in row]
+            assert list(nabla_xi(m, t, ctx)) == want, (m, t)
 
 
 def test_derivation_apply(a1):
@@ -396,13 +408,16 @@ def test_concurrent_cache_fills_are_value_identical():
     ctx = build_context(d, builtin_invariants(d))
 
     def work(_):
-        return bk_matrix(3, ctx), xi_basis(7, ctx)[1].coeffs
+        return (bk_matrix(3, ctx), xi_basis(7, ctx)[1].coeffs,
+                [theta.coeffs for theta in nabla_xi(7, 2, ctx)])
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(work, range(16)))
     reference_ctx = build_context(d, builtin_invariants(d))
     want_bk = bk_matrix(3, reference_ctx)
     want_xi = xi_basis(7, reference_ctx)[1].coeffs
-    for got_bk, got_xi in results:
+    want_nabla = [theta.coeffs for theta in nabla_xi(7, 2, reference_ctx)]
+    for got_bk, got_xi, got_nabla in results:
         assert got_bk == want_bk
         assert all(a == b for a, b in zip(got_xi, want_xi))
+        assert got_nabla == want_nabla

@@ -8,9 +8,10 @@ from coxsaito.coxeter import build_datum, validate_invariants
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import PolyDerivation, bk_matrix, build_context, xi_basis
-from coxsaito.verify import (CheckReport, check_flat_remark, check_lemma21,
-                             check_metric, check_thm24_thm25_prop26,
-                             contact_order_check, run_suites)
+from coxsaito.verify import (CheckReport, check_flat_remark, check_hodge,
+                             check_lemma21, check_metric,
+                             check_thm24_thm25_prop26, contact_order_check,
+                             run_suites)
 
 
 def test_contact_order_a1_xi3():
@@ -125,6 +126,31 @@ def test_mutated_xi3_detected():
     assert "thm25.member/m=3" in failed or "prop26/k=1" in failed
     witnesses = [r.witness for r in results if r.status == "fail"]
     assert any(w for w in witnesses)
+
+
+G0_WITNESSES = {
+    ("B", 2): "coefficient (5/2*y)/((x^3*y-x*y^3))",
+    ("A", 2): "coefficient (4/3*x+8/3*y)/((x^3+3/2*x^2*y-3/2*x*y^2-y^3))",
+    ("I2", 5): "coefficient (12/25*y)/((x^4*y-2*x^2*y^3+1/5*y^5))",
+}
+
+
+@pytest.mark.parametrize("label,rank", list(G0_WITNESSES))
+def test_xi1_scaled_by_p_ell_fails_only_g0(label, rank):
+    # P_l xi^(1)_1 keeps W-invariance and contact order, but D[P_l] = 1, so
+    # [D, nabla_D (P_l xi^(1)_1)] = nabla_D xi^(1)_1 is not zero
+    ctx = fresh_context(label, rank)
+    xis = xi_basis(1, ctx)
+    p_ell = ctx.invariants.polys[-1]
+    scaled = PolyDerivation("X", [c * p_ell for c in xis[0].coeffs])
+    ctx.xi_table[1] = [scaled, *xis[1:]]
+    by_name = {r.name: r for r in check_hodge(ctx, 1)}
+    assert by_name["hodge.winv/p=1"].status == "pass"
+    assert by_name["hodge.contact/p=1"].status == "pass"
+    g0 = by_name["hodge.g0/p=1"]
+    assert g0.status == "fail"
+    assert g0.witness == ("[D, nabla_D^1 xi^(1)_1] != 0: "
+                          + G0_WITNESSES[(label, rank)])
 
 
 def _assert_tampered(report, not_passed, inverting, premise):
