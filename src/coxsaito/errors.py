@@ -21,10 +21,6 @@ class DimensionMismatch(CoxsaitoError):
     pass
 
 
-class ZeroForm(CoxsaitoError):
-    """A linear form that must be nonzero was zero."""
-
-
 class SingularMatrix(CoxsaitoError):
     pass
 

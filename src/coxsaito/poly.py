@@ -46,9 +46,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 
-from .errors import DimensionMismatch, DivisionByZero, ZeroForm
+from .errors import DimensionMismatch, DivisionByZero
 from .field import RATIONALS, FieldContext
 
 LIMB = 24
@@ -278,6 +277,8 @@ class MultiPoly:
     def _check_compat(self, other: "MultiPoly"):
         if self.nvars != other.nvars:
             raise DimensionMismatch("nvars mismatch")
+        if self.field is not other.field and self.field != other.field:
+            raise DimensionMismatch("operands lie in different fields")
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
@@ -541,29 +542,14 @@ def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(nvars))
 
 
-def lowest_power_in_form(f: MultiPoly, form) -> int | float:
-    """Largest m such that the linear form divides f m times (inf for f = 0).
-
-    The contact order of the paper, computed by its definition: the number
-    of successive exact divisions of f by the form's polynomial.  A linear
-    form is irreducible and `exact_divide` by a single divisor decides
-    divisibility, so the count is exact.
-    """
-    field = f.field
-    coeffs = [field.coerce(c) for c in form]
-    if len(coeffs) != f.nvars:
-        raise DimensionMismatch("form length != nvars")
-    if not any(coeffs):
-        raise ZeroForm("the zero form divides nothing")
-    if f.is_zero():
-        return math.inf
-    n = f.nvars
-    alpha = MultiPoly.from_terms(
-        n, [([1 if j == i else 0 for j in range(n)], c)
-            for i, c in enumerate(coeffs)], field)
-    order = 0
-    while True:
+def contact_order(f: MultiPoly, alpha: MultiPoly, m: int) -> int:
+    """How many times the linear polynomial alpha divides f, counted up to m
+    (m for f = 0, whose quotient is 0 again): the paper's contact order by its
+    definition, stopping after m exact divisions or at the first that fails.
+    A linear form is irreducible and `exact_divide` decides divisibility, so a
+    count below m is the exact order."""
+    for order in range(m):
         f = f.exact_divide(alpha)
         if f is None:
             return order
-        order += 1
+    return m

@@ -12,7 +12,8 @@ All row/column conventions follow the row-vector style of the source
 identities: a tuple of derivations is a row, coefficient matrices multiply it
 from the right, and a single derivation's coefficients form a column.  The
 rows the theorems speak of, xi^(m) (`xi_basis`, coordinate frame) and
-nabla_D^t xi^(m) (`nabla_xi`, invariant frame), are each built once here.
+nabla_D^t xi^(m) (`nabla_xi`, invariant frame), are each built once here, and
+so is their contact order along the hyperplanes (`contact_defect`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (CoxsaitoError, NonPolynomialCoefficients,
                      NonPolynomialEntry, SingularMatrix)
 from .fraction import FactoredFraction, PowerBase
 from .matrix import Matrix
-from .poly import MultiPoly
+from .poly import MultiPoly, contact_order
 
 
 class PolyDerivation:
@@ -96,14 +97,16 @@ class SaitoContext:
 
     The caches are plain dicts filled on demand; fills are idempotent and
     value-identical, so a context can be shared across concurrent readers.
-    Each construction has one table, keyed by k, by m for `xi_table`, and by
-    (m, t) for `nabla_xi_table` (nabla_D^t xi^(m), filled from `xi_table`).
+    Each construction has one table, keyed by k, by m for `xi_table` and
+    `contact_table` (`contact_defect`), and by (m, t) for `nabla_xi_table`
+    (nabla_D^t xi^(m)); the last two are filled from `xi_table`.
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
-                 "q_base", "_bk_memo", "_metric_G_inv", "_gamma_conn")
+                 "contact_table", "q_base", "_bk_memo", "_metric_G_inv",
+                 "_gamma_conn")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -128,6 +131,7 @@ class SaitoContext:
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
         self.nabla_xi_table: dict = {}
+        self.contact_table: dict = {}
         self._metric_G_inv = None
         self._gamma_conn = None
 
@@ -235,7 +239,7 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
         jd = jdkx(k, ctx)
         for i in range(ctx.rank):
             for j in range(ctx.rank):
-                e = jd[i, j].simplify()
+                e = jd[i, j]
                 if e.exp and e.base.q != ctx.q_base.q:
                     raise NonPolynomialEntry(
                         f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
@@ -406,9 +410,24 @@ def nabla_xi(m: int, t: int, ctx: SaitoContext):
 
 def xi_coefficient_matrix(m: int, ctx: SaitoContext) -> Matrix:
     """Columns are the coordinate-frame coefficient vectors of xi^(m)_j."""
-    xis = xi_basis(m, ctx)
-    return Matrix([[xis[j].coeffs[i].as_poly() for j in range(ctx.rank)]
-                   for i in range(ctx.rank)])
+    return Matrix([theta.poly_coeffs() for theta in xi_basis(m, ctx)]).transpose()
+
+
+def contact_defect(m: int, ctx: SaitoContext):
+    """None when alpha_H^m divides xi^(m)_j(alpha_H) for all j and H, else the
+    first (j, h, order) with order < m (0-based, j scanned first); cached by m.
+    The values are the entries of `xi_coefficient_matrix`^T times the l x N
+    form coefficients, each divided by its form at most m times."""
+    table = ctx.contact_table
+    if m not in table:
+        datum = ctx.datum
+        values = (xi_coefficient_matrix(m, ctx).transpose()
+                  * Matrix.from_scalars(zip(*datum.forms), ctx.rank, datum.field))
+        table[m] = next(((j, h, order) for j in range(ctx.rank)
+                         for h, alpha in enumerate(datum.form_polys())
+                         if (order := contact_order(values[j, h], alpha, m)) < m),
+                        None)
+    return table[m]
 
 
 # -- group action on derivations ----------------------------------------------------

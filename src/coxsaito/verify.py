@@ -6,23 +6,22 @@ exact polynomial discrepancy.  Integrity errors raised inside a check (for
 example a polynomiality certification failure on tampered data) are recorded
 as failures flagged `integrity`, which the CLI maps to its own exit code.
 
-The checks compare; they do not construct: B^(k), Gamma*_k, xi^(m) and its
-nabla_D powers come from the caches of `saito`, built once per context.
+The checks compare; they do not construct: B^(k), Gamma*_k, xi^(m), its
+nabla_D powers and its contact orders along the hyperplanes come from the
+caches of `saito`, built once per context.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-from .coxeter import (CoxeterDatum, anti_invariant_Q, poincare_closed_form,
-                      poincare_equal)
+from .coxeter import anti_invariant_Q, poincare_closed_form, poincare_equal
 from .errors import ConfigError, CoxsaitoError
 from .fraction import FactoredFraction
 from .matrix import Matrix
-from .poly import MultiPoly, lowest_power_in_form
-from .saito import (PolyDerivation, SaitoContext, bk_matrix, christoffel_star,
+from .poly import MultiPoly
+from .saito import (SaitoContext, bk_matrix, christoffel_star, contact_defect,
                     d_apply_matrix, derivation_apply, derivation_bracket,
                     derivation_degree, derivation_transform, dp_apply,
                     nabla_xi, primitive_derivation, xi_basis,
@@ -115,37 +114,14 @@ def _cmp_matrices(lhs: Matrix, rhs: Matrix):
 # -- contact order -------------------------------------------------------------------
 
 
-def contact_order_check(theta: PolyDerivation, m: int, datum: CoxeterDatum):
-    """Orders of theta(alpha_H) along each hyperplane; passes when all >= m.
-
-    Returns (ok, orders, witness).
-    """
-    coeffs = theta.poly_coeffs()
-    ell = datum.rank
-    orders = []
-    witness = None
-    ok = True
-    for h_index, form in enumerate(datum.forms):
-        value = MultiPoly.zero(ell, datum.field)
-        for i in range(ell):
-            if not datum.field.is_zero(form[i]):
-                value = value + coeffs[i] * form[i]
-        order = lowest_power_in_form(value, form) if not value.is_zero() else math.inf
-        orders.append(order)
-        if order < m and ok:
-            ok = False
-            witness = (f"hyperplane {h_index + 1} "
-                       f"({datum.form_poly(h_index).render()}): order {order} < {m}")
-    return ok, orders, witness
-
-
 def _contact_membership(m: int, ctx: SaitoContext):
     """Every xi^(m)_j has contact order >= m along every hyperplane."""
-    for j, theta in enumerate(xi_basis(m, ctx)):
-        ok, _orders, witness = contact_order_check(theta, m, ctx.datum)
-        if not ok:
-            return False, f"xi^({m})_{j + 1}: {witness}"
-    return True, None
+    defect = contact_defect(m, ctx)
+    if defect is None:
+        return True, None
+    j, h, order = defect
+    return False, (f"xi^({m})_{j + 1}: hyperplane {h + 1} "
+                   f"({ctx.datum.form_poly(h).render()}): order {order} < {m}")
 
 
 # -- suites -----------------------------------------------------------------------------

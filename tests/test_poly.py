@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import product as cartesian
@@ -6,10 +5,10 @@ from itertools import product as cartesian
 import pytest
 from conftest import takes_kronecker
 
-from coxsaito.errors import DimensionMismatch, DivisionByZero, ZeroForm
+from coxsaito.errors import CoxsaitoError, DimensionMismatch, DivisionByZero
 from coxsaito.field import RATIONALS, FieldContext
 from coxsaito.poly import (LIMB, MASK, MultiPoly, _int_product, _kronecker_product,
-                           lowest_power_in_form, pack)
+                           contact_order, pack)
 
 
 def xy():
@@ -113,20 +112,32 @@ def test_exact_divide_b2_jacobian_by_arrangement_poly():
     assert quotient == MultiPoly.const(2, -8)
 
 
-def test_lowest_power_examples():
+def test_contact_order_examples():
     x, y = xy()
-    assert lowest_power_in_form(-4 * x ** 3, [1, 0]) == 3
-    assert lowest_power_in_form(x * x - y * y, [1, -1]) == 1
-    assert lowest_power_in_form(MultiPoly.zero(2), [1, 0]) == math.inf
-    with pytest.raises(ZeroForm):
-        lowest_power_in_form(x, [0, 0])
+    assert contact_order(-4 * x ** 3, x, 5) == 3
+    assert contact_order(-4 * x ** 3, x, 2) == 2  # counted only up to m
+    assert contact_order(x * x - y * y, x - y, 3) == 1
+    assert contact_order(x * x - y * y, x - y, 0) == 0
+    assert contact_order(MultiPoly.zero(2), x, 4) == 4
 
 
-def test_lowest_power_rescaling_invariance():
+def test_contact_order_rescaling_invariance():
     x, y = xy()
     f = (x - y) ** 2 * (x + 3 * y)
-    assert lowest_power_in_form(f, [1, -1]) == 2
-    assert lowest_power_in_form(f, [Fraction(5, 7), Fraction(-5, 7)]) == 2
+    assert contact_order(f, x - y, 5) == 2
+    assert contact_order(f, (x - y) * Fraction(5, 7), 5) == 2
+
+
+def test_operands_over_different_fields_do_not_combine():
+    field = FieldContext((-5, 0, 1), "sqrt(5)")
+    x = MultiPoly.variable(2, 0, field)
+    with pytest.raises(CoxsaitoError):
+        x + MultiPoly.const(2, 1)
+    with pytest.raises(CoxsaitoError):
+        x * MultiPoly.variable(2, 1)
+    twin = FieldContext((-5, 0, 1), "sqrt(5)")
+    assert twin is not field
+    assert x + MultiPoly.const(2, 1, twin) == x + MultiPoly.const(2, 1, field)
 
 
 def test_homogeneity_and_degree_sentinels():

@@ -17,7 +17,7 @@ from coxsaito.field import FieldContext, RATIONALS, _poly_divmod
 from coxsaito.errors import NonPolynomialEntry, SingularMatrix
 from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix
-from coxsaito.poly import MultiPoly, lowest_power_in_form, pack, unpack
+from coxsaito.poly import MultiPoly, contact_order, pack, unpack
 
 SQRT5 = FieldContext((-5, 0, 1), "sqrt(5)")
 
@@ -668,9 +668,9 @@ def _oracle_lowest_power(f, form):
 
 
 def run_lowest_power_rescaling(iterations=ITERATIONS, seed=14142135) -> int:
-    """Contact order of base * alpha^power: at least `power`, unchanged when
-    the form is rescaled, and equal to the substitution route; half of the
-    instances over Q(sqrt 5)."""
+    """Contact order of base * alpha^power, counted up to caps below, at and
+    above the true order: the substitution route's order capped, whatever
+    the form's scale; half of the instances over Q(sqrt 5)."""
     rng = random.Random(seed)
     tested = 0
     while tested < iterations:
@@ -688,13 +688,14 @@ def run_lowest_power_rescaling(iterations=ITERATIONS, seed=14142135) -> int:
             3, [([1 if j == i else 0 for j in range(3)], c)
                 for i, c in enumerate(form)], field)
         f = base * alpha ** power
-        order = lowest_power_in_form(f, form)
         scale = _random_scalar(rng, field)
         if not scale:
             continue
-        assert order == lowest_power_in_form(f, [c * scale for c in form])
+        order = _oracle_lowest_power(f, form)
         assert order >= power
-        assert order == _oracle_lowest_power(f, form)
+        assert contact_order(f, alpha, order + 1) == order
+        for cap in range(max(order - 1, 0), order + 2):
+            assert contact_order(f, alpha * scale, cap) == min(order, cap)
         tested += 1
     return tested
 

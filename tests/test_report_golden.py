@@ -1,13 +1,19 @@
-"""Golden check-set for the rank-1 smoke group.
+"""Golden check-set for the rank-1 smoke group, and pinned full reports.
 
 Pins the exact check names, order, and statuses of a default full run, so any
 accidental change to suite composition, naming, or canonical ordering shows up
-as a diff here rather than silently shifting the report schema.
+as a diff here rather than silently shifting the report schema.  For five
+more groups the whole full-suite report, timings removed, is pinned by hash:
+names, paper references, statuses and any witness text.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+
+import pytest
+from conftest import shared_report
 
 from coxsaito.cli import RunConfig, run
 
@@ -104,3 +110,23 @@ def test_a1_report_matches_golden_check_set():
 
 def every_ref_nonempty(doc) -> bool:
     return all(c["paper_ref"] for c in doc["checks"])
+
+
+# SHA-256 of json.dumps(report.to_dict() without "ms", indent=2,
+# sort_keys=True) for run_suites(ctx, "all", 3, 7, 3)
+REPORT_SHA256 = {
+    ("A", 2): "69404529fa03a0a8426a52af083be564e2012dcd6704a752eae60691e049ec42",
+    ("B", 2): "cefe2483abba625c2defb5922e94ef002ea420365fa02204827325a0a2b2a155",
+    ("I2", 5): "88c80782265a66a0173aa5d4244c47855dda3e53d702d94f8741ba1b3716f89d",
+    ("B", 3): "f10bb2b37390093745d85cd044cbb3fbfa4b6cda774331310e101f8f1dda3848",
+    ("D", 3): "03e68a0f38efee97bf504333838b2c0a3e918da3bcfea3694d3b1d65ddbac8cc",
+}
+
+
+@pytest.mark.parametrize("label,rank", list(REPORT_SHA256))
+def test_full_report_matches_pinned_hash(label, rank):
+    doc = shared_report(label, rank, 3, 7, 3).to_dict()
+    for check in doc["checks"]:
+        del check["ms"]
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[(label, rank)]

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -6,37 +5,133 @@ from conftest import fresh_context, shared_context, shared_report, with_entry
 
 from coxsaito.coxeter import build_datum, validate_invariants
 from coxsaito.matrix import Matrix
-from coxsaito.poly import MultiPoly
-from coxsaito.saito import PolyDerivation, bk_matrix, build_context, xi_basis
+from coxsaito.poly import MultiPoly, contact_order
+from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
+                            contact_defect, dkx, xi_basis)
 from coxsaito.verify import (CheckReport, check_flat_remark, check_hodge,
                              check_lemma21, check_metric,
-                             check_thm24_thm25_prop26, contact_order_check,
-                             run_suites)
+                             check_thm24_thm25_prop26, run_suites)
+
+
+def _value_on_form(theta, ctx, h):
+    """theta(alpha_H) for the h-th hyperplane form, coefficient by coefficient."""
+    form = ctx.datum.forms[h]
+    value = MultiPoly.zero(ctx.rank, ctx.datum.field)
+    for c, a in zip(theta.poly_coeffs(), form):
+        value = value + c * a
+    return value
 
 
 def test_contact_order_a1_xi3():
     ctx = shared_context("A", 1)
-    theta = xi_basis(3, ctx)[0]
-    ok, orders, witness = contact_order_check(theta, 3, ctx.datum)
-    assert ok and witness is None
-    assert orders == [3]  # order exactly 3
+    assert contact_defect(3, ctx) is None
+    value = _value_on_form(xi_basis(3, ctx)[0], ctx, 0)
+    alpha = ctx.datum.form_poly(0)
+    assert contact_order(value, alpha, 9) == 3  # order exactly 3
+    assert contact_order(value, alpha, 2) == 2
 
 
 def test_contact_order_zero_always_passes():
     ctx = shared_context("B", 2)
     x = MultiPoly.variable(2, 0)
-    theta = PolyDerivation("X", [x + MultiPoly.const(2, 7), x * x])
-    ok, _orders, _ = contact_order_check(theta, 0, ctx.datum)
-    assert ok
+    for alpha in ctx.datum.form_polys():
+        assert contact_order(x + MultiPoly.const(2, 7), alpha, 0) == 0
+        assert contact_order(MultiPoly.zero(2), alpha, 5) == 5
+    assert contact_defect(0, ctx) is None
 
 
 def test_contact_order_b2_gradient_fails_at_two():
-    ctx = shared_context("B", 2)
-    theta = xi_basis(1, ctx)[1]  # gradient of x^4+y^4
-    ok, orders, witness = contact_order_check(theta, 2, ctx.datum)
-    assert not ok
-    assert witness is not None
-    assert min(orders) == 1
+    # the xi^(1) row, the gradients of the basic invariants, has contact
+    # order exactly 1 somewhere
+    ctx = fresh_context("B", 2)
+    ctx.xi_table[2] = list(xi_basis(1, ctx))
+    j, h, order = contact_defect(2, ctx)
+    assert order == 1
+    assert contact_order(_value_on_form(xi_basis(1, ctx)[j], ctx, h),
+                         ctx.datum.form_poly(h), 2) == 1
+
+
+def test_contact_defect_scans_xi_before_hyperplanes():
+    # at m = 3, xi^(1)_2 = grad(x^4+y^4) first fails on hyperplane 3 and
+    # xi^(1)_1 on hyperplane 1: the defect is that of the first derivation
+    ctx = fresh_context("B", 2)
+    ctx.xi_table[3] = list(reversed(xi_basis(1, ctx)))
+    assert contact_defect(3, ctx) == (0, 2, 1)
+
+
+def test_contact_order_divides_at_most_m_times(monkeypatch):
+    x = MultiPoly.variable(2, 0)
+    calls = []
+    divide = MultiPoly.exact_divide
+    monkeypatch.setattr(MultiPoly, "exact_divide",
+                        lambda f, g: calls.append(1) or divide(f, g))
+    assert contact_order(x ** 10, x, 3) == 3
+    assert len(calls) == 3
+
+
+def test_contact_defect_is_built_once_per_m(monkeypatch):
+    # once thm25.member/m=3 has run, hodge.contact/p=2 divides nothing
+    ctx = fresh_context("B", 2)
+    assert contact_defect(3, ctx) is None
+
+    def refuse(f, g):
+        raise AssertionError("exact_divide after the contact table was filled")
+
+    monkeypatch.setattr(MultiPoly, "exact_divide", refuse)
+    assert contact_defect(3, ctx) is None
+
+
+# (group, lo, hi) -> witness of thm25.member/m=hi when xi^(lo)_2 stands in for
+# xi^(hi)_2; the order printed is the exact contact order of xi^(lo)_2
+MEMBER_WITNESSES = {
+    (("B", 2), 1, 3): "xi^(3)_2: hyperplane 3 (x-y): order 1 < 3",
+    (("A", 3), 3, 5): "xi^(5)_2: hyperplane 1 (x-y): order 3 < 5",
+    (("I2", 5), 3, 5): "xi^(5)_2: hyperplane 1 (y): order 3 < 5",
+    (("I2", 8), 2, 7): "xi^(7)_2: hyperplane 1 (y): order 2 < 7",
+    (("D", 3), 4, 6): "xi^(6)_2: hyperplane 1 (x-y): order 4 < 6",
+}
+
+
+def _lower_order_stand_in(group, lo, hi):
+    ctx = fresh_context(*group)
+    row = list(xi_basis(hi, ctx))
+    row[1] = xi_basis(lo, ctx)[1]
+    ctx.xi_table[hi] = row
+    return ctx
+
+
+@pytest.mark.parametrize("group,lo,hi", list(MEMBER_WITNESSES))
+def test_thm25_member_witness_names_first_low_order(group, lo, hi):
+    ctx = _lower_order_stand_in(group, lo, hi)
+    by_name = {r.name: r for r in run_suites(ctx, ["theorems"], 0, hi, 0).results}
+    member = by_name[f"thm25.member/m={hi}"]
+    assert member.status == "fail" and not member.integrity
+    assert member.witness == MEMBER_WITNESSES[(group, lo, hi)]
+
+
+def test_hodge_contact_carries_the_thm25_member_witness():
+    ctx = _lower_order_stand_in(("B", 2), 1, 3)
+    by_name = {r.name: r for r in
+               run_suites(ctx, ["theorems", "hodge"], 1, 3, 2).results}
+    assert by_name["hodge.contact/p=2"].status == "fail"
+    assert (by_name["hodge.contact/p=2"].witness
+            == by_name["thm25.member/m=3"].witness
+            == "xi^(3)_2: hyperplane 3 (x-y): order 1 < 3")
+
+
+def test_non_polynomial_xi_is_an_integrity_failure():
+    # D[x] has det J(P) in its denominator; every check that needs the
+    # polynomial coefficients of xi^(3) reports it, none crashes the run
+    ctx = fresh_context("B", 2)
+    xis = xi_basis(3, ctx)
+    bad = xis[0].coeffs[0] + dkx(1, ctx)[0]
+    ctx.xi_table[3] = [PolyDerivation("X", [bad, xis[0].coeffs[1]]), xis[1]]
+    report = run_suites(ctx, ["theorems", "hodge"], 1, 3, 2)
+    broken = {r.name: r.witness for r in report.results if r.integrity}
+    assert set(broken) == {"thm25.member/m=3", "thm25.basis/m=3",
+                           "hodge.winv/p=2", "hodge.contact/p=2"}
+    assert set(broken.values()) == {
+        "integrity error: derivation has a non-polynomial coefficient"}
 
 
 @pytest.mark.parametrize("label,rank", [
