@@ -35,11 +35,9 @@ pair.  The slot width bits = bitlen(max |num| of a) + bitlen(max |num| of b)
 + bitlen(n*d) + 1, with n = min(len a, len b) the most pairs that meet in one
 output monomial, keeps every slot of every sum in (-2^(bits-1),
 2^(bits-1)); `unpack_reduced` reads the signed slots back and reduces each
-sum once.  For exact division, `elimination_operands` over Q makes the
-divisor's integer terms primitive with a positive leading coefficient, so
-each step is a `divmod` and the quotient is rescaled once
-(`elimination_quotient`); over an extension the Scalars stay as they are and
-each step multiplies by the inverse of the divisor's leading coefficient.
+sum once.  Exact division (`elimination_operands`) runs on such ints too: a
+step is a `divmod` over Q, and over an extension one `reduce` of a packed
+remainder and one big-int product per term of the monic divisor.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ class FieldContext:
     """
 
     __slots__ = ("minpoly", "degree", "generator_description", "_rows",
-                 "_row_den", "zero", "one", "lead_divmod")
+                 "_row_den", "zero", "one")
 
     def __init__(self, minimal_polynomial=(0, 1), generator_description="rational"):
         coeffs = tuple(Fraction(c) for c in minimal_polynomial)
@@ -121,11 +119,9 @@ class FieldContext:
         if d == 1:
             self.zero = Fraction(0)
             self.one = Fraction(1)
-            self.lead_divmod = divmod
         else:
             self.zero = Scalar((0,) * d, 1, self)
             self.one = Scalar((1,) + (0,) * (d - 1), 1, self)
-            self.lead_divmod = _times_inverse
 
     def generator(self) -> "Scalar":
         if self.degree == 1:
@@ -278,24 +274,22 @@ class FieldContext:
         Over Q the nonzero sums are the terms over content den, made
         canonical by one gcd.  Over a number field each int holds 2d-1
         signed slots of width `bits` (a sum of products from
-        `pack_operands`).  Adding 2^(bits-1) to every slot makes all of them
-        nonnegative, so each is read back with a shift and a mask; the
-        vector is reduced once.  A sum can vanish modulo p even when its
-        packed int does not, so zero results are dropped.
+        `pack_operands`), read back as `_slots` does and reduced once.  A
+        sum can vanish modulo p even when its packed int does not, so zero
+        results are dropped.
         """
         if self.degree == 1:
             return self.normalized({k: v for k, v in packed.items() if v}, den)
         n = 2 * self.degree - 1
         half = 1 << (bits - 1)
         mask = (1 << bits) - 1
-        offset = 0
-        for _ in range(n):
-            offset = (offset << bits) | half
+        offset = _offset(n, bits)
         reduce = self.reduce
         out = {}
         for k, v in packed.items():
             if not v:
                 continue
+            # `_slots`, inlined: this loop reads every product's sums
             v += offset
             coeffs = []
             for _ in range(n):
@@ -307,23 +301,32 @@ class FieldContext:
         return out, 1
 
     def elimination_operands(self, f: dict, cf, g: dict, cg, lead_key: int):
-        """(r, lead, rest, scale): the operands for dividing f by g.
+        """(r, rest, step, scale): the operands for dividing f by g.
 
-        r is a fresh term dict for the dividend, rest the divisor's terms
-        without the one at `lead_key`, and `lead_divmod(v, lead)` the
-        quotient and remainder of a term by the divisor's leading term;
-        `elimination_quotient(q, scale)` turns the collected quotient terms
-        into the quotient's (terms, content).
+        r is a fresh dict of the dividend's terms as ints and rest a list of
+        (key, int) for the divisor's other terms.  `step(v)` maps the int at
+        the remainder's leading key to (qc, w): the quotient term (None when
+        v leaves a remainder) and the int w whose products with the rest
+        ints are subtracted to cancel that key; w is 0 when v is zero in the
+        field.  `elimination_quotient(q, scale)` rebuilds the quotient.
 
         Over Q, f = F / cf and g = c * G / cg with F the integer terms of f
-        and G primitive with a positive leading coefficient; r and rest hold
-        the integers of F and G, lead is the leading coefficient of G and the
-        step is Python's divmod.  By Gauss's lemma G divides F over Q only if
-        it divides F over Z, so every step of a true division is integral and
-        a nonzero remainder proves non-divisibility; the quotient is
-        (F / G) * cg / (cf * c).  Over a number field r and rest hold the
-        Scalars themselves, lead is the inverse of g's leading coefficient
-        and a step is a product with remainder 0.
+        and G primitive with a positive leading coefficient; the step is
+        divmod by G's leading coefficient and w = qc.  By Gauss's lemma G
+        divides F over Q only if it divides F over Z, so every step of a true
+        division is integral and a nonzero remainder proves non-divisibility;
+        the quotient is (F / G) * cg / (cf * c).
+
+        Over a number field g is made monic (the quotient is divided by its
+        leading coefficient at the end), its other terms are G_k / e and f
+        is F / D, packed as in `pack_operands` into slots bits(max|F|) +
+        bits(max|G|) + bits(e) + bits(d * (len f + len g)) + 1 wide.  A step
+        `reduce`s v's 2d-1 slots over D to qc; if qc.den * e does not divide
+        D, D and every remainder int are multiplied by the missing factor s
+        (packing is linear), and w packs qc.num * D / (qc.den * e).  A bound
+        B > |slot|, 2^bits(max|F|) at first and B * s + d * max|w| *
+        2^bits(max|G|) after each step, doubles the width and repacks every
+        int before B reaches 2^(bits-1).
         """
         rest = dict(g)
         lead = rest.pop(lead_key)
@@ -334,14 +337,60 @@ class FieldContext:
             if c != 1:
                 rest = {k: v // c for k, v in rest.items()}
                 lead //= c
-            return dict(f), lead, rest, (cg, cf * c)
-        return dict(f), self.invert(lead), rest, None
+
+            def step(v):
+                qc, rem = divmod(v, lead)
+                return (None, 0) if rem else (qc, qc)
+
+            return dict(f), list(rest.items()), step, (cg, cf * c)
+        inv = None if lead == self.one else self.invert(lead)
+        if inv is not None:
+            rest = {k: v * inv for k, v in rest.items()}
+        d = self.degree
+        n = 2 * d - 1
+        den, fvecs, fbits = _cleared(f)
+        e, gvecs, gbits = _cleared(rest)
+        bits = (fbits + gbits + e.bit_length()
+                + (d * (len(f) + len(g))).bit_length() + 1)
+        offset = _offset(n, bits)
+        bound = 1 << fbits
+        r = _packed(fvecs, bits)
+        rest = list(_packed(gvecs, bits).items())
+        reduce = self.reduce
+
+        def step(v):
+            nonlocal den, bits, offset, bound
+            qc = reduce(_slots(v, n, bits, offset), den)
+            if not any(qc.num):
+                return qc, 0
+            need = qc.den * e
+            s = need // math.gcd(den, need)
+            factor = den * s // need
+            w = [c * factor for c in qc.num]
+            bound = bound * s + max(max(w), -min(w)) * (d << gbits)
+            if bound >= 1 << (bits - 1):
+                old, old_offset = bits, offset
+                while bound >= 1 << (bits - 1):
+                    bits *= 2
+                offset = _offset(n, bits)
+                for k, v in r.items():
+                    r[k] = _pack(_slots(v, n, old, old_offset), bits)
+                rest[:] = _packed(gvecs, bits).items()
+            if s != 1:
+                den *= s
+                for k, v in r.items():
+                    r[k] = v * s
+            return qc, _pack(w, bits)
+
+        return r, rest, step, inv
 
     def elimination_quotient(self, q: dict, scale):
         """The quotient's (terms, content) from the elimination's values.
 
         Over Q, with the names of `elimination_operands`, the integer quotient
-        F / G is rescaled once by cg / (cf * c).
+        F / G is rescaled once by cg / (cf * c); over a number field the
+        quotient by the monic divisor is multiplied by the inverse of g's
+        leading coefficient unless that is 1.
         """
         if self.degree == 1:
             num, den = scale
@@ -350,7 +399,9 @@ class FieldContext:
             if num != 1:
                 q = {k: v * num for k, v in q.items()}
             return self.normalized(q, den)
-        return q, 1
+        if scale is None:
+            return q, 1
+        return self.scaled(q, 1, scale, 1)
 
     def invert(self, value):
         if self.degree == 1:
@@ -449,11 +500,6 @@ class FieldContext:
         return f"FieldContext(degree={self.degree}, generator={self.generator_description})"
 
 
-def _times_inverse(v, inv_lead):
-    """One elimination step over a number field: (v * inv_lead, 0)."""
-    return v * inv_lead, 0
-
-
 def _cleared(terms: dict):
     """(den, {key: numerator vector over den}, bit length of max |numerator|)."""
     den = 1
@@ -473,14 +519,35 @@ def _cleared(terms: dict):
     return den, out, top.bit_length()
 
 
+def _pack(v, bits: int) -> int:
+    """sum_i v[i] * 2^(bits*i)."""
+    acc = 0
+    for c in reversed(v):
+        acc = (acc << bits) + c
+    return acc
+
+
 def _packed(vectors: dict, bits: int) -> dict:
-    """{key: sum_i v[i] * 2^(bits*i)} for each vector v."""
-    out = {}
-    for k, v in vectors.items():
-        acc = 0
-        for n in reversed(v):
-            acc = (acc << bits) + n
-        out[k] = acc
+    """{key: _pack(v, bits)} for each vector v."""
+    return {k: _pack(v, bits) for k, v in vectors.items()}
+
+
+def _offset(n: int, bits: int) -> int:
+    """2^(bits-1) in each of n slots of width `bits`."""
+    return (1 << (bits - 1)) * (((1 << (bits * n)) - 1) // ((1 << bits) - 1))
+
+
+def _slots(v: int, n: int, bits: int, offset: int) -> list[int]:
+    """The n slots, lowest first, of a packed int whose slots lie in
+    (-2^(bits-1), 2^(bits-1)); adding offset = _offset(n, bits) makes
+    every slot nonnegative, so each is read with a mask and a shift."""
+    v += offset
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    out = []
+    for _ in range(n):
+        out.append((v & mask) - half)
+        v >>= bits
     return out
 
 
@@ -510,6 +577,8 @@ class Scalar:
 
     def __add__(self, other):
         if isinstance(other, Scalar):
+            if other.ctx is not self.ctx:
+                self.ctx.coerce(other)
             da, db = self.den, other.den
             if da == db:
                 num = [a + b for a, b in zip(self.num, other.num)]
@@ -534,6 +603,8 @@ class Scalar:
 
     def __sub__(self, other):
         if isinstance(other, Scalar):
+            if other.ctx is not self.ctx:
+                self.ctx.coerce(other)
             da, db = self.den, other.den
             if da == db:
                 num = [a - b for a, b in zip(self.num, other.num)]
@@ -551,6 +622,8 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
+            if other.ctx is not self.ctx:
+                self.ctx.coerce(other)
             a, b = self.num, other.num
             prod = [0] * (2 * len(a) - 1)
             for i, ai in enumerate(a):

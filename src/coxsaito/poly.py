@@ -35,8 +35,9 @@ that the total degrees bound, (high - low + 1) * (high + 1)^(n - 1) for
 product degrees low..high in n variables.  Sparse operands, and small
 ones, whose fixed cost the grid would not repay, take the schoolbook loop.
 Exact division is one leading-term
-elimination loop over a heap of keys: the field prepares the operands, takes
-each step's quotient and remainder, and rebuilds the quotient at the end.
+elimination loop over a heap of keys on ints for every field: the field
+packs the operands (over an extension as for a product), maps each step's
+leading int to a quotient term and rebuilds the quotient at the end.
 Every result passes through the field's canonical form.  Field elements are
 built only where a coefficient leaves the polynomial: `leading`,
 `constant_value` and `iter_terms`.
@@ -432,11 +433,13 @@ class MultiPoly:
 
         Leading terms are eliminated in graded-lex order; a leading monomial
         that the divisor's does not divide, or a step with a nonzero
-        remainder, proves non-divisibility for a single divisor.  The field
-        prepares the operands (`FieldContext.elimination_operands`), takes
-        each step (`lead_divmod`) and rebuilds the quotient
-        (`elimination_quotient`): over Q the loop runs on integers, where by
-        Gauss's lemma every step of a true division is integral.
+        remainder, proves non-divisibility for a single divisor.  The loop
+        runs on the ints that `FieldContext.elimination_operands` makes of
+        both operands; its step maps the leading int to the quotient term and
+        the multiplier of the divisor's other terms: a `divmod` over Q, where
+        by Gauss's lemma every step of a true division is integral, and one
+        reduction of a Kronecker-packed remainder by a monic divisor over a
+        number field.  `elimination_quotient` rebuilds the quotient.
         """
         if not isinstance(divisor, MultiPoly):
             raise TypeError("divisor must be a MultiPoly")
@@ -447,10 +450,8 @@ class MultiPoly:
             return MultiPoly.zero(self.nvars, self.field)
         field = self.field
         gl_key = max(divisor.terms)
-        r, lead, g, scale = field.elimination_operands(
+        r, rest, step, scale = field.elimination_operands(
             self.terms, self.content, divisor.terms, divisor.content, gl_key)
-        step = field.lead_divmod
-        g_items = list(g.items())
         n = self.nvars
         q: dict = {}
         # Every key a step adds to r lies below the popped leading key, so a
@@ -463,21 +464,23 @@ class MultiPoly:
             v = r.pop(m)
             if not v:
                 continue
-            if not _limb_divides(gl_key, m, n):
+            qc, w = step(v)
+            if qc is None:
                 return None
-            qc, rem = step(v, lead)
-            if rem:
+            if not w:  # v is 0 in the field
+                continue
+            if not _limb_divides(gl_key, m, n):
                 return None
             qk = m - gl_key
             q[qk] = qc
-            for k, c in g_items:
+            for k, c in rest:
                 nk = k + qk
                 cur = r.get(nk)
                 if cur is None:
                     heapq.heappush(heap, -nk)
-                    r[nk] = -(qc * c)
+                    r[nk] = -(w * c)
                 else:
-                    r[nk] = cur - qc * c
+                    r[nk] = cur - w * c
         terms, content = field.elimination_quotient(q, scale)
         return MultiPoly(n, terms, field, content)
 

@@ -1,9 +1,13 @@
+import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from coxsaito.coxeter import build_datum, builtin_invariants
 from coxsaito.errors import NonPolynomialEntry
+from coxsaito.field import FieldContext
+from coxsaito.invariants_io import ingest_invariants, poly_to_json, scalar_to_json
 from coxsaito.matrix import Matrix
 from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly
 from coxsaito.saito import (PolyDerivation, build_context, jdkx, nabla_D,
@@ -28,6 +32,81 @@ def fresh_context(label, rank):
     """A private context, safe to mutate in fault-injection tests."""
     datum = build_datum(label, rank)
     return build_context(datum, builtin_invariants(datum))
+
+
+H3_FIELD = FieldContext((-5, 0, 1), "sqrt(5)")
+H3_TAU = H3_FIELD.from_coeffs((Fraction(1, 2), Fraction(1, 2)))  # (1+sqrt5)/2
+
+
+def _cyc(v):
+    a, b, c = v
+    return [(a, b, c), (c, a, b), (b, c, a)]
+
+
+def h3_roots():
+    """The 15 roots of H3 over H3_FIELD: the edge-midpoint (2-fold) axes of
+    the icosahedron with vertices cyc(0, +-1, +-tau)."""
+    one, zero, tau = H3_FIELD.one, H3_FIELD.zero, H3_TAU
+    roots = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    for s in (one, -one):
+        for u in (one, -one):
+            roots.extend(_cyc((one, tau * tau * s, tau * u)))
+    return roots
+
+
+def h3_document():
+    """Icosahedral group over Q(sqrt 5): 15 reflections, invariant degrees
+    2, 6, 10 built from symmetrized powers over the icosahedron/dodecahedron
+    vertex axes."""
+    field, tau = H3_FIELD, H3_TAU
+    sigma = tau - 1                                 # 1/tau
+    one, zero = field.one, field.zero
+    roots = h3_roots()
+
+    def reflection(r):
+        inv_norm = field.invert(sum((c * c for c in r), zero))
+        return [[(one if i == j else zero) - 2 * r[i] * r[j] * inv_norm
+                 for j in range(3)] for i in range(3)]
+
+    x, y, z = (MultiPoly.variable(3, i, field) for i in range(3))
+
+    def axis_power(axes, power):
+        total = MultiPoly.zero(3, field)
+        for v in axes:
+            total = total + (x * v[0] + y * v[1] + z * v[2]) ** power
+        return total
+
+    icosa_axes = _cyc((zero, one, tau)) + _cyc((zero, one, -tau))
+    dodeca_axes = ([(one, one, one), (one, one, -one), (one, -one, one),
+                    (one, -one, -one)]
+                   + _cyc((sigma, zero, tau)) + _cyc((sigma, zero, -tau)))
+    invariants = (x * x + y * y + z * z, axis_power(icosa_axes, 6),
+                  axis_power(dodeca_axes, 10))
+
+    def scalars(rows):
+        return [[scalar_to_json(v, field) for v in row] for row in rows]
+
+    return {
+        "label": "H3",
+        "field": {"minimal_polynomial": [[-5, 1], [0, 1], [1, 1]],
+                  "generator_description": "sqrt(5)"},
+        "rank": 3,
+        "exponents": [1, 5, 9],
+        "gram": scalars([[one if i == j else zero for j in range(3)]
+                         for i in range(3)]),
+        "hyperplanes": scalars(roots),
+        "generators": [scalars(reflection(r)) for r in roots],
+        "invariants": [poly_to_json(p) for p in invariants],
+    }
+
+
+@pytest.fixture(scope="session")
+def h3_context(tmp_path_factory):
+    """The H3 test file, ingested once per session (read-only use only)."""
+    path = tmp_path_factory.mktemp("h3") / "h3.json"
+    path.write_text(json.dumps(h3_document()), encoding="utf-8")
+    datum, inv = ingest_invariants(path)
+    return build_context(datum, inv)
 
 
 def takes_kronecker(a: dict, b: dict, nvars: int) -> bool:

@@ -74,6 +74,20 @@ def test_scalars_of_different_fields_are_unequal():
     assert hash(SQRT5.generator()) == hash(twin.generator())
 
 
+def test_arithmetic_across_fields_is_refused():
+    # once read as Scalar((2*t)) in Q(sqrt 5), a length-2 truncation of the
+    # degree-4 sum, and an IndexError inside the product's convolution
+    sqrt5, sqrt2 = SQRT5.generator(), FieldContext((-2, 0, 1), "sqrt(2)").generator()
+    quartic = FieldContext((-5, 0, 0, 0, 1), "5^(1/4)").generator()
+    for a, b in ((sqrt5, sqrt2), (sqrt5, quartic), (quartic, sqrt5)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(ValueError, match="different field"):
+                op(a, b)
+    # a context with the same minimal polynomial is the same field
+    twin = FieldContext((-5, 0, 1), "another sqrt(5)").generator()
+    assert sqrt5 + twin == 2 * sqrt5 and sqrt5 - twin == 0 and sqrt5 * twin == 5
+
+
 def test_minimal_polynomial_must_be_squarefree():
     # (t^2 - 5)^2 = t^4 - 10 t^2 + 25
     with pytest.raises(ValueError, match="squarefree"):

@@ -1,12 +1,10 @@
 import json
-from fractions import Fraction
 
 import pytest
 from conftest import ladder_jdkx_inv
 
 from coxsaito.coxeter import anti_invariant_Q, build_datum, builtin_invariants
 from coxsaito.errors import JacobianCriterionFailed, ParseError
-from coxsaito.field import FieldContext
 from coxsaito.invariants_io import datum_to_json, ingest_invariants
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import bk_matrix, build_context, contact_defect, jdkx_inv
@@ -107,78 +105,6 @@ def test_wrong_json_types_are_parse_errors(tmp_path, path, value, message):
     node[path[-1]] = value
     with pytest.raises(ParseError, match=message):
         ingest_invariants(write_doc(tmp_path, doc))
-
-
-def _h3_document():
-    """Icosahedral group over Q(sqrt 5): 15 reflections, invariant degrees
-    2, 6, 10 built from symmetrized powers over the icosahedron/dodecahedron
-    vertex axes."""
-    field_doc = {"minimal_polynomial": [[-5, 1], [0, 1], [1, 1]],
-                 "generator_description": "sqrt(5)"}
-    field = FieldContext((-5, 0, 1), "sqrt(5)")
-    half = Fraction(1, 2)
-    tau = field.from_coeffs((half, half))          # (1+sqrt5)/2
-    sigma = tau - 1                                 # 1/tau
-    tau2 = tau * tau
-    one, zero = field.one, field.coerce(0)
-
-    def cyc(v):
-        a, b, c = v
-        return [(a, b, c), (c, a, b), (b, c, a)]
-
-    # edge-midpoint (2-fold) axes of the icosahedron with vertices cyc(0,±1,±tau)
-    roots = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
-    for s in (one, -one):
-        for u in (one, -one):
-            roots.extend(cyc((one, tau2 * s, tau * u)))
-
-    def reflection(r):
-        norm = sum((c * c for c in r), field.coerce(0))
-        inv_norm = field.invert(norm)
-        return [[(one if i == j else zero) - 2 * r[i] * r[j] * inv_norm
-                 for j in range(3)] for i in range(3)]
-
-    generators = [reflection(r) for r in roots]
-    hyperplanes = [list(r) for r in roots]
-
-    x, y, z = (MultiPoly.variable(3, i, field) for i in range(3))
-    p1 = x * x + y * y + z * z
-
-    def axis_power(axes, power):
-        total = MultiPoly.zero(3, field)
-        for v in axes:
-            form = x * v[0] + y * v[1] + z * v[2]
-            total = total + form ** power
-        return total
-
-    icosa_axes = cyc((zero, one, tau)) + cyc((zero, one, -tau))
-    dodeca_axes = ([(one, one, one), (one, one, -one), (one, -one, one),
-                    (one, -one, -one)]
-                   + cyc((sigma, zero, tau)) + cyc((sigma, zero, -tau)))
-    p2 = axis_power(icosa_axes, 6)
-    p3 = axis_power(dodeca_axes, 10)
-
-    from coxsaito.invariants_io import poly_to_json, scalar_to_json
-    return {
-        "label": "H3",
-        "field": field_doc,
-        "rank": 3,
-        "exponents": [1, 5, 9],
-        "gram": [[scalar_to_json(one if i == j else zero, field)
-                  for j in range(3)] for i in range(3)],
-        "hyperplanes": [[scalar_to_json(v, field) for v in f]
-                        for f in hyperplanes],
-        "generators": [[[scalar_to_json(v, field) for v in row] for row in g]
-                       for g in generators],
-        "invariants": [poly_to_json(p) for p in (p1, p2, p3)],
-    }
-
-
-@pytest.fixture(scope="module")
-def h3_context(tmp_path_factory):
-    path = write_doc(tmp_path_factory.mktemp("h3"), _h3_document(), "h3.json")
-    datum, inv = ingest_invariants(path)
-    return build_context(datum, inv)
 
 
 def test_custom_datum_has_no_builtin_catalogue(h3_context):

@@ -9,7 +9,7 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import takes_kronecker
+from conftest import H3_FIELD, H3_TAU, h3_roots, takes_kronecker
 
 from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
                               jacobian)
@@ -827,7 +827,10 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
 def _max_loop_divide(f, g):
     """Leading-term elimination one Scalar operation at a time, the largest
     remaining key found by max() and the divisor's leading term multiplied
-    out and cancelled: (the quotient's terms or None, keys that cancelled)."""
+    out and cancelled: (the quotient's terms in the order found, whether g
+    divides f, keys that cancelled).  When g does not divide f the terms
+    end with the one the failing step would have taken, keyed by that step's
+    leading key."""
     gl_key, gl_coeff = g.leading()
     gl_exps = unpack(gl_key, f.nvars)
     inv_lead = f.field.invert(gl_coeff)
@@ -836,10 +839,11 @@ def _max_loop_divide(f, g):
     cancelled = 0
     while r:
         m = max(r)
-        if any(a > b for a, b in zip(gl_exps, unpack(m, f.nvars))):
-            return None, cancelled
-        qk = m - gl_key
         qc = r[m] * inv_lead
+        if any(a > b for a, b in zip(gl_exps, unpack(m, f.nvars))):
+            q[m] = qc
+            return q, False, cancelled
+        qk = m - gl_key
         q[qk] = qc
         for k, c in g.terms.items():
             nk = k + qk
@@ -854,7 +858,38 @@ def _max_loop_divide(f, g):
                 else:
                     del r[nk]
                     cancelled += k != gl_key
-    return q, cancelled
+    return q, True, cancelled
+
+
+def _cleared_bits(scalars):
+    """(common denominator, bit length of the largest numerator over it)."""
+    den = math.lcm(1, *(c.den for c in scalars))
+    top = max((abs(n) * (den // c.den) for c in scalars for n in c.num), default=0)
+    return den, top.bit_length()
+
+
+def _packed_paths(f, g, quotient):
+    """(rescales, widens) of number-field `exact_divide(f, g)` for a monic g,
+    replayed from the rule in `FieldContext.elimination_operands` over the
+    terms of its steps, `_max_loop_divide`'s quotient (a step is taken before
+    its key is found not divisible): whether some step multiplies the
+    remainder by an integer, and whether the bound on its slots reaches the
+    first slot width."""
+    d = f.field.degree
+    lead_key = max(g.terms)
+    den, fbits = _cleared_bits(f.terms.values())
+    e, gbits = _cleared_bits([c for k, c in g.terms.items() if k != lead_key])
+    bits = fbits + gbits + e.bit_length() + (d * (len(f.terms) + len(g.terms))).bit_length() + 1
+    bound, rescales = 1 << fbits, False
+    for qc in quotient.values():
+        need = qc.den * e
+        s = need // math.gcd(den, need)
+        rescales |= s != 1
+        den *= s
+        bound = bound * s + max(map(abs, qc.num)) * (den // need) * (d << gbits)
+        if bound >= 1 << (bits - 1):
+            return rescales, True
+    return rescales, False
 
 
 def _fractional_scalar(rng, field):
@@ -868,16 +903,98 @@ def _fractional_scalar(rng, field):
     return field.from_coeffs(coeffs)
 
 
+def _tau_form(rng, nvars):
+    """A monic linear form x + a y (+ b z) with a, b nonzero integer
+    combinations of 1 and tau = (1 + sqrt 5)/2, tau's coefficient odd: the
+    coefficients other than the lead have denominator 2."""
+    forms = [MultiPoly.variable(nvars, 0, H3_FIELD)]
+    for i in range(1, nvars):
+        c = rng.randint(-3, 3) + (2 * rng.randint(-2, 1) + 1) * H3_TAU
+        forms.append(MultiPoly.variable(nvars, i, H3_FIELD) * c)
+    return sum(forms[1:], forms[0])
+
+
+def _divide_cases(rng, iterations):
+    """(kind, field, f, g) for the packed-remainder paths, every g monic:
+
+    * "tau": f * g and f over a tau form g, so the remainder is rescaled;
+    * "long": quotients that outgrow the first slot width, with u a scalar:
+      u (x^n - y^n)(x - t z) / ((x - y)(x - t z)), t the field's generator,
+      n = 192..256, whose long quotient has irrational terms, and
+      u (x^n - c^n y^n) / (x - c y) and u x^n / (x - c y), n = 8..48, whose
+      quotient terms grow with c (small, or an integer of up to 40 bits);
+    * "h3": the monic H3 arrangement polynomial q dividing f * q, and
+      f * q + x^deg or f * q + z^deg (deg the degree of f * q), the first
+      refused at once and the second after the whole quotient f.
+    """
+    x, y, z = (MultiPoly.variable(3, i, H3_FIELD) for i in range(3))
+    q = H3_FIELD.one
+    for r in h3_roots():
+        q = (x * r[0] + y * r[1] + z * r[2]) * q
+    q = q.monic()[0]
+    fields = [SQRT5] + [build_datum("I2", m).field for m in (5, 7, 8)]
+    for i in range(iterations):
+        kind = ("tau", "long", "tau", "long", "h3")[i % 5]
+        if kind == "tau":
+            nvars = 2 + i % 2
+            g = _tau_form(rng, nvars)
+            f = _random_poly(rng, H3_FIELD, nvars, 3, rng.randint(1, 5))
+            if f.is_zero():
+                continue
+            yield kind, H3_FIELD, (f * g if i // 5 % 2 == 0 else f), g
+        elif kind == "long":
+            field = fields[i // 5 % len(fields)]
+            u = _nonzero_scalar(rng, field)
+            x3, y3, z3 = (MultiPoly.variable(3, j, field) for j in range(3))
+            if i // 5 % 2:
+                n, h = rng.randint(192, 256), x3 - z3 * field.generator()
+                yield kind, field, (x3 ** n - y3 ** n) * h * u, (x3 - y3) * h
+                continue
+            c = (field.coerce(rng.randint(1, 2 ** 40)) if i // 10 % 2
+                 else _random_scalar(rng, field))
+            n = rng.randint(8, 48)
+            f = x3 ** n - y3 ** n * c ** n if i // 20 % 2 else x3 ** n
+            yield kind, field, f * u, x3 - y3 * c
+        else:
+            f = _random_poly(rng, H3_FIELD, 3, 2, rng.randint(1, 4))
+            if f.is_zero():
+                continue
+            fq = f * q
+            deg = fq.total_degree()
+            for extra in (None, x ** deg, z ** deg):
+                yield kind, H3_FIELD, (fq if extra is None else fq + extra), q
+
+
 def run_nf_divide_oracle(iterations=ITERATIONS, seed=33550336) -> int:
     """Number-field `exact_divide` against the max() loop above, over the
     fields of `run_integer_kernel_oracle` in 1-3 variables.  Even instances
     divide f * g by g, odd ones an arbitrary pair, so both quotients and None
     are compared; every other divisor is rescaled to a leading coefficient
-    with denominator > 1 and an irrational part."""
+    with denominator > 1 and an irrational part.  Then `_divide_cases` runs
+    monic divisors at the paths of the packed remainder, each case's path
+    recomputed by `_packed_paths`."""
     fields = [SQRT5] + [build_datum("I2", m).field for m in (5, 7, 8)]
     fields.append(FieldContext((Fraction(-5, 4), 0, 1), "sqrt(5)/2"))
     rng = random.Random(seed)
     seen = {"quotient": 0, "none": 0, "fractional lead": 0, "cancelled": 0}
+    paths = {"rescaled": 0, "widened": 0, "widened quotient": 0,
+             "h3 quotient": 0, "h3 none": 0}
+
+    def check(dividend, g, field):
+        want, divides, cancelled = _max_loop_divide(dividend, g)
+        got = dividend.exact_divide(g)
+        if not divides:
+            assert got is None, (dividend, g)
+            seen["none"] += 1
+        else:
+            assert got is not None and got.terms == want, (dividend, g)
+            for c in got.terms.values():
+                assert c, "a zero coefficient was stored"
+                _assert_canonical(c, field)
+            seen["quotient"] += 1
+        seen["cancelled"] += cancelled > 0
+        return want, divides
+
     tested = 0
     while tested < iterations:
         field = fields[tested % len(fields)]
@@ -889,21 +1006,19 @@ def run_nf_divide_oracle(iterations=ITERATIONS, seed=33550336) -> int:
         if tested // 2 % 2:
             g = g * (_fractional_scalar(rng, field) / g.leading()[1])
             seen["fractional lead"] += 1
-        dividend = f * g if tested % 2 == 0 else f
-        want, cancelled = _max_loop_divide(dividend, g)
-        got = dividend.exact_divide(g)
-        if want is None:
-            assert got is None, (dividend, g)
-            seen["none"] += 1
-        else:
-            assert got is not None and got.terms == want, (dividend, g)
-            for c in got.terms.values():
-                assert c, "a zero coefficient was stored"
-                _assert_canonical(c, field)
-            seen["quotient"] += 1
-        seen["cancelled"] += cancelled > 0
+        check(f * g if tested % 2 == 0 else f, g, field)
         tested += 1
     assert min(seen.values()) >= iterations // 10, seen
+    for kind, field, dividend, g in _divide_cases(rng, iterations // 4):
+        want, divides = check(dividend, g, field)
+        rescaled, widened = _packed_paths(dividend, g, want)
+        paths["rescaled"] += rescaled
+        paths["widened"] += widened
+        paths["widened quotient"] += widened and divides
+        if kind == "h3":
+            paths["h3 quotient" if divides else "h3 none"] += 1
+        tested += 1
+    assert min(paths.values()) >= iterations // 50, paths
     return tested
 
 

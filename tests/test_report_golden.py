@@ -2,9 +2,10 @@
 
 Pins the exact check names, order, and statuses of a default full run, so any
 accidental change to suite composition, naming, or canonical ordering shows up
-as a diff here rather than silently shifting the report schema.  For five
-more groups the whole full-suite report, timings removed, is pinned by hash:
-names, paper references, statuses and any witness text.
+as a diff here rather than silently shifting the report schema.  For seven
+more groups, and for the H3 test file at the h3-file benchmark's bounds, the
+whole report, timings removed, is pinned by hash: names, paper references,
+statuses and any witness text.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import pytest
 from conftest import shared_report
 
 from coxsaito.cli import RunConfig, run
+from coxsaito.verify import run_suites
 
 GOLDEN = [
     ("metric/symmetry", "pass"),
@@ -113,19 +115,28 @@ def every_ref_nonempty(doc) -> bool:
 
 
 # SHA-256 of json.dumps(report.to_dict() without "ms", indent=2,
-# sort_keys=True) for run_suites(ctx, "all", 3, 7, 3)
+# sort_keys=True): run_suites(ctx, "all", 3, 7, 3) for the built-in groups,
+# and the H3 test file at the h3-file benchmark's suites and bounds
 REPORT_SHA256 = {
     ("A", 2): "69404529fa03a0a8426a52af083be564e2012dcd6704a752eae60691e049ec42",
     ("B", 2): "cefe2483abba625c2defb5922e94ef002ea420365fa02204827325a0a2b2a155",
     ("I2", 5): "88c80782265a66a0173aa5d4244c47855dda3e53d702d94f8741ba1b3716f89d",
     ("B", 3): "f10bb2b37390093745d85cd044cbb3fbfa4b6cda774331310e101f8f1dda3848",
     ("D", 3): "03e68a0f38efee97bf504333838b2c0a3e918da3bcfea3694d3b1d65ddbac8cc",
+    ("I2", 7): "4a792c6baedff09bc697257651dc128971cae3eb5d240913b8af5b9f980083cb",
+    ("I2", 8): "a2ae9c0f52ac83f9a8a62ffaafe507d743dfce61725c0e913fac42bfac6a729c",
+    ("H3", "file"): "83da0326da8c89810f4a31673ee6f63dbcc7b9baa3baa6fddfb0d40ab6b150ee",
 }
 
 
 @pytest.mark.parametrize("label,rank", list(REPORT_SHA256))
-def test_full_report_matches_pinned_hash(label, rank):
-    doc = shared_report(label, rank, 3, 7, 3).to_dict()
+def test_full_report_matches_pinned_hash(label, rank, request):
+    if label == "H3":
+        report = run_suites(request.getfixturevalue("h3_context"),
+                            ("metric", "theorems", "flat"), 1, 1, 1)
+    else:
+        report = shared_report(label, rank, 3, 7, 3)
+    doc = report.to_dict()
     for check in doc["checks"]:
         del check["ms"]
     text = json.dumps(doc, indent=2, sort_keys=True)
