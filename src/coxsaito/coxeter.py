@@ -57,6 +57,19 @@ def _rank_is_one(rows) -> bool:
                for j in range(n) for m in range(j + 1, n))
 
 
+def _orbit_closure(seeds, perms) -> set:
+    """The form indices reached from `seeds` under the permutations `perms`."""
+    reached = set(seeds)
+    frontier = list(reached)
+    while frontier:
+        k = frontier.pop()
+        for perm in perms:
+            if perm[k] not in reached:
+                reached.add(perm[k])
+                frontier.append(perm[k])
+    return reached
+
+
 class CoxeterDatum:
     """A concrete reflection-group realization.
 
@@ -66,6 +79,15 @@ class CoxeterDatum:
     covering every form, exponent count); a successfully built datum can be
     trusted by every downstream module.
 
+    `_check` also certifies `n_generating`, the length of the shortest
+    prefix of the generator list whose reflecting forms' orbits under the
+    prefix alone cover every form.  The reflection in a form w(alpha_s), w
+    in the prefix's group, is w s w^-1, so every listed generator lies in
+    that group and the prefix generates W: W-invariance is certified on the
+    prefix (`first_moved`).  A witness is unchanged, because the first
+    listed generator that moves a polynomial comes no later than the first
+    prefix generator that does.
+
     `_check` also records, per generator s, the scalar c_s with
     Q o s = c_s * Q for the arrangement polynomial Q: s maps each form to
     c_H times a form, and c_s is the product of the c_H.
@@ -73,7 +95,7 @@ class CoxeterDatum:
 
     __slots__ = ("type_label", "rank", "field", "gram", "forms", "generators",
                  "subst", "exponents", "coxeter_number", "q_multipliers",
-                 "_form_polys", "_q")
+                 "n_generating", "_form_polys", "_q")
 
     def __init__(self, type_label: str, rank: int, field: FieldContext,
                  gram, forms, generators, exponents):
@@ -119,7 +141,7 @@ class CoxeterDatum:
             raise CoxsaitoError("hyperplane forms must be distinct")
         ident = Matrix.identity(ell, ell, field)
         self.q_multipliers = []
-        roots, perms = set(), []
+        roots, perms = [], []
         for idx, g in enumerate(self.generators):
             gm = Matrix.from_scalars(g, ell, field)
             if gm * gm != ident:
@@ -152,22 +174,21 @@ class CoxeterDatum:
             if root is None:
                 raise CoxsaitoError(
                     f"generator {idx} is not the reflection in a hyperplane form")
-            roots.add(root)
+            roots.append(root)
             perms.append(perm)
             self.q_multipliers.append(product)
         # every hyperplane of a reflection group is W-conjugate to the
-        # hyperplane of a generator
-        frontier = list(roots)
-        while frontier:
-            k = frontier.pop()
-            for perm in perms:
-                if perm[k] not in roots:
-                    roots.add(perm[k])
-                    frontier.append(perm[k])
-        if len(roots) != len(self.forms):
+        # hyperplane of a generator; the shortest prefix whose orbits already
+        # cover the forms generates W
+        count = len(self.forms)
+        self.n_generating = next(
+            (n for n in range(1, len(perms) + 1)
+             if len(_orbit_closure(roots[:n], perms[:n])) == count), None)
+        if self.n_generating is None:
+            missed = count - len(_orbit_closure(roots, perms))
             raise CoxsaitoError(
                 "the generators' orbits of their reflecting forms miss "
-                f"{len(self.forms) - len(roots)} of {len(self.forms)} hyperplane forms")
+                f"{missed} of {count} hyperplane forms")
 
     # -- derived data ------------------------------------------------------------
 
@@ -379,6 +400,17 @@ def jacobian(polys, nvars: int) -> Matrix:
     return Matrix([[p.partial(i) for p in polys] for i in range(nvars)])
 
 
+def first_moved(datum: CoxeterDatum, polys):
+    """(generator index, poly index) of the first polynomial moved, scanning
+    generator by generator over the generating prefix, or None when every
+    polynomial is W-invariant."""
+    for idx, s in enumerate(datum.subst[:datum.n_generating]):
+        for j, p in enumerate(polys):
+            if p.subst_linear(s) != p:
+                return idx, j
+    return None
+
+
 def validate_invariants(datum: CoxeterDatum, polys,
                         source: str = "builtin") -> BasicInvariants:
     """Certify candidate basic invariants; raises a ValidationError subclass."""
@@ -395,11 +427,10 @@ def validate_invariants(datum: CoxeterDatum, polys,
 
     # total degrees before any substitution, whose cost grows with the degree
     check_degrees(MultiPoly.total_degree)
-    for idx, s in enumerate(datum.subst):
-        for j, p in enumerate(polys):
-            if p.subst_linear(s) != p:
-                raise NotInvariant(
-                    f"P_{j + 1} is not invariant under generator {idx}")
+    moved = first_moved(datum, polys)
+    if moved is not None:
+        idx, j = moved
+        raise NotInvariant(f"P_{j + 1} is not invariant under generator {idx}")
     check_degrees(MultiPoly.homogeneous_degree)
     if jacobian(polys, ell).det().constant_quotient(datum.form_polys()) is None:
         raise JacobianCriterionFailed(
@@ -411,10 +442,11 @@ def anti_invariant_Q(datum: CoxeterDatum) -> MultiPoly:
     """Product of all hyperplane forms; certified anti-invariant.
 
     Q o s = c_s * Q with c_s from `CoxeterDatum.q_multipliers`, so Q is
-    anti-invariant exactly when every c_s is -1; nothing is substituted.
+    anti-invariant exactly when c_s is -1 for every s of the generating
+    prefix (w -> c_w is then det); nothing is substituted.
     """
     if datum._q is None:
-        for idx, c in enumerate(datum.q_multipliers):
+        for idx, c in enumerate(datum.q_multipliers[:datum.n_generating]):
             if c != -1:
                 raise CoxsaitoError(
                     f"arrangement polynomial is not anti-invariant under generator {idx}")

@@ -173,6 +173,26 @@ def _limb_divides(a: int, b: int, nvars: int) -> bool:
     return True
 
 
+def _signed_permutation(matrix):
+    """(target, negated) when row i of `matrix` has its one nonzero entry
+    +-1 in column target[i] and the targets are distinct, negated listing
+    the rows whose entry is -1; None for any other matrix."""
+    target, negated = [], []
+    for i, row in enumerate(matrix):
+        nonzero = [j for j, v in enumerate(row) if v]
+        if len(nonzero) != 1:
+            return None
+        v = row[nonzero[0]]
+        if v == -1:
+            negated.append(i)
+        elif v != 1:
+            return None
+        target.append(nonzero[0])
+    if len(set(target)) != len(target):
+        return None
+    return target, negated
+
+
 class MultiPoly:
     """A multivariate polynomial with exact coefficients in a fixed field.
 
@@ -407,10 +427,20 @@ class MultiPoly:
         return MultiPoly(self.nvars, terms, self.field, content)
 
     def subst_linear(self, matrix) -> "MultiPoly":
-        """Substitute x_i -> sum_j matrix[i][j] * x_j."""
+        """Substitute x_i -> sum_j matrix[i][j] * x_j.
+
+        A signed permutation matrix (one entry +-1 in each row and column)
+        maps each term to one term: its limbs move to their new places and
+        its sign flips when the exponents of the negated variables sum to an
+        odd number.  Every other matrix expands powers of the substituted
+        forms.
+        """
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise DimensionMismatch("substitution matrix must be nvars x nvars")
+        signed = _signed_permutation(matrix)
+        if signed is not None:
+            return self._permuted(*signed)
         unit = [[1 if j == t else 0 for t in range(n)] for j in range(n)]
         forms = [MultiPoly.from_terms(n, zip(unit, row), self.field) for row in matrix]
         # cache powers of each substituted form on demand
@@ -427,6 +457,24 @@ class MultiPoly:
                 term = term * cache[e]
             result = result + term
         return result
+
+    def _permuted(self, target, negated) -> "MultiPoly":
+        """The image under x_i -> +-x_target[i], with a minus sign exactly
+        for the variables in `negated`."""
+        n = self.nvars
+        top = n * LIMB
+        moves = [((n - 1 - i) * LIMB, (n - 1 - t) * LIMB)
+                 for i, t in enumerate(target)]
+        flips = [(n - 1 - i) * LIMB for i in negated]
+        out = {}
+        for k, c in self.terms.items():
+            key = (k >> top) << top
+            for src, dst in moves:
+                key |= ((k >> src) & MASK) << dst
+            if sum((k >> shift) & MASK for shift in flips) & 1:
+                c = -c
+            out[key] = c
+        return MultiPoly(n, out, self.field, self.content)
 
     def exact_divide(self, divisor: "MultiPoly"):
         """Exact quotient self / divisor, or None when no quotient exists.

@@ -16,7 +16,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-from .coxeter import anti_invariant_Q, poincare_closed_form, poincare_equal
+from .coxeter import (anti_invariant_Q, first_moved, poincare_closed_form,
+                      poincare_equal)
 from .errors import ConfigError, CoxsaitoError
 from .fraction import FactoredFraction
 from .matrix import Matrix
@@ -164,14 +165,13 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
 
         def w_invariant(k=k):
             bk = bk_matrix(k, ctx)
-            for idx, s in enumerate(ctx.datum.subst):
-                for i in range(ell):
-                    for j in range(ell):
-                        p = bk[i, j]
-                        if p.subst_linear(s) != p:
-                            return False, (f"entry ({i + 1},{j + 1}) moved by "
-                                           f"generator {idx}")
-            return True, None
+            moved = first_moved(ctx.datum, [bk[i, j] for i in range(ell)
+                                            for j in range(ell)])
+            if moved is None:
+                return True, None
+            idx, entry = moved
+            i, j = divmod(entry, ell)
+            return False, f"entry ({i + 1},{j + 1}) moved by generator {idx}"
 
         def det_constant(k=k):
             c = bk_matrix(k, ctx).det().constant_value()
@@ -382,7 +382,7 @@ def check_hodge(ctx: SaitoContext, p_max: int):
 
         def w_invariance(p=p):
             for j, theta in enumerate(xi_basis(2 * p - 1, ctx)):
-                for idx in range(len(ctx.datum.generators)):
+                for idx in range(ctx.datum.n_generating):
                     if derivation_transform(theta, ctx, idx) != theta:
                         return False, (f"xi^({2 * p - 1})_{j + 1} moved by "
                                        f"generator {idx}")

@@ -6,11 +6,13 @@ import pytest
 
 from coxsaito.coxeter import build_datum, builtin_invariants
 from coxsaito.errors import NonPolynomialEntry
-from coxsaito.field import FieldContext
-from coxsaito.invariants_io import ingest_invariants, poly_to_json, scalar_to_json
+from coxsaito.field import RATIONALS, FieldContext
+from coxsaito.invariants_io import (datum_to_json, ingest_invariants,
+                                    poly_to_json, scalar_to_json)
 from coxsaito.matrix import Matrix
 from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly
-from coxsaito.saito import (PolyDerivation, build_context, jdkx, nabla_D,
+from coxsaito.saito import (PolyDerivation, build_context,
+                            derivation_transform, jdkx, nabla_D, xi_basis,
                             xi_coefficient_matrix)
 from coxsaito.verify import run_suites
 
@@ -107,6 +109,72 @@ def h3_context(tmp_path_factory):
     path.write_text(json.dumps(h3_document()), encoding="utf-8")
     datum, inv = ingest_invariants(path)
     return build_context(datum, inv)
+
+
+def _a3_transposition(i, j):
+    """The matrix of the transposition (i+1 j+1) of S_4 acting on the A3
+    realization, where x_4 = -(x_1 + x_2 + x_3) is projected out."""
+    m = [[int(r == c) for c in range(3)] for r in range(3)]
+    if j == 3:  # x_i <-> x_4, as the last generator of the built-in A3
+        for r in range(3):
+            m[r][i] = -1
+    else:
+        m[i][i] = m[j][j] = 0
+        m[i][j] = m[j][i] = 1
+    return m
+
+
+A3_TRANSPOSITIONS = [(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+def a3_transposition_document():
+    """A3 with all six transposition reflections of S_4 as generators,
+    (1 2), (3 4), (1 3), (1 4), (2 3), (2 4): the first two commute, so the
+    shortest generating prefix is the first three of six."""
+    datum = build_datum("A", 3)
+    doc = datum_to_json(datum, builtin_invariants(datum))
+    doc["generators"] = [[[scalar_to_json(v, RATIONALS) for v in row]
+                          for row in _a3_transposition(i, j)]
+                         for i, j in A3_TRANSPOSITIONS]
+    return doc
+
+
+def first_moved_by_any(datum, polys):
+    """(generator index, poly index) of the first polynomial moved, scanning
+    every listed generator in order: the reference for `first_moved`, which
+    scans only the generating prefix."""
+    for idx, s in enumerate(datum.subst):
+        for j, p in enumerate(polys):
+            if p.subst_linear(s) != p:
+                return idx, j
+    return None
+
+
+def winv_witness_by_any(m, ctx):
+    """The `hodge.winv` witness for xi^(m), every listed generator tried on
+    each basis element, or None when the basis is W-invariant."""
+    for j, theta in enumerate(xi_basis(m, ctx)):
+        for idx in range(len(ctx.datum.generators)):
+            if derivation_transform(theta, ctx, idx) != theta:
+                return f"xi^({m})_{j + 1} moved by generator {idx}"
+    return None
+
+
+def expanded_subst(f, matrix):
+    """x_i -> sum_j matrix[i][j] * x_j by expanding every term into products
+    of powers of the substituted forms: the oracle for the one-term-per-term
+    signed-permutation route of `MultiPoly.subst_linear`."""
+    n, field = f.nvars, f.field
+    forms = [MultiPoly.from_terms(
+        n, [([int(t == j) for t in range(n)], v) for j, v in enumerate(row)],
+        field) for row in matrix]
+    out = MultiPoly.zero(n, field)
+    for exps, c in f.iter_terms():
+        term = MultiPoly.const(n, c, field)
+        for form, e in zip(forms, exps):
+            term = term * form ** e
+        out = out + term
+    return out
 
 
 def takes_kronecker(a: dict, b: dict, nvars: int) -> bool:

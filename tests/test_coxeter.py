@@ -66,6 +66,8 @@ def test_builtin_daten_structural_invariants(label, rank):
         g = Matrix.from_scalars(g, ell, d.field)
         assert g * g == ident
         assert g.transpose() * gram * g == gram
+    # a simple system: no proper prefix of it generates W
+    assert d.n_generating == len(d.generators) == ell
 
 
 _B2_FORMS = [[1, 0], [0, 1], [1, -1], [1, 1]]

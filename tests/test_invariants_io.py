@@ -1,21 +1,28 @@
 import json
 
 import pytest
-from conftest import ladder_jdkx_inv
+from conftest import (a3_transposition_document, first_moved_by_any,
+                      h3_document, ladder_jdkx_inv, winv_witness_by_any,
+                      with_entry)
 
 from coxsaito.coxeter import anti_invariant_Q, build_datum, builtin_invariants
-from coxsaito.errors import JacobianCriterionFailed, ParseError
-from coxsaito.invariants_io import datum_to_json, ingest_invariants
+from coxsaito.errors import JacobianCriterionFailed, NotInvariant, ParseError
+from coxsaito.invariants_io import datum_to_json, ingest_invariants, poly_to_json
 from coxsaito.poly import MultiPoly
-from coxsaito.saito import bk_matrix, build_context, contact_defect, jdkx_inv
-from coxsaito.verify import (check_flat_remark, check_metric,
-                             check_thm24_thm25_prop26)
+from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
+                            contact_defect, jdkx_inv, xi_basis)
+from coxsaito.verify import (check_flat_remark, check_hodge, check_lemma21,
+                             check_metric, check_thm24_thm25_prop26)
 
 
 def write_doc(tmp_path, doc, name="group.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def ingest_document(doc, tmp_path, name="group.json"):
+    return ingest_invariants(write_doc(tmp_path, doc, name))
 
 
 def test_b2_roundtrip_through_file(tmp_path):
@@ -39,7 +46,6 @@ def test_dependent_invariants_rejected(tmp_path):
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
     p1 = x * x + y * y
-    from coxsaito.invariants_io import poly_to_json
     doc["invariants"][1] = poly_to_json(p1 * p1)
     path = write_doc(tmp_path, doc)
     with pytest.raises(JacobianCriterionFailed):
@@ -157,3 +163,97 @@ def test_h3_jdkx_inv_matches_reduced_minor_ladder(h3_context):
     # the differential oracle of test_saito over Q(sqrt 5)
     for k in (1, 2):
         assert jdkx_inv(k, h3_context) == ladder_jdkx_inv(k, h3_context), k
+
+
+def test_h3_generating_prefix(h3_context):
+    # generators 0-2 are the coordinate sign changes, whose orbits of their
+    # forms are themselves; generator 3 joins them to the other twelve
+    datum = h3_context.datum
+    assert len(datum.generators) == 15
+    assert datum.n_generating == 4
+
+
+def test_h3_lemma21_and_hodge_pass(h3_context):
+    results = check_lemma21(h3_context, 1) + check_hodge(h3_context, 1)
+    assert [(r.name, r.status) for r in results] == [
+        (name, "pass") for name in (
+            "lemma21.1d/k=1", "lemma21.1w/k=1", "lemma21.2/k=1",
+            "lemma21.3/k=1", "lemma21.4/k=1", "hodge.disc", "hodge.winv/p=1",
+            "hodge.g0/p=1", "hodge.poincare/p=1", "hodge.contact/p=1")]
+
+
+def test_redundant_generators_give_a_shorter_prefix(tmp_path):
+    datum, invariants = ingest_document(a3_transposition_document(), tmp_path)
+    assert len(datum.generators) == 6
+    assert datum.n_generating == 3
+    assert invariants.validated
+
+
+def test_generators_whose_full_orbits_miss_a_form_are_refused(tmp_path):
+    # (1 2) and (3 4) alone reach only their own two forms
+    doc = a3_transposition_document()
+    doc["generators"] = doc["generators"][:2]
+    with pytest.raises(ParseError, match="orbits of their reflecting forms "
+                                         "miss 4 of 6 hyperplane forms"):
+        ingest_document(doc, tmp_path)
+
+
+# Each file lists more generators than its generating prefix.  A tamper adds
+# x_var^deg, which generator 0 fixes and prefix generator `mover` moves
+# first, to P_2, to the B^(1) entry `entry` (one of positive degree) and to
+# the x_var coefficient of the last xi^(1); the witness found on the prefix
+# must be the one that scanning every listed generator gives.
+FILES = {"a3-transpositions": (a3_transposition_document, 2, (2, 2), 1),
+         "h3": (h3_document, 1, (1, 2), 3)}
+
+
+def _power(datum, var, degree):
+    return MultiPoly.variable(datum.rank, var, datum.field) ** degree
+
+
+@pytest.mark.parametrize("name", list(FILES))
+def test_not_invariant_message_matches_every_generator_scan(name, tmp_path):
+    make_doc, var, _, mover = FILES[name]
+    datum, invariants = ingest_document(make_doc(), tmp_path, "clean.json")
+    polys = list(invariants.polys)
+    polys[1] = polys[1] + _power(datum, var, polys[1].total_degree())
+    doc = make_doc()
+    doc["invariants"][1] = poly_to_json(polys[1])
+    with pytest.raises(NotInvariant) as err:
+        ingest_document(doc, tmp_path)
+    assert first_moved_by_any(datum, polys) == (mover, 1)
+    assert str(err.value) == f"P_2 is not invariant under generator {mover}"
+
+
+@pytest.mark.parametrize("name", list(FILES))
+def test_lemma21_w_witness_matches_every_generator_scan(name, tmp_path):
+    make_doc, var, (i, j), mover = FILES[name]
+    ctx = build_context(*ingest_document(make_doc(), tmp_path))
+    ell = ctx.rank
+    b1 = bk_matrix(1, ctx)
+    entry = b1[i, j]
+    b1 = with_entry(b1, i, j, entry + _power(ctx.datum, var,
+                                              entry.homogeneous_degree()))
+    ctx.bk_table[1] = b1
+    entries = [b1[a, b] for a in range(ell) for b in range(ell)]
+    assert first_moved_by_any(ctx.datum, entries) == (mover, i * ell + j)
+    witness = next(r.witness for r in check_lemma21(ctx, 1)
+                   if r.name == "lemma21.1w/k=1")
+    assert witness == f"entry ({i + 1},{j + 1}) moved by generator {mover}"
+
+
+@pytest.mark.parametrize("name", list(FILES))
+def test_hodge_winv_witness_matches_every_generator_scan(name, tmp_path):
+    make_doc, var, _, mover = FILES[name]
+    ctx = build_context(*ingest_document(make_doc(), tmp_path))
+    xis = list(xi_basis(1, ctx))
+    coeffs = list(xis[-1].coeffs)
+    coeffs[var] = coeffs[var] + _power(ctx.datum, var,
+                                       coeffs[var].homogeneous_degree())
+    xis[-1] = PolyDerivation("X", coeffs)
+    ctx.xi_table[1] = xis
+    reference = winv_witness_by_any(1, ctx)
+    assert reference == f"xi^(1)_{len(xis)} moved by generator {mover}"
+    witness = next(r.witness for r in check_hodge(ctx, 1)
+                   if r.name == "hodge.winv/p=1")
+    assert witness == reference

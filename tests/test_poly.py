@@ -3,12 +3,12 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
-from conftest import takes_kronecker
+from conftest import expanded_subst, takes_kronecker
 
 from coxsaito.errors import CoxsaitoError, DimensionMismatch, DivisionByZero
 from coxsaito.field import RATIONALS, FieldContext
 from coxsaito.poly import (LIMB, MASK, MultiPoly, _int_product, _kronecker_product,
-                           contact_order, pack)
+                           _signed_permutation, contact_order, pack)
 
 
 def xy():
@@ -29,6 +29,27 @@ def test_subst_swap():
     f = x * x - y * y
     swapped = f.subst_linear([[0, 1], [1, 0]])
     assert swapped == y * y - x * x
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2, 0], [0, 1]],                              # an entry other than +-1
+    [[1, 1], [0, 1]],                              # two entries in a row
+    [[0, 1], [0, -1]],                             # two rows on one column
+    [[Fraction(1, 2), 0], [0, 1]],
+], ids=["scaled", "shear", "repeated-column", "fraction"])
+def test_other_matrices_take_the_expansion(matrix):
+    x, y = xy()
+    f = x ** 3 * y - 2 * x * y ** 2 + y
+    assert _signed_permutation(matrix) is None
+    assert f.subst_linear(matrix) == expanded_subst(f, matrix)
+
+
+def test_signed_swap_flips_odd_exponents_only():
+    x, y = xy()
+    f = x ** 3 * y ** 2 + x ** 2 * y - y ** 4
+    # x -> -y, y -> x
+    assert f.subst_linear([[0, -1], [1, 0]]) == (
+        -(y ** 3) * x ** 2 + y ** 2 * x - x ** 4)
 
 
 def test_jacobian_column_of_sum_of_squares():

@@ -9,7 +9,9 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import H3_FIELD, H3_TAU, h3_roots, takes_kronecker
+import pytest
+
+from conftest import H3_FIELD, H3_TAU, expanded_subst, h3_roots, takes_kronecker
 
 from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
                               jacobian)
@@ -17,7 +19,8 @@ from coxsaito.field import FieldContext, RATIONALS, _poly_divmod
 from coxsaito.errors import NonPolynomialEntry, SingularMatrix
 from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix
-from coxsaito.poly import MultiPoly, contact_order, pack, unpack
+from coxsaito.poly import (MultiPoly, _signed_permutation, contact_order, pack,
+                           unpack)
 
 SQRT5 = FieldContext((-5, 0, 1), "sqrt(5)")
 
@@ -647,6 +650,35 @@ def run_substitution_roundtrip(iterations=ITERATIONS, seed=16180339) -> int:
     return tested
 
 
+def run_signed_permutation_oracle(iterations=ITERATIONS, seed=27315) -> int:
+    """`subst_linear` by a random signed permutation matrix against
+    `expanded_subst`, in 1-4 variables, every other instance over
+    Q(sqrt 5); each matrix is checked to take the signed-permutation route,
+    and terms whose negated variables carry odd and even exponents both
+    occur."""
+    rng = random.Random(seed)
+    seen = {"odd": 0, "even": 0}
+    tested = 0
+    while tested < iterations:
+        field = SQRT5 if tested % 2 else RATIONALS
+        n = 1 + tested // 2 % 4
+        target = list(range(n))
+        rng.shuffle(target)
+        negated = [i for i in range(n) if rng.random() < 0.5]
+        matrix = [[field.coerce(0 if j != target[i] else -1 if i in negated else 1)
+                   for j in range(n)] for i in range(n)]
+        assert _signed_permutation(matrix) == (target, negated)
+        f = _random_poly(rng, field, n, 5, rng.randint(1, 6))
+        assert f.subst_linear(matrix) == expanded_subst(f, matrix)
+        for k in f.terms:
+            exps = unpack(k, n)
+            for i in negated:
+                seen["odd" if exps[i] % 2 else "even"] += 1
+        tested += 1
+    assert min(seen.values()) >= iterations // 10, seen
+    return tested
+
+
 def _oracle_lowest_power(f, form):
     """The substitution route: change variables so the form becomes the pivot
     coordinate, then read off the least pivot exponent."""
@@ -892,6 +924,48 @@ def _packed_paths(f, g, quotient):
     return rescales, False
 
 
+def _slot_peak(f, g):
+    """(largest |slot| read, first slot width) for the packed remainder of
+    number-field `exact_divide(f, g)`, g monic and dividing f, replayed on
+    unpacked vectors from the rule in `FieldContext.elimination_operands`:
+    each remainder term is its 2d-1 slots over the common denominator D,
+    rescaled whenever D grows, and each step subtracts the products of w
+    and the divisor's other terms slot by slot."""
+    field = f.field
+    n = 2 * field.degree - 1
+    lead_key = max(g.terms)
+    den, fbits = _cleared_bits(f.terms.values())
+    others = {k: c for k, c in g.terms.items() if k != lead_key}
+    e, gbits = _cleared_bits(others.values())
+    bits = (fbits + gbits + e.bit_length()
+            + (field.degree * (len(f.terms) + len(g.terms))).bit_length() + 1)
+
+    def cleared(c, over):
+        return [v * (over // c.den) for v in c.num]
+
+    r = {k: cleared(c, den) + [0] * (n - field.degree) for k, c in f.terms.items()}
+    rest = {k: cleared(c, e) for k, c in others.items()}
+    peak = 0
+    while r:
+        m = max(r)
+        v = r.pop(m)
+        peak = max(peak, *map(abs, v))
+        qc = field.reduce(v, den)
+        if not any(qc.num):
+            continue
+        need = qc.den * e
+        s = need // math.gcd(den, need)
+        den *= s
+        r = {k: [v * s for v in vec] for k, vec in r.items()}
+        w = [c * (den // need) for c in qc.num]
+        for k, gv in rest.items():
+            vec = r.setdefault(k + m - lead_key, [0] * n)
+            for a, wa in enumerate(w):
+                for b, gb in enumerate(gv):
+                    vec[a + b] -= wa * gb
+    return peak, bits
+
+
 def _fractional_scalar(rng, field):
     """A scalar with denominator > 1 and an irrational part: neither 1 nor
     integral."""
@@ -1074,3 +1148,26 @@ def test_nf_product_matches_per_pair_oracle_thousand():
 
 def test_nf_exact_divide_matches_max_loop_oracle_thousand():
     assert run_nf_divide_oracle() >= 1000
+
+
+def test_signed_permutation_substitution_matches_expansion_thousand():
+    assert run_signed_permutation_oracle() >= 1000
+
+
+@pytest.mark.parametrize("field,power,steps", [
+    (SQRT5, 4, 20), (build_datum("I2", 5).field, 4, 30),
+    (build_datum("I2", 7).field, 6, 40)])
+def test_nf_exact_divide_slots_pass_first_width(field, power, steps):
+    # f = u (x^(s+1) - y^(s+1))^j has small coefficients and g = (x - y)^j
+    # divides it with quotient u (x^s + ... + y^s)^j, whose coefficients
+    # grow like s^(j-1): the remainder's real slots pass the first width,
+    # so the quotient is right only if the width doubles in time
+    x, y = (MultiPoly.variable(2, i, field) for i in range(2))
+    u = field.from_coeffs([1, 2] + [0] * (field.degree - 2))
+    f = (x ** (steps + 1) - y ** (steps + 1)) ** power * u
+    g = (x - y) ** power
+    peak, bits = _slot_peak(f, g)
+    assert peak >= 1 << (bits - 1), (peak.bit_length(), bits)
+    want, divides, _ = _max_loop_divide(f, g)
+    got = f.exact_divide(g)
+    assert divides and got is not None and got.terms == want
