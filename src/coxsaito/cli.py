@@ -123,7 +123,7 @@ def run_basis(config: RunConfig, m: int) -> int:
     if config.fmt == "json":
         doc = {"group": datum.label(), "field": datum.field.describe(), "m": m,
                "basis": [{"j": j + 1,
-                          "degree": derivation_degree(theta, ctx),
+                          "degree": derivation_degree(theta),
                           "derivation": theta.render()}
                          for j, theta in enumerate(xis)],
                "note": FORM_NOTE}
@@ -131,7 +131,7 @@ def run_basis(config: RunConfig, m: int) -> int:
     else:
         lines = [f"group {datum.label()}  field {datum.field.describe()}  m={m}"]
         for j, theta in enumerate(xis):
-            deg = derivation_degree(theta, ctx)
+            deg = derivation_degree(theta)
             lines.append(f"xi^({m})_{j + 1}  (degree {deg})")
             lines.append(f"  = {theta.render()}")
         lines.append(f"note: {FORM_NOTE}")

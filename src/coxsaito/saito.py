@@ -11,9 +11,15 @@ entire pipeline.
 All row/column conventions follow the row-vector style of the source
 identities: a tuple of derivations is a row, coefficient matrices multiply it
 from the right, and a single derivation's coefficients form a column.  The
-rows the theorems speak of, xi^(m) (`xi_basis`, coordinate frame) and
-nabla_D^t xi^(m) (`nabla_xi`, invariant frame), are each built once here, and
-so is their contact order along the hyperplanes (`contact_defect`).
+rows the theorems speak of, xi^(m) (`xi_basis`) and nabla_D^t xi^(m)
+(`nabla_xi`), are each built once here, and so is their contact order along
+the hyperplanes (`contact_defect`).
+
+A derivation is held by its coefficients in the coordinate frame d/dX_i and
+nowhere else.  nabla is the flat connection of V, whose Christoffel symbols
+vanish in the coordinates X, so `nabla_D` applies D to each coefficient.  The
+invariant frame d/dP_j appears only where a theorem is stated in it: `verify`
+multiplies a coefficient column by J(P)^T there.
 """
 
 from __future__ import annotations
@@ -27,14 +33,11 @@ from .poly import MultiPoly, contact_order
 
 
 class PolyDerivation:
-    """A derivation written in the coordinate frame ('X') or invariant frame ('P')."""
+    """A derivation sum_i c_i d/dX_i, held by its coordinate-frame coefficients."""
 
-    __slots__ = ("frame", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, frame: str, coeffs):
-        if frame not in ("X", "P"):
-            raise ValueError("frame must be 'X' or 'P'")
-        self.frame = frame
+    def __init__(self, coeffs):
         self.coeffs = tuple(
             c if isinstance(c, FactoredFraction) else FactoredFraction.from_poly(c)
             for c in coeffs)
@@ -55,37 +58,30 @@ class PolyDerivation:
     def __eq__(self, other):
         if not isinstance(other, PolyDerivation):
             return NotImplemented
-        return (self.frame == other.frame
-                and len(self.coeffs) == len(other.coeffs)
+        return (len(self.coeffs) == len(other.coeffs)
                 and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
 
     def render(self, names=None) -> str:
         from .poly import default_names
-        if self.frame == "X":
-            names = names or default_names(len(self.coeffs))
-            basis = [f"d/d{n}" for n in names]
-        else:
-            basis = [f"d/dP{i + 1}" for i in range(len(self.coeffs))]
-        parts = [f"({c.render(names)})*{basis[i]}"
+        names = names or default_names(len(self.coeffs))
+        parts = [f"({c.render(names)})*d/d{names[i]}"
                  for i, c in enumerate(self.coeffs) if not c.is_zero()]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
-        return f"PolyDerivation[{self.frame}]({self.render()})"
+        return f"PolyDerivation({self.render()})"
 
 
-def derivation_degree(theta: PolyDerivation, ctx: "SaitoContext"):
+def derivation_degree(theta: PolyDerivation):
     """Homogeneity degree of a derivation; None if inhomogeneous."""
     degs = set()
-    for j, c in enumerate(theta.coeffs):
+    for c in theta.coeffs:
         s = c.simplify()
         if s.is_zero():
             continue
         d = s.homogeneous_degree()
         if d is None:
             return None
-        if theta.frame == "P":
-            d -= ctx.datum.exponents[j] + 1
         degs.add(d)
     if len(degs) != 1:
         return None
@@ -99,14 +95,16 @@ class SaitoContext:
     value-identical, so a context can be shared across concurrent readers.
     Each construction has one table, keyed by k, by m for `xi_table` and
     `contact_table` (`contact_defect`), and by (m, t) for `nabla_xi_table`
-    (nabla_D^t xi^(m)); the last two are filled from `xi_table`.
+    (nabla_D^t xi^(m)); the last two are filled from `xi_table`.  Every
+    cached derivation is in the coordinate frame; J(P) serves the chain rule
+    (`dp_apply`) and the invariant-frame matrices that `verify` forms for
+    Theorem 2.4 and Proposition 2.6.
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
-                 "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
-                 "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
-                 "contact_table", "q_base", "_bk_memo", "_metric_G_inv",
-                 "_gamma_conn")
+                 "metric_G", "dkx_table", "jdkx_inv_table", "bk_table",
+                 "christoffel_table", "xi_table", "nabla_xi_table",
+                 "contact_table", "q_base", "_bk_memo", "_metric_G_inv")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -124,7 +122,6 @@ class SaitoContext:
         xs = tuple(FactoredFraction.from_poly(
             MultiPoly.variable(ell, i, datum.field)) for i in range(ell))
         self.dkx_table: dict = {0: xs}
-        self.jdkx_table: dict = {}
         self.jdkx_inv_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
         self.bk_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
         self._bk_memo: dict = {}
@@ -133,7 +130,6 @@ class SaitoContext:
         self.nabla_xi_table: dict = {}
         self.contact_table: dict = {}
         self._metric_G_inv = None
-        self._gamma_conn = None
 
     @property
     def rank(self) -> int:
@@ -199,17 +195,10 @@ def dkx(k: int, ctx: SaitoContext):
 
 def jdkx(k: int, ctx: SaitoContext) -> Matrix:
     """Jacobian matrix of D^k[X]: entry (i, j) = d(D^k[X_j]) / dX_i."""
-    if k == 0:
-        return Matrix.identity(ctx.rank, ctx.rank, ctx.datum.field)
-    table = ctx.jdkx_table
-    if k not in table:
-        vec = dkx(k, ctx)
-        table[k] = Matrix([[vec[j].partial(i).simplify() for j in range(ctx.rank)]
-                           for i in range(ctx.rank)])
-    return table[k]
+    return jacobian(dkx(k, ctx), ctx.rank).simplify()
 
 
-# -- B^(k), the inverses of J(D^k[X]), Christoffel matrices, connection -----------
+# -- B^(k), the inverses of J(D^k[X]), Christoffel matrices ---------------------
 
 
 def _certify_poly_matrix(m: Matrix, what: str) -> Matrix:
@@ -304,81 +293,43 @@ def christoffel_star(k: int, ctx: SaitoContext) -> Matrix:
     return table[k]
 
 
-def gamma_connection(ctx: SaitoContext) -> Matrix:
-    """Gamma_l = -G^{-1} Gamma*_l, the connection matrix of the covariant
-    derivative along the primitive derivation in the invariant frame."""
-    if ctx._gamma_conn is None:
-        star = christoffel_star(ctx.rank, ctx)
-        ctx._gamma_conn = (-(ctx.metric_G_inv() * star)).simplify()
-    return ctx._gamma_conn
+# -- connection, application, bracket ----------------------------------------------
 
 
 def nabla_D(theta: PolyDerivation, ctx: SaitoContext) -> PolyDerivation:
-    """Covariant derivative along the primitive derivation, invariant frame.
+    """Covariant derivative along the primitive derivation.
 
-    Coefficient columns map by c -> Gamma_l^T c + D[c].
+    nabla is the flat connection of V: its Christoffel symbols vanish in the
+    coordinates X, so nabla_D theta = sum_i D[theta(X_i)] d/dX_i.
     """
-    if theta.frame != "P":
-        raise ValueError("nabla_D expects an invariant-frame derivation")
-    gamma = gamma_connection(ctx)
-    c = theta.coeffs
-    out = []
-    for i in range(ctx.rank):
-        acc = primitive_derivation_apply(c[i], ctx)
-        for j in range(ctx.rank):
-            g = gamma[j, i]
-            if not g or not c[j]:
-                continue
-            acc = acc + g * c[j]
-        out.append(acc.simplify())
-    return PolyDerivation("P", out)
-
-
-# -- frames, application, bracket ------------------------------------------------------
-
-
-def frame_convert(theta: PolyDerivation, target: str, ctx: SaitoContext) -> PolyDerivation:
-    """theta in the target frame: the coefficient row times J(P) into the
-    invariant frame (c_P = J(P)^T c_X), times J(P)^{-1} back into coordinates."""
-    if target not in ("X", "P"):
-        raise ValueError("target frame must be 'X' or 'P'")
-    if theta.frame == target:
-        return theta
-    change = ctx.jac_P if target == "P" else ctx.jac_P_inv
-    row = (Matrix([theta.coeffs]) * change).simplify()
-    return PolyDerivation(target, row.entries[0])
+    return PolyDerivation([primitive_derivation_apply(c, ctx) for c in theta.coeffs])
 
 
 def derivation_apply(theta: PolyDerivation, f, ctx: SaitoContext) -> FactoredFraction:
-    """theta(f) = sum_i c_i df/dX_i, with c the coordinate-frame coefficients
-    of theta (an invariant-frame theta is converted first)."""
-    return _apply_coeffs(frame_convert(theta, "X", ctx).coeffs, f, ctx)
+    """theta(f) = sum_i c_i df/dX_i."""
+    return _apply_coeffs(theta.coeffs, f, ctx)
 
 
 def derivation_bracket(theta: PolyDerivation, eta: PolyDerivation,
                        ctx: SaitoContext) -> PolyDerivation:
-    """Lie bracket, computed coefficientwise in the coordinate frame."""
-    tx = frame_convert(theta, "X", ctx)
-    ex = frame_convert(eta, "X", ctx)
-    out = []
-    for i in range(ctx.rank):
-        a = derivation_apply(tx, ex.coeffs[i], ctx)
-        b = derivation_apply(ex, tx.coeffs[i], ctx)
-        out.append((a - b).simplify())
-    return PolyDerivation("X", out)
+    """Lie bracket, computed coefficientwise: [theta, eta]_i = theta(eta_i) -
+    eta(theta_i)."""
+    return PolyDerivation([
+        (derivation_apply(theta, e, ctx) - derivation_apply(eta, t, ctx)).simplify()
+        for t, e in zip(theta.coeffs, eta.coeffs)])
 
 
 def primitive_derivation(ctx: SaitoContext) -> PolyDerivation:
-    """The primitive derivation as a coordinate-frame derivation."""
-    return PolyDerivation("X", dkx(1, ctx))
+    """The primitive derivation D = sum_i D[X_i] d/dX_i."""
+    return PolyDerivation(dkx(1, ctx))
 
 
 # -- the basis construction ------------------------------------------------------------
 
 
 def xi_basis(m: int, ctx: SaitoContext):
-    """The l basis derivations of contact order m, coordinate frame, with
-    polynomial coefficients.  Coefficient matrix: A J(D^k[X])^{-1} (m = 2k),
+    """The l basis derivations of contact order m, with polynomial
+    coefficients.  Coefficient matrix: A J(D^k[X])^{-1} (m = 2k),
     with a trailing J(P) factor for odd m = 2k+1; `jdkx_inv` certifies its
     factor polynomial, so the product is."""
     if m < 0:
@@ -389,19 +340,19 @@ def xi_basis(m: int, ctx: SaitoContext):
         prod = ctx.gram_poly * jdkx_inv(k, ctx)
         if m % 2 == 1:
             prod = prod * ctx.jac_P
-        table[m] = [PolyDerivation("X", prod.column(j)) for j in range(ctx.rank)]
+        table[m] = [PolyDerivation(prod.column(j)) for j in range(ctx.rank)]
     return table[m]
 
 
 def nabla_xi(m: int, t: int, ctx: SaitoContext):
-    """nabla_D^t of the xi^(m) row, invariant frame, cached by (m, t): t = 0
-    converts `xi_basis(m)`, so a tampered `xi_table[m]` reaches every power."""
+    """nabla_D^t of the xi^(m) row, cached by (m, t): t = 0 is `xi_basis(m)`
+    itself, so a tampered `xi_table[m]` reaches every power."""
     if t < 0:
         raise ValueError("t must be >= 0")
     table = ctx.nabla_xi_table
     if (m, t) not in table:
         if t == 0:
-            row = [frame_convert(theta, "P", ctx) for theta in xi_basis(m, ctx)]
+            row = xi_basis(m, ctx)
         else:
             row = [nabla_D(theta, ctx) for theta in nabla_xi(m, t - 1, ctx)]
         table[(m, t)] = tuple(row)
@@ -409,7 +360,7 @@ def nabla_xi(m: int, t: int, ctx: SaitoContext):
 
 
 def xi_coefficient_matrix(m: int, ctx: SaitoContext) -> Matrix:
-    """Columns are the coordinate-frame coefficient vectors of xi^(m)_j."""
+    """Columns are the coefficient vectors of xi^(m)_j."""
     return Matrix([theta.poly_coeffs() for theta in xi_basis(m, ctx)]).transpose()
 
 
@@ -435,8 +386,7 @@ def contact_defect(m: int, ctx: SaitoContext):
 
 def derivation_transform(theta: PolyDerivation, ctx: SaitoContext,
                          gen_index: int) -> PolyDerivation:
-    """Image of a polynomial coordinate-frame derivation under one generator."""
-    theta = frame_convert(theta, "X", ctx)
+    """Image of a polynomial derivation under one generator."""
     polys = theta.poly_coeffs()
     datum = ctx.datum
     sub = datum.subst[gen_index]
@@ -450,4 +400,4 @@ def derivation_transform(theta: PolyDerivation, ctx: SaitoContext,
             if not field.is_zero(v):
                 acc = acc + polys[j] * v
         mixed.append(acc)
-    return PolyDerivation("X", [p.subst_linear(sub) for p in mixed])
+    return PolyDerivation([p.subst_linear(sub) for p in mixed])

@@ -290,8 +290,11 @@ def check_lemma22(ctx: SaitoContext):
 
 
 def _nabla_matrix(m: int, t: int, ctx: SaitoContext) -> Matrix:
-    """Columns: coefficients of nabla_D^t xi^(m)_j in the invariant frame."""
-    return Matrix([theta.coeffs for theta in nabla_xi(m, t, ctx)]).transpose()
+    """Columns: coefficients of nabla_D^t xi^(m)_j in the invariant frame, the
+    one Theorem 2.4 and Proposition 2.6 are stated in: J(P)^T times the
+    coordinate-frame columns."""
+    columns = Matrix([theta.coeffs for theta in nabla_xi(m, t, ctx)]).transpose()
+    return (ctx.jac_P.transpose() * columns).simplify()
 
 
 def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
@@ -312,7 +315,7 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
             k = m // 2
             for j, theta in enumerate(xi_basis(m, ctx)):
                 want = k * h if m % 2 == 0 else k * h + exps[j]
-                got = derivation_degree(theta, ctx)
+                got = derivation_degree(theta)
                 if got != want:
                     return False, f"deg xi^({m})_{j + 1} = {got}, expected {want}"
             return True, None

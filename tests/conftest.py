@@ -11,7 +11,7 @@ from coxsaito.invariants_io import (datum_to_json, ingest_invariants,
                                     poly_to_json, scalar_to_json)
 from coxsaito.matrix import Matrix
 from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly
-from coxsaito.saito import (PolyDerivation, build_context,
+from coxsaito.saito import (build_context, christoffel_star, d_apply_matrix,
                             derivation_transform, jdkx, nabla_D, xi_basis,
                             xi_coefficient_matrix)
 from coxsaito.verify import run_suites
@@ -272,11 +272,22 @@ def ladder_jdkx_inv(k, ctx):
     return minors.adjugate() * ctx.datum.field.invert(c)
 
 
-def xi_p_reference(m, ctx):
-    """Reference invariant-frame xi^(m) row: the columns of J(P)^T Xi, with
-    Xi the coordinate-frame coefficient matrix of xi^(m)."""
+def christoffel_nabla_reference(columns, ctx):
+    """Reference nabla_D on invariant-frame coefficient columns, by the
+    Christoffel route instead of the flat coordinates: with the connection
+    matrix Gamma_l = -G^-1 Gamma*_l, each column c maps to Gamma_l^T c + D[c]."""
+    gamma = -(ctx.metric_G_inv() * christoffel_star(ctx.rank, ctx))
+    return (gamma.simplify().transpose() * columns
+            + d_apply_matrix(columns, ctx)).simplify()
+
+
+def nabla_matrix_reference(m, t, ctx):
+    """Reference invariant-frame matrix of nabla_D^t xi^(m): J(P)^T Xi, with
+    Xi the coefficient matrix of xi^(m), then t Christoffel steps."""
     mat = ctx.jac_P.transpose() * xi_coefficient_matrix(m, ctx)
-    return [PolyDerivation("P", mat.column(j)) for j in range(ctx.rank)]
+    for _ in range(t):
+        mat = christoffel_nabla_reference(mat, ctx)
+    return mat
 
 
 def nabla_power_reference(theta, t, ctx):

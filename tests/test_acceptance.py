@@ -95,7 +95,7 @@ def test_criterion_3_degree_law(label, rank):
         k = m // 2
         for j, theta in enumerate(xi_basis(m, ctx)):
             want = k * h if m % 2 == 0 else k * h + exps[j]
-            got = derivation_degree(theta, ctx)
+            got = derivation_degree(theta)
             assert got == want, (label, rank, m, j, got, want)
     _announce(f"3[{ctx.datum.label()}]", True, "(degrees kh / kh+m_j, m <= 7)")
 
@@ -164,7 +164,7 @@ def test_criterion_7_mutation_xi3():
     ctx = fresh_context("B", 2)
     xis = xi_basis(3, ctx)
     tampered = PolyDerivation(
-        "X", [xis[0].coeffs[0] + MultiPoly.const(2, 1), xis[0].coeffs[1]])
+        [xis[0].coeffs[0] + MultiPoly.const(2, 1), xis[0].coeffs[1]])
     ctx.xi_table[3] = [tampered, xis[1]]
     results = check_thm24_thm25_prop26(ctx, 1, 3)
     fails = [r for r in results if r.status == "fail"]

@@ -2,8 +2,8 @@ import json
 
 import pytest
 from conftest import (a3_transposition_document, first_moved_by_any,
-                      h3_document, ladder_jdkx_inv, winv_witness_by_any,
-                      with_entry)
+                      h3_document, ladder_jdkx_inv, nabla_matrix_reference,
+                      winv_witness_by_any, with_entry)
 
 from coxsaito.coxeter import anti_invariant_Q, build_datum, builtin_invariants
 from coxsaito.errors import JacobianCriterionFailed, NotInvariant, ParseError
@@ -11,8 +11,9 @@ from coxsaito.invariants_io import datum_to_json, ingest_invariants, poly_to_jso
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
                             contact_defect, jdkx_inv, xi_basis)
-from coxsaito.verify import (check_flat_remark, check_hodge, check_lemma21,
-                             check_metric, check_thm24_thm25_prop26)
+from coxsaito.verify import (_nabla_matrix, check_flat_remark, check_hodge,
+                             check_lemma21, check_metric,
+                             check_thm24_thm25_prop26)
 
 
 def write_doc(tmp_path, doc, name="group.json"):
@@ -139,12 +140,22 @@ def test_h3_q_multipliers_match_substitution(h3_context):
 
 
 def test_h3_theorem_suite_passes(h3_context):
-    results = check_thm24_thm25_prop26(h3_context, 1, 1)
-    assert [(r.name, r.status) for r in results] == [
-        (f"{name}/m={m}", "pass") for m in (0, 1)
-        for name in ("thm25.member", "thm25.basis", "thm25.2")] + [
-        ("thm24.1/k=1", "pass"), ("thm24.2/k=1", "pass"),
-        ("prop26/k=1", "pass")]
+    # at depth (2, 3), nabla_D runs to nabla_D^2 xi^(3) over Q(sqrt 5)
+    for k_max, m_max in ((1, 1), (2, 3)):
+        results = check_thm24_thm25_prop26(h3_context, k_max, m_max)
+        assert [(r.name, r.status) for r in results] == [
+            (f"{name}/m={m}", "pass") for m in range(m_max + 1)
+            for name in ("thm25.member", "thm25.basis", "thm25.2")] + [
+            (f"{name}/k={k}", "pass") for k in range(1, k_max + 1)
+            for name in ("thm24.1", "thm24.2", "prop26")], (k_max, m_max)
+
+
+def test_h3_nabla_xi_matches_christoffel_reference(h3_context):
+    # the differential oracle of test_saito over Q(sqrt 5)
+    for m in (1, 3):
+        for t in range(3):
+            assert (_nabla_matrix(m, t, h3_context)
+                    == nabla_matrix_reference(m, t, h3_context)), (m, t)
 
 
 def test_h3_suites_runnable(h3_context):
@@ -250,7 +261,7 @@ def test_hodge_winv_witness_matches_every_generator_scan(name, tmp_path):
     coeffs = list(xis[-1].coeffs)
     coeffs[var] = coeffs[var] + _power(ctx.datum, var,
                                        coeffs[var].homogeneous_degree())
-    xis[-1] = PolyDerivation("X", coeffs)
+    xis[-1] = PolyDerivation(coeffs)
     ctx.xi_table[1] = xis
     reference = winv_witness_by_any(1, ctx)
     assert reference == f"xi^(1)_{len(xis)} moved by generator {mover}"

@@ -1,8 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from conftest import (ladder_jdkx_inv, nabla_power_reference, with_entry,
-                      xi_p_reference)
+from conftest import (ladder_jdkx_inv, nabla_matrix_reference,
+                      nabla_power_reference, with_entry)
 
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
 from coxsaito.errors import NonPolynomialEntry
@@ -12,11 +12,11 @@ from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
                             christoffel_star, d_apply_matrix, derivation_apply,
                             derivation_bracket, derivation_degree,
-                            derivation_transform, dkx, dp_apply,
-                            frame_convert, jdkx, jdkx_inv, nabla_D, nabla_xi,
-                            primitive_derivation, primitive_derivation_apply,
-                            xi_basis, xi_coefficient_matrix)
-from coxsaito.verify import run_suites
+                            derivation_transform, dkx, dp_apply, jdkx,
+                            jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
+                            primitive_derivation_apply, xi_basis,
+                            xi_coefficient_matrix)
+from coxsaito.verify import _nabla_matrix, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +45,9 @@ def x1():
 
 
 def dp_unit(k, ctx):
-    """d/dP_k as an invariant-frame derivation; k is 1-based."""
-    return PolyDerivation("P", [MultiPoly.const(ctx.rank, int(j == k - 1),
-                                                ctx.datum.field)
-                                for j in range(ctx.rank)])
+    """d/dP_k, whose coordinate coefficients are row k of J(P)^-1; k is
+    1-based."""
+    return PolyDerivation(ctx.jac_P_inv.entries[k - 1])
 
 
 def hk(k, ctx):
@@ -153,21 +152,17 @@ def test_a1_christoffel(a1):
     assert christoffel_star(1, a1) == Matrix([[MultiPoly.const(1, 2)]])
 
 
-def test_frame_convert_chain_rule(a1):
-    x = x1()
-    ddx = PolyDerivation("X", [FactoredFraction.from_poly(MultiPoly.const(1, 1))])
-    in_p = frame_convert(ddx, "P", a1)
-    assert in_p.coeffs[0].as_poly() == 2 * x
-    back = frame_convert(in_p, "X", a1)
-    assert back.coeffs[0].as_poly() == MultiPoly.const(1, 1)
+def test_a1_invariant_frame_chain_rule(a1):
+    # xi^(0) = d/dx, and d/dx = 2x d/dP for P = x^2
+    assert xi_basis(0, a1)[0].coeffs[0].as_poly() == MultiPoly.const(1, 1)
+    assert _nabla_matrix(0, 0, a1) == Matrix([[2 * x1()]])
 
 
-def test_dp_frame_convert_is_primitive(b2):
-    # d/dP_l written in coordinates equals the primitive derivation's vector
-    dp = dp_unit(2, b2)
-    in_x = frame_convert(dp, "X", b2)
-    for got, want in zip(in_x.coeffs, dkx(1, b2)):
-        assert got == want
+def test_primitive_derivation_is_dual_to_invariants(b2):
+    # D is d/dP_l: D(P_i) = delta_il, through its coordinate coefficients
+    d = primitive_derivation(b2)
+    for i, p in enumerate(b2.invariants.polys):
+        assert derivation_apply(d, p, b2) == MultiPoly.const(2, int(i == 1))
 
 
 FRAME_GROUPS = pytest.mark.parametrize("label,rank", [
@@ -176,10 +171,10 @@ FRAME_GROUPS = pytest.mark.parametrize("label,rank", [
 
 @FRAME_GROUPS
 def test_frame_roundtrip_on_xi1(group_context, label, rank):
+    # J(P)^-T takes the invariant-frame columns back to the coordinate frame
     ctx = group_context(label, rank)
-    for theta in xi_basis(1, ctx):
-        round_tripped = frame_convert(frame_convert(theta, "P", ctx), "X", ctx)
-        assert round_tripped == theta
+    back = ctx.jac_P_inv.transpose() * _nabla_matrix(1, 0, ctx)
+    assert back.simplify() == xi_coefficient_matrix(1, ctx)
 
 
 def test_a1_xi_golden(a1):
@@ -200,31 +195,32 @@ def test_xi1_is_gradient_for_orthonormal_gram(b2):
 
 def test_b2_xi3_degrees(b2):
     xi = xi_basis(3, b2)
-    assert derivation_degree(xi[0], b2) == 5
-    assert derivation_degree(xi[1], b2) == 7
+    assert derivation_degree(xi[0]) == 5
+    assert derivation_degree(xi[1]) == 7
 
 
 def test_a1_nabla_of_xi1(a1):
+    # xi^(1) = 2x d/dx = 4x^2 d/dP, and nabla_D xi^(1) = D[2x] d/dx = 2 d/dP
     xi1 = xi_basis(1, a1)[0]
-    in_p = frame_convert(xi1, "P", a1)
-    assert in_p.coeffs[0].as_poly() == 4 * x1() * x1()
-    result = nabla_D(in_p, a1)
-    assert result.coeffs[0].as_poly() == MultiPoly.const(1, 2)
+    assert xi1.coeffs[0].as_poly() == 2 * x1()
+    result = nabla_D(xi1, a1)
+    assert result.coeffs[0] == FactoredFraction(MultiPoly.const(1, 1), a1.q_base, 1)
+    assert _nabla_matrix(1, 0, a1) == Matrix([[4 * x1() * x1()]])
+    assert _nabla_matrix(1, 1, a1) == Matrix([[MultiPoly.const(1, 2)]])
 
 
 def test_nabla_of_xi1_row_is_b1(b2):
-    b1 = bk_matrix(1, b2)
-    for j, theta in enumerate(xi_basis(1, b2)):
-        res = nabla_D(frame_convert(theta, "P", b2), b2)
-        for i in range(2):
-            assert res.coeffs[i] == FactoredFraction.from_poly(b1[i, j])
+    # J(P)^T nabla_D xi^(1) = B^(1), Theorem 2.4 (2) at k = 1
+    columns = Matrix([nabla_D(theta, b2).coeffs
+                      for theta in xi_basis(1, b2)]).transpose()
+    assert (b2.jac_P.transpose() * columns).simplify() == bk_matrix(1, b2)
 
 
 def test_nabla_is_t_linear(b2):
     # multiplying by P_1 (killed by D) commutes with nabla_D
     p1 = b2.invariants.polys[0]
-    theta = frame_convert(xi_basis(1, b2)[0], "P", b2)
-    scaled = PolyDerivation("P", [c * p1 for c in theta.coeffs])
+    theta = xi_basis(1, b2)[0]
+    scaled = PolyDerivation([c * p1 for c in theta.coeffs])
     lhs = nabla_D(scaled, b2)
     rhs = nabla_D(theta, b2)
     for i in range(2):
@@ -279,8 +275,8 @@ def test_bracket_rank_one():
     d = build_datum("A", 1)
     ctx = build_context(d, builtin_invariants(d))
     x = x1()
-    ddx = PolyDerivation("X", [MultiPoly.const(1, 1)])
-    xddx = PolyDerivation("X", [x])
+    ddx = PolyDerivation([MultiPoly.const(1, 1)])
+    xddx = PolyDerivation([x])
     br = derivation_bracket(ddx, xddx, ctx)
     assert br.coeffs[0].as_poly() == MultiPoly.const(1, 1)
 
@@ -290,21 +286,21 @@ def test_bracket_of_nabla_power_with_d(b2, k):
     xi = xi_basis(2 * k - 1, b2)
     d = primitive_derivation(b2)
     for theta in xi:
-        eta = nabla_power_reference(frame_convert(theta, "P", b2), k, b2)
+        eta = nabla_power_reference(theta, k, b2)
         assert derivation_bracket(d, eta, b2).is_zero()
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("I2", 5)])
 def test_nabla_xi_matches_references(label, rank):
-    # the cached chain from frame_convert agrees with J(P)^T Xi followed by
-    # uncached nabla_D loops, for every power read by the theorem checks
+    # differential oracle: the cached flat-connection chain, read in the
+    # invariant frame, agrees with the Christoffel route on J(P)^T Xi, for
+    # every power read by the theorem checks
     d = build_datum(label, rank)
     ctx = build_context(d, builtin_invariants(d))
     for m in range(8):
-        row = xi_p_reference(m, ctx)
         for t in range(4):
-            want = [nabla_power_reference(theta, t, ctx) for theta in row]
-            assert list(nabla_xi(m, t, ctx)) == want, (m, t)
+            assert _nabla_matrix(m, t, ctx) == nabla_matrix_reference(m, t, ctx), \
+                (m, t)
 
 
 def test_derivation_apply(a1):
@@ -345,8 +341,8 @@ def test_jdkx_inv_matches_reduced_minor_ladder(label, rank):
         assert jdkx_inv(k, ctx) == ladder_jdkx_inv(k, ctx), k
 
 
-def _tampered_b2(kind):
-    """B2 context whose cached J(D[X]) breaks one premise of jdkx_inv."""
+def _tampered_b2(kind, monkeypatch):
+    """B2 context whose J(D[X]) breaks one premise of jdkx_inv."""
     d = build_datum("B", 2)
     ctx = build_context(d, builtin_invariants(d))
     x = MultiPoly.variable(2, 0)
@@ -360,38 +356,36 @@ def _tampered_b2(kind):
     else:
         bad = Matrix([[FactoredFraction.from_poly(x), MultiPoly.zero(2)],
                       [MultiPoly.zero(2), one]])
-    ctx.jdkx_table[1] = bad
+    monkeypatch.setattr("coxsaito.saito.jdkx",
+                        lambda k, c: bad if k == 1 and c is ctx else jdkx(k, c))
     return ctx
 
 
 @pytest.mark.parametrize("kind,message", [
     ("foreign", "other than det J"), ("exponent", "power 3 > 2"),
     ("nonconstant", "not a constant")])
-def test_jdkx_inv_rejects_broken_premises(kind, message):
+def test_jdkx_inv_rejects_broken_premises(kind, message, monkeypatch):
     with pytest.raises(NonPolynomialEntry, match=message):
-        jdkx_inv(1, _tampered_b2(kind))
+        jdkx_inv(1, _tampered_b2(kind, monkeypatch))
 
 
-def test_foreign_denominator_is_an_integrity_failure():
-    report = run_suites(_tampered_b2("foreign"), ["theorems"], 1, 2, 1)
+def test_foreign_denominator_is_an_integrity_failure(monkeypatch):
+    report = run_suites(_tampered_b2("foreign", monkeypatch), ["theorems"],
+                        1, 2, 1)
     witnesses = [r.witness for r in report.results if r.integrity]
     assert report.integrity_error
     assert any("other than det J" in w for w in witnesses), witnesses
 
 
 @FRAME_GROUPS
-def test_frame_convert_preserves_values(group_context, label, rank):
-    # applying a derivation to coordinates and invariants gives the same
-    # values in either frame
+def test_invariant_frame_columns_are_values(group_context, label, rank):
+    # entry (i, j) of the invariant-frame matrix of xi^(m) is xi^(m)_j(P_i)
     ctx = group_context(label, rank)
-    theta = xi_basis(3, ctx)[0]
-    theta_p = frame_convert(theta, "P", ctx)
-    for i in range(ctx.rank):
-        xi_coord = MultiPoly.variable(ctx.rank, i, ctx.datum.field)
-        assert derivation_apply(theta, xi_coord, ctx) == \
-            derivation_apply(theta_p, xi_coord, ctx)
-    for p in ctx.invariants.polys:
-        assert derivation_apply(theta, p, ctx) == derivation_apply(theta_p, p, ctx)
+    for m in (1, 3):
+        mat = _nabla_matrix(m, 0, ctx)
+        for j, theta in enumerate(xi_basis(m, ctx)):
+            for i, p in enumerate(ctx.invariants.polys):
+                assert mat[i, j] == derivation_apply(theta, p, ctx), (m, i, j)
 
 
 def test_poly_coeffs_raises_on_fractions(a1):
