@@ -40,7 +40,7 @@ _I2_MINPOLY = {
 
 def _normalize_form(coeffs, field: FieldContext):
     """(lead, form / lead) for the first nonzero coefficient `lead`."""
-    lead = next((c for c in coeffs if not field.is_zero(c)), None)
+    lead = next((c for c in coeffs if c), None)
     if lead is None:
         raise CoxsaitoError("zero hyperplane form")
     inv = field.invert(lead)

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic: rationals and simple algebraic extensions of Q.
 
 A scalar lives in Q[t]/(p(t)) for a monic polynomial p.  The constructor
-certifies only that p is squarefree; irreducibility is trusted, not verified.
+certifies only that p is squarefree, as gcd(p, p') = 1: p' must be a unit of
+Q[t]/(p).  Irreducibility is trusted, not verified.
 The presets are vetted.  A reducible p may surface as NonInvertible when a
 division hits a zero divisor, but it can also let a "nonzero constant" check
 pass in a factor ring that is not a field.  In the degree-1 case a scalar is
@@ -11,8 +12,10 @@ Over an extension a `Scalar` is stored like FLINT's nf_elem: the power-basis
 coefficients as integer numerators over one common positive denominator,
 always in lowest terms.  A product is an integer convolution, an integer
 reduction modulo p and one gcd.  Fractions appear only at the edges:
-`coerce`, `from_coeffs`, `to_coeffs`, `render`, and the extended Euclid
-inside `invert`.
+`coerce`, `from_coeffs`, `to_coeffs`, `render` and the reduction rows.
+Inverting a scalar and certifying that p is squarefree are one job, run by
+one fraction-free integer solve (`FieldContext._solve`): is an element a unit
+of Q[t]/(p), and if so, what is its inverse.
 
 `FieldContext` is also the only place that knows how a polynomial's
 coefficients are laid out, so `poly.MultiPoly` has one body per operation for
@@ -48,43 +51,14 @@ from fractions import Fraction
 from .errors import DivisionByZero, NonInvertible
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of dense univariate rational polynomials."""
-    if not b:
-        raise DivisionByZero("univariate division by zero polynomial")
-    a = _poly_trim(list(a))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] -= coef * bc
-        _poly_trim(a)
-    return q, a
-
-
-def _is_squarefree(p: tuple[Fraction, ...]) -> bool:
-    """gcd(p, p') is constant."""
-    a = list(p)
-    b = _poly_trim([i * c for i, c in enumerate(p)][1:])
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return len(a) == 1
-
-
 class FieldContext:
     """A simple real algebraic number field Q[t]/(p(t)).
 
     `minimal_polynomial` is given by ascending coefficients and must be monic,
     squarefree and of degree >= 1.  Irreducibility is trusted, not verified.
+    Fractions appear only at the edges (`coerce`, `from_coeffs`, `to_coeffs`,
+    `render`, the reduction rows).  `invert` and the squarefree certificate
+    are one fraction-free solve over the integers a `Scalar` holds.
     """
 
     __slots__ = ("minpoly", "degree", "generator_description", "_rows",
@@ -96,8 +70,6 @@ class FieldContext:
             raise ValueError("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        if not _is_squarefree(coeffs):
-            raise ValueError("minimal polynomial must be squarefree")
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
         self.generator_description = generator_description
@@ -122,6 +94,7 @@ class FieldContext:
         else:
             self.zero = Scalar((0,) * d, 1, self)
             self.one = Scalar((1,) + (0,) * (d - 1), 1, self)
+            self._certify_squarefree()
 
     def generator(self) -> "Scalar":
         if self.degree == 1:
@@ -404,12 +377,11 @@ class FieldContext:
         return self.scaled(q, 1, scale, 1)
 
     def invert(self, value):
-        if self.degree == 1:
-            q = Fraction(value)
-            if q == 0:
-                raise DivisionByZero("division by zero")
-            return 1 / q
         value = self.coerce(value)
+        if self.degree == 1:
+            if not value:
+                raise DivisionByZero("division by zero")
+            return 1 / value
         if not any(value.num[1:]):
             # a rational's inverse is rational: den / num[0]
             p, q = value.den, value.num[0]
@@ -418,77 +390,77 @@ class FieldContext:
             if q < 0:
                 p, q = -p, -q
             return Scalar((p,) + (0,) * (self.degree - 1), q, self)
-        # extended Euclid in Q[t] between the numerator and the minimal
-        # polynomial; (num / den)^-1 = den * num^-1
-        r0, r1 = list(self.minpoly), _poly_trim([Fraction(n) for n in value.num])
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            prod_len = len(q) + len(s1) - 1
-            prod = [Fraction(0)] * max(prod_len, 0)
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        prod[i + j] += qc * sc
-            new_s = [a - b for a, b in
-                     zip(s0 + [Fraction(0)] * (len(prod) - len(s0)),
-                         prod + [Fraction(0)] * (len(s0) - len(prod)))]
-            s0, s1 = s1, _poly_trim(new_s)
-        if len(r0) != 1:
+        # (num / den)^-1 = den * num^-1
+        solved = self._solve(value.num)
+        if solved is None:
             raise NonInvertible(
                 "gcd with minimal polynomial is not constant; "
                 "the minimal polynomial is reducible")
-        inv_gcd = value.den / r0[0]
-        coeffs_out = [c * inv_gcd for c in s0]
-        coeffs_out += [Fraction(0)] * (self.degree - len(coeffs_out))
-        return self.from_coeffs(coeffs_out)
+        num, det = solved
+        return _lowest([value.den * c for c in num], det, self)
 
-    def is_zero(self, value) -> bool:
-        if isinstance(value, Scalar):
-            return not any(value.num)
-        return value == 0
+    def _solve(self, num):
+        """(z, det) with (sum_i num[i] t^i)^-1 = (sum_i z[i] t^i) / det and
+        det > 0, or None when that element shares a factor with p.
 
-    def render(self, value, symbol: str = "t") -> str:
+        The inverse y solves sum_j y_j x t^j = 1 for x = sum_i num[i] t^i.
+        The column x t^j is a Scalar v_j / e_j, so w_j = y_j / e_j solves a
+        d x d integer system whose right-hand side is e_0.  Fraction-free
+        Gauss-Jordan elimination (E. H. Bareiss, Math. Comp. 22, 1968) keeps
+        every entry a minor of that system, so each division is exact.  It
+        ends with the determinant on the diagonal and det * w in the last
+        column.  A column without a pivot means the system is singular.
+        """
+        d = self.degree
+        t = self.generator()
+        x = Scalar(tuple(num), 1, self)
+        cols, scales = [], []
+        for _ in range(d):
+            cols.append(x.num)
+            scales.append(x.den)
+            x = x * t
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            pivot = next((i for i in range(k, d) if rows[i][k]), None)
+            if pivot is None:
+                return None
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            top = rows[k]
+            p = top[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            prev = p
+        sign = -1 if prev < 0 else 1
+        return ([sign * e * row[d] for e, row in zip(scales, rows)],
+                sign * prev)
+
+    def _certify_squarefree(self):
+        """p is squarefree exactly when gcd(p, p') = 1, that is, when p' is a
+        unit of Q[t]/(p).  The first reduction row holds -p's lower
+        coefficients over `_row_den`, so `_row_den` * p' has integer
+        coefficients."""
+        d, base = self.degree, self._rows[0]
+        derivative = [-i * base[i] for i in range(1, d)] + [d * self._row_den]
+        if self._solve(derivative) is None:
+            raise ValueError("minimal polynomial must be squarefree")
+
+    def render(self, value) -> str:
         """Deterministic human-readable form of a scalar."""
         coeffs = self.to_coeffs(value)
         if self.degree == 1 or not any(coeffs[1:]):
             return str(coeffs[0])
-        parts = []
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = symbol if i == 1 else f"{symbol}^{i}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
+        parts = [_term(c, i) for i, c in enumerate(coeffs) if c]
         return "(" + "+".join(parts).replace("+-", "-") + ")"
 
     def describe(self) -> str:
         if self.degree == 1:
             return "Q"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.minpoly[i]
-            if c == 0:
-                continue
-            mono = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        poly = " + ".join(parts).replace("+ -", "- ")
-        return f"Q[t]/({poly})"
+        parts = [_term(c, i) for i, c in reversed(list(enumerate(self.minpoly)))
+                 if c]
+        return "Q[t]/(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
     def __eq__(self, other):
         return isinstance(other, FieldContext) and self.minpoly == other.minpoly
@@ -498,6 +470,18 @@ class FieldContext:
 
     def __repr__(self):
         return f"FieldContext(degree={self.degree}, generator={self.generator_description})"
+
+
+def _term(c, i: int) -> str:
+    """c t^i as `render` and `describe` print it."""
+    if i == 0:
+        return str(c)
+    mono = "t" if i == 1 else f"t^{i}"
+    if c == 1:
+        return mono
+    if c == -1:
+        return f"-{mono}"
+    return f"{c}*{mono}"
 
 
 def _cleared(terms: dict):
@@ -579,22 +563,18 @@ class Scalar:
         if isinstance(other, Scalar):
             if other.ctx is not self.ctx:
                 self.ctx.coerce(other)
-            da, db = self.den, other.den
-            if da == db:
-                num = [a + b for a, b in zip(self.num, other.num)]
-                if da == 1:
-                    return Scalar(tuple(num), 1, self.ctx)
-                return _lowest(num, da, self.ctx)
-            return _lowest([a * db + b * da for a, b in zip(self.num, other.num)],
-                           da * db, self.ctx)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self
-            p, q = other.numerator, other.denominator
-            num = [a * q for a in self.num]
-            num[0] += p * self.den
-            return _lowest(num, self.den * q, self.ctx)
-        return NotImplemented
+        elif isinstance(other, (int, Fraction)):
+            other = self.ctx.coerce(other)
+        else:
+            return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            num = [a + b for a, b in zip(self.num, other.num)]
+            if da == 1:
+                return Scalar(tuple(num), 1, self.ctx)
+            return _lowest(num, da, self.ctx)
+        return _lowest([a * db + b * da for a, b in zip(self.num, other.num)],
+                       da * db, self.ctx)
 
     __radd__ = __add__
 
@@ -602,20 +582,7 @@ class Scalar:
         return Scalar(tuple(-a for a in self.num), self.den, self.ctx)
 
     def __sub__(self, other):
-        if isinstance(other, Scalar):
-            if other.ctx is not self.ctx:
-                self.ctx.coerce(other)
-            da, db = self.den, other.den
-            if da == db:
-                num = [a - b for a, b in zip(self.num, other.num)]
-                if da == 1:
-                    return Scalar(tuple(num), 1, self.ctx)
-                return _lowest(num, da, self.ctx)
-            return _lowest([a * db - b * da for a, b in zip(self.num, other.num)],
-                           da * db, self.ctx)
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

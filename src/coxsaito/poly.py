@@ -540,7 +540,7 @@ class MultiPoly:
             if rem is None:
                 return None
         c = rem.constant_value()
-        return None if c is None or self.field.is_zero(c) else c
+        return c or None
 
     def monic(self):
         """Split off the leading coefficient: returns (monic poly, leading coeff)."""

@@ -117,8 +117,6 @@ class SaitoContext:
         self.jac_P_inv = self.jac_P.inverse(self.q_base)
         self.gram_poly = Matrix.from_scalars(datum.gram, ell, datum.field)
         self.metric_G = self.jac_P.transpose() * self.gram_poly * self.jac_P
-        if self.metric_G != self.metric_G.transpose():
-            raise CoxsaitoError("metric is not symmetric")
         xs = tuple(FactoredFraction.from_poly(
             MultiPoly.variable(ell, i, datum.field)) for i in range(ell))
         self.dkx_table: dict = {0: xs}
@@ -177,9 +175,9 @@ def primitive_derivation_apply(f, ctx: SaitoContext) -> FactoredFraction:
     return dp_apply(f, ctx.rank, ctx)
 
 
-def d_apply_matrix(m: Matrix, ctx: SaitoContext) -> Matrix:
-    """Entrywise primitive derivation of a matrix."""
-    return m.map_entries(lambda e: primitive_derivation_apply(e, ctx))
+def dp_matrix(m: Matrix, k: int, ctx: SaitoContext) -> Matrix:
+    """Entrywise d/dP_k of a matrix; k = l is the primitive derivation D."""
+    return m.map_entries(lambda e: dp_apply(e, k, ctx))
 
 
 def dkx(k: int, ctx: SaitoContext):
@@ -287,8 +285,7 @@ def christoffel_star(k: int, ctx: SaitoContext) -> Matrix:
         raise ValueError("k must be between 1 and the rank")
     table = ctx.christoffel_table
     if k not in table:
-        dj = ctx.jac_P.map_entries(lambda e: dp_apply(e, k, ctx))
-        prod = ctx.jac_P.transpose() * ctx.gram_poly * dj
+        prod = ctx.jac_P.transpose() * ctx.gram_poly * dp_matrix(ctx.jac_P, k, ctx)
         table[k] = _certify_poly_matrix(prod, f"Gamma*_{k}")
     return table[k]
 
@@ -397,7 +394,7 @@ def derivation_transform(theta: PolyDerivation, ctx: SaitoContext,
         acc = MultiPoly.zero(ell, field)
         for j in range(ell):
             v = sub[i][j]
-            if not field.is_zero(v):
+            if v:
                 acc = acc + polys[j] * v
         mixed.append(acc)
     return PolyDerivation([p.subst_linear(sub) for p in mixed])

@@ -23,10 +23,9 @@ from .fraction import FactoredFraction
 from .matrix import Matrix
 from .poly import MultiPoly
 from .saito import (SaitoContext, bk_matrix, christoffel_star, contact_defect,
-                    d_apply_matrix, derivation_apply, derivation_bracket,
-                    derivation_degree, derivation_transform, dp_apply,
-                    nabla_xi, primitive_derivation, xi_basis,
-                    xi_coefficient_matrix)
+                    derivation_apply, derivation_bracket, derivation_degree,
+                    derivation_transform, dp_matrix, nabla_xi,
+                    primitive_derivation, xi_basis, xi_coefficient_matrix)
 
 
 @dataclass
@@ -155,7 +154,7 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
         # errors attributable to the individual check
 
         def d_annihilates(k=k):
-            db = d_apply_matrix(bk_matrix(k, ctx), ctx)
+            db = dp_matrix(bk_matrix(k, ctx), ell, ctx)
             for i in range(ell):
                 for j in range(ell):
                     if db[i, j]:
@@ -177,7 +176,7 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
             c = bk_matrix(k, ctx).det().constant_value()
             if c is None:
                 return False, "det is not constant"
-            if ctx.datum.field.is_zero(c):
+            if not c:
                 return False, "det is zero"
             return True, None
 
@@ -213,10 +212,6 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
     return r.results
 
 
-def _dp_matrix(m: Matrix, k: int, ctx: SaitoContext) -> Matrix:
-    return m.map_entries(lambda e: dp_apply(e, k, ctx))
-
-
 def check_lemma22(ctx: SaitoContext):
     r = _Runner()
     ell = ctx.rank
@@ -225,13 +220,13 @@ def check_lemma22(ctx: SaitoContext):
     def dg_lower():
         if "dg" not in memo:
             g_lower = ctx.metric_G_inv()
-            memo["dg"] = [_dp_matrix(g_lower, i + 1, ctx) for i in range(ell)]
+            memo["dg"] = [dp_matrix(g_lower, i + 1, ctx) for i in range(ell)]
         return memo["dg"]
 
     for k in range(1, ell + 1):
 
         def compat(k=k):
-            lhs = _dp_matrix(ctx.metric_G, k, ctx)
+            lhs = dp_matrix(ctx.metric_G, k, ctx)
             star = christoffel_star(k, ctx)
             rhs = star + star.transpose()
             return _cmp_matrices(lhs, rhs)
@@ -432,7 +427,7 @@ def check_flat_remark(ctx: SaitoContext, k_max: int = 3):
 
     def dg():
         if "dg" not in memo:
-            memo["dg"] = d_apply_matrix(ctx.metric_G, ctx)
+            memo["dg"] = dp_matrix(ctx.metric_G, ell, ctx)
         return memo["dg"]
 
     def flat_normalized() -> bool:
@@ -449,12 +444,12 @@ def check_flat_remark(ctx: SaitoContext, k_max: int = 3):
         c = Matrix(entries).det().constant_value()
         if c is None:
             return False, "det D[G] is not constant"
-        if field.is_zero(c):
+        if not c:
             return False, "det D[G] = 0"
         return True, None
 
     def d2g():
-        d2 = d_apply_matrix(dg(), ctx)
+        d2 = dp_matrix(dg(), ell, ctx)
         for i in range(ell):
             for j in range(ell):
                 if d2[i, j]:

@@ -11,8 +11,8 @@ from coxsaito.invariants_io import (datum_to_json, ingest_invariants,
                                     poly_to_json, scalar_to_json)
 from coxsaito.matrix import Matrix
 from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly
-from coxsaito.saito import (build_context, christoffel_star, d_apply_matrix,
-                            derivation_transform, jdkx, nabla_D, xi_basis,
+from coxsaito.saito import (build_context, christoffel_star, derivation_transform,
+                            dp_matrix, jdkx, nabla_D, xi_basis,
                             xi_coefficient_matrix)
 from coxsaito.verify import run_suites
 
@@ -160,6 +160,48 @@ def winv_witness_by_any(m, ctx):
     return None
 
 
+def _poly_trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_divmod(a: list, b: list):
+    """Reference quotient and remainder of dense univariate rational
+    polynomials, ascending coefficients."""
+    a = _poly_trim([Fraction(c) for c in a])
+    b = _poly_trim([Fraction(c) for c in b])
+    assert b, "division by the zero polynomial"
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        coef = a[-1] / b[-1]
+        q[shift] = coef
+        for i, bc in enumerate(b):
+            a[shift + i] -= coef * bc
+        _poly_trim(a)
+    return q, a
+
+
+def poly_gcdex(a: list, p: list):
+    """Reference extended Euclid in Q[t]: (g, s) with g a gcd of a and p and
+    s a = g mod p, both trimmed ascending Fraction lists."""
+    r0, r1 = _poly_trim([Fraction(c) for c in p]), _poly_trim([Fraction(c) for c in a])
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, qc in enumerate(q):
+            for j, sc in enumerate(s1):
+                prod[i + j] += qc * sc
+        n = max(len(s0), len(prod))
+        s0, s1 = s1, _poly_trim([(s0[i] if i < len(s0) else 0)
+                                 - (prod[i] if i < len(prod) else 0)
+                                 for i in range(n)])
+    return r0, s0
+
+
 def expanded_subst(f, matrix):
     """x_i -> sum_j matrix[i][j] * x_j by expanding every term into products
     of powers of the substituted forms: the oracle for the one-term-per-term
@@ -268,7 +310,7 @@ def ladder_jdkx_inv(k, ctx):
 
     minors = ReducedMinors(jdkx(k, ctx).map_entries(clear), base.power(2 * k))
     c = minors.det().constant_value()
-    assert c is not None and not ctx.datum.field.is_zero(c)
+    assert c
     return minors.adjugate() * ctx.datum.field.invert(c)
 
 
@@ -278,7 +320,7 @@ def christoffel_nabla_reference(columns, ctx):
     matrix Gamma_l = -G^-1 Gamma*_l, each column c maps to Gamma_l^T c + D[c]."""
     gamma = -(ctx.metric_G_inv() * christoffel_star(ctx.rank, ctx))
     return (gamma.simplify().transpose() * columns
-            + d_apply_matrix(columns, ctx)).simplify()
+            + dp_matrix(columns, ctx.rank, ctx)).simplify()
 
 
 def nabla_matrix_reference(m, t, ctx):

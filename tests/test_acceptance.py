@@ -24,7 +24,7 @@ from coxsaito.fraction import FactoredFraction
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
-                            d_apply_matrix, derivation_degree, dkx,
+                            derivation_degree, dkx, dp_matrix,
                             primitive_derivation_apply, xi_basis)
 from coxsaito.verify import (check_lemma21, check_metric,
                              check_thm24_thm25_prop26)
@@ -62,7 +62,7 @@ def test_criterion_1_rank_one_golden_values():
     for k in (1, 2, 3):
         assert bk_matrix(k, ctx_q) == Matrix(
             [[MultiPoly.const(1, Fraction(2 * k - 1, 2))]])
-    dg = d_apply_matrix(ctx_q.metric_G, ctx_q)
+    dg = dp_matrix(ctx_q.metric_G, 1, ctx_q)
     assert dg[0, 0].as_poly() == MultiPoly.const(1, 1)
 
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxsaito.coxeter import build_datum
 from coxsaito.errors import DivisionByZero, NonInvertible
 from coxsaito.field import RATIONALS, FieldContext
 
@@ -102,3 +103,53 @@ def test_non_integer_minimal_polynomial():
     assert t * t == Fraction(5, 4)
     assert (t * t * t) == Fraction(5, 4) * t
     assert half_sqrt5.invert(t) == Fraction(4, 5) * t
+
+
+_DESCRIBE_PINS = {
+    3: "Q[t]/(t^2 - 3)",
+    4: "Q[t]/(t^4 - 4*t^2 + 2)",
+    5: "Q[t]/(t^4 - 5*t^2 + 5)",
+    6: "Q[t]/(t^4 - 4*t^2 + 1)",
+    7: "Q[t]/(t^6 - 7*t^4 + 14*t^2 - 7)",
+    8: "Q[t]/(t^8 - 8*t^6 + 20*t^4 - 16*t^2 + 2)",
+    9: "Q[t]/(t^6 - 6*t^4 + 9*t^2 - 3)",
+    10: "Q[t]/(t^8 - 8*t^6 + 19*t^4 - 12*t^2 + 1)",
+    11: "Q[t]/(t^10 - 11*t^8 + 44*t^6 - 77*t^4 + 55*t^2 - 11)",
+    12: "Q[t]/(t^8 - 8*t^6 + 20*t^4 - 16*t^2 + 1)",
+}
+
+
+@pytest.mark.parametrize("m", sorted(_DESCRIBE_PINS))
+def test_describe_pins_every_preset(m):
+    assert build_datum("I2", m).field.describe() == _DESCRIBE_PINS[m]
+
+
+def test_describe_pins_other_fields():
+    assert FieldContext((Fraction(-5, 4), 0, 1)).describe() == "Q[t]/(t^2 - 5/4)"
+    assert FieldContext((-1, -1, 0, 1)).describe() == "Q[t]/(t^3 - t - 1)"
+    assert FieldContext((1, -1, 1)).describe() == "Q[t]/(t^2 - t + 1)"
+    assert (FieldContext((Fraction(1, 3), 0, Fraction(-2, 3), 1)).describe()
+            == "Q[t]/(t^3 - 2/3*t^2 + 1/3)")
+
+
+def test_render_pins():
+    half_sqrt5 = FieldContext((Fraction(-5, 4), 0, 1))
+    cubic = FieldContext((-1, -1, 0, 1))
+    sextic = build_datum("I2", 7).field
+    h = Fraction(1, 2)
+    for field, coeffs, want in (
+            (SQRT5, (0, 1), "(t)"),
+            (SQRT5, (1, 1), "(1+t)"),
+            (SQRT5, (-h, h), "(-1/2+1/2*t)"),
+            (SQRT5, (Fraction(3, 4), -1), "(3/4-t)"),
+            (SQRT5, (Fraction(-7, 3), 0), "-7/3"),
+            (SQRT5, (0, Fraction(-2, 5)), "(-2/5*t)"),
+            (half_sqrt5, (Fraction(5, 4), Fraction(-4, 5)), "(5/4-4/5*t)"),
+            (cubic, (-1, -1, 1), "(-1-t+t^2)"),
+            (cubic, (1, 0, -1), "(1-t^2)"),
+            (sextic, (0, 1, 0, -1, h, 0), "(t-t^3+1/2*t^4)"),
+            (sextic, (-3, 0, 0, 0, 0, Fraction(-9, 7)), "(-3-9/7*t^5)"),
+            (sextic, (0,) * 6, "0")):
+        assert field.render(field.from_coeffs(coeffs)) == want
+    assert RATIONALS.render(Fraction(-3, 7)) == "-3/7"
+    assert RATIONALS.render(Fraction(0)) == "0"

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import H3_FIELD, H3_TAU, expanded_subst, h3_roots, takes_kronecker
+from conftest import (H3_FIELD, H3_TAU, _poly_divmod, expanded_subst, h3_roots,
+                      poly_gcdex, takes_kronecker)
 
 from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
                               jacobian)
-from coxsaito.field import FieldContext, RATIONALS, _poly_divmod
-from coxsaito.errors import NonPolynomialEntry, SingularMatrix
+from coxsaito.field import FieldContext, RATIONALS
+from coxsaito.errors import NonInvertible, NonPolynomialEntry, SingularMatrix
 from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix
 from coxsaito.poly import (MultiPoly, _signed_permutation, contact_order, pack,
@@ -122,6 +123,83 @@ def run_integer_kernel_oracle(iterations=ITERATIONS, seed=27182818) -> int:
             _assert_canonical(a / b, field)
             assert (a / b) * b == a
         tested += 1
+    return tested
+
+
+# small monic factors, ascending: products of these are the moduli whose
+# squarefree verdicts and zero divisors `run_solve_oracle` checks
+_SMALL_FACTORS = [(-1, 1), (1, 1), (2, 1), (Fraction(-1, 2), 1), (0, 1),
+                  (-5, 0, 1), (-2, 0, 1), (1, 1, 1), (Fraction(-5, 4), 0, 1),
+                  (-1, -1, 0, 1)]
+
+
+def _poly_product(factors):
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _check_inverse(field, a, reference_modulus):
+    """`invert(a)` against the reference extended Euclid: equal coefficients
+    and a * a^-1 = 1 when gcd(a, p) is constant, else NonInvertible."""
+    g, s = poly_gcdex(list(field.to_coeffs(a)), reference_modulus)
+    if len(g) != 1:
+        with pytest.raises(NonInvertible, match="gcd with minimal polynomial"):
+            field.invert(a)
+        return False
+    want = [c / g[0] for c in s] + [Fraction(0)] * (field.degree - len(s))
+    inv = field.invert(a)
+    assert field.to_coeffs(inv) == tuple(want)
+    assert a * inv == field.one
+    return True
+
+
+def run_solve_oracle(iterations=ITERATIONS, seed=14159265) -> int:
+    """The fraction-free solve against the reference extended Euclid of
+    conftest.  Each instance checks one inverse over Q(sqrt 5),
+    Q[t]/(t^2 - 5/4) or an I2 preset field (degree 2 to 10), then the
+    squarefree verdict on a product of small factors (gcd(p, p') constant)
+    and, when that modulus is accepted, an inverse or NonInvertible there
+    for an element that is a multiple of one factor half of the time."""
+    fields = [SQRT5, FieldContext((Fraction(-5, 4), 0, 1), "sqrt(5)/2")]
+    fields += [build_datum("I2", m).field for m in range(3, 13)]
+    fixed = [[(-1, 1), (1, 1)], [(-5, 0, 1), (1, 1)]]
+    rng = random.Random(seed)
+    tested = zero_divisors = rejected = 0
+    while tested < iterations:
+        field = fields[tested % len(fields)]
+        a = _random_scalar(rng, field)
+        if not any(a.num[1:]):
+            continue
+        assert _check_inverse(field, a, field.minpoly)
+        if tested < len(fixed):
+            factors = fixed[tested]
+        else:
+            factors = [rng.choice(_SMALL_FACTORS) for _ in range(rng.randint(1, 3))]
+        p = _poly_product(factors)
+        derivative = [i * c for i, c in enumerate(p)][1:]
+        squarefree = len(poly_gcdex(derivative, p)[0]) == 1
+        if not squarefree:
+            with pytest.raises(ValueError, match="must be squarefree"):
+                FieldContext(p, "product")
+            rejected += 1
+        else:
+            ring = FieldContext(p, "product")
+            if ring.degree > 1:
+                b = _random_scalar(rng, ring)
+                if rng.random() < 0.5:
+                    rem = _poly_divmod(rng.choice(factors), p)[1]
+                    b = b * ring.from_coeffs((rem + [0] * ring.degree)[:ring.degree])
+                if b:
+                    zero_divisors += not _check_inverse(ring, b, p)
+        tested += 1
+    assert zero_divisors >= iterations // 20 and rejected >= iterations // 20, (
+        zero_divisors, rejected)
     return tested
 
 
@@ -1102,6 +1180,10 @@ def test_field_axioms_thousand():
 
 def test_integer_kernel_matches_fraction_oracle_thousand():
     assert run_integer_kernel_oracle() >= 1000
+
+
+def test_solve_matches_extended_euclid_thousand():
+    assert run_solve_oracle() >= 1000
 
 
 def test_exact_divide_roundtrip_thousand():

@@ -10,10 +10,10 @@ from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
-                            christoffel_star, d_apply_matrix, derivation_apply,
+                            christoffel_star, derivation_apply,
                             derivation_bracket, derivation_degree,
-                            derivation_transform, dkx, dp_apply, jdkx,
-                            jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
+                            derivation_transform, dkx, dp_apply, dp_matrix,
+                            jdkx, jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
                             primitive_derivation_apply, xi_basis,
                             xi_coefficient_matrix)
 from coxsaito.verify import _nabla_matrix, run_suites
@@ -120,7 +120,7 @@ def test_a1_normalized_bk_remark(a1_quarter):
 
 
 def test_a1_normalized_flat_metric(a1_quarter):
-    dg = d_apply_matrix(a1_quarter.metric_G, a1_quarter)
+    dg = dp_matrix(a1_quarter.metric_G, 1, a1_quarter)
     assert dg[0, 0].as_poly() == MultiPoly.const(1, 1)
 
 
@@ -250,7 +250,7 @@ def test_dk_of_hk_invertible(b2, k):
     # (1,2) entry of D[H_1] is -4(x^2+y^2)).
     dk_hk = hk(k, b2)
     for _ in range(k):
-        dk_hk = d_apply_matrix(dk_hk, b2)
+        dk_hk = dp_matrix(dk_hk, 2, b2)
     entries = [[dk_hk[i, j].as_poly() for j in range(2)] for i in range(2)]
     assert all(p is not None for row in entries for p in row)
     det = Matrix(entries).det().constant_value()
@@ -260,7 +260,7 @@ def test_dk_of_hk_invertible(b2, k):
 def test_d_of_h1_nonconstant_entry_b2(b2):
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
-    dh1 = d_apply_matrix(hk(1, b2), b2)
+    dh1 = dp_matrix(hk(1, b2), 2, b2)
     assert dh1[0, 1].as_poly() == -4 * (x * x + y * y)
 
 

@@ -40,6 +40,30 @@ def test_poly_reads_no_coefficient_layout():
     assert not found, found
 
 
+def test_field_has_one_number_field_arithmetic():
+    # inversion and the squarefree certificate share one fraction-free
+    # integer solve: field.py defines no univariate polynomial division or
+    # Euclid, and neither job builds a Fraction
+    path = ROOT / "src" / "coxsaito" / "field.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [(node.lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and any(w in node.name for w in ("poly_", "divmod", "euclid", "gcd"))]
+    assert not found, found
+    field_context = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                         and node.name == "FieldContext")
+    methods = {node.name: node for node in field_context.body
+               if isinstance(node, ast.FunctionDef)}
+    for name in ("invert", "_certify_squarefree", "_solve"):
+        calls = [node.func for node in ast.walk(methods[name])
+                 if isinstance(node, ast.Call)]
+        assert not [f.lineno for f in calls
+                    if isinstance(f, ast.Name) and f.id == "Fraction"], name
+        if name != "_solve":
+            assert any(isinstance(f, ast.Attribute) and f.attr == "_solve"
+                       for f in calls), name
+
+
 def test_poly_imports_no_fractions():
     # a coefficient's type is the field's business: poly.py neither builds
     # nor tests for a Fraction

@@ -323,14 +323,14 @@ def test_flat_normalized_b2_found_by_ansatz():
     r2 = x * x + y * y
     p4 = x ** 4 + y ** 4
     hits = []
-    from coxsaito.saito import d_apply_matrix
+    from coxsaito.saito import dp_matrix
     for c1 in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
         for a in (Fraction(0), Fraction(-1, 4), Fraction(-1, 2),
                   Fraction(-3, 4), Fraction(-1)):
             inv = validate_invariants(datum, [r2 * c1, p4 + r2 * r2 * a],
                                       source="ansatz")
             ctx = build_context(datum, inv)
-            dg = d_apply_matrix(ctx.metric_G, ctx)
+            dg = dp_matrix(ctx.metric_G, 2, ctx)
             want = [[0, 1], [1, 0]]
             if all(dg[i, j] == MultiPoly.const(2, want[i][j]) for i in range(2)
                    for j in range(2)):
