@@ -28,19 +28,20 @@ run on Python ints and a Fraction is built only by `element`, at the edges
 the Scalars and the content is always 1, which makes `normalized`, `aligned`
 and `scaled` plain term-wise operations there.
 
-For a product, `pack_operands` turns each term into one int.  Over Q the
-terms are the ints and the denominator is the product of the contents; over
-an extension it uses Kronecker substitution (D. Harvey, J. Symb. Comp. 44,
-2009): every numerator vector v, cleared to the operand's common
-denominator, becomes the int sum_i v[i] 2^(bits*i), so a product of packed
-ints is the convolution of the vectors, one 2d-1 slot int per coefficient
-pair.  The slot width bits = bitlen(max |num| of a) + bitlen(max |num| of b)
-+ bitlen(n*d) + 1, with n = min(len a, len b) the most pairs that meet in one
-output monomial, keeps every slot of every sum in (-2^(bits-1),
-2^(bits-1)); `unpack_reduced` reads the signed slots back and reduces each
-sum once.  Exact division (`elimination_operands`) runs on such ints too: a
-step is a `divmod` over Q, and over an extension one `reduce` of a packed
-remainder and one big-int product per term of the monic divisor.
+For a sum of products sum_t a_t b_t, `pack_pairs` turns each term into one
+int over one common denominator.  Over Q the terms are the ints; over an
+extension it uses Kronecker substitution (D. Harvey, J. Symb. Comp. 44,
+2009): every numerator vector v becomes the int sum_i v[i] 2^(bits*i), so a
+product of packed ints is the convolution of the vectors, one 2d-1 slot int
+per coefficient pair, and the sum of products is the sum of convolutions.
+The slot width bits = max over the pairs of bitlen(max |num| of a) +
+bitlen(max |num| of b), plus bitlen(n*d) + 1, with n = sum of min(len a,
+len b) the most pairs of terms that meet in one output monomial, keeps every
+slot in (-2^(bits-1), 2^(bits-1)); `unpack_reduced` reads the signed slots
+back and reduces each sum once.  Exact division (`elimination_operands`)
+runs on such ints too: a step is a `divmod` over Q, and over an extension
+one `reduce` of a packed remainder and one big-int product per term of the
+monic divisor.
 """
 
 from __future__ import annotations
@@ -222,24 +223,31 @@ class FieldContext:
         out = {k + shift: p for k, c in terms.items() if (p := c * term)}
         return self.normalized(out, content * term_content)
 
-    def pack_operands(self, a: dict, ca, b: dict, cb):
-        """(bits, den, packed a, packed b) for the terms of two MultiPolys.
+    def pack_pairs(self, pairs):
+        """(bits, den, [(packed a, packed b), ...]) for the (a, ca, b, cb)
+        term dicts and contents of the pairs of one sum of products.
 
-        Over Q the terms are integers already: they are the packed operands,
-        den is the product of the two contents and `bits` is 0.  Over a
-        number field den is the product of the two operands' common
-        Scalar denominators and each numerator vector v becomes the int
-        sum_i v[i] * 2^(bits*i); a slot of a sum of packed products is a
-        sum of at most n*d numerator products, n = min(len(a), len(b)), so
-        the slot width of the module docstring keeps it in
-        (-2^(bits-1), 2^(bits-1)).
+        den is the lcm of the pairs' own denominators (ca * cb over Q, the
+        product of the common Scalar denominators over a number field); a
+        pair whose own one is den / s has its first operand times s.  Over Q
+        `bits` is 0; over a number field the numerator vectors are packed at
+        the slot width of the module docstring, bits(max|a| s) counting as
+        bits(max|a|) + bits(s - 1).
         """
         if self.degree == 1:
-            return 0, ca * cb, a, b
-        da, na, ba = _cleared(a)
-        db, nb, bb = _cleared(b)
-        bits = ba + bb + (min(len(a), len(b)) * self.degree).bit_length() + 1
-        return bits, da * db, _packed(na, bits), _packed(nb, bits)
+            dens = [ca * cb for _, ca, _, cb in pairs]
+            den = math.lcm(*dens)
+            return 0, den, [(_times(a, den // d), b)
+                            for (a, _, b, _), d in zip(pairs, dens)]
+        cleared = [(_cleared(a), _cleared(b)) for a, _, b, _ in pairs]
+        den = math.lcm(*(da * db for (da, _, _), (db, _, _) in cleared))
+        scales = [den // (da * db) for (da, _, _), (db, _, _) in cleared]
+        n = sum(min(len(a), len(b)) for a, _, b, _ in pairs)
+        bits = (max(ba + bb + (s - 1).bit_length()
+                    for ((_, _, ba), (_, _, bb)), s in zip(cleared, scales))
+                + (n * self.degree).bit_length() + 1)
+        return bits, den, [(_times(_packed(na, bits), s), _packed(nb, bits))
+                           for ((_, na, _), (_, nb, _)), s in zip(cleared, scales)]
 
     def unpack_reduced(self, packed: dict, bits: int, den: int):
         """(terms, content) for the nonzero values among `packed` / `den`.
@@ -247,7 +255,7 @@ class FieldContext:
         Over Q the nonzero sums are the terms over content den, made
         canonical by one gcd.  Over a number field each int holds 2d-1
         signed slots of width `bits` (a sum of products from
-        `pack_operands`), read back as `_slots` does and reduced once.  A
+        `pack_pairs`), read back as `_slots` does and reduced once.  A
         sum can vanish modulo p even when its packed int does not, so zero
         results are dropped.
         """
@@ -292,7 +300,7 @@ class FieldContext:
 
         Over a number field g is made monic (the quotient is divided by its
         leading coefficient at the end), its other terms are G_k / e and f
-        is F / D, packed as in `pack_operands` into slots bits(max|F|) +
+        is F / D, packed as in `pack_pairs` into slots bits(max|F|) +
         bits(max|G|) + bits(e) + bits(d * (len f + len g)) + 1 wide.  A step
         `reduce`s v's 2d-1 slots over D to qc; if qc.den * e does not divide
         D, D and every remainder int are multiplied by the missing factor s
@@ -514,6 +522,11 @@ def _pack(v, bits: int) -> int:
 def _packed(vectors: dict, bits: int) -> dict:
     """{key: _pack(v, bits)} for each vector v."""
     return {k: _pack(v, bits) for k, v in vectors.items()}
+
+
+def _times(terms: dict, s: int) -> dict:
+    """The int term dict times s (the dict itself for s = 1)."""
+    return terms if s == 1 else {k: c * s for k, c in terms.items()}
 
 
 def _offset(n: int, bits: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import CoxsaitoError
 from .field import FieldContext
-from .poly import MultiPoly
+from .poly import MultiPoly, sum_of_products
 
 
 class PowerBase:
@@ -48,15 +48,13 @@ class PowerBase:
         return table[index]
 
 
-def _common_base(a: "FactoredFraction", b: "FactoredFraction"):
-    """The base of a result combining a and b."""
-    if not b.exp:
-        return a.base
-    if not a.exp or a.base is b.base:
-        return b.base
-    if a.base.q != b.base.q:
+def _common_base(*fractions):
+    """The base of a result combining the fractions: that of the first with a
+    positive exponent (None if there is none)."""
+    bases = [f.base for f in fractions if f.exp]
+    if any(b is not bases[0] and b.q != bases[0].q for b in bases[1:]):
         raise CoxsaitoError("fractions over different denominator bases")
-    return a.base
+    return bases[0] if bases else None
 
 
 def _new(numerator: MultiPoly, base, exp: int) -> "FactoredFraction":
@@ -199,9 +197,11 @@ class FactoredFraction:
         return _new(num, self.base, exp)
 
     def as_poly(self):
-        """The exact polynomial value, or None if a power of q remains."""
-        s = self.simplify()
-        return None if s.exp else s.numerator
+        """The exact polynomial value, or None if a power of q remains:
+        q^exp divides the numerator exactly when the value is a polynomial."""
+        if not self.exp:
+            return self.numerator
+        return self.numerator.exact_divide(self.base.power(self.exp))
 
     def partial(self, index: int) -> "FactoredFraction":
         """Partial derivative by the quotient rule:
@@ -226,3 +226,22 @@ class FactoredFraction:
 
     def __repr__(self):
         return f"FactoredFraction({self.render()})"
+
+
+def fraction_sum_of_products(pairs, nvars: int, field: FieldContext):
+    """sum a * b over (a, b) pairs of MultiPolys and FactoredFractions: one
+    `poly.sum_of_products` over q^E, E the largest a.exp + b.exp, each pair
+    brought up to E by base.power(diff) as `FactoredFraction.__add__` does."""
+    live = [tuple(x if isinstance(x, FactoredFraction) else _new(x, None, 0)
+                  for x in pair) for pair in pairs if pair[0] and pair[1]]
+    if not live:
+        return FactoredFraction.zero(nvars, field)
+    base = _common_base(*(x for pair in live for x in pair))
+    top = max(a.exp + b.exp for a, b in live)
+    numerators = []
+    for a, b in live:
+        na, nb = sorted((a.numerator, b.numerator), key=lambda p: len(p.terms))
+        if diff := top - a.exp - b.exp:
+            na = na * base.power(diff)
+        numerators.append((na, nb))
+    return _new(sum_of_products(numerators, nvars, field), base, top)

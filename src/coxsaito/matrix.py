@@ -8,14 +8,18 @@ nonzero constant c without one): the adjugate times c^-1 over q^e, every
 entry exact.  Scalar matrices -- Gram and reflection matrices -- are matrices
 of constant polynomials (`Matrix.from_scalars`), so they share the same
 product, equality and determinant.
+
+A product entry sum_t a_it b_tj is one packed sum of products, read back
+once (`poly.sum_of_products`; `fraction.fraction_sum_of_products` when a
+factor holds fractions), never l products and l - 1 sums.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NonPolynomialEntry, SingularMatrix
 from .field import FieldContext
-from .fraction import FactoredFraction, PowerBase
-from .poly import MultiPoly
+from .fraction import FactoredFraction, PowerBase, fraction_sum_of_products
+from .poly import MultiPoly, sum_of_products
 
 
 class Matrix:
@@ -119,27 +123,18 @@ class Matrix:
         return self.map_entries(lambda e: -e)
 
     def __mul__(self, other):
+        """The matrix product (module docstring), or every entry times a
+        polynomial, fraction or scalar."""
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("inner dimensions do not match")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = None
-                    for t in range(self.cols):
-                        a = self.entries[i][t]
-                        b = other.entries[t][j]
-                        if not a or not b:
-                            continue
-                        term = a * b
-                        acc = term if acc is None else acc + term
-                    if acc is None:
-                        acc = self._zero_one()[0]
-                    row.append(acc)
-                out.append(row)
-            return Matrix(out)
-        # entrywise scaling by a polynomial, fraction or scalar
+            sample = self.entries[0][0]
+            entry = (fraction_sum_of_products
+                     if self.is_fraction_mode or other.is_fraction_mode
+                     else sum_of_products)
+            cols = list(zip(*other.entries))
+            return Matrix([[entry(zip(row, col), sample.nvars, sample.field)
+                            for col in cols] for row in self.entries])
         return self.map_entries(lambda e: e * other)
 
     __rmul__ = __mul__

@@ -19,28 +19,30 @@ over an extension: Scalars and the content 1).  No zero term is ever stored
 and the pair is canonical.  Each operation has one body for every field.
 Sums bring both term dicts over one content (`FieldContext.aligned`) and
 merge them; scalar multiples, derivatives and products with a one-term
-operand scale the terms.  Every other product runs on the ints that
-`FieldContext.pack_operands` makes of the terms, and
-`FieldContext.unpack_reduced` rebuilds the terms from the sums, so Q and
-number fields share both of its routes:
+operand scale the terms.  Every other product is one kernel,
+`sum_of_products` of the pairs of a matrix entry sum_t a_t b_t (or of one
+pair): `FieldContext.pack_pairs` makes ints of all terms over one
+denominator, every pair's product accumulates into one int dict, and
+`FieldContext.unpack_reduced` reads the terms back once per entry, so Q and
+number fields share both routes of a pair (`_add_product`):
 
-  * the schoolbook loop `_int_product`, one multiply-add per pair of terms;
+  * the schoolbook loop, one multiply-add per pair of terms;
   * Kronecker substitution `_kronecker_product`, which lays each operand out
     on a dense grid of monomials as one big int, so that one big-int product
     gives every sum.
 
 The route follows from the operand sizes alone: Kronecker when there are at
-least KRONECKER_MIN_PAIRS pairs and at least four pairs per slot of the grid
+least KRONECKER_MIN_PAIRS pairs and at least five pairs per slot of the grid
 that the total degrees bound, (high - low + 1) * (high + 1)^(n - 1) for
-product degrees low..high in n variables.  Sparse operands, and small
-ones, whose fixed cost the grid would not repay, take the schoolbook loop.
-Exact division is one leading-term
-elimination loop over a heap of keys on ints for every field: the field
-packs the operands (over an extension as for a product), maps each step's
-leading int to a quotient term and rebuilds the quotient at the end.
-Every result passes through the field's canonical form.  Field elements are
-built only where a coefficient leaves the polynomial: `leading`,
-`constant_value` and `iter_terms`.
+product degrees low..high in n variables.  Sparse operands, and small or
+lopsided ones near four pairs per slot, whose fixed cost and wide grid the
+product would not repay, take the schoolbook loop.
+Exact division is one leading-term elimination loop over a heap of keys on
+ints for every field: the field packs the operands (over an extension as for
+a product), maps each step's leading int to a quotient term and rebuilds the
+quotient at the end.  Every result passes through the field's canonical
+form.  Field elements are built only where a coefficient leaves the
+polynomial: `leading`, `constant_value` and `iter_terms`.
 """
 
 from __future__ import annotations
@@ -79,18 +81,26 @@ def key_degree(key: int, nvars: int) -> int:
     return key >> (nvars * LIMB)
 
 
-def _int_product(a: dict, b: dict) -> dict:
-    """Schoolbook product of two int term dicts; sums that cancel stay as 0."""
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict = {}
+def _add_product(out: dict, a: dict, b: dict, nvars: int) -> None:
+    """out += a * b for int term dicts with len(a) <= len(b); sums that
+    cancel stay as 0.  The route follows the module docstring's rule."""
+    pairs = len(a) * len(b)
+    # the floor first: it spares small products the min() scans
+    if pairs >= KRONECKER_MIN_PAIRS:
+        top = nvars * LIMB
+        high = (max(a) + max(b)) >> top
+        if pairs >= 5 * (high - ((min(a) + min(b)) >> top) + 1) * (high + 1) ** (nvars - 1):
+            if not out:
+                out.update(_kronecker_product(a, b, nvars))
+                return
+            # the loop below then adds the product's sums, as 1 * sums, to out
+            a, b = {0: 1}, _kronecker_product(a, b, nvars)
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
             cur = get(k)
             out[k] = ca * cb if cur is None else cur + ca * cb
-    return out
 
 
 def _kronecker_product(a: dict, b: dict, nvars: int) -> dict:
@@ -295,16 +305,10 @@ class MultiPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_compat(self, other: "MultiPoly"):
-        if self.nvars != other.nvars:
-            raise DimensionMismatch("nvars mismatch")
-        if self.field is not other.field and self.field != other.field:
-            raise DimensionMismatch("operands lie in different fields")
-
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_compat(other)
+        _check_operand(other, self.nvars, self.field)
         if not self.terms:
             return other
         if not other.terms:
@@ -337,46 +341,11 @@ class MultiPoly:
                          self.field, self.content)
 
     def __mul__(self, other):
-        """The product, one body for every field.
-
-        A one-term operand scales the other operand and shifts its keys.
-        Otherwise `FieldContext.pack_operands` turns every term into one int,
-        the product runs on those ints, and `FieldContext.unpack_reduced`
-        rebuilds the terms from the nonzero sums.  The ints are multiplied
-        by Kronecker substitution (`_kronecker_product`) when the pairs of
-        terms number at least KRONECKER_MIN_PAIRS and at least four times
-        the slots of the grid that the total degrees bound (module
-        docstring), and by the schoolbook loop (`_int_product`) otherwise.
-        A scalar (int, Fraction or Scalar) scales every term.
-        """
-        field = self.field
+        """The product: `sum_of_products` of the one pair, or, for a scalar
+        (int, Fraction or Scalar), every term scaled."""
         if isinstance(other, MultiPoly):
-            self._check_compat(other)
-            a, ca, b, cb = self.terms, self.content, other.terms, other.content
-            if not a or not b:
-                return MultiPoly.zero(self.nvars, field)
-            if len(a) > len(b):
-                a, ca, b, cb = b, cb, a, ca
-            # no exponent of the product can leave its limb while the total
-            # degree, the top limb of the product's leading key, fits in one
-            top = self.nvars * LIMB
-            high = (max(a) + max(b)) >> top
-            if high > MASK:
-                raise DimensionMismatch(f"a product exponent would exceed {MASK}")
-            if len(a) == 1:
-                (ka, ta), = a.items()
-                terms, content = field.scaled(b, cb, ta, ca, ka)
-            else:
-                pairs = len(a) * len(b)
-                # the floor first: it spares small products the min() scans
-                dense = (pairs >= KRONECKER_MIN_PAIRS
-                         and pairs >= 4 * (high - ((min(a) + min(b)) >> top) + 1)
-                         * (high + 1) ** (self.nvars - 1))
-                bits, den, pa, pb = field.pack_operands(a, ca, b, cb)
-                sums = (_kronecker_product(pa, pb, self.nvars) if dense
-                        else _int_product(pa, pb))
-                terms, content = field.unpack_reduced(sums, bits, den)
-            return MultiPoly(self.nvars, terms, field, content)
+            return sum_of_products([(self, other)], self.nvars, self.field)
+        field = self.field
         parts = field.scalar_parts(other)
         if parts is None:
             return NotImplemented
@@ -491,7 +460,7 @@ class MultiPoly:
         """
         if not isinstance(divisor, MultiPoly):
             raise TypeError("divisor must be a MultiPoly")
-        self._check_compat(divisor)
+        _check_operand(divisor, self.nvars, self.field)
         if divisor.is_zero():
             raise DivisionByZero("exact_divide by zero polynomial")
         if self.is_zero():
@@ -585,6 +554,46 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
+
+
+def _check_operand(p: MultiPoly, nvars: int, field: FieldContext):
+    if p.nvars != nvars:
+        raise DimensionMismatch("nvars mismatch")
+    if p.field is not field and p.field != field:
+        raise DimensionMismatch("operands lie in different fields")
+
+
+def sum_of_products(pairs, nvars: int, field: FieldContext) -> MultiPoly:
+    """sum a * b over the (a, b) pairs of MultiPolys (module docstring); when
+    every pair has a one-term operand, the scaled operands are added."""
+    top = nvars * LIMB
+    live = []
+    for a, b in pairs:
+        _check_operand(a, nvars, field)
+        _check_operand(b, nvars, field)
+        if a.terms and b.terms:
+            if len(a.terms) > len(b.terms):
+                a, b = b, a
+            # no exponent of a product can leave its limb while the total
+            # degree, the top limb of the product's leading key, fits in one
+            if (max(a.terms) + max(b.terms)) >> top > MASK:
+                raise DimensionMismatch(f"a product exponent would exceed {MASK}")
+            live.append((a.terms, a.content, b.terms, b.content))
+    if not live:
+        return MultiPoly.zero(nvars, field)
+    if all(len(a) == 1 for a, _, _, _ in live):
+        scaled = []
+        for a, ca, b, cb in live:
+            (ka, ta), = a.items()
+            terms, content = field.scaled(b, cb, ta, ca, ka)
+            scaled.append(MultiPoly(nvars, terms, field, content))
+        return sum(scaled[1:], scaled[0])
+    bits, den, packed = field.pack_pairs(live)
+    sums: dict = {}
+    for a, b in packed:
+        _add_product(sums, a, b, nvars)
+    terms, content = field.unpack_reduced(sums, bits, den)
+    return MultiPoly(nvars, terms, field, content)
 
 
 def default_names(nvars: int) -> tuple[str, ...]:

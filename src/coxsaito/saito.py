@@ -219,7 +219,9 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
 
     By the chain rule each entry of J(D^k[X]) has a denominator q^e with
     e <= 2k; a foreign denominator or a larger exponent raises
-    NonPolynomialEntry before the product is formed.
+    NonPolynomialEntry before the product is formed.  Each product entry
+    num / q^E is certified by one exact division by the cached q^E
+    (`FactoredFraction.as_poly`), whose quotient is the small B^(k) entry.
     """
     memo = ctx._bk_memo
     if k not in memo:

@@ -219,11 +219,52 @@ def expanded_subst(f, matrix):
     return out
 
 
+def schoolbook_sums(a: dict, b: dict) -> dict:
+    """The product of two int term dicts by the plain double loop, with the
+    sums that cancel kept as 0: the reference for both product routes."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
+    return out
+
+
+def sequential_matmul(a, b):
+    """The matrix product one pair at a time: each entry sum_t a_it * b_tj
+    is a `MultiPoly.__mul__` or `FactoredFraction.__mul__` per pair and a
+    running `__add__`, skipping zero factors; the reference for the fused
+    sum of products of `Matrix.__mul__`."""
+    out = []
+    for row in a.entries:
+        out_row = []
+        for col in zip(*b.entries):
+            acc = None
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = x * y if acc is None else acc + x * y
+            out_row.append(a._zero_one()[0] if acc is None else acc)
+        out.append(out_row)
+    return Matrix(out)
+
+
+def repeated_division_as_poly(f):
+    """The polynomial value of a FactoredFraction, or None, by dividing its
+    numerator by q one power at a time until a division fails: the reference
+    for `FactoredFraction.as_poly`, which divides by q^exp once."""
+    num, exp = f.numerator, f.exp
+    while exp:
+        quotient = num.exact_divide(f.base.q)
+        if quotient is None:
+            return None
+        num, exp = quotient, exp - 1
+    return num
+
+
 def takes_kronecker(a: dict, b: dict, nvars: int) -> bool:
     """Whether `MultiPoly.__mul__` multiplies term dicts a and b by Kronecker
     substitution, recomputed here from the rule its docstring states: both
     have two or more terms, there are at least KRONECKER_MIN_PAIRS pairs,
-    and the pairs are at least four times the slots of the grid that the
+    and the pairs are at least five times the slots of the grid that the
     total degrees bound."""
     if min(len(a), len(b)) < 2:
         return False
@@ -232,7 +273,7 @@ def takes_kronecker(a: dict, b: dict, nvars: int) -> bool:
     low = (min(a) >> top) + (min(b) >> top)
     pairs = len(a) * len(b)
     return (pairs >= KRONECKER_MIN_PAIRS
-            and pairs >= 4 * (high - low + 1) * (high + 1) ** (nvars - 1))
+            and pairs >= 5 * (high - low + 1) * (high + 1) ** (nvars - 1))
 
 
 def with_entry(m, i, j, value):

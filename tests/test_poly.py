@@ -3,11 +3,11 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
-from conftest import expanded_subst, takes_kronecker
+from conftest import expanded_subst, schoolbook_sums, takes_kronecker
 
 from coxsaito.errors import CoxsaitoError, DimensionMismatch, DivisionByZero
 from coxsaito.field import RATIONALS, FieldContext
-from coxsaito.poly import (LIMB, MASK, MultiPoly, _int_product, _kronecker_product,
+from coxsaito.poly import (LIMB, MASK, MultiPoly, _add_product, _kronecker_product,
                            _signed_permutation, contact_order, pack)
 
 
@@ -218,12 +218,12 @@ KRONECKER_SHAPES = {
     1: ([(i,) for i in range(63)], (62,)),
     2: ([e for e in cartesian(range(8), repeat=2) if any(e)], (7, 7)),
     3: ([e for e in cartesian(range(13), repeat=3) if sum(e) == 12], (12, 12, 12)),
-    4: ([e for e in cartesian(range(8), repeat=4) if sum(e) == 14], (7, 7, 7, 7)),
+    4: ([e for e in cartesian(range(9), repeat=4) if sum(e) == 16], (8, 8, 8, 8)),
 }
 
 
 def _schoolbook(a, b):
-    return {k: v for k, v in _int_product(a, b).items() if v}
+    return {k: v for k, v in schoolbook_sums(a, b).items() if v}
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
@@ -265,4 +265,12 @@ def test_kronecker_product_matches_schoolbook_mixed_signs(nvars):
             assert _kronecker_product(x, y, nvars) == want
             p = MultiPoly(nvars, x) * MultiPoly(nvars, y)
             assert p.terms == want and p.content == 1
-        assert len(_int_product(a, mirror)) > len(_schoolbook(a, mirror))
+        # a Kronecker product added into sums already there, as in one matrix entry
+        sums = {}
+        for x, y in ((a, b), (a, mirror)):
+            _add_product(sums, x, y, nvars)
+        want = schoolbook_sums(a, b)
+        for k, v in schoolbook_sums(a, mirror).items():
+            want[k] = want.get(k, 0) + v
+        assert {k: v for k, v in sums.items() if v} == {k: v for k, v in want.items() if v}
+        assert len(schoolbook_sums(a, mirror)) > len(_schoolbook(a, mirror))

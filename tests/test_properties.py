@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (H3_FIELD, H3_TAU, _poly_divmod, expanded_subst, h3_roots,
-                      poly_gcdex, takes_kronecker)
+                      poly_gcdex, repeated_division_as_poly, sequential_matmul,
+                      takes_kronecker)
 
 from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
                               jacobian)
@@ -934,6 +935,139 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
     return tested
 
 
+MATMUL_KINDS = ("small", "fraction", "wide", "extreme", "cancel", "kronecker")
+
+
+def _matmul_operands(rng, kind, field, nvars):
+    """Two matrices for one `run_matmul_oracle` instance of the given kind."""
+    def shape():
+        return rng.randint(1, 3), rng.randint(1, 3)
+
+    def grid(rows, cols, entry):
+        return Matrix([[entry() for _ in range(cols)] for _ in range(rows)])
+
+    def small():
+        # a quarter zero entries, one-term operands common
+        if rng.random() < 0.25:
+            return MultiPoly.zero(nvars, field)
+        return _random_poly(rng, field, nvars, 3, rng.randint(1, 4))
+
+    (r, n), c = shape(), rng.randint(1, 3)
+    if kind == "small":
+        return grid(r, n, small), grid(n, c, small)
+    if kind == "fraction":
+        base = PowerBase(_random_form_product(rng, field, nvars))
+
+        def fraction():
+            p = small()
+            e = rng.randint(0, 3)
+            return p if e == 0 and rng.random() < 0.5 else FactoredFraction(p, base, e)
+        left = grid(r, n, fraction if rng.random() < 0.7 else small)
+        return left, grid(n, c, fraction)
+    if kind == "wide":
+        def wide():
+            return MultiPoly.from_terms(
+                nvars, [([rng.randint(0, 3) for _ in range(nvars)],
+                         _wide_scalar(rng, field)) for _ in range(rng.randint(1, 4))],
+                field)
+        return grid(r, n, wide), grid(n, c, wide)
+    if kind == "extreme":
+        # every pair of every entry piles onto the middle monomials with one
+        # extreme numerator, so those slots come closest to the width bound
+        top = rng.choice((-1, 1)) * (2 ** 64 - rng.randint(1, 99))
+        coeff = field.from_coeffs([top] * field.degree)
+        degree = rng.randint(1, 4)
+
+        def dense():
+            return _dense_form(field, nvars, degree, coeff)
+        return grid(r, n, dense), grid(n, c, dense)
+    if kind == "cancel":
+        # row (a, a) times column (b, -b): every entry cancels to zero
+        a, b = small() or MultiPoly.const(nvars, 1, field), small()
+        return Matrix([[a, a]]), Matrix([[b], [-b]])
+    low = 4 if nvars == 2 else 8
+
+    def dense_random():
+        return MultiPoly.from_terms(nvars, [(e, _nonzero_scalar(rng, field))
+                                            for e in _monomials(nvars, low, 8)], field)
+    left, right = Matrix([[dense_random(), small()]]), Matrix([[dense_random()], [small()]])
+    assert takes_kronecker(left[0, 0].terms, right[0, 0].terms, nvars)
+    return left, right
+
+
+def run_matmul_oracle(iterations=ITERATIONS, seed=14142136) -> int:
+    """`Matrix.__mul__`, one packed sum of products per entry, against
+    `conftest.sequential_matmul`, over Q, Q(sqrt 5) and the degree-4 field
+    of I2(5).  Every entry must equal the reference in form, not only in
+    value: the same exponent and the same canonical numerator (a fraction
+    entry) or the same polynomial (a polynomial entry); a zero entry may be
+    a zero polynomial or a zero fraction.  Kinds: small random
+    entries with a quarter of them zero and one-term operands common;
+    fractions num / q^e with mixed exponents 0..3 and plain polynomials
+    among them; numerators near 2^64 over mixed denominators; dense
+    operands whose slots all reach the width bound; entries that cancel to
+    zero; and a pair that takes the Kronecker route."""
+    fields = [RATIONALS, SQRT5, build_datum("I2", 5).field]
+    rng = random.Random(seed)
+    kinds = dict.fromkeys(MATMUL_KINDS, 0)
+    tested = 0
+    while tested < iterations:
+        field = fields[tested % len(fields)]
+        kind = MATMUL_KINDS[tested // len(fields) % len(MATMUL_KINDS)]
+        nvars = 2 if kind == "kronecker" else rng.choice((2, 3))
+        left, right = _matmul_operands(rng, kind, field, nvars)
+        got, want = left * right, sequential_matmul(left, right)
+        assert got == want, kind
+        for g_row, w_row in zip(got.entries, want.entries):
+            for g, w in zip(g_row, w_row):
+                if not w:
+                    # a zero entry is a zero of either type, with exponent 0
+                    assert not g and not getattr(g, "exp", 0), kind
+                    continue
+                assert type(g) is type(w), kind
+                if isinstance(g, FactoredFraction):
+                    assert (g.exp, g.numerator) == (w.exp, w.numerator), kind
+                else:
+                    assert g == w and hash(g) == hash(w), kind
+        kinds[kind] += 1
+        tested += 1
+    assert min(kinds.values()) >= iterations // 10, kinds
+    return tested
+
+
+def run_as_poly_oracle(iterations=ITERATIONS, seed=30103) -> int:
+    """`FactoredFraction.as_poly` (one exact division by q^e) against
+    `conftest.repeated_division_as_poly` on num * q^a / q^e, over Q and
+    Q(sqrt 5), q a product of one or two random linear forms; a < e, a = e
+    and a > e in turn.  For a >= e the value is the polynomial num * q^(a-e);
+    for a < e it is one exactly when q^(e-a) divides num, which the
+    instances reach by taking num itself as a multiple of q at times."""
+    rng = random.Random(seed)
+    seen = {"a < e": 0, "a = e": 0, "a > e": 0, "polynomial": 0, "none": 0}
+    tested = 0
+    while tested < iterations:
+        field = (RATIONALS, SQRT5)[tested % 2]
+        nvars = rng.choice((2, 3))
+        base = PowerBase(_random_form_product(rng, field, nvars))
+        num = _random_poly(rng, field, nvars, 3, rng.randint(1, 4))
+        if num.is_zero():
+            continue
+        if rng.random() < 0.3:
+            num = num * base.power(rng.randint(1, 2))
+        e = rng.randint(1, 4)
+        a = (rng.randint(0, e - 1), e, rng.randint(e + 1, e + 2))[tested // 2 % 3]
+        f = FactoredFraction(num * base.power(a), base, e)
+        got, want = f.as_poly(), repeated_division_as_poly(f)
+        assert got == want, (a, e)
+        if a >= e:
+            assert got == num * base.power(a - e)
+        seen[("a < e", "a = e", "a > e")[tested // 2 % 3]] += 1
+        seen["none" if got is None else "polynomial"] += 1
+        tested += 1
+    assert min(seen.values()) >= iterations // 10, seen
+    return tested
+
+
 def _max_loop_divide(f, g):
     """Leading-term elimination one Scalar operation at a time, the largest
     remaining key found by max() and the divisor's leading term multiplied
@@ -1226,6 +1360,14 @@ def test_lowest_power_rescaling_thousand():
 
 def test_nf_product_matches_per_pair_oracle_thousand():
     assert run_nf_product_oracle() >= 1000
+
+
+def test_matmul_matches_sequential_oracle_thousand():
+    assert run_matmul_oracle() >= 1000
+
+
+def test_as_poly_matches_repeated_division_thousand():
+    assert run_as_poly_oracle() >= 1000
 
 
 def test_nf_exact_divide_matches_max_loop_oracle_thousand():

@@ -1,15 +1,18 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
-from conftest import (ladder_jdkx_inv, nabla_matrix_reference,
+from conftest import (h3_document, ladder_jdkx_inv, nabla_matrix_reference,
                       nabla_power_reference, with_entry)
 
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
 from coxsaito.errors import NonPolynomialEntry
 from coxsaito.fraction import FactoredFraction, PowerBase
+from coxsaito.invariants_io import ingest_invariants
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
-from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
+from coxsaito.saito import (PolyDerivation, _certified_bk, bk_matrix, build_context,
                             christoffel_star, derivation_apply,
                             derivation_bracket, derivation_degree,
                             derivation_transform, dkx, dp_apply, dp_matrix,
@@ -367,6 +370,39 @@ def _tampered_b2(kind, monkeypatch):
 def test_jdkx_inv_rejects_broken_premises(kind, message, monkeypatch):
     with pytest.raises(NonPolynomialEntry, match=message):
         jdkx_inv(1, _tampered_b2(kind, monkeypatch))
+
+
+# The B^(2) witness under J(D^2[X]) + (1/q at entry (1,1)): the rendered
+# product entry, pinned as text for B2 and by length and SHA-256 for the H3
+# file (12,950 characters), so any change to the form of a product entry --
+# its numerator or its exponent -- shows here.
+BK_WITNESS_PINS = {
+    "B2": (125, "B^(2) entry (1,1) is not polynomial: (16/3*x^15*y^3-128/3*x^13*y^5"
+                "+96*x^11*y^7-256/3*x^9*y^9+80/3*x^7*y^11)/((x^3*y-x*y^3)^4)"),
+    "H3": (12950, "a225387abdde1b8e1f0412d08cb0a956cb4153b1b28907baf91dd0a3ea09f6d4"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BK_WITNESS_PINS))
+def test_certified_bk_witness_text_is_pinned(label, monkeypatch, tmp_path):
+    if label == "B2":
+        d = build_datum("B", 2)
+        ctx = build_context(d, builtin_invariants(d))
+    else:
+        path = tmp_path / "h3.json"
+        path.write_text(json.dumps(h3_document()), encoding="utf-8")
+        ctx = build_context(*ingest_invariants(path))
+    jd = jdkx(2, ctx)
+    one = MultiPoly.const(ctx.rank, 1, ctx.datum.field)
+    bad = with_entry(jd, 0, 0, jd[0, 0] + FactoredFraction(one, ctx.q_base, 1))
+    monkeypatch.setattr("coxsaito.saito.jdkx",
+                        lambda k, c: bad if k == 2 and c is ctx else jdkx(k, c))
+    with pytest.raises(NonPolynomialEntry) as caught:
+        _certified_bk(2, ctx)
+    text = str(caught.value)
+    length, pin = BK_WITNESS_PINS[label]
+    assert len(text) == length
+    assert (text if label == "B2" else hashlib.sha256(text.encode()).hexdigest()) == pin
 
 
 def test_foreign_denominator_is_an_integrity_failure(monkeypatch):

@@ -25,10 +25,10 @@ def test_every_absolute_import_is_stdlib():
     assert not foreign, foreign
 
 
-def test_poly_reads_no_coefficient_layout():
-    # only FieldContext turns coefficients into integers and back: poly.py
-    # reads no numerator, denominator or field degree, and builds no scalar
-    path = ROOT / "src" / "coxsaito" / "poly.py"
+def _layout_reads(name):
+    """Where a module reads a numerator, denominator or field degree, or
+    builds a scalar: (line, what) pairs."""
+    path = ROOT / "src" / "coxsaito" / name
     layout = {"numerator", "denominator", "num", "den", "degree"}
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -37,6 +37,39 @@ def test_poly_reads_no_coefficient_layout():
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in ("Fraction", "Scalar")):
             found.append((node.lineno, node.func.id + "(...)"))
+    return found
+
+
+def test_poly_reads_no_coefficient_layout():
+    # only FieldContext turns coefficients into integers and back: poly.py
+    # reads no numerator, denominator or field degree, and builds no scalar
+    found = _layout_reads("poly.py")
+    assert not found, found
+
+
+def test_matrix_reads_no_coefficient_layout():
+    # nor does the matrix layer, whose products are the kernel's sums
+    found = _layout_reads("matrix.py")
+    assert not found, found
+
+
+def test_matrix_product_has_one_route():
+    # every entry of a matrix product is one sum of products of the kernel:
+    # Matrix.__mul__ adds nothing and multiplies nothing inside a loop
+    path = ROOT / "src" / "coxsaito" / "matrix.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    matrix = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Matrix")
+    mul = next(node for node in matrix.body
+               if isinstance(node, ast.FunctionDef) and node.name == "__mul__")
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = [(node.lineno, "+") for node in ast.walk(mul)
+             if isinstance(node, ast.AugAssign)
+             or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)]
+    found += sorted({(node.lineno, "* in a loop") for loop in ast.walk(mul)
+                     if isinstance(loop, loops) for node in ast.walk(loop)
+                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)})
     assert not found, found
 
 
