@@ -204,17 +204,18 @@ class FactoredFraction:
         return self.numerator.exact_divide(self.base.power(self.exp))
 
     def partial(self, index: int) -> "FactoredFraction":
-        """Partial derivative by the quotient rule:
-        (num' q - e num q') / q^(e+1)."""
+        """Partial derivative by the quotient rule, over q^(e+1) when q
+        depends on the variable: the numerator num' q - e num q' is one
+        two-pair `poly.sum_of_products`."""
         d_num = self.numerator.partial(index)
         if not self.exp:
             return _new(d_num, self.base, 0)
         d_q = self.base.partial(index)
         if d_q.is_zero():
             return _new(d_num, self.base, self.exp)
-        num = self.numerator * (d_q * -self.exp)
-        if d_num:
-            num = d_num * self.base.q + num
+        num = sum_of_products(
+            [(d_num, self.base.q), (self.numerator, d_q * -self.exp)],
+            self.nvars, self.field)
         return _new(num, self.base, self.exp + 1)
 
     def render(self, names=None) -> str:

@@ -11,7 +11,9 @@ product, equality and determinant.
 
 A product entry sum_t a_it b_tj is one packed sum of products, read back
 once (`poly.sum_of_products`; `fraction.fraction_sum_of_products` when a
-factor holds fractions), never l products and l - 1 sums.
+factor holds fractions), never l products and l - 1 sums.  A minor's Laplace
+expansion sum_j +-e_rj M_rj is the same kernel call on the signed pairs, and
+`_kernel` chooses the kernel for both.
 """
 
 from __future__ import annotations
@@ -128,13 +130,11 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("inner dimensions do not match")
-            sample = self.entries[0][0]
-            entry = (fraction_sum_of_products
-                     if self.is_fraction_mode or other.is_fraction_mode
-                     else sum_of_products)
+            entry = _kernel(self.entries[0][0],
+                            self.is_fraction_mode or other.is_fraction_mode)
             cols = list(zip(*other.entries))
-            return Matrix([[entry(zip(row, col), sample.nvars, sample.field)
-                            for col in cols] for row in self.entries])
+            return Matrix([[entry(zip(row, col)) for col in cols]
+                           for row in self.entries])
         return self.map_entries(lambda e: e * other)
 
     __rmul__ = __mul__
@@ -176,18 +176,20 @@ class MinorTable:
     """Memoized minors of a square matrix.
 
     `minor(rows, cols)` is the minor on a row and a column bitmask, expanded by
-    Laplace along its lowest row; every minor is computed once and shared by
-    the determinant and all l^2 cofactors of the adjugate.
+    Laplace along its lowest row as one sum of products of signed entries and
+    smaller minors; every minor is computed once and shared by the
+    determinant and all l^2 cofactors of the adjugate.
     """
 
-    __slots__ = ("entries", "full", "one", "zero", "memo")
+    __slots__ = ("entries", "full", "one", "sum", "memo")
 
     def __init__(self, m: Matrix):
         if m.rows != m.cols:
             raise DimensionMismatch("minors of a non-square matrix")
         self.entries = m.entries
         self.full = (1 << m.rows) - 1
-        self.zero, self.one = m._zero_one()
+        self.one = m._zero_one()[1]
+        self.sum = _kernel(self.one, m.is_fraction_mode)
         self.memo: dict = {}
 
     def minor(self, rows: int, cols: int):
@@ -200,19 +202,11 @@ class MinorTable:
         cached = self.memo.get((rows, cols))
         if cached is not None:
             return cached
-        row = self.entries[r]
-        acc = self.zero
-        sign = 1
-        for j in range(len(row)):
-            bit = 1 << j
-            if cols & bit:
-                e = row[j]
-                if e:
-                    term = e * self.minor(rest, cols & ~bit)
-                    acc = acc + term if sign > 0 else acc - term
-                sign = -sign
-        self.memo[(rows, cols)] = acc
-        return acc
+        columns = [j for j in range(len(self.entries)) if cols >> j & 1]
+        pairs = [(e if pos % 2 == 0 else -e, self.minor(rest, cols & ~(1 << j)))
+                 for pos, j in enumerate(columns) if (e := self.entries[r][j])]
+        self.memo[(rows, cols)] = value = self.sum(pairs)
+        return value
 
     def det(self):
         return self.minor(self.full, self.full)
@@ -228,3 +222,10 @@ class MinorTable:
         n = len(self.entries)
         return Matrix([[cofactor(j, i) for j in range(n)] for i in range(n)])
 
+
+def _kernel(sample, fractions: bool):
+    """sum a * b over (a, b) pairs with the sample entry's variables and
+    field: `fraction_sum_of_products` when an operand may be a fraction, else
+    `poly.sum_of_products`."""
+    kernel = fraction_sum_of_products if fractions else sum_of_products
+    return lambda pairs: kernel(pairs, sample.nvars, sample.field)

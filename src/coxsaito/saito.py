@@ -16,10 +16,14 @@ rows the theorems speak of, xi^(m) (`xi_basis`) and nabla_D^t xi^(m)
 the hyperplanes (`contact_defect`).
 
 A derivation is held by its coefficients in the coordinate frame d/dX_i and
-nowhere else.  nabla is the flat connection of V, whose Christoffel symbols
-vanish in the coordinates X, so `nabla_D` applies D to each coefficient.  The
-invariant frame d/dP_j appears only where a theorem is stated in it: `verify`
-multiplies a coefficient column by J(P)^T there.
+nowhere else, and acts on functions as its coefficient row times their
+Jacobian: theta(f) = sum_i c_i df/dX_i is one matrix product
+(`_apply_coeffs`), each value one fused sum of products.  D and d/dP_k are
+the rows of J(P)^-1, so D^k[X], d/dP_k of a matrix, `nabla_D` and the bracket
+are all that product.  nabla is the flat connection of V, whose Christoffel
+symbols vanish in the coordinates X, so `nabla_D` applies D to each
+coefficient.  The invariant frame d/dP_j appears only where a theorem is
+stated in it: `verify` multiplies a coefficient column by J(P)^T there.
 """
 
 from __future__ import annotations
@@ -146,28 +150,17 @@ def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoCont
 # -- the primitive derivation and its powers -------------------------------------
 
 
-def _apply_coeffs(coeffs, f, ctx: SaitoContext) -> FactoredFraction:
-    """sum_i coeffs[i] * df/dX_i, simplified."""
-    if isinstance(f, MultiPoly):
-        f = FactoredFraction.from_poly(f)
-    acc = None
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        df = f.partial(i)
-        if df.is_zero():
-            continue
-        term = c * df
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return FactoredFraction.zero(ctx.rank, ctx.datum.field)
-    return acc.simplify()
+def _apply_coeffs(coeffs, fs) -> tuple:
+    """theta(f) = sum_i coeffs[i] df/dX_i for every f in fs, simplified: the
+    coefficient row of theta times the Jacobian J(fs), one matrix product, so
+    each value is one fused sum of products."""
+    return (Matrix([coeffs]) * jacobian(fs, len(coeffs))).simplify().entries[0]
 
 
 def dp_apply(f, k: int, ctx: SaitoContext) -> FactoredFraction:
     """Apply d/dP_k through the chain rule: its coordinate coefficients are
     row k of J(P)^-1; k is 1-based."""
-    return _apply_coeffs(ctx.jac_P_inv.entries[k - 1], f, ctx)
+    return _apply_coeffs(ctx.jac_P_inv.entries[k - 1], [f])[0]
 
 
 def primitive_derivation_apply(f, ctx: SaitoContext) -> FactoredFraction:
@@ -177,7 +170,9 @@ def primitive_derivation_apply(f, ctx: SaitoContext) -> FactoredFraction:
 
 def dp_matrix(m: Matrix, k: int, ctx: SaitoContext) -> Matrix:
     """Entrywise d/dP_k of a matrix; k = l is the primitive derivation D."""
-    return m.map_entries(lambda e: dp_apply(e, k, ctx))
+    flat = _apply_coeffs(ctx.jac_P_inv.entries[k - 1],
+                         [e for row in m.entries for e in row])
+    return Matrix([flat[i:i + m.cols] for i in range(0, len(flat), m.cols)])
 
 
 def dkx(k: int, ctx: SaitoContext):
@@ -186,8 +181,7 @@ def dkx(k: int, ctx: SaitoContext):
         raise ValueError("k must be >= 0")
     table = ctx.dkx_table
     if k not in table:
-        table[k] = tuple(primitive_derivation_apply(f, ctx)
-                         for f in dkx(k - 1, ctx))
+        table[k] = _apply_coeffs(ctx.jac_P_inv.entries[-1], dkx(k - 1, ctx))
     return table[k]
 
 
@@ -301,12 +295,12 @@ def nabla_D(theta: PolyDerivation, ctx: SaitoContext) -> PolyDerivation:
     nabla is the flat connection of V: its Christoffel symbols vanish in the
     coordinates X, so nabla_D theta = sum_i D[theta(X_i)] d/dX_i.
     """
-    return PolyDerivation([primitive_derivation_apply(c, ctx) for c in theta.coeffs])
+    return PolyDerivation(_apply_coeffs(ctx.jac_P_inv.entries[-1], theta.coeffs))
 
 
 def derivation_apply(theta: PolyDerivation, f, ctx: SaitoContext) -> FactoredFraction:
     """theta(f) = sum_i c_i df/dX_i."""
-    return _apply_coeffs(theta.coeffs, f, ctx)
+    return _apply_coeffs(theta.coeffs, [f])[0]
 
 
 def derivation_bracket(theta: PolyDerivation, eta: PolyDerivation,
@@ -314,8 +308,8 @@ def derivation_bracket(theta: PolyDerivation, eta: PolyDerivation,
     """Lie bracket, computed coefficientwise: [theta, eta]_i = theta(eta_i) -
     eta(theta_i)."""
     return PolyDerivation([
-        (derivation_apply(theta, e, ctx) - derivation_apply(eta, t, ctx)).simplify()
-        for t, e in zip(theta.coeffs, eta.coeffs)])
+        (a - b).simplify() for a, b in zip(_apply_coeffs(theta.coeffs, eta.coeffs),
+                                           _apply_coeffs(eta.coeffs, theta.coeffs))])
 
 
 def primitive_derivation(ctx: SaitoContext) -> PolyDerivation:
@@ -385,18 +379,10 @@ def contact_defect(m: int, ctx: SaitoContext):
 
 def derivation_transform(theta: PolyDerivation, ctx: SaitoContext,
                          gen_index: int) -> PolyDerivation:
-    """Image of a polynomial derivation under one generator."""
-    polys = theta.poly_coeffs()
+    """Image of a polynomial derivation under one generator: its coefficient
+    column mixed by the generator matrix, then each coefficient substituted."""
     datum = ctx.datum
     sub = datum.subst[gen_index]
-    ell = ctx.rank
-    field = datum.field
-    mixed = []
-    for i in range(ell):
-        acc = MultiPoly.zero(ell, field)
-        for j in range(ell):
-            v = sub[i][j]
-            if v:
-                acc = acc + polys[j] * v
-        mixed.append(acc)
-    return PolyDerivation([p.subst_linear(sub) for p in mixed])
+    column = Matrix([[p] for p in theta.poly_coeffs()])
+    mixed = Matrix.from_scalars(sub, ctx.rank, datum.field) * column
+    return PolyDerivation([p.subst_linear(sub) for p in mixed.column(0)])

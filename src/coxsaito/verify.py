@@ -19,7 +19,6 @@ from dataclasses import dataclass, field as dataclass_field
 from .coxeter import (anti_invariant_Q, first_moved, poincare_closed_form,
                       poincare_equal)
 from .errors import ConfigError, CoxsaitoError
-from .fraction import FactoredFraction
 from .matrix import Matrix
 from .poly import MultiPoly
 from .saito import (SaitoContext, bk_matrix, christoffel_star, contact_defect,
@@ -235,25 +234,11 @@ def check_lemma22(ctx: SaitoContext):
             # independent route: the standard Christoffel formula from the
             # metric (G^{-1} on coordinate fields), then Gamma*_k = -G Gamma_k
             dg = dg_lower()
-            gamma_k = [[None] * ell for _ in range(ell)]
+            pieces = Matrix([[dg[i][t, k - 1] + dg[k - 1][t, i] - dg[t][i, k - 1]
+                              for t in range(ell)] for i in range(ell)])
             half = ctx.datum.field.coerce(1) / 2
-            for i in range(ell):
-                for j in range(ell):
-                    acc = None
-                    for t in range(ell):
-                        upper = ctx.metric_G[j, t]
-                        if upper.is_zero():
-                            continue
-                        piece = (dg[i][t, k - 1] + dg[k - 1][t, i]
-                                 - dg[t][i, k - 1])
-                        if not piece:
-                            continue
-                        term = piece * upper
-                        acc = term if acc is None else acc + term
-                    if acc is None:
-                        acc = FactoredFraction.zero(ell, ctx.datum.field)
-                    gamma_k[i][j] = (acc * half).simplify()
-            lhs = (-(ctx.metric_G * Matrix(gamma_k))).simplify()
+            gamma_k = (pieces * ctx.metric_G.transpose() * half).simplify()
+            lhs = (-(ctx.metric_G * gamma_k)).simplify()
             rhs = christoffel_star(k, ctx)
             return _cmp_matrices(lhs, rhs)
 
@@ -264,16 +249,16 @@ def check_lemma22(ctx: SaitoContext):
               levi_civita_consistency)
 
     def symmetry_identity():
+        # G C_j is symmetric, C_j[t, i] = (Gamma*_t)_ij: entry (k, i) is the
+        # left side of the triple (i, j, k), entry (i, k) the right side
         stars = [christoffel_star(t + 1, ctx) for t in range(ell)]
+        products = [ctx.metric_G
+                    * Matrix([[star[i, j] for i in range(ell)] for star in stars])
+                    for j in range(ell)]
         for i in range(ell):
             for j in range(ell):
                 for k in range(ell):
-                    lhs = MultiPoly.zero(ell, ctx.datum.field)
-                    rhs = MultiPoly.zero(ell, ctx.datum.field)
-                    for t in range(ell):
-                        lhs = lhs + ctx.metric_G[k, t] * stars[t][i, j]
-                        rhs = rhs + ctx.metric_G[i, t] * stars[t][k, j]
-                    if lhs != rhs:
+                    if products[j][k, i] != products[j][i, k]:
                         return False, f"triple (i,j,k) = ({i + 1},{j + 1},{k + 1})"
         return True, None
 

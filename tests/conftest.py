@@ -7,13 +7,14 @@ import pytest
 from coxsaito.coxeter import build_datum, builtin_invariants
 from coxsaito.errors import NonPolynomialEntry
 from coxsaito.field import RATIONALS, FieldContext
+from coxsaito.fraction import FactoredFraction
 from coxsaito.invariants_io import (datum_to_json, ingest_invariants,
                                     poly_to_json, scalar_to_json)
 from coxsaito.matrix import Matrix
 from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly
-from coxsaito.saito import (build_context, christoffel_star, derivation_transform,
-                            dp_matrix, jdkx, nabla_D, xi_basis,
-                            xi_coefficient_matrix)
+from coxsaito.saito import (PolyDerivation, build_context, christoffel_star,
+                            derivation_transform, dkx, dp_matrix, jdkx, nabla_D,
+                            xi_basis, xi_coefficient_matrix)
 from coxsaito.verify import run_suites
 
 _CONTEXTS: dict = {}
@@ -245,6 +246,121 @@ def sequential_matmul(a, b):
             out_row.append(a._zero_one()[0] if acc is None else acc)
         out.append(out_row)
     return Matrix(out)
+
+
+def assert_same_form(got, want, what=None):
+    """got equals want in form, not only in value: the same exponent and the
+    same canonical numerator (a fraction) or the same polynomial; a zero may
+    be a zero polynomial or a zero fraction, with exponent 0."""
+    if not want:
+        assert not got and not getattr(got, "exp", 0), what
+        return
+    assert type(got) is type(want), what
+    if isinstance(got, FactoredFraction):
+        assert (got.exp, got.numerator) == (want.exp, want.numerator), what
+    else:
+        assert got == want and hash(got) == hash(want), what
+
+
+def quotient_rule_partial(f, index):
+    """d f / dX_index of a FactoredFraction by the quotient rule, one product
+    and one sum at a time: (num' q - e num q') / q^(e+1), or num' / q^e when q
+    does not depend on the variable; the reference for
+    `FactoredFraction.partial`."""
+    d_num = f.numerator.partial(index)
+    if not f.exp:
+        return FactoredFraction(d_num)
+    d_q = f.base.q.partial(index)
+    if d_q.is_zero():
+        return FactoredFraction(d_num, f.base, f.exp)
+    num = f.numerator * (d_q * -f.exp)
+    if d_num:
+        num = d_num * f.base.q + num
+    return FactoredFraction(num, f.base, f.exp + 1)
+
+
+def accumulating_apply(coeffs, f):
+    """theta(f) = sum_i coeffs[i] df/dX_i, one product and one running
+    FactoredFraction sum at a time, zero coefficients and zero partials
+    skipped, then simplified: the reference for `saito._apply_coeffs`."""
+    if isinstance(f, MultiPoly):
+        f = FactoredFraction.from_poly(f)
+    acc = None
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        df = quotient_rule_partial(f, i)
+        if df.is_zero():
+            continue
+        term = c * df
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return FactoredFraction.zero(f.nvars, f.field)
+    return acc.simplify()
+
+
+def reference_dp_matrix(m, k, ctx):
+    """Entrywise d/dP_k, each entry through `accumulating_apply` with row k
+    of J(P)^-1."""
+    return m.map_entries(lambda e: accumulating_apply(ctx.jac_P_inv.entries[k - 1], e))
+
+
+def reference_dkx(k, ctx):
+    """D^k[X] by k rounds of `accumulating_apply` with row l of J(P)^-1,
+    uncached."""
+    values = dkx(0, ctx)
+    for _ in range(k):
+        values = [accumulating_apply(ctx.jac_P_inv.entries[-1], f) for f in values]
+    return values
+
+
+def reference_nabla_xi(m, t, ctx):
+    """nabla_D^t xi^(m): t rounds of D on every coordinate-frame coefficient
+    through `accumulating_apply`, uncached."""
+    row = xi_basis(m, ctx)
+    for _ in range(t):
+        row = [PolyDerivation([accumulating_apply(ctx.jac_P_inv.entries[-1], c)
+                               for c in theta.coeffs]) for theta in row]
+    return row
+
+
+def reference_bracket(theta, eta):
+    """[theta, eta]_i = theta(eta_i) - eta(theta_i) through
+    `accumulating_apply`."""
+    return PolyDerivation([(accumulating_apply(theta.coeffs, e)
+                            - accumulating_apply(eta.coeffs, t)).simplify()
+                           for t, e in zip(theta.coeffs, eta.coeffs)])
+
+
+class LaplaceMinors:
+    """Minors of a square matrix on row and column bitmasks, expanded by
+    Laplace along the lowest row one product and one running sum at a time
+    and memoized: the reference for `matrix.MinorTable`."""
+
+    def __init__(self, m):
+        self.entries = m.entries
+        self.zero, self.one = m._zero_one()
+        self.memo = {}
+
+    def minor(self, rows, cols):
+        if not rows:
+            return self.one
+        r = (rows & -rows).bit_length() - 1
+        rest = rows & ~(1 << r)
+        if not rest:
+            return self.entries[r][cols.bit_length() - 1]
+        if (rows, cols) not in self.memo:
+            acc = self.zero
+            sign = 1
+            for j, e in enumerate(self.entries[r]):
+                bit = 1 << j
+                if cols & bit:
+                    if e:
+                        term = e * self.minor(rest, cols & ~bit)
+                        acc = acc + term if sign > 0 else acc - term
+                    sign = -sign
+            self.memo[(rows, cols)] = acc
+        return self.memo[(rows, cols)]
 
 
 def repeated_division_as_poly(f):

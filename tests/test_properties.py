@@ -11,8 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (H3_FIELD, H3_TAU, _poly_divmod, expanded_subst, h3_roots,
-                      poly_gcdex, repeated_division_as_poly, sequential_matmul,
+from conftest import (H3_FIELD, H3_TAU, LaplaceMinors, _poly_divmod,
+                      accumulating_apply, assert_same_form, expanded_subst,
+                      h3_roots, poly_gcdex, quotient_rule_partial,
+                      repeated_division_as_poly, sequential_matmul,
                       takes_kronecker)
 
 from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
@@ -20,9 +22,10 @@ from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
 from coxsaito.field import FieldContext, RATIONALS
 from coxsaito.errors import NonInvertible, NonPolynomialEntry, SingularMatrix
 from coxsaito.fraction import FactoredFraction, PowerBase
-from coxsaito.matrix import Matrix
+from coxsaito.matrix import Matrix, MinorTable
 from coxsaito.poly import (MultiPoly, _signed_permutation, contact_order, pack,
                            unpack)
+from coxsaito.saito import _apply_coeffs
 
 SQRT5 = FieldContext((-5, 0, 1), "sqrt(5)")
 
@@ -1020,15 +1023,7 @@ def run_matmul_oracle(iterations=ITERATIONS, seed=14142136) -> int:
         assert got == want, kind
         for g_row, w_row in zip(got.entries, want.entries):
             for g, w in zip(g_row, w_row):
-                if not w:
-                    # a zero entry is a zero of either type, with exponent 0
-                    assert not g and not getattr(g, "exp", 0), kind
-                    continue
-                assert type(g) is type(w), kind
-                if isinstance(g, FactoredFraction):
-                    assert (g.exp, g.numerator) == (w.exp, w.numerator), kind
-                else:
-                    assert g == w and hash(g) == hash(w), kind
+                assert_same_form(g, w, kind)
         kinds[kind] += 1
         tested += 1
     assert min(kinds.values()) >= iterations // 10, kinds
@@ -1065,6 +1060,79 @@ def run_as_poly_oracle(iterations=ITERATIONS, seed=30103) -> int:
         seen["none" if got is None else "polynomial"] += 1
         tested += 1
     assert min(seen.values()) >= iterations // 10, seen
+    return tested
+
+
+DERIVATION_KINDS = ("apply", "partial", "minor")
+
+
+def run_derivation_kernel_oracle(iterations=ITERATIONS, seed=27182818) -> int:
+    """The three sums of products that moved onto the fused kernel, against
+    the one-product-at-a-time loops they replaced, over Q, Q(sqrt 5) and the
+    degree-4 field of I2(5), in form (`conftest.assert_same_form`):
+    `saito._apply_coeffs` against `conftest.accumulating_apply`,
+    `FactoredFraction.partial` against `conftest.quotient_rule_partial`, and
+    every minor of `MinorTable` against `conftest.LaplaceMinors`.  Operands
+    are zero a quarter of the time, often one-term, and fractions num / q^e
+    with e in 0..3 over a product q of one or two linear forms, which at
+    times does not depend on the variable differentiated."""
+    fields = [RATIONALS, SQRT5, build_datum("I2", 5).field]
+    rng = random.Random(seed)
+    seen = dict.fromkeys(DERIVATION_KINDS, 0)
+    seen.update({"zero": 0, "one-term": 0, "polynomial": 0, "q free of x_i": 0})
+    seen.update({f"exp {e}": 0 for e in range(4)})
+
+    def operand(base, field, nvars, fraction=True):
+        if rng.random() < 0.25:
+            seen["zero"] += 1
+            return MultiPoly.zero(nvars, field)
+        terms = 1 if rng.random() < 0.4 else rng.randint(2, 4)
+        seen["one-term"] += terms == 1
+        num = _random_poly(rng, field, nvars, 2, terms)
+        if not fraction and rng.random() < 0.3:
+            seen["polynomial"] += 1
+            return num
+        e = rng.randint(0, 3)
+        seen[f"exp {e}"] += 1
+        return FactoredFraction(num, base, e)
+
+    tested = 0
+    while tested < iterations:
+        field = fields[tested % len(fields)]
+        kind = DERIVATION_KINDS[tested // len(fields) % len(DERIVATION_KINDS)]
+        nvars = rng.choice((2, 3))
+        base = PowerBase(_random_form_product(rng, field, nvars))
+        if kind == "apply":
+            # coefficients are fractions, as a PolyDerivation holds them
+            coeffs = [FactoredFraction.from_poly(c) if isinstance(c, MultiPoly) else c
+                      for c in (operand(base, field, nvars) for _ in range(nvars))]
+            fs = [operand(base, field, nvars, False) for _ in range(rng.randint(1, 3))]
+            for got, f in zip(_apply_coeffs(coeffs, fs), fs):
+                assert_same_form(got, accumulating_apply(coeffs, f), kind)
+        elif kind == "partial":
+            index = rng.randrange(nvars)
+            if rng.random() < 0.3:
+                base = PowerBase(MultiPoly.variable(nvars, (index + 1) % nvars, field)
+                                 ** rng.randint(1, 2))
+            seen["q free of x_i"] += base.partial(index).is_zero()
+            f = operand(base, field, nvars)
+            if isinstance(f, MultiPoly):
+                f = FactoredFraction.from_poly(f)
+            assert_same_form(f.partial(index), quotient_rule_partial(f, index), kind)
+        else:
+            n = rng.randint(1, 3)
+            fraction = rng.random() < 0.5
+            m = Matrix([[operand(base, field, nvars, fraction) for _ in range(n)]
+                        for _ in range(n)])
+            table, want = MinorTable(m), LaplaceMinors(m)
+            for rows in range(1 << n):
+                for cols in range(1 << n):
+                    if rows.bit_count() == cols.bit_count():
+                        assert_same_form(table.minor(rows, cols),
+                                          want.minor(rows, cols), kind)
+        seen[kind] += 1
+        tested += 1
+    assert min(seen.values()) >= iterations // 40, seen
     return tested
 
 
@@ -1364,6 +1432,10 @@ def test_nf_product_matches_per_pair_oracle_thousand():
 
 def test_matmul_matches_sequential_oracle_thousand():
     assert run_matmul_oracle() >= 1000
+
+
+def test_derivation_kernels_match_accumulating_loops_thousand():
+    assert run_derivation_kernel_oracle() >= 1000
 
 
 def test_as_poly_matches_repeated_division_thousand():

@@ -3,8 +3,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import (h3_document, ladder_jdkx_inv, nabla_matrix_reference,
-                      nabla_power_reference, with_entry)
+from conftest import (assert_same_form, h3_document, ladder_jdkx_inv,
+                      nabla_matrix_reference, nabla_power_reference,
+                      reference_bracket, reference_dkx, reference_dp_matrix,
+                      reference_nabla_xi, with_entry)
 
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
 from coxsaito.errors import NonPolynomialEntry
@@ -304,6 +306,46 @@ def test_nabla_xi_matches_references(label, rank):
         for t in range(4):
             assert _nabla_matrix(m, t, ctx) == nabla_matrix_reference(m, t, ctx), \
                 (m, t)
+
+
+def _assert_derivations_match_references(ctx, k_max):
+    # differential oracle: D^k[X], d/dP_k[G], nabla_D^t xi^(m) and brackets
+    # through the coefficient row times the Jacobian agree in form with
+    # one product and one running sum at a time (conftest references)
+    def same(got, want, what):
+        assert len(got) == len(want), what
+        for g, w in zip(got, want):
+            assert_same_form(g, w, what)
+
+    for k in range(k_max + 1):
+        same(dkx(k, ctx), reference_dkx(k, ctx), k)
+    for k in range(1, ctx.rank + 1):
+        got = dp_matrix(ctx.metric_G, k, ctx)
+        want = reference_dp_matrix(ctx.metric_G, k, ctx)
+        for g_row, w_row in zip(got.entries, want.entries):
+            same(g_row, w_row, k)
+    for m, t in ((1, 1), (2, 1), (3, 2)):
+        for theta, ref in zip(nabla_xi(m, t, ctx), reference_nabla_xi(m, t, ctx)):
+            same(theta.coeffs, ref.coeffs, (m, t))
+    d = primitive_derivation(ctx)
+    xi1 = xi_basis(1, ctx)
+    pairs = [(d, eta) for eta in nabla_xi(1, 1, ctx) + nabla_xi(3, 2, ctx)]
+    pairs += [(d, theta) for theta in xi1] + [(xi1[0], theta) for theta in xi1[1:]]
+    assert any(not derivation_bracket(a, b, ctx).is_zero() for a, b in pairs)
+    for a, b in pairs:
+        same(derivation_bracket(a, b, ctx).coeffs, reference_bracket(a, b).coeffs,
+             "bracket")
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("I2", 5)])
+def test_derivation_routes_match_accumulating_references(label, rank):
+    d = build_datum(label, rank)
+    _assert_derivations_match_references(
+        build_context(d, builtin_invariants(d)), 3)
+
+
+def test_h3_derivation_routes_match_accumulating_references(h3_context):
+    _assert_derivations_match_references(h3_context, 2)
 
 
 def test_derivation_apply(a1):

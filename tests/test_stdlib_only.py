@@ -5,6 +5,8 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -70,6 +72,39 @@ def test_matrix_product_has_one_route():
     found += sorted({(node.lineno, "* in a loop") for loop in ast.walk(mul)
                      if isinstance(loop, loops) for node in ast.walk(loop)
                      if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)})
+    assert not found, found
+
+
+def _loop_accumulations(name):
+    """(line, name) wherever a plain name is accumulated inside a loop, as
+    `x = ... x + ...`, `x = ... x - ...`, `x += ...` or `x -= ...`; a
+    subscript target such as a dict counter is not a plain name."""
+    path = ROOT / "src" / "coxsaito" / name
+    adds = (ast.Add, ast.Sub)
+    found = set()
+    for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.AugAssign) and isinstance(node.op, adds)
+                    and isinstance(node.target, ast.Name)):
+                found.add((node.lineno, node.target.id))
+            elif isinstance(node, ast.Assign):
+                targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                found.update(
+                    (node.lineno, side.id) for op in ast.walk(node.value)
+                    if isinstance(op, ast.BinOp) and isinstance(op.op, adds)
+                    for side in (op.left, op.right)
+                    if isinstance(side, ast.Name) and side.id in targets)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["saito.py", "matrix.py", "verify.py"])
+def test_no_sum_of_products_is_accumulated_by_hand(name):
+    # every sum a * b in the derivation, matrix and check layers is one call
+    # of the fused kernel (a matrix product or a sum_of_products), never a
+    # running total built in a loop
+    found = _loop_accumulations(name)
     assert not found, found
 
 
