@@ -3,10 +3,11 @@
 Everything lives in the localization S[Q^-1]: each value is a fraction
 num / q^e over the context's one denominator base q, the monic det J(P) = c Q;
 J(P) and G are inverted over that base and J(D^k[X]) through B^(k) (see
-`jdkx_inv`).  Whenever a theorem guarantees a matrix is polynomial, the
-numerators are divided exactly by the powers of q and a failure aborts with
-NonPolynomialEntry.  That certification is a free integrity check on the
-entire pipeline.
+`jdkx_inv`), which Lemma 2.1 (4) names and its defining identity certifies
+(see `_certified_bk`).  Whenever a theorem guarantees a matrix is
+polynomial, the numerators are divided exactly by the powers of q and a
+failure aborts with NonPolynomialEntry.  That certification is a free
+integrity check on the entire pipeline.
 
 All row/column conventions follow the row-vector style of the source
 identities: a tuple of derivations is a row, coefficient matrices multiply it
@@ -106,8 +107,8 @@ class SaitoContext:
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
-                 "metric_G", "dkx_table", "jdkx_inv_table", "bk_table",
-                 "christoffel_table", "xi_table", "nabla_xi_table",
+                 "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
+                 "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
                  "contact_table", "q_base", "_bk_memo", "_metric_G_inv")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
@@ -124,6 +125,7 @@ class SaitoContext:
         xs = tuple(FactoredFraction.from_poly(
             MultiPoly.variable(ell, i, datum.field)) for i in range(ell))
         self.dkx_table: dict = {0: xs}
+        self.jdkx_table: dict = {}
         self.jdkx_inv_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
         self.bk_table: dict = {0: Matrix.identity(ell, ell, datum.field)}
         self._bk_memo: dict = {}
@@ -186,8 +188,11 @@ def dkx(k: int, ctx: SaitoContext):
 
 
 def jdkx(k: int, ctx: SaitoContext) -> Matrix:
-    """Jacobian matrix of D^k[X]: entry (i, j) = d(D^k[X_j]) / dX_i."""
-    return jacobian(dkx(k, ctx), ctx.rank).simplify()
+    """Jacobian matrix of D^k[X]: entry (i, j) = d(D^k[X_j]) / dX_i; cached."""
+    table = ctx.jdkx_table
+    if k not in table:
+        table[k] = jacobian(dkx(k, ctx), ctx.rank).simplify()
+    return table[k]
 
 
 # -- B^(k), the inverses of J(D^k[X]), Christoffel matrices ---------------------
@@ -213,9 +218,13 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
 
     By the chain rule each entry of J(D^k[X]) has a denominator q^e with
     e <= 2k; a foreign denominator or a larger exponent raises
-    NonPolynomialEntry before the product is formed.  Each product entry
-    num / q^E is certified by one exact division by the cached q^E
-    (`FactoredFraction.as_poly`), whose quotient is the small B^(k) entry.
+    NonPolynomialEntry first.  For k >= 2, C = B^(k-1) + B^(1) + (B^(1))^T
+    (Lemma 2.1 (4)) is B^(k) exactly when C J(P)^-1 J(D^(k-1)[X]) =
+    -J(P)^T A J(D^k[X]), checked exact over q, since `jdkx_inv(k - 1)`
+    certifies J(D^(k-1)[X]) invertible; the lemma is not assumed, so
+    `lemma21.4` still tests it.  Otherwise (k = 1, or tampered data) the
+    defining product is formed, each entry num / q^E certified by one exact
+    division by the cached q^E.
     """
     memo = ctx._bk_memo
     if k not in memo:
@@ -231,9 +240,15 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
                     raise NonPolynomialEntry(
                         f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
                         f"power {e.exp} > {2 * k} in its denominator")
-        prod = (ctx.jac_P.transpose() * ctx.gram_poly * jd
-                * jdkx_inv(k - 1, ctx) * ctx.jac_P)
-        memo[k] = _certify_poly_matrix(-prod, f"B^({k})")
+        lhs = -(ctx.jac_P.transpose() * ctx.gram_poly * jd)
+        inv = jdkx_inv(k - 1, ctx)  # first: the identity's premise
+        bk = None
+        if k > 1:
+            b1 = _certified_bk(1, ctx)
+            bk = _certified_bk(k - 1, ctx) + b1 + b1.transpose()
+        if bk is None or bk * ctx.jac_P_inv * jdkx(k - 1, ctx) != lhs:
+            bk = _certify_poly_matrix(lhs * inv * ctx.jac_P, f"B^({k})")
+        memo[k] = bk
     return memo[k]
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxsaito import saito
 from coxsaito.coxeter import build_datum, builtin_invariants
 from coxsaito.errors import NonPolynomialEntry
 from coxsaito.field import RATIONALS, FieldContext
@@ -469,6 +470,32 @@ def ladder_jdkx_inv(k, ctx):
     c = minors.det().constant_value()
     assert c
     return minors.adjugate() * ctx.datum.field.invert(c)
+
+
+def product_bk(k, ctx):
+    """Reference B^(k) by its defining product, built once per context into
+    the same private memo as `saito._certified_bk`: the premise scan of
+    J(D^k[X]), then -J(P)^T A J(D^k[X]) J(D^(k-1)[X])^-1 J(P), certified
+    polynomial entry by entry.  Monkeypatched over `saito._certified_bk`, it
+    takes every level of a context, `jdkx_inv` included, by the product."""
+    memo = ctx._bk_memo
+    if k not in memo:
+        jd = saito.jdkx(k, ctx)
+        for i in range(ctx.rank):
+            for j in range(ctx.rank):
+                e = jd[i, j]
+                if e.exp and e.base.q != ctx.q_base.q:
+                    raise NonPolynomialEntry(
+                        f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
+                        f"factor other than det J(P): {e.render()}")
+                if e.exp > 2 * k:
+                    raise NonPolynomialEntry(
+                        f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
+                        f"power {e.exp} > {2 * k} in its denominator")
+        prod = (ctx.jac_P.transpose() * ctx.gram_poly * jd
+                * saito.jdkx_inv(k - 1, ctx) * ctx.jac_P)
+        memo[k] = saito._certify_poly_matrix(-prod, f"B^({k})")
+    return memo[k]
 
 
 def christoffel_nabla_reference(columns, ctx):

@@ -100,6 +100,16 @@ def test_criterion_3_degree_law(label, rank):
     _announce(f"3[{ctx.datum.label()}]", True, "(degrees kh / kh+m_j, m <= 7)")
 
 
+def test_rank_four_a4_lemma21_passes():
+    # scale beyond D4: A4's q = det J(P) has 120 terms, and B^(2) is the
+    # Lemma 2.1 (4) candidate certified by its defining identity
+    results = check_lemma21(fresh_context("A", 4), 1)
+    checks = {r.name: r.status for r in results}
+    _announce("2[A4 lemma21]", checks == {
+        f"lemma21.{part}/k=1": "pass" for part in ("1d", "1w", "2", "3", "4")},
+        f"({checks})")
+
+
 def test_criterion_4_b2_vanishing_corner():
     ctx = shared_context("B", 2)
     for k in (1, 2, 3):

@@ -3,11 +3,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import (assert_same_form, h3_document, ladder_jdkx_inv,
-                      nabla_matrix_reference, nabla_power_reference,
-                      reference_bracket, reference_dkx, reference_dp_matrix,
-                      reference_nabla_xi, with_entry)
+from conftest import (assert_same_form, fresh_context, h3_document,
+                      ladder_jdkx_inv, nabla_matrix_reference,
+                      nabla_power_reference, product_bk, reference_bracket,
+                      reference_dkx, reference_dp_matrix, reference_nabla_xi,
+                      with_entry)
 
+from coxsaito import saito
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
 from coxsaito.errors import NonPolynomialEntry
 from coxsaito.fraction import FactoredFraction, PowerBase
@@ -21,7 +23,7 @@ from coxsaito.saito import (PolyDerivation, _certified_bk, bk_matrix, build_cont
                             jdkx, jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
                             primitive_derivation_apply, xi_basis,
                             xi_coefficient_matrix)
-from coxsaito.verify import _nabla_matrix, run_suites
+from coxsaito.verify import _nabla_matrix, check_lemma21, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +386,105 @@ def test_jdkx_inv_matches_reduced_minor_ladder(label, rank):
     ctx = build_context(d, builtin_invariants(d))
     for k in (1, 2, 3):
         assert jdkx_inv(k, ctx) == ladder_jdkx_inv(k, ctx), k
+
+
+def _product_certified_levels(ctx, top, monkeypatch):
+    """The levels k <= top whose B^(k) `_certified_bk` certified through the
+    defining product, read from a spy on `_certify_poly_matrix`."""
+    names = []
+
+    def spy(m, what):
+        names.append(what)
+        return certify(m, what)
+
+    certify = saito._certify_poly_matrix
+    with monkeypatch.context() as patch:
+        patch.setattr(saito, "_certify_poly_matrix", spy)
+        for k in range(1, top + 1):
+            _certified_bk(k, ctx)
+    return [k for k in range(1, top + 1) if f"B^({k})" in names]
+
+
+def _assert_bk_matches_product_route(ctx, top, monkeypatch):
+    # differential oracle: B^(k) from the Lemma 2.1 (4) candidate and its
+    # defining identity agrees in form with the defining product, built on
+    # a second context whose every level takes the product route
+    assert _product_certified_levels(ctx, top, monkeypatch) == [1]
+    reference = build_context(ctx.datum, ctx.invariants)
+    monkeypatch.setattr(saito, "_certified_bk", product_bk)
+    for k in range(1, top + 1):
+        got, want = _certified_bk(k, ctx), product_bk(k, reference)
+        for g_row, w_row in zip(got.entries, want.entries):
+            for g, w in zip(g_row, w_row):
+                assert_same_form(g, w, k)
+
+
+@pytest.mark.parametrize("label,rank,top", [
+    ("A", 2, 4), ("B", 2, 4), ("I2", 5, 4), ("I2", 8, 4), ("B", 3, 4),
+    ("D", 3, 4), ("A", 3, 4), ("D", 4, 3)])
+def test_certified_bk_matches_product_route(label, rank, top, monkeypatch):
+    _assert_bk_matches_product_route(fresh_context(label, rank), top, monkeypatch)
+
+
+def test_h3_certified_bk_matches_product_route(h3_context, monkeypatch):
+    _assert_bk_matches_product_route(
+        build_context(h3_context.datum, h3_context.invariants), 2, monkeypatch)
+
+
+def _tamper(ctx, kind):
+    """Break one construction of ctx, in place."""
+    one = MultiPoly.const(ctx.rank, 1, ctx.datum.field)
+    last = ctx.rank - 1
+    if kind in ("jac_P", "jac_P_inv", "gram_poly"):
+        m = getattr(ctx, kind)
+        setattr(ctx, kind, with_entry(m, 0, 0, m[0, 0] + one))
+    elif kind == "jac_P_inv/D":
+        ctx.jac_P_inv = with_entry(ctx.jac_P_inv, last, 0,
+                                   ctx.jac_P_inv[last, 0] + one)
+    elif kind == "metric_G":
+        ctx.metric_G = with_entry(ctx.metric_G, 0, 1, ctx.metric_G[0, 1] + one)
+    elif kind == "bk_table[2]":
+        bk = bk_matrix(2, ctx)
+        ctx.bk_table[2] = with_entry(bk, 0, 0, bk[0, 0] + one)
+    elif kind == "_bk_memo[1]":
+        ctx._bk_memo[1] = _certified_bk(1, ctx) * 2
+    else:
+        raise ValueError(kind)
+
+
+def _stripped_report(ctx):
+    report = run_suites(ctx, "all", 2, 3, 1).to_dict()
+    for check in report["checks"]:
+        del check["ms"]
+    return report
+
+
+@pytest.mark.parametrize("kind", [
+    "jac_P", "jac_P_inv", "jac_P_inv/D", "gram_poly", "metric_G",
+    "bk_table[2]", "_bk_memo[1]"])
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
+def test_tampered_reports_match_product_route(label, rank, kind, monkeypatch):
+    # a candidate the identity rejects falls back to the defining product, so
+    # a tampered run reports what the product route alone reports
+    ctx = fresh_context(label, rank)
+    _tamper(ctx, kind)
+    got = _stripped_report(ctx)
+    monkeypatch.setattr(saito, "_certified_bk", product_bk)
+    reference = fresh_context(label, rank)
+    _tamper(reference, kind)
+    assert got == _stripped_report(reference)
+
+
+def test_rejected_candidate_falls_back_to_the_product(monkeypatch):
+    # B^(1) doubled in the memo: the candidate 2 B^(1) + 2 B^(1) + 2 (B^(1))^T
+    # fails the identity, and the product with the halved inverse gives the
+    # polynomial B^(2)/2, so lemma21.4 fails with a value witness
+    ctx = fresh_context("B", 2)
+    _tamper(ctx, "_bk_memo[1]")
+    assert _product_certified_levels(ctx, 3, monkeypatch) == [2, 3]
+    witness = next(r.witness for r in check_lemma21(ctx, 1)
+                   if r.name == "lemma21.4/k=1")
+    assert witness == "entry (1,2): lhs = -5, rhs = 16, difference = -21"
 
 
 def _tampered_b2(kind, monkeypatch):
