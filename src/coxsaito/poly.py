@@ -37,6 +37,9 @@ that the total degrees bound, (high - low + 1) * (high + 1)^(n - 1) for
 product degrees low..high in n variables.  Sparse operands, and small or
 lopsided ones near four pairs per slot, whose fixed cost and wide grid the
 product would not repay, take the schoolbook loop.
+A linear substitution by a matrix that is not a signed permutation is
+nested Horner on that kernel (`MultiPoly.subst_linear`): one sum of
+products per group of terms that share an exponent.
 Exact division is one leading-term elimination loop over a heap of keys on
 ints for every field: the field packs the operands (over an extension as for
 a product), maps each step's leading int to a quotient term and rebuilds the
@@ -401,8 +404,11 @@ class MultiPoly:
         A signed permutation matrix (one entry +-1 in each row and column)
         maps each term to one term: its limbs move to their new places and
         its sign flips when the exponents of the negated variables sum to an
-        odd number.  Every other matrix expands powers of the substituted
-        forms.
+        odd number.  Every other matrix takes nested Horner on the raw term
+        dict (`_horner_pairs`): the terms grouped by their exponent a of x_1
+        map to one `sum_of_products` of the pairs (L_1^a, image of the group
+        in x_2, ..., x_n), L_i the i-th substituted form.  At the last
+        variable the groups are single terms, which the kernel scales.
         """
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -412,20 +418,12 @@ class MultiPoly:
             return self._permuted(*signed)
         unit = [[1 if j == t else 0 for t in range(n)] for j in range(n)]
         forms = [MultiPoly.from_terms(n, zip(unit, row), self.field) for row in matrix]
-        # cache powers of each substituted form on demand
-        powers: list[list[MultiPoly]] = [[MultiPoly.const(n, 1, self.field)] for _ in range(n)]
-        result = MultiPoly.zero(n, self.field)
-        for exps, c in self.iter_terms():
-            term = MultiPoly.const(n, c, self.field)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                cache = powers[i]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * forms[i])
-                term = term * cache[e]
-            result = result + term
-        return result
+        powers = [[MultiPoly.const(n, 1, self.field)] for _ in range(n)]
+        pairs = _horner_pairs(self.terms, self.content, 0, forms, powers)
+        # every image is built: free the powers no pair holds before the
+        # kernel packs the pairs, which is this call's peak of memory
+        del powers
+        return sum_of_products(pairs, n, self.field)
 
     def _permuted(self, target, negated) -> "MultiPoly":
         """The image under x_i -> +-x_target[i], with a minus sign exactly
@@ -547,10 +545,8 @@ class MultiPoly:
             else:
                 body = cs
             parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += ("-" + p[1:]) if p.startswith("-") else ("+" + p)
-        return out
+        return parts[0] + "".join(p if p.startswith("-") else "+" + p
+                                  for p in parts[1:])
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
@@ -596,6 +592,35 @@ def sum_of_products(pairs, nvars: int, field: FieldContext) -> MultiPoly:
     return MultiPoly(nvars, terms, field, content)
 
 
+def _horner_pairs(terms: dict, content, i: int, forms, powers) -> list:
+    """The pairs (forms[i]^a, image of the terms with exponent a in variable
+    i) whose sum of products is the image of the terms under x_j -> forms[j]:
+    the terms are those of a polynomial over `content` with exponent 0 in
+    each variable before index i, each image is one `sum_of_products` of the
+    pairs of the next variable (a scaled constant after the last one), and
+    powers[j] caches the powers of forms[j]."""
+    n, field = forms[0].nvars, forms[0].field
+    shift = (n - 1 - i) * LIMB
+    step = (1 << (n * LIMB)) | (1 << shift)
+    groups: dict = {}
+    for k, c in terms.items():
+        e = (k >> shift) & MASK
+        groups.setdefault(e, {})[k - e * step] = c
+    cache, pairs = powers[i], []
+    for e in sorted(groups):
+        while len(cache) <= e:
+            cache.append(cache[-1] * forms[i])
+        group = groups.pop(e)
+        if i + 1 < n:
+            image = sum_of_products(_horner_pairs(group, content, i + 1, forms, powers),
+                                    n, field)
+        else:  # the one key left is 0
+            group, scale = field.normalized(group, content)
+            image = MultiPoly(n, group, field, scale)
+        pairs.append((cache[e], image))
+    return pairs
+
+
 def default_names(nvars: int) -> tuple[str, ...]:
     if nvars <= 3:
         return ("x", "y", "z")[:nvars]
@@ -607,7 +632,9 @@ def contact_order(f: MultiPoly, alpha: MultiPoly, m: int) -> int:
     (m for f = 0, whose quotient is 0 again): the paper's contact order by its
     definition, stopping after m exact divisions or at the first that fails.
     A linear form is irreducible and `exact_divide` decides divisibility, so a
-    count below m is the exact order."""
+    count below m is the exact order.  `saito.contact_defect` decides order
+    >= m by one division by alpha^m and calls this only for a failing entry's
+    order; it stays the reference of that test."""
     for order in range(m):
         f = f.exact_divide(alpha)
         if f is None:

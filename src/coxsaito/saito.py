@@ -376,15 +376,21 @@ def contact_defect(m: int, ctx: SaitoContext):
     """None when alpha_H^m divides xi^(m)_j(alpha_H) for all j and H, else the
     first (j, h, order) with order < m (0-based, j scanned first); cached by m.
     The values are the entries of `xi_coefficient_matrix`^T times the l x N
-    form coefficients, each divided by its form at most m times."""
+    form coefficients.  Each is tested by one exact division by alpha_H^m,
+    built once per form: the contact order is below m exactly when alpha_H^m
+    does not divide the value, so this is the definition.  Only the first
+    failing entry runs `contact_order` for its exact order; m = 0 divides
+    nothing."""
     table = ctx.contact_table
     if m not in table:
         datum = ctx.datum
         values = (xi_coefficient_matrix(m, ctx).transpose()
                   * Matrix.from_scalars(zip(*datum.forms), ctx.rank, datum.field))
-        table[m] = next(((j, h, order) for j in range(ctx.rank)
-                         for h, alpha in enumerate(datum.form_polys())
-                         if (order := contact_order(values[j, h], alpha, m)) < m),
+        alphas = datum.form_polys()
+        powers = alphas if m <= 1 else [alpha ** m for alpha in alphas]
+        table[m] = next(((j, h, contact_order(values[j, h], alphas[h], m))
+                         for j in range(ctx.rank) for h in range(len(alphas))
+                         if m and values[j, h].exact_divide(powers[h]) is None),
                         None)
     return table[m]
 

@@ -352,9 +352,7 @@ def check_hodge(ctx: SaitoContext, p_max: int):
             val = derivation_apply(theta, q2, ctx).as_poly()
             if val is None:
                 return False, f"xi^(1)_{j + 1}(Q^2) is not polynomial"
-            once = val.exact_divide(q)
-            twice = once.exact_divide(q) if once is not None else None
-            if twice is None:
+            if val.exact_divide(q2) is None:
                 return False, f"xi^(1)_{j + 1}(Q^2) = {val.render()} not in Q^2 R"
         return True, None
 

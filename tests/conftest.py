@@ -12,7 +12,7 @@ from coxsaito.fraction import FactoredFraction
 from coxsaito.invariants_io import (datum_to_json, ingest_invariants,
                                     poly_to_json, scalar_to_json)
 from coxsaito.matrix import Matrix
-from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly
+from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, build_context, christoffel_star,
                             derivation_transform, dkx, dp_matrix, jdkx, nabla_D,
                             xi_basis, xi_coefficient_matrix)
@@ -111,6 +111,13 @@ def h3_context(tmp_path_factory):
     path.write_text(json.dumps(h3_document()), encoding="utf-8")
     datum, inv = ingest_invariants(path)
     return build_context(datum, inv)
+
+
+@pytest.fixture(scope="session")
+def h3_full_report(h3_context):
+    """The full H3 report at the CLI defaults (kmax 3, mmax 7, pmax 3), run
+    once per session on the shared H3 context."""
+    return run_suites(h3_context, "all", 3, 7, 3)
 
 
 def _a3_transposition(i, j):
@@ -219,6 +226,19 @@ def expanded_subst(f, matrix):
             term = term * form ** e
         out = out + term
     return out
+
+
+def reference_contact_defect(m, ctx):
+    """The contact scan by definition, uncached: `contact_order` on every
+    value xi^(m)_j(alpha_H), j scanned first, and the first (j, h, order)
+    with order < m, else None; the reference for the one-division test of
+    `saito.contact_defect`."""
+    datum = ctx.datum
+    values = (xi_coefficient_matrix(m, ctx).transpose()
+              * Matrix.from_scalars(zip(*datum.forms), ctx.rank, datum.field))
+    return next(((j, h, order) for j in range(ctx.rank)
+                 for h, alpha in enumerate(datum.form_polys())
+                 if (order := contact_order(values[j, h], alpha, m)) < m), None)
 
 
 def schoolbook_sums(a: dict, b: dict) -> dict:

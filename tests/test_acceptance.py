@@ -11,11 +11,13 @@ from fractions import Fraction
 import pytest
 from conftest import (fresh_context, report_elapsed, shared_context,
                       shared_report, with_entry)
-from test_properties import (run_adjugate_inverse, run_exact_divide_oracle,
-                             run_exact_divide_roundtrip, run_field_axioms,
-                             run_fraction_oracle, run_lowest_power_rescaling,
-                             run_nf_divide_oracle, run_nf_product_oracle,
-                             run_q_kernel_oracle, run_substitution_roundtrip)
+from test_properties import (run_adjugate_inverse, run_contact_division_oracle,
+                             run_dense_substitution_oracle,
+                             run_exact_divide_oracle, run_exact_divide_roundtrip,
+                             run_field_axioms, run_fraction_oracle,
+                             run_lowest_power_rescaling, run_nf_divide_oracle,
+                             run_nf_product_oracle, run_q_kernel_oracle,
+                             run_substitution_roundtrip)
 
 from coxsaito.coxeter import (build_datum, builtin_invariants,
                               poincare_closed_form, poincare_equal,
@@ -75,6 +77,15 @@ def test_criterion_2_full_suites(label, rank):
     report = shared_report(label, rank)
     fails = [(r.name, r.witness) for r in report.results if r.status == "fail"]
     _announce(f"2[{report.group}]", not fails, f"{report.counts} {fails}")
+
+
+def test_h3_file_full_suite_at_cli_defaults(h3_full_report):
+    # the H3 test file over Q(sqrt 5) at kmax 3, mmax 7, pmax 3: every check
+    # passes but the flat Remark's, which its invariants are not normalized for
+    skipped = [r.name for r in h3_full_report.results if r.status == "skipped"]
+    ok = (h3_full_report.counts == {"total": 78, "pass": 74, "fail": 0, "skipped": 4}
+          and skipped == ["flat.B1", "flat.Bk/k=1", "flat.Bk/k=2", "flat.Bk/k=3"])
+    _announce("2[H3 file]", ok, f"{h3_full_report.counts} {skipped}")
 
 
 def test_criterion_2_runtime_budget():
@@ -196,6 +207,8 @@ def test_criterion_8_property_suites():
         "nf product oracle": run_nf_product_oracle(),
         "nf exact_divide oracle": run_nf_divide_oracle(),
         "q kernel oracle": run_q_kernel_oracle(),
+        "contact division oracle": run_contact_division_oracle(),
+        "dense substitution oracle": run_dense_substitution_oracle(),
     }
     ok = all(v >= 1000 for v in counts.values())
     _announce("8", ok, f"({counts} randomized instances, fixed seeds)")

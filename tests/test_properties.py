@@ -32,7 +32,7 @@ SQRT5 = FieldContext((-5, 0, 1), "sqrt(5)")
 
 ITERATIONS = 1000
 
-# The ten oracles that criterion 8 of the acceptance suite re-counts are
+# The twelve oracles that criterion 8 of the acceptance suite re-counts are
 # memoized for the session (`functools.cache`): the first call, from either
 # test, runs every instance and its asserts, and the other reads the count.
 # A call that raises caches nothing, so both tests fail.
@@ -776,7 +776,9 @@ def run_signed_permutation_oracle(iterations=ITERATIONS, seed=27315) -> int:
 
 def _oracle_lowest_power(f, form):
     """The substitution route: change variables so the form becomes the pivot
-    coordinate, then read off the least pivot exponent."""
+    coordinate, then read off the least pivot exponent.  The substitution is
+    `expanded_subst`, so this oracle shares no code with the Horner route of
+    `subst_linear`."""
     field = f.field
     coeffs = [field.coerce(c) for c in form]
     pivot = next(i for i, c in enumerate(coeffs) if c)
@@ -790,7 +792,7 @@ def _oracle_lowest_power(f, form):
         else:
             row = [one if j == i else zero for j in range(f.nvars)]
         matrix.append(row)
-    g = f.subst_linear(matrix)
+    g = expanded_subst(f, matrix)
     return min(unpack(k, f.nvars)[pivot] for k in g.terms)
 
 
@@ -825,6 +827,73 @@ def run_lowest_power_rescaling(iterations=ITERATIONS, seed=14142135) -> int:
         for cap in range(max(order - 1, 0), order + 2):
             assert contact_order(f, alpha * scale, cap) == min(order, cap)
         tested += 1
+    return tested
+
+
+def _random_form(rng, field, nvars):
+    """A nonzero linear form: (coefficients, MultiPoly)."""
+    while True:
+        form = [field.from_coeffs([Fraction(rng.randint(-3, 3))
+                                   for _ in range(field.degree)])
+                for _ in range(nvars)]
+        if any(form):
+            return form, MultiPoly.from_terms(
+                nvars, [([int(j == i) for j in range(nvars)], c)
+                        for i, c in enumerate(form)], field)
+
+
+@functools.cache
+def run_contact_division_oracle(iterations=ITERATIONS, seed=57721566) -> int:
+    """One division by alpha^m decides what `contact_order` counts: for f =
+    base * alpha^power in 1-4 variables, half of the instances over
+    Q(sqrt 5), alpha^m fails to divide f exactly when the order counted up
+    to m is below m, for every m from one below the true order (read off by
+    `_oracle_lowest_power`) to two above it."""
+    rng = random.Random(seed)
+    seen = {"divides": 0, "fails": 0, "order above power": 0}
+    tested = 0
+    while tested < iterations:
+        field = SQRT5 if tested % 2 else RATIONALS
+        nvars = 1 + tested // 2 % 4
+        form, alpha = _random_form(rng, field, nvars)
+        power = rng.randint(0, 4)
+        base = _random_poly(rng, field, nvars, rng.randint(0, 3), rng.randint(1, 4))
+        if base.is_zero():
+            continue
+        f = base * alpha ** power
+        order = _oracle_lowest_power(f, form)
+        assert order >= power
+        seen["order above power"] += order > power
+        for m in range(max(order - 1, 0), order + 3):
+            fails = f.exact_divide(alpha ** m) is None
+            assert fails == (contact_order(f, alpha, m) < m) == (m > order)
+            seen["fails" if fails else "divides"] += 1
+        tested += 1
+    assert min(seen.values()) >= iterations // 20, seen
+    return tested
+
+
+@functools.cache
+def run_dense_substitution_oracle(iterations=ITERATIONS, seed=31415926) -> int:
+    """`subst_linear` by a dense matrix (every entry nonzero, not a signed
+    permutation) against `expanded_subst`, compared in form, in 1-4
+    variables, every other instance over Q(sqrt 5); zero and constant
+    polynomials occur."""
+    rng = random.Random(seed)
+    seen = {"zero": 0, "constant": 0, "nonconstant": 0}
+    tested = 0
+    while tested < iterations:
+        field = SQRT5 if tested % 2 else RATIONALS
+        n = 1 + tested // 2 % 4
+        matrix = [[_random_scalar(rng, field) for _ in range(n)] for _ in range(n)]
+        if not all(all(row) for row in matrix) or _signed_permutation(matrix):
+            continue
+        f = _random_poly(rng, field, n, 5 - n // 2, rng.randint(0, 6))
+        assert_same_form(f.subst_linear(matrix), expanded_subst(f, matrix), (f, matrix))
+        seen["zero" if f.is_zero() else "constant" if f.constant_value() is not None
+             else "nonconstant"] += 1
+        tested += 1
+    assert min(seen.values()) >= iterations // 100, seen
     return tested
 
 
@@ -1440,6 +1509,14 @@ def test_substitution_roundtrip_thousand():
 
 def test_lowest_power_rescaling_thousand():
     assert run_lowest_power_rescaling() >= 1000
+
+
+def test_contact_division_matches_contact_order_thousand():
+    assert run_contact_division_oracle() >= 1000
+
+
+def test_dense_substitution_matches_expansion_thousand():
+    assert run_dense_substitution_oracle() >= 1000
 
 
 def test_nf_product_matches_per_pair_oracle_thousand():

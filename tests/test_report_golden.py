@@ -3,9 +3,9 @@
 Pins the exact check names, order, and statuses of a default full run, so any
 accidental change to suite composition, naming, or canonical ordering shows up
 as a diff here rather than silently shifting the report schema.  For seven
-more groups, and for the H3 test file at the h3-file benchmark's bounds, the
-whole report, timings removed, is pinned by hash: names, paper references,
-statuses and any witness text.
+more groups, and for the H3 test file at the h3-file benchmark's bounds and
+at the CLI defaults, the whole report, timings removed, is pinned by hash:
+names, paper references, statuses and any witness text.
 """
 
 import contextlib
@@ -116,7 +116,8 @@ def every_ref_nonempty(doc) -> bool:
 
 # SHA-256 of json.dumps(report.to_dict() without "ms", indent=2,
 # sort_keys=True): run_suites(ctx, "all", 3, 7, 3) for the built-in groups,
-# and the H3 test file at the h3-file benchmark's suites and bounds
+# and the H3 test file at the h3-file benchmark's suites and bounds and at
+# the CLI defaults
 REPORT_SHA256 = {
     ("A", 2): "69404529fa03a0a8426a52af083be564e2012dcd6704a752eae60691e049ec42",
     ("B", 2): "cefe2483abba625c2defb5922e94ef002ea420365fa02204827325a0a2b2a155",
@@ -126,12 +127,15 @@ REPORT_SHA256 = {
     ("I2", 7): "4a792c6baedff09bc697257651dc128971cae3eb5d240913b8af5b9f980083cb",
     ("I2", 8): "a2ae9c0f52ac83f9a8a62ffaafe507d743dfce61725c0e913fac42bfac6a729c",
     ("H3", "file"): "83da0326da8c89810f4a31673ee6f63dbcc7b9baa3baa6fddfb0d40ab6b150ee",
+    ("H3", "defaults"): "a0e5e2a00b89655701abe581eec68075cb327e3d24878ff39e49a1103e1a510d",
 }
 
 
 @pytest.mark.parametrize("label,rank", list(REPORT_SHA256))
 def test_full_report_matches_pinned_hash(label, rank, request):
-    if label == "H3":
+    if (label, rank) == ("H3", "defaults"):
+        report = request.getfixturevalue("h3_full_report")
+    elif label == "H3":
         report = run_suites(request.getfixturevalue("h3_context"),
                             ("metric", "theorems", "flat"), 1, 1, 1)
     else:

@@ -99,11 +99,11 @@ def _loop_accumulations(name):
     return sorted(found)
 
 
-@pytest.mark.parametrize("name", ["saito.py", "matrix.py", "verify.py"])
+@pytest.mark.parametrize("name", ["saito.py", "matrix.py", "verify.py", "poly.py"])
 def test_no_sum_of_products_is_accumulated_by_hand(name):
-    # every sum a * b in the derivation, matrix and check layers is one call
-    # of the fused kernel (a matrix product or a sum_of_products), never a
-    # running total built in a loop
+    # every sum a * b in the polynomial, derivation, matrix and check layers
+    # is one call of the fused kernel (a matrix product or a
+    # sum_of_products), never a running total built in a loop
     found = _loop_accumulations(name)
     assert not found, found
 

@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from conftest import fresh_context, shared_context, shared_report, with_entry
+from conftest import (fresh_context, reference_contact_defect, shared_context,
+                      shared_report, with_entry)
 
-from coxsaito.coxeter import build_datum, validate_invariants
+from coxsaito import saito
+from coxsaito.coxeter import anti_invariant_Q, build_datum, validate_invariants
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
-                            contact_defect, dkx, xi_basis)
+                            contact_defect, derivation_apply, dkx, xi_basis)
 from coxsaito.verify import (CheckReport, check_flat_remark, check_hodge,
                              check_lemma21, check_metric,
                              check_thm24_thm25_prop26, run_suites)
@@ -79,6 +81,85 @@ def test_contact_defect_is_built_once_per_m(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "exact_divide", refuse)
     assert contact_defect(3, ctx) is None
+
+
+def _contact_variants(ctx, m):
+    """Contexts like ctx with nothing cached, holding the xi^(m) row of ctx
+    and, for m >= 1, the lower-order stand-in xi^(m-1) as xi^(m)."""
+    rows = [xi_basis(m, ctx)] + ([xi_basis(m - 1, ctx)] if m else [])
+    for row in rows:
+        fresh = build_context(ctx.datum, ctx.invariants)
+        fresh.xi_table[m] = list(row)
+        yield fresh
+
+
+CONTACT_BOUNDS = [(("A", 1), 7), (("A", 2), 7), (("B", 2), 7), (("I2", 5), 7),
+                  (("I2", 8), 7), (("B", 3), 7), (("D", 3), 7), (("A", 3), 7),
+                  (("D", 4), 5)]
+
+
+def _assert_contact_scans_agree(ctx, m_max):
+    defects = []
+    for m in range(m_max + 1):
+        for fresh in _contact_variants(ctx, m):
+            want = reference_contact_defect(m, fresh)
+            assert contact_defect(m, fresh) == want, m
+            defects.append(want)
+    # the true rows pass, and the stand-ins reach the witness order
+    assert defects[0] is None and any(d is not None for d in defects)
+
+
+@pytest.mark.parametrize("group,m_max", CONTACT_BOUNDS)
+def test_contact_defect_matches_reference_scan(group, m_max):
+    _assert_contact_scans_agree(shared_context(*group), m_max)
+
+
+def test_h3_contact_defect_matches_reference_scan(h3_context):
+    _assert_contact_scans_agree(h3_context, 3)
+
+
+def _tamper_contact(ctx, m, j, h):
+    """xi^(m)_j plus alpha_h^(m-1) prod_(g != h) alpha_g^m in its first
+    coordinate that alpha_h reads: its value on alpha_h then has order exactly
+    m - 1, and every other hyperplane still divides it m times."""
+    datum = ctx.datum
+    alphas = datum.form_polys()
+    i = next(i for i, a in enumerate(datum.forms[h]) if a)
+    extra = alphas[h] ** (m - 1)
+    for g, alpha in enumerate(alphas):
+        if g != h:
+            extra = extra * alpha ** m
+    row = list(xi_basis(m, ctx))
+    coeffs = list(row[j].coeffs)
+    coeffs[i] = coeffs[i] + extra
+    row[j] = PolyDerivation(coeffs)
+    ctx.xi_table[m] = row
+
+
+ORDER_ONE_SHORT = {
+    (("B", 2), 3): "xi^(3)_2: hyperplane 4 (x+y): order 2 < 3",
+    (("I2", 5), 5): "xi^(5)_2: hyperplane 5 (x+(1/5*t^3)*y): order 4 < 5",
+}
+
+
+@pytest.mark.parametrize("group,m", list(ORDER_ONE_SHORT))
+def test_contact_order_one_short_is_witnessed_by_the_fallback(group, m, monkeypatch):
+    # the last (j, h) scanned fails: every earlier entry passes its one
+    # division, and only the failing one runs contact_order for its order
+    ctx = fresh_context(*group)
+    last = len(ctx.datum.forms) - 1
+    _tamper_contact(ctx, m, 1, last)
+    calls = []
+    order_of = saito.contact_order
+    monkeypatch.setattr(saito, "contact_order",
+                        lambda f, alpha, m: calls.append(m) or order_of(f, alpha, m))
+    by_name = {r.name: r for r in run_suites(ctx, ["theorems"], 0, m, 0).results}
+    member = by_name[f"thm25.member/m={m}"]
+    assert member.status == "fail" and not member.integrity
+    assert member.witness == ORDER_ONE_SHORT[(group, m)]
+    assert calls == [m]
+    assert contact_defect(m, ctx) == (1, last, m - 1)
+    assert reference_contact_defect(m, ctx) == (1, last, m - 1)
 
 
 # (group, lo, hi) -> witness of thm25.member/m=hi when xi^(lo)_2 stands in for
@@ -217,10 +298,34 @@ def test_mutated_xi3_detected():
         [xis[0].coeffs[0] + MultiPoly.const(2, 1), xis[0].coeffs[1]])
     ctx.xi_table[3] = [perturbed, xis[1]]
     results = check_thm24_thm25_prop26(ctx, 1, 3)
-    failed = {r.name for r in results if r.status == "fail"}
-    assert "thm25.member/m=3" in failed or "prop26/k=1" in failed
-    witnesses = [r.witness for r in results if r.status == "fail"]
-    assert any(w for w in witnesses)
+    failed = {r.name: r for r in results if r.status == "fail"}
+    # a constant in the first coefficient has order 0 along x = 0; nabla_D
+    # kills the constant, so thm24.1/k=1 still passes
+    assert set(failed) == {"thm25.member/m=3", "thm25.basis/m=3", "thm25.2/m=3",
+                           "prop26/k=1"}
+    assert not any(r.integrity for r in failed.values())
+    assert (failed["thm25.member/m=3"].witness
+            == "xi^(3)_1: hyperplane 1 (x): order 0 < 3")
+    sextic = "-16/3*x^6+80/3*x^4*y^2+80/3*x^2*y^4-16/3*y^6"
+    assert failed["prop26/k=1"].witness == (
+        f"entry (1,1): lhs = {sextic}+2*x, rhs = {sextic}, difference = 2*x")
+
+
+def test_tampered_xi1_fails_disc_with_q_once_but_not_twice():
+    # theta(Q^2) = 2 Q theta(Q) always lies in Q R, so only the division by
+    # Q^2 sees that a constant added to xi^(1)_1 breaks Q | theta(Q)
+    ctx = fresh_context("B", 2)
+    xis = xi_basis(1, ctx)
+    tampered = PolyDerivation([xis[0].coeffs[0] + MultiPoly.const(2, 1),
+                               xis[0].coeffs[1]])
+    ctx.xi_table[1] = [tampered, xis[1]]
+    disc = next(r for r in check_hodge(ctx, 1) if r.name == "hodge.disc")
+    assert disc.status == "fail" and not disc.integrity
+    assert disc.witness == ("xi^(1)_1(Q^2) = 16*x^6*y^2-32*x^4*y^4+16*x^2*y^6"
+                            "+6*x^5*y^2-8*x^3*y^4+2*x*y^6 not in Q^2 R")
+    q = anti_invariant_Q(ctx.datum)
+    value = derivation_apply(tampered, q * q, ctx).as_poly()
+    assert value.exact_divide(q) is not None
 
 
 G0_WITNESSES = {
