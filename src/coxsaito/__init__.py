@@ -9,8 +9,7 @@ from .invariants_io import ingest_invariants
 from .matrix import Matrix
 from .poly import MultiPoly
 from .saito import (PolyDerivation, SaitoContext, bk_matrix, build_context,
-                    christoffel_star, derivation_bracket, dkx, nabla_D,
-                    primitive_derivation_apply, xi_basis)
+                    christoffel_star, derivation_bracket, dkx, nabla_D, xi_basis)
 from .verify import (CheckReport, CheckResult, check_flat_remark, check_hodge,
                      check_lemma21, check_lemma22, check_metric,
                      check_thm24_thm25_prop26, run_suites)
@@ -23,7 +22,7 @@ __all__ = [
     "validate_invariants",
     "ingest_invariants",
     "PolyDerivation", "SaitoContext", "bk_matrix", "build_context",
-    "christoffel_star", "derivation_bracket", "dkx", "nabla_D", "primitive_derivation_apply", "xi_basis",
+    "christoffel_star", "derivation_bracket", "dkx", "nabla_D", "xi_basis",
     "CheckReport", "CheckResult", "check_flat_remark", "check_hodge",
     "check_lemma21", "check_lemma22", "check_metric",
     "check_thm24_thm25_prop26", "run_suites",

@@ -20,10 +20,11 @@ A derivation is held by its coefficients in the coordinate frame d/dX_i and
 nowhere else, and acts on functions as its coefficient row times their
 Jacobian: theta(f) = sum_i c_i df/dX_i is one matrix product
 (`_apply_coeffs`), each value one fused sum of products.  D and d/dP_k are
-the rows of J(P)^-1, so D^k[X], d/dP_k of a matrix, `nabla_D` and the bracket
-are all that product.  nabla is the flat connection of V, whose Christoffel
-symbols vanish in the coordinates X, so `nabla_D` applies D to each
-coefficient.  The invariant frame d/dP_j appears only where a theorem is
+the rows of J(P)^-1, so D^k[X], `nabla_D` and the bracket are all that
+product, and so is d/dP_k of a matrix in every requested direction at once
+(`dp_matrix`): a list of coefficient rows is a row of derivations.  nabla is
+the flat connection of V, whose Christoffel symbols vanish in the
+coordinates X, so `nabla_D` applies D to each coefficient.  The invariant frame d/dP_j appears only where a theorem is
 stated in it: `verify` multiplies a coefficient column by J(P)^T there.
 """
 
@@ -101,9 +102,9 @@ class SaitoContext:
     Each construction has one table, keyed by k, by m for `xi_table` and
     `contact_table` (`contact_defect`), and by (m, t) for `nabla_xi_table`
     (nabla_D^t xi^(m)); the last two are filled from `xi_table`.  Every
-    cached derivation is in the coordinate frame; J(P) serves the chain rule
-    (`dp_apply`) and the invariant-frame matrices that `verify` forms for
-    Theorem 2.4 and Proposition 2.6.
+    cached derivation is in the coordinate frame; J(P)^-1 serves the chain
+    rule (`dp_matrix`), and J(P) the invariant-frame matrices that `verify`
+    forms for Theorem 2.4 and Proposition 2.6.
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
@@ -152,29 +153,21 @@ def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoCont
 # -- the primitive derivation and its powers -------------------------------------
 
 
-def _apply_coeffs(coeffs, fs) -> tuple:
-    """theta(f) = sum_i coeffs[i] df/dX_i for every f in fs, simplified: the
-    coefficient row of theta times the Jacobian J(fs), one matrix product, so
-    each value is one fused sum of products."""
-    return (Matrix([coeffs]) * jacobian(fs, len(coeffs))).simplify().entries[0]
+def _apply_coeffs(rows, fs) -> tuple:
+    """theta_r(f) = sum_i rows[r][i] df/dX_i for every coefficient row r and
+    every f in fs, simplified: the row of derivations times the Jacobian
+    J(fs), one matrix product, so each value is one fused sum of products."""
+    return (Matrix(rows) * jacobian(fs, len(rows[0]))).simplify().entries
 
 
-def dp_apply(f, k: int, ctx: SaitoContext) -> FactoredFraction:
-    """Apply d/dP_k through the chain rule: its coordinate coefficients are
-    row k of J(P)^-1; k is 1-based."""
-    return _apply_coeffs(ctx.jac_P_inv.entries[k - 1], [f])[0]
-
-
-def primitive_derivation_apply(f, ctx: SaitoContext) -> FactoredFraction:
-    """The primitive derivation: d/dP_l, the unique one with D[P_i] = delta_il."""
-    return dp_apply(f, ctx.rank, ctx)
-
-
-def dp_matrix(m: Matrix, k: int, ctx: SaitoContext) -> Matrix:
-    """Entrywise d/dP_k of a matrix; k = l is the primitive derivation D."""
-    flat = _apply_coeffs(ctx.jac_P_inv.entries[k - 1],
+def dp_matrix(m: Matrix, ks, ctx: SaitoContext) -> list[Matrix]:
+    """[d/dP_k m for k in ks], entrywise, from one Jacobian of m's entries and
+    one product with rows ks of J(P)^-1; k is 1-based, and k = l is the
+    primitive derivation D."""
+    rows = _apply_coeffs([ctx.jac_P_inv.entries[k - 1] for k in ks],
                          [e for row in m.entries for e in row])
-    return Matrix([flat[i:i + m.cols] for i in range(0, len(flat), m.cols)])
+    return [Matrix([flat[i:i + m.cols] for i in range(0, len(flat), m.cols)])
+            for flat in rows]
 
 
 def dkx(k: int, ctx: SaitoContext):
@@ -183,7 +176,7 @@ def dkx(k: int, ctx: SaitoContext):
         raise ValueError("k must be >= 0")
     table = ctx.dkx_table
     if k not in table:
-        table[k] = _apply_coeffs(ctx.jac_P_inv.entries[-1], dkx(k - 1, ctx))
+        table[k] = _apply_coeffs(ctx.jac_P_inv.entries[-1:], dkx(k - 1, ctx))[0]
     return table[k]
 
 
@@ -291,12 +284,14 @@ def bk_matrix(k: int, ctx: SaitoContext) -> Matrix:
 
 
 def christoffel_star(k: int, ctx: SaitoContext) -> Matrix:
-    """J(P)^T A (d/dP_k)[J(P)], certified polynomial; k is 1-based."""
+    """J(P)^T A (d/dP_k)[J(P)], certified polynomial; k is 1-based.  One
+    direction per call, so a certification failure stays with its own k."""
     if not 1 <= k <= ctx.rank:
         raise ValueError("k must be between 1 and the rank")
     table = ctx.christoffel_table
     if k not in table:
-        prod = ctx.jac_P.transpose() * ctx.gram_poly * dp_matrix(ctx.jac_P, k, ctx)
+        (dj,) = dp_matrix(ctx.jac_P, [k], ctx)
+        prod = ctx.jac_P.transpose() * ctx.gram_poly * dj
         table[k] = _certify_poly_matrix(prod, f"Gamma*_{k}")
     return table[k]
 
@@ -310,12 +305,12 @@ def nabla_D(theta: PolyDerivation, ctx: SaitoContext) -> PolyDerivation:
     nabla is the flat connection of V: its Christoffel symbols vanish in the
     coordinates X, so nabla_D theta = sum_i D[theta(X_i)] d/dX_i.
     """
-    return PolyDerivation(_apply_coeffs(ctx.jac_P_inv.entries[-1], theta.coeffs))
+    return PolyDerivation(_apply_coeffs(ctx.jac_P_inv.entries[-1:], theta.coeffs)[0])
 
 
 def derivation_apply(theta: PolyDerivation, f, ctx: SaitoContext) -> FactoredFraction:
     """theta(f) = sum_i c_i df/dX_i."""
-    return _apply_coeffs(theta.coeffs, [f])[0]
+    return _apply_coeffs([theta.coeffs], [f])[0][0]
 
 
 def derivation_bracket(theta: PolyDerivation, eta: PolyDerivation,
@@ -323,8 +318,8 @@ def derivation_bracket(theta: PolyDerivation, eta: PolyDerivation,
     """Lie bracket, computed coefficientwise: [theta, eta]_i = theta(eta_i) -
     eta(theta_i)."""
     return PolyDerivation([
-        (a - b).simplify() for a, b in zip(_apply_coeffs(theta.coeffs, eta.coeffs),
-                                           _apply_coeffs(eta.coeffs, theta.coeffs))])
+        (a - b).simplify() for a, b in zip(_apply_coeffs([theta.coeffs], eta.coeffs)[0],
+                                           _apply_coeffs([eta.coeffs], theta.coeffs)[0])])
 
 
 def primitive_derivation(ctx: SaitoContext) -> PolyDerivation:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 
 from .coxeter import (anti_invariant_Q, first_moved, poincare_closed_form,
                       poincare_equal)
@@ -110,6 +111,15 @@ def _cmp_matrices(lhs: Matrix, rhs: Matrix):
     return True, None
 
 
+def _first_nonzero(m: Matrix, what: str):
+    """(True, None) when every entry of m is zero, else the first nonzero one."""
+    for i in range(m.rows):
+        for j in range(m.cols):
+            if m[i, j]:
+                return False, f"entry ({i + 1},{j + 1}): {what} = {m[i, j].render()}"
+    return True, None
+
+
 # -- contact order -------------------------------------------------------------------
 
 
@@ -153,13 +163,8 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
         # errors attributable to the individual check
 
         def d_annihilates(k=k):
-            db = dp_matrix(bk_matrix(k, ctx), ell, ctx)
-            for i in range(ell):
-                for j in range(ell):
-                    if db[i, j]:
-                        return False, (f"entry ({i + 1},{j + 1}): "
-                                       f"D[entry] = {db[i, j].render()}")
-            return True, None
+            return _first_nonzero(dp_matrix(bk_matrix(k, ctx), [ell], ctx)[0],
+                                  "D[entry]")
 
         def w_invariant(k=k):
             bk = bk_matrix(k, ctx)
@@ -214,26 +219,28 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
 def check_lemma22(ctx: SaitoContext):
     r = _Runner()
     ell = ctx.rank
-    memo: dict = {}
+    directions = range(1, ell + 1)
 
-    def dg_lower():
-        if "dg" not in memo:
-            g_lower = ctx.metric_G_inv()
-            memo["dg"] = [dp_matrix(g_lower, i + 1, ctx) for i in range(ell)]
-        return memo["dg"]
+    # every d/dP_k of G and of G^-1 at once, formed on first use
+    @cache
+    def dp_g():
+        return dp_matrix(ctx.metric_G, directions, ctx)
 
-    for k in range(1, ell + 1):
+    @cache
+    def dp_g_inv():
+        return dp_matrix(ctx.metric_G_inv(), directions, ctx)
+
+    for k in directions:
 
         def compat(k=k):
-            lhs = dp_matrix(ctx.metric_G, k, ctx)
+            lhs = dp_g()[k - 1]
             star = christoffel_star(k, ctx)
-            rhs = star + star.transpose()
-            return _cmp_matrices(lhs, rhs)
+            return _cmp_matrices(lhs, star + star.transpose())
 
         def levi_civita_consistency(k=k):
             # independent route: the standard Christoffel formula from the
             # metric (G^{-1} on coordinate fields), then Gamma*_k = -G Gamma_k
-            dg = dg_lower()
+            dg = dp_g_inv()
             pieces = Matrix([[dg[i][t, k - 1] + dg[k - 1][t, i] - dg[t][i, k - 1]
                               for t in range(ell)] for i in range(ell)])
             half = ctx.datum.field.coerce(1) / 2
@@ -380,9 +387,16 @@ def check_hodge(ctx: SaitoContext, p_max: int):
             return True, None
 
         def poincare(p=p):
-            gens = [(p - 1) * h + m for m in exps]
-            lhs = poincare_closed_form(gens, [m + 1 for m in exps[:-1]] + [h])
-            rhs = poincare_closed_form(gens, [m + 1 for m in exps])
+            # computed: deg xi^(2p-1)_j over deg P_1..P_(l-1) and h = 2N/l
+            # for N hyperplanes; stated: (p-1)h + m_j over m_j + 1
+            gens = [derivation_degree(theta) for theta in xi_basis(2 * p - 1, ctx)]
+            if None in gens:
+                return False, f"xi^({2 * p - 1})_{gens.index(None) + 1} is not homogeneous"
+            degrees = [f.total_degree() for f in ctx.invariants.polys[:-1]]
+            degrees.append(2 * len(ctx.datum.forms) // ctx.rank)
+            lhs = poincare_closed_form(gens, degrees)
+            rhs = poincare_closed_form([(p - 1) * h + m for m in exps],
+                                       [m + 1 for m in exps])
             if not poincare_equal(lhs, rhs):
                 return False, f"series differ: {lhs} vs {rhs}"
             return True, None
@@ -406,19 +420,16 @@ def check_flat_remark(ctx: SaitoContext, k_max: int = 3):
     h = ctx.datum.coxeter_number
     exps = ctx.datum.exponents
     field = ctx.datum.field
-    memo: dict = {}
 
+    @cache
     def dg():
-        if "dg" not in memo:
-            memo["dg"] = dp_matrix(ctx.metric_G, ell, ctx)
-        return memo["dg"]
+        return dp_matrix(ctx.metric_G, [ell], ctx)[0]
 
+    @cache
     def flat_normalized() -> bool:
-        if "flat" not in memo:
-            memo["flat"] = all(
-                dg()[i, j] == MultiPoly.const(ell, 1 if i + j == ell - 1 else 0, field)
-                for i in range(ell) for j in range(ell))
-        return memo["flat"]
+        return all(
+            dg()[i, j] == MultiPoly.const(ell, 1 if i + j == ell - 1 else 0, field)
+            for i in range(ell) for j in range(ell))
 
     def det_dg():
         entries = [[dg()[i, j].as_poly() for j in range(ell)] for i in range(ell)]
@@ -432,13 +443,7 @@ def check_flat_remark(ctx: SaitoContext, k_max: int = 3):
         return True, None
 
     def d2g():
-        d2 = dp_matrix(dg(), ell, ctx)
-        for i in range(ell):
-            for j in range(ell):
-                if d2[i, j]:
-                    return False, (f"entry ({i + 1},{j + 1}): "
-                                   f"D^2[G] = {d2[i, j].render()}")
-        return True, None
+        return _first_nonzero(dp_matrix(dg(), [ell], ctx)[0], "D^2[G]")
 
     r.run("flat.detDG", "det D[G] is a nonzero constant", det_dg)
     r.run("flat.D2G", "D^2[G] = D[B^(1) + (B^(1))^T] = 0", d2g)

@@ -524,7 +524,7 @@ def christoffel_nabla_reference(columns, ctx):
     matrix Gamma_l = -G^-1 Gamma*_l, each column c maps to Gamma_l^T c + D[c]."""
     gamma = -(ctx.metric_G_inv() * christoffel_star(ctx.rank, ctx))
     return (gamma.simplify().transpose() * columns
-            + dp_matrix(columns, ctx.rank, ctx)).simplify()
+            + dp_matrix(columns, [ctx.rank], ctx)[0]).simplify()
 
 
 def nabla_matrix_reference(m, t, ctx):

@@ -26,8 +26,7 @@ from coxsaito.fraction import FactoredFraction
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
-                            derivation_degree, dkx, dp_matrix,
-                            primitive_derivation_apply, xi_basis)
+                            derivation_degree, dkx, dp_matrix, xi_basis)
 from coxsaito.verify import (check_lemma21, check_metric,
                              check_thm24_thm25_prop26)
 
@@ -64,7 +63,7 @@ def test_criterion_1_rank_one_golden_values():
     for k in (1, 2, 3):
         assert bk_matrix(k, ctx_q) == Matrix(
             [[MultiPoly.const(1, Fraction(2 * k - 1, 2))]])
-    dg = dp_matrix(ctx_q.metric_G, 1, ctx_q)
+    (dg,) = dp_matrix(ctx_q.metric_G, [1], ctx_q)
     assert dg[0, 0].as_poly() == MultiPoly.const(1, 1)
 
     elapsed = time.perf_counter() - t0
@@ -145,10 +144,14 @@ def test_criterion_6_poincare_identity(label, rank):
     ctx = shared_context(label, rank)
     h = ctx.datum.coxeter_number
     exps = ctx.datum.exponents
+    # computed degrees: of xi^(2p-1)_j, of P_1..P_(l-1), and h = 2N/l
+    degrees = [f.total_degree() for f in ctx.invariants.polys[:-1]]
+    degrees.append(2 * len(ctx.datum.forms) // ctx.rank)
     for p in (1, 2, 3):
-        gens = [(p - 1) * h + m for m in exps]
-        lhs = poincare_closed_form(gens, [m + 1 for m in exps[:-1]] + [h])
-        rhs = poincare_closed_form(gens, [m + 1 for m in exps])
+        gens = [derivation_degree(theta) for theta in xi_basis(2 * p - 1, ctx)]
+        lhs = poincare_closed_form(gens, degrees)
+        rhs = poincare_closed_form([(p - 1) * h + m for m in exps],
+                                   [m + 1 for m in exps])
         assert poincare_equal(lhs, rhs), (label, rank, p)
     report = shared_report(label, rank)
     hodge_poincare = [r for r in report.results

@@ -1154,7 +1154,8 @@ def run_derivation_kernel_oracle(iterations=ITERATIONS, seed=27182818) -> int:
     """The three sums of products that moved onto the fused kernel, against
     the one-product-at-a-time loops they replaced, over Q, Q(sqrt 5) and the
     degree-4 field of I2(5), in form (`conftest.assert_same_form`):
-    `saito._apply_coeffs` against `conftest.accumulating_apply`,
+    `saito._apply_coeffs` on one to three coefficient rows at once against
+    `conftest.accumulating_apply` row by row,
     `FactoredFraction.partial` against `conftest.quotient_rule_partial`, and
     every minor of `MinorTable` against `conftest.LaplaceMinors`.  Operands
     are zero a quarter of the time, often one-term, and fractions num / q^e
@@ -1163,7 +1164,8 @@ def run_derivation_kernel_oracle(iterations=ITERATIONS, seed=27182818) -> int:
     fields = [RATIONALS, SQRT5, build_datum("I2", 5).field]
     rng = random.Random(seed)
     seen = dict.fromkeys(DERIVATION_KINDS, 0)
-    seen.update({"zero": 0, "one-term": 0, "polynomial": 0, "q free of x_i": 0})
+    seen.update({"zero": 0, "one-term": 0, "polynomial": 0, "q free of x_i": 0,
+                 "several rows": 0})
     seen.update({f"exp {e}": 0 for e in range(4)})
 
     def operand(base, field, nvars, fraction=True):
@@ -1188,11 +1190,17 @@ def run_derivation_kernel_oracle(iterations=ITERATIONS, seed=27182818) -> int:
         base = PowerBase(_random_form_product(rng, field, nvars))
         if kind == "apply":
             # coefficients are fractions, as a PolyDerivation holds them
-            coeffs = [FactoredFraction.from_poly(c) if isinstance(c, MultiPoly) else c
-                      for c in (operand(base, field, nvars) for _ in range(nvars))]
+            rows = [[FactoredFraction.from_poly(c) if isinstance(c, MultiPoly) else c
+                     for c in (operand(base, field, nvars) for _ in range(nvars))]
+                    for _ in range(rng.randint(1, 3))]
+            seen["several rows"] += len(rows) > 1
             fs = [operand(base, field, nvars, False) for _ in range(rng.randint(1, 3))]
-            for got, f in zip(_apply_coeffs(coeffs, fs), fs):
-                assert_same_form(got, accumulating_apply(coeffs, f), kind)
+            got = _apply_coeffs(rows, fs)
+            assert len(got) == len(rows)
+            for coeffs, values in zip(rows, got):
+                assert len(values) == len(fs)
+                for value, f in zip(values, fs):
+                    assert_same_form(value, accumulating_apply(coeffs, f), kind)
         elif kind == "partial":
             index = rng.randrange(nvars)
             if rng.random() < 0.3:

@@ -5,7 +5,9 @@ accidental change to suite composition, naming, or canonical ordering shows up
 as a diff here rather than silently shifting the report schema.  For seven
 more groups, and for the H3 test file at the h3-file benchmark's bounds and
 at the CLI defaults, the whole report, timings removed, is pinned by hash:
-names, paper references, statuses and any witness text.
+names, paper references, statuses and any witness text.  So are B2 and A3
+under three tamperings that reach the d/dP_k checks, with the failing
+witnesses of lemma21.1d and flat.D2G also spelled out.
 """
 
 import contextlib
@@ -14,9 +16,12 @@ import io
 import json
 
 import pytest
-from conftest import shared_report
+from conftest import fresh_context, shared_report, with_entry
 
 from coxsaito.cli import RunConfig, run
+from coxsaito.matrix import Matrix
+from coxsaito.poly import MultiPoly
+from coxsaito.saito import bk_matrix
 from coxsaito.verify import run_suites
 
 GOLDEN = [
@@ -140,8 +145,75 @@ def test_full_report_matches_pinned_hash(label, rank, request):
                             ("metric", "theorems", "flat"), 1, 1, 1)
     else:
         report = shared_report(label, rank, 3, 7, 3)
+    assert _stripped_sha256(report) == REPORT_SHA256[(label, rank)]
+
+
+def _stripped_sha256(report) -> str:
     doc = report.to_dict()
     for check in doc["checks"]:
         del check["ms"]
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[(label, rank)]
+    return hashlib.sha256(json.dumps(doc, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def _double_dp1(ctx):
+    rows = ctx.jac_P_inv.entries
+    ctx.jac_P_inv = Matrix([[e + e for e in rows[0]], *rows[1:]])
+
+
+def _b1_plus_x1(ctx):
+    x1 = MultiPoly.variable(ctx.rank, 0, ctx.datum.field)
+    b1 = bk_matrix(1, ctx)
+    ctx.bk_table[1] = with_entry(b1, 0, 0, b1[0, 0] + x1)
+
+
+def _metric_plus_x1_cubed(ctx):
+    x1 = MultiPoly.variable(ctx.rank, 0, ctx.datum.field)
+    ctx.metric_G = with_entry(ctx.metric_G, 0, 0, ctx.metric_G[0, 0] + x1 ** 3)
+
+
+# row 1 of J(P)^-1 doubled; x_1 added to B^(1)_11; x_1^3 added to G_11
+TAMPERINGS = {"jac_P_inv.row1x2": _double_dp1,
+              "B1.11+x1": _b1_plus_x1,
+              "G.11+x1^3": _metric_plus_x1_cubed}
+
+# the same digest of run_suites(ctx, "all", 2, 3, 1) on a tampered context;
+# these tamperings reach the d/dP_k checks: lemma21.1d, lemma22 and flat
+TAMPERED_SHA256 = {
+    ("B", 2, "jac_P_inv.row1x2"):
+        "71aa9c5c540fee83048c5745c4921f9653e625b4508c42f9e7cbe6f417a2b16f",
+    ("B", 2, "B1.11+x1"):
+        "46e8ec7e3b9882d614e31273d528427c95e836665c23b5f098fc1cbad9694851",
+    ("B", 2, "G.11+x1^3"):
+        "8524535bce5c0f81a02feae3af4eccc25eb84f465d021326857dc5811844f13b",
+    ("A", 3, "jac_P_inv.row1x2"):
+        "1e6d6c4f9a41ebca866328be6b11f3bc6e52ca1dcfce18a3d728fce775a145d0",
+    ("A", 3, "B1.11+x1"):
+        "329afff44ffcd17471c4447af6b761d89e57149d0abc2490928d44bf1f17af49",
+    ("A", 3, "G.11+x1^3"):
+        "6a973d729c77a0b7f22f4f9f5d5f50de378711f4b4cfe9b358ec921644fe3657",
+}
+
+TAMPERED_WITNESSES = {
+    ("B", 2, "B1.11+x1", "lemma21.1d/k=1"):
+        "entry (1,1): D[entry] = (1/4*y)/((x^3*y-x*y^3))",
+    ("B", 2, "G.11+x1^3", "flat.D2G"):
+        "entry (1,1): D^2[G] = (-9/16*x^4*y^3-3/16*x^2*y^5)/((x^3*y-x*y^3)^3)",
+    ("A", 3, "B1.11+x1", "lemma21.1d/k=1"):
+        "entry (1,1): D[entry] = (1/8*x^2*y-1/8*x^2*z+3/8*x*y^2-3/8*x*z^2+1/4*y^3"
+        "+3/8*y^2*z-3/8*y*z^2-1/4*z^3)/((x^5*y-x^5*z+5/2*x^4*y^2-5/2*x^4*z^2"
+        "+2*x^3*y^2*z-2*x^3*y*z^2-5/2*x^2*y^4-2*x^2*y^3*z+2*x^2*y*z^3+5/2*x^2*z^4"
+        "-x*y^5+2*x*y^3*z^2-2*x*y^2*z^3+x*z^5+y^5*z+5/2*y^4*z^2-5/2*y^2*z^4"
+        "-y*z^5))",
+}
+
+
+@pytest.mark.parametrize("label,rank,tamper", list(TAMPERED_SHA256))
+def test_tampered_report_matches_pinned_hash(label, rank, tamper):
+    ctx = fresh_context(label, rank)
+    TAMPERINGS[tamper](ctx)
+    report = run_suites(ctx, "all", 2, 3, 1)
+    for (*key, name), witness in TAMPERED_WITNESSES.items():
+        if tuple(key) == (label, rank, tamper):
+            got = next(r for r in report.results if r.name == name)
+            assert (got.status, got.witness) == ("fail", witness)
+    assert _stripped_sha256(report) == TAMPERED_SHA256[(label, rank, tamper)]

@@ -7,7 +7,7 @@ from conftest import (assert_same_form, fresh_context, h3_document,
                       ladder_jdkx_inv, nabla_matrix_reference,
                       nabla_power_reference, product_bk, reference_bracket,
                       reference_dkx, reference_dp_matrix, reference_nabla_xi,
-                      with_entry)
+                      shared_context, with_entry)
 
 from coxsaito import saito
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
@@ -19,10 +19,9 @@ from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, _certified_bk, bk_matrix, build_context,
                             christoffel_star, derivation_apply,
                             derivation_bracket, derivation_degree,
-                            derivation_transform, dkx, dp_apply, dp_matrix,
-                            jdkx, jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
-                            primitive_derivation_apply, xi_basis,
-                            xi_coefficient_matrix)
+                            derivation_transform, dkx, dp_matrix, jdkx,
+                            jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
+                            xi_basis, xi_coefficient_matrix)
 from coxsaito.verify import _nabla_matrix, check_lemma21, run_suites
 
 
@@ -84,11 +83,12 @@ def test_b2_metric(b2):
 
 def test_a1_primitive_derivation(a1):
     base = a1.q_base
-    dx = primitive_derivation_apply(MultiPoly.variable(1, 0), a1)
+    d = primitive_derivation(a1)
+    dx = derivation_apply(d, MultiPoly.variable(1, 0), a1)
     assert dx == FactoredFraction(MultiPoly.const(1, Fraction(1, 2)), base, 1)
-    d2x = primitive_derivation_apply(dx, a1)
+    d2x = derivation_apply(d, dx, a1)
     assert d2x == FactoredFraction(MultiPoly.const(1, Fraction(-1, 4)), base, 3)
-    d3x = primitive_derivation_apply(d2x, a1)
+    d3x = derivation_apply(d, d2x, a1)
     assert d3x == FactoredFraction(MultiPoly.const(1, Fraction(3, 8)), base, 5)
 
 
@@ -98,7 +98,7 @@ def test_primitive_derivation_on_invariants(label, rank):
     d = build_datum(label, rank)
     ctx = build_context(d, builtin_invariants(d))
     for i, p in enumerate(ctx.invariants.polys):
-        val = primitive_derivation_apply(p, ctx)
+        val = derivation_apply(primitive_derivation(ctx), p, ctx)
         expected = 1 if i == ctx.rank - 1 else 0
         assert val.as_poly() == MultiPoly.const(ctx.rank, expected, d.field)
 
@@ -127,7 +127,7 @@ def test_a1_normalized_bk_remark(a1_quarter):
 
 
 def test_a1_normalized_flat_metric(a1_quarter):
-    dg = dp_matrix(a1_quarter.metric_G, 1, a1_quarter)
+    (dg,) = dp_matrix(a1_quarter.metric_G, [1], a1_quarter)
     assert dg[0, 0].as_poly() == MultiPoly.const(1, 1)
 
 
@@ -146,9 +146,8 @@ def test_christoffel_last_equals_b1(b2, a1):
 
 
 def test_christoffel_compat_with_metric(b2):
-    for k in (1, 2):
+    for k, lhs in zip((1, 2), dp_matrix(b2.metric_G, (1, 2), b2)):
         star = christoffel_star(k, b2)
-        lhs = b2.metric_G.map_entries(lambda e: dp_apply(e, k, b2))
         rhs = star + star.transpose()
         assert lhs.simplify() == Matrix(
             [[FactoredFraction.from_poly(rhs[i, j]) for j in range(2)]
@@ -257,7 +256,7 @@ def test_dk_of_hk_invertible(b2, k):
     # (1,2) entry of D[H_1] is -4(x^2+y^2)).
     dk_hk = hk(k, b2)
     for _ in range(k):
-        dk_hk = dp_matrix(dk_hk, 2, b2)
+        (dk_hk,) = dp_matrix(dk_hk, [2], b2)
     entries = [[dk_hk[i, j].as_poly() for j in range(2)] for i in range(2)]
     assert all(p is not None for row in entries for p in row)
     det = Matrix(entries).det().constant_value()
@@ -267,7 +266,7 @@ def test_dk_of_hk_invertible(b2, k):
 def test_d_of_h1_nonconstant_entry_b2(b2):
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
-    dh1 = dp_matrix(hk(1, b2), 2, b2)
+    (dh1,) = dp_matrix(hk(1, b2), [2], b2)
     assert dh1[0, 1].as_poly() == -4 * (x * x + y * y)
 
 
@@ -310,8 +309,35 @@ def test_nabla_xi_matches_references(label, rank):
                 (m, t)
 
 
+def _assert_dp_matrix_matches_reference(ctx):
+    # differential oracle: d/dP_k of a matrix in every direction, from one
+    # Jacobian and one product, agrees in form with entrywise d/dP_k one
+    # product and one running sum at a time, for polynomial and fraction
+    # matrices, all directions in one call, in either order
+    ell = ctx.rank
+    (dg,) = dp_matrix(ctx.metric_G, [ell], ctx)
+    for m in (ctx.metric_G, ctx.jac_P, bk_matrix(1, ctx), ctx.metric_G_inv(), dg):
+        want = {k: reference_dp_matrix(m, k, ctx) for k in range(1, ell + 1)}
+        for ks in (range(1, ell + 1), range(ell, 0, -1)):
+            got = dp_matrix(m, ks, ctx)
+            assert len(got) == ell
+            for k, dm in zip(ks, got):
+                for g_row, w_row in zip(dm.entries, want[k].entries):
+                    for g, w in zip(g_row, w_row):
+                        assert_same_form(g, w, k)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2), ("I2", 5), ("A", 3)])
+def test_dp_matrix_every_direction_matches_reference(label, rank):
+    _assert_dp_matrix_matches_reference(shared_context(label, rank))
+
+
+def test_h3_dp_matrix_every_direction_matches_reference(h3_context):
+    _assert_dp_matrix_matches_reference(h3_context)
+
+
 def _assert_derivations_match_references(ctx, k_max):
-    # differential oracle: D^k[X], d/dP_k[G], nabla_D^t xi^(m) and brackets
+    # differential oracle: D^k[X], nabla_D^t xi^(m) and brackets
     # through the coefficient row times the Jacobian agree in form with
     # one product and one running sum at a time (conftest references)
     def same(got, want, what):
@@ -321,11 +347,6 @@ def _assert_derivations_match_references(ctx, k_max):
 
     for k in range(k_max + 1):
         same(dkx(k, ctx), reference_dkx(k, ctx), k)
-    for k in range(1, ctx.rank + 1):
-        got = dp_matrix(ctx.metric_G, k, ctx)
-        want = reference_dp_matrix(ctx.metric_G, k, ctx)
-        for g_row, w_row in zip(got.entries, want.entries):
-            same(g_row, w_row, k)
     for m, t in ((1, 1), (2, 1), (3, 2)):
         for theta, ref in zip(nabla_xi(m, t, ctx), reference_nabla_xi(m, t, ctx)):
             same(theta.coeffs, ref.coeffs, (m, t))

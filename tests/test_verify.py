@@ -4,14 +4,14 @@ import pytest
 from conftest import (fresh_context, reference_contact_defect, shared_context,
                       shared_report, with_entry)
 
-from coxsaito import saito
+from coxsaito import saito, verify
 from coxsaito.coxeter import anti_invariant_Q, build_datum, validate_invariants
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
                             contact_defect, derivation_apply, dkx, xi_basis)
 from coxsaito.verify import (CheckReport, check_flat_remark, check_hodge,
-                             check_lemma21, check_metric,
+                             check_lemma21, check_lemma22, check_metric,
                              check_thm24_thm25_prop26, run_suites)
 
 
@@ -81,6 +81,28 @@ def test_contact_defect_is_built_once_per_m(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "exact_divide", refuse)
     assert contact_defect(3, ctx) is None
+
+
+def test_lemma22_differentiates_g_and_g_inverse_once(monkeypatch):
+    # every d/dP_k of G and of G^-1 comes from one call each; only
+    # christoffel_star differentiates J(P) one direction at a time, so that an
+    # integrity error stays with its own k
+    ctx = fresh_context("A", 3)
+    seen = []
+    real = saito.dp_matrix
+
+    def spy(m, ks, context):
+        seen.append((m, tuple(ks)))
+        return real(m, ks, context)
+
+    monkeypatch.setattr(saito, "dp_matrix", spy)
+    monkeypatch.setattr(verify, "dp_matrix", spy)
+    assert all(r.status == "pass" for r in check_lemma22(ctx))
+    every = (1, 2, 3)
+    assert [ks for m, ks in seen if m is ctx.metric_G] == [every]
+    assert [ks for m, ks in seen if m is ctx.metric_G_inv()] == [every]
+    assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(1,), (2,), (3,)]
+    assert len(seen) == 5
 
 
 def _contact_variants(ctx, m):
@@ -353,6 +375,29 @@ def test_xi1_scaled_by_p_ell_fails_only_g0(label, rank):
                           + G0_WITNESSES[(label, rank)])
 
 
+def test_xi3_scaled_by_p1_fails_hodge_only_at_poincare():
+    # P_1 is invariant and D[P_1] = 0, so P_1 xi^(3)_1 keeps W-invariance,
+    # contact order and the G_0 bracket; only its degree moves, by deg P_1
+    ctx = fresh_context("B", 2)
+    xis = xi_basis(3, ctx)
+    p1 = ctx.invariants.polys[0]
+    ctx.xi_table[3] = [PolyDerivation([c * p1 for c in xis[0].coeffs]), xis[1]]
+    failed = {r.name: r.witness for r in check_hodge(ctx, 2) if r.status == "fail"}
+    assert failed == {"hodge.poincare/p=2": (
+        "series differ: ((0, 0, 0, 0, 0, 0, 0, 2), (1, 0, -1, 0, -1, 0, 1)) "
+        "vs ((0, 0, 0, 0, 0, 1, 0, 1), (1, 0, -1, 0, -1, 0, 1))")}
+
+
+def test_inhomogeneous_xi_fails_poincare_naming_j():
+    ctx = fresh_context("B", 2)
+    xis = xi_basis(1, ctx)
+    ctx.xi_table[1] = [xis[0], PolyDerivation(
+        [xis[1].coeffs[0] + MultiPoly.const(2, 1), xis[1].coeffs[1]])]
+    poincare = next(r for r in check_hodge(ctx, 1) if r.name == "hodge.poincare/p=1")
+    assert (poincare.status, poincare.witness) == ("fail",
+                                                   "xi^(1)_2 is not homogeneous")
+
+
 def _assert_tampered(report, not_passed, inverting, premise):
     """The checks not passed are as listed; of them, exactly the checks that
     invert the tampered matrix are integrity failures naming its det premise."""
@@ -435,7 +480,7 @@ def test_flat_normalized_b2_found_by_ansatz():
             inv = validate_invariants(datum, [r2 * c1, p4 + r2 * r2 * a],
                                       source="ansatz")
             ctx = build_context(datum, inv)
-            dg = dp_matrix(ctx.metric_G, 2, ctx)
+            (dg,) = dp_matrix(ctx.metric_G, [2], ctx)
             want = [[0, 1], [1, 0]]
             if all(dg[i, j] == MultiPoly.const(2, want[i][j]) for i in range(2)
                    for j in range(2)):
