@@ -21,7 +21,7 @@ from .errors import (CoxsaitoError, JacobianCriterionFailed, NotInvariant,
                      WrongDegrees)
 from .field import RATIONALS, FieldContext
 from .matrix import Matrix
-from .poly import MultiPoly
+from .poly import MultiPoly, Substitution
 
 # minimal polynomial of 2cos(pi/(2m)), ascending coefficients
 _I2_MINPOLY = {
@@ -109,11 +109,12 @@ class CoxeterDatum:
         # the induced substitution on polynomials uses the transpose
         self.generators = [[tuple(field.coerce(v) for v in row) for row in g]
                            for g in generators]
-        self.subst = [tuple(zip(*g)) for g in self.generators]
         self.exponents = tuple(int(e) for e in exponents)
         self._form_polys = None
         self._q = None
         self._check()
+        # one Substitution per generator, so that its powers are built once
+        self.subst = [Substitution(zip(*g), field) for g in self.generators]
 
     def _check(self):
         ell, field = self.rank, self.field

@@ -39,7 +39,9 @@ lopsided ones near four pairs per slot, whose fixed cost and wide grid the
 product would not repay, take the schoolbook loop.
 A linear substitution by a matrix that is not a signed permutation is
 nested Horner on that kernel (`MultiPoly.subst_linear`): one sum of
-products per group of terms that share an exponent.
+products per group of terms that share an exponent.  The powers of the
+substituted forms live in the `Substitution`, built once for all the
+polynomials it substitutes.
 Exact division is one leading-term elimination loop over a heap of keys on
 ints for every field: the field packs the operands (over an extension as for
 a product), maps each step's leading int to a quotient term and rebuilds the
@@ -50,6 +52,7 @@ polynomial: `leading`, `constant_value` and `iter_terms`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 
@@ -204,6 +207,40 @@ def _signed_permutation(matrix):
     if len(set(target)) != len(target):
         return None
     return target, negated
+
+
+class Substitution(tuple):
+    """The linear substitution x_i -> L_i = sum_j rows[i][j] * x_j over
+    `field`, as the tuple of its rows, with what every polynomial it
+    substitutes can share.
+
+    `signed` is `_signed_permutation` of the rows, decided once.  For any
+    other matrix `forms` holds the L_i and powers[i] the powers L_i^0, L_i^1,
+    ... built so far, both made by the first substitution that reads them:
+    `_horner_pairs` extends a list to the highest exponent it meets and
+    never builds a power twice.  One substitution per generator
+    (`CoxeterDatum.subst`) thus serves every polynomial substituted by that
+    generator, and its powers are freed with it.
+    """
+
+    def __new__(cls, rows, field: FieldContext):
+        self = super().__new__(cls, map(tuple, rows))
+        if any(len(row) != len(self) for row in self):
+            raise DimensionMismatch("substitution matrix must be square")
+        self.field = field
+        self.signed = _signed_permutation(self)
+        return self
+
+    @functools.cached_property
+    def forms(self) -> list:
+        n = len(self)
+        return [MultiPoly.from_terms(
+            n, [([int(t == j) for t in range(n)], v) for j, v in enumerate(row)],
+            self.field) for row in self]
+
+    @functools.cached_property
+    def powers(self) -> list:
+        return [[MultiPoly.const(len(self), 1, self.field)] for _ in self]
 
 
 class MultiPoly:
@@ -401,29 +438,28 @@ class MultiPoly:
     def subst_linear(self, matrix) -> "MultiPoly":
         """Substitute x_i -> sum_j matrix[i][j] * x_j.
 
-        A signed permutation matrix (one entry +-1 in each row and column)
-        maps each term to one term: its limbs move to their new places and
-        its sign flips when the exponents of the negated variables sum to an
-        odd number.  Every other matrix takes nested Horner on the raw term
-        dict (`_horner_pairs`): the terms grouped by their exponent a of x_1
-        map to one `sum_of_products` of the pairs (L_1^a, image of the group
-        in x_2, ..., x_n), L_i the i-th substituted form.  At the last
-        variable the groups are single terms, which the kernel scales.
+        `matrix` is a `Substitution` or its rows; rows are wrapped in a
+        throwaway one, so both take the same path.  A signed permutation
+        matrix (one entry +-1 in each row and column) maps each term to one
+        term: its limbs move to their new places and its sign flips when the
+        exponents of the negated variables sum to an odd number.  Every other
+        matrix takes nested Horner on the raw term dict (`_horner_pairs`):
+        the terms grouped by their exponent a of x_1 map to one
+        `sum_of_products` of the pairs (L_1^a, image of the group in
+        x_2, ..., x_n), L_i the i-th substituted form, its powers read from
+        and added to the substitution's cache.  At the last variable the
+        groups are single terms, which the kernel scales.
         """
         n = self.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
+        sub = matrix if isinstance(matrix, Substitution) else Substitution(matrix, self.field)
+        if len(sub) != n:
             raise DimensionMismatch("substitution matrix must be nvars x nvars")
-        signed = _signed_permutation(matrix)
-        if signed is not None:
-            return self._permuted(*signed)
-        unit = [[1 if j == t else 0 for t in range(n)] for j in range(n)]
-        forms = [MultiPoly.from_terms(n, zip(unit, row), self.field) for row in matrix]
-        powers = [[MultiPoly.const(n, 1, self.field)] for _ in range(n)]
-        pairs = _horner_pairs(self.terms, self.content, 0, forms, powers)
-        # every image is built: free the powers no pair holds before the
-        # kernel packs the pairs, which is this call's peak of memory
-        del powers
-        return sum_of_products(pairs, n, self.field)
+        if sub.field is not self.field and sub.field != self.field:
+            raise DimensionMismatch("substitution lies in a different field")
+        if sub.signed is not None:
+            return self._permuted(*sub.signed)
+        return sum_of_products(_horner_pairs(self.terms, self.content, 0, sub),
+                               n, self.field)
 
     def _permuted(self, target, negated) -> "MultiPoly":
         """The image under x_i -> +-x_target[i], with a minus sign exactly
@@ -592,28 +628,28 @@ def sum_of_products(pairs, nvars: int, field: FieldContext) -> MultiPoly:
     return MultiPoly(nvars, terms, field, content)
 
 
-def _horner_pairs(terms: dict, content, i: int, forms, powers) -> list:
-    """The pairs (forms[i]^a, image of the terms with exponent a in variable
-    i) whose sum of products is the image of the terms under x_j -> forms[j]:
-    the terms are those of a polynomial over `content` with exponent 0 in
-    each variable before index i, each image is one `sum_of_products` of the
-    pairs of the next variable (a scaled constant after the last one), and
-    powers[j] caches the powers of forms[j]."""
-    n, field = forms[0].nvars, forms[0].field
+def _horner_pairs(terms: dict, content, i: int, sub: Substitution) -> list:
+    """The pairs (L_i^a, image of the terms with exponent a in variable i)
+    whose sum of products is the image of the terms under x_j -> L_j, the
+    forms of `sub`: the terms are those of a polynomial over `content` with
+    exponent 0 in each variable before index i, each image is one
+    `sum_of_products` of the pairs of the next variable (a scaled constant
+    after the last one), and a power missing from sub.powers[i] is built
+    from the one below it and kept there."""
+    n, field, form = len(sub), sub.field, sub.forms[i]
     shift = (n - 1 - i) * LIMB
     step = (1 << (n * LIMB)) | (1 << shift)
     groups: dict = {}
     for k, c in terms.items():
         e = (k >> shift) & MASK
         groups.setdefault(e, {})[k - e * step] = c
-    cache, pairs = powers[i], []
+    cache, pairs = sub.powers[i], []
     for e in sorted(groups):
         while len(cache) <= e:
-            cache.append(cache[-1] * forms[i])
+            cache.append(cache[-1] * form)
         group = groups.pop(e)
         if i + 1 < n:
-            image = sum_of_products(_horner_pairs(group, content, i + 1, forms, powers),
-                                    n, field)
+            image = sum_of_products(_horner_pairs(group, content, i + 1, sub), n, field)
         else:  # the one key left is 0
             group, scale = field.normalized(group, content)
             image = MultiPoly(n, group, field, scale)

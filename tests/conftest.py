@@ -1,10 +1,11 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from coxsaito import saito
+from coxsaito import poly, saito
 from coxsaito.coxeter import build_datum, builtin_invariants
 from coxsaito.errors import NonPolynomialEntry
 from coxsaito.field import RATIONALS, FieldContext
@@ -21,6 +22,25 @@ from coxsaito.verify import run_suites
 _CONTEXTS: dict = {}
 _REPORTS: dict = {}
 _ELAPSED: dict = {}
+
+
+@pytest.fixture
+def power_products(monkeypatch):
+    """The powers of substituted forms that `poly._horner_pairs` builds, as
+    (form, degree of the new power) in order, seen by a spy on
+    `MultiPoly.__mul__`; the list holds the forms, so their ids stay
+    unique."""
+    built = []
+    mul, horner = MultiPoly.__mul__, poly._horner_pairs.__code__
+
+    def spy(self, other):
+        out = mul(self, other)
+        if sys._getframe(1).f_code is horner:
+            built.append((other, out.total_degree()))
+        return out
+
+    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    return built
 
 
 def shared_context(label, rank):

@@ -17,6 +17,7 @@ from test_properties import (run_adjugate_inverse, run_contact_division_oracle,
                              run_field_axioms, run_fraction_oracle,
                              run_lowest_power_rescaling, run_nf_divide_oracle,
                              run_nf_product_oracle, run_q_kernel_oracle,
+                             run_shared_substitution_oracle,
                              run_substitution_roundtrip)
 
 from coxsaito.coxeter import (build_datum, builtin_invariants,
@@ -212,6 +213,7 @@ def test_criterion_8_property_suites():
         "q kernel oracle": run_q_kernel_oracle(),
         "contact division oracle": run_contact_division_oracle(),
         "dense substitution oracle": run_dense_substitution_oracle(),
+        "shared substitution oracle": run_shared_substitution_oracle(),
     }
     ok = all(v >= 1000 for v in counts.values())
     _announce("8", ok, f"({counts} randomized instances, fixed seeds)")

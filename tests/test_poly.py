@@ -7,8 +7,9 @@ from conftest import expanded_subst, schoolbook_sums, takes_kronecker
 
 from coxsaito.errors import CoxsaitoError, DimensionMismatch, DivisionByZero
 from coxsaito.field import RATIONALS, FieldContext
-from coxsaito.poly import (LIMB, MASK, MultiPoly, _add_product, _kronecker_product,
-                           _signed_permutation, contact_order, pack)
+from coxsaito.poly import (LIMB, MASK, MultiPoly, Substitution, _add_product,
+                           _kronecker_product, _signed_permutation, contact_order,
+                           pack)
 
 
 def xy():
@@ -42,6 +43,19 @@ def test_other_matrices_take_the_expansion(matrix):
     f = x ** 3 * y - 2 * x * y ** 2 + y
     assert _signed_permutation(matrix) is None
     assert f.subst_linear(matrix) == expanded_subst(f, matrix)
+
+
+def test_substitution_is_its_rows_and_checks_its_operand():
+    rows = ((1, 1), (0, 1))
+    sub = Substitution(rows, RATIONALS)
+    assert sub == rows and hash(sub) == hash(rows) and list(zip(*sub)) == [(1, 0), (1, 1)]
+    with pytest.raises(DimensionMismatch):
+        Substitution([[1, 0], [0]], RATIONALS)
+    with pytest.raises(DimensionMismatch):
+        MultiPoly.variable(3, 0).subst_linear(sub)
+    sqrt5 = FieldContext((-5, 0, 1), "sqrt(5)")
+    with pytest.raises(DimensionMismatch):
+        MultiPoly.variable(2, 0, sqrt5).subst_linear(sub)
 
 
 def test_signed_swap_flips_odd_exponents_only():

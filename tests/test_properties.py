@@ -24,15 +24,15 @@ from coxsaito.field import FieldContext, RATIONALS
 from coxsaito.errors import NonInvertible, NonPolynomialEntry, SingularMatrix
 from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix, MinorTable
-from coxsaito.poly import (MultiPoly, _signed_permutation, contact_order, pack,
-                           unpack)
+from coxsaito.poly import (MultiPoly, Substitution, _signed_permutation,
+                           contact_order, pack, unpack)
 from coxsaito.saito import _apply_coeffs
 
 SQRT5 = FieldContext((-5, 0, 1), "sqrt(5)")
 
 ITERATIONS = 1000
 
-# The twelve oracles that criterion 8 of the acceptance suite re-counts are
+# The thirteen oracles that criterion 8 of the acceptance suite re-counts are
 # memoized for the session (`functools.cache`): the first call, from either
 # test, runs every instance and its asserts, and the other reads the count.
 # A call that raises caches nothing, so both tests fail.
@@ -897,6 +897,61 @@ def run_dense_substitution_oracle(iterations=ITERATIONS, seed=31415926) -> int:
     return tested
 
 
+def _random_signed_permutation(rng, field, n):
+    target = list(range(n))
+    rng.shuffle(target)
+    return [[field.coerce(0 if j != target[i] else rng.choice((-1, 1)))
+             for j in range(n)] for i in range(n)]
+
+
+@functools.cache
+def run_shared_substitution_oracle(iterations=ITERATIONS, seed=2718281) -> int:
+    """One `Substitution` reused for three random polynomials of degrees
+    high, low, high (the second high may pass the first), in 1-4 variables
+    over Q, Q(sqrt 5) and the I2(5) field in turn; dense matrices (every
+    entry nonzero) and signed permutations alternate.  Each image equals in
+    form `expanded_subst` and the image by the raw rows.  After each call
+    every cached power is the form to that power, and the powers cached
+    before the call are still the same objects: the cache grows and is
+    never rebuilt."""
+    fields = [RATIONALS, SQRT5, build_datum("I2", 5).field]
+    rng = random.Random(seed)
+    seen = {"dense": 0, "signed permutation": 0, "powers grown": 0,
+            "powers reused": 0, "zero": 0}
+    tested = 0
+    while tested < iterations:
+        field = fields[tested % len(fields)]
+        n = 1 + tested // len(fields) % 4
+        if tested // 12 % 2:
+            rows = _random_signed_permutation(rng, field, n)
+        else:
+            rows = [[_random_scalar(rng, field) for _ in range(n)] for _ in range(n)]
+            if not all(all(row) for row in rows) or _signed_permutation(rows):
+                continue
+        sub = Substitution(rows, field)
+        dense = sub.signed is None
+        seen["dense" if dense else "signed permutation"] += 1
+        top = 6 - n // 2
+        for degree in (top, rng.randint(0, 2), rng.randint(top - 1, top + 1)):
+            before = [list(cache) for cache in sub.powers] if dense else []
+            f = _random_poly(rng, field, n, degree, rng.randint(0, 5))
+            got = f.subst_linear(sub)
+            what = (f, rows)
+            assert_same_form(got, expanded_subst(f, rows), what)
+            assert_same_form(got, f.subst_linear(rows), what)
+            seen["zero"] += f.is_zero()
+            if not dense:
+                continue
+            for form, cache, old in zip(sub.forms, sub.powers, before):
+                assert all(a is b for a, b in zip(cache, old)), what
+                assert all(power == form ** e for e, power in enumerate(cache)
+                           if e >= len(old)), what
+                seen["powers grown" if len(cache) > len(old) else "powers reused"] += 1
+        tested += 1
+    assert min(seen.values()) >= iterations // 20, seen
+    return tested
+
+
 def _per_pair_product(a, b):
     """The number-field product one Scalar operation at a time."""
     out = {}
@@ -1525,6 +1580,10 @@ def test_contact_division_matches_contact_order_thousand():
 
 def test_dense_substitution_matches_expansion_thousand():
     assert run_dense_substitution_oracle() >= 1000
+
+
+def test_shared_substitution_matches_expansion_thousand():
+    assert run_shared_substitution_oracle() >= 1000
 
 
 def test_nf_product_matches_per_pair_oracle_thousand():

@@ -358,21 +358,34 @@ G0_WITNESSES = {
 
 
 @pytest.mark.parametrize("label,rank", list(G0_WITNESSES))
-def test_xi1_scaled_by_p_ell_fails_only_g0(label, rank):
+def test_xi1_scaled_by_p_ell_fails_g0_and_poincare(label, rank):
     # P_l xi^(1)_1 keeps W-invariance and contact order, but D[P_l] = 1, so
-    # [D, nabla_D (P_l xi^(1)_1)] = nabla_D xi^(1)_1 is not zero
+    # [D, nabla_D (P_l xi^(1)_1)] = nabla_D xi^(1)_1 is not zero; its degree
+    # moves by deg P_l, which the Poincare series sees
     ctx = fresh_context(label, rank)
     xis = xi_basis(1, ctx)
     p_ell = ctx.invariants.polys[-1]
     scaled = PolyDerivation([c * p_ell for c in xis[0].coeffs])
     ctx.xi_table[1] = [scaled, *xis[1:]]
-    by_name = {r.name: r for r in check_hodge(ctx, 1)}
-    assert by_name["hodge.winv/p=1"].status == "pass"
-    assert by_name["hodge.contact/p=1"].status == "pass"
-    g0 = by_name["hodge.g0/p=1"]
-    assert g0.status == "fail"
-    assert g0.witness == ("[D, nabla_D^1 xi^(1)_1] != 0: "
-                          + G0_WITNESSES[(label, rank)])
+    failed = {r.name: r.witness for r in check_hodge(ctx, 1) if r.status != "pass"}
+    assert set(failed) == {"hodge.g0/p=1", "hodge.poincare/p=1"}
+    assert failed["hodge.g0/p=1"] == ("[D, nabla_D^1 xi^(1)_1] != 0: "
+                                      + G0_WITNESSES[(label, rank)])
+
+
+def test_hodge_builds_each_substitution_power_once(power_products):
+    # derivation_transform substitutes every coefficient of every xi^(2p-1)_j
+    # by the same generator: each power of each form is built once, by the
+    # first polynomial that needs it, and kept in the generator's cache
+    ctx = fresh_context("I2", 8)
+    check_hodge(ctx, 3)
+    built = [(id(form), degree) for form, degree in power_products]
+    assert built and len(set(built)) == len(built)
+    assert len(built) == sum(len(cache) - 1 for sub in ctx.datum.subst
+                             if sub.signed is None for cache in sub.powers)
+    power_products.clear()
+    check_hodge(ctx, 3)
+    assert power_products == []
 
 
 def test_xi3_scaled_by_p1_fails_hodge_only_at_poincare():
