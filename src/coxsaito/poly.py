@@ -215,12 +215,14 @@ class Substitution(tuple):
     substitutes can share.
 
     `signed` is `_signed_permutation` of the rows, decided once.  For any
-    other matrix `forms` holds the L_i and powers[i] the powers L_i^0, L_i^1,
-    ... built so far, both made by the first substitution that reads them:
-    `_horner_pairs` extends a list to the highest exponent it meets and
-    never builds a power twice.  One substitution per generator
-    (`CoxeterDatum.subst`) thus serves every polynomial substituted by that
-    generator, and its powers are freed with it.
+    other matrix powers[i] maps each exponent a built so far to L_i^a; it is
+    made by the first substitution that reads it, seeded with L_i^0 and
+    L_i^1 = L_i, and `_horner_pairs` extends it to the highest exponent it
+    meets.  A power is built from the one below it and stored under its own
+    exponent by `setdefault`, so the fills are idempotent and a substitution
+    can be shared across concurrent readers.  One substitution per
+    generator (`CoxeterDatum.subst`) thus serves every polynomial
+    substituted by that generator, and its powers are freed with it.
     """
 
     def __new__(cls, rows, field: FieldContext):
@@ -232,15 +234,12 @@ class Substitution(tuple):
         return self
 
     @functools.cached_property
-    def forms(self) -> list:
-        n = len(self)
-        return [MultiPoly.from_terms(
-            n, [([int(t == j) for t in range(n)], v) for j, v in enumerate(row)],
-            self.field) for row in self]
-
-    @functools.cached_property
     def powers(self) -> list:
-        return [[MultiPoly.const(len(self), 1, self.field)] for _ in self]
+        n, field = len(self), self.field
+        return [{0: MultiPoly.const(n, 1, field),
+                 1: MultiPoly.from_terms(n, [([int(t == j) for t in range(n)], v)
+                                             for j, v in enumerate(row)], field)}
+                for row in self]
 
 
 class MultiPoly:
@@ -454,8 +453,6 @@ class MultiPoly:
         sub = matrix if isinstance(matrix, Substitution) else Substitution(matrix, self.field)
         if len(sub) != n:
             raise DimensionMismatch("substitution matrix must be nvars x nvars")
-        if sub.field is not self.field and sub.field != self.field:
-            raise DimensionMismatch("substitution lies in a different field")
         if sub.signed is not None:
             return self._permuted(*sub.signed)
         return sum_of_products(_horner_pairs(self.terms, self.content, 0, sub),
@@ -636,7 +633,7 @@ def _horner_pairs(terms: dict, content, i: int, sub: Substitution) -> list:
     `sum_of_products` of the pairs of the next variable (a scaled constant
     after the last one), and a power missing from sub.powers[i] is built
     from the one below it and kept there."""
-    n, field, form = len(sub), sub.field, sub.forms[i]
+    n, field = len(sub), sub.field
     shift = (n - 1 - i) * LIMB
     step = (1 << (n * LIMB)) | (1 << shift)
     groups: dict = {}
@@ -645,8 +642,8 @@ def _horner_pairs(terms: dict, content, i: int, sub: Substitution) -> list:
         groups.setdefault(e, {})[k - e * step] = c
     cache, pairs = sub.powers[i], []
     for e in sorted(groups):
-        while len(cache) <= e:
-            cache.append(cache[-1] * form)
+        for a in range(len(cache), e + 1):
+            cache.setdefault(a, cache[a - 1] * cache[1])
         group = groups.pop(e)
         if i + 1 < n:
             image = sum_of_products(_horner_pairs(group, content, i + 1, sub), n, field)

@@ -186,12 +186,13 @@ def test_h3_generating_prefix(h3_context):
 
 def test_h3_ingest_builds_generator_3_powers_once(tmp_path, power_products):
     # first_moved substitutes P_1, P_2, P_3 (degrees 2, 6, 10) by the dense
-    # generator 3: its three forms reach degree 10 once, 30 products, where
-    # building the powers again for each polynomial took 3 * (2 + 6 + 10)
+    # generator 3: its three forms, seeded with their first powers, reach
+    # degree 10 once, 27 products, where building the powers again for each
+    # polynomial took 3 * (2 + 6 + 10)
     datum, _ = ingest_document(h3_document(), tmp_path)
-    index = {id(form): i for i, form in enumerate(datum.subst[3].forms)}
+    index = {id(cache[1]): i for i, cache in enumerate(datum.subst[3].powers)}
     assert sorted((index[id(form)], degree) for form, degree in power_products) == [
-        (i, degree) for i in range(3) for degree in range(1, 11)]
+        (i, degree) for i in range(3) for degree in range(2, 11)]
 
 
 def test_h3_lemma21_and_hodge_pass(h3_context):

@@ -53,9 +53,6 @@ def test_substitution_is_its_rows_and_checks_its_operand():
         Substitution([[1, 0], [0]], RATIONALS)
     with pytest.raises(DimensionMismatch):
         MultiPoly.variable(3, 0).subst_linear(sub)
-    sqrt5 = FieldContext((-5, 0, 1), "sqrt(5)")
-    with pytest.raises(DimensionMismatch):
-        MultiPoly.variable(2, 0, sqrt5).subst_linear(sub)
 
 
 def test_signed_swap_flips_odd_exponents_only():

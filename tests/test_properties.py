@@ -911,7 +911,8 @@ def run_shared_substitution_oracle(iterations=ITERATIONS, seed=2718281) -> int:
     over Q, Q(sqrt 5) and the I2(5) field in turn; dense matrices (every
     entry nonzero) and signed permutations alternate.  Each image equals in
     form `expanded_subst` and the image by the raw rows.  After each call
-    every cached power is the form to that power, and the powers cached
+    the powers of each form L_i = powers[i][1] are cached under the
+    exponents 0, 1, ..., each is L_i to that exponent, and the powers cached
     before the call are still the same objects: the cache grows and is
     never rebuilt."""
     fields = [RATIONALS, SQRT5, build_datum("I2", 5).field]
@@ -931,9 +932,13 @@ def run_shared_substitution_oracle(iterations=ITERATIONS, seed=2718281) -> int:
         sub = Substitution(rows, field)
         dense = sub.signed is None
         seen["dense" if dense else "signed permutation"] += 1
+        if dense:
+            for i, cache in enumerate(sub.powers):
+                assert_same_form(cache[1], expanded_subst(
+                    MultiPoly.variable(n, i, field), rows), rows)
         top = 6 - n // 2
         for degree in (top, rng.randint(0, 2), rng.randint(top - 1, top + 1)):
-            before = [list(cache) for cache in sub.powers] if dense else []
+            before = [dict(cache) for cache in sub.powers] if dense else []
             f = _random_poly(rng, field, n, degree, rng.randint(0, 5))
             got = f.subst_linear(sub)
             what = (f, rows)
@@ -942,10 +947,10 @@ def run_shared_substitution_oracle(iterations=ITERATIONS, seed=2718281) -> int:
             seen["zero"] += f.is_zero()
             if not dense:
                 continue
-            for form, cache, old in zip(sub.forms, sub.powers, before):
-                assert all(a is b for a, b in zip(cache, old)), what
-                assert all(power == form ** e for e, power in enumerate(cache)
-                           if e >= len(old)), what
+            for cache, old in zip(sub.powers, before):
+                assert list(cache) == list(range(len(cache))), what
+                assert all(cache[e] is power for e, power in old.items()), what
+                assert all(cache[e] == cache[1] ** e for e in cache if e not in old), what
                 seen["powers grown" if len(cache) > len(old) else "powers reused"] += 1
         tested += 1
     assert min(seen.values()) >= iterations // 20, seen

@@ -596,22 +596,26 @@ def test_poly_coeffs_raises_on_fractions(a1):
 
 
 def test_concurrent_cache_fills_are_value_identical():
-    # cache fills are idempotent: racing readers agree with a cold context
+    # cache fills are idempotent: racing readers agree with a cold context,
+    # also where the threads share the power cache of the dense generator of
+    # I2(5) to substitute xi^(5), and each power sits under its exponent
     from concurrent.futures import ThreadPoolExecutor
-    d = build_datum("B", 2)
-    ctx = build_context(d, builtin_invariants(d))
 
-    def work(_):
+    def work(ctx):
         return (bk_matrix(3, ctx), xi_basis(7, ctx)[1].coeffs,
-                [theta.coeffs for theta in nabla_xi(7, 2, ctx)])
+                [theta.coeffs for theta in nabla_xi(7, 2, ctx)],
+                [derivation_transform(theta, ctx, g).coeffs
+                 for theta in xi_basis(5, ctx) for g in range(len(ctx.datum.subst))])
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(work, range(16)))
-    reference_ctx = build_context(d, builtin_invariants(d))
-    want_bk = bk_matrix(3, reference_ctx)
-    want_xi = xi_basis(7, reference_ctx)[1].coeffs
-    want_nabla = [theta.coeffs for theta in nabla_xi(7, 2, reference_ctx)]
-    for got_bk, got_xi, got_nabla in results:
-        assert got_bk == want_bk
-        assert all(a == b for a, b in zip(got_xi, want_xi))
-        assert got_nabla == want_nabla
+    for label, rank, rounds in (("B", 2, 1), ("I2", 5, 6)):
+        d = build_datum(label, rank)
+        want = work(build_context(d, builtin_invariants(d)))
+        for _ in range(rounds):
+            d = build_datum(label, rank)
+            ctx = build_context(d, builtin_invariants(d))
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: work(ctx), range(16)))
+            assert all(got == want for got in results)
+            for cache in (c for sub in d.subst if sub.signed is None for c in sub.powers):
+                assert list(cache) == list(range(len(cache)))
+                assert all(cache[e] == cache[1] ** e for e in cache)

@@ -381,7 +381,7 @@ def test_hodge_builds_each_substitution_power_once(power_products):
     check_hodge(ctx, 3)
     built = [(id(form), degree) for form, degree in power_products]
     assert built and len(set(built)) == len(built)
-    assert len(built) == sum(len(cache) - 1 for sub in ctx.datum.subst
+    assert len(built) == sum(len(cache) - 2 for sub in ctx.datum.subst
                              if sub.signed is None for cache in sub.powers)
     power_products.clear()
     check_hodge(ctx, 3)
