@@ -110,7 +110,8 @@ class SaitoContext:
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
-                 "contact_table", "q_base", "_bk_memo", "_metric_G_inv")
+                 "contact_table", "alpha_powers", "q_base", "_bk_memo",
+                 "_metric_G_inv", "_gram_jac_inv")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -134,7 +135,8 @@ class SaitoContext:
         self.xi_table: dict = {}
         self.nabla_xi_table: dict = {}
         self.contact_table: dict = {}
-        self._metric_G_inv = None
+        self.alpha_powers: dict = {}
+        self._metric_G_inv = self._gram_jac_inv = None
 
     @property
     def rank(self) -> int:
@@ -144,6 +146,12 @@ class SaitoContext:
         if self._metric_G_inv is None:
             self._metric_G_inv = self.metric_G.inverse(self.q_base)
         return self._metric_G_inv
+
+    def gram_jac_inv(self):
+        """(J(P)^T A)^-1 = A^-1 J(P)^-T, built once; None for a singular A."""
+        if self._gram_jac_inv is None and self.gram_poly.det():
+            self._gram_jac_inv = self.gram_poly.inverse() * self.jac_P_inv.transpose()
+        return self._gram_jac_inv
 
 
 def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoContext:
@@ -171,20 +179,23 @@ def dp_matrix(m: Matrix, ks, ctx: SaitoContext) -> list[Matrix]:
 
 
 def dkx(k: int, ctx: SaitoContext):
-    """The vector D^k[X] of fractions over the context's base; cached."""
+    """The vector D^k[X] of fractions over the context's base, simplified;
+    cached: the row of D (the last row of J(P)^-1) times J(D^(k-1)[X])."""
     if k < 0:
         raise ValueError("k must be >= 0")
     table = ctx.dkx_table
     if k not in table:
-        table[k] = _apply_coeffs(ctx.jac_P_inv.entries[-1:], dkx(k - 1, ctx))[0]
+        table[k] = (Matrix(ctx.jac_P_inv.entries[-1:])
+                    * jdkx(k - 1, ctx)).simplify().entries[0]
     return table[k]
 
 
 def jdkx(k: int, ctx: SaitoContext) -> Matrix:
-    """Jacobian matrix of D^k[X]: entry (i, j) = d(D^k[X_j]) / dX_i; cached."""
+    """Jacobian matrix of D^k[X]: entry (i, j) = d(D^k[X_j]) / dX_i; cached
+    and not simplified, each entry over q^(2k) as `_certified_bk` reads it."""
     table = ctx.jdkx_table
     if k not in table:
-        table[k] = jacobian(dkx(k, ctx), ctx.rank).simplify()
+        table[k] = jacobian(dkx(k, ctx), ctx.rank)
     return table[k]
 
 
@@ -212,12 +223,12 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
     By the chain rule each entry of J(D^k[X]) has a denominator q^e with
     e <= 2k; a foreign denominator or a larger exponent raises
     NonPolynomialEntry first.  For k >= 2, C = B^(k-1) + B^(1) + (B^(1))^T
-    (Lemma 2.1 (4)) is B^(k) exactly when C J(P)^-1 J(D^(k-1)[X]) =
-    -J(P)^T A J(D^k[X]), checked exact over q, since `jdkx_inv(k - 1)`
-    certifies J(D^(k-1)[X]) invertible; the lemma is not assumed, so
-    `lemma21.4` still tests it.  Otherwise (k = 1, or tampered data) the
-    defining product is formed, each entry num / q^E certified by one exact
-    division by the cached q^E.
+    (Lemma 2.1 (4)) is B^(k) exactly when (J(P)^T A)^-1 (C (J(P)^-1
+    J(D^(k-1)[X]))) = -J(D^k[X]), two sides over q^(2k), since
+    `jdkx_inv(k - 1)` certifies J(D^(k-1)[X]) invertible; the lemma is not
+    assumed, so `lemma21.4` still tests it.  Otherwise (k = 1, a singular A,
+    or tampered data) the defining product is formed, each entry num / q^E
+    certified by one exact division by the cached q^E.
     """
     memo = ctx._bk_memo
     if k not in memo:
@@ -233,14 +244,15 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
                     raise NonPolynomialEntry(
                         f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
                         f"power {e.exp} > {2 * k} in its denominator")
-        lhs = -(ctx.jac_P.transpose() * ctx.gram_poly * jd)
         inv = jdkx_inv(k - 1, ctx)  # first: the identity's premise
-        bk = None
-        if k > 1:
+        left = ctx.gram_jac_inv() if k > 1 else None
+        if left is not None:
             b1 = _certified_bk(1, ctx)
             bk = _certified_bk(k - 1, ctx) + b1 + b1.transpose()
-        if bk is None or bk * ctx.jac_P_inv * jdkx(k - 1, ctx) != lhs:
-            bk = _certify_poly_matrix(lhs * inv * ctx.jac_P, f"B^({k})")
+        if left is None or left * (bk * (ctx.jac_P_inv * jdkx(k - 1, ctx))) != -jd:
+            lhs = -(ctx.jac_P.transpose() * ctx.gram_poly * jd)
+            bk = _certify_poly_matrix((lhs * inv if k > 1 else lhs) * ctx.jac_P,
+                                      f"B^({k})")
         memo[k] = bk
     return memo[k]
 
@@ -372,21 +384,23 @@ def contact_defect(m: int, ctx: SaitoContext):
     first (j, h, order) with order < m (0-based, j scanned first); cached by m.
     The values are the entries of `xi_coefficient_matrix`^T times the l x N
     form coefficients.  Each is tested by one exact division by alpha_H^m,
-    built once per form: the contact order is below m exactly when alpha_H^m
-    does not divide the value, so this is the definition.  Only the first
-    failing entry runs `contact_order` for its exact order; m = 0 divides
-    nothing."""
+    kept as alpha_H^(m-1) alpha_H in `ctx.alpha_powers`: the contact order is
+    below m exactly when alpha_H^m does not divide the value, so this is the
+    definition.  Only the first failing entry runs `contact_order` for its
+    exact order; m = 0 divides nothing."""
     table = ctx.contact_table
     if m not in table:
         datum = ctx.datum
         values = (xi_coefficient_matrix(m, ctx).transpose()
                   * Matrix.from_scalars(zip(*datum.forms), ctx.rank, datum.field))
-        alphas = datum.form_polys()
-        powers = alphas if m <= 1 else [alpha ** m for alpha in alphas]
+        alphas, powers = datum.form_polys(), ctx.alpha_powers
+        for e in range(2, m + 1):  # filled idempotently, as PowerBase fills
+            if e not in powers:
+                powers[e] = [p * a for p, a in zip(powers.get(e - 1, alphas), alphas)]
         table[m] = next(((j, h, contact_order(values[j, h], alphas[h], m))
                          for j in range(ctx.rank) for h in range(len(alphas))
-                         if m and values[j, h].exact_divide(powers[h]) is None),
-                        None)
+                         if m and values[j, h].exact_divide(
+                             powers.get(m, alphas)[h]) is None), None)
     return table[m]
 
 

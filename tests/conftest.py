@@ -538,6 +538,18 @@ def product_bk(k, ctx):
     return memo[k]
 
 
+def old_identity_accepts(k, ctx):
+    """The Lemma 2.1 (4) identity in its earlier form, for k >= 2: the
+    candidate C = B^(k-1) + B^(1) + (B^(1))^T from the private memo passes
+    when C J(P)^-1 J(D^(k-1)[X]) == -J(P)^T A J(D^k[X]).  The reference for
+    the decision of `saito._certified_bk`, which compares (J(P)^T A)^-1
+    (C (J(P)^-1 J(D^(k-1)[X]))) with -J(D^k[X]) instead."""
+    memo = ctx._bk_memo
+    candidate = memo[k - 1] + memo[1] + memo[1].transpose()
+    return (candidate * ctx.jac_P_inv * saito.jdkx(k - 1, ctx)
+            == -(ctx.jac_P.transpose() * ctx.gram_poly * saito.jdkx(k, ctx)))
+
+
 def christoffel_nabla_reference(columns, ctx):
     """Reference nabla_D on invariant-frame coefficient columns, by the
     Christoffel route instead of the flat coordinates: with the connection

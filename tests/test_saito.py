@@ -5,19 +5,20 @@ from fractions import Fraction
 import pytest
 from conftest import (assert_same_form, fresh_context, h3_document,
                       ladder_jdkx_inv, nabla_matrix_reference,
-                      nabla_power_reference, product_bk, reference_bracket,
+                      nabla_power_reference, old_identity_accepts,
+                      product_bk, reference_bracket,
                       reference_dkx, reference_dp_matrix, reference_nabla_xi,
                       shared_context, with_entry)
 
 from coxsaito import saito
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
-from coxsaito.errors import NonPolynomialEntry
+from coxsaito.errors import CoxsaitoError, NonPolynomialEntry
 from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.invariants_io import ingest_invariants
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, _certified_bk, bk_matrix, build_context,
-                            christoffel_star, derivation_apply,
+                            christoffel_star, contact_defect, derivation_apply,
                             derivation_bracket, derivation_degree,
                             derivation_transform, dkx, dp_matrix, jdkx,
                             jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
@@ -411,7 +412,8 @@ def test_jdkx_inv_matches_reduced_minor_ladder(label, rank):
 
 def _product_certified_levels(ctx, top, monkeypatch):
     """The levels k <= top whose B^(k) `_certified_bk` certified through the
-    defining product, read from a spy on `_certify_poly_matrix`."""
+    defining product, read from a spy on `_certify_poly_matrix`; the levels
+    stop at the first one that raises."""
     names = []
 
     def spy(m, what):
@@ -421,8 +423,11 @@ def _product_certified_levels(ctx, top, monkeypatch):
     certify = saito._certify_poly_matrix
     with monkeypatch.context() as patch:
         patch.setattr(saito, "_certify_poly_matrix", spy)
-        for k in range(1, top + 1):
-            _certified_bk(k, ctx)
+        try:
+            for k in range(1, top + 1):
+                _certified_bk(k, ctx)
+        except CoxsaitoError:
+            pass
     return [k for k in range(1, top + 1) if f"B^({k})" in names]
 
 
@@ -469,6 +474,13 @@ def _tamper(ctx, kind):
         ctx.bk_table[2] = with_entry(bk, 0, 0, bk[0, 0] + one)
     elif kind == "_bk_memo[1]":
         ctx._bk_memo[1] = _certified_bk(1, ctx) * 2
+    elif kind == "gram_poly singular":
+        # B^(1) first, with the true A, so that J(D[X])^-1 stays certified and
+        # B^(2) meets the singular A in its identity, not in its premise
+        _certified_bk(1, ctx)
+        zero = MultiPoly.zero(ctx.rank, ctx.datum.field)
+        ctx.gram_poly = Matrix([[zero if 0 in (i, j) else e for j, e in enumerate(row)]
+                                for i, row in enumerate(ctx.gram_poly.entries)])
     else:
         raise ValueError(kind)
 
@@ -480,9 +492,11 @@ def _stripped_report(ctx):
     return report
 
 
-@pytest.mark.parametrize("kind", [
-    "jac_P", "jac_P_inv", "jac_P_inv/D", "gram_poly", "metric_G",
-    "bk_table[2]", "_bk_memo[1]"])
+TAMPER_KINDS = ["jac_P", "jac_P_inv", "jac_P_inv/D", "gram_poly", "metric_G",
+                "bk_table[2]", "_bk_memo[1]", "gram_poly singular"]
+
+
+@pytest.mark.parametrize("kind", TAMPER_KINDS)
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
 def test_tampered_reports_match_product_route(label, rank, kind, monkeypatch):
     # a candidate the identity rejects falls back to the defining product, so
@@ -494,6 +508,85 @@ def test_tampered_reports_match_product_route(label, rank, kind, monkeypatch):
     reference = fresh_context(label, rank)
     _tamper(reference, kind)
     assert got == _stripped_report(reference)
+
+
+def _identity_decisions(ctx, top, monkeypatch):
+    """(decisions, references) for the levels 2 <= k <= top whose identity
+    was decided, those built and one whose product raised: whether
+    `_certified_bk` accepted the Lemma 2.1 (4) candidate for B^(k), that is,
+    did not take the product, and whether `old_identity_accepts` does."""
+    product = _product_certified_levels(ctx, top, monkeypatch)
+    decided = [k for k in range(2, top + 1) if k in ctx._bk_memo or k in product]
+    return ([k not in product for k in decided],
+            [old_identity_accepts(k, ctx) for k in decided])
+
+
+@pytest.mark.parametrize("label,rank", [
+    ("A", 2), ("B", 2), ("I2", 5), ("A", 3), ("D", 3)])
+def test_identity_decides_as_its_earlier_form(label, rank, monkeypatch):
+    # decision oracle: on true data both forms accept the candidate at every
+    # level
+    got, want = _identity_decisions(fresh_context(label, rank), 4, monkeypatch)
+    assert got == want == [True] * 3
+
+
+def test_h3_identity_decides_as_its_earlier_form(h3_context, monkeypatch):
+    ctx = build_context(h3_context.datum, h3_context.invariants)
+    assert _identity_decisions(ctx, 2, monkeypatch) == ([True], [True])
+
+
+# The earlier form's decisions at k = 2, 3, 4 under each tampering, the same
+# on B2 and A3.  A tampered J(P) or A leaves B^(1) non-polynomial, so no
+# identity is formed; B^(k) never reads G, and bk_table[2] only the checks.
+TAMPERED_DECISIONS = {
+    "jac_P": [], "jac_P_inv": [False] * 3, "jac_P_inv/D": [False],
+    "gram_poly": [], "metric_G": [True] * 3, "bk_table[2]": [True] * 3,
+    "_bk_memo[1]": [False] * 3, "gram_poly singular": [False]}
+
+
+@pytest.mark.parametrize("kind", TAMPER_KINDS)
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
+def test_tampered_identity_decides_as_its_earlier_form(label, rank, kind,
+                                                       monkeypatch):
+    ctx = fresh_context(label, rank)
+    _tamper(ctx, kind)
+    got, want = _identity_decisions(ctx, 4, monkeypatch)
+    assert got == want == TAMPERED_DECISIONS[kind]
+
+
+def test_tower_takes_one_jacobian_per_level(monkeypatch):
+    # B^(1..4) on A3: one Jacobian per level 0..4, each taken by jdkx, and
+    # no exact division while jdkx itself (not the dkx it reads) is running
+    ctx = fresh_context("A", 3)
+    stack, jacobians, divisions = [], [], []
+    jacobian, divide = saito.jacobian, MultiPoly.exact_divide
+
+    def tracked(name, fn):
+        def spy(k, c):
+            stack.append((name, k))
+            try:
+                return fn(k, c)
+            finally:
+                stack.pop()
+        return spy
+
+    def spy_jacobian(polys, nvars):
+        jacobians.append(stack[-1] if stack else None)
+        return jacobian(polys, nvars)
+
+    def spy_divide(self, other):
+        divisions.append(stack[-1] if stack else None)
+        return divide(self, other)
+
+    monkeypatch.setattr(saito, "dkx", tracked("dkx", saito.dkx))
+    monkeypatch.setattr(saito, "jdkx", tracked("jdkx", saito.jdkx))
+    monkeypatch.setattr(saito, "jacobian", spy_jacobian)
+    monkeypatch.setattr(MultiPoly, "exact_divide", spy_divide)
+    for k in range(1, 5):
+        _certified_bk(k, ctx)
+    assert jacobians == [("jdkx", k) for k in range(5)]
+    assert ("dkx", 4) in divisions
+    assert [d for d in divisions if d and d[0] == "jdkx"] == []
 
 
 def test_rejected_candidate_falls_back_to_the_product(monkeypatch):
@@ -598,14 +691,16 @@ def test_poly_coeffs_raises_on_fractions(a1):
 def test_concurrent_cache_fills_are_value_identical():
     # cache fills are idempotent: racing readers agree with a cold context,
     # also where the threads share the power cache of the dense generator of
-    # I2(5) to substitute xi^(5), and each power sits under its exponent
+    # I2(5) to substitute xi^(5), and each power sits under its exponent, as
+    # does each power of the hyperplane forms that contact_defect divides by
     from concurrent.futures import ThreadPoolExecutor
 
     def work(ctx):
         return (bk_matrix(3, ctx), xi_basis(7, ctx)[1].coeffs,
                 [theta.coeffs for theta in nabla_xi(7, 2, ctx)],
                 [derivation_transform(theta, ctx, g).coeffs
-                 for theta in xi_basis(5, ctx) for g in range(len(ctx.datum.subst))])
+                 for theta in xi_basis(5, ctx) for g in range(len(ctx.datum.subst))],
+                [contact_defect(m, ctx) for m in (7, 5, 6)])
 
     for label, rank, rounds in (("B", 2, 1), ("I2", 5, 6)):
         d = build_datum(label, rank)
@@ -619,3 +714,6 @@ def test_concurrent_cache_fills_are_value_identical():
             for cache in (c for sub in d.subst if sub.signed is None for c in sub.powers):
                 assert list(cache) == list(range(len(cache)))
                 assert all(cache[e] == cache[1] ** e for e in cache)
+            assert sorted(ctx.alpha_powers) == list(range(2, 8))
+            assert all(p == a ** e for e, row in ctx.alpha_powers.items()
+                       for p, a in zip(row, d.form_polys()))
