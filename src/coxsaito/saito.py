@@ -110,7 +110,7 @@ class SaitoContext:
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
-                 "contact_table", "alpha_powers", "q_base", "_bk_memo",
+                 "contact_table", "form_bases", "q_base", "_bk_memo",
                  "_metric_G_inv", "_gram_jac_inv")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
@@ -135,7 +135,7 @@ class SaitoContext:
         self.xi_table: dict = {}
         self.nabla_xi_table: dict = {}
         self.contact_table: dict = {}
-        self.alpha_powers: dict = {}
+        self.form_bases = [PowerBase(alpha) for alpha in datum.form_polys()]
         self._metric_G_inv = self._gram_jac_inv = None
 
     @property
@@ -384,23 +384,20 @@ def contact_defect(m: int, ctx: SaitoContext):
     first (j, h, order) with order < m (0-based, j scanned first); cached by m.
     The values are the entries of `xi_coefficient_matrix`^T times the l x N
     form coefficients.  Each is tested by one exact division by alpha_H^m,
-    kept as alpha_H^(m-1) alpha_H in `ctx.alpha_powers`: the contact order is
-    below m exactly when alpha_H^m does not divide the value, so this is the
-    definition.  Only the first failing entry runs `contact_order` for its
-    exact order; m = 0 divides nothing."""
+    up to a unit, from the form's `PowerBase` in `ctx.form_bases`: the contact
+    order is below m exactly when alpha_H^m does not divide the value, so
+    this is the definition.  Only the first failing entry runs
+    `contact_order` for its exact order; m = 0 divides nothing."""
     table = ctx.contact_table
     if m not in table:
         datum = ctx.datum
         values = (xi_coefficient_matrix(m, ctx).transpose()
                   * Matrix.from_scalars(zip(*datum.forms), ctx.rank, datum.field))
-        alphas, powers = datum.form_polys(), ctx.alpha_powers
-        for e in range(2, m + 1):  # filled idempotently, as PowerBase fills
-            if e not in powers:
-                powers[e] = [p * a for p, a in zip(powers.get(e - 1, alphas), alphas)]
+        alphas, bases = datum.form_polys(), ctx.form_bases
         table[m] = next(((j, h, contact_order(values[j, h], alphas[h], m))
                          for j in range(ctx.rank) for h in range(len(alphas))
-                         if m and values[j, h].exact_divide(
-                             powers.get(m, alphas)[h]) is None), None)
+                         if m and values[j, h].exact_divide(bases[h].power(m)) is None),
+                        None)
     return table[m]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -410,10 +411,10 @@ def test_jdkx_inv_matches_reduced_minor_ladder(label, rank):
         assert jdkx_inv(k, ctx) == ladder_jdkx_inv(k, ctx), k
 
 
-def _product_certified_levels(ctx, top, monkeypatch):
-    """The levels k <= top whose B^(k) `_certified_bk` certified through the
-    defining product, read from a spy on `_certify_poly_matrix`; the levels
-    stop at the first one that raises."""
+@contextmanager
+def _spied_products(monkeypatch):
+    """The names `_certify_poly_matrix` is called with inside the block: a
+    B^(k) among them is one `_certified_bk` sent to the defining product."""
     names = []
 
     def spy(m, what):
@@ -423,11 +424,15 @@ def _product_certified_levels(ctx, top, monkeypatch):
     certify = saito._certify_poly_matrix
     with monkeypatch.context() as patch:
         patch.setattr(saito, "_certify_poly_matrix", spy)
-        try:
-            for k in range(1, top + 1):
-                _certified_bk(k, ctx)
-        except CoxsaitoError:
-            pass
+        yield names
+
+
+def _product_certified_levels(ctx, top, monkeypatch):
+    """The levels k <= top whose B^(k) `_certified_bk` certified through the
+    defining product, read from a spy on `_certify_poly_matrix`."""
+    with _spied_products(monkeypatch) as names:
+        for k in range(1, top + 1):
+            _certified_bk(k, ctx)
     return [k for k in range(1, top + 1) if f"B^({k})" in names]
 
 
@@ -514,8 +519,15 @@ def _identity_decisions(ctx, top, monkeypatch):
     """(decisions, references) for the levels 2 <= k <= top whose identity
     was decided, those built and one whose product raised: whether
     `_certified_bk` accepted the Lemma 2.1 (4) candidate for B^(k), that is,
-    did not take the product, and whether `old_identity_accepts` does."""
-    product = _product_certified_levels(ctx, top, monkeypatch)
+    did not take the product, and whether `old_identity_accepts` does.  The
+    levels stop at the first one that raises."""
+    with _spied_products(monkeypatch) as names:
+        try:
+            for k in range(1, top + 1):
+                _certified_bk(k, ctx)
+        except CoxsaitoError:
+            pass
+    product = [k for k in range(2, top + 1) if f"B^({k})" in names]
     decided = [k for k in range(2, top + 1) if k in ctx._bk_memo or k in product]
     return ([k not in product for k in decided],
             [old_identity_accepts(k, ctx) for k in decided])
@@ -714,6 +726,6 @@ def test_concurrent_cache_fills_are_value_identical():
             for cache in (c for sub in d.subst if sub.signed is None for c in sub.powers):
                 assert list(cache) == list(range(len(cache)))
                 assert all(cache[e] == cache[1] ** e for e in cache)
-            assert sorted(ctx.alpha_powers) == list(range(2, 8))
-            assert all(p == a ** e for e, row in ctx.alpha_powers.items()
-                       for p, a in zip(row, d.form_polys()))
+            for base in ctx.form_bases:
+                assert sorted(base._powers) == list(range(8))
+                assert all(base._powers[e] == base.q ** e for e in base._powers)
