@@ -143,6 +143,8 @@ class SaitoContext:
         return self.datum.rank
 
     def metric_G_inv(self) -> Matrix:
+        """G^-1 over q, built once; certifies det G = c q^a, the premise each
+        `lemma22.13` takes first.  Only its fallback differentiates G^-1."""
         if self._metric_G_inv is None:
             self._metric_G_inv = self.metric_G.inverse(self.q_base)
         return self._metric_G_inv

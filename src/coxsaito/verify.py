@@ -8,7 +8,9 @@ as failures flagged `integrity`, which the CLI maps to its own exit code.
 
 The checks compare; they do not construct: B^(k), Gamma*_k, xi^(m), its
 nabla_D powers and its contact orders along the hyperplanes come from the
-caches of `saito`, built once per context.
+caches of `saito`, built once per context.  One polynomial identity decides
+`lemma22.13` for every k (`_raised_koszul`); the derivatives of G^-1 are
+taken only when it fails, for the standard Christoffel formula per k.
 """
 
 from __future__ import annotations
@@ -216,12 +218,26 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
     return r.results
 
 
+def _raised_koszul(g: Matrix, t: Matrix, dg) -> bool:
+    """G = G^T and 2 T[k,(i,j)] = (G R)[k,(i,j)] + (G R)[i,(j,k)] - (G R)[j,(k,i)]
+    for all i, j, k, R having the flattened dg[t] = d/dP_t[G] as rows.  With
+    T[k,(i,j)] = sum_t G_kt (Gamma*_t)_ij, `lemma22.2` and `lemma22.B` read
+    (G R)[k,(i,j)] = T[k,(i,j)] + T[k,(j,i)] and T[k,(i,j)] = T[i,(k,j)], and
+    the two give the identity.  For a symmetric invertible G, the -G Gamma_k of
+    its Levi-Civita connection satisfy both as rational functions, and T = G S
+    fixes S: so the identity holds exactly when every Gamma*_k = -G Gamma_k."""
+    n, gr = g.rows, g * Matrix([sum(m.entries, ()) for m in dg])
+    return g == g.transpose() and all(
+        2 * t[k, i * n + j] == gr[k, i * n + j] + gr[i, j * n + k] - gr[j, k * n + i]
+        for i in range(n) for j in range(n) for k in range(n))
+
+
 def check_lemma22(ctx: SaitoContext):
     r = _Runner()
     ell = ctx.rank
     directions = range(1, ell + 1)
 
-    # every d/dP_k of G and of G^-1 at once, formed on first use
+    # every d/dP_k of G (of G^-1 only on the fallback) at once, on first use
     @cache
     def dp_g():
         return dp_matrix(ctx.metric_G, directions, ctx)
@@ -229,6 +245,18 @@ def check_lemma22(ctx: SaitoContext):
     @cache
     def dp_g_inv():
         return dp_matrix(ctx.metric_G_inv(), directions, ctx)
+
+    @cache
+    def raised():  # T = G S, S with the flattened Gamma*_t as rows
+        return ctx.metric_G * Matrix([sum(christoffel_star(t, ctx).entries, ())
+                                      for t in directions])
+
+    @cache
+    def raised_identity() -> bool:
+        try:
+            return _raised_koszul(ctx.metric_G, raised(), dp_g())
+        except CoxsaitoError:  # left to the check of the failing k
+            return False
 
     for k in directions:
 
@@ -238,8 +266,12 @@ def check_lemma22(ctx: SaitoContext):
             return _cmp_matrices(lhs, star + star.transpose())
 
         def levi_civita_consistency(k=k):
-            # independent route: the standard Christoffel formula from the
-            # metric (G^{-1} on coordinate fields), then Gamma*_k = -G Gamma_k
+            # premise det G = c q^a; then one identity for every k, and only
+            # if it fails the standard Christoffel formula from the metric
+            # (G^{-1} on coordinate fields), Gamma*_k = -G Gamma_k
+            ctx.metric_G_inv()
+            if raised_identity():
+                return True, None
             dg = dp_g_inv()
             pieces = Matrix([[dg[i][t, k - 1] + dg[k - 1][t, i] - dg[t][i, k - 1]
                               for t in range(ell)] for i in range(ell)])
@@ -256,16 +288,12 @@ def check_lemma22(ctx: SaitoContext):
               levi_civita_consistency)
 
     def symmetry_identity():
-        # G C_j is symmetric, C_j[t, i] = (Gamma*_t)_ij: entry (k, i) is the
-        # left side of the triple (i, j, k), entry (i, k) the right side
-        stars = [christoffel_star(t + 1, ctx) for t in range(ell)]
-        products = [ctx.metric_G
-                    * Matrix([[star[i, j] for i in range(ell)] for star in stars])
-                    for j in range(ell)]
+        # T[k,(i,j)] is the left side of the triple (i, j, k), T[i,(k,j)] the right
+        t = raised()
         for i in range(ell):
             for j in range(ell):
                 for k in range(ell):
-                    if products[j][k, i] != products[j][i, k]:
+                    if t[k, i * ell + j] != t[i, k * ell + j]:
                         return False, f"triple (i,j,k) = ({i + 1},{j + 1},{k + 1})"
         return True, None
 

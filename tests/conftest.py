@@ -2,6 +2,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -17,7 +18,7 @@ from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, build_context, christoffel_star,
                             derivation_transform, dkx, dp_matrix, jdkx, nabla_D,
                             xi_basis, xi_coefficient_matrix)
-from coxsaito.verify import run_suites
+from coxsaito.verify import _cmp_matrices, _Runner, run_suites
 
 _CONTEXTS: dict = {}
 _REPORTS: dict = {}
@@ -548,6 +549,63 @@ def old_identity_accepts(k, ctx):
     candidate = memo[k - 1] + memo[1] + memo[1].transpose()
     return (candidate * ctx.jac_P_inv * saito.jdkx(k - 1, ctx)
             == -(ctx.jac_P.transpose() * ctx.gram_poly * saito.jdkx(k, ctx)))
+
+
+def levi_civita_star(k, ctx, dg_inv=None):
+    """-G Gamma_k by the standard Christoffel formula, from the derivatives
+    dg_inv of G^-1 in every direction (G^-1 on coordinate fields): the
+    formula `lemma22.13/k` runs when the raised identity does not decide."""
+    ell = ctx.rank
+    dg = dg_inv or dp_matrix(ctx.metric_G_inv(), range(1, ell + 1), ctx)
+    pieces = Matrix([[dg[i][t, k - 1] + dg[k - 1][t, i] - dg[t][i, k - 1]
+                      for t in range(ell)] for i in range(ell)])
+    half = ctx.datum.field.coerce(1) / 2
+    gamma_k = (pieces * ctx.metric_G.transpose() * half).simplify()
+    return (-(ctx.metric_G * gamma_k)).simplify()
+
+
+def per_k_lemma22(ctx):
+    """`verify.check_lemma22` by the per-k route alone: every `lemma22.13/k`
+    by `levi_civita_star`, and `lemma22.B` by the l products G C_j, C_j[t, i]
+    = (Gamma*_t)_ij.  The reference for the raised-identity route."""
+    r = _Runner()
+    ell = ctx.rank
+    directions = range(1, ell + 1)
+    dp_g = cache(lambda: dp_matrix(ctx.metric_G, directions, ctx))
+    dp_g_inv = cache(lambda: dp_matrix(ctx.metric_G_inv(), directions, ctx))
+    for k in directions:
+
+        def compat(k=k):
+            star = christoffel_star(k, ctx)
+            return _cmp_matrices(dp_g()[k - 1], star + star.transpose())
+
+        def levi_civita_consistency(k=k):
+            lhs = levi_civita_star(k, ctx, dp_g_inv())
+            return _cmp_matrices(lhs, christoffel_star(k, ctx))
+
+        r.run(f"lemma22.2/k={k}",
+              "Lemma 2.2 (2): d/dP_k[G] = Gamma*_k + (Gamma*_k)^T", compat)
+        r.run(f"lemma22.13/k={k}",
+              "Lemma 2.2 (1)+(3): Gamma*_k = -G Gamma_k = J(P)^T A d/dP_k[J(P)]",
+              levi_civita_consistency)
+
+    def symmetry_identity():
+        stars = [christoffel_star(t + 1, ctx) for t in range(ell)]
+        products = [ctx.metric_G
+                    * Matrix([[star[i, j] for i in range(ell)] for star in stars])
+                    for j in range(ell)]
+        for i in range(ell):
+            for j in range(ell):
+                for k in range(ell):
+                    if products[j][k, i] != products[j][i, k]:
+                        return False, f"triple (i,j,k) = ({i + 1},{j + 1},{k + 1})"
+        return True, None
+
+    r.run("lemma22.B", "torsion-freeness: sum_t g^kt S_t^ij = sum_t g^it S_t^kj",
+          symmetry_identity)
+    r.run("lemma22.4", "Lemma 2.2 (4): Gamma*_l = B^(1)",
+          lambda: _cmp_matrices(christoffel_star(ell, ctx), saito.bk_matrix(1, ctx)))
+    return r.results
 
 
 def christoffel_nabla_reference(columns, ctx):

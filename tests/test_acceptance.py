@@ -28,7 +28,7 @@ from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
                             derivation_degree, dkx, dp_matrix, xi_basis)
-from coxsaito.verify import (check_lemma21, check_metric,
+from coxsaito.verify import (check_lemma21, check_lemma22, check_metric,
                              check_thm24_thm25_prop26)
 
 GROUPS = [("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -119,6 +119,19 @@ def test_rank_four_a4_lemma21_passes():
     _announce("2[A4 lemma21]", checks == {
         f"lemma21.{part}/k=1": "pass" for part in ("1d", "1w", "2", "3", "4")},
         f"({checks})")
+
+
+def test_rank_four_a4_lemma22_passes():
+    # every lemma22.13 on A4 is decided by the raised identity, with no
+    # derivative of G^-1; the context build is included in the time
+    t0 = time.perf_counter()
+    results = check_lemma22(fresh_context("A", 4))
+    elapsed = time.perf_counter() - t0
+    checks = {r.name: r.status for r in results}
+    want = {f"lemma22.{part}/k={k}": "pass" for k in range(1, 5) for part in ("2", "13")}
+    want |= {"lemma22.B": "pass", "lemma22.4": "pass"}
+    _announce("2[A4 lemma22]", checks == want and elapsed < 5.0,
+              f"({checks}, {elapsed:.2f}s < 5s)")
 
 
 def test_criterion_4_b2_vanishing_corner():

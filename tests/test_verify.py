@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from conftest import (fresh_context, reference_contact_defect, shared_context,
-                      shared_report, with_entry)
+from conftest import (fresh_context, levi_civita_star, per_k_lemma22,
+                      reference_contact_defect, shared_context, shared_report,
+                      with_entry)
 
 from coxsaito import saito, verify
 from coxsaito.coxeter import anti_invariant_Q, build_datum, validate_invariants
+from coxsaito.fraction import FactoredFraction
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
-                            contact_defect, derivation_apply, dkx, xi_basis)
+                            christoffel_star, contact_defect, derivation_apply,
+                            dkx, xi_basis)
 from coxsaito.verify import (CheckReport, check_flat_remark, check_hodge,
                              check_lemma21, check_lemma22, check_metric,
                              check_thm24_thm25_prop26, run_suites)
@@ -83,11 +86,8 @@ def test_contact_defect_is_built_once_per_m(monkeypatch):
     assert contact_defect(3, ctx) is None
 
 
-def test_lemma22_differentiates_g_and_g_inverse_once(monkeypatch):
-    # every d/dP_k of G and of G^-1 comes from one call each; only
-    # christoffel_star differentiates J(P) one direction at a time, so that an
-    # integrity error stays with its own k
-    ctx = fresh_context("A", 3)
+def _spy_dp_matrix(monkeypatch):
+    """The (matrix, directions) of every dp_matrix call from now on."""
     seen = []
     real = saito.dp_matrix
 
@@ -97,12 +97,133 @@ def test_lemma22_differentiates_g_and_g_inverse_once(monkeypatch):
 
     monkeypatch.setattr(saito, "dp_matrix", spy)
     monkeypatch.setattr(verify, "dp_matrix", spy)
+    return seen
+
+
+def test_lemma22_differentiates_g_once_and_g_inverse_only_on_fallback(monkeypatch):
+    # a passing run decides every lemma22.13 by the raised identity: G is
+    # differentiated once in every direction and G^-1 never, though inverting
+    # G still certifies det G = c q^a; only christoffel_star differentiates
+    # J(P), one direction at a time, so that an integrity error stays with
+    # its own k
+    ctx = fresh_context("A", 3)
+    seen = _spy_dp_matrix(monkeypatch)
     assert all(r.status == "pass" for r in check_lemma22(ctx))
     every = (1, 2, 3)
     assert [ks for m, ks in seen if m is ctx.metric_G] == [every]
-    assert [ks for m, ks in seen if m is ctx.metric_G_inv()] == [every]
     assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(1,), (2,), (3,)]
-    assert len(seen) == 5
+    assert len(seen) == 4
+    assert ctx._metric_G_inv is not None
+    # with Gamma*_1 tampered the identity fails, and the per-k route
+    # differentiates G^-1 exactly once, in every direction
+    ctx = fresh_context("A", 3)
+    star = christoffel_star(1, ctx)
+    ctx.christoffel_table[1] = with_entry(star, 0, 0, star[0, 0] + MultiPoly.const(3, 1))
+    seen.clear()
+    assert {r.name for r in check_lemma22(ctx) if r.status != "pass"} == {
+        "lemma22.2/k=1", "lemma22.13/k=1", "lemma22.B"}
+    assert [ks for m, ks in seen if m is ctx.metric_G] == [every]
+    assert [ks for m, ks in seen if m is ctx.metric_G_inv()] == [every]
+    assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(2,), (3,)]
+    assert len(seen) == 4
+
+
+def _plus_at(name, i, j, delta):
+    """Tamper: delta(ctx) added to entry (i, j) of the matrix held at name
+    (a context attribute, or ("star", t) for Gamma*_t); i, j = -1 is l."""
+    def tamper(ctx):
+        ii, jj = i % ctx.rank, j % ctx.rank
+        if isinstance(name, tuple):
+            t = name[1] % (ctx.rank + 1) or ctx.rank
+            m = christoffel_star(t, ctx)
+            ctx.christoffel_table[t] = with_entry(m, ii, jj, m[ii, jj] + delta(ctx))
+        else:
+            m = getattr(ctx, name)
+            setattr(ctx, name, with_entry(m, ii, jj, m[ii, jj] + delta(ctx)))
+    return tamper
+
+
+def _one(ctx):
+    return MultiPoly.const(ctx.rank, 1, ctx.datum.field)
+
+
+def _x1(ctx):
+    return MultiPoly.variable(ctx.rank, 0, ctx.datum.field)
+
+
+def _scaled_dp1(ctx, over_q):
+    """Row 1 of J(P)^-1 doubled, or put over one more power of q, which
+    leaves Gamma*_1 alone not polynomial."""
+    rows = ctx.jac_P_inv.entries
+    first = [FactoredFraction(e.numerator, ctx.q_base, e.exp + 1) if over_q else e + e
+             for e in rows[0]]
+    ctx.jac_P_inv = Matrix([first, *rows[1:]])
+
+
+def _unipotent(ctx):
+    """The constant invertible U = I + E_12 + E_(l-1,l)."""
+    ell, field = ctx.rank, ctx.datum.field
+    return Matrix.from_scalars(
+        [[1 if i == j or (i, j) in ((0, 1), (ell - 2, ell - 1)) else 0
+          for j in range(ell)] for i in range(ell)], ell, field)
+
+
+def _congruent_metric(ctx):
+    """G replaced by U^T G U: symmetric, det G times 1, no group's metric."""
+    u = _unipotent(ctx)
+    ctx.metric_G = u.transpose() * ctx.metric_G * u
+
+
+LEMMA22_TAMPERINGS = {
+    "none": lambda ctx: None,
+    "star1.11+1": _plus_at(("star", 1), 0, 0, _one),
+    "starl.l1+x1": _plus_at(("star", -1), -1, 0, _x1),
+    "jac_P_inv.row1x2": lambda ctx: _scaled_dp1(ctx, False),
+    "jac_P_inv.row1/q": lambda ctx: _scaled_dp1(ctx, True),
+    "G.12,21+1": lambda ctx: (_plus_at("metric_G", 0, 1, _one)(ctx),
+                              _plus_at("metric_G", 1, 0, _one)(ctx)),
+    "G=U^T G U": _congruent_metric,
+    "G.12+1": _plus_at("metric_G", 0, 1, _one),
+    "G=G U": lambda ctx: setattr(ctx, "metric_G", ctx.metric_G * _unipotent(ctx)),
+}
+
+
+def _outcomes(results):
+    return [(r.name, r.paper_ref, r.status, r.witness, r.integrity) for r in results]
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
+@pytest.mark.parametrize("tamper", list(LEMMA22_TAMPERINGS))
+def test_lemma22_matches_the_per_k_route(label, rank, tamper):
+    # the raised identity decides only passing runs: on every tampering the
+    # statuses and witnesses are those of the per-k route
+    got, want = fresh_context(label, rank), fresh_context(label, rank)
+    LEMMA22_TAMPERINGS[tamper](got)
+    LEMMA22_TAMPERINGS[tamper](want)
+    outcomes = _outcomes(check_lemma22(got))
+    assert outcomes == _outcomes(per_k_lemma22(want))
+    assert (tamper == "none") == all(status == "pass" for _, _, status, *_ in outcomes)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
+def test_raised_identity_holds_for_any_symmetric_invertible_metric(label, rank,
+                                                                   monkeypatch):
+    # the one fact the fast path assumes: for a G that is no group's metric,
+    # G' = U^T G U, the -G' Gamma_k(G') of the standard formula satisfy the
+    # raised identity, and so decide lemma22.13 with no derivative of G'^-1
+    ctx = fresh_context(label, rank)
+    _congruent_metric(ctx)
+    g = ctx.metric_G
+    directions = range(1, rank + 1)
+    stars = [levi_civita_star(k, ctx) for k in directions]
+    assert stars[0] != christoffel_star(1, ctx)
+    t = g * Matrix([sum(star.entries, ()) for star in stars])
+    assert verify._raised_koszul(g, t, saito.dp_matrix(g, directions, ctx))
+    ctx.christoffel_table.update(zip(directions, stars))
+    seen = _spy_dp_matrix(monkeypatch)
+    results = {r.name: r.status for r in check_lemma22(ctx)}
+    assert all(results[f"lemma22.13/k={k}"] == "pass" for k in directions)
+    assert not [m for m, _ in seen if m is ctx.metric_G_inv()]
 
 
 def _contact_variants(ctx, m):
