@@ -4,8 +4,8 @@ Everything here is sized by the group rank (<= 5 in practice), so one
 memoized Laplace table of minors (`MinorTable`) gives both the determinant and
 the adjugate.  The one inverse is that of a polynomial matrix whose
 determinant is certified to be c * q^e for a given denominator base q (a
-nonzero constant c without one): the adjugate times c^-1 over q^e, every
-entry exact.  Scalar matrices -- Gram and reflection matrices -- are matrices
+nonzero constant c without one; `unit_power`): the adjugate times c^-1 over
+q^e, every entry exact.  Scalar matrices -- Gram and reflection matrices -- are matrices
 of constant polynomials (`Matrix.from_scalars`), so they share the same
 product, equality and determinant.
 
@@ -155,14 +155,7 @@ class Matrix:
             raise TypeError("only polynomial matrices are inverted")
         table = MinorTable(self)
         det = table.det()
-        if not det:
-            raise SingularMatrix("matrix has zero determinant")
-        e = 0 if base is None else det.total_degree() // base.q.total_degree()
-        c = det.constant_quotient([base.power(e)] if e else [])
-        if c is None:
-            raise NonPolynomialEntry(
-                "determinant is not a nonzero constant" if base is None else
-                "determinant is not a nonzero constant times a power of q")
+        c, e = unit_power(det, base)
         inv = det.field.invert(c)
         return table.adjugate().map_entries(
             lambda a: FactoredFraction(a * inv, base, e))
@@ -170,6 +163,21 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(e.render() for e in row) for row in self.entries)
         return f"Matrix[{body}]"
+
+
+def unit_power(det: MultiPoly, base: PowerBase | None = None):
+    """(c, e) with det = c q^e, c a nonzero constant and q the base's
+    polynomial (e = 0 without a base): the premise of `Matrix.inverse`.  A
+    zero det raises SingularMatrix, any other NonPolynomialEntry."""
+    if not det:
+        raise SingularMatrix("matrix has zero determinant")
+    e = 0 if base is None else det.total_degree() // base.q.total_degree()
+    c = det.constant_quotient([base.power(e)] if e else [])
+    if c is None:
+        raise NonPolynomialEntry(
+            "determinant is not a nonzero constant" if base is None else
+            "determinant is not a nonzero constant times a power of q")
+    return c, e
 
 
 class MinorTable:

@@ -3,10 +3,11 @@
 Everything lives in the localization S[Q^-1]: each value is a fraction
 num / q^e over the context's one denominator base q, the monic det J(P) = c Q;
 J(P) and G are inverted over that base and J(D^k[X]) through B^(k) (see
-`jdkx_inv`), which Lemma 2.1 (4) names and its defining identity certifies
-(see `_certified_bk`).  Whenever a theorem guarantees a matrix is
-polynomial, the numerators are divided exactly by the powers of q and a
-failure aborts with NonPolynomialEntry.  That certification is a free
+`jdkx_inv`), which Lemma 2.1 (4) names and one polynomial identity
+certifies (see `_certified_bk`): J(D^k[X]) itself, k >= 2, is formed only
+on the fallback of a rejected candidate.  Whenever a theorem guarantees a
+matrix is polynomial, the numerators are divided exactly by the powers of q
+and a failure aborts with NonPolynomialEntry.  That certification is a free
 integrity check on the entire pipeline.
 
 All row/column conventions follow the row-vector style of the source
@@ -24,8 +25,9 @@ the rows of J(P)^-1, so D^k[X], `nabla_D` and the bracket are all that
 product, and so is d/dP_k of a matrix in every requested direction at once
 (`dp_matrix`): a list of coefficient rows is a row of derivations.  nabla is
 the flat connection of V, whose Christoffel symbols vanish in the
-coordinates X, so `nabla_D` applies D to each coefficient.  The invariant frame d/dP_j appears only where a theorem is
-stated in it: `verify` multiplies a coefficient column by J(P)^T there.
+coordinates X, so `nabla_D` applies D to each coefficient.  The invariant
+frame d/dP_j appears only where a theorem is stated in it: `verify`
+multiplies a coefficient column by J(P)^T there.
 """
 
 from __future__ import annotations
@@ -143,16 +145,21 @@ class SaitoContext:
         return self.datum.rank
 
     def metric_G_inv(self) -> Matrix:
-        """G^-1 over q, built once; certifies det G = c q^a, the premise each
-        `lemma22.13` takes first.  Only its fallback differentiates G^-1."""
+        """G^-1 over q, built once, for the per-k fallback of `lemma22.13`."""
         if self._metric_G_inv is None:
             self._metric_G_inv = self.metric_G.inverse(self.q_base)
         return self._metric_G_inv
 
     def gram_jac_inv(self):
-        """(J(P)^T A)^-1 = A^-1 J(P)^-T, built once; None for a singular A."""
+        """(q (J(P)^T A)^-1, q d): the numerators over q of A^-1 J(P)^-T and of
+        d, the row of D (the last row of J(P)^-1), as polynomial matrices for
+        the identity of `_certified_bk`; built once, None for a singular A."""
         if self._gram_jac_inv is None and self.gram_poly.det():
-            self._gram_jac_inv = self.gram_poly.inverse() * self.jac_P_inv.transpose()
+            q_inv = self.jac_P_inv * self.q_base.q
+            self._gram_jac_inv = (
+                _certify_poly_matrix(self.gram_poly.inverse() * q_inv.transpose(),
+                                     "q (J(P)^T A)^-1"),
+                _certify_poly_matrix(Matrix(q_inv.entries[-1:]), "q d"))
         return self._gram_jac_inv
 
 
@@ -182,7 +189,9 @@ def dp_matrix(m: Matrix, ks, ctx: SaitoContext) -> list[Matrix]:
 
 def dkx(k: int, ctx: SaitoContext):
     """The vector D^k[X] of fractions over the context's base, simplified;
-    cached: the row of D (the last row of J(P)^-1) times J(D^(k-1)[X])."""
+    cached: the row of D (the last row of J(P)^-1) times J(D^(k-1)[X]).
+    D[X] is the primitive derivation; k >= 2 is formed only on the fallback
+    of `_certified_bk`."""
     if k < 0:
         raise ValueError("k must be >= 0")
     table = ctx.dkx_table
@@ -194,7 +203,8 @@ def dkx(k: int, ctx: SaitoContext):
 
 def jdkx(k: int, ctx: SaitoContext) -> Matrix:
     """Jacobian matrix of D^k[X]: entry (i, j) = d(D^k[X_j]) / dX_i; cached
-    and not simplified, each entry over q^(2k) as `_certified_bk` reads it."""
+    and not simplified, each entry over q^(2k) as `_certified_bk` reads it.
+    J(D^k[X]), k >= 2, is formed only on the fallback of `_certified_bk`."""
     table = ctx.jdkx_table
     if k not in table:
         table[k] = jacobian(dkx(k, ctx), ctx.rank)
@@ -219,42 +229,80 @@ def _certify_poly_matrix(m: Matrix, what: str) -> Matrix:
     return Matrix(out)
 
 
+def _lemma21_identity(c: Matrix, k: int, ctx: SaitoContext) -> bool:
+    """Whether C is B^(k), for k >= 2, by one polynomial identity (see
+    `_certified_bk`); False for a singular A."""
+    numerators = ctx.gram_jac_inv()
+    if numerators is None:
+        return False
+    gram_jac_q, d_q = numerators
+    n, ell = jdkx_inv(k - 1, ctx), ctx.rank
+    flat = _apply_coeffs(d_q.entries, [e for row in n.entries for e in row])[0]
+    q_dn = Matrix([flat[i:i + ell] for i in range(0, ell * ell, ell)])
+    return n * (gram_jac_q * (c - _certified_bk(1, ctx))) == q_dn * ctx.jac_P
+
+
+def _lemma21_candidate(k: int, ctx: SaitoContext):
+    """C = B^(k-1) + B^(1) + (B^(1))^T (Lemma 2.1 (4)) for k >= 2 if
+    `_lemma21_identity` accepts it, else None.  An error while forming C or
+    the identity counts as a rejection, so that the product route raises
+    it, in its own order."""
+    try:
+        b1 = _certified_bk(1, ctx)
+        c = _certified_bk(k - 1, ctx) + b1 + b1.transpose()
+        return c if _lemma21_identity(c, k, ctx) else None
+    except CoxsaitoError:
+        return None
+
+
 def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
     """B^(k) for k >= 1, built once per context into a private memo.
 
-    By the chain rule each entry of J(D^k[X]) has a denominator q^e with
-    e <= 2k; a foreign denominator or a larger exponent raises
-    NonPolynomialEntry first.  For k >= 2, C = B^(k-1) + B^(1) + (B^(1))^T
-    (Lemma 2.1 (4)) is B^(k) exactly when (J(P)^T A)^-1 (C (J(P)^-1
-    J(D^(k-1)[X]))) = -J(D^k[X]), two sides over q^(2k), since
-    `jdkx_inv(k - 1)` certifies J(D^(k-1)[X]) invertible; the lemma is not
-    assumed, so `lemma21.4` still tests it.  Otherwise (k = 1, a singular A,
-    or tampered data) the defining product is formed, each entry num / q^E
-    certified by one exact division by the cached q^E.
+    For k >= 2 the candidate C of Lemma 2.1 (4) is decided in polynomials
+    (`_lemma21_candidate`).  Write M_j = J(D^j[X]), N = M_(k-1)^-1
+    (`jdkx_inv(k - 1)`), d the row of D, L = (J(P)^T A)^-1, and L~ = q L,
+    d~ = q d their numerators (`gram_jac_inv`).  D^k[X] = d M_(k-1) and mixed
+    partials commute, so M_k = J(d) M_(k-1) + D[M_(k-1)]; D[M] N = -M D[N]
+    since M N = I; and J(d) J(P) = -L B^(1) is the definition of B^(1).  The
+    definition of B^(k), M_k = -L B^(k) J(P)^-1 M_(k-1), times N J(P) on the
+    right and then N on the left, becomes N L (B^(k) - B^(1)) = D[N] J(P);
+    N and L are invertible, so C = B^(k) exactly when
+
+        N L~ (C - B^(1)) == (d~ J(N)) J(P),
+
+    that is N L~ (B^(k-1) + (B^(1))^T) for the candidate, where d~ J(N) is
+    q D[N] as an l x l matrix: one Jacobian, of N, per level.  The lemma is
+    not assumed, so `lemma21.4` still tests it.  On the accepting path
+    M_k = -L C J(P)^-1 M_(k-1) with L and J(P)^-1 over q and C polynomial,
+    so by induction from M_1 every entry of M_k is over q^e with e <= 2k:
+    the premise the product route scans.
+
+    Otherwise (k = 1, a singular A, a rejected candidate) J(D^k[X]) is
+    formed -- for k >= 2 only here -- and each entry must have a
+    denominator q^e with e <= 2k, as the chain rule gives; a foreign
+    denominator or a larger exponent raises NonPolynomialEntry.  Then the
+    defining product is formed, each entry num / q^E certified by one exact
+    division by the cached q^E.
     """
     memo = ctx._bk_memo
     if k not in memo:
-        jd = jdkx(k, ctx)
-        for i in range(ctx.rank):
-            for j in range(ctx.rank):
-                e = jd[i, j]
-                if e.exp and e.base.q != ctx.q_base.q:
-                    raise NonPolynomialEntry(
-                        f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
-                        f"factor other than det J(P): {e.render()}")
-                if e.exp > 2 * k:
-                    raise NonPolynomialEntry(
-                        f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
-                        f"power {e.exp} > {2 * k} in its denominator")
-        inv = jdkx_inv(k - 1, ctx)  # first: the identity's premise
-        left = ctx.gram_jac_inv() if k > 1 else None
-        if left is not None:
-            b1 = _certified_bk(1, ctx)
-            bk = _certified_bk(k - 1, ctx) + b1 + b1.transpose()
-        if left is None or left * (bk * (ctx.jac_P_inv * jdkx(k - 1, ctx))) != -jd:
+        bk = _lemma21_candidate(k, ctx) if k > 1 else None
+        if bk is None:
+            jd = jdkx(k, ctx)
+            for i in range(ctx.rank):
+                for j in range(ctx.rank):
+                    e = jd[i, j]
+                    if e.exp and e.base.q != ctx.q_base.q:
+                        raise NonPolynomialEntry(
+                            f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has a denominator "
+                            f"factor other than det J(P): {e.render()}")
+                    if e.exp > 2 * k:
+                        raise NonPolynomialEntry(
+                            f"J(D^{k}[X]) entry ({i + 1},{j + 1}) has det J(P) to the "
+                            f"power {e.exp} > {2 * k} in its denominator")
             lhs = -(ctx.jac_P.transpose() * ctx.gram_poly * jd)
-            bk = _certify_poly_matrix((lhs * inv if k > 1 else lhs) * ctx.jac_P,
-                                      f"B^({k})")
+            bk = _certify_poly_matrix(
+                (lhs * jdkx_inv(k - 1, ctx) if k > 1 else lhs) * ctx.jac_P, f"B^({k})")
         memo[k] = bk
     return memo[k]
 
@@ -266,8 +314,9 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
     polynomial once `Matrix.inverse` certifies that det B^(k) =
     +-det A (det J(P))^2 det J(D^k[X]) / det J(D^(k-1)[X]), the reduced
     determinant of J(D^k[X]), is a nonzero constant; a non-constant one
-    raises NonPolynomialEntry, a zero one SingularMatrix.  The entries of
-    J(D^k[X]) are certified by `_certified_bk`.  B^(k) is read from its
+    raises NonPolynomialEntry, a zero one SingularMatrix.  The denominators
+    of J(D^k[X]) are certified by `_certified_bk`, which forms J(D^k[X])
+    for k >= 2 only on its fallback.  B^(k) is read from its
     private memo, never from `bk_table`, so an entry overwritten in that table
     reaches only the checks that read it and not xi^(2k).
     """

@@ -22,7 +22,7 @@ from functools import cache
 from .coxeter import (anti_invariant_Q, first_moved, poincare_closed_form,
                       poincare_equal)
 from .errors import ConfigError, CoxsaitoError
-from .matrix import Matrix
+from .matrix import Matrix, unit_power
 from .poly import MultiPoly
 from .saito import (SaitoContext, bk_matrix, christoffel_star, contact_defect,
                     derivation_apply, derivation_bracket, derivation_degree,
@@ -247,6 +247,10 @@ def check_lemma22(ctx: SaitoContext):
         return dp_matrix(ctx.metric_G_inv(), directions, ctx)
 
     @cache
+    def det_g():  # the premise det G = c q^a, from the determinant alone
+        return unit_power(ctx.metric_G.det(), ctx.q_base)
+
+    @cache
     def raised():  # T = G S, S with the flattened Gamma*_t as rows
         return ctx.metric_G * Matrix([sum(christoffel_star(t, ctx).entries, ())
                                       for t in directions])
@@ -269,7 +273,7 @@ def check_lemma22(ctx: SaitoContext):
             # premise det G = c q^a; then one identity for every k, and only
             # if it fails the standard Christoffel formula from the metric
             # (G^{-1} on coordinate fields), Gamma*_k = -G Gamma_k
-            ctx.metric_G_inv()
+            det_g()
             if raised_identity():
                 return True, None
             dg = dp_g_inv()

@@ -112,13 +112,19 @@ def test_criterion_3_degree_law(label, rank):
 
 
 def test_rank_four_a4_lemma21_passes():
-    # scale beyond D4: A4's q = det J(P) has 120 terms, and B^(2) is the
-    # Lemma 2.1 (4) candidate certified by its defining identity
-    results = check_lemma21(fresh_context("A", 4), 1)
+    # scale beyond D4: A4's q = det J(P) has 120 terms, and B^(2) and B^(3)
+    # are Lemma 2.1 (4) candidates certified by the polynomial identity, with
+    # no J(D^k[X]) for k >= 2; the context build is included in the time
+    t0 = time.perf_counter()
+    ctx = fresh_context("A", 4)
+    results = check_lemma21(ctx, 2)
+    elapsed = time.perf_counter() - t0
     checks = {r.name: r.status for r in results}
-    _announce("2[A4 lemma21]", checks == {
-        f"lemma21.{part}/k=1": "pass" for part in ("1d", "1w", "2", "3", "4")},
-        f"({checks})")
+    want = {f"lemma21.{part}/k={k}": "pass"
+            for k in (1, 2) for part in ("1d", "1w", "2", "3", "4")}
+    _announce("2[A4 lemma21]", checks == want and elapsed < 10.0
+              and set(ctx.jdkx_table) <= {0, 1},
+              f"({checks}, {elapsed:.2f}s < 10s)")
 
 
 def test_rank_four_a4_lemma22_passes():

@@ -6,7 +6,7 @@ from conftest import ReducedMinors
 from coxsaito.errors import NonPolynomialEntry, SingularMatrix
 from coxsaito.field import RATIONALS, FieldContext
 from coxsaito.fraction import FactoredFraction, PowerBase
-from coxsaito.matrix import Matrix, MinorTable
+from coxsaito.matrix import Matrix, MinorTable, unit_power
 from coxsaito.poly import MultiPoly
 
 
@@ -63,6 +63,13 @@ def test_inverse_certifies_det_as_power_of_base():
         m.inverse()
     with pytest.raises(TypeError):
         inv.inverse(base)
+    # the premise alone, as check_lemma22 takes it for det G: the same
+    # certificate and the same texts, with no adjugate
+    assert unit_power(m.det(), base) == (-3, 2)
+    with pytest.raises(NonPolynomialEntry, match="power of q"):
+        unit_power(m.det(), PowerBase(y))
+    with pytest.raises(SingularMatrix):
+        unit_power(MultiPoly.zero(2), base)
 
 
 def test_singular_matrix_raises():

@@ -472,6 +472,10 @@ def _tamper(ctx, kind):
     elif kind == "jac_P_inv/D":
         ctx.jac_P_inv = with_entry(ctx.jac_P_inv, last, 0,
                                    ctx.jac_P_inv[last, 0] + one)
+    elif kind == "jac_P_inv row 1 over q":
+        ctx.jac_P_inv = Matrix([[FactoredFraction(e.numerator, ctx.q_base, e.exp + 1)
+                                 for e in row] if i == 0 else row
+                                for i, row in enumerate(ctx.jac_P_inv.entries)])
     elif kind == "metric_G":
         ctx.metric_G = with_entry(ctx.metric_G, 0, 1, ctx.metric_G[0, 1] + one)
     elif kind == "bk_table[2]":
@@ -515,6 +519,15 @@ def test_tampered_reports_match_product_route(label, rank, kind, monkeypatch):
     assert got == _stripped_report(reference)
 
 
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
+def test_identity_error_reports_as_the_product_route(label, rank, monkeypatch):
+    # with row 1 of J(P)^-1 over one more power of q, q (J(P)^T A)^-1 is not
+    # polynomial and the identity cannot be formed: that is a rejection, not
+    # an error of its own, so the run reports what the product route reports
+    test_tampered_reports_match_product_route(label, rank, "jac_P_inv row 1 over q",
+                                              monkeypatch)
+
+
 def _identity_decisions(ctx, top, monkeypatch):
     """(decisions, references) for the levels 2 <= k <= top whose identity
     was decided, those built and one whose product raised: whether
@@ -534,12 +547,13 @@ def _identity_decisions(ctx, top, monkeypatch):
 
 
 @pytest.mark.parametrize("label,rank", [
-    ("A", 2), ("B", 2), ("I2", 5), ("A", 3), ("D", 3)])
+    ("A", 2), ("B", 2), ("I2", 5), ("I2", 8), ("A", 3), ("D", 3), ("D", 4)])
 def test_identity_decides_as_its_earlier_form(label, rank, monkeypatch):
     # decision oracle: on true data both forms accept the candidate at every
-    # level
-    got, want = _identity_decisions(fresh_context(label, rank), 4, monkeypatch)
-    assert got == want == [True] * 3
+    # level, B^(2..4), on D4 B^(2..3)
+    top = 3 if rank == 4 else 4
+    got, want = _identity_decisions(fresh_context(label, rank), top, monkeypatch)
+    assert got == want == [True] * (top - 1)
 
 
 def test_h3_identity_decides_as_its_earlier_form(h3_context, monkeypatch):
@@ -567,14 +581,17 @@ def test_tampered_identity_decides_as_its_earlier_form(label, rank, kind,
 
 
 def test_tower_takes_one_jacobian_per_level(monkeypatch):
-    # B^(1..4) on A3: one Jacobian per level 0..4, each taken by jdkx, and
-    # no exact division while jdkx itself (not the dkx it reads) is running
+    # B^(1..4) on A3: dkx and jdkx run only for k <= 1, one Jacobian each,
+    # with no exact division while jdkx itself (not the dkx it reads) is
+    # running; every level k >= 2 takes one Jacobian, of N_(k-1) =
+    # J(D^(k-1)[X])^-1, for the identity that certifies B^(k)
     ctx = fresh_context("A", 3)
-    stack, jacobians, divisions = [], [], []
+    stack, calls, jacobians, divisions = [], [], [], []
     jacobian, divide = saito.jacobian, MultiPoly.exact_divide
 
     def tracked(name, fn):
         def spy(k, c):
+            calls.append((name, k))
             stack.append((name, k))
             try:
                 return fn(k, c)
@@ -583,7 +600,10 @@ def test_tower_takes_one_jacobian_per_level(monkeypatch):
         return spy
 
     def spy_jacobian(polys, nvars):
-        jacobians.append(stack[-1] if stack else None)
+        inverses = ctx.jdkx_inv_table
+        jacobians.append(stack[-1] if stack else next(
+            ("N", k) for k in inverses
+            if list(polys) == [e for row in inverses[k].entries for e in row]))
         return jacobian(polys, nvars)
 
     def spy_divide(self, other):
@@ -596,9 +616,35 @@ def test_tower_takes_one_jacobian_per_level(monkeypatch):
     monkeypatch.setattr(MultiPoly, "exact_divide", spy_divide)
     for k in range(1, 5):
         _certified_bk(k, ctx)
-    assert jacobians == [("jdkx", k) for k in range(5)]
-    assert ("dkx", 4) in divisions
+    assert {k for _, k in calls} == {0, 1}
+    assert jacobians == [("jdkx", 0), ("jdkx", 1), ("N", 1), ("N", 2), ("N", 3)]
+    assert ("dkx", 1) in divisions
     assert [d for d in divisions if d and d[0] == "jdkx"] == []
+    assert sorted(ctx.jdkx_table) == sorted(ctx.dkx_table) == [0, 1]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("D", 3), ("B", 2), ("I2", 5)])
+def test_passing_run_forms_no_higher_jacobian(label, rank):
+    # at the CLI defaults (B^(1..4), xi^(0..7)) no J(D^k[X]) with k >= 2 is
+    # formed, nor the D^k[X] it would differentiate
+    ctx = fresh_context(label, rank)
+    report = run_suites(ctx, "all", 3, 7, 3)
+    assert report.counts["fail"] == 0
+    assert set(ctx.jdkx_table) <= {0, 1} and set(ctx.dkx_table) <= {0, 1}
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5), ("D", 4)])
+def test_identity_rejects_perturbed_candidates(label, rank):
+    # the candidate for B^(2) passes the identity, and C + E fails it for E = 1
+    # at (1,1) and for E = x_1^2 at (l,1)
+    ctx = fresh_context(label, rank)
+    b1 = _certified_bk(1, ctx)
+    c = b1 + b1 + b1.transpose()
+    one = MultiPoly.const(ctx.rank, 1, ctx.datum.field)
+    x1 = MultiPoly.variable(ctx.rank, 0, ctx.datum.field)
+    assert saito._lemma21_identity(c, 2, ctx)
+    for i, e in ((0, one), (ctx.rank - 1, x1 * x1)):
+        assert not saito._lemma21_identity(with_entry(c, i, 0, c[i, 0] + e), 2, ctx)
 
 
 def test_rejected_candidate_falls_back_to_the_product(monkeypatch):
@@ -661,6 +707,8 @@ def test_certified_bk_witness_text_is_pinned(label, monkeypatch, tmp_path):
         path = tmp_path / "h3.json"
         path.write_text(json.dumps(h3_document()), encoding="utf-8")
         ctx = build_context(*ingest_invariants(path))
+    # B^(2) reaches the defining product the way a singular A does
+    monkeypatch.setattr(saito.SaitoContext, "gram_jac_inv", lambda self: None)
     jd = jdkx(2, ctx)
     one = MultiPoly.const(ctx.rank, 1, ctx.datum.field)
     bad = with_entry(jd, 0, 0, jd[0, 0] + FactoredFraction(one, ctx.q_base, 1))
