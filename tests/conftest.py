@@ -543,8 +543,8 @@ def old_identity_accepts(k, ctx):
     """The Lemma 2.1 (4) identity in its earlier form, for k >= 2: the
     candidate C = B^(k-1) + B^(1) + (B^(1))^T from the private memo passes
     when C J(P)^-1 J(D^(k-1)[X]) == -J(P)^T A J(D^k[X]).  The reference for
-    the decision of `saito._certified_bk`, which compares (J(P)^T A)^-1
-    (C (J(P)^-1 J(D^(k-1)[X]))) with -J(D^k[X]) instead."""
+    the decision of `saito._certified_bk`, which forms no J(D^k[X]) and
+    decides by the polynomial identity of `saito._lemma21_identity` instead."""
     memo = ctx._bk_memo
     candidate = memo[k - 1] + memo[1] + memo[1].transpose()
     return (candidate * ctx.jac_P_inv * saito.jdkx(k - 1, ctx)

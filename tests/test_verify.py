@@ -547,8 +547,8 @@ FLAT_SKIPS = {"flat.B1": "skipped", "flat.Bk/k=1": "skipped",
 
 
 def test_tampered_metric_fails_where_it_did_and_names_det_premise():
-    # det G = c Q^2 is certified only when G is inverted, which only
-    # lemma22.13 does; no CLI input reaches this state, since det J(P) = c Q
+    # det G = c Q^2 is certified only by lemma22.13, from det G alone, before
+    # any inversion of G; no CLI input reaches this state, since det J(P) = c Q
     # is certified at ingest.  thm24 and hodge.g0 read nabla_D, the flat
     # connection, which does not involve G, so they pass.
     ctx = fresh_context("B", 2)
