@@ -113,7 +113,7 @@ class SaitoContext:
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
                  "contact_table", "form_bases", "q_base", "_bk_memo",
-                 "_metric_G_inv", "_gram_jac_inv")
+                 "_metric_G_inv", "_lemma21_numerators")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -138,7 +138,7 @@ class SaitoContext:
         self.nabla_xi_table: dict = {}
         self.contact_table: dict = {}
         self.form_bases = [PowerBase(alpha) for alpha in datum.form_polys()]
-        self._metric_G_inv = self._gram_jac_inv = None
+        self._metric_G_inv = self._lemma21_numerators = None
 
     @property
     def rank(self) -> int:
@@ -150,17 +150,17 @@ class SaitoContext:
             self._metric_G_inv = self.metric_G.inverse(self.q_base)
         return self._metric_G_inv
 
-    def gram_jac_inv(self):
+    def lemma21_numerators(self):
         """(q (J(P)^T A)^-1, q d): the numerators over q of A^-1 J(P)^-T and of
         d, the row of D (the last row of J(P)^-1), as polynomial matrices for
         the identity of `_certified_bk`; built once, None for a singular A."""
-        if self._gram_jac_inv is None and self.gram_poly.det():
+        if self._lemma21_numerators is None and self.gram_poly.det():
             q_inv = self.jac_P_inv * self.q_base.q
-            self._gram_jac_inv = (
+            self._lemma21_numerators = (
                 _certify_poly_matrix(self.gram_poly.inverse() * q_inv.transpose(),
                                      "q (J(P)^T A)^-1"),
                 _certify_poly_matrix(Matrix(q_inv.entries[-1:]), "q d"))
-        return self._gram_jac_inv
+        return self._lemma21_numerators
 
 
 def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoContext:
@@ -229,28 +229,28 @@ def _certify_poly_matrix(m: Matrix, what: str) -> Matrix:
     return Matrix(out)
 
 
-def _lemma21_identity(c: Matrix, k: int, ctx: SaitoContext) -> bool:
-    """Whether C is B^(k), for k >= 2, by one polynomial identity (see
-    `_certified_bk`); False for a singular A."""
-    numerators = ctx.gram_jac_inv()
+def _lemma21_identity(rest: Matrix, k: int, ctx: SaitoContext) -> bool:
+    """Whether B^(1) + rest is B^(k), for k >= 2, by one polynomial identity
+    (see `_certified_bk`); False for a singular A."""
+    numerators = ctx.lemma21_numerators()
     if numerators is None:
         return False
-    gram_jac_q, d_q = numerators
+    l_q, d_q = numerators
     n, ell = jdkx_inv(k - 1, ctx), ctx.rank
     flat = _apply_coeffs(d_q.entries, [e for row in n.entries for e in row])[0]
     q_dn = Matrix([flat[i:i + ell] for i in range(0, ell * ell, ell)])
-    return n * (gram_jac_q * (c - _certified_bk(1, ctx))) == q_dn * ctx.jac_P
+    return n * (l_q * rest) == q_dn * ctx.jac_P
 
 
 def _lemma21_candidate(k: int, ctx: SaitoContext):
     """C = B^(k-1) + B^(1) + (B^(1))^T (Lemma 2.1 (4)) for k >= 2 if
-    `_lemma21_identity` accepts it, else None.  An error while forming C or
-    the identity counts as a rejection, so that the product route raises
-    it, in its own order."""
+    `_lemma21_identity` accepts C - B^(1), else None.  An error while
+    forming C or the identity counts as a rejection, so that the product
+    route raises it, in its own order."""
     try:
         b1 = _certified_bk(1, ctx)
-        c = _certified_bk(k - 1, ctx) + b1 + b1.transpose()
-        return c if _lemma21_identity(c, k, ctx) else None
+        rest = _certified_bk(k - 1, ctx) + b1.transpose()
+        return rest + b1 if _lemma21_identity(rest, k, ctx) else None
     except CoxsaitoError:
         return None
 
@@ -261,7 +261,7 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
     For k >= 2 the candidate C of Lemma 2.1 (4) is decided in polynomials
     (`_lemma21_candidate`).  Write M_j = J(D^j[X]), N = M_(k-1)^-1
     (`jdkx_inv(k - 1)`), d the row of D, L = (J(P)^T A)^-1, and L~ = q L,
-    d~ = q d their numerators (`gram_jac_inv`).  D^k[X] = d M_(k-1) and mixed
+    d~ = q d their numerators (`lemma21_numerators`).  D^k[X] = d M_(k-1) and mixed
     partials commute, so M_k = J(d) M_(k-1) + D[M_(k-1)]; D[M] N = -M D[N]
     since M N = I; and J(d) J(P) = -L B^(1) is the definition of B^(1).  The
     definition of B^(k), M_k = -L B^(k) J(P)^-1 M_(k-1), times N J(P) on the

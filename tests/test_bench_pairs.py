@@ -36,12 +36,29 @@ def test_summary_counts_pairs_by_direction_and_takes_medians():
         bench_pairs.summarize(END_TO_END, parent, change[:-1])
 
 
-def test_a_run_that_is_not_correct_stops_the_script(monkeypatch, tmp_path):
+@pytest.mark.parametrize("returncode,stdout", [
+    (1, json.dumps(dict(run(0.3), correct=False)) + "\n"),
+    (0, json.dumps(dict(run(0.3), correct=False)) + "\n"),
+    (1, "Traceback (most recent call last):\n"),
+    (0, "a last line that is not JSON\n"),
+    (0, "[1, 2]\n"),
+    (0, ""),
+], ids=["incorrect-exit-1", "incorrect-exit-0", "crash", "not-json", "not-object",
+        "no-output"])
+def test_a_run_that_is_not_correct_stops_the_script(returncode, stdout, monkeypatch,
+                                                    tmp_path):
     class Done:
-        returncode = 1
-        stdout = json.dumps(dict(run(0.3), correct=False)) + "\n"
-        stderr = "1 output differed"
+        pass
+
+    Done.returncode, Done.stdout, Done.stderr = returncode, stdout, "the run's stderr"
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Done)
+    with pytest.raises(SystemExit, match="not correct.*the run's stderr"):
+        bench_pairs.run_once(tmp_path, "q-rank3", 500, 10)
+
+
+def test_a_correct_run_is_returned(monkeypatch, tmp_path):
+    class Done:
+        returncode, stdout, stderr = 0, "progress\n" + json.dumps(run(0.3)) + "\n", ""
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Done)
-    with pytest.raises(SystemExit, match="not correct"):
-        bench_pairs.run_once(tmp_path, "q-rank3", 500, 10)
+    assert bench_pairs.run_once(tmp_path, "q-rank3", 500, 10) == run(0.3)

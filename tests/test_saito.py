@@ -635,16 +635,16 @@ def test_passing_run_forms_no_higher_jacobian(label, rank):
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5), ("D", 4)])
 def test_identity_rejects_perturbed_candidates(label, rank):
-    # the candidate for B^(2) passes the identity, and C + E fails it for E = 1
-    # at (1,1) and for E = x_1^2 at (l,1)
+    # the candidate C for B^(2) passes the identity, and C + E fails it for
+    # E = 1 at (1,1) and for E = x_1^2 at (l,1); the identity is given C - B^(1)
     ctx = fresh_context(label, rank)
     b1 = _certified_bk(1, ctx)
-    c = b1 + b1 + b1.transpose()
+    rest = b1 + b1.transpose()
     one = MultiPoly.const(ctx.rank, 1, ctx.datum.field)
     x1 = MultiPoly.variable(ctx.rank, 0, ctx.datum.field)
-    assert saito._lemma21_identity(c, 2, ctx)
+    assert saito._lemma21_identity(rest, 2, ctx)
     for i, e in ((0, one), (ctx.rank - 1, x1 * x1)):
-        assert not saito._lemma21_identity(with_entry(c, i, 0, c[i, 0] + e), 2, ctx)
+        assert not saito._lemma21_identity(with_entry(rest, i, 0, rest[i, 0] + e), 2, ctx)
 
 
 def test_rejected_candidate_falls_back_to_the_product(monkeypatch):
@@ -708,7 +708,7 @@ def test_certified_bk_witness_text_is_pinned(label, monkeypatch, tmp_path):
         path.write_text(json.dumps(h3_document()), encoding="utf-8")
         ctx = build_context(*ingest_invariants(path))
     # B^(2) reaches the defining product the way a singular A does
-    monkeypatch.setattr(saito.SaitoContext, "gram_jac_inv", lambda self: None)
+    monkeypatch.setattr(saito.SaitoContext, "lemma21_numerators", lambda self: None)
     jd = jdkx(2, ctx)
     one = MultiPoly.const(ctx.rank, 1, ctx.datum.field)
     bad = with_entry(jd, 0, 0, jd[0, 0] + FactoredFraction(one, ctx.q_base, 1))

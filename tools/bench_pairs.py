@@ -4,13 +4,14 @@
         --claim q-rank3:verify_s --note "what the change does"
 
 `--parent` and `--change` are two checkouts of the repository.  For every
-workload in the change's `BENCHMARK.json` and every seed, the script runs
-`perfbench/run.py --trace 0` once in each checkout, one run at a time; the
-checkout that runs first alternates from pair to pair.  The file records
-both `git rev-parse HEAD` values and, per workload and end-to-end metric,
-the medians and interquartile ranges of the two sides and the number of
-pairs in which the change was better and worse, by the metric's `better`
-direction.  A run that exits non-zero, prints no result or reports
+workload in the change's `BENCHMARK.json` and each of ten seeds from 500,
+the script runs `perfbench/run.py --trace 0` for the benchmark's
+`run_seconds` once in each checkout, one run at a time; the checkout that
+runs first alternates from pair to pair.  The file records both
+`git rev-parse HEAD` values, the Python version and CPU count of the
+machine, and, per workload and end-to-end metric, the medians and
+interquartile ranges of the two sides and the number of pairs in which the
+change was better and worse, by the metric's `better` direction.  A run that exits non-zero, prints no result or reports
 `correct: false` stops the script before anything is written.
 """
 
@@ -18,12 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 RUN = ["python3", "perfbench/run.py", "--trace", "0"]
+SEEDS = list(range(500, 510))
 
 
 def head(checkout: Path) -> str:
@@ -36,9 +40,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(RUN + ["--workload", workload, "--seed", str(seed),
                                  "--seconds", str(seconds)],
                           cwd=checkout, text=True, capture_output=True)
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else None
-    if proc.returncode or result is None or result.get("correct") is not True:
+    result = None
+    if proc.returncode == 0:
+        try:
+            result = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, ValueError):
+            pass
+    if not isinstance(result, dict) or result.get("correct") is not True:
         raise SystemExit(f"{checkout}: {workload} seed {seed} was not correct "
                          f"(exit {proc.returncode}): {proc.stderr[-2000:]}")
     return result
@@ -80,35 +88,30 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=500)
-    ap.add_argument("--seconds", type=float, default=10)
-    ap.add_argument("--workload", action="append",
-                    help="a workload to run (default: every one)")
     ap.add_argument("--claim", help="workload:metric the change claims")
     ap.add_argument("--note", default="", help="what the change does")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"change": args.note, "parent_commit": head(sides["parent"]),
            "change_commit": head(sides["change"]),
            "command": "python3 perfbench/run.py --workload <w> --seed <s> "
-                      f"--seconds {args.seconds:g} --trace 0",
-           "protocol": f"{args.pairs} pairs per workload, parent and change on "
+                      f"--seconds {seconds:g} --trace 0",
+           "protocol": f"{len(SEEDS)} pairs per workload, parent and change on "
                        "the same seed in each pair, the side that runs first "
                        "alternating by pair; one run at a time; times are "
-                       "perfbench's scaled seconds",
+                       f"perfbench's scaled seconds; {os.cpu_count()} CPUs, "
+                       f"Python {platform.python_version()}",
            "workloads": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(run_once(sides[side], workload, seed, args.seconds))
+                runs[side].append(run_once(sides[side], workload, seed, seconds))
                 print(f"{workload} seed {seed} {side} done", file=sys.stderr)
         doc["workloads"][workload] = {
-            "pairs": len(seeds), "seeds": seeds,
+            "pairs": len(SEEDS), "seeds": SEEDS,
             "metrics": summarize(spec["end_to_end"], runs["parent"], runs["change"]),
             "correct": True}
     if args.claim:
