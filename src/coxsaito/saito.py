@@ -27,7 +27,9 @@ product, and so is d/dP_k of a matrix in every requested direction at once
 the flat connection of V, whose Christoffel symbols vanish in the
 coordinates X, so `nabla_D` applies D to each coefficient.  The invariant
 frame d/dP_j appears only where a theorem is stated in it: `verify`
-multiplies a coefficient column by J(P)^T there.
+multiplies a coefficient column by J(P)^T for Theorem 2.4 (2), and for
+Theorem 2.4 (1) and Proposition 2.6 only when their coordinate-frame
+identity fails.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ class SaitoContext:
     (nabla_D^t xi^(m)); the last two are filled from `xi_table`.  Every
     cached derivation is in the coordinate frame; J(P)^-1 serves the chain
     rule (`dp_matrix`), and J(P) the invariant-frame matrices that `verify`
-    forms for Theorem 2.4 and Proposition 2.6.
+    forms for Theorem 2.4 (2), and for Theorem 2.4 (1) and Proposition 2.6
+    only on the fallback of their coordinate-frame identity.
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
@@ -371,9 +374,10 @@ def nabla_D(theta: PolyDerivation, ctx: SaitoContext) -> PolyDerivation:
     return PolyDerivation(_apply_coeffs(ctx.jac_P_inv.entries[-1:], theta.coeffs)[0])
 
 
-def derivation_apply(theta: PolyDerivation, f, ctx: SaitoContext) -> FactoredFraction:
-    """theta(f) = sum_i c_i df/dX_i."""
-    return _apply_coeffs([theta.coeffs], [f])[0][0]
+def derivation_apply(row, fs, ctx: SaitoContext) -> tuple:
+    """theta(f) = sum_i c_i df/dX_i for every theta of the row of derivations
+    and every f in fs: one tuple per theta, one `_apply_coeffs` product."""
+    return _apply_coeffs([theta.coeffs for theta in row], fs)
 
 
 def derivation_bracket(theta: PolyDerivation, eta: PolyDerivation,

@@ -11,6 +11,9 @@ nabla_D powers and its contact orders along the hyperplanes come from the
 caches of `saito`, built once per context.  One polynomial identity decides
 `lemma22.13` for every k (`_raised_koszul`); the derivatives of G^-1 are
 taken only when it fails, for the standard Christoffel formula per k.
+`thm24.1`, `prop26` and `hodge.g0` are first tried by an identity that is
+sufficient for them and cheaper (see `_holds`); only when it does not hold
+does the check take its stated route, which alone gives status and witness.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from functools import cache
 from .coxeter import (anti_invariant_Q, first_moved, poincare_closed_form,
                       poincare_equal)
 from .errors import ConfigError, CoxsaitoError
+from .fraction import FactoredFraction
 from .matrix import Matrix, unit_power
 from .poly import MultiPoly
 from .saito import (SaitoContext, bk_matrix, christoffel_star, contact_defect,
@@ -120,6 +124,15 @@ def _first_nonzero(m: Matrix, what: str):
             if m[i, j]:
                 return False, f"entry ({i + 1},{j + 1}): {what} = {m[i, j].render()}"
     return True, None
+
+
+def _holds(identity) -> bool:
+    """Whether a sufficient identity holds.  An error while forming it counts
+    as not holding, so that the stated route raises it, in its own order."""
+    try:
+        return identity()
+    except CoxsaitoError:
+        return False
 
 
 # -- contact order -------------------------------------------------------------------
@@ -256,11 +269,8 @@ def check_lemma22(ctx: SaitoContext):
                                       for t in directions])
 
     @cache
-    def raised_identity() -> bool:
-        try:
-            return _raised_koszul(ctx.metric_G, raised(), dp_g())
-        except CoxsaitoError:  # left to the check of the failing k
-            return False
+    def raised_identity() -> bool:  # an error is left to the check of the failing k
+        return _holds(lambda: _raised_koszul(ctx.metric_G, raised(), dp_g()))
 
     for k in directions:
 
@@ -308,12 +318,29 @@ def check_lemma22(ctx: SaitoContext):
     return r.results
 
 
+def _columns(row) -> Matrix:
+    """Columns: the coordinate-frame coefficients of the derivations of row."""
+    return Matrix([theta.coeffs for theta in row]).transpose()
+
+
 def _nabla_matrix(m: int, t: int, ctx: SaitoContext) -> Matrix:
     """Columns: coefficients of nabla_D^t xi^(m)_j in the invariant frame, the
     one Theorem 2.4 and Proposition 2.6 are stated in: J(P)^T times the
-    coordinate-frame columns."""
-    columns = Matrix([theta.coeffs for theta in nabla_xi(m, t, ctx)]).transpose()
-    return (ctx.jac_P.transpose() * columns).simplify()
+    coordinate-frame columns.  On a passing run only `thm24.2` forms it;
+    `thm24.1` and `prop26` form it only when their coordinate-frame
+    identity does not hold."""
+    return (ctx.jac_P.transpose() * _columns(nabla_xi(m, t, ctx))).simplify()
+
+
+def _brackets_vanish(d, row, ctx: SaitoContext) -> bool:
+    """Whether [d, eta] = 0 for every eta of row, read on the basic
+    invariants: [d, eta](P_i) = d[eta(P_i)] - eta(d[P_i]).  Ingest certifies
+    det J(P) = c Q != 0 for these P_i, so a derivation is zero exactly when
+    it kills every P_i; J(P) is that of the invariants, not `ctx.jac_P`."""
+    polys = ctx.invariants.polys
+    values = derivation_apply(row, polys, ctx)  # eta_j(P_i)
+    moved = derivation_apply(row, derivation_apply([d], polys, ctx)[0], ctx)
+    return derivation_apply([d], sum(values, ()), ctx)[0] == sum(moved, ())
 
 
 def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
@@ -347,9 +374,20 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
         r.run(f"thm25.2/m={m}",
               "Theorem 2.5 (2): deg xi^(m)_j = kh resp. kh + m_j", degree_law)
 
+    # thm24.1/k and prop26/k hold in the invariant frame, J(P)^T L = J(P)^T R,
+    # whenever L = R holds for the coordinate-frame columns; both right sides
+    # start with -cols(xi^(2k-1)) (B^(k))^-1, in polynomials, built once per k
+    @cache
+    def lead(k):
+        inv = bk_matrix(k, ctx).inverse().map_entries(FactoredFraction.as_poly)
+        return -(xi_coefficient_matrix(2 * k - 1, ctx) * inv)
+
     for k in range(1, k_max + 1):
 
         def thm24_1(k=k):
+            if _holds(lambda: _columns(nabla_xi(2 * k + 1, 1, ctx))
+                      == lead(k) * bk_matrix(k + 1, ctx)):
+                return True, None
             lhs = _nabla_matrix(2 * k + 1, 1, ctx)
             step = bk_matrix(k, ctx).inverse() * bk_matrix(k + 1, ctx)
             rhs = (-(_nabla_matrix(2 * k - 1, 0, ctx) * step)).simplify()
@@ -362,6 +400,9 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
             return _cmp_matrices(lhs, rhs)
 
         def prop26(k=k):
+            if _holds(lambda: xi_coefficient_matrix(2 * k + 1, ctx)
+                      == lead(k) * ctx.metric_G):
+                return True, None
             lhs = _nabla_matrix(2 * k + 1, 0, ctx)
             step = bk_matrix(k, ctx).inverse() * ctx.metric_G
             rhs = (-(_nabla_matrix(2 * k - 1, 0, ctx) * step)).simplify()
@@ -387,8 +428,8 @@ def check_hodge(ctx: SaitoContext, p_max: int):
 
     def discriminant():
         q2 = q * q
-        for j, theta in enumerate(xi_basis(1, ctx)):
-            val = derivation_apply(theta, q2, ctx).as_poly()
+        for j, (value,) in enumerate(derivation_apply(xi_basis(1, ctx), [q2], ctx)):
+            val = value.as_poly()
             if val is None:
                 return False, f"xi^(1)_{j + 1}(Q^2) is not polynomial"
             if val.exact_divide(q2) is None:
@@ -410,6 +451,8 @@ def check_hodge(ctx: SaitoContext, p_max: int):
 
         def g0_membership(p=p):
             d = primitive_derivation(ctx)
+            if _holds(lambda: _brackets_vanish(d, nabla_xi(2 * p - 1, p, ctx), ctx)):
+                return True, None
             for j, eta in enumerate(nabla_xi(2 * p - 1, p, ctx)):
                 br = derivation_bracket(d, eta, ctx)
                 if not br.is_zero():

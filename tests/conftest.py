@@ -16,8 +16,10 @@ from coxsaito.invariants_io import (datum_to_json, ingest_invariants,
 from coxsaito.matrix import Matrix
 from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, build_context, christoffel_star,
-                            derivation_transform, dkx, dp_matrix, jdkx, nabla_D,
-                            xi_basis, xi_coefficient_matrix)
+                            derivation_bracket, derivation_transform, dkx,
+                            dp_matrix, jdkx, nabla_D, nabla_xi,
+                            primitive_derivation, xi_basis,
+                            xi_coefficient_matrix)
 from coxsaito.verify import _cmp_matrices, _Runner, run_suites
 
 _CONTEXTS: dict = {}
@@ -605,6 +607,53 @@ def per_k_lemma22(ctx):
           symmetry_identity)
     r.run("lemma22.4", "Lemma 2.2 (4): Gamma*_l = B^(1)",
           lambda: _cmp_matrices(christoffel_star(ell, ctx), saito.bk_matrix(1, ctx)))
+    return r.results
+
+
+def invariant_frame_matrix(m, t, ctx):
+    """J(P)^T times the coordinate-frame columns of nabla_D^t xi^(m),
+    simplified: the invariant-frame matrix Theorem 2.4 and Proposition 2.6
+    are stated in."""
+    columns = Matrix([theta.coeffs for theta in nabla_xi(m, t, ctx)]).transpose()
+    return (ctx.jac_P.transpose() * columns).simplify()
+
+
+def stated_route_checks(ctx, k_max, p_max):
+    """`thm24.1/k` and `prop26/k` for k <= k_max, then `hodge.g0/p` for
+    p <= p_max, each by the route its statement gives alone: both sides of
+    thm24.1 and prop26 in the invariant frame, and every bracket
+    [D, nabla_D^p xi^(2p-1)_j] in the coordinate frame.  The reference for
+    the sufficient identities `verify` tries first."""
+    r = _Runner()
+    for k in range(1, k_max + 1):
+
+        def thm24_1(k=k):
+            lhs = invariant_frame_matrix(2 * k + 1, 1, ctx)
+            step = saito.bk_matrix(k, ctx).inverse() * saito.bk_matrix(k + 1, ctx)
+            rhs = (-(invariant_frame_matrix(2 * k - 1, 0, ctx) * step)).simplify()
+            return _cmp_matrices(lhs, rhs)
+
+        def prop26(k=k):
+            lhs = invariant_frame_matrix(2 * k + 1, 0, ctx)
+            step = saito.bk_matrix(k, ctx).inverse() * ctx.metric_G
+            rhs = (-(invariant_frame_matrix(2 * k - 1, 0, ctx) * step)).simplify()
+            return _cmp_matrices(lhs, rhs)
+
+        r.run(f"thm24.1/k={k}", "", thm24_1)
+        r.run(f"prop26/k={k}", "", prop26)
+    for p in range(1, p_max + 1):
+
+        def g0_membership(p=p):
+            d = primitive_derivation(ctx)
+            for j, eta in enumerate(nabla_xi(2 * p - 1, p, ctx)):
+                br = derivation_bracket(d, eta, ctx)
+                if not br.is_zero():
+                    bad = next(c for c in br.coeffs if not c.simplify().is_zero())
+                    return False, (f"[D, nabla_D^{p} xi^({2 * p - 1})_{j + 1}] != 0: "
+                                   f"coefficient {bad.render()}")
+            return True, None
+
+        r.run(f"hodge.g0/p={p}", "", g0_membership)
     return r.results
 
 

@@ -62,3 +62,34 @@ def test_a_correct_run_is_returned(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: Done)
     assert bench_pairs.run_once(tmp_path, "q-rank3", 500, 10) == run(0.3)
+
+
+SPEC = {"run_seconds": 10, "workloads": [{"name": "q-rank3"}, {"name": "h3-file"}],
+        "end_to_end": END_TO_END}
+
+
+def test_a_claim_names_a_workload_and_a_metric():
+    assert bench_pairs.parse_claim("h3-file:ok_ratio", SPEC) == ("h3-file", "ok_ratio")
+
+
+@pytest.mark.parametrize("claim,message", [
+    ("q-rank3", "not of the form workload:metric"),
+    ("q-rank3:verify_s:x", "not of the form workload:metric"),
+    ("q-rank:verify_s", "workload 'q-rank' is not one of"),
+    ("q-rank3:verify", "metric 'verify' is not one of"),
+    (":verify_s", "workload '' is not one of"),
+    ("q-rank3:", "metric '' is not one of"),
+], ids=["no-colon", "two-colons", "workload", "metric", "no-workload", "no-metric"])
+def test_a_bad_claim_stops_the_script_before_the_first_run(claim, message, capsys,
+                                                           monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", refuse)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--pr", "0", "--claim", claim])
+    assert stop.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]

@@ -4,8 +4,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from conftest import (assert_same_form, fresh_context, h3_document,
-                      ladder_jdkx_inv, nabla_matrix_reference,
+from conftest import (accumulating_apply, assert_same_form, fresh_context,
+                      h3_document, ladder_jdkx_inv, nabla_matrix_reference,
                       nabla_power_reference, old_identity_accepts,
                       product_bk, reference_bracket,
                       reference_dkx, reference_dp_matrix, reference_nabla_xi,
@@ -86,11 +86,11 @@ def test_b2_metric(b2):
 def test_a1_primitive_derivation(a1):
     base = a1.q_base
     d = primitive_derivation(a1)
-    dx = derivation_apply(d, MultiPoly.variable(1, 0), a1)
+    ((dx,),) = derivation_apply([d], [MultiPoly.variable(1, 0)], a1)
     assert dx == FactoredFraction(MultiPoly.const(1, Fraction(1, 2)), base, 1)
-    d2x = derivation_apply(d, dx, a1)
+    ((d2x,),) = derivation_apply([d], [dx], a1)
     assert d2x == FactoredFraction(MultiPoly.const(1, Fraction(-1, 4)), base, 3)
-    d3x = derivation_apply(d, d2x, a1)
+    ((d3x,),) = derivation_apply([d], [d2x], a1)
     assert d3x == FactoredFraction(MultiPoly.const(1, Fraction(3, 8)), base, 5)
 
 
@@ -99,8 +99,8 @@ def test_a1_primitive_derivation(a1):
 def test_primitive_derivation_on_invariants(label, rank):
     d = build_datum(label, rank)
     ctx = build_context(d, builtin_invariants(d))
-    for i, p in enumerate(ctx.invariants.polys):
-        val = derivation_apply(primitive_derivation(ctx), p, ctx)
+    values = derivation_apply([primitive_derivation(ctx)], ctx.invariants.polys, ctx)
+    for i, val in enumerate(values[0]):
         expected = 1 if i == ctx.rank - 1 else 0
         assert val.as_poly() == MultiPoly.const(ctx.rank, expected, d.field)
 
@@ -169,8 +169,8 @@ def test_a1_invariant_frame_chain_rule(a1):
 def test_primitive_derivation_is_dual_to_invariants(b2):
     # D is d/dP_l: D(P_i) = delta_il, through its coordinate coefficients
     d = primitive_derivation(b2)
-    for i, p in enumerate(b2.invariants.polys):
-        assert derivation_apply(d, p, b2) == MultiPoly.const(2, int(i == 1))
+    for i, value in enumerate(derivation_apply([d], b2.invariants.polys, b2)[0]):
+        assert value == MultiPoly.const(2, int(i == 1))
 
 
 FRAME_GROUPS = pytest.mark.parametrize("label,rank", [
@@ -376,8 +376,19 @@ def test_h3_derivation_routes_match_accumulating_references(h3_context):
 def test_derivation_apply(a1):
     x = x1()
     xi1 = xi_basis(1, a1)[0]
-    val = derivation_apply(xi1, x * x, a1)
+    ((val,),) = derivation_apply([xi1], [x * x], a1)
     assert val.as_poly() == 4 * x * x
+
+
+def test_derivation_apply_takes_a_row_of_derivations(b2):
+    # one tuple per derivation, one value per function, each the value of
+    # the derivation applied alone
+    row = [*xi_basis(1, b2), primitive_derivation(b2)]
+    fs = [*b2.invariants.polys, dkx(1, b2)[0]]
+    values = derivation_apply(row, fs, b2)
+    assert len(values) == len(row) and all(len(v) == len(fs) for v in values)
+    for theta, got in zip(row, values):
+        assert list(got) == [accumulating_apply(theta.coeffs, f) for f in fs]
 
 
 def test_derivation_transform_fixes_xi(b2):
@@ -737,8 +748,9 @@ def test_invariant_frame_columns_are_values(group_context, label, rank):
     for m in (1, 3):
         mat = _nabla_matrix(m, 0, ctx)
         for j, theta in enumerate(xi_basis(m, ctx)):
-            for i, p in enumerate(ctx.invariants.polys):
-                assert mat[i, j] == derivation_apply(theta, p, ctx), (m, i, j)
+            values = derivation_apply([theta], ctx.invariants.polys, ctx)[0]
+            for i, value in enumerate(values):
+                assert mat[i, j] == value, (m, i, j)
 
 
 def test_poly_coeffs_raises_on_fractions(a1):

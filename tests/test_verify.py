@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from conftest import (fresh_context, levi_civita_star, per_k_lemma22,
                       reference_contact_defect, shared_context, shared_report,
-                      with_entry)
+                      stated_route_checks, with_entry)
 
 from coxsaito import saito, verify
 from coxsaito.coxeter import anti_invariant_Q, build_datum, validate_invariants
@@ -12,7 +12,8 @@ from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
                             christoffel_star, contact_defect, derivation_apply,
-                            dkx, xi_basis)
+                            derivation_bracket, dkx, nabla_xi,
+                            primitive_derivation, xi_basis)
 from coxsaito.verify import (CheckReport, check_flat_remark, check_hodge,
                              check_lemma21, check_lemma22, check_metric,
                              check_thm24_thm25_prop26, run_suites)
@@ -467,7 +468,8 @@ def test_tampered_xi1_fails_disc_with_q_once_but_not_twice():
     assert disc.witness == ("xi^(1)_1(Q^2) = 16*x^6*y^2-32*x^4*y^4+16*x^2*y^6"
                             "+6*x^5*y^2-8*x^3*y^4+2*x*y^6 not in Q^2 R")
     q = anti_invariant_Q(ctx.datum)
-    value = derivation_apply(tampered, q * q, ctx).as_poly()
+    ((value,),) = derivation_apply([tampered], [q * q], ctx)
+    value = value.as_poly()
     assert value.exact_divide(q) is not None
 
 
@@ -478,20 +480,119 @@ G0_WITNESSES = {
 }
 
 
+def _scale_xi1_by_p_ell(ctx):
+    """xi^(1)_1 replaced by P_l xi^(1)_1."""
+    xis = xi_basis(1, ctx)
+    p_ell = ctx.invariants.polys[-1]
+    ctx.xi_table[1] = [PolyDerivation([c * p_ell for c in xis[0].coeffs]), *xis[1:]]
+
+
 @pytest.mark.parametrize("label,rank", list(G0_WITNESSES))
 def test_xi1_scaled_by_p_ell_fails_g0_and_poincare(label, rank):
     # P_l xi^(1)_1 keeps W-invariance and contact order, but D[P_l] = 1, so
     # [D, nabla_D (P_l xi^(1)_1)] = nabla_D xi^(1)_1 is not zero; its degree
     # moves by deg P_l, which the Poincare series sees
     ctx = fresh_context(label, rank)
-    xis = xi_basis(1, ctx)
-    p_ell = ctx.invariants.polys[-1]
-    scaled = PolyDerivation([c * p_ell for c in xis[0].coeffs])
-    ctx.xi_table[1] = [scaled, *xis[1:]]
+    _scale_xi1_by_p_ell(ctx)
     failed = {r.name: r.witness for r in check_hodge(ctx, 1) if r.status != "pass"}
     assert set(failed) == {"hodge.g0/p=1", "hodge.poincare/p=1"}
     assert failed["hodge.g0/p=1"] == ("[D, nabla_D^1 xi^(1)_1] != 0: "
                                       + G0_WITNESSES[(label, rank)])
+
+
+def _perturb_xi(m, delta):
+    """Tamper: delta(ctx) added to the first coefficient of xi^(m)_1."""
+    def tamper(ctx):
+        xis = xi_basis(m, ctx)
+        first = xis[0].coeffs
+        ctx.xi_table[m] = [PolyDerivation([first[0] + delta(ctx), *first[1:]]),
+                           *xis[1:]]
+    return tamper
+
+
+def _plus_bk2(ctx):
+    bk = bk_matrix(2, ctx)
+    ctx.bk_table[2] = with_entry(bk, 0, 0, bk[0, 0] + _one(ctx))
+
+
+# jac_P.11+1 and jac_P_inv/D.l1+1 are the tamper kinds "jac_P" and
+# "jac_P_inv/D" of test_saito.py
+STATED_ROUTE_TAMPERINGS = {
+    "none": lambda ctx: None,
+    "xi3.11+x1": _perturb_xi(3, _x1),
+    "xi3.11+D[x1]": _perturb_xi(3, lambda ctx: dkx(1, ctx)[0]),
+    "bk_table[2].11+1": _plus_bk2,
+    "jac_P.11+1": _plus_at("jac_P", 0, 0, _one),
+    "jac_P_inv/D.l1+1": _plus_at("jac_P_inv", -1, 0, _one),
+    "G.12+1": _plus_at("metric_G", 0, 1, _one),
+    "xi1.1*P_l": _scale_xi1_by_p_ell,
+}
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
+@pytest.mark.parametrize("tamper", list(STATED_ROUTE_TAMPERINGS))
+def test_identities_report_as_the_stated_routes(label, rank, tamper):
+    # thm24.1, prop26 and hodge.g0 pass by a sufficient identity or else take
+    # their stated route: on every tampering the names, statuses, witnesses
+    # and integrity flags are those of the stated routes alone
+    got, want = fresh_context(label, rank), fresh_context(label, rank)
+    STATED_ROUTE_TAMPERINGS[tamper](got)
+    STATED_ROUTE_TAMPERINGS[tamper](want)
+    results = check_thm24_thm25_prop26(got, 3, 0) + check_hodge(got, 3)
+    by_name = {r.name: r for r in results}
+    reference = stated_route_checks(want, 3, 3)
+    strip = lambda r: (r.name, r.status, r.witness, r.integrity)
+    assert [strip(by_name[r.name]) for r in reference] == [strip(r) for r in reference]
+    assert (tamper == "none") == all(r.status == "pass" for r in reference)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
+def test_brackets_vanish_decides_as_the_bracket(label, rank):
+    # the fields d/dP_k, the rows of J(P)^-1, commute with D = d/dP_l; the
+    # Euler field E does not, [E, d/dP_k] = -deg P_k d/dP_k, and the values on
+    # the invariants see it only through d/dP_k(E[P_i]), since d/dP_k(P_i)
+    # is constant
+    ctx = shared_context(label, rank)
+    fields = [PolyDerivation(row) for row in ctx.jac_P_inv.entries]
+    euler = PolyDerivation([MultiPoly.variable(ctx.rank, i, ctx.datum.field)
+                            for i in range(ctx.rank)])
+    for d, vanish in ((primitive_derivation(ctx), True), (euler, False)):
+        for eta in fields:
+            assert derivation_bracket(d, eta, ctx).is_zero() == vanish
+            assert verify._brackets_vanish(d, [eta], ctx) == vanish
+
+
+def _spy_stated_routes(monkeypatch):
+    """The eta of every bracket [D, eta] and the (m, t) of every
+    invariant-frame matrix that `verify` forms from now on."""
+    brackets, frames = [], []
+    bracket, frame = verify.derivation_bracket, verify._nabla_matrix
+    monkeypatch.setattr(verify, "derivation_bracket",
+                        lambda d, eta, ctx: brackets.append(eta) or bracket(d, eta, ctx))
+    monkeypatch.setattr(verify, "_nabla_matrix",
+                        lambda m, t, ctx: frames.append((m, t)) or frame(m, t, ctx))
+    return brackets, frames
+
+
+def test_passing_run_forms_no_bracket_and_only_the_thm24_2_frames(monkeypatch):
+    # a passing A3 run at the CLI defaults takes no bracket, and J(P)^T is
+    # formed only for thm24.2/k, nabla_D^k xi^(2k-1)
+    brackets, frames = _spy_stated_routes(monkeypatch)
+    assert not run_suites(fresh_context("A", 3), "all", 3, 7, 3).failed
+    assert brackets == []
+    assert frames == [(1, 1), (3, 2), (5, 3)]
+    # with P_l xi^(1)_1 the stated routes run exactly for the failing checks:
+    # one bracket, [D, nabla_D xi^(1)_1], for hodge.g0/p=1, and the frames of
+    # thm24.1/k=1 and prop26/k=1 besides those of thm24.2
+    ctx = fresh_context("A", 3)
+    _scale_xi1_by_p_ell(ctx)
+    frames.clear()
+    report = run_suites(ctx, "all", 3, 7, 3)
+    assert {r.name for r in report.results if r.status == "fail"} == {
+        "thm25.basis/m=1", "thm25.2/m=1", "thm24.1/k=1", "thm24.2/k=1",
+        "prop26/k=1", "hodge.g0/p=1", "hodge.poincare/p=1"}
+    assert brackets == [nabla_xi(1, 1, ctx)[0]]
+    assert frames == [(3, 1), (1, 0), (1, 1), (3, 0), (1, 0), (3, 2), (5, 3)]
 
 
 def test_hodge_builds_each_substitution_power_once(power_products):

@@ -12,7 +12,9 @@ runs first alternates from pair to pair.  The file records both
 machine, and, per workload and end-to-end metric, the medians and
 interquartile ranges of the two sides and the number of pairs in which the
 change was better and worse, by the metric's `better` direction.  A run that exits non-zero, prints no result or reports
-`correct: false` stops the script before anything is written.
+`correct: false` stops the script before anything is written.  A `--claim`
+that is not `workload:metric`, with a workload and an end-to-end metric of
+`BENCHMARK.json`, stops it before the first run.
 """
 
 from __future__ import annotations
@@ -83,6 +85,22 @@ def summarize(end_to_end, parent_runs, change_runs) -> dict:
     return out
 
 
+def parse_claim(claim: str, spec: dict) -> tuple[str, str]:
+    """(workload, metric) of a `workload:metric` claim; ValueError unless the
+    workload is one of spec's `workloads` and the metric one of its
+    `end_to_end` metrics."""
+    parts = claim.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"--claim {claim!r} is not of the form workload:metric")
+    workload, metric = parts
+    for what, name, key in (("workload", workload, "workloads"),
+                            ("metric", metric, "end_to_end")):
+        names = [entry["name"] for entry in spec[key]]
+        if name not in names:
+            raise ValueError(f"--claim {what} {name!r} is not one of {names}")
+    return workload, metric
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -92,6 +110,10 @@ def main(argv=None) -> int:
     ap.add_argument("--note", default="", help="what the change does")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    try:
+        claim = parse_claim(args.claim, spec) if args.claim else None
+    except ValueError as exc:
+        ap.error(str(exc))
     seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"change": args.note, "parent_commit": head(sides["parent"]),
@@ -114,8 +136,8 @@ def main(argv=None) -> int:
             "pairs": len(SEEDS), "seeds": SEEDS,
             "metrics": summarize(spec["end_to_end"], runs["parent"], runs["change"]),
             "correct": True}
-    if args.claim:
-        workload, metric = args.claim.split(":")
+    if claim:
+        workload, metric = claim
         row = doc["workloads"][workload]["metrics"][metric]
         doc["claim"] = {"workload": workload, "metric": metric,
                         **{key: row[key] for key in ("parent_median", "change_median",
