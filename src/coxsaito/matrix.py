@@ -5,9 +5,10 @@ memoized Laplace table of minors (`MinorTable`) gives both the determinant and
 the adjugate.  The one inverse is that of a polynomial matrix whose
 determinant is certified to be c * q^e for a given denominator base q (a
 nonzero constant c without one; `unit_power`): the adjugate times c^-1 over
-q^e, every entry exact.  Scalar matrices -- Gram and reflection matrices -- are matrices
-of constant polynomials (`Matrix.from_scalars`), so they share the same
-product, equality and determinant.
+q^e, every entry exact, and a polynomial matrix without a base.  Scalar
+matrices -- Gram and reflection matrices -- are matrices of constant
+polynomials (`Matrix.from_scalars`), so they share the same product,
+equality and determinant.
 
 A product entry sum_t a_it b_tj is one packed sum of products, read back
 once (`poly.sum_of_products`; `fraction.fraction_sum_of_products` when a
@@ -149,16 +150,17 @@ class Matrix:
 
         The determinant is certified to be c * q^e with c a nonzero constant
         and q the base's polynomial (c alone without a base); the entries are
-        (adj * c^-1) / q^e.  Any other determinant raises NonPolynomialEntry.
+        (adj * c^-1) / q^e, and without a base the polynomials adj * c^-1.
+        Any other determinant raises NonPolynomialEntry.
         """
         if self.is_fraction_mode:
             raise TypeError("only polynomial matrices are inverted")
         table = MinorTable(self)
         det = table.det()
         c, e = unit_power(det, base)
-        inv = det.field.invert(c)
-        return table.adjugate().map_entries(
-            lambda a: FactoredFraction(a * inv, base, e))
+        inv = table.adjugate() * det.field.invert(c)
+        return inv if base is None else inv.map_entries(
+            lambda a: FactoredFraction(a, base, e))
 
     def __repr__(self):
         body = "; ".join(", ".join(e.render() for e in row) for row in self.entries)

@@ -27,9 +27,8 @@ product, and so is d/dP_k of a matrix in every requested direction at once
 the flat connection of V, whose Christoffel symbols vanish in the
 coordinates X, so `nabla_D` applies D to each coefficient.  The invariant
 frame d/dP_j appears only where a theorem is stated in it: `verify`
-multiplies a coefficient column by J(P)^T for Theorem 2.4 (2), and for
-Theorem 2.4 (1) and Proposition 2.6 only when their coordinate-frame
-identity fails.
+multiplies coefficient columns by J(P)^T for Theorem 2.4 (2), and for
+Theorem 2.4 (1) and Proposition 2.6 only when their two sides differ.
 """
 
 from __future__ import annotations
@@ -107,9 +106,7 @@ class SaitoContext:
     `contact_table` (`contact_defect`), and by (m, t) for `nabla_xi_table`
     (nabla_D^t xi^(m)); the last two are filled from `xi_table`.  Every
     cached derivation is in the coordinate frame; J(P)^-1 serves the chain
-    rule (`dp_matrix`), and J(P) the invariant-frame matrices that `verify`
-    forms for Theorem 2.4 (2), and for Theorem 2.4 (1) and Proposition 2.6
-    only on the fallback of their coordinate-frame identity.
+    rule (`dp_matrix`), and J(P) the invariant-frame matrices of `verify`.
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",

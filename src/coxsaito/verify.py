@@ -11,9 +11,10 @@ nabla_D powers and its contact orders along the hyperplanes come from the
 caches of `saito`, built once per context.  One polynomial identity decides
 `lemma22.13` for every k (`_raised_koszul`); the derivatives of G^-1 are
 taken only when it fails, for the standard Christoffel formula per k.
-`thm24.1`, `prop26` and `hodge.g0` are first tried by an identity that is
-sufficient for them and cheaper (see `_holds`); only when it does not hold
-does the check take its stated route, which alone gives status and witness.
+`thm24.1` and `prop26` compare their two sides in the coordinate frame and
+map them to the invariant frame they are stated in only when they differ
+(`_cmp_invariant_frame`); `hodge.g0` reads each bracket [D, eta] on the basic
+invariants and forms only the first that does not vanish (`_first_moving`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from functools import cache
 from .coxeter import (anti_invariant_Q, first_moved, poincare_closed_form,
                       poincare_equal)
 from .errors import ConfigError, CoxsaitoError
-from .fraction import FactoredFraction
 from .matrix import Matrix, unit_power
 from .poly import MultiPoly
 from .saito import (SaitoContext, bk_matrix, christoffel_star, contact_defect,
@@ -124,15 +124,6 @@ def _first_nonzero(m: Matrix, what: str):
             if m[i, j]:
                 return False, f"entry ({i + 1},{j + 1}): {what} = {m[i, j].render()}"
     return True, None
-
-
-def _holds(identity) -> bool:
-    """Whether a sufficient identity holds.  An error while forming it counts
-    as not holding, so that the stated route raises it, in its own order."""
-    try:
-        return identity()
-    except CoxsaitoError:
-        return False
 
 
 # -- contact order -------------------------------------------------------------------
@@ -270,7 +261,10 @@ def check_lemma22(ctx: SaitoContext):
 
     @cache
     def raised_identity() -> bool:  # an error is left to the check of the failing k
-        return _holds(lambda: _raised_koszul(ctx.metric_G, raised(), dp_g()))
+        try:
+            return _raised_koszul(ctx.metric_G, raised(), dp_g())
+        except CoxsaitoError:
+            return False
 
     for k in directions:
 
@@ -319,28 +313,46 @@ def check_lemma22(ctx: SaitoContext):
 
 
 def _columns(row) -> Matrix:
-    """Columns: the coordinate-frame coefficients of the derivations of row."""
-    return Matrix([theta.coeffs for theta in row]).transpose()
+    """Columns: the coordinate-frame coefficients of the derivations of row,
+    polynomials where no power of q is left."""
+    return Matrix([[c if c.exp else c.numerator for c in theta.coeffs]
+                   for theta in row]).transpose()
+
+
+def _invariant_frame(columns: Matrix, ctx: SaitoContext) -> Matrix:
+    """J(P)^T times coordinate-frame columns, simplified: the frame d/dP_j
+    that Theorem 2.4 and Proposition 2.6 are stated in."""
+    return (ctx.jac_P.transpose() * columns).simplify()
 
 
 def _nabla_matrix(m: int, t: int, ctx: SaitoContext) -> Matrix:
-    """Columns: coefficients of nabla_D^t xi^(m)_j in the invariant frame, the
-    one Theorem 2.4 and Proposition 2.6 are stated in: J(P)^T times the
-    coordinate-frame columns.  On a passing run only `thm24.2` forms it;
-    `thm24.1` and `prop26` form it only when their coordinate-frame
-    identity does not hold."""
-    return (ctx.jac_P.transpose() * _columns(nabla_xi(m, t, ctx))).simplify()
+    """Columns: coefficients of nabla_D^t xi^(m)_j in the invariant frame; on
+    a passing run only `thm24.2` forms it."""
+    return _invariant_frame(_columns(nabla_xi(m, t, ctx)), ctx)
 
 
-def _brackets_vanish(d, row, ctx: SaitoContext) -> bool:
-    """Whether [d, eta] = 0 for every eta of row, read on the basic
-    invariants: [d, eta](P_i) = d[eta(P_i)] - eta(d[P_i]).  Ingest certifies
-    det J(P) = c Q != 0 for these P_i, so a derivation is zero exactly when
-    it kills every P_i; J(P) is that of the invariants, not `ctx.jac_P`."""
-    polys = ctx.invariants.polys
+def _cmp_invariant_frame(lhs: Matrix, rhs: Matrix, ctx: SaitoContext):
+    """`_cmp_matrices` of J(P)^T lhs and J(P)^T rhs, for coordinate-frame
+    columns; the products are formed only when lhs != rhs, since equal
+    columns stay equal.  A simplified num / q^e is canonical, so the witness
+    is that of the two invariant-frame sides however they were grouped."""
+    if lhs == rhs:
+        return True, None
+    return _cmp_matrices(_invariant_frame(lhs, ctx), _invariant_frame(rhs, ctx))
+
+
+def _first_moving(d, row, ctx: SaitoContext):
+    """The index of the first eta of row with [d, eta] != 0, or None, read on
+    the basic invariants: [d, eta](P_i) = d[eta(P_i)] - eta(d[P_i]).  Ingest
+    certifies det J(P) = c Q != 0 for these P_i, so a derivation is zero
+    exactly when it kills every P_i; J(P) is that of the invariants, not
+    `ctx.jac_P`."""
+    polys, n = ctx.invariants.polys, len(ctx.invariants.polys)
     values = derivation_apply(row, polys, ctx)  # eta_j(P_i)
     moved = derivation_apply(row, derivation_apply([d], polys, ctx)[0], ctx)
-    return derivation_apply([d], sum(values, ()), ctx)[0] == sum(moved, ())
+    applied = derivation_apply([d], sum(values, ()), ctx)[0]
+    return next((j for j, v in enumerate(moved) if applied[j * n:(j + 1) * n] != v),
+                None)
 
 
 def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
@@ -374,24 +386,18 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
         r.run(f"thm25.2/m={m}",
               "Theorem 2.5 (2): deg xi^(m)_j = kh resp. kh + m_j", degree_law)
 
-    # thm24.1/k and prop26/k hold in the invariant frame, J(P)^T L = J(P)^T R,
-    # whenever L = R holds for the coordinate-frame columns; both right sides
-    # start with -cols(xi^(2k-1)) (B^(k))^-1, in polynomials, built once per k
+    # the right sides of thm24.1/k and prop26/k, in the coordinate frame,
+    # share -cols(xi^(2k-1)) (B^(k))^-1, in polynomials, built once per k
     @cache
     def lead(k):
-        inv = bk_matrix(k, ctx).inverse().map_entries(FactoredFraction.as_poly)
-        return -(xi_coefficient_matrix(2 * k - 1, ctx) * inv)
+        inv = bk_matrix(k, ctx).inverse()
+        return -(_columns(nabla_xi(2 * k - 1, 0, ctx)) * inv)
 
     for k in range(1, k_max + 1):
 
         def thm24_1(k=k):
-            if _holds(lambda: _columns(nabla_xi(2 * k + 1, 1, ctx))
-                      == lead(k) * bk_matrix(k + 1, ctx)):
-                return True, None
-            lhs = _nabla_matrix(2 * k + 1, 1, ctx)
-            step = bk_matrix(k, ctx).inverse() * bk_matrix(k + 1, ctx)
-            rhs = (-(_nabla_matrix(2 * k - 1, 0, ctx) * step)).simplify()
-            return _cmp_matrices(lhs, rhs)
+            lhs = _columns(nabla_xi(2 * k + 1, 1, ctx))
+            return _cmp_invariant_frame(lhs, lead(k) * bk_matrix(k + 1, ctx), ctx)
 
         def thm24_2(k=k):
             lhs = _nabla_matrix(2 * k - 1, k, ctx)
@@ -400,13 +406,8 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
             return _cmp_matrices(lhs, rhs)
 
         def prop26(k=k):
-            if _holds(lambda: xi_coefficient_matrix(2 * k + 1, ctx)
-                      == lead(k) * ctx.metric_G):
-                return True, None
-            lhs = _nabla_matrix(2 * k + 1, 0, ctx)
-            step = bk_matrix(k, ctx).inverse() * ctx.metric_G
-            rhs = (-(_nabla_matrix(2 * k - 1, 0, ctx) * step)).simplify()
-            return _cmp_matrices(lhs, rhs)
+            lhs = _columns(nabla_xi(2 * k + 1, 0, ctx))
+            return _cmp_invariant_frame(lhs, lead(k) * ctx.metric_G, ctx)
 
         r.run(f"thm24.1/k={k}",
               "Theorem 2.4 (1): nabla_D xi^(2k+1) row = "
@@ -451,15 +452,14 @@ def check_hodge(ctx: SaitoContext, p_max: int):
 
         def g0_membership(p=p):
             d = primitive_derivation(ctx)
-            if _holds(lambda: _brackets_vanish(d, nabla_xi(2 * p - 1, p, ctx), ctx)):
+            row = nabla_xi(2 * p - 1, p, ctx)
+            j = _first_moving(d, row, ctx)
+            if j is None:
                 return True, None
-            for j, eta in enumerate(nabla_xi(2 * p - 1, p, ctx)):
-                br = derivation_bracket(d, eta, ctx)
-                if not br.is_zero():
-                    bad = next(c for c in br.coeffs if not c.simplify().is_zero())
-                    return False, (f"[D, nabla_D^{p} xi^({2 * p - 1})_{j + 1}] != 0: "
-                                   f"coefficient {bad.render()}")
-            return True, None
+            br = derivation_bracket(d, row[j], ctx)
+            bad = next(c for c in br.coeffs if not c.simplify().is_zero())
+            return False, (f"[D, nabla_D^{p} xi^({2 * p - 1})_{j + 1}] != 0: "
+                           f"coefficient {bad.render()}")
 
         def poincare(p=p):
             # computed: deg xi^(2p-1)_j over deg P_1..P_(l-1) and h = 2N/l

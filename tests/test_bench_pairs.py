@@ -26,6 +26,8 @@ def test_summary_counts_pairs_by_direction_and_takes_medians():
                                      (0.29, 1.0), (0.41, 1.0))]
     got = bench_pairs.summarize(END_TO_END, parent, change)
     assert got["verify_s"] == {
+        "parent_values": [0.4, 0.38, 0.42, 0.39, 0.41],
+        "change_values": [0.3, 0.39, 0.31, 0.29, 0.41],
         "parent_median": 0.4, "change_median": 0.31,
         "parent_iqr": 0.03, "change_iqr": 0.105,
         "pairs_change_better": 3, "pairs_change_worse": 1}
@@ -93,3 +95,33 @@ def test_a_bad_claim_stops_the_script_before_the_first_run(claim, message, capsy
     assert stop.value.code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
+
+
+@pytest.mark.parametrize("claim", [None, "h3-file:verify_s"])
+def test_the_file_holds_every_pair_and_a_null_claim_without_one(claim, monkeypatch,
+                                                                tmp_path):
+    # each side's per-pair values are written for every metric, so a change
+    # without a claim still shows, run by run, that no metric regressed
+    values = iter(range(1, 1 + 2 * len(SPEC["workloads"]) * len(bench_pairs.SEEDS)))
+    monkeypatch.setattr(bench_pairs, "head", lambda checkout: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, w, seed, seconds: run(next(values) / 100))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pr", "0"]
+    assert bench_pairs.main(argv + (["--claim", claim] if claim else [])) == 0
+    doc = json.loads((tmp_path / "BENCH_0.json").read_text())
+    metrics = doc["workloads"]["q-rank3"]["metrics"]
+    # the side that runs first alternates: parent, change, then change, parent
+    assert metrics["verify_s"]["parent_values"][:2] == [0.01, 0.04]
+    assert metrics["verify_s"]["change_values"][:2] == [0.02, 0.03]
+    for workload in doc["workloads"].values():
+        for row in workload["metrics"].values():
+            assert len(row["parent_values"]) == len(row["change_values"]) == 10
+    assert "claim" in doc
+    if claim is None:
+        assert doc["claim"] is None
+    else:
+        assert doc["claim"]["workload"] == "h3-file"
+        # the canned values grow run by run: the change is better exactly
+        # in the five pairs it runs first
+        assert doc["claim"]["pairs_change_better"] == 5

@@ -63,8 +63,7 @@ def hk(k, ctx):
     nonzero constant, so H_k is a polynomial matrix."""
     h = Matrix.identity(ctx.rank, ctx.rank, ctx.datum.field)
     for i in range(1, k + 1):
-        step = -(h * bk_matrix(i, ctx).inverse() * ctx.metric_G)
-        h = step.map_entries(lambda e: e.as_poly())
+        h = -(h * bk_matrix(i, ctx).inverse() * ctx.metric_G)
     return h
 
 

@@ -529,18 +529,33 @@ STATED_ROUTE_TAMPERINGS = {
 }
 
 
-@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
+# the groups of the differential test, with their k_max = p_max: H3 is a fresh
+# context from the session's H3 file
+STATED_ROUTE_GROUPS = {("B", 2): 3, ("A", 3): 3, ("I2", 5): 3, ("D", 3): 3,
+                       ("H3", 3): 1}
+
+
+def _fresh_group_context(label, rank, request):
+    if label == "H3":
+        h3 = request.getfixturevalue("h3_context")
+        return build_context(h3.datum, h3.invariants)
+    return fresh_context(label, rank)
+
+
+@pytest.mark.parametrize("label,rank", list(STATED_ROUTE_GROUPS))
 @pytest.mark.parametrize("tamper", list(STATED_ROUTE_TAMPERINGS))
-def test_identities_report_as_the_stated_routes(label, rank, tamper):
-    # thm24.1, prop26 and hodge.g0 pass by a sufficient identity or else take
-    # their stated route: on every tampering the names, statuses, witnesses
-    # and integrity flags are those of the stated routes alone
-    got, want = fresh_context(label, rank), fresh_context(label, rank)
+def test_identities_report_as_the_stated_routes(label, rank, tamper, request):
+    # thm24.1 and prop26 compare in the coordinate frame and hodge.g0 reads
+    # its brackets on the invariants: on every tampering the names, statuses,
+    # witnesses and integrity flags are those of the stated routes
+    n = STATED_ROUTE_GROUPS[(label, rank)]
+    got = _fresh_group_context(label, rank, request)
+    want = _fresh_group_context(label, rank, request)
     STATED_ROUTE_TAMPERINGS[tamper](got)
     STATED_ROUTE_TAMPERINGS[tamper](want)
-    results = check_thm24_thm25_prop26(got, 3, 0) + check_hodge(got, 3)
+    results = check_thm24_thm25_prop26(got, n, 0) + check_hodge(got, n)
     by_name = {r.name: r for r in results}
-    reference = stated_route_checks(want, 3, 3)
+    reference = stated_route_checks(want, n, n)
     strip = lambda r: (r.name, r.status, r.witness, r.integrity)
     assert [strip(by_name[r.name]) for r in reference] == [strip(r) for r in reference]
     assert (tamper == "none") == all(r.status == "pass" for r in reference)
@@ -554,36 +569,44 @@ def test_brackets_vanish_decides_as_the_bracket(label, rank):
     # is constant
     ctx = shared_context(label, rank)
     fields = [PolyDerivation(row) for row in ctx.jac_P_inv.entries]
+    d = primitive_derivation(ctx)
     euler = PolyDerivation([MultiPoly.variable(ctx.rank, i, ctx.datum.field)
                             for i in range(ctx.rank)])
-    for d, vanish in ((primitive_derivation(ctx), True), (euler, False)):
+    for theta, vanish in ((d, True), (euler, False)):
         for eta in fields:
-            assert derivation_bracket(d, eta, ctx).is_zero() == vanish
-            assert verify._brackets_vanish(d, [eta], ctx) == vanish
+            assert derivation_bracket(theta, eta, ctx).is_zero() == vanish
+            assert verify._first_moving(theta, [eta], ctx) == (None if vanish else 0)
+    # [D, d/dP_1] = 0 and [D, E] = -deg(D) D != 0: the first that moves is E
+    assert not derivation_bracket(d, euler, ctx).is_zero()
+    assert verify._first_moving(d, [fields[0], euler], ctx) == 1
+    assert verify._first_moving(d, fields, ctx) is None
 
 
-def _spy_stated_routes(monkeypatch):
-    """The eta of every bracket [D, eta] and the (m, t) of every
-    invariant-frame matrix that `verify` forms from now on."""
-    brackets, frames = [], []
-    bracket, frame = verify.derivation_bracket, verify._nabla_matrix
-    monkeypatch.setattr(verify, "derivation_bracket",
-                        lambda d, eta, ctx: brackets.append(eta) or bracket(d, eta, ctx))
-    monkeypatch.setattr(verify, "_nabla_matrix",
-                        lambda m, t, ctx: frames.append((m, t)) or frame(m, t, ctx))
+def _spy_products(monkeypatch):
+    """The name of the check that forms each bracket [D, eta] and each
+    invariant-frame matrix J(P)^T M in `verify` from now on."""
+    checks, brackets, frames = [], [], []
+    run, bracket, frame = verify._Runner.run, verify.derivation_bracket, \
+        verify._invariant_frame
+    monkeypatch.setattr(verify._Runner, "run", lambda self, name, ref, fn:
+                        checks.append(name) or run(self, name, ref, fn))
+    monkeypatch.setattr(verify, "derivation_bracket", lambda d, eta, ctx:
+                        brackets.append((checks[-1], eta)) or bracket(d, eta, ctx))
+    monkeypatch.setattr(verify, "_invariant_frame", lambda m, ctx:
+                        frames.append(checks[-1]) or frame(m, ctx))
     return brackets, frames
 
 
 def test_passing_run_forms_no_bracket_and_only_the_thm24_2_frames(monkeypatch):
     # a passing A3 run at the CLI defaults takes no bracket, and J(P)^T is
     # formed only for thm24.2/k, nabla_D^k xi^(2k-1)
-    brackets, frames = _spy_stated_routes(monkeypatch)
+    brackets, frames = _spy_products(monkeypatch)
     assert not run_suites(fresh_context("A", 3), "all", 3, 7, 3).failed
     assert brackets == []
-    assert frames == [(1, 1), (3, 2), (5, 3)]
-    # with P_l xi^(1)_1 the stated routes run exactly for the failing checks:
-    # one bracket, [D, nabla_D xi^(1)_1], for hodge.g0/p=1, and the frames of
-    # thm24.1/k=1 and prop26/k=1 besides those of thm24.2
+    assert frames == ["thm24.2/k=1", "thm24.2/k=2", "thm24.2/k=3"]
+    # with P_l xi^(1)_1 one bracket is formed, [D, nabla_D xi^(1)_1] for the
+    # witness of hodge.g0/p=1, and besides thm24.2 only the failing
+    # thm24.1/k=1 and prop26/k=1 map their two sides to the invariant frame
     ctx = fresh_context("A", 3)
     _scale_xi1_by_p_ell(ctx)
     frames.clear()
@@ -591,8 +614,9 @@ def test_passing_run_forms_no_bracket_and_only_the_thm24_2_frames(monkeypatch):
     assert {r.name for r in report.results if r.status == "fail"} == {
         "thm25.basis/m=1", "thm25.2/m=1", "thm24.1/k=1", "thm24.2/k=1",
         "prop26/k=1", "hodge.g0/p=1", "hodge.poincare/p=1"}
-    assert brackets == [nabla_xi(1, 1, ctx)[0]]
-    assert frames == [(3, 1), (1, 0), (1, 1), (3, 0), (1, 0), (3, 2), (5, 3)]
+    assert brackets == [("hodge.g0/p=1", nabla_xi(1, 1, ctx)[0])]
+    assert frames == ["thm24.1/k=1", "thm24.1/k=1", "thm24.2/k=1", "prop26/k=1",
+                      "prop26/k=1", "thm24.2/k=2", "thm24.2/k=3"]
 
 
 def test_hodge_builds_each_substitution_power_once(power_products):

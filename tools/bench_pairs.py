@@ -9,12 +9,14 @@ the script runs `perfbench/run.py --trace 0` for the benchmark's
 `run_seconds` once in each checkout, one run at a time; the checkout that
 runs first alternates from pair to pair.  The file records both
 `git rev-parse HEAD` values, the Python version and CPU count of the
-machine, and, per workload and end-to-end metric, the medians and
-interquartile ranges of the two sides and the number of pairs in which the
-change was better and worse, by the metric's `better` direction.  A run that exits non-zero, prints no result or reports
-`correct: false` stops the script before anything is written.  A `--claim`
-that is not `workload:metric`, with a workload and an end-to-end metric of
-`BENCHMARK.json`, stops it before the first run.
+machine, and, per workload and end-to-end metric, each side's value in every
+pair, the medians and interquartile ranges of the two sides and the number
+of pairs in which the change was better and worse, by the metric's `better`
+direction; `claim` is null without `--claim`.  A run that exits non-zero,
+prints no result or reports `correct: false` stops the script before
+anything is written.  A `--claim` that is not `workload:metric`, with a
+workload and an end-to-end metric of `BENCHMARK.json`, stops it before the
+first run.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ def iqr(values) -> float:
 
 def summarize(end_to_end, parent_runs, change_runs) -> dict:
     """Per metric of `end_to_end` (BENCHMARK.json entries with `name` and
-    `better`): medians, IQRs, and pairs where the change was better or
-    worse.  The i-th parent run and the i-th change run form one pair."""
+    `better`): the values of each side in pair order, medians, IQRs, and
+    pairs where the change was better or worse.  The i-th parent run and the
+    i-th change run form one pair."""
     if len(parent_runs) != len(change_runs):
         raise ValueError("parent and change have different numbers of runs")
     out = {}
@@ -75,6 +78,8 @@ def summarize(end_to_end, parent_runs, change_runs) -> dict:
         change = [run["metrics"][name]["value"] for run in change_runs]
         gains = [sign * (c - p) for p, c in zip(parent, change)]
         out[name] = {
+            "parent_values": [round(v, 4) for v in parent],
+            "change_values": [round(v, 4) for v in change],
             "parent_median": round(statistics.median(parent), 4),
             "change_median": round(statistics.median(change), 4),
             "parent_iqr": round(iqr(parent), 4),
@@ -136,6 +141,7 @@ def main(argv=None) -> int:
             "pairs": len(SEEDS), "seeds": SEEDS,
             "metrics": summarize(spec["end_to_end"], runs["parent"], runs["change"]),
             "correct": True}
+    doc["claim"] = None
     if claim:
         workload, metric = claim
         row = doc["workloads"][workload]["metrics"][metric]
