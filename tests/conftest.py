@@ -623,7 +623,8 @@ def stated_route_checks(ctx, k_max, p_max):
     p <= p_max, each by the route its statement gives alone: both sides of
     thm24.1 and prop26 in the invariant frame, and every bracket
     [D, nabla_D^p xi^(2p-1)_j] in the coordinate frame.  The reference for
-    the sufficient identities `verify` tries first."""
+    `verify`, which compares in the coordinate frame and reads the brackets
+    on the basic invariants."""
     r = _Runner()
     for k in range(1, k_max + 1):
 

@@ -576,7 +576,7 @@ def test_brackets_vanish_decides_as_the_bracket(label, rank):
         for eta in fields:
             assert derivation_bracket(theta, eta, ctx).is_zero() == vanish
             assert verify._first_moving(theta, [eta], ctx) == (None if vanish else 0)
-    # [D, d/dP_1] = 0 and [D, E] = -deg(D) D != 0: the first that moves is E
+    # [D, d/dP_1] = 0 and [D, E] = deg P_l D != 0: the first that moves is E
     assert not derivation_bracket(d, euler, ctx).is_zero()
     assert verify._first_moving(d, [fields[0], euler], ctx) == 1
     assert verify._first_moving(d, fields, ctx) is None
@@ -586,8 +586,8 @@ def _spy_products(monkeypatch):
     """The name of the check that forms each bracket [D, eta] and each
     invariant-frame matrix J(P)^T M in `verify` from now on."""
     checks, brackets, frames = [], [], []
-    run, bracket, frame = verify._Runner.run, verify.derivation_bracket, \
-        verify._invariant_frame
+    run, bracket = verify._Runner.run, verify.derivation_bracket
+    frame = verify._invariant_frame
     monkeypatch.setattr(verify._Runner, "run", lambda self, name, ref, fn:
                         checks.append(name) or run(self, name, ref, fn))
     monkeypatch.setattr(verify, "derivation_bracket", lambda d, eta, ctx:
