@@ -14,7 +14,7 @@ what reports print.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .errors import (CoxsaitoError, JacobianCriterionFailed, NotInvariant,
                      RankOutOfRange, SingularMatrix, UnsupportedType,
@@ -210,6 +210,12 @@ class CoxeterDatum:
                 MultiPoly.from_terms(self.rank, zip(unit, f), self.field)
                 for f in self.forms]
         return self._form_polys
+
+    def form_product(self) -> MultiPoly:
+        """Q, the product of the hyperplane forms, built once."""
+        if self._q is None:
+            self._q = prod(self.form_polys())
+        return self._q
 
 
 class BasicInvariants:
@@ -433,29 +439,26 @@ def validate_invariants(datum: CoxeterDatum, polys,
         idx, j = moved
         raise NotInvariant(f"P_{j + 1} is not invariant under generator {idx}")
     check_degrees(MultiPoly.homogeneous_degree)
-    if jacobian(polys, ell).det().constant_quotient(datum.form_polys()) is None:
+    # det J(P) = c Q by one exact division by Q, the product of the forms
+    if jacobian(polys, ell).det().constant_quotient([datum.form_product()]) is None:
         raise JacobianCriterionFailed(
             "det J(P) is not a nonzero constant multiple of the arrangement polynomial")
     return BasicInvariants(polys, True, source)
 
 
 def anti_invariant_Q(datum: CoxeterDatum) -> MultiPoly:
-    """Product of all hyperplane forms; certified anti-invariant.
+    """Product of all hyperplane forms (`CoxeterDatum.form_product`),
+    certified anti-invariant on every call.
 
     Q o s = c_s * Q with c_s from `CoxeterDatum.q_multipliers`, so Q is
     anti-invariant exactly when c_s is -1 for every s of the generating
     prefix (w -> c_w is then det); nothing is substituted.
     """
-    if datum._q is None:
-        for idx, c in enumerate(datum.q_multipliers[:datum.n_generating]):
-            if c != -1:
-                raise CoxsaitoError(
-                    f"arrangement polynomial is not anti-invariant under generator {idx}")
-        q = MultiPoly.const(datum.rank, 1, datum.field)
-        for f in datum.form_polys():
-            q = q * f
-        datum._q = q
-    return datum._q
+    for idx, c in enumerate(datum.q_multipliers[:datum.n_generating]):
+        if c != -1:
+            raise CoxsaitoError(
+                f"arrangement polynomial is not anti-invariant under generator {idx}")
+    return datum.form_product()
 
 
 # -- Poincare series -----------------------------------------------------------------

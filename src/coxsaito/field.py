@@ -24,9 +24,9 @@ FLINT's fmpq_mpoly split: the terms are ints and the content is their
 positive common denominator, canonical with gcd(content, *terms) == 1
 (`normalized`), so sums, scalings, derivatives, products and division all
 run on Python ints and a Fraction is built only by `element`, at the edges
-(`leading`, `constant_value`, `iter_terms`).  Over an extension the terms are
-the Scalars and the content is always 1, which makes `normalized`, `aligned`
-and `scaled` plain term-wise operations there.
+(`leading`, `constant_value`, `evaluate`, `iter_terms`).  Over an extension
+the terms are the Scalars and the content is always 1, which makes
+`normalized`, `aligned` and `scaled` plain term-wise operations there.
 
 For a sum of products sum_t a_t b_t, `pack_pairs` turns each term into one
 int over one common denominator.  Over Q the terms are the ints; over an

@@ -103,8 +103,9 @@ class SaitoContext:
     The caches are plain dicts filled on demand; fills are idempotent and
     value-identical, so a context can be shared across concurrent readers.
     Each construction has one table, keyed by k, by m for `xi_table` and
-    `contact_table` (`contact_defect`), and by (m, t) for `nabla_xi_table`
-    (nabla_D^t xi^(m)); the last two are filled from `xi_table`.  Every
+    `contact_table` (`contact_defect`, which keeps the row it judged), and
+    by (m, t) for `nabla_xi_table` (nabla_D^t xi^(m)); the last two are
+    filled from `xi_table`.  Every
     cached derivation is in the coordinate frame; J(P)^-1 serves the chain
     rule (`dp_matrix`), and J(P) the invariant-frame matrices of `verify`.
     """
@@ -426,31 +427,27 @@ def nabla_xi(m: int, t: int, ctx: SaitoContext):
     return table[(m, t)]
 
 
-def xi_coefficient_matrix(m: int, ctx: SaitoContext) -> Matrix:
-    """Columns are the coefficient vectors of xi^(m)_j."""
-    return Matrix([theta.poly_coeffs() for theta in xi_basis(m, ctx)]).transpose()
-
-
 def contact_defect(m: int, ctx: SaitoContext):
     """None when alpha_H^m divides xi^(m)_j(alpha_H) for all j and H, else the
-    first (j, h, order) with order < m (0-based, j scanned first); cached by m.
-    The values are the entries of `xi_coefficient_matrix`^T times the l x N
-    form coefficients.  Each is tested by one exact division by alpha_H^m,
-    up to a unit, from the form's `PowerBase` in `ctx.form_bases`: the contact
-    order is below m exactly when alpha_H^m does not divide the value, so
-    this is the definition.  Only the first failing entry runs
+    first (j, h, order) with order < m (0-based, j scanned first); cached by m
+    with the row it judged, and judged again when `xi_table[m]` is another
+    row.  The values are the polynomial coefficient rows of xi^(m) times the
+    l x N form coefficients.  Each is tested by one exact division by
+    alpha_H^m, up to a unit, from the form's `PowerBase` in `ctx.form_bases`:
+    the contact order is below m exactly when alpha_H^m does not divide the
+    value, so this is the definition.  Only the first failing entry runs
     `contact_order` for its exact order; m = 0 divides nothing."""
-    table = ctx.contact_table
-    if m not in table:
+    row, table = xi_basis(m, ctx), ctx.contact_table
+    if m not in table or table[m][0] is not row:
         datum = ctx.datum
-        values = (xi_coefficient_matrix(m, ctx).transpose()
+        values = (Matrix([theta.poly_coeffs() for theta in row])
                   * Matrix.from_scalars(zip(*datum.forms), ctx.rank, datum.field))
         alphas, bases = datum.form_polys(), ctx.form_bases
-        table[m] = next(((j, h, contact_order(values[j, h], alphas[h], m))
-                         for j in range(ctx.rank) for h in range(len(alphas))
-                         if m and values[j, h].exact_divide(bases[h].power(m)) is None),
-                        None)
-    return table[m]
+        table[m] = row, next(((j, h, contact_order(values[j, h], alphas[h], m))
+                              for j in range(ctx.rank) for h in range(len(alphas))
+                              if m and values[j, h].exact_divide(bases[h].power(m)) is None),
+                             None)
+    return table[m][1]
 
 
 # -- group action on derivations ----------------------------------------------------

@@ -15,10 +15,15 @@ taken only when it fails, for the standard Christoffel formula per k.
 map them to the invariant frame they are stated in only when they differ
 (`_cmp_invariant_frame`); `hodge.g0` reads each bracket [D, eta] on the basic
 invariants and forms only the first that does not vanish (`_first_moving`).
+`thm25.basis` is Saito's criterion: with contact order >= m along every H
+and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
+matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
+!= 0 at one point off the hyperplanes; det M itself only when that fails.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
@@ -31,7 +36,7 @@ from .poly import MultiPoly
 from .saito import (SaitoContext, bk_matrix, christoffel_star, contact_defect,
                     derivation_apply, derivation_bracket, derivation_degree,
                     derivation_transform, dp_matrix, nabla_xi,
-                    primitive_derivation, xi_basis, xi_coefficient_matrix)
+                    primitive_derivation, xi_basis)
 
 
 @dataclass
@@ -151,7 +156,7 @@ def check_metric(ctx: SaitoContext):
                                 ctx.jac_P.transpose() * ctx.gram_poly * ctx.jac_P))
 
     def jacobian_criterion():
-        if ctx.jac_P.det().constant_quotient(ctx.datum.form_polys()) is None:
+        if ctx.jac_P.det().constant_quotient([ctx.datum.form_product()]) is None:
             return False, "det J(P) is not a nonzero constant multiple of Q"
         return True, None
 
@@ -360,11 +365,23 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
     h = ctx.datum.coxeter_number
     exps = ctx.datum.exponents
     q = anti_invariant_Q(ctx.datum)
+    # x0 = (1, t, ..., t^(l-1)) for the least t = 1, 2, ... off every hyperplane
+    points = (tuple(t ** i for i in range(ctx.rank)) for t in itertools.count(1))
+    x0 = next(p for p in points if all(f.evaluate(p) for f in ctx.datum.form_polys()))
     for m in range(0, m_max + 1):
 
         def basis_det(m=m):
-            det = xi_coefficient_matrix(m, ctx).det()
-            if det.constant_quotient([q] * m) is None:
+            row = xi_basis(m, ctx)
+            cols = [theta.poly_coeffs() for theta in row]
+            degrees = [derivation_degree(theta) for theta in row]
+            if contact_defect(m, ctx) is None and None not in degrees:
+                # Saito's criterion: Q^m divides det, of degree sum(degrees)
+                at_x0 = [[c.evaluate(x0) for c in col] for col in cols]
+                holds = (sum(degrees) == m * len(ctx.datum.forms)
+                         and Matrix.from_scalars(at_x0, ctx.rank, ctx.datum.field).det())
+            else:
+                holds = Matrix(cols).det().constant_quotient([q] * m) is not None
+            if not holds:
                 return False, (f"det of xi^({m}) coefficient matrix is not a "
                                f"nonzero constant multiple of Q^{m}")
             return True, None

@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 
 from coxsaito import poly, saito
-from coxsaito.coxeter import build_datum, builtin_invariants
+from coxsaito.coxeter import anti_invariant_Q, build_datum, builtin_invariants
 from coxsaito.errors import NonPolynomialEntry
 from coxsaito.field import RATIONALS, FieldContext
 from coxsaito.fraction import FactoredFraction
@@ -18,8 +18,7 @@ from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, build_context, christoffel_star,
                             derivation_bracket, derivation_transform, dkx,
                             dp_matrix, jdkx, nabla_D, nabla_xi,
-                            primitive_derivation, xi_basis,
-                            xi_coefficient_matrix)
+                            primitive_derivation, xi_basis)
 from coxsaito.verify import _cmp_matrices, _Runner, run_suites
 
 _CONTEXTS: dict = {}
@@ -249,6 +248,11 @@ def expanded_subst(f, matrix):
             term = term * form ** e
         out = out + term
     return out
+
+
+def xi_coefficient_matrix(m, ctx):
+    """Columns are the polynomial coefficient vectors of xi^(m)_j."""
+    return Matrix([theta.poly_coeffs() for theta in xi_basis(m, ctx)]).transpose()
 
 
 def reference_contact_defect(m, ctx):
@@ -655,6 +659,25 @@ def stated_route_checks(ctx, k_max, p_max):
             return True, None
 
         r.run(f"hodge.g0/p={p}", "", g0_membership)
+    return r.results
+
+
+def determinant_route_basis(ctx, m_max):
+    """`thm25.basis/m` for m <= m_max by the Laplace determinant of the xi^(m)
+    coefficient matrix, divided m times by Q.  The reference for `verify`,
+    which forms that determinant only where Saito's criterion does not
+    decide the check."""
+    r = _Runner()
+    q = anti_invariant_Q(ctx.datum)
+    for m in range(m_max + 1):
+
+        def basis_det(m=m):
+            if xi_coefficient_matrix(m, ctx).det().constant_quotient([q] * m) is None:
+                return False, (f"det of xi^({m}) coefficient matrix is not a "
+                               f"nonzero constant multiple of Q^{m}")
+            return True, None
+
+        r.run(f"thm25.basis/m={m}", "", basis_det)
     return r.results
 
 

@@ -222,6 +222,32 @@ def test_validation_checks_total_degree_before_invariance():
         validate_invariants(d, [x * x + y * y, x ** 5 + y ** 4])
 
 
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 2), ("D", 3), ("I2", 5)])
+def test_jacobian_criterion_by_one_division(label, rank):
+    # one exact division by Q = prod alpha_H decides c Q as the N divisions
+    # by the forms do, on det J(P) and on products that miss or add a factor
+    d = build_datum(label, rank)
+    det = jacobian(builtin_invariants(d).polys, d.rank).det()
+    x = MultiPoly.variable(d.rank, 0, d.field)
+    for f in (det, det * x, det + x ** len(d.forms), MultiPoly.zero(d.rank, d.field),
+              det.exact_divide(d.form_poly(-1)) * x):
+        assert (f.constant_quotient([d.form_product()])
+                == f.constant_quotient(d.form_polys()))
+    assert det.constant_quotient([d.form_product()]) is not None
+
+
+def test_q_built_at_ingest_keeps_its_anti_invariance_certificate():
+    # ingest builds Q for the Jacobian criterion; anti_invariant_Q returns
+    # that product and still certifies the multipliers on every call
+    d = build_datum("B", 2)
+    builtin_invariants(d)
+    assert anti_invariant_Q(d) is d.form_product()
+    d.q_multipliers[0] = 1
+    with pytest.raises(CoxsaitoError,
+                       match="not anti-invariant under generator 0"):
+        anti_invariant_Q(d)
+
+
 def test_q_anti_invariance_b2():
     d = build_datum("B", 2)
     q = anti_invariant_Q(d)

@@ -222,6 +222,29 @@ def test_constant_quotient():
     assert MultiPoly.zero(2).constant_quotient([]) is None
 
 
+@pytest.mark.parametrize("field", [RATIONALS, FieldContext((-5, 0, 1), "sqrt(5)")],
+                         ids=["Q", "Q(sqrt 5)"])
+def test_evaluate_matches_term_by_term_expansion(field):
+    # the value at an integer point is the sum over the terms of the
+    # coefficient times the monomial's value, one field element
+    rng = random.Random(7)
+    root = field.generator() if field.degree > 1 else 1
+    for _ in range(40):
+        nvars = rng.randint(1, 4)
+        p = MultiPoly.from_terms(nvars, [
+            ([rng.randint(0, 6) for _ in range(nvars)],
+             Fraction(rng.randint(-9, 9), rng.randint(1, 5)) * root + rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 12))], field)
+        point = [rng.randint(-4, 4) for _ in range(nvars)]
+        want = field.zero
+        for exps, c in p.iter_terms():
+            monomial = 1
+            for x, e in zip(point, exps):
+                monomial *= x ** e
+            want = want + c * monomial
+        assert p.evaluate(point) == want
+
+
 # Per nvars, (exponent vectors S, corner M) with M - e >= 0 for every e in S:
 # the operands on S and on M - S meet with all len(S) pairs in the slot of M.
 # Every shape is dense enough for `MultiPoly.__mul__` to pick Kronecker.

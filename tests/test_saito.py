@@ -9,7 +9,7 @@ from conftest import (accumulating_apply, assert_same_form, fresh_context,
                       nabla_power_reference, old_identity_accepts,
                       product_bk, reference_bracket,
                       reference_dkx, reference_dp_matrix, reference_nabla_xi,
-                      shared_context, with_entry)
+                      shared_context, with_entry, xi_coefficient_matrix)
 
 from coxsaito import saito
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
@@ -23,7 +23,7 @@ from coxsaito.saito import (PolyDerivation, _certified_bk, bk_matrix, build_cont
                             derivation_bracket, derivation_degree,
                             derivation_transform, dkx, dp_matrix, jdkx,
                             jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
-                            xi_basis, xi_coefficient_matrix)
+                            xi_basis)
 from coxsaito.verify import _nabla_matrix, check_lemma21, run_suites
 
 

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from conftest import (fresh_context, levi_civita_star, per_k_lemma22,
-                      reference_contact_defect, shared_context, shared_report,
-                      stated_route_checks, with_entry)
+from conftest import (determinant_route_basis, fresh_context, levi_civita_star,
+                      per_k_lemma22, reference_contact_defect, shared_context,
+                      shared_report, stated_route_checks, with_entry)
 
-from coxsaito import saito, verify
+from coxsaito import matrix, saito, verify
 from coxsaito.coxeter import anti_invariant_Q, build_datum, validate_invariants
 from coxsaito.fraction import FactoredFraction
 from coxsaito.matrix import Matrix
@@ -85,6 +85,26 @@ def test_contact_defect_is_built_once_per_m(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "exact_divide", refuse)
     assert contact_defect(3, ctx) is None
+
+
+def _diagonal(m, ctx):
+    """The row x_j^(d_j) d/dx_j, d_j the degree of xi^(m)_j that Theorem 2.5
+    (2) states: homogeneous columns of degree sum m N with det(x0) != 0 at
+    every point off the coordinate hyperplanes, outside D^(m)(A) for m >= 1."""
+    k, h, field = m // 2, ctx.datum.coxeter_number, ctx.datum.field
+    return [PolyDerivation([MultiPoly.variable(ctx.rank, i, field) ** (k * h + m % 2 * e)
+                            if i == j else MultiPoly.zero(ctx.rank, field)
+                            for i in range(ctx.rank)])
+            for j, e in enumerate(ctx.datum.exponents)]
+
+
+def test_contact_defect_judges_a_replaced_row_again():
+    # the verdict is kept with the row it judged: a row that replaces
+    # xi_table[m] after the first verdict is judged again
+    ctx = fresh_context("B", 2)
+    assert contact_defect(2, ctx) is None
+    ctx.xi_table[2] = _diagonal(2, ctx)
+    assert contact_defect(2, ctx) == reference_contact_defect(2, ctx) is not None
 
 
 def _spy_dp_matrix(monkeypatch):
@@ -766,6 +786,90 @@ def test_unimodular_recombination_keeps_basis_property():
     by_name = {r.name: r for r in results}
     assert by_name["thm25.member/m=3"].status == "pass"
     assert by_name["thm25.basis/m=3"].status == "pass"
+
+
+def _plus_constant(row, ctx, m):
+    return [PolyDerivation([row[0].coeffs[0] + _one(ctx), *row[0].coeffs[1:]]), *row[1:]]
+
+
+# each tampering replaces xi_table[m] for every m <= 3 by change(row, ctx, m)
+BASIS_TAMPERINGS = {
+    "none": None,
+    "duplicated column": lambda row, ctx, m: [row[0], *row[:-1]],
+    "column times x1": lambda row, ctx, m: [
+        PolyDerivation([c * _x1(ctx) for c in row[0].coeffs]), *row[1:]],
+    "unimodular recombination": lambda row, ctx, m: [
+        PolyDerivation([a + b for a, b in zip(row[0].coeffs, row[1].coeffs)]), *row[1:]],
+    "constant added": _plus_constant,
+    "non-polynomial": lambda row, ctx, m: [
+        PolyDerivation([row[0].coeffs[0] + dkx(1, ctx)[0], *row[0].coeffs[1:]]), *row[1:]],
+    "diagonal after a run": lambda row, ctx, m: _diagonal(m, ctx),
+}
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("D", 3), ("I2", 5),
+                                        ("H3", 3)])
+@pytest.mark.parametrize("tamper", list(BASIS_TAMPERINGS))
+def test_basis_reports_as_the_determinant_route(label, rank, tamper, request):
+    # thm25.basis decides by Saito's criterion where contact order holds and
+    # the columns are homogeneous, else by the determinant: on every
+    # tampering the statuses, witnesses and integrity flags are those of the
+    # determinant divided m times by Q; the last tampering replaces each row
+    # after a first run has judged its contact order
+    ctx = _fresh_group_context(label, rank, request)
+    change = BASIS_TAMPERINGS[tamper]
+    if tamper == "diagonal after a run":
+        assert not any(r.status == "fail" for r in check_thm24_thm25_prop26(ctx, 0, 3))
+    if change is not None:
+        for m in range(4):
+            ctx.xi_table[m] = change(list(xi_basis(m, ctx)), ctx, m)
+    got = [r for r in check_thm24_thm25_prop26(ctx, 0, 3) if r.name.startswith("thm25.basis")]
+    want = determinant_route_basis(ctx, 3)
+    strip = lambda r: (r.name, r.status, r.witness, r.integrity)
+    assert [strip(r) for r in got] == [strip(r) for r in want]
+    assert (tamper in ("none", "unimodular recombination")) == all(
+        r.status == "pass" for r in want)
+
+
+def _spy_minor_tables(monkeypatch):
+    """(check name, matrix) of every MinorTable built from now on."""
+    checks, tables = [], []
+    run, real = verify._Runner.run, matrix.MinorTable
+    monkeypatch.setattr(verify._Runner, "run", lambda self, name, ref, fn:
+                        checks.append(name) or run(self, name, ref, fn))
+
+    class Spy(real):
+        def __init__(self, m):
+            tables.append((checks[-1] if checks else None, m))
+            super().__init__(m)
+
+    monkeypatch.setattr(matrix, "MinorTable", Spy)
+    return tables
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("D", 3), ("B", 2), ("I2", 5)])
+def test_passing_basis_checks_form_no_polynomial_determinant(label, rank, monkeypatch):
+    # at the CLI defaults each thm25.basis/m forms one determinant, of the
+    # scalars xi^(m) takes at x0; with a constant added to a coefficient of
+    # xi^(3)_1 the columns are not homogeneous, and thm25.basis/m=3 alone
+    # forms the determinant of the xi^(3) coefficient matrix
+    tables = _spy_minor_tables(monkeypatch)
+
+    def basis_tables(ctx):
+        tables.clear()
+        report = run_suites(ctx, "all", 3, 7, 3)
+        return report, [(name, any(e.constant_value() is None for row in m.entries
+                                   for e in row))
+                        for name, m in tables if name.startswith("thm25.basis")]
+
+    report, basis = basis_tables(fresh_context(label, rank))
+    assert not report.failed
+    assert basis == [(f"thm25.basis/m={m}", False) for m in range(8)]
+    ctx = fresh_context(label, rank)
+    _perturb_xi(3, _one)(ctx)
+    report, basis = basis_tables(ctx)
+    assert {r.name: r.status for r in report.results}["thm25.basis/m=3"] == "fail"
+    assert [t for t in basis if t[1]] == [("thm25.basis/m=3", True)]
 
 
 def test_report_json_shape():
