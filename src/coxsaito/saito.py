@@ -105,9 +105,9 @@ class SaitoContext:
     Each construction has one table, keyed by k, by m for `xi_table` and
     `contact_table` (`contact_defect`, which keeps the row it judged), and
     by (m, t) for `nabla_xi_table` (nabla_D^t xi^(m)); the last two are
-    filled from `xi_table`.  Every
-    cached derivation is in the coordinate frame; J(P)^-1 serves the chain
-    rule (`dp_matrix`), and J(P) the invariant-frame matrices of `verify`.
+    filled from `xi_table`.  Every cached derivation is in the coordinate
+    frame; J(P)^-1 serves the chain rule (`dp_matrix`), and J(P) the
+    invariant-frame matrices of `verify`.
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
