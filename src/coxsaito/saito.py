@@ -17,6 +17,14 @@ rows the theorems speak of, xi^(m) (`xi_basis`) and nabla_D^t xi^(m)
 (`nabla_xi`), are each built once here, and so is their contact order along
 the hyperplanes (`contact_defect`).
 
+W-invariance of xi^(2k+1) is carried up the chain of Proposition 2.6,
+xi^(2k+1) = -xi^(2k-1) (B^(k))^-1 G, from xi^(1), the only row that is
+substituted on a passing run (`w_stable`, `invariance_defect`); a row so
+certified is W-stable, so its contact orders are tested on the first
+hyperplane of each W-orbit alone.  The certificate reads only what the
+checks certify anyway and is kept with the objects it read; where it fails,
+the substitution and the full scan decide.
+
 A derivation is held by its coefficients in the coordinate frame d/dX_i and
 nowhere else, and acts on functions as its coefficient row times their
 Jacobian: theta(f) = sum_i c_i df/dX_i is one matrix product
@@ -33,7 +41,7 @@ Theorem 2.4 (1) and Proposition 2.6 only when their two sides differ.
 
 from __future__ import annotations
 
-from .coxeter import BasicInvariants, CoxeterDatum, jacobian
+from .coxeter import BasicInvariants, CoxeterDatum, first_moved, jacobian
 from .errors import (CoxsaitoError, NonPolynomialCoefficients,
                      NonPolynomialEntry, SingularMatrix)
 from .fraction import FactoredFraction, PowerBase
@@ -102,18 +110,21 @@ class SaitoContext:
 
     The caches are plain dicts filled on demand; fills are idempotent and
     value-identical, so a context can be shared across concurrent readers.
-    Each construction has one table, keyed by k, by m for `xi_table` and
-    `contact_table` (`contact_defect`, which keeps the row it judged), and
-    by (m, t) for `nabla_xi_table` (nabla_D^t xi^(m)); the last two are
-    filled from `xi_table`.  Every cached derivation is in the coordinate
-    frame; J(P)^-1 serves the chain rule (`dp_matrix`), and J(P) the
-    invariant-frame matrices of `verify`.
+    Each construction has one table, keyed by k, by m for `xi_table`, and
+    by (m, t) for `nabla_xi_table` (nabla_D^t xi^(m)), which is filled from
+    `xi_table`.  What is derived from the tables a check may replace -- the
+    inverse of B^(k), the verdicts on a row -- is in `kept`, by (what,
+    index), with the objects it read (`_kept`): it is derived again when
+    one of them is another object.  `form_bases` holds a `PowerBase` for
+    each form that `contact_defect` has divided by.  Every cached
+    derivation is in the coordinate frame; J(P)^-1 serves the chain rule
+    (`dp_matrix`), and J(P) the invariant-frame matrices of `verify`.
     """
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
-                 "contact_table", "form_bases", "q_base", "_bk_memo",
+                 "kept", "form_bases", "q_base", "_bk_memo",
                  "_metric_G_inv", "_lemma21_numerators")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
@@ -137,8 +148,8 @@ class SaitoContext:
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
         self.nabla_xi_table: dict = {}
-        self.contact_table: dict = {}
-        self.form_bases = [PowerBase(alpha) for alpha in datum.form_polys()]
+        self.kept: dict = {}
+        self.form_bases: dict = {}
         self._metric_G_inv = self._lemma21_numerators = None
 
     @property
@@ -166,6 +177,16 @@ class SaitoContext:
 
 def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoContext:
     return SaitoContext(datum, invariants)
+
+
+def _kept(ctx: SaitoContext, key, objects: tuple, build):
+    """`ctx.kept[key]`, built by build() and kept with the objects it read;
+    built again when one of them is another object.  Racing fills store
+    equal values."""
+    hit = ctx.kept.get(key)
+    if hit is None or any(a is not b for a, b in zip(hit[0], objects)):
+        hit = ctx.kept[key] = objects, build()
+    return hit[1]
 
 
 # -- the primitive derivation and its powers -------------------------------------
@@ -319,13 +340,14 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
     of J(D^k[X]) are certified by `_certified_bk`, which forms J(D^k[X])
     for k >= 2 only on its fallback.  B^(k) is read from its
     private memo, never from `bk_table`, so an entry overwritten in that table
-    reaches only the checks that read it and not xi^(2k).
+    reaches only the checks that read it and not xi^(2k); the inverse is
+    shared with `lead` while the two are one object (`_bk_inverse`).
     """
     table = ctx.jdkx_inv_table
     if k not in table:
         bk = _certified_bk(k, ctx)
         try:
-            bk_inv = bk.inverse()
+            bk_inv = _bk_inverse(k, bk, ctx)
         except SingularMatrix:
             raise SingularMatrix(f"J(D^{k}[X]) is singular") from None
         except NonPolynomialEntry:
@@ -335,6 +357,12 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
                                        * ctx.gram_poly)
         table[k] = _certify_poly_matrix(-prod, f"J(D^{k}[X])^-1")
     return table[k]
+
+
+def _bk_inverse(k: int, bk: Matrix, ctx: SaitoContext) -> Matrix:
+    """(B^(k))^-1 of the matrix bk, polynomial (`Matrix.inverse` certifies
+    det bk a nonzero constant), one per level, kept with bk."""
+    return _kept(ctx, ("bk_inverse", k), (bk,), bk.inverse)
 
 
 def bk_matrix(k: int, ctx: SaitoContext) -> Matrix:
@@ -427,29 +455,6 @@ def nabla_xi(m: int, t: int, ctx: SaitoContext):
     return table[(m, t)]
 
 
-def contact_defect(m: int, ctx: SaitoContext):
-    """None when alpha_H^m divides xi^(m)_j(alpha_H) for all j and H, else the
-    first (j, h, order) with order < m (0-based, j scanned first); cached by m
-    with the row it judged, and judged again when `xi_table[m]` is another
-    row.  The values are the polynomial coefficient rows of xi^(m) times the
-    l x N form coefficients.  Each is tested by one exact division by
-    alpha_H^m, up to a unit, from the form's `PowerBase` in `ctx.form_bases`:
-    the contact order is below m exactly when alpha_H^m does not divide the
-    value, so this is the definition.  Only the first failing entry runs
-    `contact_order` for its exact order; m = 0 divides nothing."""
-    row, table = xi_basis(m, ctx), ctx.contact_table
-    if m not in table or table[m][0] is not row:
-        datum = ctx.datum
-        values = (Matrix([theta.poly_coeffs() for theta in row])
-                  * Matrix.from_scalars(zip(*datum.forms), ctx.rank, datum.field))
-        alphas, bases = datum.form_polys(), ctx.form_bases
-        table[m] = row, next(((j, h, contact_order(values[j, h], alphas[h], m))
-                              for j in range(ctx.rank) for h in range(len(alphas))
-                              if m and values[j, h].exact_divide(bases[h].power(m)) is None),
-                             None)
-    return table[m][1]
-
-
 # -- group action on derivations ----------------------------------------------------
 
 
@@ -462,3 +467,145 @@ def derivation_transform(theta: PolyDerivation, ctx: SaitoContext,
     column = Matrix([[p] for p in theta.poly_coeffs()])
     mixed = Matrix.from_scalars(sub, ctx.rank, datum.field) * column
     return PolyDerivation([p.subst_linear(sub) for p in mixed.column(0)])
+
+
+def _first_moved_derivation(row, ctx: SaitoContext):
+    """(j, generator index) of the first derivation of row that a generator of
+    the generating prefix moves, j scanned first, or None."""
+    return next(((j, idx) for j, theta in enumerate(row)
+                 for idx in range(ctx.datum.n_generating)
+                 if derivation_transform(theta, ctx, idx) != theta), None)
+
+
+# -- Proposition 2.6, W-invariance and contact orders ----------------------------------
+
+
+def columns(row) -> Matrix:
+    """Columns: the coordinate-frame coefficients of the derivations of row,
+    polynomials where no power of q is left."""
+    return Matrix([[c if c.exp else c.numerator for c in theta.coeffs]
+                   for theta in row]).transpose()
+
+
+def lead(k: int, ctx: SaitoContext) -> Matrix:
+    """-cols(xi^(2k-1)) (B^(k))^-1, polynomial, for k >= 1: the right sides of
+    Theorem 2.4 (1) and Proposition 2.6 share it.  B^(k) is `bk_matrix(k)`;
+    kept with its inverse and the row."""
+    inv = _bk_inverse(k, bk_matrix(k, ctx), ctx)
+    row = xi_basis(2 * k - 1, ctx)
+    return _kept(ctx, ("lead", k), (inv, row), lambda: -(columns(row) * inv))
+
+
+def prop26_holds(k: int, ctx: SaitoContext) -> bool:
+    """cols(xi^(2k+1)) == lead(k) G: Proposition 2.6 at k in the coordinate
+    frame, kept with the row, lead(k) and G it read."""
+    row = xi_basis(2 * k + 1, ctx)
+    right = lead(k, ctx)
+    return _kept(ctx, ("prop26", k), (row, right, ctx.metric_G),
+                 lambda: columns(row) == right * ctx.metric_G)
+
+
+def bk_moved(k: int, ctx: SaitoContext):
+    """`first_moved` of the entries of `bk_matrix(k)`, row by row: None when
+    every entry is W-invariant; kept with the matrix."""
+    bk = bk_matrix(k, ctx)
+    return _kept(ctx, ("bk_moved", k), (bk,), lambda: first_moved(
+        ctx.datum, [e for row in bk.entries for e in row]))
+
+
+def _metric_of_xi1(ctx: SaitoContext) -> bool:
+    """G == J^T cols(xi^(1)), J the Jacobian of the basic invariants (not
+    `ctx.jac_P`): G_ij is then xi^(1)_j(P_i); kept with the row and G."""
+    row, g = xi_basis(1, ctx), ctx.metric_G
+    return _kept(ctx, ("metric", 1), (row, g), lambda: g == jacobian(
+        ctx.invariants.polys, ctx.rank).transpose() * columns(row))
+
+
+def w_stable(m: int, ctx: SaitoContext) -> bool:
+    """Whether the row xi^(m), m >= 1, is certified W-stable, g xi^(m) =
+    xi^(m) T_g with T_g constant for every g in W, from facts the run
+    certifies anyway; False on any failure or error, which leaves the
+    decision to the substitution and the full scan.
+
+    m = 1: every xi^(1)_j is W-invariant, by substitution (`invariance_defect`).
+    m = 2k+1: xi^(2k-1) is certified; G == J^T cols(xi^(1)) (`_metric_of_xi1`),
+    so G_ij = xi^(1)_j(P_i) is invariant; B^(k) is (`bk_moved`); and
+    xi^(2k+1) = xi^(2k-1) K (`prop26_holds`) with K = -(B^(k))^-1 G, whose
+    entries are invariant since det B^(k) is a nonzero constant.  The action
+    is linear over invariants, g(theta K) = g(theta) K, so xi^(2k+1) is
+    W-invariant, T_g = 1.
+    m = 2k: xi^(2k+1) is certified and cols(xi^(2k)) J == cols(xi^(2k+1)),
+    J the Jacobian of the basic invariants.  P(gx) = P(x) gives
+    J^-1(gx) = J^-1(x) g^T, so g xi^(2k) = xi^(2k) g^T.
+    """
+    try:
+        if m == 1:
+            return invariance_defect(1, ctx) is None
+        if m % 2 == 0:
+            row, odd = xi_basis(m, ctx), xi_basis(m + 1, ctx)
+            return w_stable(m + 1, ctx) and _kept(
+                ctx, ("stable", m), (row, odd), lambda: columns(row) * jacobian(
+                    ctx.invariants.polys, ctx.rank) == columns(odd))
+        k = m // 2
+        return (w_stable(m - 2, ctx) and _metric_of_xi1(ctx)
+                and bk_moved(k, ctx) is None and prop26_holds(k, ctx))
+    except CoxsaitoError:
+        return False
+
+
+def invariance_defect(m: int, ctx: SaitoContext):
+    """None when every xi^(m)_j is W-invariant, else the first (j, generator
+    index) that moves it, j scanned first; kept with the row.  For odd
+    m >= 3 a certified row (`w_stable`) substitutes nothing; otherwise every
+    coefficient is substituted under each generator of the generating
+    prefix (`derivation_transform`)."""
+    row = xi_basis(m, ctx)
+    return _kept(ctx, ("invariance", m), (row,), lambda: (
+        None if m > 1 and m % 2 and w_stable(m, ctx)
+        else _first_moved_derivation(row, ctx)))
+
+
+def _form_power(h: int, m: int, ctx: SaitoContext) -> MultiPoly:
+    """alpha_H^m for the h-th form, from its `PowerBase`, made on first use."""
+    bases = ctx.form_bases
+    return (bases.get(h) or bases.setdefault(h, PowerBase(ctx.datum.form_poly(h)))).power(m)
+
+
+def contact_defect(m: int, ctx: SaitoContext):
+    """None when alpha_H^m divides xi^(m)_j(alpha_H) for all j and H, else the
+    first (j, h, order) with order < m (0-based, j scanned first); kept with
+    the row it judged.  The values are the polynomial coefficient rows of
+    xi^(m) times the form coefficients.  Each is tested by one exact division
+    by alpha_H^m (`_form_power`), up to a unit: the contact order is below m
+    exactly when alpha_H^m does not divide the value, so this is the
+    definition.  m = 0 divides nothing.
+
+    For m >= 2 and a certified row (`w_stable`), only the first form of each
+    W-orbit (`CoxeterDatum.orbits`) is tested: g xi = xi T_g with T_g
+    invertible gives theta(alpha_H o g^-1) = g(theta)(alpha_H) o g^-1, so
+    every xi_j has contact order >= m along gH exactly when every xi_j has it
+    along H.  A failure there, or an uncertified row, takes the full scan;
+    only its first failing entry runs `contact_order` for its exact order."""
+    row = xi_basis(m, ctx)
+    return _kept(ctx, ("contact", m), (row,), lambda: _contact_scan(m, row, ctx))
+
+
+def _contact_scan(m: int, row, ctx: SaitoContext):
+    datum = ctx.datum
+    coeffs = Matrix([theta.poly_coeffs() for theta in row])
+
+    def first_failure(forms):
+        values = coeffs * Matrix.from_scalars(
+            zip(*(datum.forms[h] for h in forms)), ctx.rank, datum.field)
+        return next(((j, h, values[j, i]) for j in range(ctx.rank)
+                     for i, h in enumerate(forms)
+                     if values[j, i].exact_divide(_form_power(h, m, ctx)) is None), None)
+
+    if not m or (m > 1 and w_stable(m, ctx)
+                 and first_failure([orbit[0] for orbit in datum.orbits]) is None):
+        return None
+    failure = first_failure(range(len(datum.forms)))
+    if failure is None:
+        return None
+    j, h, value = failure
+    return j, h, contact_order(value, datum.form_poly(h), m)

@@ -19,6 +19,10 @@ invariants and forms only the first that does not vanish (`_first_moving`).
 and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
 matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
 != 0 at one point off the hyperplanes; det M itself only when that fails.
+`hodge.winv/p` substitutes xi^(1) alone on a passing run: for p >= 2 it
+reads the W-stability certificate of `saito.w_stable`, whose Proposition 2.6
+comparison `prop26/k` shares, and the contact orders of `thm25.member/m`,
+m >= 2, are then tested on one hyperplane per W-orbit.
 """
 
 from __future__ import annotations
@@ -27,15 +31,14 @@ import itertools
 import time
 from functools import cache
 
-from .coxeter import (anti_invariant_Q, first_moved, poincare_closed_form,
-                      poincare_equal)
+from .coxeter import anti_invariant_Q, poincare_closed_form, poincare_equal
 from .errors import ConfigError, CoxsaitoError
 from .matrix import Matrix, unit_power
 from .poly import MultiPoly
-from .saito import (SaitoContext, bk_matrix, christoffel_star, contact_defect,
-                    derivation_apply, derivation_bracket, derivation_degree,
-                    derivation_transform, dp_matrix, nabla_xi,
-                    primitive_derivation, xi_basis)
+from .saito import (SaitoContext, bk_matrix, bk_moved, christoffel_star, columns,
+                    contact_defect, derivation_apply, derivation_bracket,
+                    derivation_degree, dp_matrix, invariance_defect, lead,
+                    nabla_xi, primitive_derivation, prop26_holds, xi_basis)
 
 
 # plain classes: `dataclasses` imports inspect, ast and dis, which cost each
@@ -178,9 +181,7 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
                                   "D[entry]")
 
         def w_invariant(k=k):
-            bk = bk_matrix(k, ctx)
-            moved = first_moved(ctx.datum, [bk[i, j] for i in range(ell)
-                                            for j in range(ell)])
+            moved = bk_moved(k, ctx)
             if moved is None:
                 return True, None
             idx, entry = moved
@@ -317,13 +318,6 @@ def check_lemma22(ctx: SaitoContext):
     return r.results
 
 
-def _columns(row) -> Matrix:
-    """Columns: the coordinate-frame coefficients of the derivations of row,
-    polynomials where no power of q is left."""
-    return Matrix([[c if c.exp else c.numerator for c in theta.coeffs]
-                   for theta in row]).transpose()
-
-
 def _invariant_frame(columns: Matrix, ctx: SaitoContext) -> Matrix:
     """J(P)^T times coordinate-frame columns, simplified: the frame d/dP_j
     that Theorem 2.4 and Proposition 2.6 are stated in."""
@@ -333,7 +327,7 @@ def _invariant_frame(columns: Matrix, ctx: SaitoContext) -> Matrix:
 def _nabla_matrix(m: int, t: int, ctx: SaitoContext) -> Matrix:
     """Columns: coefficients of nabla_D^t xi^(m)_j in the invariant frame; on
     a passing run only `thm24.2` forms it."""
-    return _invariant_frame(_columns(nabla_xi(m, t, ctx)), ctx)
+    return _invariant_frame(columns(nabla_xi(m, t, ctx)), ctx)
 
 
 def _cmp_invariant_frame(lhs: Matrix, rhs: Matrix, ctx: SaitoContext):
@@ -403,18 +397,11 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
         r.run(f"thm25.2/m={m}",
               "Theorem 2.5 (2): deg xi^(m)_j = kh resp. kh + m_j", degree_law)
 
-    # the right sides of thm24.1/k and prop26/k, in the coordinate frame,
-    # share -cols(xi^(2k-1)) (B^(k))^-1, in polynomials, built once per k
-    @cache
-    def lead(k):
-        inv = bk_matrix(k, ctx).inverse()
-        return -(_columns(nabla_xi(2 * k - 1, 0, ctx)) * inv)
-
     for k in range(1, k_max + 1):
 
         def thm24_1(k=k):
-            lhs = _columns(nabla_xi(2 * k + 1, 1, ctx))
-            return _cmp_invariant_frame(lhs, lead(k) * bk_matrix(k + 1, ctx), ctx)
+            lhs = columns(nabla_xi(2 * k + 1, 1, ctx))
+            return _cmp_invariant_frame(lhs, lead(k, ctx) * bk_matrix(k + 1, ctx), ctx)
 
         def thm24_2(k=k):
             lhs = _nabla_matrix(2 * k - 1, k, ctx)
@@ -422,9 +409,11 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
             rhs = bk if (k - 1) % 2 == 0 else -bk
             return _cmp_matrices(lhs, rhs)
 
-        def prop26(k=k):
-            lhs = _columns(nabla_xi(2 * k + 1, 0, ctx))
-            return _cmp_invariant_frame(lhs, lead(k) * ctx.metric_G, ctx)
+        def prop26(k=k):  # the comparison of the W-stability certificate
+            if prop26_holds(k, ctx):
+                return True, None
+            return _cmp_invariant_frame(columns(xi_basis(2 * k + 1, ctx)),
+                                        lead(k, ctx) * ctx.metric_G, ctx)
 
         r.run(f"thm24.1/k={k}",
               "Theorem 2.4 (1): nabla_D xi^(2k+1) row = "
@@ -460,12 +449,11 @@ def check_hodge(ctx: SaitoContext, p_max: int):
     for p in range(1, p_max + 1):
 
         def w_invariance(p=p):
-            for j, theta in enumerate(xi_basis(2 * p - 1, ctx)):
-                for idx in range(ctx.datum.n_generating):
-                    if derivation_transform(theta, ctx, idx) != theta:
-                        return False, (f"xi^({2 * p - 1})_{j + 1} moved by "
-                                       f"generator {idx}")
-            return True, None
+            moved = invariance_defect(2 * p - 1, ctx)
+            if moved is None:
+                return True, None
+            j, idx = moved
+            return False, f"xi^({2 * p - 1})_{j + 1} moved by generator {idx}"
 
         def g0_membership(p=p):
             d = primitive_derivation(ctx)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import with_entry
@@ -280,3 +284,14 @@ def test_unwritable_out_exits_two(tmp_path, capsys, target):
 def test_empty_suite_list_exits_two(capsys):
     assert main(["verify", "--type", "B", "--rank", "2", "--suite", ","]) == 2
     assert "--suite names no suite" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # RunConfig is a plain class: `dataclasses` would import inspect, ast and
+    # dis into every command-line run
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, coxsaito.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out.strip() == "False"

@@ -763,7 +763,8 @@ def test_concurrent_cache_fills_are_value_identical():
     # cache fills are idempotent: racing readers agree with a cold context,
     # also where the threads share the power cache of the dense generator of
     # I2(5) to substitute xi^(5), and each power sits under its exponent, as
-    # does each power of the hyperplane forms that contact_defect divides by
+    # does each power of the hyperplane forms that contact_defect divides by:
+    # the rows are certified W-stable, so only the first form of each orbit
     from concurrent.futures import ThreadPoolExecutor
 
     def work(ctx):
@@ -785,6 +786,7 @@ def test_concurrent_cache_fills_are_value_identical():
             for cache in (c for sub in d.subst if sub.signed is None for c in sub.powers):
                 assert list(cache) == list(range(len(cache)))
                 assert all(cache[e] == cache[1] ** e for e in cache)
-            for base in ctx.form_bases:
+            assert sorted(ctx.form_bases) == [orbit[0] for orbit in d.orbits]
+            for base in ctx.form_bases.values():
                 assert sorted(base._powers) == list(range(8))
                 assert all(base._powers[e] == base.q ** e for e in base._powers)
