@@ -46,18 +46,10 @@ def _then_xi3_from_lead(tamper):
 
 
 def _bkll_plus_x1(ctx):
-    # B^(1)_(1,1) = B^(1)_(1,2) = 0 for these groups, so det B^(1) stays
-    # the same nonzero constant and (B^(1))^-1 stays polynomial
+    # the cofactor of entry (l, l) vanishes for these groups (B^(1)_11 = 0,
+    # and B^(1)_12 = 0 in rank 3), so det B^(1) stays the same constant
     bk, ell = bk_matrix(1, ctx), ctx.rank - 1
     ctx.bk_table[1] = with_entry(bk, ell, ell, bk[ell, ell] + _x1(ctx))
-
-
-def _off_representative(m):
-    """`_tamper_contact` of xi^(m)_2 on the last form of the datum's first
-    orbit, which is not that orbit's representative."""
-    def tamper(ctx):
-        _tamper_contact(ctx, m, 1, ctx.datum.orbits[0][-1])
-    return tamper
 
 
 TAMPERINGS = {
@@ -71,15 +63,17 @@ TAMPERINGS = {
     "G.12+x1, xi3 by prop26": _then_xi3_from_lead(_plus_at("metric_G", 0, 1, _x1)),
     "bk_table[1].ll+x1, xi3 by prop26": _then_xi3_from_lead(_bkll_plus_x1),
 }
+# `_tamper_contact` of xi^(m)_2 on the last form of the datum's first orbit,
+# which is not that orbit's representative, by kind
+CONTACT_KINDS = {f"contact m={m} off representative": m for m in (3, 4, 6, 7)}
 CASES = ([(group, kind) for group in (("A", 3), ("I2", 5), ("B", 2))
           for kind in TAMPERINGS]
-         + [(group, f"contact m={m} off representative")
-            for group in (("I2", 8), ("B", 3)) for m in (3, 4, 6, 7)])
+         + [(group, kind) for group in (("I2", 8), ("B", 3)) for kind in CONTACT_KINDS])
 
 
 def _tamper(ctx, kind):
-    if kind.startswith("contact"):
-        _off_representative(int(kind.split("=")[1].split()[0]))(ctx)
+    if kind in CONTACT_KINDS:
+        _tamper_contact(ctx, CONTACT_KINDS[kind], 1, ctx.datum.orbits[0][-1])
     else:
         TAMPERINGS[kind](ctx)
 
@@ -107,10 +101,10 @@ def test_tampered_reports_match_the_substitution_route(group, kind, monkeypatch)
     assert any(status == "fail" for _, status, _, _ in got)
     for m in range(8):
         assert contact_defect(m, ctx) == reference_contact_defect(m, ctx), m
-    if kind.startswith("contact"):
+    if kind in CONTACT_KINDS:
         # the tampered row is not certified, and the full scan reaches the
         # form outside the representatives
-        m, h = int(kind.split("=")[1].split()[0]), ctx.datum.orbits[0][-1]
+        m, h = CONTACT_KINDS[kind], ctx.datum.orbits[0][-1]
         assert not w_stable(m, ctx) and h != ctx.datum.orbits[0][0]
         assert contact_defect(m, ctx) == (1, h, m - 1)
 
