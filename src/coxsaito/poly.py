@@ -24,19 +24,7 @@ operand scale the terms.  Every other product is one kernel,
 pair): `FieldContext.pack_pairs` makes ints of all terms over one
 denominator, every pair's product accumulates into one int dict, and
 `FieldContext.unpack_reduced` reads the terms back once per entry, so Q and
-number fields share both routes of a pair (`_add_product`):
-
-  * the schoolbook loop, one multiply-add per pair of terms;
-  * Kronecker substitution `_kronecker_product`, which lays each operand out
-    on a dense grid of monomials as one big int, so that one big-int product
-    gives every sum.
-
-The route follows from the operand sizes alone: Kronecker when there are at
-least KRONECKER_MIN_PAIRS pairs and at least five pairs per slot of the grid
-that the total degrees bound, (high - low + 1) * (high + 1)^(n - 1) for
-product degrees low..high in n variables.  Sparse operands, and small or
-lopsided ones near four pairs per slot, whose fixed cost and wide grid the
-product would not repay, take the schoolbook loop.
+number fields share one schoolbook loop, one multiply-add per pair of terms.
 A linear substitution by a matrix that is not a signed permutation is
 nested Horner on that kernel (`MultiPoly.subst_linear`): one sum of
 products per group of terms that share an exponent.  The powers of the
@@ -54,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 
 from .errors import DimensionMismatch, DivisionByZero
@@ -62,11 +49,6 @@ from .field import RATIONALS, FieldContext
 
 LIMB = 24
 MASK = (1 << LIMB) - 1
-# Below this many pairs of terms a product stays on the schoolbook loop: the
-# Kronecker route's fixed cost (grid set-up, two packings, the read-back) is
-# not repaid.  On 2- and 3-variable dense operands the two routes cross
-# between about 400 and 2000 pairs.
-KRONECKER_MIN_PAIRS = 1024
 
 
 def pack(exps) -> int:
@@ -86,100 +68,6 @@ def unpack(key: int, nvars: int) -> tuple[int, ...]:
 
 def key_degree(key: int, nvars: int) -> int:
     return key >> (nvars * LIMB)
-
-
-def _add_product(out: dict, a: dict, b: dict, nvars: int) -> None:
-    """out += a * b for int term dicts with len(a) <= len(b); sums that
-    cancel stay as 0.  The route follows the module docstring's rule."""
-    pairs = len(a) * len(b)
-    # the floor first: it spares small products the min() scans
-    if pairs >= KRONECKER_MIN_PAIRS:
-        top = nvars * LIMB
-        high = (max(a) + max(b)) >> top
-        if pairs >= 5 * (high - ((min(a) + min(b)) >> top) + 1) * (high + 1) ** (nvars - 1):
-            if not out:
-                out.update(_kronecker_product(a, b, nvars))
-                return
-            # the loop below then adds the product's sums, as 1 * sums, to out
-            a, b = {0: 1}, _kronecker_product(a, b, nvars)
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            cur = get(k)
-            out[k] = ca * cb if cur is None else cur + ca * cb
-
-
-def _kronecker_product(a: dict, b: dict, nvars: int) -> dict:
-    """The product of two int term dicts by Kronecker substitution, nonzero
-    sums only.
-
-    A key maps to a point of a dense grid: (total degree - min degree, e_0,
-    ..., e_{n-2}), the last exponent being fixed by the degree.  Each operand
-    becomes one int with one slot of `width` bytes per grid point, the two
-    ints are multiplied once, and every slot of the product holds the sum of
-    the pairs that meet there: at most min(len a, len b) of them, so
-    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 1 bits, rounded
-    up to whole bytes, keep it in (-2^(8 width - 1), 2^(8 width - 1)).
-    Adding 2^(8 width - 1) to every slot makes them all nonnegative, so the
-    product is read back with one `to_bytes` and no borrows.
-    """
-    top = nvars * LIMB
-    low_a, low_b = min(a) >> top, min(b) >> top
-    low = low_a + low_b
-    high = (max(a) + max(b)) >> top
-    width = (max(map(abs, a.values())).bit_length()
-             + max(map(abs, b.values())).bit_length()
-             + min(len(a), len(b)).bit_length() + 8) // 8
-    # grid digits, slowest first: the degree above `low`, then e_0 .. e_{n-2},
-    # each of which is at most `high`
-    side = high + 1
-    shifts = [(nvars - 1 - i) * LIMB for i in range(nvars - 1)]
-    strides = [side ** i for i in range(nvars - 1, -1, -1)]
-    product = (_grid_int(a, low_a, top, shifts, strides, width)
-               * _grid_int(b, low_b, top, shifts, strides, width))
-    slots = (high - low + 1) * strides[0]
-    half = 1 << (8 * width - 1)
-    buf = (product + int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-           ).to_bytes(slots * width, "little")
-    # A key is linear in the grid digits: deg*(2^top + 1) + sum e_i*(2^sh_i - 1),
-    # so a row (all digits but the last fixed) is an arithmetic run of keys.
-    lead = (1 << top) + 1
-    if nvars == 1:
-        step, rows = lead, [(low * lead, high - low + 1)]
-    else:
-        step, rows = (1 << LIMB) - 1, []
-        for deg, *exps in itertools.product(range(low, high + 1),
-                                            *[range(side)] * (nvars - 2)):
-            base = deg * lead + sum(e * ((1 << s) - 1) for e, s in zip(exps, shifts))
-            # the last exponent deg - sum(exps) - e_{n-2} is never negative
-            rows.append((base, min(side, deg - sum(exps) + 1)))
-    from_bytes = int.from_bytes
-    out: dict = {}
-    for r, (base, length) in enumerate(rows):
-        start = r * side * width
-        out.update({k: v for k, o in zip(range(base, base + length * step, step),
-                                         range(start, start + length * width, width))
-                    if (v := from_bytes(buf[o:o + width], "little") - half)})
-    return out
-
-
-def _grid_int(terms: dict, low: int, top: int, shifts, strides, width: int) -> int:
-    """sum c * 2^(8 width idx(k)) over the terms, idx the grid slot of key k:
-    positive and negative coefficients go into one byte string each."""
-    keys = list(terms)
-    slots = [((k >> top) - low) * strides[0] for k in keys]
-    for s, t in zip(shifts, strides[1:]):
-        slots = [i + ((k >> s) & MASK) * t for i, k in zip(slots, keys)]
-    size = (max(slots) + 1) * width
-    pos, neg = bytearray(size), bytearray(size)
-    for i, c in zip(slots, terms.values()):
-        o = i * width
-        if c > 0:
-            pos[o:o + width] = c.to_bytes(width, "little")
-        else:
-            neg[o:o + width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _limb_divides(a: int, b: int, nvars: int) -> bool:
@@ -601,8 +489,11 @@ def _check_operand(p: MultiPoly, nvars: int, field: FieldContext):
 
 
 def sum_of_products(pairs, nvars: int, field: FieldContext) -> MultiPoly:
-    """sum a * b over the (a, b) pairs of MultiPolys (module docstring); when
-    every pair has a one-term operand, the scaled operands are added."""
+    """sum a * b over the (a, b) pairs of MultiPolys: the pairs are packed
+    once (`FieldContext.pack_pairs`), every pair of terms of every pair is
+    one multiply-add into one int dict, and the sums are read back once
+    (module docstring).  When every pair has a one-term operand, the scaled
+    operands are added."""
     top = nvars * LIMB
     live = []
     for a, b in pairs:
@@ -626,9 +517,14 @@ def sum_of_products(pairs, nvars: int, field: FieldContext) -> MultiPoly:
             scaled.append(MultiPoly(nvars, terms, field, content))
         return sum(scaled[1:], scaled[0])
     bits, den, packed = field.pack_pairs(live)
+    # sums that cancel stay as 0 until `unpack_reduced` drops them
     sums: dict = {}
+    get = sums.get
     for a, b in packed:
-        _add_product(sums, a, b, nvars)
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                sums[k] = get(k, 0) + ca * cb
     terms, content = field.unpack_reduced(sums, bits, den)
     return MultiPoly(nvars, terms, field, content)
 

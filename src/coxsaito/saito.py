@@ -110,10 +110,9 @@ class SaitoContext:
 
     The caches are plain dicts filled on demand; fills are idempotent and
     value-identical, so a context can be shared across concurrent readers.
-    Each construction has one table, keyed by k, by m for `xi_table`, and
-    by (m, t) for `nabla_xi_table` (nabla_D^t xi^(m)), which is filled from
-    `xi_table`.  What is derived from the tables a check may replace -- the
-    inverse of B^(k), the verdicts on a row -- is in `kept`, by (what,
+    Each construction has one table, keyed by k, or by m for `xi_table`.
+    What is derived from the tables a check may replace -- the inverse of
+    B^(k), nabla_D^t xi^(m), the verdicts on a row -- is in `kept`, by (what,
     index), with the objects it read (`_kept`): it is derived again when
     one of them is another object.  `form_bases` holds a `PowerBase` for
     each form that `contact_defect` has divided by.  Every cached
@@ -123,8 +122,8 @@ class SaitoContext:
 
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
-                 "bk_table", "christoffel_table", "xi_table", "nabla_xi_table",
-                 "kept", "form_bases", "q_base", "_bk_memo",
+                 "bk_table", "christoffel_table", "xi_table", "kept",
+                 "form_bases", "q_base", "_bk_memo",
                  "_metric_G_inv", "_lemma21_numerators")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
@@ -147,7 +146,6 @@ class SaitoContext:
         self._bk_memo: dict = {}
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
-        self.nabla_xi_table: dict = {}
         self.kept: dict = {}
         self.form_bases: dict = {}
         self._metric_G_inv = self._lemma21_numerators = None
@@ -441,18 +439,16 @@ def xi_basis(m: int, ctx: SaitoContext):
 
 
 def nabla_xi(m: int, t: int, ctx: SaitoContext):
-    """nabla_D^t of the xi^(m) row, cached by (m, t): t = 0 is `xi_basis(m)`
-    itself, so a tampered `xi_table[m]` reaches every power."""
+    """nabla_D^t of the xi^(m) row: t = 0 is `xi_basis(m)` itself, and each
+    power t >= 1 is kept with the power t - 1 it was built from, so a row
+    that replaces `xi_table[m]` reaches every power."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    table = ctx.nabla_xi_table
-    if (m, t) not in table:
-        if t == 0:
-            row = xi_basis(m, ctx)
-        else:
-            row = [nabla_D(theta, ctx) for theta in nabla_xi(m, t - 1, ctx)]
-        table[(m, t)] = tuple(row)
-    return table[(m, t)]
+    if t == 0:
+        return xi_basis(m, ctx)
+    row = nabla_xi(m, t - 1, ctx)
+    return _kept(ctx, ("nabla_xi", (m, t)), (row,),
+                 lambda: tuple(nabla_D(theta, ctx) for theta in row))
 
 
 # -- group action on derivations ----------------------------------------------------

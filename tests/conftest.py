@@ -14,7 +14,7 @@ from coxsaito.fraction import FactoredFraction
 from coxsaito.invariants_io import (datum_to_json, ingest_invariants,
                                     poly_to_json, scalar_to_json)
 from coxsaito.matrix import Matrix
-from coxsaito.poly import KRONECKER_MIN_PAIRS, LIMB, MultiPoly, contact_order
+from coxsaito.poly import MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, build_context, christoffel_star,
                             derivation_bracket, derivation_transform, dkx,
                             dp_matrix, jdkx, nabla_D, nabla_xi,
@@ -268,16 +268,6 @@ def reference_contact_defect(m, ctx):
                  if (order := contact_order(values[j, h], alpha, m)) < m), None)
 
 
-def schoolbook_sums(a: dict, b: dict) -> dict:
-    """The product of two int term dicts by the plain double loop, with the
-    sums that cancel kept as 0: the reference for both product routes."""
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            out[ka + kb] = out.get(ka + kb, 0) + ca * cb
-    return out
-
-
 def sequential_matmul(a, b):
     """The matrix product one pair at a time: each entry sum_t a_it * b_tj
     is a `MultiPoly.__mul__` or `FactoredFraction.__mul__` per pair and a
@@ -422,22 +412,6 @@ def repeated_division_as_poly(f):
             return None
         num, exp = quotient, exp - 1
     return num
-
-
-def takes_kronecker(a: dict, b: dict, nvars: int) -> bool:
-    """Whether `MultiPoly.__mul__` multiplies term dicts a and b by Kronecker
-    substitution, recomputed here from the rule its docstring states: both
-    have two or more terms, there are at least KRONECKER_MIN_PAIRS pairs,
-    and the pairs are at least five times the slots of the grid that the
-    total degrees bound."""
-    if min(len(a), len(b)) < 2:
-        return False
-    top = nvars * LIMB
-    high = (max(a) >> top) + (max(b) >> top)
-    low = (min(a) >> top) + (min(b) >> top)
-    pairs = len(a) * len(b)
-    return (pairs >= KRONECKER_MIN_PAIRS
-            and pairs >= 5 * (high - low + 1) * (high + 1) ** (nvars - 1))
 
 
 def with_entry(m, i, j, value):

@@ -1,15 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product as cartesian
 
 import pytest
-from conftest import expanded_subst, schoolbook_sums, takes_kronecker
+from conftest import expanded_subst
 
 from coxsaito.errors import CoxsaitoError, DimensionMismatch, DivisionByZero
 from coxsaito.field import RATIONALS, FieldContext
-from coxsaito.poly import (LIMB, MASK, MultiPoly, Substitution, _add_product,
-                           _kronecker_product, _signed_permutation, contact_order,
-                           pack)
+from coxsaito.poly import MultiPoly, Substitution, _signed_permutation, contact_order
 
 
 def xy():
@@ -243,68 +240,3 @@ def test_evaluate_matches_term_by_term_expansion(field):
                 monomial *= x ** e
             want = want + c * monomial
         assert p.evaluate(point) == want
-
-
-# Per nvars, (exponent vectors S, corner M) with M - e >= 0 for every e in S:
-# the operands on S and on M - S meet with all len(S) pairs in the slot of M.
-# Every shape is dense enough for `MultiPoly.__mul__` to pick Kronecker.
-KRONECKER_SHAPES = {
-    1: ([(i,) for i in range(63)], (62,)),
-    2: ([e for e in cartesian(range(8), repeat=2) if any(e)], (7, 7)),
-    3: ([e for e in cartesian(range(13), repeat=3) if sum(e) == 12], (12, 12, 12)),
-    4: ([e for e in cartesian(range(9), repeat=4) if sum(e) == 16], (8, 8, 8, 8)),
-}
-
-
-def _schoolbook(a, b):
-    return {k: v for k, v in schoolbook_sums(a, b).items() if v}
-
-
-@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
-def test_kronecker_product_slot_sums_at_the_width_bound(nvars):
-    shape, corner = KRONECKER_SHAPES[nvars]
-    a_keys = [pack(e) for e in shape]
-    b_keys = [pack([m - x for m, x in zip(corner, e)]) for e in shape]
-    # bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 1; in one variable
-    # every residue mod 8, elsewhere one more than a multiple of 8, where a
-    # width one bit short would lose a whole byte
-    fixed = 40 + len(shape).bit_length() + 1
-    a_bits = [w for w in range(2, 18) if nvars == 1 or (w + fixed) % 8 == 1]
-    for bits in a_bits:
-        width = bits + fixed
-        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
-            a = dict.fromkeys(a_keys, sa * (2 ** bits - 1))
-            b = dict.fromkeys(b_keys, sb * (2 ** 40 - 1))
-            assert takes_kronecker(a, b, nvars)
-            want = _schoolbook(a, b)
-            extreme = want[pack(corner)]
-            assert 2 ** (width - 2) < abs(extreme) < 2 ** (width - 1)
-            assert _kronecker_product(a, b, nvars) == want
-
-
-@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
-def test_kronecker_product_matches_schoolbook_mixed_signs(nvars):
-    rng = random.Random(nvars)
-    shape, _ = KRONECKER_SHAPES[nvars]
-    keys = [pack(e) for e in shape]
-    shift = (nvars - 1) * LIMB
-    for _ in range(1 if nvars == 4 else 3):
-        a, b = ({k: rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.randint(1, 90))
-                 for k in keys} for _ in range(2))
-        # a(-x_1, x_2, ...): a times it is even in x_1, so half its sums cancel
-        mirror = {k: -c if (k >> shift) & MASK & 1 else c for k, c in a.items()}
-        for x, y in ((a, b), (a, mirror)):
-            assert takes_kronecker(x, y, nvars)
-            want = _schoolbook(x, y)
-            assert _kronecker_product(x, y, nvars) == want
-            p = MultiPoly(nvars, x) * MultiPoly(nvars, y)
-            assert p.terms == want and p.content == 1
-        # a Kronecker product added into sums already there, as in one matrix entry
-        sums = {}
-        for x, y in ((a, b), (a, mirror)):
-            _add_product(sums, x, y, nvars)
-        want = schoolbook_sums(a, b)
-        for k, v in schoolbook_sums(a, mirror).items():
-            want[k] = want.get(k, 0) + v
-        assert {k: v for k, v in sums.items() if v} == {k: v for k, v in want.items() if v}
-        assert len(schoolbook_sums(a, mirror)) > len(_schoolbook(a, mirror))

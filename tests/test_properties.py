@@ -15,8 +15,7 @@ import pytest
 from conftest import (H3_FIELD, H3_TAU, LaplaceMinors, _poly_divmod,
                       accumulating_apply, assert_same_form, expanded_subst,
                       h3_roots, poly_gcdex, quotient_rule_partial,
-                      repeated_division_as_poly, sequential_matmul,
-                      takes_kronecker)
+                      repeated_division_as_poly, sequential_matmul)
 
 from coxsaito.coxeter import (anti_invariant_Q, build_datum, builtin_invariants,
                               jacobian)
@@ -389,9 +388,9 @@ def _monomials(nvars, low, high):
             for rest in _monomials(nvars - 1, max(0, low - e), high - e)]
 
 
-def _kronecker_numerators(rng, nvars, low, high):
+def _band_numerators(rng, nvars, low, high):
     """{exponent vector: nonzero int of either sign} on every monomial of
-    total degree low..high: dense enough for the Kronecker product route."""
+    total degree low..high."""
     return {e: rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.randint(1, 40))
             for e in _monomials(nvars, low, high)}
 
@@ -405,23 +404,22 @@ def _over(numerators, den):
     return {e: Fraction(c, den) for e, c in numerators.items()}
 
 
-KRONECKER_CASES = ("homogeneous", "non-homogeneous", "mirror")
+BAND_CASES = ("homogeneous", "non-homogeneous", "mirror")
 
 
-def _check_kronecker_product(rng, case: str) -> None:
-    """One product over Q that takes the Kronecker route, against the dict
-    oracle.  `homogeneous`: dense homogeneous operands of degree 8 to 12 in
-    three variables; `mirror`: one of them times its mirror f(-x, y, z), so
-    half of the product's sums cancel to zero; `non-homogeneous`: dense
-    operands of degrees d-4..d in two variables (a homogeneous one in two
-    variables has too few terms to take the route).  Coefficients have
-    mixed signs and one denominator per operand, so the reference product
-    runs on ints."""
+def _check_band_product(rng, case: str) -> None:
+    """One product over Q of operands on every monomial of a band of total
+    degrees, a thousand or more pairs of terms, against the dict oracle.
+    `homogeneous`: dense homogeneous operands of degree 8 to 12 in three
+    variables; `mirror`: one of them times its mirror f(-x, y, z), so half
+    of the product's sums cancel to zero; `non-homogeneous`: dense operands
+    of degrees d-4..d in two variables.  Coefficients have mixed signs and
+    one denominator per operand, so the reference product runs on ints."""
     nvars = 2 if case == "non-homogeneous" else 3
 
     def numerators():
         high = rng.randint(8, 12)
-        return _kronecker_numerators(rng, nvars, high - 4 if nvars == 2 else high, high)
+        return _band_numerators(rng, nvars, high - 4 if nvars == 2 else high, high)
 
     a_n, a_den = numerators(), rng.randint(1, 35)
     if case == "mirror":
@@ -430,7 +428,6 @@ def _check_kronecker_product(rng, case: str) -> None:
         b_n, b_den = numerators(), rng.randint(1, 35)
     a, b = (MultiPoly.from_terms(nvars, _over(n, den).items())
             for n, den in ((a_n, a_den), (b_n, b_den)))
-    assert takes_kronecker(a.terms, b.terms, nvars), case
     values = _over(_dict_mul(a_n, b_n), a_den * b_den)
     want = MultiPoly.from_terms(nvars, values.items())
     for got in (a * b, b * a):
@@ -450,20 +447,20 @@ def run_q_kernel_oracle(iterations=ITERATIONS, seed=16180339) -> int:
     equal to the polynomial `from_terms` builds from that dict.  A fifth
     of the instances add an operand built to cancel to zero, a fifth one
     built so the sum is integral, a fifth a one-term operand, and a fifth
-    are products that take the Kronecker route (`_check_kronecker_product`).
+    are products of dense operands on a band of degrees (`_check_band_product`).
     """
     rng = random.Random(seed)
     seen = {"cancel to zero": 0, "integral sum": 0, "one-term product": 0,
             "multi-term product": 0, "quotient": 0, "none": 0}
-    kronecker = dict.fromkeys(KRONECKER_CASES, 0)
+    band = dict.fromkeys(BAND_CASES, 0)
     tested = 0
     while tested < iterations:
         nvars = 1 + tested % 3
         kind = tested // 3 % 5
         if kind == 4:
-            case = KRONECKER_CASES[tested % 3]
-            _check_kronecker_product(rng, case)
-            kronecker[case] += 1
+            case = BAND_CASES[tested % 3]
+            _check_band_product(rng, case)
+            band[case] += 1
             tested += 1
             continue
 
@@ -534,7 +531,7 @@ def run_q_kernel_oracle(iterations=ITERATIONS, seed=16180339) -> int:
         assert MultiPoly.zero(nvars).constant_value() == 0
         tested += 1
     assert min(seen.values()) >= iterations // 10, seen
-    assert min(kronecker.values()) >= iterations // 20, kronecker
+    assert min(band.values()) >= iterations // 20, band
     return tested
 
 
@@ -1005,17 +1002,18 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
     small random operands (one-term ones included), numerators near 2^64
     with signs and denominators mixed, dense operands whose coefficients all
     share one extreme numerator, a product x y-coefficient u z + v w that
-    cancels modulo p but not as an integer polynomial in t, and products
-    that take the Kronecker route, in the cases of `_check_kronecker_product`
-    at degree 8 (the per-pair oracle is slow)."""
+    cancels modulo p but not as an integer polynomial in t, and products of
+    dense operands on a band of degrees, in the cases of
+    `_check_band_product` at degree 8 (the per-pair oracle is slow), whose
+    many pairs per monomial widen the slots of `FieldContext.pack_pairs`."""
     fields = [SQRT5] + [build_datum("I2", m).field for m in (5, 7, 8)]
     fields.append(FieldContext((Fraction(-5, 4), 0, 1), "sqrt(5)/2"))
     rng = random.Random(seed)
     kinds = {"small": 0, "one-term": 0, "wide": 0, "dense": 0, "cancel": 0,
-             "kronecker": 0}
-    # a Kronecker instance costs a thousand or more Scalar products in the
+             "band": 0}
+    # a band instance costs a thousand or more Scalar products in the
     # oracle, so that kind comes once every three rounds of the others
-    schedule = [*list(kinds)[:-1] * 3, "kronecker"]
+    schedule = [*list(kinds)[:-1] * 3, "band"]
     tested = 0
     while tested < iterations:
         field = fields[tested % len(fields)]
@@ -1040,8 +1038,8 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
             c = field.from_coeffs([rng.choice((-1, 1)) * top] * field.degree)
             a = _dense_form(field, nvars, rng.randint(1, 4), c)
             b = _dense_form(field, nvars, rng.randint(1, 4), c)
-        elif kind == "kronecker":
-            case = KRONECKER_CASES[tested // (len(fields) * len(schedule)) % 3]
+        elif kind == "band":
+            case = BAND_CASES[tested // (len(fields) * len(schedule)) % 3]
             nvars = 2 if case == "non-homogeneous" else 3
             low = 4 if nvars == 2 else 8
             a = MultiPoly.from_terms(nvars, [(e, _nonzero_scalar(rng, field))
@@ -1053,7 +1051,6 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
                 b = MultiPoly.from_terms(nvars, [(e, _nonzero_scalar(rng, field))
                                                  for e in _monomials(nvars, low, 8)],
                                          field)
-            assert takes_kronecker(a.terms, b.terms, nvars), case
         else:
             u, v, z = (_random_scalar(rng, field) for _ in range(3))
             if not (u and v and z):
@@ -1072,16 +1069,16 @@ def run_nf_product_oracle(iterations=ITERATIONS, seed=10007) -> int:
             _assert_canonical(c, field)
         if kind == "cancel":
             assert pack([1, 1] + [0] * (nvars - 2)) not in got.terms
-        if kind == "kronecker" and case == "mirror":
+        if kind == "band" and case == "mirror":
             assert all(unpack(k, nvars)[0] % 2 == 0 for k in got.terms)
         kinds[kind] += 1
         tested += 1
-    assert kinds.pop("kronecker") >= iterations // 20, kinds
+    assert kinds.pop("band") >= iterations // 20, kinds
     assert min(kinds.values()) >= iterations // 10, kinds
     return tested
 
 
-MATMUL_KINDS = ("small", "fraction", "wide", "extreme", "cancel", "kronecker")
+MATMUL_KINDS = ("small", "fraction", "wide", "extreme", "cancel", "band")
 
 
 def _matmul_operands(rng, kind, field, nvars):
@@ -1136,9 +1133,7 @@ def _matmul_operands(rng, kind, field, nvars):
     def dense_random():
         return MultiPoly.from_terms(nvars, [(e, _nonzero_scalar(rng, field))
                                             for e in _monomials(nvars, low, 8)], field)
-    left, right = Matrix([[dense_random(), small()]]), Matrix([[dense_random()], [small()]])
-    assert takes_kronecker(left[0, 0].terms, right[0, 0].terms, nvars)
-    return left, right
+    return Matrix([[dense_random(), small()]]), Matrix([[dense_random()], [small()]])
 
 
 def run_matmul_oracle(iterations=ITERATIONS, seed=14142136) -> int:
@@ -1152,7 +1147,8 @@ def run_matmul_oracle(iterations=ITERATIONS, seed=14142136) -> int:
     fractions num / q^e with mixed exponents 0..3 and plain polynomials
     among them; numerators near 2^64 over mixed denominators; dense
     operands whose slots all reach the width bound; entries that cancel to
-    zero; and a pair that takes the Kronecker route."""
+    zero; and an entry with one pair of dense operands on a band of degrees
+    beside a small pair."""
     fields = [RATIONALS, SQRT5, build_datum("I2", 5).field]
     rng = random.Random(seed)
     kinds = dict.fromkeys(MATMUL_KINDS, 0)
@@ -1160,7 +1156,7 @@ def run_matmul_oracle(iterations=ITERATIONS, seed=14142136) -> int:
     while tested < iterations:
         field = fields[tested % len(fields)]
         kind = MATMUL_KINDS[tested // len(fields) % len(MATMUL_KINDS)]
-        nvars = 2 if kind == "kronecker" else rng.choice((2, 3))
+        nvars = 2 if kind == "band" else rng.choice((2, 3))
         left, right = _matmul_operands(rng, kind, field, nvars)
         got, want = left * right, sequential_matmul(left, right)
         assert got == want, kind

@@ -310,6 +310,36 @@ def test_nabla_xi_matches_references(label, rank):
                 (m, t)
 
 
+def _report(ctx):
+    report = run_suites(ctx, ["theorems", "hodge"], 1, 3, 2)
+    return [(r.name, r.status, r.witness, r.integrity) for r in report.results]
+
+
+def _xi3_plus_x_d_dx(ctx):
+    """The xi^(3) row with xi^(3)_1 + x d/dx in its place, a new object."""
+    row = list(xi_basis(3, ctx))
+    first = row[0].coeffs
+    row[0] = PolyDerivation([first[0] + MultiPoly.variable(ctx.rank, 0), *first[1:]])
+    return row
+
+
+def test_nabla_xi_reads_a_replaced_row():
+    # each nabla_D^t xi^(m) is kept with the power t - 1 it was built from:
+    # a row that replaces xi_table[3] after nabla_D xi^(3) and nabla_D^2
+    # xi^(3) were built reaches thm24.1 and hodge.g0 as it reaches prop26,
+    # and the report is the one of a row replaced before any power was built
+    early = fresh_context("B", 2)
+    early.xi_table[3] = _xi3_plus_x_d_dx(early)
+    want = _report(early)
+    late = fresh_context("B", 2)
+    built = nabla_xi(3, 1, late), nabla_xi(3, 2, late)
+    late.xi_table[3] = _xi3_plus_x_d_dx(late)
+    assert _report(late) == want
+    statuses = {name: status for name, status, _, _ in want}
+    assert statuses["prop26/k=1"] == statuses["thm24.1/k=1"] == "fail"
+    assert nabla_xi(3, 1, late) != built[0] and nabla_xi(3, 2, late) != built[1]
+
+
 def _assert_dp_matrix_matches_reference(ctx):
     # differential oracle: d/dP_k of a matrix in every direction, from one
     # Jacobian and one product, agrees in form with entrywise d/dP_k one
