@@ -3,12 +3,12 @@
 Everything lives in the localization S[Q^-1]: each value is a fraction
 num / q^e over the context's one denominator base q, the monic det J(P) = c Q;
 J(P) and G are inverted over that base and J(D^k[X]) through B^(k) (see
-`jdkx_inv`), which Lemma 2.1 (4) names and one polynomial identity
-certifies (see `_certified_bk`): J(D^k[X]) itself, k >= 2, is formed only
-on the fallback of a rejected candidate.  Whenever a theorem guarantees a
-matrix is polynomial, the numerators are divided exactly by the powers of q
-and a failure aborts with NonPolynomialEntry.  That certification is a free
-integrity check on the entire pipeline.
+`jdkx_inv`).  B^(1) is Gamma*_l and B^(k) the candidate of Lemma 2.1 (4),
+certified by a chain of exact premises (see `_certified_bk`): J(D^k[X]) is
+formed only on the fallback of a failed premise.  Whenever a theorem
+guarantees a matrix is polynomial, the numerators are divided exactly by the
+powers of q and a failure aborts with NonPolynomialEntry.  That
+certification is a free integrity check on the entire pipeline.
 
 All row/column conventions follow the row-vector style of the source
 identities: a tuple of derivations is a row, coefficient matrices multiply it
@@ -123,8 +123,7 @@ class SaitoContext:
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "kept",
-                 "form_bases", "q_base", "_bk_memo",
-                 "_metric_G_inv", "_lemma21_numerators")
+                 "form_bases", "q_base", "_bk_memo", "_metric_G_inv")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -148,7 +147,7 @@ class SaitoContext:
         self.xi_table: dict = {}
         self.kept: dict = {}
         self.form_bases: dict = {}
-        self._metric_G_inv = self._lemma21_numerators = None
+        self._metric_G_inv = None
 
     @property
     def rank(self) -> int:
@@ -159,18 +158,6 @@ class SaitoContext:
         if self._metric_G_inv is None:
             self._metric_G_inv = self.metric_G.inverse(self.q_base)
         return self._metric_G_inv
-
-    def lemma21_numerators(self):
-        """(q (J(P)^T A)^-1, q d): the numerators over q of A^-1 J(P)^-T and of
-        d, the row of D (the last row of J(P)^-1), as polynomial matrices for
-        the identity of `_certified_bk`; built once, None for a singular A."""
-        if self._lemma21_numerators is None and self.gram_poly.det():
-            q_inv = self.jac_P_inv * self.q_base.q
-            self._lemma21_numerators = (
-                _certify_poly_matrix(self.gram_poly.inverse() * q_inv.transpose(),
-                                     "q (J(P)^T A)^-1"),
-                _certify_poly_matrix(Matrix(q_inv.entries[-1:]), "q d"))
-        return self._lemma21_numerators
 
 
 def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoContext:
@@ -209,22 +196,22 @@ def dp_matrix(m: Matrix, ks, ctx: SaitoContext) -> list[Matrix]:
 
 def dkx(k: int, ctx: SaitoContext):
     """The vector D^k[X] of fractions over the context's base, simplified;
-    cached: the row of D (the last row of J(P)^-1) times J(D^(k-1)[X]).
-    D[X] is the primitive derivation; k >= 2 is formed only on the fallback
-    of `_certified_bk`."""
+    cached: the row d of D (the last row of J(P)^-1) times J(D^(k-1)[X]).
+    D[X] = d is the primitive derivation, read without J(X); k >= 2 is formed
+    only on the fallback of `_certified_bk`."""
     if k < 0:
         raise ValueError("k must be >= 0")
     table = ctx.dkx_table
     if k not in table:
-        table[k] = (Matrix(ctx.jac_P_inv.entries[-1:])
-                    * jdkx(k - 1, ctx)).simplify().entries[0]
+        d = Matrix(ctx.jac_P_inv.entries[-1:])
+        table[k] = (d * jdkx(k - 1, ctx) if k > 1 else d).simplify().entries[0]
     return table[k]
 
 
 def jdkx(k: int, ctx: SaitoContext) -> Matrix:
     """Jacobian matrix of D^k[X]: entry (i, j) = d(D^k[X_j]) / dX_i; cached
     and not simplified, each entry over q^(2k) as `_certified_bk` reads it.
-    J(D^k[X]), k >= 2, is formed only on the fallback of `_certified_bk`."""
+    It is formed, at any k, only on the fallback of `_certified_bk`."""
     table = ctx.jdkx_table
     if k not in table:
         table[k] = jacobian(dkx(k, ctx), ctx.rank)
@@ -249,56 +236,74 @@ def _certify_poly_matrix(m: Matrix, what: str) -> Matrix:
     return Matrix(out)
 
 
-def _lemma21_identity(rest: Matrix, k: int, ctx: SaitoContext) -> bool:
-    """Whether B^(1) + rest is B^(k), for k >= 2, by one polynomial identity
-    (see `_certified_bk`); False for a singular A."""
-    numerators = ctx.lemma21_numerators()
-    if numerators is None:
-        return False
-    l_q, d_q = numerators
-    n, ell = jdkx_inv(k - 1, ctx), ctx.rank
-    flat = _apply_coeffs(d_q.entries, [e for row in n.entries for e in row])[0]
-    q_dn = Matrix([flat[i:i + ell] for i in range(0, ell * ell, ell)])
-    return n * (l_q * rest) == q_dn * ctx.jac_P
+def _gamma_star(k: int, ctx: SaitoContext) -> Matrix:
+    """J(P)^T A (d/dP_k)[J(P)], certified polynomial, kept with J(P), J(P)^-1
+    and A; `christoffel_star` fills its table from it, and B^(1) reads it for
+    k = l, so an entry overwritten in the table reaches only the checks."""
+    return _kept(ctx, ("gamma_star", k), (ctx.jac_P, ctx.jac_P_inv, ctx.gram_poly),
+                 lambda: _certify_poly_matrix(ctx.jac_P.transpose() * ctx.gram_poly
+                                              * dp_matrix(ctx.jac_P, [k], ctx)[0],
+                                              f"Gamma*_{k}"))
 
 
-def _lemma21_candidate(k: int, ctx: SaitoContext):
-    """C = B^(k-1) + B^(1) + (B^(1))^T (Lemma 2.1 (4)) for k >= 2 if
-    `_lemma21_identity` accepts C - B^(1), else None.  An error while
-    forming C or the identity counts as a rejection, so that the product
-    route raises it, in its own order."""
+def d_bk(k: int, bk: Matrix, ctx: SaitoContext) -> Matrix:
+    """D[bk], entrywise, for bk read as B^(k); kept per level with bk and
+    J(P)^-1, so `lemma21.1d/k` and the premise of B^(k+1) share it."""
+    return _kept(ctx, ("d_bk", k), (bk, ctx.jac_P_inv),
+                 lambda: dp_matrix(bk, [ctx.rank], ctx)[0])
+
+
+def _tower_candidate(k: int, ctx: SaitoContext):
+    """B^(k), k >= 1, by the premise chain of `_certified_bk`, or None when a
+    premise fails.  An error while checking one counts as a failure, so that
+    the product route raises it, in its own order."""
+    ell = ctx.rank
     try:
-        b1 = _certified_bk(1, ctx)
-        rest = _certified_bk(k - 1, ctx) + b1.transpose()
-        return rest + b1 if _lemma21_identity(rest, k, ctx) else None
+        if k == 1:
+            e_l = Matrix.identity(ell, ell, ctx.datum.field).entries[-1:]
+            d_jp = Matrix(ctx.jac_P_inv.entries[-1:]) * ctx.jac_P
+            return _gamma_star(ell, ctx) if d_jp == Matrix(e_l) else None
+        b1, prev = _certified_bk(1, ctx), _certified_bk(k - 1, ctx)
+        _bk_inverse(k - 1, prev, ctx)  # raises unless det B^(k-1) is a nonzero constant
+        if (b1 is _gamma_star(ell, ctx) and ctx.gram_poly.det()
+                and not any(e for row in d_bk(k - 1, prev, ctx).entries for e in row)):
+            return prev + b1 + b1.transpose()
     except CoxsaitoError:
-        return None
+        pass
+    return None
 
 
 def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
     """B^(k) for k >= 1, built once per context into a private memo.
 
-    For k >= 2 the candidate C of Lemma 2.1 (4) is decided in polynomials
-    (`_lemma21_candidate`).  Write M_j = J(D^j[X]), N = M_(k-1)^-1
-    (`jdkx_inv(k - 1)`), d the row of D, L = (J(P)^T A)^-1, and L~ = q L,
-    d~ = q d their numerators (`lemma21_numerators`).  D^k[X] = d M_(k-1) and mixed
-    partials commute, so M_k = J(d) M_(k-1) + D[M_(k-1)]; D[M] N = -M D[N]
-    since M N = I; and J(d) J(P) = -L B^(1) is the definition of B^(1).  The
-    definition of B^(k), M_k = -L B^(k) J(P)^-1 M_(k-1), times N J(P) on the
-    right and then N on the left, becomes N L (B^(k) - B^(1)) = D[N] J(P);
-    N and L are invertible, so C = B^(k) exactly when
+    Each level is first decided by a chain of exact premises
+    (`_tower_candidate`), which forms no J(D^k[X]).  Write d for the row of D
+    (the last row of J(P)^-1), M_j = J(D^j[X]), N_j = M_j^-1 and
+    L = (J(P)^T A)^-1; D^k[X] = d M_(k-1).
 
-        N L~ (C - B^(1)) == (d~ J(N)) J(P),
+    k = 1: J(d) J(P) + D[J(P)] = J(d J(P)), so when d J(P) == e_l (that is,
+    D[P_j] = delta_jl) J(D[X]) J(P) = -D[J(P)] and B^(1) is
+    Gamma*_l = J(P)^T A D[J(P)] (Lemma 2.2 (4)), computed privately
+    (`_gamma_star`).
 
-    that is N L~ (B^(k-1) + (B^(1))^T) for the candidate, where d~ J(N) is
-    q D[N] as an l x l matrix: one Jacobian, of N, per level.  The lemma is
-    not assumed, so `lemma21.4` still tests it.  On the accepting path
-    M_k = -L C J(P)^-1 M_(k-1) with L and J(P)^-1 over q and C polynomial,
-    so by induction from M_1 every entry of M_k is over q^e with e <= 2k:
-    the premise the product route scans.
+    k >= 2: mixed partials commute, so M_k = J(d) M_(k-1) + D[M_(k-1)]; with
+    D[M] N = -M D[N], the definition M_k = -L B^(k) J(P)^-1 M_(k-1) becomes
+    N_(k-1) L (B^(k) - B^(1)) = D[N_(k-1)] J(P).  Put N_(k-1) = N_(k-2) X with
+    X = -J(P) (B^(k-1))^-1 J(P)^T A, cancel N_(k-2) by the same statement at
+    level k-1, and use B^(1) = Gamma*_l and G = J(P)^T A J(P):
 
-    Otherwise (k = 1, a singular A, a rejected candidate) J(D^k[X]) is
-    formed -- for k >= 2 only here -- and each entry must have a
+        B^(k) = B^(k-1) + B^(1) + (B^(1))^T - D[B^(k-1)] (B^(k-1))^-1 G.
+
+    So the candidate of Lemma 2.1 (4) is B^(k) exactly when B^(1) is that
+    Gamma*_l, det B^(k-1) is a nonzero constant (`_bk_inverse`), A is
+    nonsingular and D[B^(k-1)] == 0 (`d_bk`): no polynomial identity is
+    formed.  The lemma is not assumed, so `lemma21.4` and `lemma21.1d` still
+    test it.  On the accepting path M_k = -L B^(k) J(P)^-1 M_(k-1) with L and
+    J(P)^-1 over q and B^(k) polynomial, so by induction from M_1 = J(d) every
+    entry of M_k is over q^e with e <= 2k: the premise the product route
+    scans.
+
+    Otherwise J(D^k[X]) is formed -- only here -- and each entry must have a
     denominator q^e with e <= 2k, as the chain rule gives; a foreign
     denominator or a larger exponent raises NonPolynomialEntry.  Then the
     defining product is formed, each entry num / q^E certified by one exact
@@ -306,7 +311,7 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
     """
     memo = ctx._bk_memo
     if k not in memo:
-        bk = _lemma21_candidate(k, ctx) if k > 1 else None
+        bk = _tower_candidate(k, ctx)
         if bk is None:
             jd = jdkx(k, ctx)
             for i in range(ctx.rank):
@@ -336,7 +341,7 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
     determinant of J(D^k[X]), is a nonzero constant; a non-constant one
     raises NonPolynomialEntry, a zero one SingularMatrix.  The denominators
     of J(D^k[X]) are certified by `_certified_bk`, which forms J(D^k[X])
-    for k >= 2 only on its fallback.  B^(k) is read from its
+    only on its fallback.  B^(k) is read from its
     private memo, never from `bk_table`, so an entry overwritten in that table
     reaches only the checks that read it and not xi^(2k); the inverse is
     shared with `lead` while the two are one object (`_bk_inverse`).
@@ -380,9 +385,7 @@ def christoffel_star(k: int, ctx: SaitoContext) -> Matrix:
         raise ValueError("k must be between 1 and the rank")
     table = ctx.christoffel_table
     if k not in table:
-        (dj,) = dp_matrix(ctx.jac_P, [k], ctx)
-        prod = ctx.jac_P.transpose() * ctx.gram_poly * dj
-        table[k] = _certify_poly_matrix(prod, f"Gamma*_{k}")
+        table[k] = _gamma_star(k, ctx)
     return table[k]
 
 

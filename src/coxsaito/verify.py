@@ -36,7 +36,7 @@ from .errors import ConfigError, CoxsaitoError
 from .matrix import Matrix, unit_power
 from .poly import MultiPoly
 from .saito import (SaitoContext, bk_matrix, bk_moved, christoffel_star, columns,
-                    contact_defect, derivation_apply, derivation_bracket,
+                    contact_defect, d_bk, derivation_apply, derivation_bracket,
                     derivation_degree, dp_matrix, invariance_defect, lead,
                     nabla_xi, primitive_derivation, prop26_holds, xi_basis)
 
@@ -177,8 +177,7 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
         # errors attributable to the individual check
 
         def d_annihilates(k=k):
-            return _first_nonzero(dp_matrix(bk_matrix(k, ctx), [ell], ctx)[0],
-                                  "D[entry]")
+            return _first_nonzero(d_bk(k, bk_matrix(k, ctx), ctx), "D[entry]")
 
         def w_invariant(k=k):
             moved = bk_moved(k, ctx)

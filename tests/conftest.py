@@ -522,12 +522,14 @@ def product_bk(k, ctx):
 def old_identity_accepts(k, ctx):
     """The Lemma 2.1 (4) identity in its earlier form, for k >= 2: the
     candidate C = B^(k-1) + B^(1) + (B^(1))^T from the private memo passes
-    when C J(P)^-1 J(D^(k-1)[X]) == -J(P)^T A J(D^k[X]).  The reference for
-    the decision of `saito._certified_bk`, which forms no J(D^k[X]) and
-    decides by the polynomial identity of `saito._lemma21_identity` instead."""
+    when C J(P)^-1 J(D^(k-1)[X]) == -J(P)^T A J(D^k[X]), that is, when C is
+    the defining product.  J(P)^-1 is inverted afresh from J(P), so that a
+    tampered `ctx.jac_P_inv` enters only through D, as it does in the product.
+    The reference for the decision of `saito._certified_bk`, which forms no
+    J(D^k[X]) and decides by the premise chain of `saito._tower_candidate`."""
     memo = ctx._bk_memo
     candidate = memo[k - 1] + memo[1] + memo[1].transpose()
-    return (candidate * ctx.jac_P_inv * saito.jdkx(k - 1, ctx)
+    return (candidate * ctx.jac_P.inverse(ctx.q_base) * saito.jdkx(k - 1, ctx)
             == -(ctx.jac_P.transpose() * ctx.gram_poly * saito.jdkx(k, ctx)))
 
 

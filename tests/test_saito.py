@@ -477,10 +477,11 @@ def _product_certified_levels(ctx, top, monkeypatch):
 
 
 def _assert_bk_matches_product_route(ctx, top, monkeypatch):
-    # differential oracle: B^(k) from the Lemma 2.1 (4) candidate and its
-    # defining identity agrees in form with the defining product, built on
-    # a second context whose every level takes the product route
-    assert _product_certified_levels(ctx, top, monkeypatch) == [1]
+    # differential oracle: B^(k) from the premise chain (Gamma*_l, then the
+    # Lemma 2.1 (4) candidate) agrees in form with the defining product,
+    # built on a second context whose every level takes the product route;
+    # on true data no level takes the product
+    assert _product_certified_levels(ctx, top, monkeypatch) == []
     reference = build_context(ctx.datum, ctx.invariants)
     monkeypatch.setattr(saito, "_certified_bk", product_bk)
     for k in range(1, top + 1):
@@ -523,6 +524,16 @@ def _tamper(ctx, kind):
         ctx.bk_table[2] = with_entry(bk, 0, 0, bk[0, 0] + one)
     elif kind == "_bk_memo[1]":
         ctx._bk_memo[1] = _certified_bk(1, ctx) * 2
+    elif kind == "_bk_memo[2]":
+        # det B^(2) stays constant (entry (1,1) of its cofactor expansion
+        # vanishes by degree), but D[B^(2)] != 0
+        bk = _certified_bk(2, ctx)
+        x1 = MultiPoly.variable(ctx.rank, 0, ctx.datum.field)
+        ctx._bk_memo[2] = with_entry(bk, last, last, bk[last, last] + x1)
+    elif kind == "christoffel_table[l]":
+        # before any B^(k) is built: B^(1) must not read the table
+        star = christoffel_star(ctx.rank, ctx)
+        ctx.christoffel_table[ctx.rank] = with_entry(star, 0, 0, star[0, 0] + one)
     elif kind == "gram_poly singular":
         # B^(1) first, with the true A, so that J(D[X])^-1 stays certified and
         # B^(2) meets the singular A in its identity, not in its premise
@@ -542,14 +553,15 @@ def _stripped_report(ctx):
 
 
 TAMPER_KINDS = ["jac_P", "jac_P_inv", "jac_P_inv/D", "gram_poly", "metric_G",
-                "bk_table[2]", "_bk_memo[1]", "gram_poly singular"]
+                "bk_table[2]", "_bk_memo[1]", "gram_poly singular", "_bk_memo[2]",
+                "christoffel_table[l]"]
 
 
 @pytest.mark.parametrize("kind", TAMPER_KINDS)
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
 def test_tampered_reports_match_product_route(label, rank, kind, monkeypatch):
-    # a candidate the identity rejects falls back to the defining product, so
-    # a tampered run reports what the product route alone reports
+    # a level whose premise fails falls back to the defining product, so a
+    # tampered run reports what the product route alone reports
     ctx = fresh_context(label, rank)
     _tamper(ctx, kind)
     got = _stripped_report(ctx)
@@ -561,9 +573,8 @@ def test_tampered_reports_match_product_route(label, rank, kind, monkeypatch):
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
 def test_identity_error_reports_as_the_product_route(label, rank, monkeypatch):
-    # with row 1 of J(P)^-1 over one more power of q, q (J(P)^T A)^-1 is not
-    # polynomial and the identity cannot be formed: that is a rejection, not
-    # an error of its own, so the run reports what the product route reports
+    # with row 1 of J(P)^-1 over one more power of q, which no premise of the
+    # chain reads, the run reports what the product route reports
     test_tampered_reports_match_product_route(label, rank, "jac_P_inv row 1 over q",
                                               monkeypatch)
 
@@ -601,13 +612,16 @@ def test_h3_identity_decides_as_its_earlier_form(h3_context, monkeypatch):
     assert _identity_decisions(ctx, 2, monkeypatch) == ([True], [True])
 
 
-# The earlier form's decisions at k = 2, 3, 4 under each tampering, the same
-# on B2 and A3.  A tampered J(P) or A leaves B^(1) non-polynomial, so no
-# identity is formed; B^(k) never reads G, and bk_table[2] only the checks.
+# The decisions at k = 2, 3, 4 under each tampering, the same on B2 and A3.
+# A tampered J(P) or A leaves B^(1) non-polynomial, so no level k >= 2 is
+# decided; no premise reads row 1 of J(P)^-1, B^(k) never reads G, and
+# bk_table[2] and christoffel_table[l] reach only the checks.  D[B^(2)] != 0
+# sends B^(3) to the product, and B^(4) is not reached.
 TAMPERED_DECISIONS = {
-    "jac_P": [], "jac_P_inv": [False] * 3, "jac_P_inv/D": [False],
+    "jac_P": [], "jac_P_inv": [True] * 3, "jac_P_inv/D": [False],
     "gram_poly": [], "metric_G": [True] * 3, "bk_table[2]": [True] * 3,
-    "_bk_memo[1]": [False] * 3, "gram_poly singular": [False]}
+    "_bk_memo[1]": [False] * 3, "gram_poly singular": [False],
+    "_bk_memo[2]": [True, False], "christoffel_table[l]": [True] * 3}
 
 
 @pytest.mark.parametrize("kind", TAMPER_KINDS)
@@ -621,76 +635,97 @@ def test_tampered_identity_decides_as_its_earlier_form(label, rank, kind,
 
 
 def test_tower_takes_one_jacobian_per_level(monkeypatch):
-    # B^(1..4) on A3: dkx and jdkx run only for k <= 1, one Jacobian each,
-    # with no exact division while jdkx itself (not the dkx it reads) is
-    # running; every level k >= 2 takes one Jacobian, of N_(k-1) =
-    # J(D^(k-1)[X])^-1, for the identity that certifies B^(k)
+    # B^(1..4) on A3: dkx and jdkx never run; the only Jacobians are of the
+    # entries of J(P), for Gamma*_l = B^(1), and of B^(1), B^(2) and B^(3),
+    # for the premise D[B^(k-1)] == 0 of each level k >= 2
     ctx = fresh_context("A", 3)
-    stack, calls, jacobians, divisions = [], [], [], []
-    jacobian, divide = saito.jacobian, MultiPoly.exact_divide
+    calls, jacobians = [], []
+    jacobian = saito.jacobian
 
     def tracked(name, fn):
         def spy(k, c):
             calls.append((name, k))
-            stack.append((name, k))
-            try:
-                return fn(k, c)
-            finally:
-                stack.pop()
+            return fn(k, c)
         return spy
 
     def spy_jacobian(polys, nvars):
-        inverses = ctx.jdkx_inv_table
-        jacobians.append(stack[-1] if stack else next(
-            ("N", k) for k in inverses
-            if list(polys) == [e for row in inverses[k].entries for e in row]))
+        flat = [[e for row in m.entries for e in row]
+                for m in (ctx.jac_P, *ctx._bk_memo.values())]
+        jacobians.append(flat.index(list(polys)))
         return jacobian(polys, nvars)
-
-    def spy_divide(self, other):
-        divisions.append(stack[-1] if stack else None)
-        return divide(self, other)
 
     monkeypatch.setattr(saito, "dkx", tracked("dkx", saito.dkx))
     monkeypatch.setattr(saito, "jdkx", tracked("jdkx", saito.jdkx))
     monkeypatch.setattr(saito, "jacobian", spy_jacobian)
-    monkeypatch.setattr(MultiPoly, "exact_divide", spy_divide)
     for k in range(1, 5):
         _certified_bk(k, ctx)
-    assert {k for _, k in calls} == {0, 1}
-    assert jacobians == [("jdkx", 0), ("jdkx", 1), ("N", 1), ("N", 2), ("N", 3)]
-    assert ("dkx", 1) in divisions
-    assert [d for d in divisions if d and d[0] == "jdkx"] == []
-    assert sorted(ctx.jdkx_table) == sorted(ctx.dkx_table) == [0, 1]
+    assert calls == []
+    assert jacobians == [0, 1, 2, 3]  # J(P), then B^(1), B^(2), B^(3)
+    assert sorted(ctx._bk_memo) == [1, 2, 3, 4]
+    assert ctx.jdkx_table == {} and sorted(ctx.dkx_table) == [0]
+
+
+def _assert_no_jacobian_of_dkx(ctx, report):
+    # no J(D^k[X]) is formed at any k; D[X] = D, which hodge.g0 reads, is
+    # the only power of D
+    assert report.counts["fail"] == 0
+    assert ctx.jdkx_table == {} and set(ctx.dkx_table) <= {0, 1}
 
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("D", 3), ("B", 2), ("I2", 5)])
 def test_passing_run_forms_no_higher_jacobian(label, rank):
-    # at the CLI defaults (B^(1..4), xi^(0..7)) no J(D^k[X]) with k >= 2 is
-    # formed, nor the D^k[X] it would differentiate
+    # at the CLI defaults: B^(1..4), xi^(0..7)
     ctx = fresh_context(label, rank)
-    report = run_suites(ctx, "all", 3, 7, 3)
-    assert report.counts["fail"] == 0
-    assert set(ctx.jdkx_table) <= {0, 1} and set(ctx.dkx_table) <= {0, 1}
+    _assert_no_jacobian_of_dkx(ctx, run_suites(ctx, "all", 3, 7, 3))
+
+
+def test_h3_passing_run_forms_no_higher_jacobian(h3_context):
+    # the suite set and bounds of the h3-file benchmark workload
+    ctx = build_context(h3_context.datum, h3_context.invariants)
+    _assert_no_jacobian_of_dkx(ctx, run_suites(ctx, ["metric", "theorems", "flat"],
+                                               1, 1, 1))
+
+
+def _perturbed(ctx, premise):
+    """Break one premise of the chain for B^(2) or B^(3) in ctx, in place;
+    the level whose premise is broken."""
+    ell, field = ctx.rank, ctx.datum.field
+    x1 = MultiPoly.variable(ell, 0, field)
+    if premise == "D[P] != e_l":
+        _tamper(ctx, "jac_P_inv/D")
+        return 1
+    if premise == "B^(1) is not Gamma*_l":
+        ctx._bk_memo[1] = Matrix(_certified_bk(1, ctx).entries)  # equal, not the same
+        return 2
+    if premise == "A singular":
+        _tamper(ctx, "gram_poly singular")
+        return 2
+    bk = _certified_bk(2, ctx)
+    if premise == "det B^(2) not constant":  # D[P_1] = 0, so D[B^(2)] stays 0
+        p1 = Matrix.identity(ell, ell, field) * ctx.invariants.polys[0]
+        ctx._bk_memo[2] = bk + p1
+    else:  # "D[B^(2)] != 0"; the cofactor of (l,l) vanishes by degree
+        ctx._bk_memo[2] = with_entry(bk, ell - 1, ell - 1, bk[ell - 1, ell - 1] + x1)
+    return 3
 
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5), ("D", 4)])
 def test_identity_rejects_perturbed_candidates(label, rank):
-    # the candidate C for B^(2) passes the identity, and C + E fails it for
-    # E = 1 at (1,1) and for E = x_1^2 at (l,1); the identity is given C - B^(1)
+    # the chain accepts the candidates for B^(1..3) on true data, and breaking
+    # any one premise rejects the candidate of that level
     ctx = fresh_context(label, rank)
-    b1 = _certified_bk(1, ctx)
-    rest = b1 + b1.transpose()
-    one = MultiPoly.const(ctx.rank, 1, ctx.datum.field)
-    x1 = MultiPoly.variable(ctx.rank, 0, ctx.datum.field)
-    assert saito._lemma21_identity(rest, 2, ctx)
-    for i, e in ((0, one), (ctx.rank - 1, x1 * x1)):
-        assert not saito._lemma21_identity(with_entry(rest, i, 0, rest[i, 0] + e), 2, ctx)
+    assert all(saito._tower_candidate(k, ctx) is not None for k in (1, 2, 3))
+    for premise in ("D[P] != e_l", "B^(1) is not Gamma*_l", "A singular",
+                    "det B^(2) not constant", "D[B^(2)] != 0"):
+        ctx = fresh_context(label, rank)
+        k = _perturbed(ctx, premise)
+        assert saito._tower_candidate(k, ctx) is None, premise
 
 
 def test_rejected_candidate_falls_back_to_the_product(monkeypatch):
-    # B^(1) doubled in the memo: the candidate 2 B^(1) + 2 B^(1) + 2 (B^(1))^T
-    # fails the identity, and the product with the halved inverse gives the
-    # polynomial B^(2)/2, so lemma21.4 fails with a value witness
+    # B^(1) doubled in the memo is not Gamma*_l, so the candidate is not
+    # taken, and the product with the halved inverse gives the polynomial
+    # B^(2)/2, so lemma21.4 fails with a value witness
     ctx = fresh_context("B", 2)
     _tamper(ctx, "_bk_memo[1]")
     assert _product_certified_levels(ctx, 3, monkeypatch) == [2, 3]
@@ -700,13 +735,16 @@ def test_rejected_candidate_falls_back_to_the_product(monkeypatch):
 
 
 def _tampered_b2(kind, monkeypatch):
-    """B2 context whose J(D[X]) breaks one premise of jdkx_inv."""
+    """B2 context whose J(D[X]) breaks one premise of jdkx_inv.  The row of
+    D is then changed, so that d J(P) != e_l sends B^(1) to the defining
+    product, which at k = 1 reads J(D[X]), J(P) and A but not J(P)^-1."""
     d = build_datum("B", 2)
     ctx = build_context(d, builtin_invariants(d))
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
     one = MultiPoly.const(2, 1)
     jd = jdkx(1, ctx)
+    _tamper(ctx, "jac_P_inv/D")
     if kind == "foreign":
         bad = with_entry(jd, 0, 0, FactoredFraction(one, PowerBase(x + 2 * y), 1))
     elif kind == "exponent":
@@ -747,8 +785,9 @@ def test_certified_bk_witness_text_is_pinned(label, monkeypatch, tmp_path):
         path = tmp_path / "h3.json"
         path.write_text(json.dumps(h3_document()), encoding="utf-8")
         ctx = build_context(*ingest_invariants(path))
-    # B^(2) reaches the defining product the way a singular A does
-    monkeypatch.setattr(saito.SaitoContext, "lemma21_numerators", lambda self: None)
+    # B^(2) reaches the defining product by a broken premise: B^(1) is an
+    # equal copy, not the Gamma*_l the chain certified
+    ctx._bk_memo[1] = Matrix(_certified_bk(1, ctx).entries)
     jd = jdkx(2, ctx)
     one = MultiPoly.const(ctx.rank, 1, ctx.datum.field)
     bad = with_entry(jd, 0, 0, jd[0, 0] + FactoredFraction(one, ctx.q_base, 1))
