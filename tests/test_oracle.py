@@ -7,7 +7,7 @@ D^k[X] and the defining product
 
     B^(k) = -J(P)^T A J(D^k[X]) J(D^(k-1)[X])^-1 J(P).
 
-Rank 3 is left out: sympy does not finish A3 at k = 2 in minutes.
+Rank 3 is left out: this route does not finish A3 at k = 2 within two minutes.
 """
 
 import pytest

@@ -525,8 +525,8 @@ def _tamper(ctx, kind):
     elif kind == "_bk_memo[1]":
         ctx._bk_memo[1] = _certified_bk(1, ctx) * 2
     elif kind == "_bk_memo[2]":
-        # det B^(2) stays constant (entry (1,1) of its cofactor expansion
-        # vanishes by degree), but D[B^(2)] != 0
+        # det B^(2) stays constant (the cofactor of (l,l) vanishes by
+        # degree), but D[B^(2)] != 0
         bk = _certified_bk(2, ctx)
         x1 = MultiPoly.variable(ctx.rank, 0, ctx.datum.field)
         ctx._bk_memo[2] = with_entry(bk, last, last, bk[last, last] + x1)
@@ -687,10 +687,8 @@ def test_h3_passing_run_forms_no_higher_jacobian(h3_context):
 
 
 def _perturbed(ctx, premise):
-    """Break one premise of the chain for B^(2) or B^(3) in ctx, in place;
-    the level whose premise is broken."""
-    ell, field = ctx.rank, ctx.datum.field
-    x1 = MultiPoly.variable(ell, 0, field)
+    """Break one premise of the chain in ctx, in place; the level whose
+    premise is broken."""
     if premise == "D[P] != e_l":
         _tamper(ctx, "jac_P_inv/D")
         return 1
@@ -700,12 +698,12 @@ def _perturbed(ctx, premise):
     if premise == "A singular":
         _tamper(ctx, "gram_poly singular")
         return 2
-    bk = _certified_bk(2, ctx)
     if premise == "det B^(2) not constant":  # D[P_1] = 0, so D[B^(2)] stays 0
-        p1 = Matrix.identity(ell, ell, field) * ctx.invariants.polys[0]
-        ctx._bk_memo[2] = bk + p1
-    else:  # "D[B^(2)] != 0"; the cofactor of (l,l) vanishes by degree
-        ctx._bk_memo[2] = with_entry(bk, ell - 1, ell - 1, bk[ell - 1, ell - 1] + x1)
+        p1 = ctx.invariants.polys[0]
+        ctx._bk_memo[2] = (_certified_bk(2, ctx)
+                           + Matrix.identity(ctx.rank, ctx.rank, ctx.datum.field) * p1)
+    else:
+        _tamper(ctx, "_bk_memo[2]")
     return 3
 
 
