@@ -21,7 +21,7 @@ from .errors import (CoxsaitoError, JacobianCriterionFailed, NotInvariant,
                      WrongDegrees)
 from .field import RATIONALS, FieldContext
 from .matrix import Matrix
-from .poly import MultiPoly, Substitution
+from .poly import MultiPoly
 
 # minimal polynomial of 2cos(pi/(2m)), ascending coefficients
 _I2_MINPOLY = {
@@ -116,8 +116,8 @@ class CoxeterDatum:
         self._form_polys = None
         self._q = None
         self._check()
-        # one Substitution per generator, so that its powers are built once
-        self.subst = [Substitution(zip(*g), field) for g in self.generators]
+        # the rows of the substitution a generator induces on polynomials
+        self.subst = [tuple(zip(*g)) for g in self.generators]
 
     def _check(self):
         ell, field = self.rank, self.field

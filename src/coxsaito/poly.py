@@ -28,8 +28,7 @@ number fields share one schoolbook loop, one multiply-add per pair of terms.
 A linear substitution by a matrix that is not a signed permutation is
 nested Horner on that kernel (`MultiPoly.subst_linear`): one sum of
 products per group of terms that share an exponent.  The powers of the
-substituted forms live in the `Substitution`, built once for all the
-polynomials it substitutes.
+substituted forms are built by the call that reads them and freed with it.
 Exact division is one leading-term elimination loop over a heap of keys on
 ints for every field: the field packs the operands (over an extension as for
 a product), maps each step's leading int to a quotient term and rebuilds the
@@ -40,7 +39,6 @@ polynomial: `leading`, `constant_value`, `evaluate` and `iter_terms`.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 
@@ -96,39 +94,6 @@ def _signed_permutation(matrix):
     if len(set(target)) != len(target):
         return None
     return target, negated
-
-
-class Substitution(tuple):
-    """The linear substitution x_i -> L_i = sum_j rows[i][j] * x_j over
-    `field`, as the tuple of its rows, with what every polynomial it
-    substitutes can share.
-
-    `signed` is `_signed_permutation` of the rows, decided once.  For any
-    other matrix powers[i] maps each exponent a built so far to L_i^a; it is
-    made by the first substitution that reads it, seeded with L_i^0 and
-    L_i^1 = L_i, and `_horner_pairs` extends it to the highest exponent it
-    meets.  A power is built from the one below it and stored under its own
-    exponent by `setdefault`, so the fills are idempotent and a substitution
-    can be shared across concurrent readers.  One substitution per
-    generator (`CoxeterDatum.subst`) thus serves every polynomial
-    substituted by that generator, and its powers are freed with it.
-    """
-
-    def __new__(cls, rows, field: FieldContext):
-        self = super().__new__(cls, map(tuple, rows))
-        if any(len(row) != len(self) for row in self):
-            raise DimensionMismatch("substitution matrix must be square")
-        self.field = field
-        self.signed = _signed_permutation(self)
-        return self
-
-    @functools.cached_property
-    def powers(self) -> list:
-        n, field = len(self), self.field
-        return [{0: MultiPoly.const(n, 1, field),
-                 1: MultiPoly.from_terms(n, [([int(t == j) for t in range(n)], v)
-                                             for j, v in enumerate(row)], field)}
-                for row in self]
 
 
 class MultiPoly:
@@ -333,26 +298,29 @@ class MultiPoly:
     def subst_linear(self, matrix) -> "MultiPoly":
         """Substitute x_i -> sum_j matrix[i][j] * x_j.
 
-        `matrix` is a `Substitution` or its rows; rows are wrapped in a
-        throwaway one, so both take the same path.  A signed permutation
-        matrix (one entry +-1 in each row and column) maps each term to one
-        term: its limbs move to their new places and its sign flips when the
-        exponents of the negated variables sum to an odd number.  Every other
-        matrix takes nested Horner on the raw term dict (`_horner_pairs`):
-        the terms grouped by their exponent a of x_1 map to one
-        `sum_of_products` of the pairs (L_1^a, image of the group in
-        x_2, ..., x_n), L_i the i-th substituted form, its powers read from
-        and added to the substitution's cache.  At the last variable the
-        groups are single terms, which the kernel scales.
+        A signed permutation matrix (one entry +-1 in each row and column)
+        maps each term to one term: its limbs move to their new places and
+        its sign flips when the exponents of the negated variables sum to an
+        odd number.  Every other matrix takes nested Horner on the raw term
+        dict (`_horner_pairs`): the terms grouped by their exponent a of x_1
+        map to one `sum_of_products` of the pairs (L_1^a, image of the group
+        in x_2, ..., x_n), L_i the i-th substituted form, whose powers this
+        call builds once, each from the one below it.  At the last variable
+        the groups are single terms, which the kernel scales.
         """
-        n = self.nvars
-        sub = matrix if isinstance(matrix, Substitution) else Substitution(matrix, self.field)
-        if len(sub) != n:
+        n, field = self.nvars, self.field
+        rows = [tuple(row) for row in matrix]
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise DimensionMismatch("substitution matrix must be nvars x nvars")
-        if sub.signed is not None:
-            return self._permuted(*sub.signed)
-        return sum_of_products(_horner_pairs(self.terms, self.content, 0, sub),
-                               n, self.field)
+        signed = _signed_permutation(rows)
+        if signed is not None:
+            return self._permuted(*signed)
+        powers = [{0: MultiPoly.const(n, 1, field),
+                   1: MultiPoly.from_terms(n, [([int(t == j) for t in range(n)], v)
+                                               for j, v in enumerate(row)], field)}
+                  for row in rows]
+        return sum_of_products(_horner_pairs(self.terms, self.content, 0, powers, field),
+                               n, field)
 
     def _permuted(self, target, negated) -> "MultiPoly":
         """The image under x_i -> +-x_target[i], with a minus sign exactly
@@ -529,28 +497,29 @@ def sum_of_products(pairs, nvars: int, field: FieldContext) -> MultiPoly:
     return MultiPoly(nvars, terms, field, content)
 
 
-def _horner_pairs(terms: dict, content, i: int, sub: Substitution) -> list:
+def _horner_pairs(terms: dict, content, i: int, powers: list, field) -> list:
     """The pairs (L_i^a, image of the terms with exponent a in variable i)
-    whose sum of products is the image of the terms under x_j -> L_j, the
-    forms of `sub`: the terms are those of a polynomial over `content` with
-    exponent 0 in each variable before index i, each image is one
-    `sum_of_products` of the pairs of the next variable (a scaled constant
-    after the last one), and a power missing from sub.powers[i] is built
-    from the one below it and kept there."""
-    n, field = len(sub), sub.field
+    whose sum of products is the image of the terms under x_j -> L_j, with
+    powers[j] mapping each exponent built so far to L_j^a: the terms are
+    those of a polynomial over `content` with exponent 0 in each variable
+    before index i, each image is one `sum_of_products` of the pairs of the
+    next variable (a scaled constant after the last one), and a power
+    missing from powers[i] is built from the one below it and kept there."""
+    n = len(powers)
     shift = (n - 1 - i) * LIMB
     step = (1 << (n * LIMB)) | (1 << shift)
     groups: dict = {}
     for k, c in terms.items():
         e = (k >> shift) & MASK
         groups.setdefault(e, {})[k - e * step] = c
-    cache, pairs = sub.powers[i], []
+    cache, pairs = powers[i], []
     for e in sorted(groups):
         for a in range(len(cache), e + 1):
-            cache.setdefault(a, cache[a - 1] * cache[1])
+            cache[a] = cache[a - 1] * cache[1]
         group = groups.pop(e)
         if i + 1 < n:
-            image = sum_of_products(_horner_pairs(group, content, i + 1, sub), n, field)
+            image = sum_of_products(_horner_pairs(group, content, i + 1, powers, field),
+                                    n, field)
         else:  # the one key left is 0
             group, scale = field.normalized(group, content)
             image = MultiPoly(n, group, field, scale)

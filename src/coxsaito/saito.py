@@ -17,13 +17,13 @@ rows the theorems speak of, xi^(m) (`xi_basis`) and nabla_D^t xi^(m)
 (`nabla_xi`), are each built once here, and so is their contact order along
 the hyperplanes (`contact_defect`).
 
-W-invariance of xi^(2k+1) is carried up the chain of Proposition 2.6,
-xi^(2k+1) = -xi^(2k-1) (B^(k))^-1 G, from xi^(1), the only row that is
-substituted on a passing run (`w_stable`, `invariance_defect`); a row so
-certified is W-stable, so its contact orders are tested on the first
-hyperplane of each W-orbit alone.  The certificate reads only what the
-checks certify anyway and is kept with the objects it read; where it fails,
-the substitution and the full scan decide.
+W-invariance of xi^(1), the A-gradients of the basic invariants, is read
+from its form and carried up the chain of Proposition 2.6 (`w_stable`); a row
+so certified is W-stable, so its contact orders are tested on the first
+hyperplane of each W-orbit alone.  B^(k), k >= 2, is invariant as the sum
+B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a passing run substitutes only the
+entries of B^(1).  The certificates read what the checks certify anyway and
+are kept with what they read; where one fails, the substitution decides.
 
 A derivation is held by its coefficients in the coordinate frame d/dX_i and
 nowhere else, and acts on functions as its coefficient row times their
@@ -265,8 +265,8 @@ def _tower_candidate(k: int, ctx: SaitoContext):
             return _gamma_star(ell, ctx) if d_jp == Matrix(e_l) else None
         b1, prev = _certified_bk(1, ctx), _certified_bk(k - 1, ctx)
         _bk_inverse(k - 1, prev, ctx)  # raises unless det B^(k-1) is a nonzero constant
-        if (b1 is _gamma_star(ell, ctx) and ctx.gram_poly.det()
-                and not any(e for row in d_bk(k - 1, prev, ctx).entries for e in row)):
+        if b1 is _gamma_star(ell, ctx) and not any(
+                e for row in d_bk(k - 1, prev, ctx).entries for e in row):
             return prev + b1 + b1.transpose()
     except CoxsaitoError:
         pass
@@ -295,13 +295,14 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
         B^(k) = B^(k-1) + B^(1) + (B^(1))^T - D[B^(k-1)] (B^(k-1))^-1 G.
 
     So the candidate of Lemma 2.1 (4) is B^(k) exactly when B^(1) is that
-    Gamma*_l, det B^(k-1) is a nonzero constant (`_bk_inverse`), A is
-    nonsingular and D[B^(k-1)] == 0 (`d_bk`): no polynomial identity is
-    formed.  The lemma is not assumed, so `lemma21.4` and `lemma21.1d` still
-    test it.  On the accepting path M_k = -L B^(k) J(P)^-1 M_(k-1) with L and
-    J(P)^-1 over q and B^(k) polynomial, so by induction from M_1 = J(d) every
-    entry of M_k is over q^e with e <= 2k: the premise the product route
-    scans.
+    Gamma*_l, det B^(k-1) is a nonzero constant (`_bk_inverse`) and
+    D[B^(k-1)] == 0 (`d_bk`): no polynomial identity is formed.  A is then
+    nonsingular: det A divides det Gamma*_l and det B^(j) of every level j
+    the product builds, and the chain needs the level below nonsingular.
+    The lemma is not assumed, so `lemma21.4` and `lemma21.1d` still test it.
+    On the accepting path M_k = -L B^(k) J(P)^-1 M_(k-1) with L and J(P)^-1
+    over q and B^(k) polynomial, so by induction from M_1 = J(d) every entry
+    of M_k is over q^e with e <= 2k: the premise the product route scans.
 
     Otherwise J(D^k[X]) is formed -- only here -- and each entry must have a
     denominator q^e with e <= 2k, as the chain rule gives; a foreign
@@ -356,9 +357,8 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
         except NonPolynomialEntry:
             raise NonPolynomialEntry(
                 f"reduced determinant of J(D^{k}[X]) is not a constant") from None
-        prod = jdkx_inv(k - 1, ctx) * (ctx.jac_P * bk_inv * ctx.jac_P.transpose()
-                                       * ctx.gram_poly)
-        table[k] = _certify_poly_matrix(-prod, f"J(D^{k}[X])^-1")
+        table[k] = -(jdkx_inv(k - 1, ctx) * (ctx.jac_P * bk_inv * ctx.jac_P.transpose()
+                                             * ctx.gram_poly))
     return table[k]
 
 
@@ -506,10 +506,17 @@ def prop26_holds(k: int, ctx: SaitoContext) -> bool:
 
 def bk_moved(k: int, ctx: SaitoContext):
     """`first_moved` of the entries of `bk_matrix(k)`, row by row: None when
-    every entry is W-invariant; kept with the matrix."""
+    every entry is W-invariant; kept with the matrix and, for k >= 2, with
+    B^(k-1) and B^(1).  For k >= 2 nothing is substituted when B^(1) and
+    B^(k-1) are invariant and B^(k) - B^(k-1) == B^(1) + (B^(1))^T, the
+    comparison of `lemma21.4/(k-1)`: B^(k) is then a sum of invariant
+    matrices.  Otherwise `first_moved` gives the verdict and its witness."""
     bk = bk_matrix(k, ctx)
-    return _kept(ctx, ("bk_moved", k), (bk,), lambda: first_moved(
-        ctx.datum, [e for row in bk.entries for e in row]))
+    below = (bk_matrix(k - 1, ctx), bk_matrix(1, ctx)) if k >= 2 else ()
+    return _kept(ctx, ("bk_moved", k), (bk, *below), lambda: None if below and (
+        bk_moved(1, ctx) is None and bk_moved(k - 1, ctx) is None
+        and bk - below[0] == below[1] + below[1].transpose())
+        else first_moved(ctx.datum, [e for row in bk.entries for e in row]))
 
 
 def _metric_of_xi1(ctx: SaitoContext) -> bool:
@@ -526,7 +533,10 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
     certifies anyway; False on any failure or error, which leaves the
     decision to the substitution and the full scan.
 
-    m = 1: every xi^(1)_j is W-invariant, by substitution (`invariance_defect`).
+    m = 1: cols(xi^(1)) == A J with the datum's A and the invariants' J, not
+    the context's; kept with the row.  Each generator g is an involution with
+    g^T A g = A (`CoxeterDatum`) and P o g^T = P (ingest), so with S = g^T
+    the image S A (grad P)(Sx) = S A S^-T grad P(x) is A grad P(x), T_g = 1.
     m = 2k+1: xi^(2k-1) is certified; G == J^T cols(xi^(1)) (`_metric_of_xi1`),
     so G_ij = xi^(1)_j(P_i) is invariant; B^(k) is (`bk_moved`); and
     xi^(2k+1) = xi^(2k-1) K (`prop26_holds`) with K = -(B^(k))^-1 G, whose
@@ -539,7 +549,10 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
     """
     try:
         if m == 1:
-            return invariance_defect(1, ctx) is None
+            row, datum = xi_basis(1, ctx), ctx.datum
+            return _kept(ctx, ("stable", 1), (row,), lambda: columns(row) == (
+                Matrix.from_scalars(datum.gram, ctx.rank, datum.field)
+                * jacobian(ctx.invariants.polys, ctx.rank)))
         if m % 2 == 0:
             row, odd = xi_basis(m, ctx), xi_basis(m + 1, ctx)
             return w_stable(m + 1, ctx) and _kept(
@@ -554,14 +567,13 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
 
 def invariance_defect(m: int, ctx: SaitoContext):
     """None when every xi^(m)_j is W-invariant, else the first (j, generator
-    index) that moves it, j scanned first; kept with the row.  For odd
-    m >= 3 a certified row (`w_stable`) substitutes nothing; otherwise every
+    index) that moves it, j scanned first; kept with the row.  For odd m a
+    certified row (`w_stable`) substitutes nothing; otherwise every
     coefficient is substituted under each generator of the generating
     prefix (`derivation_transform`)."""
     row = xi_basis(m, ctx)
     return _kept(ctx, ("invariance", m), (row,), lambda: (
-        None if m > 1 and m % 2 and w_stable(m, ctx)
-        else _first_moved_derivation(row, ctx)))
+        None if m % 2 and w_stable(m, ctx) else _first_moved_derivation(row, ctx)))
 
 
 def _form_power(h: int, m: int, ctx: SaitoContext) -> MultiPoly:
@@ -579,7 +591,7 @@ def contact_defect(m: int, ctx: SaitoContext):
     exactly when alpha_H^m does not divide the value, so this is the
     definition.  m = 0 divides nothing.
 
-    For m >= 2 and a certified row (`w_stable`), only the first form of each
+    For m >= 1 and a certified row (`w_stable`), only the first form of each
     W-orbit (`CoxeterDatum.orbits`) is tested: g xi = xi T_g with T_g
     invertible gives theta(alpha_H o g^-1) = g(theta)(alpha_H) o g^-1, so
     every xi_j has contact order >= m along gH exactly when every xi_j has it
@@ -600,7 +612,7 @@ def _contact_scan(m: int, row, ctx: SaitoContext):
                      for i, h in enumerate(forms)
                      if values[j, i].exact_divide(_form_power(h, m, ctx)) is None), None)
 
-    if not m or (m > 1 and w_stable(m, ctx)
+    if not m or (w_stable(m, ctx)
                  and first_failure([orbit[0] for orbit in datum.orbits]) is None):
         return None
     failure = first_failure(range(len(datum.forms)))

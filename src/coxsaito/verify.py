@@ -19,10 +19,12 @@ invariants and forms only the first that does not vanish (`_first_moving`).
 and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
 matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
 != 0 at one point off the hyperplanes; det M itself only when that fails.
-`hodge.winv/p` substitutes xi^(1) alone on a passing run: for p >= 2 it
-reads the W-stability certificate of `saito.w_stable`, whose Proposition 2.6
-comparison `prop26/k` shares, and the contact orders of `thm25.member/m`,
-m >= 2, are then tested on one hyperplane per W-orbit.
+`hodge.winv/p` substitutes nothing on a passing run: it reads the
+W-stability certificate of `saito.w_stable`, whose Proposition 2.6
+comparison `prop26/k` shares, and the contact orders of `thm25.member/m`
+are then tested on one hyperplane per W-orbit.  `lemma21.1w/k` substitutes
+only the entries of B^(1): B^(k), k >= 2, is read from the sum rule of
+`saito.bk_moved`.
 """
 
 from __future__ import annotations
@@ -554,8 +556,10 @@ SUITE_ORDER = ("metric", "lemma21", "lemma22", "theorems", "hodge", "flat")
 
 def run_suites(ctx: SaitoContext, suites, k_max: int, m_max: int, p_max: int,
                invariants_id: str = "builtin") -> CheckReport:
-    """Run the selected suites in canonical order and assemble one report."""
-    chosen = list(SUITE_ORDER) if suites in (None, "all") else list(suites)
+    """Run the selected suites in canonical order and assemble one report;
+    suites is None or "all", one suite name, or an iterable of names."""
+    chosen = (list(SUITE_ORDER) if suites in (None, "all")
+              else [suites] if isinstance(suites, str) else list(suites))
     for name in chosen:
         if name not in SUITE_ORDER:
             raise ConfigError(f"unknown suite {name!r}; available: {SUITE_ORDER}")

@@ -184,15 +184,18 @@ def test_h3_generating_prefix(h3_context):
     assert datum.n_generating == 4
 
 
-def test_h3_ingest_builds_generator_3_powers_once(tmp_path, power_products):
+def test_h3_ingest_builds_generator_3_powers_per_polynomial(tmp_path, power_products):
     # first_moved substitutes P_1, P_2, P_3 (degrees 2, 6, 10) by the dense
-    # generator 3: its three forms, seeded with their first powers, reach
-    # degree 10 once, 27 products, where building the powers again for each
-    # polynomial took 3 * (2 + 6 + 10)
+    # generator 3: each call seeds its three forms with their first powers
+    # and builds each power up to the degree of its polynomial once,
+    # 3 * (1 + 5 + 9) = 45 products; the datum keeps none of them
     datum, _ = ingest_document(h3_document(), tmp_path)
-    index = {id(cache[1]): i for i, cache in enumerate(datum.subst[3].powers)}
-    assert sorted((index[id(form)], degree) for form, degree in power_products) == [
-        (i, degree) for i in range(3) for degree in range(2, 11)]
+    built: dict = {}
+    for form, degree in power_products:
+        built.setdefault(id(form), []).append(degree)
+    assert sorted(built.values()) == sorted(
+        list(range(2, d + 1)) for d in (2, 6, 10) for _ in range(3))
+    assert datum.subst[3] == tuple(zip(*datum.generators[3]))
 
 
 def test_h3_lemma21_and_hodge_pass(h3_context):

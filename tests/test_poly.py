@@ -6,7 +6,7 @@ from conftest import expanded_subst
 
 from coxsaito.errors import CoxsaitoError, DimensionMismatch, DivisionByZero
 from coxsaito.field import RATIONALS, FieldContext
-from coxsaito.poly import MultiPoly, Substitution, _signed_permutation, contact_order
+from coxsaito.poly import MultiPoly, _signed_permutation, contact_order
 
 
 def xy():
@@ -42,14 +42,17 @@ def test_other_matrices_take_the_expansion(matrix):
     assert f.subst_linear(matrix) == expanded_subst(f, matrix)
 
 
-def test_substitution_is_its_rows_and_checks_its_operand():
+def test_subst_linear_checks_its_matrix():
+    # any iterable of rows is read once; a matrix that is not nvars x nvars
+    # is refused, on either route
+    x, y = xy()
     rows = ((1, 1), (0, 1))
-    sub = Substitution(rows, RATIONALS)
-    assert sub == rows and hash(sub) == hash(rows) and list(zip(*sub)) == [(1, 0), (1, 1)]
+    assert (x * y).subst_linear(iter(rows)) == (x + y) * y
+    for matrix in ([[1, 0], [0]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]):
+        with pytest.raises(DimensionMismatch):
+            MultiPoly.variable(3, 0).subst_linear(matrix)
     with pytest.raises(DimensionMismatch):
-        Substitution([[1, 0], [0]], RATIONALS)
-    with pytest.raises(DimensionMismatch):
-        MultiPoly.variable(3, 0).subst_linear(sub)
+        x.subst_linear([[1, 0], [0]])
 
 
 def test_signed_swap_flips_odd_exponents_only():

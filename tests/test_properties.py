@@ -23,8 +23,7 @@ from coxsaito.field import FieldContext, RATIONALS
 from coxsaito.errors import NonInvertible, NonPolynomialEntry, SingularMatrix
 from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix, MinorTable
-from coxsaito.poly import (MultiPoly, Substitution, _signed_permutation,
-                           contact_order, pack, unpack)
+from coxsaito.poly import MultiPoly, _signed_permutation, contact_order, pack, unpack
 from coxsaito.saito import _apply_coeffs
 
 SQRT5 = FieldContext((-5, 0, 1), "sqrt(5)")
@@ -902,19 +901,17 @@ def _random_signed_permutation(rng, field, n):
 
 @functools.cache
 def run_shared_substitution_oracle(iterations=ITERATIONS, seed=2718281) -> int:
-    """One `Substitution` reused for three random polynomials of degrees
-    high, low, high (the second high may pass the first), in 1-4 variables
-    over Q, Q(sqrt 5) and the I2(5) field in turn; dense matrices (every
-    entry nonzero) and signed permutations alternate.  Each image equals in
-    form `expanded_subst` and the image by the raw rows.  After each call
-    the powers of each form L_i = powers[i][1] are cached under the
-    exponents 0, 1, ..., each is L_i to that exponent, and the powers cached
-    before the call are still the same objects: the cache grows and is
-    never rebuilt."""
+    """One matrix, kept as a tuple of rows as `CoxeterDatum.subst` keeps a
+    generator's, reused for three random polynomials of degrees high, low,
+    high (the second high may pass the first), in 1-4 variables over Q,
+    Q(sqrt 5) and the I2(5) field in turn; dense matrices (every entry
+    nonzero) and signed permutations alternate.  The image of each variable
+    is its substituted form, and each image equals in form `expanded_subst`
+    and the image by the raw rows: a call leaves nothing behind that a
+    later call reads."""
     fields = [RATIONALS, SQRT5, build_datum("I2", 5).field]
     rng = random.Random(seed)
-    seen = {"dense": 0, "signed permutation": 0, "powers grown": 0,
-            "powers reused": 0, "zero": 0}
+    seen = {"dense": 0, "signed permutation": 0, "zero": 0}
     tested = 0
     while tested < iterations:
         field = fields[tested % len(fields)]
@@ -925,29 +922,19 @@ def run_shared_substitution_oracle(iterations=ITERATIONS, seed=2718281) -> int:
             rows = [[_random_scalar(rng, field) for _ in range(n)] for _ in range(n)]
             if not all(all(row) for row in rows) or _signed_permutation(rows):
                 continue
-        sub = Substitution(rows, field)
-        dense = sub.signed is None
-        seen["dense" if dense else "signed permutation"] += 1
-        if dense:
-            for i, cache in enumerate(sub.powers):
-                assert_same_form(cache[1], expanded_subst(
-                    MultiPoly.variable(n, i, field), rows), rows)
+        shared = tuple(map(tuple, rows))
+        seen["dense" if _signed_permutation(rows) is None else "signed permutation"] += 1
+        for i in range(n):
+            form = MultiPoly.variable(n, i, field)
+            assert_same_form(form.subst_linear(shared), expanded_subst(form, rows), rows)
         top = 6 - n // 2
         for degree in (top, rng.randint(0, 2), rng.randint(top - 1, top + 1)):
-            before = [dict(cache) for cache in sub.powers] if dense else []
             f = _random_poly(rng, field, n, degree, rng.randint(0, 5))
-            got = f.subst_linear(sub)
+            got = f.subst_linear(shared)
             what = (f, rows)
             assert_same_form(got, expanded_subst(f, rows), what)
             assert_same_form(got, f.subst_linear(rows), what)
             seen["zero"] += f.is_zero()
-            if not dense:
-                continue
-            for cache, old in zip(sub.powers, before):
-                assert list(cache) == list(range(len(cache))), what
-                assert all(cache[e] is power for e, power in old.items()), what
-                assert all(cache[e] == cache[1] ** e for e in cache if e not in old), what
-                seen["powers grown" if len(cache) > len(old) else "powers reused"] += 1
         tested += 1
     assert min(seen.values()) >= iterations // 20, seen
     return tested

@@ -828,10 +828,10 @@ def test_poly_coeffs_raises_on_fractions(a1):
 
 def test_concurrent_cache_fills_are_value_identical():
     # cache fills are idempotent: racing readers agree with a cold context,
-    # also where the threads share the power cache of the dense generator of
-    # I2(5) to substitute xi^(5), and each power sits under its exponent, as
-    # does each power of the hyperplane forms that contact_defect divides by:
-    # the rows are certified W-stable, so only the first form of each orbit
+    # also where the threads substitute xi^(5) by the dense generator of
+    # I2(5), and each power of the hyperplane forms that contact_defect
+    # divides by sits under its exponent: the rows are certified W-stable,
+    # so only the first form of each orbit
     from concurrent.futures import ThreadPoolExecutor
 
     def work(ctx):
@@ -850,9 +850,6 @@ def test_concurrent_cache_fills_are_value_identical():
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(lambda _: work(ctx), range(16)))
             assert all(got == want for got in results)
-            for cache in (c for sub in d.subst if sub.signed is None for c in sub.powers):
-                assert list(cache) == list(range(len(cache)))
-                assert all(cache[e] == cache[1] ** e for e in cache)
             assert sorted(ctx.form_bases) == [orbit[0] for orbit in d.orbits]
             for base in ctx.form_bases.values():
                 assert sorted(base._powers) == list(range(8))

@@ -7,6 +7,7 @@ from conftest import (determinant_route_basis, fresh_context, levi_civita_star,
 
 from coxsaito import matrix, saito, verify
 from coxsaito.coxeter import anti_invariant_Q, build_datum, validate_invariants
+from coxsaito.errors import ConfigError
 from coxsaito.fraction import FactoredFraction
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, contact_order
@@ -399,6 +400,21 @@ def test_reports_are_deterministic():
     assert strip(r1) == strip(r2)
 
 
+def test_one_suite_name_is_one_suite():
+    # a string other than "all" names one suite, not one suite per character
+    ctx = shared_context("B", 2)
+    statuses = lambda rep: [(r.name, r.status, r.witness) for r in rep.results]
+    one = run_suites(ctx, "flat", 1, 1, 1)
+    assert statuses(one) == statuses(run_suites(ctx, ["flat"], 1, 1, 1))
+    assert {r.name.split("/")[0].split(".")[0] for r in one.results} == {"flat"}
+
+
+@pytest.mark.parametrize("suites", ["flatt", ["metric", "lemma"], ("f",)])
+def test_unknown_suite_is_a_config_error(suites):
+    with pytest.raises(ConfigError, match="unknown suite"):
+        run_suites(shared_context("B", 2), suites, 1, 1, 1)
+
+
 def test_every_check_name_unique():
     report = shared_report("B", 2)
     names = [r.name for r in report.results]
@@ -639,19 +655,22 @@ def test_passing_run_forms_no_bracket_and_only_the_thm24_2_frames(monkeypatch):
                       "prop26/k=1", "thm24.2/k=2", "thm24.2/k=3"]
 
 
-def test_hodge_builds_each_substitution_power_once(power_products):
-    # derivation_transform substitutes every coefficient of every xi^(2p-1)_j
-    # by the same generator: each power of each form is built once, by the
-    # first polynomial that needs it, and kept in the generator's cache
+def test_hodge_substitutes_only_the_entries_of_b1(monkeypatch):
+    # hodge.winv/p reads the certificate of saito.w_stable: xi^(1) by its
+    # gradient form, B^(2) by the sum rule of bk_moved; only the entries of
+    # B^(1) are substituted, once per generator of the generating prefix,
+    # and a second run substitutes nothing
     ctx = fresh_context("I2", 8)
+    seen, subst = [], MultiPoly.subst_linear
+    monkeypatch.setattr(MultiPoly, "subst_linear",
+                        lambda self, matrix: seen.append(self) or subst(self, matrix))
+    assert not any(r.status == "fail" for r in check_hodge(ctx, 3))
+    b1 = [e for row in bk_matrix(1, ctx).entries for e in row]
+    assert [id(p) for p in seen] == [id(e) for _ in range(ctx.datum.n_generating)
+                                     for e in b1]
+    seen.clear()
     check_hodge(ctx, 3)
-    built = [(id(form), degree) for form, degree in power_products]
-    assert built and len(set(built)) == len(built)
-    assert len(built) == sum(len(cache) - 2 for sub in ctx.datum.subst
-                             if sub.signed is None for cache in sub.powers)
-    power_products.clear()
-    check_hodge(ctx, 3)
-    assert power_products == []
+    assert seen == []
 
 
 def test_xi3_scaled_by_p1_fails_hodge_only_at_poincare():

@@ -1,21 +1,24 @@
 """The W-stability certificate (`saito.w_stable`) and what it decides:
-`hodge.winv/p` for p >= 2 and `thm25.member/m` for m >= 2 on one hyperplane
-per W-orbit.  Every verdict and witness must be that of the substitution and
-the full contact scan, which the reference runs take with the certificate
+`hodge.winv/p` and `thm25.member/m`, m >= 1, on one hyperplane per W-orbit;
+and the sum rule of `saito.bk_moved`, which decides `lemma21.1w/k` for
+k >= 2.  Every verdict and witness must be that of the substitution and the
+full contact scan, which the reference runs take with both certificates
 switched off."""
 
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
-from conftest import fresh_context, reference_contact_defect, with_entry
+from conftest import fresh_context, reference_contact_defect, shared_context, with_entry
 from test_verify import _one, _perturb_xi, _plus_at, _tamper_contact, _x1
 
-from coxsaito import saito
+from coxsaito import saito, verify
+from coxsaito.coxeter import first_moved
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
-from coxsaito.saito import (PolyDerivation, bk_matrix, contact_defect,
-                            invariance_defect, lead, prop26_holds, w_stable,
-                            xi_basis)
+from coxsaito.saito import (PolyDerivation, _first_moved_derivation, bk_matrix,
+                            bk_moved, contact_defect, invariance_defect, lead,
+                            prop26_holds, w_stable, xi_basis)
 from coxsaito.verify import run_suites
 
 
@@ -52,6 +55,25 @@ def _bkll_plus_x1(ctx):
     ctx.bk_table[1] = with_entry(bk, ell, ell, bk[ell, ell] + _x1(ctx))
 
 
+def _gram_plus_half(ctx):
+    """A with 1/2 added at (1,2) and (2,1), before any xi is built: on B2 the
+    nonsingular [[1, 1/2], [1/2, 1]], which no reflection of B2 preserves."""
+    grid = [list(row) for row in ctx.gram_poly.entries]
+    half = MultiPoly.const(ctx.rank, Fraction(1, 2), ctx.datum.field)
+    grid[0][1], grid[1][0] = grid[0][1] + half, grid[1][0] + half
+    ctx.gram_poly = Matrix(grid)
+
+
+def _bk_plus(deltas):
+    """Tamper: deltas[k](ctx) added to entry (1,1) of B^(k) in `bk_table`,
+    for each k of deltas."""
+    def tamper(ctx):
+        for k, delta in deltas.items():
+            bk = bk_matrix(k, ctx)
+            ctx.bk_table[k] = with_entry(bk, 0, 0, bk[0, 0] + delta(ctx))
+    return tamper
+
+
 TAMPERINGS = {
     "xi3.11+x1": _perturb_xi(3, _x1),
     "xi5.11+x1": _perturb_xi(5, _x1),
@@ -63,25 +85,53 @@ TAMPERINGS = {
     "G.12+x1, xi3 by prop26": _then_xi3_from_lead(_plus_at("metric_G", 0, 1, _x1)),
     "bk_table[1].ll+x1, xi3 by prop26": _then_xi3_from_lead(_bkll_plus_x1),
 }
+# run on B2 alone, after the cases above
+CERTIFICATE_KINDS = {
+    # the gradient certificate of xi^(1) reads A and J from the datum and the
+    # invariants, not these
+    "gram_poly.12+1/2": _gram_plus_half,
+    "jac_P.11+x1": _plus_at("jac_P", 0, 0, _x1),
+    # the sum rule of bk_moved(k), k >= 2: a moved B^(3); an invariant B^(2)
+    # that breaks lemma21.4; a moved B^(2) with B^(3) - B^(2) unchanged; a
+    # moved B^(1) with an invariant B^(2) and B^(3) - B^(2) == B^(1) + (B^(1))^T
+    "bk_table[3].11+x1": _bk_plus({3: _x1}),
+    "bk_table[2].11+1": _bk_plus({2: _one}),
+    "bk_table[2,3].11+x1": _bk_plus({2: _x1, 3: _x1}),
+    "bk_table[1,3].11+x1,2x1": _bk_plus({1: _x1, 3: lambda ctx: 2 * _x1(ctx)}),
+}
 # `_tamper_contact` of xi^(m)_2 on the last form of the datum's first orbit,
 # which is not that orbit's representative, by kind
 CONTACT_KINDS = {f"contact m={m} off representative": m for m in (3, 4, 6, 7)}
 CASES = ([(group, kind) for group in (("A", 3), ("I2", 5), ("B", 2))
           for kind in TAMPERINGS]
-         + [(group, kind) for group in (("I2", 8), ("B", 3)) for kind in CONTACT_KINDS])
+         + [(group, kind) for group in (("I2", 8), ("B", 3)) for kind in CONTACT_KINDS]
+         + [(("B", 2), kind) for kind in CERTIFICATE_KINDS])
 
 
 def _tamper(ctx, kind):
     if kind in CONTACT_KINDS:
         _tamper_contact(ctx, CONTACT_KINDS[kind], 1, ctx.datum.orbits[0][-1])
     else:
-        TAMPERINGS[kind](ctx)
+        {**TAMPERINGS, **CERTIFICATE_KINDS}[kind](ctx)
+
+
+def _outcome(fn):
+    """fn(), or the type and message of the error it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def _uncertified(monkeypatch):
-    """Switch the certificate off: every row takes the substitution and the
-    full contact scan."""
+    """Switch both certificates off: every row and every B^(k) takes the
+    substitution, and every row the full contact scan."""
+    def substituted(k, ctx):
+        return first_moved(ctx.datum, [e for row in bk_matrix(k, ctx).entries for e in row])
+
     monkeypatch.setattr(saito, "w_stable", lambda m, ctx: False)
+    monkeypatch.setattr(saito, "bk_moved", substituted)
+    monkeypatch.setattr(verify, "bk_moved", substituted)
 
 
 def _outcomes(report):
@@ -100,7 +150,8 @@ def test_tampered_reports_match_the_substitution_route(group, kind, monkeypatch)
     assert got == want
     assert any(status == "fail" for _, status, _, _ in got)
     for m in range(8):
-        assert contact_defect(m, ctx) == reference_contact_defect(m, ctx), m
+        assert _outcome(lambda: contact_defect(m, ctx)) == \
+            _outcome(lambda: reference_contact_defect(m, ctx)), m
     if kind in CONTACT_KINDS:
         # the tampered row is not certified, and the full scan reaches the
         # form outside the representatives
@@ -115,9 +166,12 @@ def test_certificate_rejects_each_tampered_premise(group):
     for kind, uncertified in (("xi3.11+x1", 3), ("bk_table[1].11+x1", 3),
                               ("G.12+x1", 3), ("xi1.1*x1", 1),
                               ("G.12+x1, xi3 by prop26", 3),
-                              ("bk_table[1].ll+x1, xi3 by prop26", 3)):
+                              ("bk_table[1].ll+x1, xi3 by prop26", 3),
+                              ("gram_poly.12+1/2", 1), ("jac_P.11+x1", 1),
+                              ("bk_table[3].11+x1", 6), ("bk_table[2].11+1", 4),
+                              ("bk_table[2,3].11+x1", 4), ("bk_table[1,3].11+x1,2x1", 3)):
         ctx = fresh_context(*group)
-        TAMPERINGS[kind](ctx)
+        _tamper(ctx, kind)
         assert [w_stable(m, ctx) for m in range(uncertified, 8)] == \
             [False] * (8 - uncertified), kind
     # G + 1 stays W-invariant, but it is not J^T cols(xi^(1)) any more
@@ -128,33 +182,44 @@ def test_certificate_rejects_each_tampered_premise(group):
     assert all(w_stable(m, ctx) for m in range(1, 8))
 
 
+def _spy_substitutions(monkeypatch):
+    """The derivations `saito.derivation_transform` and the polynomials
+    `MultiPoly.subst_linear` substitute from now on."""
+    derivations, polys = [], []
+    transform, subst = saito.derivation_transform, MultiPoly.subst_linear
+    monkeypatch.setattr(saito, "derivation_transform", lambda theta, ctx, idx:
+                        derivations.append(theta) or transform(theta, ctx, idx))
+    monkeypatch.setattr(MultiPoly, "subst_linear", lambda self, matrix:
+                        polys.append(self) or subst(self, matrix))
+    return derivations, polys
+
+
+def _b1_entries_once_per_generator(polys, ctx):
+    b1 = [e for row in bk_matrix(1, ctx).entries for e in row]
+    return (all(any(p is e for e in b1) for p in polys)
+            and len(polys) == len(b1) * ctx.datum.n_generating)
+
+
 @pytest.mark.parametrize("group,calls", [(("A", 3), 9), (("I2", 5), 4)])
 def test_passing_run_substitutes_xi1_only(group, calls, monkeypatch):
-    # hodge.winv/p >= 2 and the contact checks read the certificate; only
-    # xi^(1) is substituted, once per generator of the generating prefix
-    seen = []
-    transform = saito.derivation_transform
-
-    def spy(theta, ctx, idx):
-        seen.append(theta)
-        return transform(theta, ctx, idx)
-
-    monkeypatch.setattr(saito, "derivation_transform", spy)
+    # xi^(1) is the one row the fallback substitutes first, `calls` times,
+    # once per j and generator of the generating prefix; a passing run takes
+    # its gradient certificate and substitutes no derivation at all, and no
+    # polynomial but the entries of B^(1), whose sum rule certifies B^(k)
     ctx = fresh_context(*group)
+    derivations, polys = _spy_substitutions(monkeypatch)
     assert not run_suites(ctx, "all", 3, 7, 3).failed
-    assert len(seen) == calls == ctx.rank * ctx.datum.n_generating
-    assert all(any(theta is xi for xi in xi_basis(1, ctx)) for theta in seen)
+    assert derivations == [] and _b1_entries_once_per_generator(polys, ctx)
+    assert _first_moved_derivation(xi_basis(1, ctx), ctx) is None
+    assert len(derivations) == calls == ctx.rank * ctx.datum.n_generating
 
 
 def test_hodge_alone_reaches_the_certificate(monkeypatch):
-    seen = []
-    transform = saito.derivation_transform
-    monkeypatch.setattr(saito, "derivation_transform",
-                        lambda theta, ctx, idx: seen.append(idx) or
-                        transform(theta, ctx, idx))
     ctx = fresh_context("A", 3)
+    derivations, polys = _spy_substitutions(monkeypatch)
     assert not run_suites(ctx, ["hodge"], 3, 7, 3).failed
-    assert len(seen) == 9
+    assert derivations == [] and _b1_entries_once_per_generator(polys, ctx)
+    assert w_stable(1, ctx) and ("stable", 1) in ctx.kept
 
 
 def test_passing_run_forms_prop26_once_per_k(monkeypatch):
@@ -175,14 +240,13 @@ def test_passing_run_forms_prop26_once_per_k(monkeypatch):
 
 @pytest.mark.parametrize("group", [("I2", 8), ("B", 3), ("A", 3)])
 def test_passing_run_divides_only_at_representatives(group):
-    # m = 1 scans every form; above it, only the first form of each orbit is
-    # divided, so only those keep powers of their form past alpha_H^1
+    # every m >= 1 divides only at the first form of each orbit, so only
+    # those have a power base, with the powers up to alpha_H^7
     ctx = fresh_context(*group)
     assert not run_suites(ctx, ["theorems"], 3, 7, 3).failed
-    reps = {orbit[0] for orbit in ctx.datum.orbits}
-    assert set(ctx.form_bases) == set(range(len(ctx.datum.forms)))
-    for h, base in ctx.form_bases.items():
-        assert sorted(base._powers) == (list(range(8)) if h in reps else [0, 1])
+    assert set(ctx.form_bases) == {orbit[0] for orbit in ctx.datum.orbits}
+    for base in ctx.form_bases.values():
+        assert sorted(base._powers) == list(range(8))
 
 
 def test_consistent_xi3_passes_prop26_and_fails_its_other_premise():
@@ -245,3 +309,35 @@ def test_concurrent_certificates_agree_with_a_cold_context(kind):
             results = list(pool.map(lambda _: _certificate_verdicts(ctx), range(16)))
         assert all(got == want for got in results)
     assert all(want[0]) == (kind is None)
+
+
+DIFFERENTIAL_GROUPS = ([("A", n) for n in (1, 2, 3, 4)] + [("B", n) for n in (2, 3, 4)]
+                       + [("D", 3), ("D", 4)] + [("I2", m) for m in range(3, 13)])
+
+
+def _differential(ctx, k_max=3):
+    """The gradient verdict on xi^(1) against its substitution, and the sum
+    rule's verdict on B^(k), k = 2..k_max+1, against `first_moved`."""
+    assert w_stable(1, ctx) == (_first_moved_derivation(xi_basis(1, ctx), ctx) is None)
+    for k in range(2, k_max + 2):
+        assert _outcome(lambda: bk_moved(k, ctx)) == _outcome(lambda: first_moved(
+            ctx.datum, [e for row in bk_matrix(k, ctx).entries for e in row])), k
+
+
+@pytest.mark.parametrize("group", DIFFERENTIAL_GROUPS)
+def test_certificates_agree_with_the_substitution(group):
+    _differential(shared_context(*group))
+
+
+def test_certificates_agree_with_the_substitution_on_h3(h3_context):
+    _differential(h3_context)
+
+
+@pytest.mark.parametrize("kind", ["gram_poly.12+1/2", "jac_P.11+x1", "xi1.1*x1",
+                                  "bk_table[1].11+x1", "bk_table[3].11+x1",
+                                  "bk_table[2].11+1", "bk_table[2,3].11+x1",
+                                  "bk_table[1,3].11+x1,2x1"])
+def test_certificates_agree_with_the_substitution_on_tampered_b2(kind):
+    ctx = fresh_context("B", 2)
+    _tamper(ctx, kind)
+    _differential(ctx)
