@@ -25,6 +25,12 @@ B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a passing run substitutes only the
 entries of B^(1).  The certificates read what the checks certify anyway and
 are kept with what they read; where one fails, the substitution decides.
 
+Theorem 2.4 (1)-(2), the G_0 membership of nabla_D^p xi^(2p-1) and the
+derivatives of G follow from the same facts (`chain_holds`, `primitive_dual`,
+`dp_metric`): B^(1) is Gamma*_l, cols(xi^(1)) == A J(P), G ==
+J(P)^T cols(xi^(1)), and per level and step Lemma 2.1 (1), (2), (4) and
+Proposition 2.6.  A passing run differentiates no xi row and not G.
+
 A derivation is held by its coefficients in the coordinate frame d/dX_i and
 nowhere else, and acts on functions as its coefficient row times their
 Jacobian: theta(f) = sum_i c_i df/dX_i is one matrix product
@@ -35,8 +41,9 @@ product, and so is d/dP_k of a matrix in every requested direction at once
 the flat connection of V, whose Christoffel symbols vanish in the
 coordinates X, so `nabla_D` applies D to each coefficient.  The invariant
 frame d/dP_j appears only where a theorem is stated in it: `verify`
-multiplies coefficient columns by J(P)^T for Theorem 2.4 (2), and for
-Theorem 2.4 (1) and Proposition 2.6 only when their two sides differ.
+multiplies coefficient columns by J(P)^T for Theorem 2.4 (2) where the chain
+does not decide it, and for Theorem 2.4 (1) and Proposition 2.6 only when
+their two sides differ.
 """
 
 from __future__ import annotations
@@ -246,6 +253,15 @@ def _gamma_star(k: int, ctx: SaitoContext) -> Matrix:
                                               f"Gamma*_{k}"))
 
 
+def _d_dual(ctx: SaitoContext) -> bool:
+    """d J(P) == e_l, d the row of D (the last row of J(P)^-1): D[P_j] =
+    delta_jl; kept with J(P) and J(P)^-1."""
+    ell = ctx.rank
+    return _kept(ctx, ("d_dual", 0), (ctx.jac_P, ctx.jac_P_inv), lambda: (
+        Matrix(ctx.jac_P_inv.entries[-1:]) * ctx.jac_P
+        == Matrix(Matrix.identity(ell, ell, ctx.datum.field).entries[-1:])))
+
+
 def d_bk(k: int, bk: Matrix, ctx: SaitoContext) -> Matrix:
     """D[bk], entrywise, for bk read as B^(k); kept per level with bk and
     J(P)^-1, so `lemma21.1d/k` and the premise of B^(k+1) share it."""
@@ -260,13 +276,9 @@ def _tower_candidate(k: int, ctx: SaitoContext):
     ell = ctx.rank
     try:
         if k == 1:
-            e_l = Matrix.identity(ell, ell, ctx.datum.field).entries[-1:]
-            d_jp = Matrix(ctx.jac_P_inv.entries[-1:]) * ctx.jac_P
-            return _gamma_star(ell, ctx) if d_jp == Matrix(e_l) else None
+            return _gamma_star(ell, ctx) if _d_dual(ctx) else None
         b1, prev = _certified_bk(1, ctx), _certified_bk(k - 1, ctx)
-        _bk_inverse(k - 1, prev, ctx)  # raises unless det B^(k-1) is a nonzero constant
-        if b1 is _gamma_star(ell, ctx) and not any(
-                e for row in d_bk(k - 1, prev, ctx).entries for e in row):
+        if b1 is _gamma_star(ell, ctx) and _level(k - 1, prev, ctx):
             return prev + b1 + b1.transpose()
     except CoxsaitoError:
         pass
@@ -515,16 +527,125 @@ def bk_moved(k: int, ctx: SaitoContext):
     below = (bk_matrix(k - 1, ctx), bk_matrix(1, ctx)) if k >= 2 else ()
     return _kept(ctx, ("bk_moved", k), (bk, *below), lambda: None if below and (
         bk_moved(1, ctx) is None and bk_moved(k - 1, ctx) is None
-        and bk - below[0] == below[1] + below[1].transpose())
+        and bk_step(k - 1, ctx))
         else first_moved(ctx.datum, [e for row in bk.entries for e in row]))
 
 
-def _metric_of_xi1(ctx: SaitoContext) -> bool:
-    """G == J^T cols(xi^(1)), J the Jacobian of the basic invariants (not
-    `ctx.jac_P`): G_ij is then xi^(1)_j(P_i); kept with the row and G."""
-    row, g = xi_basis(1, ctx), ctx.metric_G
-    return _kept(ctx, ("metric", 1), (row, g), lambda: g == jacobian(
-        ctx.invariants.polys, ctx.rank).transpose() * columns(row))
+def bk_step(k: int, ctx: SaitoContext) -> bool:
+    """B^(k+1) - B^(k) == B^(1) + (B^(1))^T, the comparison of `lemma21.4/k`,
+    on the matrices of `bk_matrix`; kept with the three."""
+    up, bk, b1 = bk_matrix(k + 1, ctx), bk_matrix(k, ctx), bk_matrix(1, ctx)
+    return _kept(ctx, ("step", k), (up, bk, b1),
+                 lambda: up - bk == b1 + b1.transpose())
+
+
+# -- Theorem 2.4 and the derivatives of G from the premise chain ------------------
+
+
+def chain_base(ctx: SaitoContext) -> bool:
+    """The base of the Theorem 2.4 chain: `bk_matrix(1)` is Gamma*_l
+    (`_gamma_star`, so B^(1) = J(P)^T A D[J(P)]), A is constant and
+    symmetric, and the two kept comparisons on xi^(1) hold, `_xi1_gradient`
+    and `_xi1_metric`, so G = J(P)^T A J(P).  False on any failure or error,
+    which leaves each decision to its own route.
+
+    D is a derivation and A is constant, so D[G] = D[J(P)]^T A J(P) +
+    J(P)^T A D[J(P)] = B^(1) + (B^(1))^T, and likewise d/dP_k G = Gamma*_k +
+    (Gamma*_k)^T for every k (`dp_metric`)."""
+    try:
+        a = ctx.gram_poly
+        return (bk_matrix(1, ctx) is _gamma_star(ctx.rank, ctx) and a == a.transpose()
+                and all(e.constant_value() is not None for r in a.entries for e in r)
+                and _xi1_gradient(ctx) and _xi1_metric(ctx))
+    except CoxsaitoError:
+        return False
+
+
+def _xi1_gradient(ctx: SaitoContext) -> bool:
+    """cols(xi^(1)) == A J(P): column j is the A-gradient of P_j; kept with
+    the row, A and J(P)."""
+    row, a, jp = xi_basis(1, ctx), ctx.gram_poly, ctx.jac_P
+    return _kept(ctx, ("stable", 1), (row, a, jp), lambda: columns(row) == a * jp)
+
+
+def _xi1_metric(ctx: SaitoContext) -> bool:
+    """G == J(P)^T cols(xi^(1)): G_ij = xi^(1)_j(P_i); kept with the row,
+    J(P) and G."""
+    row, jp, g = xi_basis(1, ctx), ctx.jac_P, ctx.metric_G
+    return _kept(ctx, ("metric", 1), (row, jp, g),
+                 lambda: g == jp.transpose() * columns(row))
+
+
+def chain_holds(levels: int, steps: int, ctx: SaitoContext) -> bool:
+    """The Theorem 2.4 chain: its base (`chain_base`); at each level
+    j <= levels, det B^(j) a nonzero constant (`_bk_inverse`) and D[B^(j)] == 0
+    (`d_bk`); at each step j <= steps, `prop26_holds(j)` and `bk_step(j)`.
+    False on any failure or error.
+
+    Write X_m = cols(xi^(m)), B_j = `bk_matrix(j)` and K_j = -B_j^-1 G, so
+    X_(2j+1) = X_(2j-1) K_j at each step.  At a level D[B_j^-1] = 0, so
+    D[K_j] = -B_j^-1 (B_1 + B_1^T) by the base, and nabla_D acts entrywise:
+    cols(nabla_D^t xi^(m)) = D^t[X_m].
+
+    Theorem 2.4 (1), levels and steps 1..k: D[X_(2k+1)] = -X_(2k-1) B_k^-1
+    B_(k+1).  At k = 1, D[X_1] = A D[J(P)] = A (J(P)^T A)^-1 B_1 (det B_1 != 0,
+    so J(P)^T A is invertible), hence D[X_1] K_1 = -A J(P) = -X_1; at k >= 2,
+    D[X_(2k-1)] K_k = X_(2k-3) B_(k-1)^-1 G = -X_(2k-1) by the statement at
+    k - 1 and step k - 1.  Then D[X_(2k+1)] = D[X_(2k-1)] K_k + X_(2k-1) D[K_k]
+    = -X_(2k-1) B_k^-1 (B_k + B_1 + B_1^T), which is step k.
+
+    Theorem 2.4 (2), levels 1..k and steps 1..k-1: J(P)^T D^k[X_(2k-1)] =
+    (-1)^(k-1) B_k.  At k = 1 it is J(P)^T A D[J(P)] = B_1; above, (1) at
+    k - 1 gives D^k[X_(2k-1)] = -D^(k-1)[X_(2k-3)] B_(k-1)^-1 B_k, since
+    D[B_(k-1)] = D[B_k] = 0, and the statement at k - 1 closes it."""
+    try:
+        return (chain_base(ctx)
+                and all(_level(j, bk_matrix(j, ctx), ctx) for j in range(1, levels + 1))
+                and all(prop26_holds(j, ctx) and bk_step(j, ctx)
+                        for j in range(1, steps + 1)))
+    except CoxsaitoError:
+        return False
+
+
+def _level(j: int, bk: Matrix, ctx: SaitoContext) -> bool:
+    """D[bk] == 0, for bk read as B^(j); raises unless det bk is a nonzero
+    constant (`_bk_inverse`)."""
+    _bk_inverse(j, bk, ctx)
+    return not any(e for row in d_bk(j, bk, ctx).entries for e in row)
+
+
+def _own_frame(ctx: SaitoContext) -> bool:
+    """J(P) is the Jacobian of the basic invariants and A the datum's Gram
+    matrix, so a statement about the context's J(P) and A is one about the
+    group; kept with both."""
+    datum, ell = ctx.datum, ctx.rank
+    return _kept(ctx, ("frame", 0), (ctx.jac_P, ctx.gram_poly), lambda: (
+        ctx.jac_P == jacobian(ctx.invariants.polys, ell)
+        and ctx.gram_poly == Matrix.from_scalars(datum.gram, ell, datum.field)))
+
+
+def primitive_dual(ctx: SaitoContext) -> bool:
+    """`primitive_derivation` is the D of `nabla_D` and D[P_j] = delta_jl on
+    the basic invariants: dkx(1) == the last row of J(P)^-1, `_own_frame` and
+    `_d_dual`.  With `chain_holds(p, p - 1)` every eta of nabla_D^p xi^(2p-1)
+    then has eta(P_i) = (-1)^(p-1) B^(p)_ij, so [D, eta](P_i) =
+    D[eta(P_i)] - eta(D[P_i]) = 0: D[B^(p)] = 0 and D[P_i] is constant."""
+    try:
+        return (tuple(dkx(1, ctx)) == ctx.jac_P_inv.entries[-1]
+                and _own_frame(ctx) and _d_dual(ctx))
+    except CoxsaitoError:
+        return False
+
+
+def dp_metric(ks, ctx: SaitoContext) -> list[Matrix]:
+    """[d/dP_k G for k in ks]: Gamma*_k + (Gamma*_k)^T when `chain_base`
+    holds, else, or where a Gamma*_k is not polynomial, `dp_matrix` of G."""
+    try:
+        if chain_base(ctx):
+            return [s + s.transpose() for s in (_gamma_star(k, ctx) for k in ks)]
+    except CoxsaitoError:
+        pass
+    return dp_matrix(ctx.metric_G, ks, ctx)
 
 
 def w_stable(m: int, ctx: SaitoContext) -> bool:
@@ -533,12 +654,13 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
     certifies anyway; False on any failure or error, which leaves the
     decision to the substitution and the full scan.
 
-    m = 1: cols(xi^(1)) == A J with the datum's A and the invariants' J, not
-    the context's; kept with the row.  Each generator g is an involution with
+    m = 1: `_own_frame` and `_xi1_gradient` give cols(xi^(1)) == A J with the
+    datum's A and the invariants' J.  Each generator g is an involution with
     g^T A g = A (`CoxeterDatum`) and P o g^T = P (ingest), so with S = g^T
     the image S A (grad P)(Sx) = S A S^-T grad P(x) is A grad P(x), T_g = 1.
-    m = 2k+1: xi^(2k-1) is certified; G == J^T cols(xi^(1)) (`_metric_of_xi1`),
-    so G_ij = xi^(1)_j(P_i) is invariant; B^(k) is (`bk_moved`); and
+    m = 2k+1: xi^(2k-1) is certified; G == J^T cols(xi^(1)) (`_xi1_metric`,
+    J(P) == J by `_own_frame`), so G_ij = xi^(1)_j(P_i) is invariant; B^(k)
+    is (`bk_moved`); and
     xi^(2k+1) = xi^(2k-1) K (`prop26_holds`) with K = -(B^(k))^-1 G, whose
     entries are invariant since det B^(k) is a nonzero constant.  The action
     is linear over invariants, g(theta K) = g(theta) K, so xi^(2k+1) is
@@ -549,17 +671,14 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
     """
     try:
         if m == 1:
-            row, datum = xi_basis(1, ctx), ctx.datum
-            return _kept(ctx, ("stable", 1), (row,), lambda: columns(row) == (
-                Matrix.from_scalars(datum.gram, ctx.rank, datum.field)
-                * jacobian(ctx.invariants.polys, ctx.rank)))
+            return _own_frame(ctx) and _xi1_gradient(ctx)
         if m % 2 == 0:
             row, odd = xi_basis(m, ctx), xi_basis(m + 1, ctx)
             return w_stable(m + 1, ctx) and _kept(
                 ctx, ("stable", m), (row, odd), lambda: columns(row) * jacobian(
                     ctx.invariants.polys, ctx.rank) == columns(odd))
         k = m // 2
-        return (w_stable(m - 2, ctx) and _metric_of_xi1(ctx)
+        return (w_stable(m - 2, ctx) and _xi1_metric(ctx)
                 and bk_moved(k, ctx) is None and prop26_holds(k, ctx))
     except CoxsaitoError:
         return False

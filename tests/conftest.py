@@ -19,7 +19,7 @@ from coxsaito.saito import (PolyDerivation, build_context, christoffel_star,
                             derivation_bracket, derivation_transform, dkx,
                             dp_matrix, jdkx, nabla_D, nabla_xi,
                             primitive_derivation, xi_basis)
-from coxsaito.verify import _cmp_matrices, _Runner, run_suites
+from coxsaito.verify import _cmp_matrices, _first_nonzero, _Runner, run_suites
 
 _CONTEXTS: dict = {}
 _REPORTS: dict = {}
@@ -599,13 +599,16 @@ def invariant_frame_matrix(m, t, ctx):
 
 
 def stated_route_checks(ctx, k_max, p_max):
-    """`thm24.1/k` and `prop26/k` for k <= k_max, then `hodge.g0/p` for
-    p <= p_max, each by the route its statement gives alone: both sides of
-    thm24.1 and prop26 in the invariant frame, and every bracket
-    [D, nabla_D^p xi^(2p-1)_j] in the coordinate frame.  The reference for
-    `verify`, which compares in the coordinate frame and reads the brackets
-    on the basic invariants."""
+    """`thm24.1/k`, `thm24.2/k` and `prop26/k` for k <= k_max, `hodge.g0/p`
+    for p <= p_max, then `flat.detDG` and `flat.D2G`, each by the route its
+    statement gives alone: both sides of thm24.1, thm24.2 and prop26 in the
+    invariant frame, every bracket [D, nabla_D^p xi^(2p-1)_j] in the
+    coordinate frame, and D[G] and D^2[G] by `dp_matrix` of G.  The reference
+    for `verify`, which decides them from the premise chain of
+    `saito.chain_holds` and otherwise compares in the coordinate frame and
+    reads the brackets on the basic invariants."""
     r = _Runner()
+    ell = ctx.rank
     for k in range(1, k_max + 1):
 
         def thm24_1(k=k):
@@ -614,6 +617,11 @@ def stated_route_checks(ctx, k_max, p_max):
             rhs = (-(invariant_frame_matrix(2 * k - 1, 0, ctx) * step)).simplify()
             return _cmp_matrices(lhs, rhs)
 
+        def thm24_2(k=k):
+            bk = saito.bk_matrix(k, ctx)
+            return _cmp_matrices(invariant_frame_matrix(2 * k - 1, k, ctx),
+                                 bk if k % 2 else -bk)
+
         def prop26(k=k):
             lhs = invariant_frame_matrix(2 * k + 1, 0, ctx)
             step = saito.bk_matrix(k, ctx).inverse() * ctx.metric_G
@@ -621,6 +629,7 @@ def stated_route_checks(ctx, k_max, p_max):
             return _cmp_matrices(lhs, rhs)
 
         r.run(f"thm24.1/k={k}", "", thm24_1)
+        r.run(f"thm24.2/k={k}", "", thm24_2)
         r.run(f"prop26/k={k}", "", prop26)
     for p in range(1, p_max + 1):
 
@@ -635,6 +644,23 @@ def stated_route_checks(ctx, k_max, p_max):
             return True, None
 
         r.run(f"hodge.g0/p={p}", "", g0_membership)
+
+    def det_dg():
+        entries = [[e.as_poly() for e in row]
+                   for row in dp_matrix(ctx.metric_G, [ell], ctx)[0].entries]
+        if any(p is None for row in entries for p in row):
+            return False, "D[G] has a non-polynomial entry"
+        c = Matrix(entries).det().constant_value()
+        if c is None:
+            return False, "det D[G] is not constant"
+        return (True, None) if c else (False, "det D[G] = 0")
+
+    def d2g():
+        dg = dp_matrix(ctx.metric_G, [ell], ctx)[0]
+        return _first_nonzero(dp_matrix(dg, [ell], ctx)[0], "D^2[G]")
+
+    r.run("flat.detDG", "", det_dg)
+    r.run("flat.D2G", "", d2g)
     return r.results
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 from conftest import (a3_transposition_document, first_moved_by_any,
-                      h3_document, ladder_jdkx_inv, nabla_matrix_reference,
+                      h3_document, invariant_frame_matrix, ladder_jdkx_inv,
+                      nabla_matrix_reference,
                       winv_witness_by_any, with_entry)
 
 from coxsaito.coxeter import anti_invariant_Q, build_datum, builtin_invariants
@@ -11,9 +12,8 @@ from coxsaito.invariants_io import datum_to_json, ingest_invariants, poly_to_jso
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
                             contact_defect, jdkx_inv, xi_basis)
-from coxsaito.verify import (_nabla_matrix, check_flat_remark, check_hodge,
-                             check_lemma21, check_metric,
-                             check_thm24_thm25_prop26)
+from coxsaito.verify import (check_flat_remark, check_hodge, check_lemma21,
+                             check_metric, check_thm24_thm25_prop26)
 
 
 def write_doc(tmp_path, doc, name="group.json"):
@@ -154,7 +154,7 @@ def test_h3_nabla_xi_matches_christoffel_reference(h3_context):
     # the differential oracle of test_saito over Q(sqrt 5)
     for m in (1, 3):
         for t in range(3):
-            assert (_nabla_matrix(m, t, h3_context)
+            assert (invariant_frame_matrix(m, t, h3_context)
                     == nabla_matrix_reference(m, t, h3_context)), (m, t)
 
 

@@ -1,5 +1,6 @@
-"""An independent oracle: B^(k) and xi^(1) recomputed in sympy from the raw
-datum, and their W-invariance decided by sympy substitution.
+"""An independent oracle: B^(k), xi^(1), nabla_D xi^(1), nabla_D xi^(3) and
+D[G] recomputed in sympy from the raw datum, and the W-invariance of xi^(1)
+and B^(k) decided by sympy substitution.
 
 Every other reference in the suite runs on the kernels it checks.  Here the
 basic invariants, the Gram matrix A and the generators are read off the
@@ -8,9 +9,10 @@ row of J(P)^-1), D^k[X], the defining product
 
     B^(k) = -J(P)^T A J(D^k[X]) J(D^(k-1)[X])^-1 J(P),
 
-xi^(1) = A J(P), whose column j is the A-gradient of P_j, and the action of
-a generator g: with S = g^T, a polynomial f goes to f(Sx) and a derivation
-with coefficient column c to S c(Sx).
+xi^(1) = A J(P), whose column j is the A-gradient of P_j, xi^(3) =
+A J(D[X])^-1 J(P), G = J(P)^T A J(P), and the action of a generator g: with
+S = g^T, a polynomial f goes to f(Sx) and a derivation with coefficient
+column c to S c(Sx).
 
 Rank 3 is left out: this route does not finish A3 at k = 2 within two minutes.
 """
@@ -19,7 +21,12 @@ import pytest
 import sympy
 from conftest import fresh_context
 
-from coxsaito.saito import bk_matrix, bk_moved, w_stable, xi_basis
+from coxsaito.saito import (bk_matrix, bk_moved, chain_holds, lead, w_stable,
+                            xi_basis)
+
+
+def _rational(v):
+    return sympy.Rational(v.numerator, v.denominator)
 
 
 def to_sympy(poly, xs):
@@ -28,21 +35,26 @@ def to_sympy(poly, xs):
                        for exps, c in poly.iter_terms()))
 
 
-def oracle_bk(ctx, k_max):
-    """[B^(1), ..., B^(k_max)] as sympy matrices, by the defining product."""
+def oracle_frame(ctx):
+    """(xs, A, J(P), the row d of D, jac) in sympy, jac(fs) the Jacobian with
+    entry (i, j) = d f_j / d x_i."""
     ell = ctx.rank
     xs = sympy.symbols(f"x1:{ell + 1}")
     polys = [to_sympy(p, xs) for p in ctx.invariants.polys]
-    gram = sympy.Matrix(ell, ell, lambda i, j: sympy.Rational(
-        ctx.datum.gram[i][j].numerator, ctx.datum.gram[i][j].denominator))
+    gram = sympy.Matrix(ctx.datum.gram).applyfunc(_rational)
 
-    def jac(fs):  # entry (i, j) = d f_j / d x_i
+    def jac(fs):
         return sympy.Matrix(ell, ell, lambda i, j: sympy.diff(fs[j], xs[i]))
 
     jp = jac(polys)
-    d = list(jp.inv()[ell - 1, :])
+    return xs, gram, jp, list(jp.inv()[ell - 1, :]), jac
+
+
+def oracle_bk(ctx, k_max):
+    """[B^(1), ..., B^(k_max)] as sympy matrices, by the defining product."""
+    xs, gram, jp, d, jac = oracle_frame(ctx)
     dkx, out = list(xs), []
-    prev = sympy.eye(ell)
+    prev = sympy.eye(ctx.rank)
     for _ in range(k_max):
         dkx = [sympy.cancel(sum(di * sympy.diff(f, x) for di, x in zip(d, xs)))
                for f in dkx]
@@ -50,6 +62,13 @@ def oracle_bk(ctx, k_max):
         out.append((-jp.T * gram * cur * prev.inv() * jp).applyfunc(sympy.cancel))
         prev = cur
     return out
+
+
+def assert_equals_sympy(got, want, xs, what):
+    """Every entry of the package's polynomial matrix got equals want's."""
+    for i in range(want.rows):
+        for j in range(want.cols):
+            assert sympy.simplify(to_sympy(got[i, j], xs) - want[i, j]) == 0, (what, i, j)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
@@ -61,10 +80,6 @@ def test_bk_matches_sympy_defining_product(label, rank):
         for i in range(rank):
             for j in range(rank):
                 assert sympy.expand(to_sympy(got[i, j], xs) - want[i, j]) == 0, (k, i, j)
-
-
-def _rational(v):
-    return sympy.Rational(v.numerator, v.denominator)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
@@ -91,3 +106,24 @@ def test_xi1_and_bk_are_invariant_by_sympy_substitution(label, rank):
     # the package's certificates agree: xi^(1) by its gradient form, B^(2)
     # and B^(3) by the sum rule
     assert w_stable(1, ctx) and all(bk_moved(k, ctx) is None for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
+def test_nabla_rows_and_dg_match_sympy(label, rank):
+    # what the Theorem 2.4 chain decides without forming it: nabla_D xi^(1)
+    # in the invariant frame is B^(1), nabla_D xi^(3) is lead(1) B^(2) in the
+    # coordinate frame, and D[G] is B^(1) + (B^(1))^T; xi^(3) = A J(D[X])^-1
+    # J(P) and G = J(P)^T A J(P) are built in sympy from the raw datum
+    ctx = fresh_context(label, rank)
+    xs, gram, jp, d, jac = oracle_frame(ctx)
+
+    def prim(m):  # D applied to every entry
+        return m.applyfunc(lambda f: sympy.cancel(
+            sum(di * sympy.diff(f, x) for di, x in zip(d, xs))))
+
+    b1 = bk_matrix(1, ctx)
+    assert_equals_sympy(b1, jp.T * prim(gram * jp), xs, "nabla_D xi^(1)")
+    xi3 = gram * jac(d).inv() * jp
+    assert_equals_sympy(lead(1, ctx) * bk_matrix(2, ctx), prim(xi3), xs, "nabla_D xi^(3)")
+    assert_equals_sympy(b1 + b1.transpose(), prim(jp.T * gram * jp), xs, "D[G]")
+    assert chain_holds(1, 1, ctx) and chain_holds(2, 1, ctx)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import (accumulating_apply, assert_same_form, fresh_context,
-                      h3_document, ladder_jdkx_inv, nabla_matrix_reference,
+                      h3_document, invariant_frame_matrix, ladder_jdkx_inv,
+                      nabla_matrix_reference,
                       nabla_power_reference, old_identity_accepts,
                       product_bk, reference_bracket,
                       reference_dkx, reference_dp_matrix, reference_nabla_xi,
@@ -24,7 +25,7 @@ from coxsaito.saito import (PolyDerivation, _certified_bk, bk_matrix, build_cont
                             derivation_transform, dkx, dp_matrix, jdkx,
                             jdkx_inv, nabla_D, nabla_xi, primitive_derivation,
                             xi_basis)
-from coxsaito.verify import _nabla_matrix, check_lemma21, run_suites
+from coxsaito.verify import check_lemma21, run_suites
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +163,7 @@ def test_a1_christoffel(a1):
 def test_a1_invariant_frame_chain_rule(a1):
     # xi^(0) = d/dx, and d/dx = 2x d/dP for P = x^2
     assert xi_basis(0, a1)[0].coeffs[0].as_poly() == MultiPoly.const(1, 1)
-    assert _nabla_matrix(0, 0, a1) == Matrix([[2 * x1()]])
+    assert invariant_frame_matrix(0, 0, a1) == Matrix([[2 * x1()]])
 
 
 def test_primitive_derivation_is_dual_to_invariants(b2):
@@ -180,7 +181,7 @@ FRAME_GROUPS = pytest.mark.parametrize("label,rank", [
 def test_frame_roundtrip_on_xi1(group_context, label, rank):
     # J(P)^-T takes the invariant-frame columns back to the coordinate frame
     ctx = group_context(label, rank)
-    back = ctx.jac_P_inv.transpose() * _nabla_matrix(1, 0, ctx)
+    back = ctx.jac_P_inv.transpose() * invariant_frame_matrix(1, 0, ctx)
     assert back.simplify() == xi_coefficient_matrix(1, ctx)
 
 
@@ -212,8 +213,8 @@ def test_a1_nabla_of_xi1(a1):
     assert xi1.coeffs[0].as_poly() == 2 * x1()
     result = nabla_D(xi1, a1)
     assert result.coeffs[0] == FactoredFraction(MultiPoly.const(1, 1), a1.q_base, 1)
-    assert _nabla_matrix(1, 0, a1) == Matrix([[4 * x1() * x1()]])
-    assert _nabla_matrix(1, 1, a1) == Matrix([[MultiPoly.const(1, 2)]])
+    assert invariant_frame_matrix(1, 0, a1) == Matrix([[4 * x1() * x1()]])
+    assert invariant_frame_matrix(1, 1, a1) == Matrix([[MultiPoly.const(1, 2)]])
 
 
 def test_nabla_of_xi1_row_is_b1(b2):
@@ -306,7 +307,7 @@ def test_nabla_xi_matches_references(label, rank):
     ctx = build_context(d, builtin_invariants(d))
     for m in range(8):
         for t in range(4):
-            assert _nabla_matrix(m, t, ctx) == nabla_matrix_reference(m, t, ctx), \
+            assert invariant_frame_matrix(m, t, ctx) == nabla_matrix_reference(m, t, ctx), \
                 (m, t)
 
 
@@ -812,7 +813,7 @@ def test_invariant_frame_columns_are_values(group_context, label, rank):
     # entry (i, j) of the invariant-frame matrix of xi^(m) is xi^(m)_j(P_i)
     ctx = group_context(label, rank)
     for m in (1, 3):
-        mat = _nabla_matrix(m, 0, ctx)
+        mat = invariant_frame_matrix(m, 0, ctx)
         for j, theta in enumerate(xi_basis(m, ctx)):
             values = derivation_apply([theta], ctx.invariants.polys, ctx)[0]
             for i, value in enumerate(values):

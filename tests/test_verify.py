@@ -7,7 +7,7 @@ from conftest import (determinant_route_basis, fresh_context, levi_civita_star,
 
 from coxsaito import matrix, saito, verify
 from coxsaito.coxeter import anti_invariant_Q, build_datum, validate_invariants
-from coxsaito.errors import ConfigError
+from coxsaito.errors import ConfigError, SingularMatrix
 from coxsaito.fraction import FactoredFraction
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, contact_order
@@ -122,19 +122,26 @@ def _spy_dp_matrix(monkeypatch):
     return seen
 
 
-def test_lemma22_differentiates_g_once_and_g_inverse_only_on_fallback(monkeypatch):
-    # a passing run decides every lemma22.13 by the raised identity: G is
-    # differentiated once in every direction and G^-1 is never built, since
-    # det G = c q^a is certified from the determinant alone; only
-    # christoffel_star differentiates J(P), one direction at a time, so that
-    # an integrity error stays with its own k
+def _chain_off(monkeypatch):
+    """Switch the Theorem 2.4 chain off: its base fails, so every check it
+    decides takes its own route."""
+    monkeypatch.setattr(saito, "chain_base", lambda ctx: False)
+    monkeypatch.setattr(verify, "chain_base", lambda ctx: False)
+
+
+def test_lemma22_differentiates_g_inverse_only_on_fallback(monkeypatch):
+    # a passing run decides every lemma22.13 by the raised identity and reads
+    # d/dP_k[G] as Gamma*_k + (Gamma*_k)^T from the chain's base: G is not
+    # differentiated and G^-1 is never built, since det G = c q^a is
+    # certified from the determinant alone; only christoffel_star
+    # differentiates J(P), one direction at a time, so that an integrity
+    # error stays with its own k
     ctx = fresh_context("A", 3)
     seen = _spy_dp_matrix(monkeypatch)
     assert all(r.status == "pass" for r in check_lemma22(ctx))
     every = (1, 2, 3)
-    assert [ks for m, ks in seen if m is ctx.metric_G] == [every]
     assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(1,), (2,), (3,)]
-    assert len(seen) == 4
+    assert len(seen) == 3
     assert ctx._metric_G_inv is None
     # with Gamma*_1 tampered the identity fails, and the per-k route
     # differentiates G^-1 exactly once, in every direction
@@ -144,10 +151,16 @@ def test_lemma22_differentiates_g_once_and_g_inverse_only_on_fallback(monkeypatc
     seen.clear()
     assert {r.name for r in check_lemma22(ctx) if r.status != "pass"} == {
         "lemma22.2/k=1", "lemma22.13/k=1", "lemma22.B"}
-    assert [ks for m, ks in seen if m is ctx.metric_G] == [every]
     assert [ks for m, ks in seen if m is ctx.metric_G_inv()] == [every]
     assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(2,), (3,)]
-    assert len(seen) == 4
+    assert len(seen) == 3
+    # without the chain's base G is differentiated once, in every direction
+    _chain_off(monkeypatch)
+    ctx = fresh_context("A", 3)
+    seen.clear()
+    assert all(r.status == "pass" for r in check_lemma22(ctx))
+    assert [ks for m, ks in seen if m is ctx.metric_G] == [every]
+    assert len(seen) == 4 and ctx._metric_G_inv is None
 
 
 def _plus_at(name, i, j, delta):
@@ -551,8 +564,33 @@ def _plus_bk2(ctx):
     ctx.bk_table[2] = with_entry(bk, 0, 0, bk[0, 0] + _one(ctx))
 
 
+def _copy_bk1(ctx):
+    """B^(1) in `bk_table` replaced by an equal matrix, another object."""
+    ctx.bk_table[1] = Matrix(bk_matrix(1, ctx).entries)
+
+
+def _copy_jac_p_after_b1(ctx):
+    """J(P) replaced by an equal matrix once B^(1) is built: Gamma*_l is
+    derived again, so B^(1) is no longer that object."""
+    bk_matrix(1, ctx)
+    ctx.jac_P = Matrix(ctx.jac_P.entries)
+
+
+def _perturb_dkx1(ctx):
+    first, *rest = dkx(1, ctx)
+    ctx.dkx_table[1] = (first + _x1(ctx), *rest)
+
+
+def _plus_certified_b2(ctx):
+    """The certified B^(2) with 1 added at (1,1), before anything reads it:
+    xi^(4), xi^(5) and `bk_table[2]` are built from it."""
+    b2 = saito._certified_bk(2, ctx)
+    ctx._bk_memo[2] = with_entry(b2, 0, 0, b2[0, 0] + _one(ctx))
+
+
 # jac_P.11+1 and jac_P_inv/D.l1+1 are the tamper kinds "jac_P" and
-# "jac_P_inv/D" of test_saito.py
+# "jac_P_inv/D" of test_saito.py; the last five each break one premise of the
+# Theorem 2.4 chain
 STATED_ROUTE_TAMPERINGS = {
     "none": lambda ctx: None,
     "xi3.11+x1": _perturb_xi(3, _x1),
@@ -562,7 +600,14 @@ STATED_ROUTE_TAMPERINGS = {
     "jac_P_inv/D.l1+1": _plus_at("jac_P_inv", -1, 0, _one),
     "G.12+1": _plus_at("metric_G", 0, 1, _one),
     "xi1.1*P_l": _scale_xi1_by_p_ell,
+    "bk_table[1] copy": _copy_bk1,
+    "dkx_table[1].1+x1": _perturb_dkx1,
+    "gram_poly.12+1": _plus_at("gram_poly", 0, 1, _one),
+    "jac_P copy after B^(1)": _copy_jac_p_after_b1,
+    "_bk_memo[2].11+1": _plus_certified_b2,
 }
+# the tamperings that change no value
+EQUAL_COPIES = {"none", "bk_table[1] copy", "jac_P copy after B^(1)"}
 
 
 # the groups of the differential test, with their k_max = p_max: H3 is a fresh
@@ -589,12 +634,71 @@ def test_identities_report_as_the_stated_routes(label, rank, tamper, request):
     want = _fresh_group_context(label, rank, request)
     STATED_ROUTE_TAMPERINGS[tamper](got)
     STATED_ROUTE_TAMPERINGS[tamper](want)
-    results = check_thm24_thm25_prop26(got, n, 0) + check_hodge(got, n)
+    results = (check_thm24_thm25_prop26(got, n, 0) + check_hodge(got, n)
+               + check_flat_remark(got, n))
     by_name = {r.name: r for r in results}
     reference = stated_route_checks(want, n, n)
     strip = lambda r: (r.name, r.status, r.witness, r.integrity)
     assert [strip(by_name[r.name]) for r in reference] == [strip(r) for r in reference]
-    assert (tamper == "none") == all(r.status == "pass" for r in reference)
+    assert (tamper in EQUAL_COPIES) == all(r.status == "pass" for r in reference)
+
+
+@pytest.mark.parametrize("label,rank", list(STATED_ROUTE_GROUPS))
+@pytest.mark.parametrize("tamper", list(STATED_ROUTE_TAMPERINGS))
+def test_chain_reports_as_its_fallback(label, rank, tamper, request, monkeypatch):
+    # every check the Theorem 2.4 chain decides reports, on every tampering,
+    # the names, statuses, witnesses and integrity flags of the run with the
+    # chain switched off
+    n = STATED_ROUTE_GROUPS[(label, rank)]
+    outcomes = lambda report: [(r.name, r.status, r.witness, r.integrity)
+                               for r in report.results]
+    got = _fresh_group_context(label, rank, request)
+    STATED_ROUTE_TAMPERINGS[tamper](got)
+    on = outcomes(run_suites(got, "all", n, 1, n))
+    _chain_off(monkeypatch)
+    want = _fresh_group_context(label, rank, request)
+    STATED_ROUTE_TAMPERINGS[tamper](want)
+    assert on == outcomes(run_suites(want, "all", n, 1, n))
+
+
+def _broken_at(name, at, broken):
+    """saito.name, with its value replaced by broken(value) for first
+    argument at: a premise of the chain broken at one level or step."""
+    real = getattr(saito, name)
+
+    def patched(k, *args):
+        if k != at:
+            return real(k, *args)
+        return broken(real(k, *args))
+    return patched
+
+
+def _singular(value):
+    raise SingularMatrix("tampered")
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
+def test_chain_reads_each_premise(label, rank, monkeypatch):
+    # a premise broken at level or step 2 rejects exactly the chains that
+    # reach it (step 2 reads the inverse of B^(2) through lead(2)); the base
+    # rejects every chain
+    ctx = fresh_context(label, rank)
+    assert saito.chain_holds(3, 3, ctx) and saito.primitive_dual(ctx)
+    for name, broken, level, step in (
+            ("d_bk", lambda m: with_entry(m, 0, 0, m[0, 0] + _one(ctx)), True, False),
+            ("_bk_inverse", _singular, True, True),
+            ("prop26_holds", lambda holds: False, False, True),
+            ("bk_step", lambda holds: False, False, True)):
+        with monkeypatch.context() as patch:
+            patch.setattr(saito, name, _broken_at(name, 2, broken))
+            assert saito.chain_holds(3, 1, ctx) != level, name
+            assert saito.chain_holds(1, 3, ctx) != step, name
+            assert saito.chain_holds(1, 1, ctx), name
+    with monkeypatch.context() as patch:
+        patch.setattr(saito, "_own_frame", lambda context: False)
+        assert saito.chain_holds(3, 3, ctx) and not saito.primitive_dual(ctx)
+    _copy_bk1(ctx)
+    assert not saito.chain_base(ctx) and not saito.chain_holds(1, 0, ctx)
 
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
@@ -619,33 +723,36 @@ def test_brackets_vanish_decides_as_the_bracket(label, rank):
 
 
 def _spy_products(monkeypatch):
-    """The name of the check that forms each bracket [D, eta] and each
-    invariant-frame matrix J(P)^T M in `verify` from now on."""
-    checks, brackets, frames = [], [], []
+    """The name of the check that forms each bracket [D, eta], each
+    invariant-frame matrix J(P)^T M in `verify` and each nabla_D theta in
+    `saito` from now on."""
+    checks, brackets, frames, nablas = [], [], [], []
     run, bracket = verify._Runner.run, verify.derivation_bracket
-    frame = verify._invariant_frame
+    frame, nabla = verify._invariant_frame, saito.nabla_D
     monkeypatch.setattr(verify._Runner, "run", lambda self, name, ref, fn:
                         checks.append(name) or run(self, name, ref, fn))
     monkeypatch.setattr(verify, "derivation_bracket", lambda d, eta, ctx:
                         brackets.append((checks[-1], eta)) or bracket(d, eta, ctx))
     monkeypatch.setattr(verify, "_invariant_frame", lambda m, ctx:
                         frames.append(checks[-1]) or frame(m, ctx))
-    return brackets, frames
+    monkeypatch.setattr(saito, "nabla_D", lambda theta, ctx:
+                        nablas.append(checks[-1]) or nabla(theta, ctx))
+    return brackets, frames, nablas
 
 
-def test_passing_run_forms_no_bracket_and_only_the_thm24_2_frames(monkeypatch):
-    # a passing A3 run at the CLI defaults takes no bracket, and J(P)^T is
-    # formed only for thm24.2/k, nabla_D^k xi^(2k-1)
-    brackets, frames = _spy_products(monkeypatch)
+def test_passing_run_forms_no_bracket_frame_or_nabla(monkeypatch):
+    # a passing A3 run at the CLI defaults decides thm24.1, thm24.2 and
+    # hodge.g0 from the premise chain: no bracket, no invariant frame and no
+    # nabla_D at all
+    brackets, frames, nablas = _spy_products(monkeypatch)
     assert not run_suites(fresh_context("A", 3), "all", 3, 7, 3).failed
-    assert brackets == []
-    assert frames == ["thm24.2/k=1", "thm24.2/k=2", "thm24.2/k=3"]
-    # with P_l xi^(1)_1 one bracket is formed, [D, nabla_D xi^(1)_1] for the
-    # witness of hodge.g0/p=1, and besides thm24.2 only the failing
-    # thm24.1/k=1 and prop26/k=1 map their two sides to the invariant frame
+    assert brackets == frames == nablas == []
+    # with P_l xi^(1)_1 the base fails, so every check takes its own route:
+    # one bracket is formed, [D, nabla_D xi^(1)_1] for the witness of
+    # hodge.g0/p=1, and besides thm24.2 only the failing thm24.1/k=1 and
+    # prop26/k=1 map their two sides to the invariant frame
     ctx = fresh_context("A", 3)
     _scale_xi1_by_p_ell(ctx)
-    frames.clear()
     report = run_suites(ctx, "all", 3, 7, 3)
     assert {r.name for r in report.results if r.status == "fail"} == {
         "thm25.basis/m=1", "thm25.2/m=1", "thm24.1/k=1", "thm24.2/k=1",
@@ -653,6 +760,22 @@ def test_passing_run_forms_no_bracket_and_only_the_thm24_2_frames(monkeypatch):
     assert brackets == [("hodge.g0/p=1", nabla_xi(1, 1, ctx)[0])]
     assert frames == ["thm24.1/k=1", "thm24.1/k=1", "thm24.2/k=1", "prop26/k=1",
                       "prop26/k=1", "thm24.2/k=2", "thm24.2/k=3"]
+    assert set(nablas) == {"thm24.1/k=1", "thm24.1/k=2", "thm24.1/k=3",
+                           "thm24.2/k=1", "thm24.2/k=2", "thm24.2/k=3"}
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("D", 3), ("B", 2), ("I2", 5),
+                                        ("I2", 8), ("H3", 3)])
+def test_passing_run_differentiates_no_xi_row_and_not_g(label, rank, request,
+                                                         monkeypatch):
+    # at the CLI defaults the chain decides Theorem 2.4, hodge.g0 and the
+    # flat checks, and lemma22 reads d/dP_k[G] as Gamma*_k + (Gamma*_k)^T
+    ctx = _fresh_group_context(label, rank, request)
+    seen, nablas, nabla = _spy_dp_matrix(monkeypatch), [], saito.nabla_D
+    monkeypatch.setattr(saito, "nabla_D", lambda theta, context:
+                        nablas.append(theta) or nabla(theta, context))
+    assert not run_suites(ctx, "all", 3, 7, 3).failed
+    assert nablas == [] and not any(m is ctx.metric_G for m, _ in seen)
 
 
 def test_hodge_substitutes_only_the_entries_of_b1(monkeypatch):
