@@ -647,18 +647,16 @@ def test_identities_report_as_the_stated_routes(label, rank, tamper, request):
 @pytest.mark.parametrize("tamper", list(STATED_ROUTE_TAMPERINGS))
 def test_chain_reports_as_its_fallback(label, rank, tamper, request, monkeypatch):
     # every check the Theorem 2.4 chain decides reports, on every tampering,
-    # the names, statuses, witnesses and integrity flags of the run with the
-    # chain switched off
+    # the name, reference, status, witness and integrity flag of the run
+    # with the chain switched off
     n = STATED_ROUTE_GROUPS[(label, rank)]
-    outcomes = lambda report: [(r.name, r.status, r.witness, r.integrity)
-                               for r in report.results]
     got = _fresh_group_context(label, rank, request)
     STATED_ROUTE_TAMPERINGS[tamper](got)
-    on = outcomes(run_suites(got, "all", n, 1, n))
+    on = _outcomes(run_suites(got, "all", n, 1, n).results)
     _chain_off(monkeypatch)
     want = _fresh_group_context(label, rank, request)
     STATED_ROUTE_TAMPERINGS[tamper](want)
-    assert on == outcomes(run_suites(want, "all", n, 1, n))
+    assert on == _outcomes(run_suites(want, "all", n, 1, n).results)
 
 
 def _broken_at(name, at, broken):
