@@ -8,19 +8,20 @@ as failures flagged `integrity`, which the CLI maps to its own exit code.
 
 The checks compare; they do not construct: B^(k), Gamma*_k, xi^(m), its
 nabla_D powers and its contact orders along the hyperplanes come from the
-caches of `saito`, built once per context.  One polynomial identity decides
-`lemma22.13` for every k (`_raised_koszul`); the derivatives of G^-1 are
-taken only when it fails, for the standard Christoffel formula per k.
+caches of `saito`, built once per context.  Each check makes one decision,
+read from verdicts the run already has, and where that decision does not
+hold it takes the route of its statement.  `lemma22.13/k` passes when det G
+= c q^a, G = G^T, every `lemma22.2` and `lemma22.B` hold: a symmetric
+invertible G has exactly one metric-compatible, torsion-free connection, its
+Levi-Civita connection, so Gamma*_k = -G Gamma_k; otherwise the standard
+Christoffel formula per k, the one place G^-1 is differentiated.
 `thm24.1/k`, `thm24.2/k` and `hodge.g0/p` pass from the premise chain of
 `saito.chain_holds`, which forms no nabla_D, and `flat.detDG`, `flat.D2G`
 and `lemma22.2` read D[G] = B^(1) + (B^(1))^T, and every d/dP_k[G], from its
 base (`saito.dp_metric`), which differentiates no G; `metric/recompute`
-passes from that base.  Where a premise fails each check takes its own
-route: `thm24.1` and `prop26` compare their two sides in the coordinate
-frame and map them to the invariant frame they are stated in only when they
-differ (`_cmp_invariant_frame`); `hodge.g0` reads each bracket [D, eta] on
-the basic invariants and forms only the first that does not vanish
-(`_first_moving`).
+passes from that base.  Otherwise `thm24.1`, `thm24.2` and `prop26` compare
+their two sides in the invariant frame they are stated in, and `hodge.g0`
+forms each bracket [D, eta] in turn.
 `thm25.basis` is Saito's criterion: with contact order >= m along every H
 and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
 matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
@@ -238,20 +239,6 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
     return r.results
 
 
-def _raised_koszul(g: Matrix, t: Matrix, dg) -> bool:
-    """G = G^T and 2 T[k,(i,j)] = (G R)[k,(i,j)] + (G R)[i,(j,k)] - (G R)[j,(k,i)]
-    for all i, j, k, R having the flattened dg[t] = d/dP_t[G] as rows.  With
-    T[k,(i,j)] = sum_t G_kt (Gamma*_t)_ij, `lemma22.2` and `lemma22.B` read
-    (G R)[k,(i,j)] = T[k,(i,j)] + T[k,(j,i)] and T[k,(i,j)] = T[i,(k,j)], and
-    the two give the identity.  For a symmetric invertible G, the -G Gamma_k of
-    its Levi-Civita connection satisfy both as rational functions, and T = G S
-    fixes S: so the identity holds exactly when every Gamma*_k = -G Gamma_k."""
-    n, gr = g.rows, g * Matrix([sum(m.entries, ()) for m in dg])
-    return g == g.transpose() and all(
-        2 * t[k, i * n + j] == gr[k, i * n + j] + gr[i, j * n + k] - gr[j, k * n + i]
-        for i in range(n) for j in range(n) for k in range(n))
-
-
 def check_lemma22(ctx: SaitoContext):
     r = _Runner()
     ell = ctx.rank
@@ -271,30 +258,46 @@ def check_lemma22(ctx: SaitoContext):
         return unit_power(ctx.metric_G.det(), ctx.q_base)
 
     @cache
-    def raised():  # T = G S, S with the flattened Gamma*_t as rows
-        return ctx.metric_G * Matrix([sum(christoffel_star(t, ctx).entries, ())
-                                      for t in directions])
+    def compat(k):  # lemma22.2/k, whose verdict lemma22.13 also reads
+        star = christoffel_star(k, ctx)
+        return _cmp_matrices(dp_g()[k - 1], star + star.transpose())
 
     @cache
-    def raised_identity() -> bool:  # an error is left to the check of the failing k
+    def symmetry_identity():
+        # T = G S, S with the flattened Gamma*_t as rows; T[k,(i,j)] is the
+        # left side of the triple (i, j, k), T[i,(k,j)] the right
+        t = ctx.metric_G * Matrix([sum(christoffel_star(s, ctx).entries, ())
+                                   for s in directions])
+        for i in range(ell):
+            for j in range(ell):
+                for k in range(ell):
+                    if t[k, i * ell + j] != t[i, k * ell + j]:
+                        return False, f"triple (i,j,k) = ({i + 1},{j + 1},{k + 1})"
+        return True, None
+
+    def holds(check, *args) -> bool:  # an error is left to the check it belongs to
         try:
-            return _raised_koszul(ctx.metric_G, raised(), dp_g())
+            return check(*args)[0]
         except CoxsaitoError:
             return False
 
+    @cache
+    def levi_civita() -> bool:
+        # a symmetric invertible G has one metric-compatible (Lemma 2.2 (2))
+        # and torsion-free (B) connection, its Levi-Civita connection: so
+        # with both, Gamma*_k = -G Gamma_k for every k
+        return (ctx.metric_G == ctx.metric_G.transpose()
+                and all(holds(compat, t) for t in directions)
+                and holds(symmetry_identity))
+
     for k in directions:
 
-        def compat(k=k):
-            lhs = dp_g()[k - 1]
-            star = christoffel_star(k, ctx)
-            return _cmp_matrices(lhs, star + star.transpose())
-
         def levi_civita_consistency(k=k):
-            # premise det G = c q^a; then one identity for every k, and only
-            # if it fails the standard Christoffel formula from the metric
+            # premise det G = c q^a; then Lemma 2.2 (2) and (B), and only if
+            # they fail the standard Christoffel formula from the metric
             # (G^{-1} on coordinate fields), Gamma*_k = -G Gamma_k
             det_g()
-            if raised_identity():
+            if levi_civita():
                 return True, None
             dg = dp_g_inv()
             pieces = Matrix([[dg[i][t, k - 1] + dg[k - 1][t, i] - dg[t][i, k - 1]
@@ -306,20 +309,11 @@ def check_lemma22(ctx: SaitoContext):
             return _cmp_matrices(lhs, rhs)
 
         r.run(f"lemma22.2/k={k}",
-              "Lemma 2.2 (2): d/dP_k[G] = Gamma*_k + (Gamma*_k)^T", compat)
+              "Lemma 2.2 (2): d/dP_k[G] = Gamma*_k + (Gamma*_k)^T",
+              lambda k=k: compat(k))
         r.run(f"lemma22.13/k={k}",
               "Lemma 2.2 (1)+(3): Gamma*_k = -G Gamma_k = J(P)^T A d/dP_k[J(P)]",
               levi_civita_consistency)
-
-    def symmetry_identity():
-        # T[k,(i,j)] is the left side of the triple (i, j, k), T[i,(k,j)] the right
-        t = raised()
-        for i in range(ell):
-            for j in range(ell):
-                for k in range(ell):
-                    if t[k, i * ell + j] != t[i, k * ell + j]:
-                        return False, f"triple (i,j,k) = ({i + 1},{j + 1},{k + 1})"
-        return True, None
 
     r.run("lemma22.B", "torsion-freeness: sum_t g^kt S_t^ij = sum_t g^it S_t^kj",
           symmetry_identity)
@@ -332,30 +326,6 @@ def _invariant_frame(columns: Matrix, ctx: SaitoContext) -> Matrix:
     """J(P)^T times coordinate-frame columns, simplified: the frame d/dP_j
     that Theorem 2.4 and Proposition 2.6 are stated in."""
     return (ctx.jac_P.transpose() * columns).simplify()
-
-
-def _cmp_invariant_frame(lhs: Matrix, rhs: Matrix, ctx: SaitoContext):
-    """`_cmp_matrices` of J(P)^T lhs and J(P)^T rhs, for coordinate-frame
-    columns; the products are formed only when lhs != rhs, since equal
-    columns stay equal.  A simplified num / q^e is canonical, so the witness
-    is that of the two invariant-frame sides however they were grouped."""
-    if lhs == rhs:
-        return True, None
-    return _cmp_matrices(_invariant_frame(lhs, ctx), _invariant_frame(rhs, ctx))
-
-
-def _first_moving(d, row, ctx: SaitoContext):
-    """The index of the first eta of row with [d, eta] != 0, or None, read on
-    the basic invariants: [d, eta](P_i) = d[eta(P_i)] - eta(d[P_i]).  Ingest
-    certifies det J(P) = c Q != 0 for these P_i, so a derivation is zero
-    exactly when it kills every P_i; J(P) is that of the invariants, not
-    `ctx.jac_P`."""
-    polys, n = ctx.invariants.polys, len(ctx.invariants.polys)
-    values = derivation_apply(row, polys, ctx)  # eta_j(P_i)
-    moved = derivation_apply(row, derivation_apply([d], polys, ctx)[0], ctx)
-    applied = derivation_apply([d], sum(values, ()), ctx)[0]
-    return next((j for j, v in enumerate(moved) if applied[j * n:(j + 1) * n] != v),
-                None)
 
 
 def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
@@ -406,8 +376,9 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
         def thm24_1(k=k):
             if chain_holds(k, k, ctx):
                 return True, None
-            lhs = columns(nabla_xi(2 * k + 1, 1, ctx))
-            return _cmp_invariant_frame(lhs, lead(k, ctx) * bk_matrix(k + 1, ctx), ctx)
+            lhs = _invariant_frame(columns(nabla_xi(2 * k + 1, 1, ctx)), ctx)
+            rhs = _invariant_frame(lead(k, ctx) * bk_matrix(k + 1, ctx), ctx)
+            return _cmp_matrices(lhs, rhs)
 
         def thm24_2(k=k):
             if chain_holds(k, k - 1, ctx):
@@ -420,8 +391,8 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
         def prop26(k=k):  # the comparison of the W-stability certificate
             if prop26_holds(k, ctx):
                 return True, None
-            return _cmp_invariant_frame(columns(xi_basis(2 * k + 1, ctx)),
-                                        lead(k, ctx) * ctx.metric_G, ctx)
+            lhs = _invariant_frame(columns(xi_basis(2 * k + 1, ctx)), ctx)
+            return _cmp_matrices(lhs, _invariant_frame(lead(k, ctx) * ctx.metric_G, ctx))
 
         r.run(f"thm24.1/k={k}",
               "Theorem 2.4 (1): nabla_D xi^(2k+1) row = "
@@ -467,14 +438,13 @@ def check_hodge(ctx: SaitoContext, p_max: int):
             if chain_holds(p, p - 1, ctx) and primitive_dual(ctx):
                 return True, None
             d = primitive_derivation(ctx)
-            row = nabla_xi(2 * p - 1, p, ctx)
-            j = _first_moving(d, row, ctx)
-            if j is None:
-                return True, None
-            br = derivation_bracket(d, row[j], ctx)
-            bad = next(c for c in br.coeffs if not c.simplify().is_zero())
-            return False, (f"[D, nabla_D^{p} xi^({2 * p - 1})_{j + 1}] != 0: "
-                           f"coefficient {bad.render()}")
+            for j, eta in enumerate(nabla_xi(2 * p - 1, p, ctx)):
+                br = derivation_bracket(d, eta, ctx)
+                bad = next((c for c in br.coeffs if not c.simplify().is_zero()), None)
+                if bad is not None:
+                    return False, (f"[D, nabla_D^{p} xi^({2 * p - 1})_{j + 1}] != 0: "
+                                   f"coefficient {bad.render()}")
+            return True, None
 
         def poincare(p=p):
             # computed: deg xi^(2p-1)_j over deg P_1..P_(l-1) and h = 2N/l

@@ -536,7 +536,7 @@ def old_identity_accepts(k, ctx):
 def levi_civita_star(k, ctx, dg_inv=None):
     """-G Gamma_k by the standard Christoffel formula, from the derivatives
     dg_inv of G^-1 in every direction (G^-1 on coordinate fields): the
-    formula `lemma22.13/k` runs when the raised identity does not decide."""
+    formula `lemma22.13/k` runs when Lemma 2.2 (2) and (B) do not decide."""
     ell = ctx.rank
     dg = dg_inv or dp_matrix(ctx.metric_G_inv(), range(1, ell + 1), ctx)
     pieces = Matrix([[dg[i][t, k - 1] + dg[k - 1][t, i] - dg[t][i, k - 1]
@@ -549,7 +549,8 @@ def levi_civita_star(k, ctx, dg_inv=None):
 def per_k_lemma22(ctx):
     """`verify.check_lemma22` by the per-k route alone: every `lemma22.13/k`
     by `levi_civita_star`, and `lemma22.B` by the l products G C_j, C_j[t, i]
-    = (Gamma*_t)_ij.  The reference for the raised-identity route."""
+    = (Gamma*_t)_ij.  The reference for the decision of `lemma22.13` by
+    Lemma 2.2 (2) and (B)."""
     r = _Runner()
     ell = ctx.rank
     directions = range(1, ell + 1)
@@ -605,8 +606,8 @@ def stated_route_checks(ctx, k_max, p_max):
     invariant frame, every bracket [D, nabla_D^p xi^(2p-1)_j] in the
     coordinate frame, and D[G] and D^2[G] by `dp_matrix` of G.  The reference
     for `verify`, which decides them from the premise chain of
-    `saito.chain_holds` and otherwise compares in the coordinate frame and
-    reads the brackets on the basic invariants."""
+    `saito.chain_holds` and otherwise takes the same routes, with the right
+    sides of thm24.1 and prop26 grouped from `saito.lead`."""
     r = _Runner()
     ell = ctx.rank
     for k in range(1, k_max + 1):

@@ -129,7 +129,7 @@ def test_rank_four_a4_lemma21_passes():
 
 
 def test_rank_four_a4_lemma22_passes():
-    # every lemma22.13 on A4 is decided by the raised identity, with no
+    # every lemma22.13 on A4 is decided by Lemma 2.2 (2) and (B), with no
     # derivative of G^-1; the context build is included in the time
     t0 = time.perf_counter()
     results = check_lemma22(fresh_context("A", 4))

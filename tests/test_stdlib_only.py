@@ -151,3 +151,25 @@ def test_no_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_every_private_helper_is_used_in_src():
+    # no test-only hooks: every module-level private function or class of
+    # the package is referenced by name somewhere in src/ outside its own
+    # definition
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "coxsaito").glob("*.py"))}
+    uses = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for name, tree in trees.items():
+        for helper in tree.body:
+            if not (isinstance(helper, (ast.FunctionDef, ast.ClassDef))
+                    and helper.name.startswith("_")):
+                continue
+            inside = range(helper.lineno, helper.end_lineno + 1)
+            if not any(getattr(node, "id", getattr(node, "attr", None)) == helper.name
+                       and not (where == name and node.lineno in inside)
+                       for where, node in uses):
+                unused.append((name, helper.name))
+    assert unused == [], unused

@@ -130,7 +130,7 @@ def _chain_off(monkeypatch):
 
 
 def test_lemma22_differentiates_g_inverse_only_on_fallback(monkeypatch):
-    # a passing run decides every lemma22.13 by the raised identity and reads
+    # a passing run decides every lemma22.13 by Lemma 2.2 (2) and (B) and reads
     # d/dP_k[G] as Gamma*_k + (Gamma*_k)^T from the chain's base: G is not
     # differentiated and G^-1 is never built, since det G = c q^a is
     # certified from the determinant alone; only christoffel_star
@@ -143,7 +143,7 @@ def test_lemma22_differentiates_g_inverse_only_on_fallback(monkeypatch):
     assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(1,), (2,), (3,)]
     assert len(seen) == 3
     assert ctx._metric_G_inv is None
-    # with Gamma*_1 tampered the identity fails, and the per-k route
+    # with Gamma*_1 tampered (2) fails, and the per-k route
     # differentiates G^-1 exactly once, in every direction
     ctx = fresh_context("A", 3)
     star = christoffel_star(1, ctx)
@@ -209,6 +209,13 @@ def _congruent_metric(ctx):
     ctx.metric_G = u.transpose() * ctx.metric_G * u
 
 
+def _antisymmetric_star1(ctx):
+    """Gamma*_1 + (E_12 - E_21): Gamma*_1 + (Gamma*_1)^T is unchanged, so
+    Lemma 2.2 (2) still holds, but the torsion identity (B) does not."""
+    _plus_at(("star", 1), 0, 1, _one)(ctx)
+    _plus_at(("star", 1), 1, 0, lambda c: -_one(c))(ctx)
+
+
 LEMMA22_TAMPERINGS = {
     "none": lambda ctx: None,
     "star1.11+1": _plus_at(("star", 1), 0, 0, _one),
@@ -220,6 +227,7 @@ LEMMA22_TAMPERINGS = {
     "G=U^T G U": _congruent_metric,
     "G.12+1": _plus_at("metric_G", 0, 1, _one),
     "G=G U": lambda ctx: setattr(ctx, "metric_G", ctx.metric_G * _unipotent(ctx)),
+    "star1+E12-E21": _antisymmetric_star1,
 }
 
 
@@ -230,8 +238,8 @@ def _outcomes(results):
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
 @pytest.mark.parametrize("tamper", list(LEMMA22_TAMPERINGS))
 def test_lemma22_matches_the_per_k_route(label, rank, tamper):
-    # the raised identity decides only passing runs: on every tampering the
-    # statuses and witnesses are those of the per-k route
+    # Lemma 2.2 (2) and (B) decide lemma22.13 only on passing runs: on every
+    # tampering the statuses and witnesses are those of the per-k route
     got, want = fresh_context(label, rank), fresh_context(label, rank)
     LEMMA22_TAMPERINGS[tamper](got)
     LEMMA22_TAMPERINGS[tamper](want)
@@ -240,20 +248,40 @@ def test_lemma22_matches_the_per_k_route(label, rank, tamper):
     assert (tamper == "none") == all(status == "pass" for _, _, status, *_ in outcomes)
 
 
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
+def test_torsion_alone_sends_lemma22_13_to_the_per_k_route(label, rank):
+    # Gamma*_1 + (E_12 - E_21) keeps Lemma 2.2 (2) and breaks (B): lemma22.13/k=1
+    # fails by the standard Christoffel formula, and every other k passes
+    ctx = fresh_context(label, rank)
+    _antisymmetric_star1(ctx)
+    assert {r.name for r in check_lemma22(ctx) if r.status != "pass"} == {
+        "lemma22.13/k=1", "lemma22.B"}
+    assert ctx._metric_G_inv is not None
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 2), ("I2", 5), ("H3", 3)])
+def test_passing_lemma22_forms_one_product_with_g(label, rank, request, monkeypatch):
+    # T = G S is the one Matrix product with G on the left: a passing run
+    # forms no G R and builds no G^-1
+    ctx = _fresh_group_context(label, rank, request)
+    lefts, mul = [], Matrix.__mul__
+    monkeypatch.setattr(Matrix, "__mul__", lambda a, b: lefts.append(a) or mul(a, b))
+    assert all(r.status == "pass" for r in check_lemma22(ctx))
+    assert sum(m is ctx.metric_G for m in lefts) == 1
+    assert ctx._metric_G_inv is None
+
+
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
-def test_raised_identity_holds_for_any_symmetric_invertible_metric(label, rank,
-                                                                   monkeypatch):
-    # the one fact the fast path assumes: for a G that is no group's metric,
-    # G' = U^T G U, the -G' Gamma_k(G') of the standard formula satisfy the
-    # raised identity, and so decide lemma22.13 with no derivative of G'^-1
+def test_compatible_torsion_free_holds_for_any_symmetric_invertible_metric(
+        label, rank, monkeypatch):
+    # the one fact the decision assumes: for a G that is no group's metric,
+    # G' = U^T G U, the -G' Gamma_k(G') of the standard formula satisfy
+    # Lemma 2.2 (2) and (B), and so decide lemma22.13 with no derivative of G'^-1
     ctx = fresh_context(label, rank)
     _congruent_metric(ctx)
-    g = ctx.metric_G
     directions = range(1, rank + 1)
     stars = [levi_civita_star(k, ctx) for k in directions]
     assert stars[0] != christoffel_star(1, ctx)
-    t = g * Matrix([sum(star.entries, ()) for star in stars])
-    assert verify._raised_koszul(g, t, saito.dp_matrix(g, directions, ctx))
     ctx.christoffel_table.update(zip(directions, stars))
     seen = _spy_dp_matrix(monkeypatch)
     results = {r.name: r.status for r in check_lemma22(ctx)}
@@ -702,9 +730,7 @@ def test_chain_reads_each_premise(label, rank, monkeypatch):
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
 def test_brackets_vanish_decides_as_the_bracket(label, rank):
     # the fields d/dP_k, the rows of J(P)^-1, commute with D = d/dP_l; the
-    # Euler field E does not, [E, d/dP_k] = -deg P_k d/dP_k, and the values on
-    # the invariants see it only through d/dP_k(E[P_i]), since d/dP_k(P_i)
-    # is constant
+    # Euler field E does not, [E, d/dP_k] = -deg P_k d/dP_k
     ctx = shared_context(label, rank)
     fields = [PolyDerivation(row) for row in ctx.jac_P_inv.entries]
     d = primitive_derivation(ctx)
@@ -713,11 +739,8 @@ def test_brackets_vanish_decides_as_the_bracket(label, rank):
     for theta, vanish in ((d, True), (euler, False)):
         for eta in fields:
             assert derivation_bracket(theta, eta, ctx).is_zero() == vanish
-            assert verify._first_moving(theta, [eta], ctx) == (None if vanish else 0)
-    # [D, d/dP_1] = 0 and [D, E] = deg P_l D != 0: the first that moves is E
+    # [D, E] = deg P_l D != 0
     assert not derivation_bracket(d, euler, ctx).is_zero()
-    assert verify._first_moving(d, [fields[0], euler], ctx) == 1
-    assert verify._first_moving(d, fields, ctx) is None
 
 
 def _spy_products(monkeypatch):
@@ -745,19 +768,22 @@ def test_passing_run_forms_no_bracket_frame_or_nabla(monkeypatch):
     brackets, frames, nablas = _spy_products(monkeypatch)
     assert not run_suites(fresh_context("A", 3), "all", 3, 7, 3).failed
     assert brackets == frames == nablas == []
-    # with P_l xi^(1)_1 the base fails, so every check takes its own route:
-    # one bracket is formed, [D, nabla_D xi^(1)_1] for the witness of
-    # hodge.g0/p=1, and besides thm24.2 only the failing thm24.1/k=1 and
-    # prop26/k=1 map their two sides to the invariant frame
+    # with P_l xi^(1)_1 the base fails, so every check the chain decides
+    # takes its stated route: hodge.g0/p forms the brackets [D, eta] in turn
+    # up to the first that does not vanish, [D, nabla_D xi^(1)_1] at p = 1,
+    # and thm24.1/k and thm24.2/k map their sides to the invariant frame;
+    # prop26/k does so only at k = 1, where its comparison fails
     ctx = fresh_context("A", 3)
     _scale_xi1_by_p_ell(ctx)
     report = run_suites(ctx, "all", 3, 7, 3)
     assert {r.name for r in report.results if r.status == "fail"} == {
         "thm25.basis/m=1", "thm25.2/m=1", "thm24.1/k=1", "thm24.2/k=1",
         "prop26/k=1", "hodge.g0/p=1", "hodge.poincare/p=1"}
-    assert brackets == [("hodge.g0/p=1", nabla_xi(1, 1, ctx)[0])]
+    assert brackets == [("hodge.g0/p=1", nabla_xi(1, 1, ctx)[0])] + [
+        (f"hodge.g0/p={p}", eta) for p in (2, 3) for eta in nabla_xi(2 * p - 1, p, ctx)]
     assert frames == ["thm24.1/k=1", "thm24.1/k=1", "thm24.2/k=1", "prop26/k=1",
-                      "prop26/k=1", "thm24.2/k=2", "thm24.2/k=3"]
+                      "prop26/k=1", "thm24.1/k=2", "thm24.1/k=2", "thm24.2/k=2",
+                      "thm24.1/k=3", "thm24.1/k=3", "thm24.2/k=3"]
     assert set(nablas) == {"thm24.1/k=1", "thm24.1/k=2", "thm24.1/k=3",
                            "thm24.2/k=1", "thm24.2/k=2", "thm24.2/k=3"}
 
