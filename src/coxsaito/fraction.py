@@ -22,30 +22,23 @@ from .poly import MultiPoly, sum_of_products
 
 
 class PowerBase:
-    """The monic polynomial q of the denominators q^e, with cached powers
-    and partial derivatives.  The caches are dicts filled idempotently, so a
-    base can be shared across concurrent readers."""
+    """The monic polynomial q of the denominators q^e, with cached powers.
+    The cache is a dict filled idempotently, so a base can be shared across
+    concurrent readers."""
 
-    __slots__ = ("q", "_powers", "_partials")
+    __slots__ = ("q", "_powers")
 
     def __init__(self, p: MultiPoly):
         if p.constant_value() is not None:
             raise ValueError("a denominator base must be a nonconstant polynomial")
         self.q, _ = p.monic()
         self._powers = {0: MultiPoly.const(p.nvars, 1, p.field), 1: self.q}
-        self._partials: dict = {}
 
     def power(self, e: int) -> MultiPoly:
         table = self._powers
         if e not in table:
             table[e] = self.power(e - 1) * self.q
         return table[e]
-
-    def partial(self, index: int) -> MultiPoly:
-        table = self._partials
-        if index not in table:
-            table[index] = self.q.partial(index)
-        return table[index]
 
 
 def _common_base(*fractions):
@@ -210,7 +203,7 @@ class FactoredFraction:
         d_num = self.numerator.partial(index)
         if not self.exp:
             return _new(d_num, self.base, 0)
-        d_q = self.base.partial(index)
+        d_q = self.base.q.partial(index)
         if d_q.is_zero():
             return _new(d_num, self.base, self.exp)
         num = sum_of_products(

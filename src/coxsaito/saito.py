@@ -546,19 +546,16 @@ def chain_base(ctx: SaitoContext) -> bool:
     """The base of the Theorem 2.4 chain: `bk_matrix(1)` is Gamma*_l
     (`_gamma_star`, so B^(1) = J(P)^T A D[J(P)]), A is constant and
     symmetric, and the two kept comparisons on xi^(1) hold, `_xi1_gradient`
-    and `_xi1_metric`, so G = J(P)^T A J(P).  False on any failure or error,
-    which leaves each decision to its own route.
+    and `_xi1_metric`, so G = J(P)^T A J(P).  False on a failure; an error
+    is raised, and `verify` reads it as a failure (`verify._holds`).
 
     D is a derivation and A is constant, so D[G] = D[J(P)]^T A J(P) +
     J(P)^T A D[J(P)] = B^(1) + (B^(1))^T, and likewise d/dP_k G = Gamma*_k +
     (Gamma*_k)^T for every k (`dp_metric`)."""
-    try:
-        a = ctx.gram_poly
-        return (bk_matrix(1, ctx) is _gamma_star(ctx.rank, ctx) and a == a.transpose()
-                and all(e.constant_value() is not None for r in a.entries for e in r)
-                and _xi1_gradient(ctx) and _xi1_metric(ctx))
-    except CoxsaitoError:
-        return False
+    a = ctx.gram_poly
+    return (bk_matrix(1, ctx) is _gamma_star(ctx.rank, ctx) and a == a.transpose()
+            and all(e.constant_value() is not None for r in a.entries for e in r)
+            and _xi1_gradient(ctx) and _xi1_metric(ctx))
 
 
 def _xi1_gradient(ctx: SaitoContext) -> bool:
@@ -580,7 +577,7 @@ def chain_holds(levels: int, steps: int, ctx: SaitoContext) -> bool:
     """The Theorem 2.4 chain: its base (`chain_base`); at each level
     j <= levels, det B^(j) a nonzero constant (`_bk_inverse`) and D[B^(j)] == 0
     (`d_bk`); at each step j <= steps, `prop26_holds(j)` and `bk_step(j)`.
-    False on any failure or error.
+    False on a failure; an error is raised, as in `chain_base`.
 
     Write X_m = cols(xi^(m)), B_j = `bk_matrix(j)` and K_j = -B_j^-1 G, so
     X_(2j+1) = X_(2j-1) K_j at each step.  At a level D[B_j^-1] = 0, so
@@ -598,13 +595,10 @@ def chain_holds(levels: int, steps: int, ctx: SaitoContext) -> bool:
     (-1)^(k-1) B_k.  At k = 1 it is J(P)^T A D[J(P)] = B_1; above, (1) at
     k - 1 gives D^k[X_(2k-1)] = -D^(k-1)[X_(2k-3)] B_(k-1)^-1 B_k, since
     D[B_(k-1)] = D[B_k] = 0, and the statement at k - 1 closes it."""
-    try:
-        return (chain_base(ctx)
-                and all(_level(j, bk_matrix(j, ctx), ctx) for j in range(1, levels + 1))
-                and all(prop26_holds(j, ctx) and bk_step(j, ctx)
-                        for j in range(1, steps + 1)))
-    except CoxsaitoError:
-        return False
+    return (chain_base(ctx)
+            and all(_level(j, bk_matrix(j, ctx), ctx) for j in range(1, levels + 1))
+            and all(prop26_holds(j, ctx) and bk_step(j, ctx)
+                    for j in range(1, steps + 1)))
 
 
 def _level(j: int, bk: Matrix, ctx: SaitoContext) -> bool:
@@ -629,12 +623,10 @@ def primitive_dual(ctx: SaitoContext) -> bool:
     the basic invariants: dkx(1) == the last row of J(P)^-1, `_own_frame` and
     `_d_dual`.  With `chain_holds(p, p - 1)` every eta of nabla_D^p xi^(2p-1)
     then has eta(P_i) = (-1)^(p-1) B^(p)_ij, so [D, eta](P_i) =
-    D[eta(P_i)] - eta(D[P_i]) = 0: D[B^(p)] = 0 and D[P_i] is constant."""
-    try:
-        return (tuple(dkx(1, ctx)) == ctx.jac_P_inv.entries[-1]
-                and _own_frame(ctx) and _d_dual(ctx))
-    except CoxsaitoError:
-        return False
+    D[eta(P_i)] - eta(D[P_i]) = 0: D[B^(p)] = 0 and D[P_i] is constant.
+    An error is raised, as in `chain_base`."""
+    return (tuple(dkx(1, ctx)) == ctx.jac_P_inv.entries[-1]
+            and _own_frame(ctx) and _d_dual(ctx))
 
 
 def dp_metric(ks, ctx: SaitoContext) -> list[Matrix]:
@@ -686,13 +678,13 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
 
 def invariance_defect(m: int, ctx: SaitoContext):
     """None when every xi^(m)_j is W-invariant, else the first (j, generator
-    index) that moves it, j scanned first; kept with the row.  For odd m a
-    certified row (`w_stable`) substitutes nothing; otherwise every
+    index) that moves it, j scanned first; kept with the row.  Every
     coefficient is substituted under each generator of the generating
-    prefix (`derivation_transform`)."""
+    prefix (`derivation_transform`): `hodge.winv` reads it only where the
+    certificate of `w_stable` does not decide."""
     row = xi_basis(m, ctx)
-    return _kept(ctx, ("invariance", m), (row,), lambda: (
-        None if m % 2 and w_stable(m, ctx) else _first_moved_derivation(row, ctx)))
+    return _kept(ctx, ("invariance", m), (row,),
+                 lambda: _first_moved_derivation(row, ctx))
 
 
 def _form_power(h: int, m: int, ctx: SaitoContext) -> MultiPoly:

@@ -10,11 +10,15 @@ The checks compare; they do not construct: B^(k), Gamma*_k, xi^(m), its
 nabla_D powers and its contact orders along the hyperplanes come from the
 caches of `saito`, built once per context.  Each check makes one decision,
 read from verdicts the run already has, and where that decision does not
-hold it takes the route of its statement.  `lemma22.13/k` passes when det G
-= c q^a, G = G^T, every `lemma22.2` and `lemma22.B` hold: a symmetric
-invertible G has exactly one metric-compatible, torsion-free connection, its
-Levi-Civita connection, so Gamma*_k = -G Gamma_k; otherwise the standard
-Christoffel formula per k, the one place G^-1 is differentiated.
+hold it takes the route of its statement.  The runner takes the decision
+beside the statement (`_Runner.run`): the check passes when it holds, and
+a decision that raises does not hold (`_holds`), so a decision can only
+pass and only an error of the statement is an integrity failure.
+`lemma22.13/k` passes when det G = c q^a, G = G^T, every `lemma22.2` and
+`lemma22.B` hold: a symmetric invertible G has exactly one
+metric-compatible, torsion-free connection, its Levi-Civita connection, so
+Gamma*_k = -G Gamma_k; otherwise the standard Christoffel formula per k,
+the one place G^-1 is differentiated.
 `thm24.1/k`, `thm24.2/k` and `hodge.g0/p` pass from the premise chain of
 `saito.chain_holds`, which forms no nabla_D, and `flat.detDG`, `flat.D2G`
 and `lemma22.2` read D[G] = B^(1) + (B^(1))^T, and every d/dP_k[G], from its
@@ -26,12 +30,12 @@ forms each bracket [D, eta] in turn.
 and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
 matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
 != 0 at one point off the hyperplanes; det M itself only when that fails.
-`hodge.winv/p` substitutes nothing on a passing run: it reads the
+`hodge.winv/p` substitutes nothing on a passing run: it passes from the
 W-stability certificate of `saito.w_stable`, whose Proposition 2.6
 comparison `prop26/k` shares, and the contact orders of `thm25.member/m`
-are then tested on one hyperplane per W-orbit.  `lemma21.1w/k` substitutes
-only the entries of B^(1): B^(k), k >= 2, is read from the sum rule of
-`saito.bk_moved`.
+are then tested on one hyperplane per W-orbit.  `hodge.disc` applies
+xi^(1) to Q, not Q^2.  `lemma21.1w/k` substitutes only the entries of
+B^(1): B^(k), k >= 2, is read from the sum rule of `saito.bk_moved`.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from .saito import (SaitoContext, bk_matrix, bk_moved, bk_step, chain_base,
                     chain_holds, christoffel_star, columns, contact_defect, d_bk,
                     derivation_apply, derivation_bracket, derivation_degree,
                     dp_matrix, dp_metric, invariance_defect, lead, nabla_xi,
-                    primitive_derivation, primitive_dual, prop26_holds, xi_basis)
+                    primitive_derivation, primitive_dual, prop26_holds, w_stable,
+                    xi_basis)
 
 
 # plain classes: `dataclasses` imports inspect, ast and dis, which cost each
@@ -98,25 +103,35 @@ class CheckReport:
                 "summary": self.counts}
 
 
+def _holds(decided, *args) -> bool:
+    """Whether decided(*args) holds; an error counts as not holding, so that
+    the statement it decides raises it, in its own order."""
+    try:
+        return decided is not None and decided(*args)
+    except CoxsaitoError:
+        return False
+
+
 class _Runner:
     """Collects timed check results; exceptions become integrity failures."""
 
     def __init__(self):
         self.results: list[CheckResult] = []
 
-    def run(self, name: str, ref: str, fn):
+    def run(self, name: str, ref: str, fn, decided=None):
+        """Record the check `fn`, its statement, whose outcome is (ok,
+        witness) or ("skipped", note).  It passes without running when
+        `decided()` holds (`_holds`): a decision can only pass, and only an
+        error of the statement is an integrity failure."""
         t0 = time.perf_counter()
         try:
-            outcome = fn()
+            ok, witness = (True, None) if _holds(decided) else fn()
         except CoxsaitoError as exc:
             ms = (time.perf_counter() - t0) * 1000
             self.results.append(CheckResult(
                 name, ref, "fail", f"integrity error: {exc}", ms, integrity=True))
             return
         ms = (time.perf_counter() - t0) * 1000
-        if not isinstance(outcome, tuple):
-            raise TypeError("check returned an unexpected outcome")
-        ok, witness = outcome
         if ok == "skipped":
             self.results.append(CheckResult(name, ref, "skipped", witness, ms))
         else:
@@ -165,8 +180,9 @@ def check_metric(ctx: SaitoContext):
     r.run("metric/symmetry", "G = J(P)^T A J(P) is symmetric",
           lambda: _cmp_matrices(ctx.metric_G, ctx.metric_G.transpose()))
     r.run("metric/recompute", "G = J(P)^T A J(P)",
-          lambda: (True, None) if chain_base(ctx) else _cmp_matrices(
-              ctx.metric_G, ctx.jac_P.transpose() * ctx.gram_poly * ctx.jac_P))
+          lambda: _cmp_matrices(
+              ctx.metric_G, ctx.jac_P.transpose() * ctx.gram_poly * ctx.jac_P),
+          decided=lambda: chain_base(ctx))
 
     def jacobian_criterion():
         if ctx.jac_P.det().constant_quotient([ctx.datum.form_product()]) is None:
@@ -222,8 +238,6 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
             return True, None
 
         def difference(k=k):
-            if bk_step(k, ctx):
-                return True, None
             lhs = bk_matrix(k + 1, ctx) - bk_matrix(k, ctx)
             b1 = bk_matrix(1, ctx)
             return _cmp_matrices(lhs, b1 + b1.transpose())
@@ -235,7 +249,8 @@ def check_lemma21(ctx: SaitoContext, k_max: int):
         r.run(f"lemma21.3/k={k}", "Lemma 2.1 (3): deg B^(k)_ij = m_i + m_j - h",
               degrees)
         r.run(f"lemma21.4/k={k}",
-              "Lemma 2.1 (4): B^(k+1) - B^(k) = B^(1) + (B^(1))^T", difference)
+              "Lemma 2.1 (4): B^(k+1) - B^(k) = B^(1) + (B^(1))^T", difference,
+              decided=lambda k=k: bk_step(k, ctx))
     return r.results
 
 
@@ -252,10 +267,6 @@ def check_lemma22(ctx: SaitoContext):
     @cache
     def dp_g_inv():
         return dp_matrix(ctx.metric_G_inv(), directions, ctx)
-
-    @cache
-    def det_g():  # the premise det G = c q^a, from the determinant alone
-        return unit_power(ctx.metric_G.det(), ctx.q_base)
 
     @cache
     def compat(k):  # lemma22.2/k, whose verdict lemma22.13 also reads
@@ -275,30 +286,23 @@ def check_lemma22(ctx: SaitoContext):
                         return False, f"triple (i,j,k) = ({i + 1},{j + 1},{k + 1})"
         return True, None
 
-    def holds(check, *args) -> bool:  # an error is left to the check it belongs to
-        try:
-            return check(*args)[0]
-        except CoxsaitoError:
-            return False
-
     @cache
     def levi_civita() -> bool:
-        # a symmetric invertible G has one metric-compatible (Lemma 2.2 (2))
-        # and torsion-free (B) connection, its Levi-Civita connection: so
-        # with both, Gamma*_k = -G Gamma_k for every k
+        # premise det G = c q^a, from the determinant alone; a symmetric
+        # invertible G has one metric-compatible (Lemma 2.2 (2)) and
+        # torsion-free (B) connection, its Levi-Civita connection: so with
+        # both, Gamma*_k = -G Gamma_k for every k
+        unit_power(ctx.metric_G.det(), ctx.q_base)
         return (ctx.metric_G == ctx.metric_G.transpose()
-                and all(holds(compat, t) for t in directions)
-                and holds(symmetry_identity))
+                and all(compat(t)[0] for t in directions)
+                and symmetry_identity()[0])
 
     for k in directions:
 
         def levi_civita_consistency(k=k):
-            # premise det G = c q^a; then Lemma 2.2 (2) and (B), and only if
-            # they fail the standard Christoffel formula from the metric
-            # (G^{-1} on coordinate fields), Gamma*_k = -G Gamma_k
-            det_g()
-            if levi_civita():
-                return True, None
+            # the standard Christoffel formula from the metric (G^{-1} on
+            # coordinate fields), Gamma*_k = -G Gamma_k; inverting G
+            # certifies det G = c q^a
             dg = dp_g_inv()
             pieces = Matrix([[dg[i][t, k - 1] + dg[k - 1][t, i] - dg[t][i, k - 1]
                               for t in range(ell)] for i in range(ell)])
@@ -313,7 +317,7 @@ def check_lemma22(ctx: SaitoContext):
               lambda k=k: compat(k))
         r.run(f"lemma22.13/k={k}",
               "Lemma 2.2 (1)+(3): Gamma*_k = -G Gamma_k = J(P)^T A d/dP_k[J(P)]",
-              levi_civita_consistency)
+              levi_civita_consistency, decided=levi_civita)
 
     r.run("lemma22.B", "torsion-freeness: sum_t g^kt S_t^ij = sum_t g^it S_t^kj",
           symmetry_identity)
@@ -374,35 +378,31 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
     for k in range(1, k_max + 1):
 
         def thm24_1(k=k):
-            if chain_holds(k, k, ctx):
-                return True, None
             lhs = _invariant_frame(columns(nabla_xi(2 * k + 1, 1, ctx)), ctx)
             rhs = _invariant_frame(lead(k, ctx) * bk_matrix(k + 1, ctx), ctx)
             return _cmp_matrices(lhs, rhs)
 
         def thm24_2(k=k):
-            if chain_holds(k, k - 1, ctx):
-                return True, None
             lhs = _invariant_frame(columns(nabla_xi(2 * k - 1, k, ctx)), ctx)
             bk = bk_matrix(k, ctx)
             rhs = bk if (k - 1) % 2 == 0 else -bk
             return _cmp_matrices(lhs, rhs)
 
         def prop26(k=k):  # the comparison of the W-stability certificate
-            if prop26_holds(k, ctx):
-                return True, None
             lhs = _invariant_frame(columns(xi_basis(2 * k + 1, ctx)), ctx)
             return _cmp_matrices(lhs, _invariant_frame(lead(k, ctx) * ctx.metric_G, ctx))
 
         r.run(f"thm24.1/k={k}",
               "Theorem 2.4 (1): nabla_D xi^(2k+1) row = "
-              "-xi^(2k-1) row (B^(k))^{-1} B^(k+1)", thm24_1)
+              "-xi^(2k-1) row (B^(k))^{-1} B^(k+1)", thm24_1,
+              decided=lambda k=k: chain_holds(k, k, ctx))
         r.run(f"thm24.2/k={k}",
               "Theorem 2.4 (2): nabla_D^k xi^(2k-1) row = "
-              "(-1)^(k-1) (d/dP) B^(k)", thm24_2)
+              "(-1)^(k-1) (d/dP) B^(k)", thm24_2,
+              decided=lambda k=k: chain_holds(k, k - 1, ctx))
         r.run(f"prop26/k={k}",
               "Proposition 2.6: xi^(2k+1) row = -xi^(2k-1) row (B^(k))^{-1} G",
-              prop26)
+              prop26, decided=lambda k=k: prop26_holds(k, ctx))
     return r.results
 
 
@@ -413,13 +413,16 @@ def check_hodge(ctx: SaitoContext, p_max: int):
     q = anti_invariant_Q(ctx.datum)
 
     def discriminant():
-        q2 = q * q
-        for j, (value,) in enumerate(derivation_apply(xi_basis(1, ctx), [q2], ctx)):
+        # theta(Q^2) = 2 Q theta(Q), so theta(Q^2) lies in Q^2 R exactly when
+        # theta(Q) lies in Q R; only a failing j forms theta(Q^2), its witness
+        for j, (value,) in enumerate(derivation_apply(xi_basis(1, ctx), [q], ctx)):
             val = value.as_poly()
+            if val is not None and val.exact_divide(q) is not None:
+                continue
+            val = (value * (2 * q)).as_poly()
             if val is None:
                 return False, f"xi^(1)_{j + 1}(Q^2) is not polynomial"
-            if val.exact_divide(q2) is None:
-                return False, f"xi^(1)_{j + 1}(Q^2) = {val.render()} not in Q^2 R"
+            return False, f"xi^(1)_{j + 1}(Q^2) = {val.render()} not in Q^2 R"
         return True, None
 
     r.run("hodge.disc", "theta(Delta^2) in Delta^2 R for the degree-1 basis",
@@ -435,8 +438,6 @@ def check_hodge(ctx: SaitoContext, p_max: int):
             return False, f"xi^({2 * p - 1})_{j + 1} moved by generator {idx}"
 
         def g0_membership(p=p):
-            if chain_holds(p, p - 1, ctx) and primitive_dual(ctx):
-                return True, None
             d = primitive_derivation(ctx)
             for j, eta in enumerate(nabla_xi(2 * p - 1, p, ctx)):
                 br = derivation_bracket(d, eta, ctx)
@@ -462,10 +463,12 @@ def check_hodge(ctx: SaitoContext, p_max: int):
             return True, None
 
         r.run(f"hodge.winv/p={p}",
-              "Theorem 1.2: basis of H^(p) is W-invariant", w_invariance)
+              "Theorem 1.2: basis of H^(p) is W-invariant", w_invariance,
+              decided=lambda p=p: w_stable(2 * p - 1, ctx))
         r.run(f"hodge.g0/p={p}",
               "Theorem 1.2: nabla_D^p xi^(2p-1)_j lies in G_0 ([D, -] = 0)",
-              g0_membership)
+              g0_membership,
+              decided=lambda p=p: chain_holds(p, p - 1, ctx) and primitive_dual(ctx))
         r.run(f"hodge.poincare/p={p}",
               "Lemma 2.6B proof: Poincare series identity", poincare)
         r.run(f"hodge.contact/p={p}",
@@ -507,7 +510,7 @@ def check_flat_remark(ctx: SaitoContext, k_max: int = 3):
 
     # under the chain's base D[G] = B^(1) + (B^(1))^T, so D^2[G] = D[B^(1)] + D[B^(1)]^T
     def d2g():
-        if chain_base(ctx):
+        if _holds(chain_base, ctx):
             db1 = d_bk(1, bk_matrix(1, ctx), ctx)
             return _first_nonzero((db1 + db1.transpose()).simplify(), "D^2[G]")
         return _first_nonzero(dp_matrix(dg(), [ell], ctx)[0], "D^2[G]")

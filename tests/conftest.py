@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 import time
@@ -124,6 +125,60 @@ def h3_document():
         "generators": [scalars(reflection(r)) for r in roots],
         "invariants": [poly_to_json(p) for p in invariants],
     }
+
+
+def f4_roots():
+    """The 24 positive roots of F4 in R^4: e_i, e_i +- e_j and
+    (1, +-1, +-1, +-1)/2; the short ones are e_i and the halves."""
+    half = Fraction(1, 2)
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    long_roots = [tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+                  for i, j in itertools.combinations(range(4), 2) for s in (1, -1)]
+    halves = [(half, half * s2, half * s3, half * s4)
+              for s2 in (1, -1) for s3 in (1, -1) for s4 in (1, -1)]
+    return unit + long_roots + halves
+
+
+def f4_document():
+    """F4 over Q: 24 reflections, Gram I, invariant degrees 2, 6, 8, 12 as
+    the power sums over the 12 short roots (4, 20, 35 and 84 terms)."""
+    roots = f4_roots()
+    short = roots[:4] + roots[16:]
+
+    def reflection(r):
+        norm = sum(c * c for c in r)
+        return [[int(i == j) - Fraction(2 * r[i] * r[j]) / norm for j in range(4)]
+                for i in range(4)]
+
+    xs = [MultiPoly.variable(4, i) for i in range(4)]
+    forms = [sum((x * c for x, c in zip(xs, r)), MultiPoly.zero(4)) for r in short]
+
+    def power_sum(degree):
+        return sum((f ** degree for f in forms), MultiPoly.zero(4))
+
+    def scalars(rows):
+        return [[scalar_to_json(v, RATIONALS) for v in row] for row in rows]
+
+    return {
+        "label": "F4",
+        "field": {"minimal_polynomial": [[0, 1], [1, 1]],
+                  "generator_description": "rational"},
+        "rank": 4,
+        "exponents": [1, 5, 7, 11],
+        "gram": scalars([[int(i == j) for j in range(4)] for i in range(4)]),
+        "hyperplanes": scalars(roots),
+        "generators": [scalars(reflection(r)) for r in roots],
+        "invariants": [poly_to_json(power_sum(d)) for d in (2, 6, 8, 12)],
+    }
+
+
+@pytest.fixture(scope="session")
+def f4_full_report(tmp_path_factory):
+    """The full F4 report at the CLI defaults, from the F4 test file
+    ingested once per session."""
+    path = tmp_path_factory.mktemp("f4") / "f4.json"
+    path.write_text(json.dumps(f4_document()), encoding="utf-8")
+    return run_suites(build_context(*ingest_invariants(path)), "all", 3, 7, 3)
 
 
 @pytest.fixture(scope="session")

@@ -88,6 +88,15 @@ def test_h3_file_full_suite_at_cli_defaults(h3_full_report):
     _announce("2[H3 file]", ok, f"{h3_full_report.counts} {skipped}")
 
 
+def test_f4_file_full_suite_at_cli_defaults(f4_full_report):
+    # the F4 test file over Q at kmax 3, mmax 7, pmax 3: every check passes
+    # but the flat Remark's, which its invariants are not normalized for
+    skipped = [r.name for r in f4_full_report.results if r.status == "skipped"]
+    ok = (f4_full_report.counts == {"total": 80, "pass": 76, "fail": 0, "skipped": 4}
+          and skipped == ["flat.B1", "flat.Bk/k=1", "flat.Bk/k=2", "flat.Bk/k=3"])
+    _announce("2[F4 file]", ok, f"{f4_full_report.counts} {skipped}")
+
+
 def test_criterion_2_runtime_budget():
     for label, rank in RANK_TWO:
         elapsed = report_elapsed(label, rank)

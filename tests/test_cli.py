@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,8 @@ from conftest import with_entry
 
 from coxsaito import cli
 from coxsaito.cli import RunConfig, main, run, run_basis
-from coxsaito.coxeter import build_datum, builtin_invariants
+from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
+from coxsaito.errors import ConfigError, CoxsaitoError
 from coxsaito.invariants_io import datum_to_json, poly_to_json
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import bk_matrix, xi_basis
@@ -242,6 +244,71 @@ def test_integrity_error_exit_three(tmp_path, monkeypatch):
     assert run(config) == 3
     doc = json.loads((tmp_path / "r.json").read_text())
     assert any("integrity" in c.get("witness", "") for c in doc["checks"])
+
+
+def test_an_error_escaping_a_run_exits_three(monkeypatch, capsys):
+    # an error that no check caught is an integrity problem, not a
+    # configuration one
+    def refuse(datum, invariants):
+        raise CoxsaitoError("invariants must be validated before use")
+
+    monkeypatch.setattr(cli, "build_context", refuse)
+    assert main(["verify", "--type", "B", "--rank", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "integrity error: invariants must be validated before use\n")
+
+
+@pytest.mark.parametrize("config,message", [
+    (RunConfig(), "select a group with --type or --invariants"),
+    (RunConfig(type_label="B", rank=2, fmt="xml"), "format must be text or json")])
+def test_run_config_needs_a_group_and_a_known_format(config, message):
+    with pytest.raises(ConfigError, match=message):
+        config.validate()
+
+
+def test_verify_without_a_group_exits_two(capsys):
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == (
+        "error: select a group with --type or --invariants\n")
+
+
+# the catalogue invariants (P_1, ..., P_l), corrected and scaled so that
+# D[G] is the constant antidiagonal of ones the flat Remark is stated for
+FLAT_INVARIANTS = {
+    ("A", 3): lambda p1, p2, p3: (p1 * Fraction(1, 8), p2 * Fraction(1, 3),
+                                  p3 - p1 * p1 * Fraction(3, 8)),
+    ("D", 3): lambda p1, p2, p3: (p1 * Fraction(1, 8), p2,
+                                  (p3 - p1 * p1 * Fraction(3, 4)) * Fraction(-1, 2)),
+    ("B", 2): lambda p1, p2: (p1 * Fraction(1, 8), p2 - p1 * p1 * Fraction(3, 4)),
+    ("I2", 5): lambda p1, p2: (p1 * Fraction(1, 10), p2),
+}
+
+
+def _statuses(argv, out):
+    main([*argv, "--format", "json", "--out", str(out)])
+    return {c["name"]: c["status"]
+            for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+
+
+@pytest.mark.parametrize("label,rank", list(FLAT_INVARIANTS))
+def test_flat_invariants_pass_the_flat_remark(label, rank, tmp_path):
+    # through --invariants, flat invariants pass all six flat checks, which
+    # the catalogue's skip, and leave every other status as it was
+    datum = build_datum(label, rank)
+    polys = FLAT_INVARIANTS[(label, rank)](*builtin_invariants(datum).polys)
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(datum_to_json(
+        datum, validate_invariants(datum, list(polys), source="flat"))),
+        encoding="utf-8")
+    group = ["--m", str(rank)] if label == "I2" else ["--rank", str(rank)]
+    catalogue = _statuses(["verify", "--type", label, *group], tmp_path / "c.json")
+    flat = _statuses(["verify", "--invariants", str(path)], tmp_path / "f.json")
+    assert list(flat) == list(catalogue)
+    flat_checks = [name for name in flat if name.startswith("flat.")]
+    assert len(flat_checks) == 6
+    assert all(flat[name] == "pass" for name in flat_checks)
+    assert {name: s for name, s in flat.items() if name not in flat_checks} == {
+        name: s for name, s in catalogue.items() if name not in flat_checks}
 
 
 def test_basis_rejects_negative_order():

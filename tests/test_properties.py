@@ -1248,7 +1248,7 @@ def run_derivation_kernel_oracle(iterations=ITERATIONS, seed=27182818) -> int:
             if rng.random() < 0.3:
                 base = PowerBase(MultiPoly.variable(nvars, (index + 1) % nvars, field)
                                  ** rng.randint(1, 2))
-            seen["q free of x_i"] += base.partial(index).is_zero()
+            seen["q free of x_i"] += base.q.partial(index).is_zero()
             f = operand(base, field, nvars)
             if isinstance(f, MultiPoly):
                 f = FactoredFraction.from_poly(f)

@@ -121,8 +121,8 @@ def every_ref_nonempty(doc) -> bool:
 
 # SHA-256 of json.dumps(report.to_dict() without "ms", indent=2,
 # sort_keys=True): run_suites(ctx, "all", 3, 7, 3) for the built-in groups,
-# and the H3 test file at the h3-file benchmark's suites and bounds and at
-# the CLI defaults
+# the H3 test file at the h3-file benchmark's suites and bounds and at the
+# CLI defaults, and the F4 test file at the CLI defaults
 REPORT_SHA256 = {
     ("A", 2): "69404529fa03a0a8426a52af083be564e2012dcd6704a752eae60691e049ec42",
     ("B", 2): "cefe2483abba625c2defb5922e94ef002ea420365fa02204827325a0a2b2a155",
@@ -133,6 +133,7 @@ REPORT_SHA256 = {
     ("I2", 8): "a2ae9c0f52ac83f9a8a62ffaafe507d743dfce61725c0e913fac42bfac6a729c",
     ("H3", "file"): "83da0326da8c89810f4a31673ee6f63dbcc7b9baa3baa6fddfb0d40ab6b150ee",
     ("H3", "defaults"): "a0e5e2a00b89655701abe581eec68075cb327e3d24878ff39e49a1103e1a510d",
+    ("F4", "defaults"): "6ac4eda24dbf3f66dfe1f9930327b34c8e71bbfa7d0e3e8a7d5efc0bb3d941f7",
 }
 
 
@@ -140,6 +141,8 @@ REPORT_SHA256 = {
 def test_full_report_matches_pinned_hash(label, rank, request):
     if (label, rank) == ("H3", "defaults"):
         report = request.getfixturevalue("h3_full_report")
+    elif label == "F4":
+        report = request.getfixturevalue("f4_full_report")
     elif label == "H3":
         report = run_suites(request.getfixturevalue("h3_context"),
                             ("metric", "theorems", "flat"), 1, 1, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from conftest import (accumulating_apply, assert_same_form, fresh_context,
 
 from coxsaito import saito
 from coxsaito.coxeter import build_datum, builtin_invariants, validate_invariants
-from coxsaito.errors import CoxsaitoError, NonPolynomialEntry
+from coxsaito.errors import CoxsaitoError, NonPolynomialEntry, SingularMatrix
 from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.invariants_io import ingest_invariants
 from coxsaito.matrix import Matrix
@@ -734,11 +735,16 @@ def test_rejected_candidate_falls_back_to_the_product(monkeypatch):
 
 
 def _tampered_b2(kind, monkeypatch):
-    """B2 context whose J(D[X]) breaks one premise of jdkx_inv.  The row of
-    D is then changed, so that d J(P) != e_l sends B^(1) to the defining
-    product, which at k = 1 reads J(D[X]), J(P) and A but not J(P)^-1."""
+    """B2 context that breaks one premise of jdkx_inv: B^(1) is zero
+    ("singular"), or J(D[X]) is broken.  For the latter the row of D is then
+    changed, so that d J(P) != e_l sends B^(1) to the defining product,
+    which at k = 1 reads J(D[X]), J(P) and A but not J(P)^-1."""
     d = build_datum("B", 2)
     ctx = build_context(d, builtin_invariants(d))
+    if kind == "singular":
+        zero = MultiPoly.zero(2)
+        ctx._bk_memo[1] = Matrix([[zero, zero], [zero, zero]])
+        return ctx
     x = MultiPoly.variable(2, 0)
     y = MultiPoly.variable(2, 1)
     one = MultiPoly.const(2, 1)
@@ -756,11 +762,16 @@ def _tampered_b2(kind, monkeypatch):
     return ctx
 
 
-@pytest.mark.parametrize("kind,message", [
-    ("foreign", "other than det J"), ("exponent", "power 3 > 2"),
-    ("nonconstant", "not a constant")])
-def test_jdkx_inv_rejects_broken_premises(kind, message, monkeypatch):
-    with pytest.raises(NonPolynomialEntry, match=message):
+JDKX_INV_PREMISES = [("foreign", NonPolynomialEntry, "other than det J"),
+                     ("exponent", NonPolynomialEntry, "power 3 > 2"),
+                     ("nonconstant", NonPolynomialEntry, "not a constant"),
+                     ("singular", SingularMatrix, "J(D^1[X]) is singular")]
+
+
+@pytest.mark.parametrize("kind,error,message", JDKX_INV_PREMISES,
+                         ids=[f"{kind}-{message}" for kind, _, message in JDKX_INV_PREMISES])
+def test_jdkx_inv_rejects_broken_premises(kind, error, message, monkeypatch):
+    with pytest.raises(error, match=re.escape(message)):
         jdkx_inv(1, _tampered_b2(kind, monkeypatch))
 
 

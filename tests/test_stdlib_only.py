@@ -173,3 +173,42 @@ def test_every_private_helper_is_used_in_src():
                        for where, node in uses):
                 unused.append((name, helper.name))
     assert unused == [], unused
+
+
+def _decision_guards(source):
+    """(line, check) wherever a `check_*` function returns (True, None) on a
+    test that calls something, as `if <call>: return True, None` or
+    `(True, None) if <call> else ...`: a decision written into a check
+    instead of handed to the runner."""
+    def passes(node):
+        return (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                and all(isinstance(e, ast.Constant) for e in node.elts)
+                and node.elts[0].value is True and node.elts[1].value is None)
+
+    def calls(node):
+        return any(isinstance(n, ast.Call) for n in ast.walk(node))
+
+    found = []
+    for check in ast.parse(source).body:
+        if not (isinstance(check, ast.FunctionDef) and check.name.startswith("check_")):
+            continue
+        for node in ast.walk(check):
+            if isinstance(node, ast.If):
+                guard = (calls(node.test) and len(node.body) == 1
+                         and isinstance(node.body[0], ast.Return)
+                         and passes(node.body[0].value))
+            else:
+                guard = (isinstance(node, ast.IfExp) and calls(node.test)
+                         and passes(node.body))
+            if guard:
+                found.append((node.lineno, check.name))
+    return found
+
+
+def test_every_decision_is_the_runners():
+    # a check hands its decision to `_Runner.run`, which passes it only when
+    # it holds and reads an error as not holding; no check returns
+    # (True, None) on a call of its own
+    path = ROOT / "src" / "coxsaito" / "verify.py"
+    found = _decision_guards(path.read_text(encoding="utf-8"))
+    assert found == [], found

@@ -550,6 +550,34 @@ def test_tampered_xi1_fails_disc_with_q_once_but_not_twice():
     assert value.exact_divide(q) is not None
 
 
+def test_zero_b2_fails_lemma21_2_as_det_zero():
+    ctx = fresh_context("B", 2)
+    zero = MultiPoly.zero(2)
+    ctx.bk_table[2] = Matrix([[zero, zero], [zero, zero]])
+    det = next(r for r in check_lemma21(ctx, 2) if r.name == "lemma21.2/k=2")
+    assert (det.status, det.witness, det.integrity) == ("fail", "det is zero", False)
+
+
+def test_xi1_over_q_squared_fails_disc_as_not_polynomial():
+    # xi^(1)_1 with first coefficient 1/q^2: xi^(1)_1(Q) is not polynomial,
+    # and neither is xi^(1)_1(Q^2) = 2 Q xi^(1)_1(Q), which the witness names
+    ctx = fresh_context("B", 2)
+    xis = xi_basis(1, ctx)
+    over_q2 = FactoredFraction(_one(ctx), ctx.q_base, 2)
+    ctx.xi_table[1] = [PolyDerivation([over_q2, *xis[0].coeffs[1:]]), *xis[1:]]
+    disc = next(r for r in check_hodge(ctx, 1) if r.name == "hodge.disc")
+    assert (disc.status, disc.witness, disc.integrity) == (
+        "fail", "xi^(1)_1(Q^2) is not polynomial", False)
+
+
+def test_constant_metric_fails_det_dg_as_zero(monkeypatch):
+    ctx = fresh_context("B", 2)
+    _chain_off(monkeypatch)
+    ctx.metric_G = Matrix.identity(2, 2, ctx.datum.field)
+    det = next(r for r in check_flat_remark(ctx, 1) if r.name == "flat.detDG")
+    assert (det.status, det.witness, det.integrity) == ("fail", "det D[G] = 0", False)
+
+
 G0_WITNESSES = {
     ("B", 2): "coefficient (5/2*y)/((x^3*y-x*y^3))",
     ("A", 2): "coefficient (4/3*x+8/3*y)/((x^3+3/2*x^2*y-3/2*x*y^2-y^3))",
@@ -687,6 +715,33 @@ def test_chain_reports_as_its_fallback(label, rank, tamper, request, monkeypatch
     assert on == _outcomes(run_suites(want, "all", n, 1, n).results)
 
 
+# passing runs at the CLI defaults, and the tampered runs of the chain's
+# differential test, each with its (k_max, m_max, p_max)
+DECISION_OFF_CASES = (
+    [(label, rank, "none", (3, 7, 3))
+     for label, rank in (("A", 3), ("B", 2), ("I2", 5), ("D", 4), ("H3", 3))]
+    + [(label, rank, tamper, (3, 1, 3))
+       for label, rank in (("B", 2), ("A", 3), ("I2", 5), ("D", 3))
+       for tamper in STATED_ROUTE_TAMPERINGS])
+
+
+@pytest.mark.parametrize("label,rank,tamper,bounds", DECISION_OFF_CASES,
+                         ids=[f"{label}-{rank}-{tamper}-mmax={bounds[1]}"
+                              for label, rank, tamper, bounds in DECISION_OFF_CASES])
+def test_every_decision_off_reports_as_on(label, rank, tamper, bounds, request,
+                                          monkeypatch):
+    # a decision can only pass: with every decision off (`_holds` false),
+    # each check takes its statement, and the names, references, statuses,
+    # witnesses and integrity flags stay those of the run with them on
+    got = _fresh_group_context(label, rank, request)
+    STATED_ROUTE_TAMPERINGS[tamper](got)
+    on = _outcomes(run_suites(got, "all", *bounds).results)
+    monkeypatch.setattr(verify, "_holds", lambda decided, *args: False)
+    want = _fresh_group_context(label, rank, request)
+    STATED_ROUTE_TAMPERINGS[tamper](want)
+    assert on == _outcomes(run_suites(want, "all", *bounds).results)
+
+
 def _broken_at(name, at, broken):
     """saito.name, with its value replaced by broken(value) for first
     argument at: a premise of the chain broken at one level or step."""
@@ -707,9 +762,11 @@ def _singular(value):
 def test_chain_reads_each_premise(label, rank, monkeypatch):
     # a premise broken at level or step 2 rejects exactly the chains that
     # reach it (step 2 reads the inverse of B^(2) through lead(2)); the base
-    # rejects every chain
+    # rejects every chain.  The chain raises an error of a premise, and the
+    # runner reads it as a failure (`verify._holds`)
     ctx = fresh_context(label, rank)
-    assert saito.chain_holds(3, 3, ctx) and saito.primitive_dual(ctx)
+    holds = verify._holds
+    assert holds(saito.chain_holds, 3, 3, ctx) and holds(saito.primitive_dual, ctx)
     for name, broken, level, step in (
             ("d_bk", lambda m: with_entry(m, 0, 0, m[0, 0] + _one(ctx)), True, False),
             ("_bk_inverse", _singular, True, True),
@@ -717,14 +774,14 @@ def test_chain_reads_each_premise(label, rank, monkeypatch):
             ("bk_step", lambda holds: False, False, True)):
         with monkeypatch.context() as patch:
             patch.setattr(saito, name, _broken_at(name, 2, broken))
-            assert saito.chain_holds(3, 1, ctx) != level, name
-            assert saito.chain_holds(1, 3, ctx) != step, name
-            assert saito.chain_holds(1, 1, ctx), name
+            assert holds(saito.chain_holds, 3, 1, ctx) != level, name
+            assert holds(saito.chain_holds, 1, 3, ctx) != step, name
+            assert holds(saito.chain_holds, 1, 1, ctx), name
     with monkeypatch.context() as patch:
         patch.setattr(saito, "_own_frame", lambda context: False)
-        assert saito.chain_holds(3, 3, ctx) and not saito.primitive_dual(ctx)
+        assert holds(saito.chain_holds, 3, 3, ctx) and not holds(saito.primitive_dual, ctx)
     _copy_bk1(ctx)
-    assert not saito.chain_base(ctx) and not saito.chain_holds(1, 0, ctx)
+    assert not holds(saito.chain_base, ctx) and not holds(saito.chain_holds, 1, 0, ctx)
 
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
@@ -750,8 +807,8 @@ def _spy_products(monkeypatch):
     checks, brackets, frames, nablas = [], [], [], []
     run, bracket = verify._Runner.run, verify.derivation_bracket
     frame, nabla = verify._invariant_frame, saito.nabla_D
-    monkeypatch.setattr(verify._Runner, "run", lambda self, name, ref, fn:
-                        checks.append(name) or run(self, name, ref, fn))
+    monkeypatch.setattr(verify._Runner, "run", lambda self, name, ref, fn, decided=None:
+                        checks.append(name) or run(self, name, ref, fn, decided))
     monkeypatch.setattr(verify, "derivation_bracket", lambda d, eta, ctx:
                         brackets.append((checks[-1], eta)) or bracket(d, eta, ctx))
     monkeypatch.setattr(verify, "_invariant_frame", lambda m, ctx:
@@ -1001,8 +1058,8 @@ def _spy_minor_tables(monkeypatch):
     """(check name, matrix) of every MinorTable built from now on."""
     checks, tables = [], []
     run, real = verify._Runner.run, matrix.MinorTable
-    monkeypatch.setattr(verify._Runner, "run", lambda self, name, ref, fn:
-                        checks.append(name) or run(self, name, ref, fn))
+    monkeypatch.setattr(verify._Runner, "run", lambda self, name, ref, fn, decided=None:
+                        checks.append(name) or run(self, name, ref, fn, decided))
 
     class Spy(real):
         def __init__(self, m):
