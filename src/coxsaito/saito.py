@@ -25,11 +25,11 @@ B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a passing run substitutes only the
 entries of B^(1).  The certificates read what the checks certify anyway and
 are kept with what they read; where one fails, the substitution decides.
 
-Theorem 2.4 (1)-(2), the G_0 membership of nabla_D^p xi^(2p-1) and the
-derivatives of G follow from the same facts (`chain_holds`, `primitive_dual`,
-`dp_metric`): B^(1) is Gamma*_l, cols(xi^(1)) == A J(P), G ==
-J(P)^T cols(xi^(1)), and per level and step Lemma 2.1 (1), (2), (4) and
-Proposition 2.6.  A passing run differentiates no xi row and not G.
+Theorem 2.4 (1)-(2), the G_0 membership of nabla_D^p xi^(2p-1) and Lemma 2.2
+follow from the same facts (`chain_holds`, `primitive_dual`, `connection_base`):
+B^(1) is Gamma*_l, cols(xi^(1)) == A J(P), G == J(P)^T cols(xi^(1)), and per
+level and step Lemma 2.1 (1), (2), (4) and Proposition 2.6.  A passing run
+differentiates no xi row and not G, and forms neither det G nor G^-1.
 
 A derivation is held by its coefficients in the coordinate frame d/dX_i and
 nowhere else, and acts on functions as its coefficient row times their
@@ -97,19 +97,10 @@ class PolyDerivation:
 
 
 def derivation_degree(theta: PolyDerivation):
-    """Homogeneity degree of a derivation; None if inhomogeneous."""
-    degs = set()
-    for c in theta.coeffs:
-        s = c.simplify()
-        if s.is_zero():
-            continue
-        d = s.homogeneous_degree()
-        if d is None:
-            return None
-        degs.add(d)
-    if len(degs) != 1:
-        return None
-    return degs.pop()
+    """Homogeneity degree of a derivation; None if inhomogeneous or zero."""
+    degs = {s.homogeneous_degree() for c in theta.coeffs
+            if not (s := c.simplify()).is_zero()}
+    return degs.pop() if len(degs) == 1 else None
 
 
 class SaitoContext:
@@ -130,7 +121,8 @@ class SaitoContext:
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "kept",
-                 "form_bases", "q_base", "_bk_memo", "_metric_G_inv")
+                 "form_bases", "q_base", "_bk_memo", "_metric_G_inv",
+                 "_metric_G_error")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -154,16 +146,23 @@ class SaitoContext:
         self.xi_table: dict = {}
         self.kept: dict = {}
         self.form_bases: dict = {}
-        self._metric_G_inv = None
+        self._metric_G_inv = self._metric_G_error = None
 
     @property
     def rank(self) -> int:
         return self.datum.rank
 
     def metric_G_inv(self) -> Matrix:
-        """G^-1 over q, built once, for the per-k fallback of `lemma22.13`."""
-        if self._metric_G_inv is None:
-            self._metric_G_inv = self.metric_G.inverse(self.q_base)
+        """G^-1 over q, built once, for the per-k fallback of `lemma22.13`.
+        A failed inversion is kept and raised again, so that it forms one
+        determinant of G per context."""
+        if self._metric_G_inv is None and self._metric_G_error is None:
+            try:
+                self._metric_G_inv = self.metric_G.inverse(self.q_base)
+            except CoxsaitoError as exc:
+                self._metric_G_error = exc
+        if self._metric_G_error is not None:
+            raise self._metric_G_error
         return self._metric_G_inv
 
 
@@ -539,7 +538,7 @@ def bk_step(k: int, ctx: SaitoContext) -> bool:
                  lambda: up - bk == b1 + b1.transpose())
 
 
-# -- Theorem 2.4 and the derivatives of G from the premise chain ------------------
+# -- Theorem 2.4 and Lemma 2.2 from the premise chain -----------------------------
 
 
 def chain_base(ctx: SaitoContext) -> bool:
@@ -550,8 +549,8 @@ def chain_base(ctx: SaitoContext) -> bool:
     is raised, and `verify` reads it as a failure (`verify._holds`).
 
     D is a derivation and A is constant, so D[G] = D[J(P)]^T A J(P) +
-    J(P)^T A D[J(P)] = B^(1) + (B^(1))^T, and likewise d/dP_k G = Gamma*_k +
-    (Gamma*_k)^T for every k (`dp_metric`)."""
+    J(P)^T A D[J(P)] = B^(1) + (B^(1))^T, which `flat.detDG` reads; every
+    d/dP_k G is in `connection_base`."""
     a = ctx.gram_poly
     return (bk_matrix(1, ctx) is _gamma_star(ctx.rank, ctx) and a == a.transpose()
             and all(e.constant_value() is not None for r in a.entries for e in r)
@@ -571,6 +570,27 @@ def _xi1_metric(ctx: SaitoContext) -> bool:
     row, jp, g = xi_basis(1, ctx), ctx.jac_P, ctx.metric_G
     return _kept(ctx, ("metric", 1), (row, jp, g),
                  lambda: g == jp.transpose() * columns(row))
+
+
+def connection_base(ctx: SaitoContext) -> bool:
+    """The base of Lemma 2.2: `chain_base`, `_own_frame`, J(P)^-1 J(P) == I
+    (kept with both) and every `christoffel_star(t)` the kept `_gamma_star(t)`.
+    False on a failure; an error is raised, as in `chain_base`.
+
+    So A is the datum's nonsingular symmetric Gram matrix, G == J^T A J with
+    J = J(P) the Jacobian of the basic invariants, and the rows of J^-1 are
+    the fields d/dP_k.  (2): d/dP_k G = Gamma*_k + (Gamma*_k)^T by the product
+    rule.  det G = det A (det J)^2 = c q^2.  (B): sum_t G_kt d/dP_t is
+    xi^(1)_k, so T[k,(i,j)] = grad P_i^T A Hess(P_j) A grad P_k, symmetric in
+    i and k.  (4): Gamma*_l is B^(1), one object.  (1)+(3): a symmetric G with
+    det G = c q^2 has one metric-compatible, torsion-free connection, its
+    Levi-Civita connection, so Gamma*_k = -G Gamma_k."""
+    ell, jp, jp_inv = ctx.rank, ctx.jac_P, ctx.jac_P_inv
+    return (chain_base(ctx) and _own_frame(ctx)
+            and _kept(ctx, ("dual", 0), (jp_inv, jp), lambda: (
+                jp_inv * jp == Matrix.identity(ell, ell, ctx.datum.field)))
+            and all(christoffel_star(t, ctx) is _gamma_star(t, ctx)
+                    for t in range(1, ell + 1)))
 
 
 def chain_holds(levels: int, steps: int, ctx: SaitoContext) -> bool:
@@ -611,9 +631,9 @@ def _level(j: int, bk: Matrix, ctx: SaitoContext) -> bool:
 def _own_frame(ctx: SaitoContext) -> bool:
     """J(P) is the Jacobian of the basic invariants and A the datum's Gram
     matrix, so a statement about the context's J(P) and A is one about the
-    group; kept with both."""
-    datum, ell = ctx.datum, ctx.rank
-    return _kept(ctx, ("frame", 0), (ctx.jac_P, ctx.gram_poly), lambda: (
+    group; kept with both and the invariants."""
+    datum, ell, read = ctx.datum, ctx.rank, (ctx.jac_P, ctx.gram_poly, ctx.invariants)
+    return _kept(ctx, ("frame", 0), read, lambda: (
         ctx.jac_P == jacobian(ctx.invariants.polys, ell)
         and ctx.gram_poly == Matrix.from_scalars(datum.gram, ell, datum.field)))
 
@@ -627,17 +647,6 @@ def primitive_dual(ctx: SaitoContext) -> bool:
     An error is raised, as in `chain_base`."""
     return (tuple(dkx(1, ctx)) == ctx.jac_P_inv.entries[-1]
             and _own_frame(ctx) and _d_dual(ctx))
-
-
-def dp_metric(ks, ctx: SaitoContext) -> list[Matrix]:
-    """[d/dP_k G for k in ks]: Gamma*_k + (Gamma*_k)^T when `chain_base`
-    holds, else, or where a Gamma*_k is not polynomial, `dp_matrix` of G."""
-    try:
-        if chain_base(ctx):
-            return [s + s.transpose() for s in (_gamma_star(k, ctx) for k in ks)]
-    except CoxsaitoError:
-        pass
-    return dp_matrix(ctx.metric_G, ks, ctx)
 
 
 def w_stable(m: int, ctx: SaitoContext) -> bool:

@@ -14,18 +14,18 @@ hold it takes the route of its statement.  The runner takes the decision
 beside the statement (`_Runner.run`): the check passes when it holds, and
 a decision that raises does not hold (`_holds`), so a decision can only
 pass and only an error of the statement is an integrity failure.
-`lemma22.13/k` passes when det G = c q^a, G = G^T, every `lemma22.2` and
-`lemma22.B` hold: a symmetric invertible G has exactly one
-metric-compatible, torsion-free connection, its Levi-Civita connection, so
-Gamma*_k = -G Gamma_k; otherwise the standard Christoffel formula per k,
-the one place G^-1 is differentiated.
+Every `lemma22` check passes from one decision, the base of Lemma 2.2
+(`saito.connection_base`), so a passing run forms no det G, G^-1 or T = G S
+and differentiates no G.  Otherwise `lemma22.2` differentiates G,
+`lemma22.13/k` runs the standard Christoffel formula, the one place G^-1 is
+formed and differentiated, and `lemma22.B` forms T.
 `thm24.1/k`, `thm24.2/k` and `hodge.g0/p` pass from the premise chain of
-`saito.chain_holds`, which forms no nabla_D, and `flat.detDG`, `flat.D2G`
-and `lemma22.2` read D[G] = B^(1) + (B^(1))^T, and every d/dP_k[G], from its
-base (`saito.dp_metric`), which differentiates no G; `metric/recompute`
-passes from that base.  Otherwise `thm24.1`, `thm24.2` and `prop26` compare
-their two sides in the invariant frame they are stated in, and `hodge.g0`
-forms each bracket [D, eta] in turn.
+`saito.chain_holds`, which forms no nabla_D, and `flat.detDG` and `flat.D2G`
+read D[G] = B^(1) + (B^(1))^T from its base (`saito.chain_base`), which
+differentiates no G; `metric/recompute` passes from that base.  Otherwise
+`thm24.1`, `thm24.2` and `prop26` compare their two sides in the invariant
+frame they are stated in, and `hodge.g0` forms each bracket [D, eta] in
+turn.
 `thm25.basis` is Saito's criterion: with contact order >= m along every H
 and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
 matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
@@ -46,14 +46,14 @@ from functools import cache
 
 from .coxeter import anti_invariant_Q, poincare_closed_form, poincare_equal
 from .errors import ConfigError, CoxsaitoError
-from .matrix import Matrix, unit_power
+from .matrix import Matrix
 from .poly import MultiPoly
 from .saito import (SaitoContext, bk_matrix, bk_moved, bk_step, chain_base,
-                    chain_holds, christoffel_star, columns, contact_defect, d_bk,
-                    derivation_apply, derivation_bracket, derivation_degree,
-                    dp_matrix, dp_metric, invariance_defect, lead, nabla_xi,
-                    primitive_derivation, primitive_dual, prop26_holds, w_stable,
-                    xi_basis)
+                    chain_holds, christoffel_star, columns, connection_base,
+                    contact_defect, d_bk, derivation_apply, derivation_bracket,
+                    derivation_degree, dp_matrix, invariance_defect, lead,
+                    nabla_xi, primitive_derivation, primitive_dual, prop26_holds,
+                    w_stable, xi_basis)
 
 
 # plain classes: `dataclasses` imports inspect, ast and dis, which cost each
@@ -126,17 +126,13 @@ class _Runner:
         t0 = time.perf_counter()
         try:
             ok, witness = (True, None) if _holds(decided) else fn()
+            status = "skipped" if ok == "skipped" else "pass" if ok else "fail"
+            integrity = False
         except CoxsaitoError as exc:
-            ms = (time.perf_counter() - t0) * 1000
-            self.results.append(CheckResult(
-                name, ref, "fail", f"integrity error: {exc}", ms, integrity=True))
-            return
+            status, witness, integrity = "fail", f"integrity error: {exc}", True
         ms = (time.perf_counter() - t0) * 1000
-        if ok == "skipped":
-            self.results.append(CheckResult(name, ref, "skipped", witness, ms))
-        else:
-            self.results.append(CheckResult(
-                name, ref, "pass" if ok else "fail", None if ok else witness, ms))
+        self.results.append(CheckResult(name, ref, status, None if status == "pass"
+                                        else witness, ms, integrity))
 
 
 def _cmp_matrices(lhs: Matrix, rhs: Matrix):
@@ -258,22 +254,18 @@ def check_lemma22(ctx: SaitoContext):
     r = _Runner()
     ell = ctx.rank
     directions = range(1, ell + 1)
+    # every check of the suite passes from the base of Lemma 2.2
+    base = lambda: connection_base(ctx)
 
-    # every d/dP_k of G (of G^-1 only on the fallback) at once, on first use
+    # every d/dP_k of G, and of G^-1, at once, on first use
     @cache
     def dp_g():
-        return dp_metric(directions, ctx)
+        return dp_matrix(ctx.metric_G, directions, ctx)
 
     @cache
     def dp_g_inv():
         return dp_matrix(ctx.metric_G_inv(), directions, ctx)
 
-    @cache
-    def compat(k):  # lemma22.2/k, whose verdict lemma22.13 also reads
-        star = christoffel_star(k, ctx)
-        return _cmp_matrices(dp_g()[k - 1], star + star.transpose())
-
-    @cache
     def symmetry_identity():
         # T = G S, S with the flattened Gamma*_t as rows; T[k,(i,j)] is the
         # left side of the triple (i, j, k), T[i,(k,j)] the right
@@ -286,18 +278,11 @@ def check_lemma22(ctx: SaitoContext):
                         return False, f"triple (i,j,k) = ({i + 1},{j + 1},{k + 1})"
         return True, None
 
-    @cache
-    def levi_civita() -> bool:
-        # premise det G = c q^a, from the determinant alone; a symmetric
-        # invertible G has one metric-compatible (Lemma 2.2 (2)) and
-        # torsion-free (B) connection, its Levi-Civita connection: so with
-        # both, Gamma*_k = -G Gamma_k for every k
-        unit_power(ctx.metric_G.det(), ctx.q_base)
-        return (ctx.metric_G == ctx.metric_G.transpose()
-                and all(compat(t)[0] for t in directions)
-                and symmetry_identity()[0])
-
     for k in directions:
+
+        def compat(k=k):
+            star = christoffel_star(k, ctx)
+            return _cmp_matrices(dp_g()[k - 1], star + star.transpose())
 
         def levi_civita_consistency(k=k):
             # the standard Christoffel formula from the metric (G^{-1} on
@@ -309,20 +294,20 @@ def check_lemma22(ctx: SaitoContext):
             half = ctx.datum.field.coerce(1) / 2
             gamma_k = (pieces * ctx.metric_G.transpose() * half).simplify()
             lhs = (-(ctx.metric_G * gamma_k)).simplify()
-            rhs = christoffel_star(k, ctx)
-            return _cmp_matrices(lhs, rhs)
+            return _cmp_matrices(lhs, christoffel_star(k, ctx))
 
         r.run(f"lemma22.2/k={k}",
-              "Lemma 2.2 (2): d/dP_k[G] = Gamma*_k + (Gamma*_k)^T",
-              lambda k=k: compat(k))
+              "Lemma 2.2 (2): d/dP_k[G] = Gamma*_k + (Gamma*_k)^T", compat,
+              decided=base)
         r.run(f"lemma22.13/k={k}",
               "Lemma 2.2 (1)+(3): Gamma*_k = -G Gamma_k = J(P)^T A d/dP_k[J(P)]",
-              levi_civita_consistency, decided=levi_civita)
+              levi_civita_consistency, decided=base)
 
     r.run("lemma22.B", "torsion-freeness: sum_t g^kt S_t^ij = sum_t g^it S_t^kj",
-          symmetry_identity)
+          symmetry_identity, decided=base)
     r.run("lemma22.4", "Lemma 2.2 (4): Gamma*_l = B^(1)",
-          lambda: _cmp_matrices(christoffel_star(ell, ctx), bk_matrix(1, ctx)))
+          lambda: _cmp_matrices(christoffel_star(ell, ctx), bk_matrix(1, ctx)),
+          decided=base)
     return r.results
 
 
@@ -484,9 +469,13 @@ def check_flat_remark(ctx: SaitoContext, k_max: int = 3):
     exps = ctx.datum.exponents
     field = ctx.datum.field
 
+    # under the chain's base D[G] = B^(1) + (B^(1))^T
     @cache
     def dg():
-        return dp_metric([ell], ctx)[0]
+        if _holds(chain_base, ctx):
+            b1 = bk_matrix(1, ctx)
+            return b1 + b1.transpose()
+        return dp_matrix(ctx.metric_G, [ell], ctx)[0]
 
     @cache
     def flat_normalized() -> bool:
@@ -508,7 +497,7 @@ def check_flat_remark(ctx: SaitoContext, k_max: int = 3):
             return False, "det D[G] = 0"
         return True, None
 
-    # under the chain's base D[G] = B^(1) + (B^(1))^T, so D^2[G] = D[B^(1)] + D[B^(1)]^T
+    # and so D^2[G] = D[B^(1)] + D[B^(1)]^T
     def d2g():
         if _holds(chain_base, ctx):
             db1 = d_bk(1, bk_matrix(1, ctx), ctx)

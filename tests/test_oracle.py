@@ -1,6 +1,7 @@
-"""An independent oracle: B^(k), xi^(1), nabla_D xi^(1), nabla_D xi^(3) and
-D[G] recomputed in sympy from the raw datum, and the W-invariance of xi^(1)
-and B^(k) decided by sympy substitution.
+"""An independent oracle: B^(k), xi^(1), nabla_D xi^(1), nabla_D xi^(3),
+D[G], det G, Gamma*_k and the torsion form T recomputed in sympy from the
+raw datum, and the W-invariance of xi^(1) and B^(k) decided by sympy
+substitution.
 
 Every other reference in the suite runs on the kernels it checks.  Here the
 basic invariants, the Gram matrix A and the generators are read off the
@@ -21,8 +22,8 @@ import pytest
 import sympy
 from conftest import fresh_context
 
-from coxsaito.saito import (bk_matrix, bk_moved, chain_holds, lead, w_stable,
-                            xi_basis)
+from coxsaito.saito import (bk_matrix, bk_moved, chain_holds, christoffel_star,
+                            connection_base, lead, w_stable, xi_basis)
 
 
 def _rational(v):
@@ -127,3 +128,40 @@ def test_nabla_rows_and_dg_match_sympy(label, rank):
     assert_equals_sympy(lead(1, ctx) * bk_matrix(2, ctx), prim(xi3), xs, "nabla_D xi^(3)")
     assert_equals_sympy(b1 + b1.transpose(), prim(jp.T * gram * jp), xs, "D[G]")
     assert chain_holds(1, 1, ctx) and chain_holds(2, 1, ctx)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
+def test_lemma22_base_facts_match_sympy(label, rank):
+    # what the base of Lemma 2.2 decides without forming it: det G = c Q^2,
+    # Gamma*_k = J(P)^T A d/dP_k[J(P)] for k < l (Gamma*_l is B^(1)), and
+    # T[k,(i,j)] = sum_t G_kt (Gamma*_t)_ij, which is the Hessian form
+    # grad P_i^T A Hess(P_j) A grad P_k and so symmetric in i and k
+    ctx = fresh_context(label, rank)
+    xs, gram, jp, _, _ = oracle_frame(ctx)
+    polys = [to_sympy(p, xs) for p in ctx.invariants.polys]
+    g = jp.T * gram * jp
+    assert_equals_sympy(ctx.metric_G, g, xs, "G")
+    q = sympy.Mul(*(sum(_rational(a) * x for a, x in zip(form, xs))
+                    for form in ctx.datum.forms))
+    c = sympy.cancel(g.det() / q ** 2)
+    assert c.is_number and c != 0
+    jp_inv = jp.inv()
+
+    def dp(k, m):  # d/dP_k, the row k of J(P)^-1, applied to every entry
+        return m.applyfunc(lambda f: sympy.cancel(
+            sum(jp_inv[k, a] * sympy.diff(f, x) for a, x in enumerate(xs))))
+
+    stars = [(jp.T * gram * dp(k, jp)).applyfunc(sympy.cancel) for k in range(rank)]
+    for k in range(rank - 1):
+        assert_equals_sympy(christoffel_star(k + 1, ctx), stars[k], xs, f"Gamma*_{k + 1}")
+    grads = [sympy.Matrix([sympy.diff(p, x) for x in xs]) for p in polys]
+    for i in range(rank):
+        for j in range(rank):
+            hess = sympy.hessian(polys[j], xs)
+            for k in range(rank):
+                t = sum(g[k, s] * stars[s][i, j] for s in range(rank))
+                form = (grads[i].T * gram * hess * gram * grads[k])[0, 0]
+                mirror = (grads[k].T * gram * hess * gram * grads[i])[0, 0]
+                assert sympy.expand(t - form) == 0, ("T", i, j, k)
+                assert sympy.expand(form - mirror) == 0, ("symmetry", i, j, k)
+    assert connection_base(ctx)

@@ -212,3 +212,21 @@ def test_every_decision_is_the_runners():
     path = ROOT / "src" / "coxsaito" / "verify.py"
     found = _decision_guards(path.read_text(encoding="utf-8"))
     assert found == [], found
+
+
+def test_no_module_imports_a_private_name():
+    # a module reads another's helpers through public names only: no
+    # `from .saito import _own_frame` in src/coxsaito
+    found = []
+    for path in sorted((ROOT / "src" / "coxsaito").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            inside = isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "coxsaito")
+            if inside:
+                found += [(path.name, node.lineno, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+            elif isinstance(node, ast.Import):
+                found += [(path.name, node.lineno, alias.name) for alias in node.names
+                          if alias.name.split(".")[0] == "coxsaito"
+                          and any(part.startswith("_") for part in alias.name.split("."))]
+    assert found == [], found

@@ -6,7 +6,8 @@ from conftest import (determinant_route_basis, fresh_context, levi_civita_star,
                       shared_report, stated_route_checks, with_entry)
 
 from coxsaito import matrix, saito, verify
-from coxsaito.coxeter import anti_invariant_Q, build_datum, validate_invariants
+from coxsaito.coxeter import (BasicInvariants, anti_invariant_Q, build_datum,
+                              validate_invariants)
 from coxsaito.errors import ConfigError, SingularMatrix
 from coxsaito.fraction import FactoredFraction
 from coxsaito.matrix import Matrix
@@ -130,10 +131,8 @@ def _chain_off(monkeypatch):
 
 
 def test_lemma22_differentiates_g_inverse_only_on_fallback(monkeypatch):
-    # a passing run decides every lemma22.13 by Lemma 2.2 (2) and (B) and reads
-    # d/dP_k[G] as Gamma*_k + (Gamma*_k)^T from the chain's base: G is not
-    # differentiated and G^-1 is never built, since det G = c q^a is
-    # certified from the determinant alone; only christoffel_star
+    # a passing run decides every lemma22 check by the base of Lemma 2.2: G
+    # is not differentiated and G^-1 is never built; only christoffel_star
     # differentiates J(P), one direction at a time, so that an integrity
     # error stays with its own k
     ctx = fresh_context("A", 3)
@@ -143,8 +142,8 @@ def test_lemma22_differentiates_g_inverse_only_on_fallback(monkeypatch):
     assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(1,), (2,), (3,)]
     assert len(seen) == 3
     assert ctx._metric_G_inv is None
-    # with Gamma*_1 tampered (2) fails, and the per-k route
-    # differentiates G^-1 exactly once, in every direction
+    # with Gamma*_1 tampered the base fails, and the statements differentiate
+    # G and G^-1 exactly once each, in every direction
     ctx = fresh_context("A", 3)
     star = christoffel_star(1, ctx)
     ctx.christoffel_table[1] = with_entry(star, 0, 0, star[0, 0] + MultiPoly.const(3, 1))
@@ -152,15 +151,17 @@ def test_lemma22_differentiates_g_inverse_only_on_fallback(monkeypatch):
     assert {r.name for r in check_lemma22(ctx) if r.status != "pass"} == {
         "lemma22.2/k=1", "lemma22.13/k=1", "lemma22.B"}
     assert [ks for m, ks in seen if m is ctx.metric_G_inv()] == [every]
+    assert [ks for m, ks in seen if m is ctx.metric_G] == [every]
     assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(2,), (3,)]
-    assert len(seen) == 3
-    # without the chain's base G is differentiated once, in every direction
+    assert len(seen) == 4
+    # without the chain's base every check takes its statement, as above
     _chain_off(monkeypatch)
     ctx = fresh_context("A", 3)
     seen.clear()
     assert all(r.status == "pass" for r in check_lemma22(ctx))
     assert [ks for m, ks in seen if m is ctx.metric_G] == [every]
-    assert len(seen) == 4 and ctx._metric_G_inv is None
+    assert [ks for m, ks in seen if m is ctx.metric_G_inv()] == [every]
+    assert len(seen) == 5
 
 
 def _plus_at(name, i, j, delta):
@@ -216,6 +217,19 @@ def _antisymmetric_star1(ctx):
     _plus_at(("star", 1), 1, 0, lambda c: -_one(c))(ctx)
 
 
+def _copy_star1(ctx):
+    """Gamma*_1 in `christoffel_table` replaced by an equal matrix, another
+    object: no Gamma*_t is then certainly the kept one."""
+    ctx.christoffel_table[1] = Matrix(christoffel_star(1, ctx).entries)
+
+
+def _double_p1(ctx):
+    """The basic invariants with P_1 doubled, after the build: J(P) is no
+    longer their Jacobian, and nothing the statements read changes."""
+    polys = ctx.invariants.polys
+    ctx.invariants = BasicInvariants((polys[0] + polys[0], *polys[1:]), True)
+
+
 LEMMA22_TAMPERINGS = {
     "none": lambda ctx: None,
     "star1.11+1": _plus_at(("star", 1), 0, 0, _one),
@@ -228,7 +242,12 @@ LEMMA22_TAMPERINGS = {
     "G.12+1": _plus_at("metric_G", 0, 1, _one),
     "G=G U": lambda ctx: setattr(ctx, "metric_G", ctx.metric_G * _unipotent(ctx)),
     "star1+E12-E21": _antisymmetric_star1,
+    "star1 copy": _copy_star1,
+    "invariants.P1x2": _double_p1,
 }
+# the tamperings that change no value the statements read: each breaks one
+# premise of the base of Lemma 2.2 alone
+LEMMA22_PASSING = {"none", "star1 copy", "invariants.P1x2"}
 
 
 def _outcomes(results):
@@ -238,14 +257,35 @@ def _outcomes(results):
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
 @pytest.mark.parametrize("tamper", list(LEMMA22_TAMPERINGS))
 def test_lemma22_matches_the_per_k_route(label, rank, tamper):
-    # Lemma 2.2 (2) and (B) decide lemma22.13 only on passing runs: on every
+    # the base of Lemma 2.2 decides the suite only on passing runs: on every
     # tampering the statuses and witnesses are those of the per-k route
     got, want = fresh_context(label, rank), fresh_context(label, rank)
     LEMMA22_TAMPERINGS[tamper](got)
     LEMMA22_TAMPERINGS[tamper](want)
     outcomes = _outcomes(check_lemma22(got))
     assert outcomes == _outcomes(per_k_lemma22(want))
-    assert (tamper == "none") == all(status == "pass" for _, _, status, *_ in outcomes)
+    assert (tamper in LEMMA22_PASSING) == all(
+        status == "pass" for _, _, status, *_ in outcomes)
+
+
+# the tamperings that break one premise of the base of Lemma 2.2 alone
+LEMMA22_PREMISE_BROKEN = {"star1 copy": "kept stars", "invariants.P1x2": "own frame",
+                          "jac_P_inv.row1x2": "dual frame"}
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
+@pytest.mark.parametrize("tamper", list(LEMMA22_PREMISE_BROKEN))
+def test_each_lemma22_premise_is_broken_alone(label, rank, tamper):
+    ctx = fresh_context(label, rank)
+    LEMMA22_TAMPERINGS[tamper](ctx)
+    ell, field = ctx.rank, ctx.datum.field
+    holds = {
+        "kept stars": all(christoffel_star(t, ctx) is saito._gamma_star(t, ctx)
+                          for t in range(1, ell + 1)),
+        "own frame": saito._own_frame(ctx),
+        "dual frame": ctx.jac_P_inv * ctx.jac_P == Matrix.identity(ell, ell, field)}
+    assert [name for name, ok in holds.items() if not ok] == [LEMMA22_PREMISE_BROKEN[tamper]]
+    assert saito.chain_base(ctx) and not saito.connection_base(ctx)
 
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
@@ -260,33 +300,49 @@ def test_torsion_alone_sends_lemma22_13_to_the_per_k_route(label, rank):
 
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("B", 2), ("I2", 5), ("H3", 3)])
-def test_passing_lemma22_forms_one_product_with_g(label, rank, request, monkeypatch):
-    # T = G S is the one Matrix product with G on the left: a passing run
-    # forms no G R and builds no G^-1
+def test_passing_lemma22_forms_nothing_from_g(label, rank, request, monkeypatch):
+    # the base of Lemma 2.2 decides every check: a passing run forms no
+    # product with G on the left (no T = G S), no determinant of G and no
+    # G^-1, and does not differentiate G
     ctx = _fresh_group_context(label, rank, request)
     lefts, mul = [], Matrix.__mul__
     monkeypatch.setattr(Matrix, "__mul__", lambda a, b: lefts.append(a) or mul(a, b))
+    tables, seen = _spy_minor_tables(monkeypatch), _spy_dp_matrix(monkeypatch)
     assert all(r.status == "pass" for r in check_lemma22(ctx))
-    assert sum(m is ctx.metric_G for m in lefts) == 1
+    assert not any(m is ctx.metric_G for m in lefts)
+    assert not any(m is ctx.metric_G for _, m in tables)
+    assert not any(m is ctx.metric_G for m, _ in seen)
+    assert ctx._metric_G_inv is None
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
+def test_failed_inversion_of_g_forms_one_determinant(label, rank, monkeypatch):
+    # with G(1,2) + 1, det G is no c q^a: every lemma22.13/k fails on the
+    # inversion of G, which is tried once per context and raised again
+    ctx = fresh_context(label, rank)
+    _plus_at("metric_G", 0, 1, _one)(ctx)
+    tables = _spy_minor_tables(monkeypatch)
+    report = run_suites(ctx, "all", 2, 3, 1)
+    broken = [r.name for r in report.results if r.integrity]
+    assert broken == [f"lemma22.13/k={k}" for k in range(1, rank + 1)]
+    assert sum(m is ctx.metric_G for _, m in tables) == 1
     assert ctx._metric_G_inv is None
 
 
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
 def test_compatible_torsion_free_holds_for_any_symmetric_invertible_metric(
-        label, rank, monkeypatch):
-    # the one fact the decision assumes: for a G that is no group's metric,
-    # G' = U^T G U, the -G' Gamma_k(G') of the standard formula satisfy
-    # Lemma 2.2 (2) and (B), and so decide lemma22.13 with no derivative of G'^-1
+        label, rank):
+    # the one fact the base of Lemma 2.2 assumes for (1)+(3): for a G that is
+    # no group's metric, G' = U^T G U, the -G' Gamma_k(G') of the standard
+    # formula satisfy Lemma 2.2 (2) and (B), and lemma22.13 passes with them
     ctx = fresh_context(label, rank)
     _congruent_metric(ctx)
     directions = range(1, rank + 1)
     stars = [levi_civita_star(k, ctx) for k in directions]
     assert stars[0] != christoffel_star(1, ctx)
     ctx.christoffel_table.update(zip(directions, stars))
-    seen = _spy_dp_matrix(monkeypatch)
     results = {r.name: r.status for r in check_lemma22(ctx)}
     assert all(results[f"lemma22.13/k={k}"] == "pass" for k in directions)
-    assert not [m for m, _ in seen if m is ctx.metric_G_inv()]
 
 
 def _contact_variants(ctx, m):
