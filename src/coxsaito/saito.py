@@ -17,13 +17,16 @@ rows the theorems speak of, xi^(m) (`xi_basis`) and nabla_D^t xi^(m)
 (`nabla_xi`), are each built once here, and so is their contact order along
 the hyperplanes (`contact_defect`).
 
-W-invariance of xi^(1), the A-gradients of the basic invariants, is read
-from its form and carried up the chain of Proposition 2.6 (`w_stable`); a row
-so certified is W-stable, so its contact orders are tested on the first
-hyperplane of each W-orbit alone.  B^(k), k >= 2, is invariant as the sum
-B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a passing run substitutes only the
-entries of B^(1).  The certificates read what the checks certify anyway and
-are kept with what they read; where one fails, the substitution decides.
+W-invariance of xi^(1), the A-gradients of the basic invariants, is read from
+its form and carried up the chain of Proposition 2.6 (`w_stable`); a row so
+certified is W-stable, so its contact orders are tested on the first
+hyperplane of each W-orbit alone.  Each row is kept with what it was built
+from, so Proposition 2.6 and the chain's even step hold by associativity of
+exact products while the tables hold those builds (`_xi_built`).  B^(k),
+k >= 2, is invariant as the sum B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a
+passing run substitutes only the entries of B^(1).  The certificates read
+what the checks certify anyway and are kept with what they read; where one
+fails, the substitution decides.
 
 Theorem 2.4 (1)-(2), the G_0 membership of nabla_D^p xi^(2p-1) and Lemma 2.2
 follow from the same facts (`chain_holds`, `primitive_dual`, `connection_base`):
@@ -144,7 +147,7 @@ class SaitoContext:
         self._bk_memo: dict = {}
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
-        self.kept: dict = {}
+        self.kept: dict = {("dual", 0): ((self.jac_P_inv, self.jac_P), (True,) * ell)}
         self.form_bases: dict = {}
         self._metric_G_inv = self._metric_G_error = None
 
@@ -252,13 +255,14 @@ def _gamma_star(k: int, ctx: SaitoContext) -> Matrix:
                                               f"Gamma*_{k}"))
 
 
-def _d_dual(ctx: SaitoContext) -> bool:
-    """d J(P) == e_l, d the row of D (the last row of J(P)^-1): D[P_j] =
-    delta_jl; kept with J(P) and J(P)^-1."""
-    ell = ctx.rank
-    return _kept(ctx, ("d_dual", 0), (ctx.jac_P, ctx.jac_P_inv), lambda: (
-        Matrix(ctx.jac_P_inv.entries[-1:]) * ctx.jac_P
-        == Matrix(Matrix.identity(ell, ell, ctx.datum.field).entries[-1:])))
+def _dual(ctx: SaitoContext) -> tuple:
+    """Row by row, J(P)^-1 J(P) == I; the last row is d J(P) == e_l, d the
+    row of D: D[P_j] = delta_jl.  Kept with J(P)^-1 and J(P); `SaitoContext`
+    keeps it true where it builds the pair, as `Matrix.inverse` is exact."""
+    ident = Matrix.identity(ctx.rank, ctx.rank, ctx.datum.field).entries
+    return _kept(ctx, ("dual", 0), (ctx.jac_P_inv, ctx.jac_P), lambda: tuple(
+        Matrix([row]) == Matrix([ident[i]])
+        for i, row in enumerate((ctx.jac_P_inv * ctx.jac_P).entries)))
 
 
 def d_bk(k: int, bk: Matrix, ctx: SaitoContext) -> Matrix:
@@ -275,7 +279,7 @@ def _tower_candidate(k: int, ctx: SaitoContext):
     ell = ctx.rank
     try:
         if k == 1:
-            return _gamma_star(ell, ctx) if _d_dual(ctx) else None
+            return _gamma_star(ell, ctx) if _dual(ctx)[-1] else None
         b1, prev = _certified_bk(1, ctx), _certified_bk(k - 1, ctx)
         if b1 is _gamma_star(ell, ctx) and _level(k - 1, prev, ctx):
             return prev + b1 + b1.transpose()
@@ -356,7 +360,8 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
     only on its fallback.  B^(k) is read from its
     private memo, never from `bk_table`, so an entry overwritten in that table
     reaches only the checks that read it and not xi^(2k); the inverse is
-    shared with `lead` while the two are one object (`_bk_inverse`).
+    shared with `lead` while the two are one object (`_bk_inverse`).  Kept
+    with T_(k-1), (B^(k))^-1, J(P) and A, the build record `prop26_holds` reads.
     """
     table = ctx.jdkx_inv_table
     if k not in table:
@@ -368,8 +373,9 @@ def jdkx_inv(k: int, ctx: SaitoContext) -> Matrix:
         except NonPolynomialEntry:
             raise NonPolynomialEntry(
                 f"reduced determinant of J(D^{k}[X]) is not a constant") from None
-        table[k] = -(jdkx_inv(k - 1, ctx) * (ctx.jac_P * bk_inv * ctx.jac_P.transpose()
-                                             * ctx.gram_poly))
+        t, jp, a = jdkx_inv(k - 1, ctx), ctx.jac_P, ctx.gram_poly
+        table[k] = _kept(ctx, ("jdkx_inv", k), (t, bk_inv, jp, a),
+                         lambda: -(t * (jp * bk_inv * jp.transpose() * a)))
     return table[k]
 
 
@@ -437,19 +443,34 @@ def primitive_derivation(ctx: SaitoContext) -> PolyDerivation:
 
 def xi_basis(m: int, ctx: SaitoContext):
     """The l basis derivations of contact order m, with polynomial
-    coefficients.  Coefficient matrix: A J(D^k[X])^{-1} (m = 2k),
-    with a trailing J(P) factor for odd m = 2k+1; `jdkx_inv` certifies its
-    factor polynomial, so the product is."""
+    coefficients.  Coefficient matrix: E_k = A J(D^k[X])^{-1} (m = 2k), kept
+    with A and `jdkx_inv(k)`, times J(P) for odd m = 2k+1; `jdkx_inv`
+    certifies its factor polynomial, so the product is.  The row is recorded
+    in `kept` with the A, `jdkx_inv(k)` and J(P) it read (`_xi_built`)."""
     if m < 0:
         raise ValueError("m must be >= 0")
     table = ctx.xi_table
     if m not in table:
-        k = m // 2
-        prod = ctx.gram_poly * jdkx_inv(k, ctx)
-        if m % 2 == 1:
-            prod = prod * ctx.jac_P
-        table[m] = [PolyDerivation(prod.column(j)) for j in range(ctx.rank)]
+        read = ctx.gram_poly, jdkx_inv(m // 2, ctx), ctx.jac_P
+        e = _kept(ctx, ("xi_factor", m // 2), read[:2], lambda: read[0] * read[1])
+        table[m] = _kept(ctx, ("xi", m), read[:2 + m % 2], lambda: [
+            PolyDerivation(c) for c in zip(*(e * read[2] if m % 2 else e).entries)])
     return table[m]
+
+
+def _xi_built(m: int, ctx: SaitoContext) -> bool:
+    """Whether `xi_basis(m)` is the row it recorded, built from the current A,
+    T_k = `jdkx_inv_table[k]` (k = m // 2) and, for odd m, J(P): then
+    cols(xi^(m)) is exactly E_k = A T_k, or E_k J(P)."""
+    return _built(ctx, ("xi", m), xi_basis(m, ctx), *(
+        ctx.gram_poly, ctx.jdkx_inv_table.get(m // 2), ctx.jac_P)[:2 + m % 2])
+
+
+def _built(ctx: SaitoContext, key, value, *read) -> bool:
+    """Whether `ctx.kept[key]` holds value, built from exactly the objects read."""
+    hit = ctx.kept.get(key, ((), None))
+    return (hit[1] is value and len(hit[0]) == len(read)
+            and all(a is b for a, b in zip(hit[0], read)))
 
 
 def nabla_xi(m: int, t: int, ctx: SaitoContext):
@@ -508,11 +529,19 @@ def lead(k: int, ctx: SaitoContext) -> Matrix:
 
 def prop26_holds(k: int, ctx: SaitoContext) -> bool:
     """cols(xi^(2k+1)) == lead(k) G: Proposition 2.6 at k in the coordinate
-    frame, kept with the row, lead(k) and G it read."""
-    row = xi_basis(2 * k + 1, ctx)
-    right = lead(k, ctx)
-    return _kept(ctx, ("prop26", k), (row, right, ctx.metric_G),
-                 lambda: columns(row) == right * ctx.metric_G)
+    frame.  With J = J(P), it holds by construction when xi^(2k+1) and
+    xi^(2k-1) are recorded builds (`_xi_built`), T_k = `jdkx_inv_table[k]` is
+    the recorded -T_(k-1) J (B^(k))^-1 J^T A with the inverse lead(k) reads,
+    and G == J^T A J (`_xi1_gradient`, `_xi1_metric`): by associativity,
+    cols(xi^(2k+1)) = A T_k J = -cols(xi^(2k-1)) (B^(k))^-1 J^T A J = lead(k) G.
+    Otherwise the comparison decides, kept with the row, lead(k) and G."""
+    row, t = xi_basis(2 * k + 1, ctx), ctx.jdkx_inv_table
+    inv = _bk_inverse(k, bk_matrix(k, ctx), ctx)
+    return (_xi_built(2 * k + 1, ctx) and _xi_built(2 * k - 1, ctx)
+            and _built(ctx, ("jdkx_inv", k), t.get(k), t.get(k - 1), inv, ctx.jac_P,
+                       ctx.gram_poly) and _xi1_gradient(ctx) and _xi1_metric(ctx)
+            or _kept(ctx, ("prop26", k), (row, lead(k, ctx), ctx.metric_G),
+                     lambda: columns(row) == lead(k, ctx) * ctx.metric_G))
 
 
 def bk_moved(k: int, ctx: SaitoContext):
@@ -574,7 +603,7 @@ def _xi1_metric(ctx: SaitoContext) -> bool:
 
 def connection_base(ctx: SaitoContext) -> bool:
     """The base of Lemma 2.2: `chain_base`, `_own_frame`, J(P)^-1 J(P) == I
-    (kept with both) and every `christoffel_star(t)` the kept `_gamma_star(t)`.
+    (`_dual`) and every `christoffel_star(t)` the kept `_gamma_star(t)`.
     False on a failure; an error is raised, as in `chain_base`.
 
     So A is the datum's nonsingular symmetric Gram matrix, G == J^T A J with
@@ -585,12 +614,9 @@ def connection_base(ctx: SaitoContext) -> bool:
     i and k.  (4): Gamma*_l is B^(1), one object.  (1)+(3): a symmetric G with
     det G = c q^2 has one metric-compatible, torsion-free connection, its
     Levi-Civita connection, so Gamma*_k = -G Gamma_k."""
-    ell, jp, jp_inv = ctx.rank, ctx.jac_P, ctx.jac_P_inv
-    return (chain_base(ctx) and _own_frame(ctx)
-            and _kept(ctx, ("dual", 0), (jp_inv, jp), lambda: (
-                jp_inv * jp == Matrix.identity(ell, ell, ctx.datum.field)))
+    return (chain_base(ctx) and _own_frame(ctx) and all(_dual(ctx))
             and all(christoffel_star(t, ctx) is _gamma_star(t, ctx)
-                    for t in range(1, ell + 1)))
+                    for t in range(1, ctx.rank + 1)))
 
 
 def chain_holds(levels: int, steps: int, ctx: SaitoContext) -> bool:
@@ -641,12 +667,12 @@ def _own_frame(ctx: SaitoContext) -> bool:
 def primitive_dual(ctx: SaitoContext) -> bool:
     """`primitive_derivation` is the D of `nabla_D` and D[P_j] = delta_jl on
     the basic invariants: dkx(1) == the last row of J(P)^-1, `_own_frame` and
-    `_d_dual`.  With `chain_holds(p, p - 1)` every eta of nabla_D^p xi^(2p-1)
+    `_dual`.  With `chain_holds(p, p - 1)` every eta of nabla_D^p xi^(2p-1)
     then has eta(P_i) = (-1)^(p-1) B^(p)_ij, so [D, eta](P_i) =
     D[eta(P_i)] - eta(D[P_i]) = 0: D[B^(p)] = 0 and D[P_i] is constant.
     An error is raised, as in `chain_base`."""
     return (tuple(dkx(1, ctx)) == ctx.jac_P_inv.entries[-1]
-            and _own_frame(ctx) and _d_dual(ctx))
+            and _own_frame(ctx) and _dual(ctx)[-1])
 
 
 def w_stable(m: int, ctx: SaitoContext) -> bool:
@@ -668,16 +694,19 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
     W-invariant, T_g = 1.
     m = 2k: xi^(2k+1) is certified and cols(xi^(2k)) J == cols(xi^(2k+1)),
     J the Jacobian of the basic invariants.  P(gx) = P(x) gives
-    J^-1(gx) = J^-1(x) g^T, so g xi^(2k) = xi^(2k) g^T.
+    J^-1(gx) = J^-1(x) g^T, so g xi^(2k) = xi^(2k) g^T.  The identity holds
+    by construction when both rows are recorded builds (`_xi_built`), E_k and
+    E_k J(P) for one E_k, and J(P) == J (`_own_frame`); else it is compared.
     """
     try:
         if m == 1:
             return _own_frame(ctx) and _xi1_gradient(ctx)
         if m % 2 == 0:
             row, odd = xi_basis(m, ctx), xi_basis(m + 1, ctx)
-            return w_stable(m + 1, ctx) and _kept(
-                ctx, ("stable", m), (row, odd), lambda: columns(row) * jacobian(
-                    ctx.invariants.polys, ctx.rank) == columns(odd))
+            return w_stable(m + 1, ctx) and (
+                _xi_built(m, ctx) and _xi_built(m + 1, ctx) and _own_frame(ctx)
+                or _kept(ctx, ("stable", m), (row, odd), lambda: columns(row) * jacobian(
+                    ctx.invariants.polys, ctx.rank) == columns(odd)))
         k = m // 2
         return (w_stable(m - 2, ctx) and _xi1_metric(ctx)
                 and bk_moved(k, ctx) is None and prop26_holds(k, ctx))

@@ -866,3 +866,23 @@ def test_concurrent_cache_fills_are_value_identical():
             for base in ctx.form_bases.values():
                 assert sorted(base._powers) == list(range(8))
                 assert all(base._powers[e] == base.q ** e for e in base._powers)
+
+
+# the keys each table holds after a full run: the build records add no row,
+# level or inverse that no check asked for
+TABLE_KEYS = {(3, 7, 3): ([0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4], [0, 1, 2, 3]),
+              (1, 1, 1): ([0, 1, 3], [0, 1, 2], [0, 1])}
+
+
+@pytest.mark.parametrize("bounds", sorted(TABLE_KEYS))
+@pytest.mark.parametrize("label,rank", [("A", 3), ("B", 4), ("D", 4), ("I2", 5), ("H3", 3)])
+def test_a_full_run_fills_exactly_the_pinned_table_keys(label, rank, bounds, tmp_path):
+    if label == "H3":
+        path = tmp_path / "h3.json"
+        path.write_text(json.dumps(h3_document()), encoding="utf-8")
+        ctx = build_context(*ingest_invariants(path))
+    else:
+        ctx = fresh_context(label, rank)
+    assert not run_suites(ctx, "all", *bounds).failed
+    assert (sorted(ctx.xi_table), sorted(ctx.bk_table),
+            sorted(ctx.jdkx_inv_table)) == TABLE_KEYS[bounds]

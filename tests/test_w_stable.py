@@ -13,12 +13,12 @@ from conftest import fresh_context, reference_contact_defect, shared_context, wi
 from test_verify import _one, _perturb_xi, _plus_at, _tamper_contact, _x1
 
 from coxsaito import saito, verify
-from coxsaito.coxeter import first_moved
+from coxsaito.coxeter import first_moved, jacobian
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, _first_moved_derivation, bk_matrix,
-                            bk_moved, contact_defect, invariance_defect, lead,
-                            prop26_holds, w_stable, xi_basis)
+                            bk_moved, columns, contact_defect, invariance_defect,
+                            lead, prop26_holds, w_stable, xi_basis)
 from coxsaito.verify import run_suites
 
 
@@ -222,20 +222,132 @@ def test_hodge_alone_reaches_the_certificate(monkeypatch):
     assert w_stable(1, ctx) and ("stable", 1) in ctx.kept
 
 
-def test_passing_run_forms_prop26_once_per_k(monkeypatch):
-    # prop26/k and the certificate share one comparison, lead(k) G
-    ctx = fresh_context("A", 3)
-    products = []
-    mul = Matrix.__mul__
+@pytest.mark.parametrize("group", [("A", 3), ("B", 3), ("I2", 5)])
+def test_passing_run_forms_no_prop26_product(group, monkeypatch):
+    # prop26/k, the certificate and the dual frame hold by how the objects
+    # were built: a passing run forms no lead(k) G, no cols(xi^(2k)) J and
+    # no J(P)^-1 J(P)
+    ctx = fresh_context(*group)
+    products, even = [], []
+    mul, cols = Matrix.__mul__, saito.columns
 
     def spy(self, other):
-        if other is ctx.metric_G:
-            products.append(self)
+        if other is ctx.metric_G or (self is ctx.jac_P_inv and other is ctx.jac_P):
+            products.append((self, other))
         return mul(self, other)
 
     monkeypatch.setattr(Matrix, "__mul__", spy)
+    monkeypatch.setattr(saito, "columns", lambda row: (
+        even.append(row) if any(row is ctx.xi_table.get(m) for m in (2, 4, 6)) else None)
+        or cols(row))
     assert not run_suites(ctx, "all", 3, 7, 3).failed
-    assert len(products) == 3
+    assert products == [] and even == []
+    assert not [key for key in ctx.kept if key[0] == "prop26"
+                or key[0] == "stable" and key[1] % 2 == 0]
+
+
+def _copy_row(m):
+    """Tamper: xi^(m) replaced by an equal row, another object."""
+    def tamper(ctx):
+        ctx.xi_table[m] = list(xi_basis(m, ctx))
+    return tamper
+
+
+def _replace_level(table, k, build, change=lambda ctx, m: Matrix(m.entries), rows=True):
+    """Tamper: entry k of the table `build` fills replaced by change(ctx,
+    entry), by default an equal matrix; after xi^(2k+1) is built, or before
+    without rows."""
+    def tamper(ctx):
+        if rows:
+            xi_basis(2 * k + 1, ctx)
+        getattr(ctx, table)[k] = change(ctx, build(k, ctx))
+    return tamper
+
+
+def _plus_x1(ctx, m):
+    return with_entry(m, 0, 0, m[0, 0] + _x1(ctx))
+
+
+def _copy_frame(attr):
+    """Tamper: ctx.<attr> replaced by an equal matrix once xi^(3) is built."""
+    def tamper(ctx):
+        xi_basis(3, ctx)
+        setattr(ctx, attr, Matrix(getattr(ctx, attr).entries))
+    return tamper
+
+
+# each tampering replaces an object that a build record names; the kept
+# comparisons (key, index) it must send to the comparison.  J(P)^-1 enters no
+# record of the xi tower, so its copy reaches the dual verdict alone
+PROVENANCE_TAMPERINGS = {
+    "jdkx_inv_table[2] copy": (_replace_level("jdkx_inv_table", 2, saito.jdkx_inv),
+                               {("prop26", 2), ("prop26", 3), ("stable", 4)}),
+    "jdkx_inv_table[2].11+x1": (_replace_level("jdkx_inv_table", 2, saito.jdkx_inv, _plus_x1),
+                                {("prop26", 2), ("prop26", 3), ("stable", 4)}),
+    # xi^(4) and xi^(5) are then built from the replaced T_2: only the record
+    # of `jdkx_inv(2)` tells that T_2 is not -T_1 J (B^(2))^-1 J^T A
+    "jdkx_inv_table[2].11+x1 before xi^(4)": (
+        _replace_level("jdkx_inv_table", 2, saito.jdkx_inv, _plus_x1, rows=False),
+        {("prop26", 2)}),
+    "xi_table[4] copy": (_copy_row(4), {("stable", 4)}),
+    "xi_table[3] copy": (_copy_row(3), {("prop26", 1), ("prop26", 2), ("stable", 2)}),
+    "xi_table[5] copy": (_copy_row(5), {("prop26", 2), ("prop26", 3), ("stable", 4)}),
+    "bk_table[2] copy": (_replace_level("bk_table", 2, bk_matrix), {("prop26", 2)}),
+    "G.11+1": (TAMPERINGS["G.11+1"], {("prop26", 1)}),
+    "jac_P copy": (_copy_frame("jac_P"), {("prop26", 1), ("stable", 2)}),
+    "jac_P_inv copy": (_copy_frame("jac_P_inv"), set()),
+}
+
+
+@pytest.mark.parametrize("group", [("B", 2), ("A", 3), ("I2", 5)])
+@pytest.mark.parametrize("kind", list(PROVENANCE_TAMPERINGS))
+def test_replaced_build_records_take_the_comparison(group, kind, monkeypatch):
+    # with a build record broken, prop26/k and the even-m certificate form
+    # the comparison, and J(P)^-1 J(P) is formed again once either matrix is
+    # replaced; the report is that of the comparisons alone
+    tamper, compared = PROVENANCE_TAMPERINGS[kind]
+    ctx = fresh_context(*group)
+    pair = ctx.jac_P_inv, ctx.jac_P
+    tamper(ctx)
+    got = _outcomes(run_suites(ctx, "all", 3, 7, 3))
+    assert compared <= set(ctx.kept)
+    assert saito._dual(ctx) == (True,) * ctx.rank
+    formed_again = any(a is not b for a, b in zip(ctx.kept[("dual", 0)][0], pair))
+    assert formed_again == ("jac_P" in kind)
+    monkeypatch.setattr(saito, "_xi_built", lambda m, ctx: False)
+    reference = fresh_context(*group)
+    reference.kept.pop(("dual", 0))
+    tamper(reference)
+    assert got == _outcomes(run_suites(reference, "all", 3, 7, 3))
+
+
+def _records_agree(ctx, monkeypatch):
+    """For k <= 3 and even m <= 6, `prop26_holds(k)` and the even step of
+    `w_stable(m)` are decided by the build records, asking `_kept` for no
+    comparison, and agree with the comparisons formed here."""
+    asked, kept = [], saito._kept
+    monkeypatch.setattr(saito, "_kept", lambda ctx, key, objects, build: (
+        asked.append(key) or kept(ctx, key, objects, build)))
+    decided = ([prop26_holds(k, ctx) for k in (1, 2, 3)]
+               + [w_stable(m, ctx) for m in (2, 4, 6)])
+    monkeypatch.undo()
+    assert not [key for key in asked if key[0] == "prop26"
+                or key[0] == "stable" and key[1] % 2 == 0]
+    jac = jacobian(ctx.invariants.polys, ctx.rank)
+    formed = ([columns(xi_basis(2 * k + 1, ctx)) == lead(k, ctx) * ctx.metric_G
+               for k in (1, 2, 3)]
+              + [columns(xi_basis(m, ctx)) * jac == columns(xi_basis(m + 1, ctx))
+                 for m in (2, 4, 6)])
+    assert decided == formed == [True] * 6
+
+
+@pytest.mark.parametrize("group", [("A", 3), ("B", 3), ("D", 4), ("I2", 5)])
+def test_build_records_agree_with_the_comparisons(group, monkeypatch):
+    _records_agree(fresh_context(*group), monkeypatch)
+
+
+def test_build_records_agree_with_the_comparisons_on_h3(h3_context, monkeypatch):
+    _records_agree(h3_context, monkeypatch)
 
 
 @pytest.mark.parametrize("group", [("I2", 8), ("B", 3), ("A", 3)])
