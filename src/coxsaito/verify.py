@@ -31,11 +31,11 @@ and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
 matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
 != 0 at one point off the hyperplanes; det M itself only when that fails.
 `hodge.winv/p` substitutes nothing on a passing run: it passes from the
-W-stability certificate of `saito.w_stable`, whose Proposition 2.6
-comparison `prop26/k` shares, and the contact orders of `thm25.member/m`
-are then tested on one hyperplane per W-orbit.  `hodge.disc` applies
-xi^(1) to Q, not Q^2.  `lemma21.1w/k` substitutes only the entries of
-B^(1): B^(k), k >= 2, is read from the sum rule of `saito.bk_moved`.
+W-stability certificate of `saito.w_stable`, whose Proposition 2.6 step
+`prop26/k` shares (decided by the xi tower's build records); the contact
+orders of `thm25.member/m` are then tested on one hyperplane per W-orbit.
+`hodge.disc` applies xi^(1) to Q, not Q^2.  `lemma21.1w/k` substitutes
+only the entries of B^(1); B^(k), k >= 2, follows the sum rule of `bk_moved`.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
             rhs = bk if (k - 1) % 2 == 0 else -bk
             return _cmp_matrices(lhs, rhs)
 
-        def prop26(k=k):  # the comparison of the W-stability certificate
+        def prop26(k=k):  # the comparison the certificate falls back to
             lhs = _invariant_frame(columns(xi_basis(2 * k + 1, ctx)), ctx)
             return _cmp_matrices(lhs, _invariant_frame(lead(k, ctx) * ctx.metric_G, ctx))
 
