@@ -20,13 +20,13 @@ the hyperplanes (`contact_defect`).
 W-invariance of xi^(1), the A-gradients of the basic invariants, is read from
 its form and carried up the chain of Proposition 2.6 (`w_stable`); a row so
 certified is W-stable, so its contact orders are tested on the first
-hyperplane of each W-orbit alone.  Each row is kept with what it was built
-from, so Proposition 2.6 and the chain's even step hold by associativity of
-exact products while the tables hold those builds (`_xi_built`).  B^(k),
-k >= 2, is invariant as the sum B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a
-passing run substitutes only the entries of B^(1).  The certificates read
-what the checks certify anyway and are kept with what they read; where one
-fails, the substitution decides.
+hyperplane of each W-orbit alone.  Each row, G and B^(k), k >= 2, are kept
+with what they were built from, and these records alone decide Proposition
+2.6, the chain's even step and Lemma 2.1 (4), by associativity of exact
+products (`_xi_built`, `bk_step`); a broken record leaves the decision to the
+statement, the substitution or the full scan.  B^(k), k >= 2, is invariant
+as the sum B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a passing run
+substitutes only the entries of B^(1).
 
 Theorem 2.4 (1)-(2), the G_0 membership of nabla_D^p xi^(2p-1) and Lemma 2.2
 follow from the same facts (`chain_holds`, `primitive_dual`, `connection_base`):
@@ -44,9 +44,9 @@ product, and so is d/dP_k of a matrix in every requested direction at once
 the flat connection of V, whose Christoffel symbols vanish in the
 coordinates X, so `nabla_D` applies D to each coefficient.  The invariant
 frame d/dP_j appears only where a theorem is stated in it: `verify`
-multiplies coefficient columns by J(P)^T for Theorem 2.4 (2) where the chain
-does not decide it, and for Theorem 2.4 (1) and Proposition 2.6 only when
-their two sides differ.
+multiplies coefficient columns by J(P)^T for Theorem 2.4 (1)-(2) where the
+chain does not decide them, and for Proposition 2.6 where a build record is
+broken.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ class SaitoContext:
         self._bk_memo: dict = {}
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
-        self.kept: dict = {("dual", 0): ((self.jac_P_inv, self.jac_P), (True,) * ell)}
+        self.kept: dict = {("dual", 0): ((self.jac_P_inv, self.jac_P), (True,) * ell),
+                           ("G", 0): ((self.jac_P, self.gram_poly), self.metric_G)}
         self.form_bases: dict = {}
         self._metric_G_inv = self._metric_G_error = None
 
@@ -175,10 +176,10 @@ def build_context(datum: CoxeterDatum, invariants: BasicInvariants) -> SaitoCont
 
 def _kept(ctx: SaitoContext, key, objects: tuple, build):
     """`ctx.kept[key]`, built by build() and kept with the objects it read;
-    built again when one of them is another object.  Racing fills store
-    equal values."""
-    hit = ctx.kept.get(key)
-    if hit is None or any(a is not b for a, b in zip(hit[0], objects)):
+    built again when one of them is another object.  Of racing first fills
+    the first stored is kept, so every reader gets that one object."""
+    hit = ctx.kept.get(key) or ctx.kept.setdefault(key, (objects, build()))
+    if any(a is not b for a, b in zip(hit[0], objects)):
         hit = ctx.kept[key] = objects, build()
     return hit[1]
 
@@ -282,7 +283,7 @@ def _tower_candidate(k: int, ctx: SaitoContext):
             return _gamma_star(ell, ctx) if _dual(ctx)[-1] else None
         b1, prev = _certified_bk(1, ctx), _certified_bk(k - 1, ctx)
         if b1 is _gamma_star(ell, ctx) and _level(k - 1, prev, ctx):
-            return prev + b1 + b1.transpose()
+            return _kept(ctx, ("bk", k), (prev, b1), lambda: prev + b1 + b1.transpose())
     except CoxsaitoError:
         pass
     return None
@@ -314,7 +315,8 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
     D[B^(k-1)] == 0 (`d_bk`): no polynomial identity is formed.  A is then
     nonsingular: det A divides det Gamma*_l and det B^(j) of every level j
     the product builds, and the chain needs the level below nonsingular.
-    The lemma is not assumed, so `lemma21.4` and `lemma21.1d` still test it.
+    The candidate is the record `bk_step` reads; the lemma's content, the
+    premises, is still tested as the statements `lemma21.1d` and `lemma21.2`.
     On the accepting path M_k = -L B^(k) J(P)^-1 M_(k-1) with L and J(P)^-1
     over q and B^(k) polynomial, so by induction from M_1 = J(d) every entry
     of M_k is over q^e with e <= 2k: the premise the product route scans.
@@ -344,7 +346,7 @@ def _certified_bk(k: int, ctx: SaitoContext) -> Matrix:
             lhs = -(ctx.jac_P.transpose() * ctx.gram_poly * jd)
             bk = _certify_poly_matrix(
                 (lhs * jdkx_inv(k - 1, ctx) if k > 1 else lhs) * ctx.jac_P, f"B^({k})")
-        memo[k] = bk
+        memo.setdefault(k, bk)
     return memo[k]
 
 
@@ -528,29 +530,26 @@ def lead(k: int, ctx: SaitoContext) -> Matrix:
 
 
 def prop26_holds(k: int, ctx: SaitoContext) -> bool:
-    """cols(xi^(2k+1)) == lead(k) G: Proposition 2.6 at k in the coordinate
-    frame.  With J = J(P), it holds by construction when xi^(2k+1) and
-    xi^(2k-1) are recorded builds (`_xi_built`), T_k = `jdkx_inv_table[k]` is
-    the recorded -T_(k-1) J (B^(k))^-1 J^T A with the inverse lead(k) reads,
-    and G == J^T A J (`_xi1_gradient`, `_xi1_metric`): by associativity,
-    cols(xi^(2k+1)) = A T_k J = -cols(xi^(2k-1)) (B^(k))^-1 J^T A J = lead(k) G.
-    Otherwise the comparison decides, kept with the row, lead(k) and G."""
-    row, t = xi_basis(2 * k + 1, ctx), ctx.jdkx_inv_table
-    inv = _bk_inverse(k, bk_matrix(k, ctx), ctx)
+    """cols(xi^(2k+1)) == lead(k) G, Proposition 2.6 at k in the coordinate
+    frame, by construction: with J = J(P), xi^(2k+1) and xi^(2k-1) are
+    recorded builds (`_xi_built`), T_k = `jdkx_inv_table[k]` is the recorded
+    -T_(k-1) J (B^(k))^-1 J^T A with the inverse lead(k) reads, and G is the
+    recorded J^T A J.  By associativity cols(xi^(2k+1)) = A T_k J =
+    -cols(xi^(2k-1)) (B^(k))^-1 J^T A J = lead(k) G.  Else False."""
+    t = ctx.jdkx_inv_table
     return (_xi_built(2 * k + 1, ctx) and _xi_built(2 * k - 1, ctx)
-            and _built(ctx, ("jdkx_inv", k), t.get(k), t.get(k - 1), inv, ctx.jac_P,
-                       ctx.gram_poly) and _xi1_gradient(ctx) and _xi1_metric(ctx)
-            or _kept(ctx, ("prop26", k), (row, lead(k, ctx), ctx.metric_G),
-                     lambda: columns(row) == lead(k, ctx) * ctx.metric_G))
+            and _built(ctx, ("jdkx_inv", k), t.get(k), t.get(k - 1),
+                       _bk_inverse(k, bk_matrix(k, ctx), ctx), ctx.jac_P, ctx.gram_poly)
+            and _built(ctx, ("G", 0), ctx.metric_G, ctx.jac_P, ctx.gram_poly))
 
 
 def bk_moved(k: int, ctx: SaitoContext):
     """`first_moved` of the entries of `bk_matrix(k)`, row by row: None when
     every entry is W-invariant; kept with the matrix and, for k >= 2, with
     B^(k-1) and B^(1).  For k >= 2 nothing is substituted when B^(1) and
-    B^(k-1) are invariant and B^(k) - B^(k-1) == B^(1) + (B^(1))^T, the
-    comparison of `lemma21.4/(k-1)`: B^(k) is then a sum of invariant
-    matrices.  Otherwise `first_moved` gives the verdict and its witness."""
+    B^(k-1) are invariant and B^(k) is built as B^(k-1) + B^(1) + (B^(1))^T
+    from them (`bk_step(k-1)`): a sum of invariant matrices.  Otherwise
+    `first_moved` gives the verdict and its witness."""
     bk = bk_matrix(k, ctx)
     below = (bk_matrix(k - 1, ctx), bk_matrix(1, ctx)) if k >= 2 else ()
     return _kept(ctx, ("bk_moved", k), (bk, *below), lambda: None if below and (
@@ -560,11 +559,11 @@ def bk_moved(k: int, ctx: SaitoContext):
 
 
 def bk_step(k: int, ctx: SaitoContext) -> bool:
-    """B^(k+1) - B^(k) == B^(1) + (B^(1))^T, the comparison of `lemma21.4/k`,
-    on the matrices of `bk_matrix`; kept with the three."""
-    up, bk, b1 = bk_matrix(k + 1, ctx), bk_matrix(k, ctx), bk_matrix(1, ctx)
-    return _kept(ctx, ("step", k), (up, bk, b1),
-                 lambda: up - bk == b1 + b1.transpose())
+    """B^(k+1) - B^(k) == B^(1) + (B^(1))^T, `lemma21.4/k`, by construction:
+    `bk_matrix(k+1)` is the record B^(k) + B^(1) + (B^(1))^T of
+    `_tower_candidate` from `bk_matrix(k)` and `bk_matrix(1)`; else False."""
+    return _built(ctx, ("bk", k + 1), bk_matrix(k + 1, ctx), bk_matrix(k, ctx),
+                  bk_matrix(1, ctx))
 
 
 # -- Theorem 2.4 and Lemma 2.2 from the premise chain -----------------------------
@@ -696,17 +695,14 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
     J the Jacobian of the basic invariants.  P(gx) = P(x) gives
     J^-1(gx) = J^-1(x) g^T, so g xi^(2k) = xi^(2k) g^T.  The identity holds
     by construction when both rows are recorded builds (`_xi_built`), E_k and
-    E_k J(P) for one E_k, and J(P) == J (`_own_frame`); else it is compared.
+    E_k J(P) for one E_k, and J(P) == J, certified at m = 1; else False.
     """
     try:
         if m == 1:
             return _own_frame(ctx) and _xi1_gradient(ctx)
         if m % 2 == 0:
-            row, odd = xi_basis(m, ctx), xi_basis(m + 1, ctx)
-            return w_stable(m + 1, ctx) and (
-                _xi_built(m, ctx) and _xi_built(m + 1, ctx) and _own_frame(ctx)
-                or _kept(ctx, ("stable", m), (row, odd), lambda: columns(row) * jacobian(
-                    ctx.invariants.polys, ctx.rank) == columns(odd)))
+            return (w_stable(m + 1, ctx) and _xi_built(m, ctx)
+                    and _xi_built(m + 1, ctx))
         k = m // 2
         return (w_stable(m - 2, ctx) and _xi1_metric(ctx)
                 and bk_moved(k, ctx) is None and prop26_holds(k, ctx))

@@ -20,20 +20,20 @@ and differentiates no G.  Otherwise `lemma22.2` differentiates G,
 `lemma22.13/k` runs the standard Christoffel formula, the one place G^-1 is
 formed and differentiated, and `lemma22.B` forms T.
 `thm24.1/k`, `thm24.2/k` and `hodge.g0/p` pass from the premise chain of
-`saito.chain_holds`, which forms no nabla_D, and `flat.detDG` and `flat.D2G`
-read D[G] = B^(1) + (B^(1))^T from its base (`saito.chain_base`), which
-differentiates no G; `metric/recompute` passes from that base.  Otherwise
-`thm24.1`, `thm24.2` and `prop26` compare their two sides in the invariant
-frame they are stated in, and `hodge.g0` forms each bracket [D, eta] in
-turn.
+`saito.chain_holds`, which forms no nabla_D; under its base, `flat.detDG`
+reads D[G] as B^(1) + (B^(1))^T, and `metric/recompute` and (with D[B^(1)]
+== 0) `flat.D2G` pass.  `prop26/k` and `lemma21.4/k` pass from build records
+alone (`saito.prop26_holds`, `saito.bk_step`).  Otherwise `thm24.1`,
+`thm24.2` and `prop26` compare their two sides in the invariant frame they
+are stated in, and `hodge.g0` forms each bracket [D, eta] in turn.
 `thm25.basis` is Saito's criterion: with contact order >= m along every H
 and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
 matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
 != 0 at one point off the hyperplanes; det M itself only when that fails.
 `hodge.winv/p` substitutes nothing on a passing run: it passes from the
 W-stability certificate of `saito.w_stable`, whose Proposition 2.6 step
-`prop26/k` shares (decided by the xi tower's build records); the contact
-orders of `thm25.member/m` are then tested on one hyperplane per W-orbit.
+`prop26/k` shares; the contact orders of `thm25.member/m` are then tested
+on one hyperplane per W-orbit.
 `hodge.disc` applies xi^(1) to Q, not Q^2.  `lemma21.1w/k` substitutes
 only the entries of B^(1); B^(k), k >= 2, follows the sum rule of `bk_moved`.
 """
@@ -373,7 +373,7 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
             rhs = bk if (k - 1) % 2 == 0 else -bk
             return _cmp_matrices(lhs, rhs)
 
-        def prop26(k=k):  # the comparison the certificate falls back to
+        def prop26(k=k):  # the comparison, where a build record is broken
             lhs = _invariant_frame(columns(xi_basis(2 * k + 1, ctx)), ctx)
             return _cmp_matrices(lhs, _invariant_frame(lead(k, ctx) * ctx.metric_G, ctx))
 
@@ -497,15 +497,12 @@ def check_flat_remark(ctx: SaitoContext, k_max: int = 3):
             return False, "det D[G] = 0"
         return True, None
 
-    # and so D^2[G] = D[B^(1)] + D[B^(1)]^T
-    def d2g():
-        if _holds(chain_base, ctx):
-            db1 = d_bk(1, bk_matrix(1, ctx), ctx)
-            return _first_nonzero((db1 + db1.transpose()).simplify(), "D^2[G]")
-        return _first_nonzero(dp_matrix(dg(), [ell], ctx)[0], "D^2[G]")
-
     r.run("flat.detDG", "det D[G] is a nonzero constant", det_dg)
-    r.run("flat.D2G", "D^2[G] = D[B^(1) + (B^(1))^T] = 0", d2g)
+    # and so D^2[G] = D[B^(1)] + D[B^(1)]^T, zero when D[B^(1)] is
+    r.run("flat.D2G", "D^2[G] = D[B^(1) + (B^(1))^T] = 0",
+          lambda: _first_nonzero(dp_matrix(dg(), [ell], ctx)[0], "D^2[G]"),
+          decided=lambda: chain_base(ctx) and not any(
+              e for row in d_bk(1, bk_matrix(1, ctx), ctx).entries for e in row))
 
     skip_note = "skipped (invariants not flat-normalized)"
 

@@ -1,7 +1,7 @@
-"""An independent oracle: B^(k), xi^(1), nabla_D xi^(1), nabla_D xi^(3),
-D[G], det G, Gamma*_k and the torsion form T recomputed in sympy from the
-raw datum, and the W-invariance of xi^(1) and B^(k) decided by sympy
-substitution.
+"""An independent oracle: B^(k), xi^(1), xi^(2) to xi^(5), nabla_D xi^(1),
+nabla_D xi^(3), D[G], det G, Gamma*_k and the torsion form T recomputed in
+sympy from the raw datum, Proposition 2.6 at k = 1, 2 tested there, and the
+W-invariance of xi^(1) and B^(k) decided by sympy substitution.
 
 Every other reference in the suite runs on the kernels it checks.  Here the
 basic invariants, the Gram matrix A and the generators are read off the
@@ -10,10 +10,10 @@ row of J(P)^-1), D^k[X], the defining product
 
     B^(k) = -J(P)^T A J(D^k[X]) J(D^(k-1)[X])^-1 J(P),
 
-xi^(1) = A J(P), whose column j is the A-gradient of P_j, xi^(3) =
-A J(D[X])^-1 J(P), G = J(P)^T A J(P), and the action of a generator g: with
-S = g^T, a polynomial f goes to f(Sx) and a derivation with coefficient
-column c to S c(Sx).
+xi^(1) = A J(P), whose column j is the A-gradient of P_j, xi^(2k) =
+A J(D^k[X])^-1, xi^(2k+1) = xi^(2k) J(P), G = J(P)^T A J(P), and the action
+of a generator g: with S = g^T, a polynomial f goes to f(Sx) and a
+derivation with coefficient column c to S c(Sx).
 
 Rank 3 is left out: this route does not finish A3 at k = 2 within two minutes.
 """
@@ -23,7 +23,8 @@ import sympy
 from conftest import fresh_context
 
 from coxsaito.saito import (bk_matrix, bk_moved, chain_holds, christoffel_star,
-                            connection_base, lead, w_stable, xi_basis)
+                            columns, connection_base, lead, prop26_holds, w_stable,
+                            xi_basis)
 
 
 def _rational(v):
@@ -107,6 +108,30 @@ def test_xi1_and_bk_are_invariant_by_sympy_substitution(label, rank):
     # the package's certificates agree: xi^(1) by its gradient form, B^(2)
     # and B^(3) by the sum rule
     assert w_stable(1, ctx) and all(bk_moved(k, ctx) is None for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
+def test_xi_tower_and_prop26_match_sympy(label, rank):
+    # what the build records decide without forming it: xi^(2k) =
+    # A J(D^k[X])^-1 and xi^(2k+1) = xi^(2k) J(P), for k = 1, 2, satisfy
+    # Proposition 2.6, xi^(2k+1) = -xi^(2k-1) (B^(k))^-1 G, and equal the
+    # package's rows; every side is built in sympy from the raw datum
+    ctx = fresh_context(label, rank)
+    xs, gram, jp, d, jac = oracle_frame(ctx)
+    g, bks = jp.T * gram * jp, oracle_bk(ctx, 2)
+    dkx, odd = list(xs), gram * jp
+    for k in (1, 2):
+        dkx = [sympy.cancel(sum(di * sympy.diff(f, x) for di, x in zip(d, xs)))
+               for f in dkx]
+        even = (gram * jac(dkx).inv()).applyfunc(sympy.cancel)
+        nxt = (even * jp).applyfunc(sympy.cancel)
+        stated = (nxt + odd * bks[k - 1].inv() * g).applyfunc(sympy.cancel)
+        assert stated == sympy.zeros(rank, rank), k
+        assert_equals_sympy(columns(xi_basis(2 * k, ctx)), even, xs, f"xi^({2 * k})")
+        assert_equals_sympy(columns(xi_basis(2 * k + 1, ctx)), nxt, xs,
+                            f"xi^({2 * k + 1})")
+        odd = nxt
+    assert all(prop26_holds(k, ctx) and w_stable(2 * k, ctx) for k in (1, 2))
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])

@@ -230,3 +230,32 @@ def test_no_module_imports_a_private_name():
                           if alias.name.split(".")[0] == "coxsaito"
                           and any(part.startswith("_") for part in alias.name.split("."))]
     assert found == [], found
+
+
+def _shared_kept_keys(source):
+    """(line, key) for every `_kept(ctx, key, ...)` call whose key is not a
+    tuple led by a string literal, or whose literal another `_kept` call
+    also uses: a record with more than one writer."""
+    writers, found = {}, []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_kept"):
+            continue
+        key = node.args[1] if len(node.args) > 1 else None
+        what = key.elts[0] if isinstance(key, ast.Tuple) and key.elts else None
+        if isinstance(what, ast.Constant) and isinstance(what.value, str):
+            writers.setdefault(what.value, []).append(node.lineno)
+        else:
+            found.append((node.lineno, ast.unparse(key) if key else None))
+    found += [(line, what) for what, lines in writers.items() if len(lines) > 1
+              for line in lines]
+    return sorted(found) if writers else [(0, "no _kept call")]
+
+
+def test_every_kept_record_has_one_writer():
+    # each record in `SaitoContext.kept` is written by one `_kept` call of
+    # saito, named by a string literal that no other call uses, so a
+    # decision reads the one build it names
+    path = ROOT / "src" / "coxsaito" / "saito.py"
+    found = _shared_kept_keys(path.read_text(encoding="utf-8"))
+    assert found == [], found

@@ -9,7 +9,7 @@ from coxsaito import matrix, saito, verify
 from coxsaito.coxeter import (BasicInvariants, anti_invariant_Q, build_datum,
                               validate_invariants)
 from coxsaito.errors import ConfigError, SingularMatrix
-from coxsaito.fraction import FactoredFraction
+from coxsaito.fraction import FactoredFraction, PowerBase
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly, contact_order
 from coxsaito.saito import (PolyDerivation, bk_matrix, build_context,
@@ -632,6 +632,28 @@ def test_constant_metric_fails_det_dg_as_zero(monkeypatch):
     ctx.metric_G = Matrix.identity(2, 2, ctx.datum.field)
     det = next(r for r in check_flat_remark(ctx, 1) if r.name == "flat.detDG")
     assert (det.status, det.witness, det.integrity) == ("fail", "det D[G] = 0", False)
+
+
+def _jac_p_plus_x1_cubed(ctx):
+    """J(P) with x1^3 added at (1, l) before anything is built, and q, J(P)^-1
+    and G rebuilt from it: the chain's base holds for this J(P), but it is
+    the Jacobian of no invariants, so D[B^(1)] is not zero."""
+    ell = ctx.rank - 1
+    jp = with_entry(ctx.jac_P, 0, ell, ctx.jac_P[0, ell] + _x1(ctx) ** 3)
+    ctx.jac_P, ctx.q_base = jp, PowerBase(jp.det())
+    ctx.jac_P_inv = jp.inverse(ctx.q_base)
+    ctx.metric_G = jp.transpose() * ctx.gram_poly * jp
+
+
+def test_d2g_under_the_base_reports_its_statement_witness():
+    # the base alone does not decide flat.D2G: with D[B^(1)] != 0 the
+    # statement differentiates D[G] = B^(1) + (B^(1))^T and names the entry
+    ctx = fresh_context("B", 2)
+    _jac_p_plus_x1_cubed(ctx)
+    assert saito.chain_base(ctx)
+    d2g = next(r for r in check_flat_remark(ctx, 1) if r.name == "flat.D2G")
+    assert (d2g.status, d2g.witness, d2g.integrity) == (
+        "fail", "entry (2,2): D^2[G] = (12/5*x*y)/((x^3*y-4/5*x*y^3))", False)
 
 
 G0_WITNESSES = {

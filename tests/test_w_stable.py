@@ -5,6 +5,7 @@ k >= 2.  Every verdict and witness must be that of the substitution and the
 full contact scan, which the reference runs take with both certificates
 switched off."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from coxsaito.coxeter import first_moved, jacobian
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
 from coxsaito.saito import (PolyDerivation, _first_moved_derivation, bk_matrix,
-                            bk_moved, columns, contact_defect, invariance_defect,
-                            lead, prop26_holds, w_stable, xi_basis)
+                            bk_moved, bk_step, columns, contact_defect,
+                            invariance_defect, lead, prop26_holds, w_stable, xi_basis)
 from coxsaito.verify import run_suites
 
 
@@ -242,8 +243,7 @@ def test_passing_run_forms_no_prop26_product(group, monkeypatch):
         or cols(row))
     assert not run_suites(ctx, "all", 3, 7, 3).failed
     assert products == [] and even == []
-    assert not [key for key in ctx.kept if key[0] == "prop26"
-                or key[0] == "stable" and key[1] % 2 == 0]
+    assert _deleted_comparisons(ctx.kept) == []
 
 
 def _copy_row(m):
@@ -276,41 +276,51 @@ def _copy_frame(attr):
     return tamper
 
 
-# each tampering replaces an object that a build record names; the kept
-# comparisons (key, index) it must send to the comparison.  J(P)^-1 enters no
-# record of the xi tower, so its copy reaches the dual verdict alone
+# each tampering replaces an object that a build record names; the decisions
+# (decision, index) that the broken record turns down.  J(P)^-1 enters no
+# record of the towers, so its copy reaches the dual verdict alone
 PROVENANCE_TAMPERINGS = {
     "jdkx_inv_table[2] copy": (_replace_level("jdkx_inv_table", 2, saito.jdkx_inv),
-                               {("prop26", 2), ("prop26", 3), ("stable", 4)}),
+                               {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4)}),
     "jdkx_inv_table[2].11+x1": (_replace_level("jdkx_inv_table", 2, saito.jdkx_inv, _plus_x1),
-                                {("prop26", 2), ("prop26", 3), ("stable", 4)}),
+                                {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4)}),
     # xi^(4) and xi^(5) are then built from the replaced T_2: only the record
     # of `jdkx_inv(2)` tells that T_2 is not -T_1 J (B^(2))^-1 J^T A
     "jdkx_inv_table[2].11+x1 before xi^(4)": (
         _replace_level("jdkx_inv_table", 2, saito.jdkx_inv, _plus_x1, rows=False),
-        {("prop26", 2)}),
-    "xi_table[4] copy": (_copy_row(4), {("stable", 4)}),
-    "xi_table[3] copy": (_copy_row(3), {("prop26", 1), ("prop26", 2), ("stable", 2)}),
-    "xi_table[5] copy": (_copy_row(5), {("prop26", 2), ("prop26", 3), ("stable", 4)}),
-    "bk_table[2] copy": (_replace_level("bk_table", 2, bk_matrix), {("prop26", 2)}),
-    "G.11+1": (TAMPERINGS["G.11+1"], {("prop26", 1)}),
-    "jac_P copy": (_copy_frame("jac_P"), {("prop26", 1), ("stable", 2)}),
+        {(prop26_holds, 2)}),
+    "xi_table[4] copy": (_copy_row(4), {(w_stable, 4)}),
+    "xi_table[3] copy": (_copy_row(3), {(prop26_holds, 1), (prop26_holds, 2), (w_stable, 2)}),
+    "xi_table[5] copy": (_copy_row(5), {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4)}),
+    "bk_table[2] copy": (_replace_level("bk_table", 2, bk_matrix),
+                         {(prop26_holds, 2), (bk_step, 1), (bk_step, 2)}),
+    "G.11+1": (TAMPERINGS["G.11+1"], {(prop26_holds, 1), (prop26_holds, 2)}),
+    "jac_P copy": (_copy_frame("jac_P"), {(prop26_holds, 1), (w_stable, 2)}),
     "jac_P_inv copy": (_copy_frame("jac_P_inv"), set()),
 }
+
+
+def _deleted_comparisons(keys):
+    """The keys of the coordinate comparisons that the build records replace:
+    Proposition 2.6, the even W-stability step and Lemma 2.1 (4)."""
+    return [key for key in keys if key[0] in ("prop26", "step")
+            or key[0] == "stable" and key[1] % 2 == 0]
 
 
 @pytest.mark.parametrize("group", [("B", 2), ("A", 3), ("I2", 5)])
 @pytest.mark.parametrize("kind", list(PROVENANCE_TAMPERINGS))
 def test_replaced_build_records_take_the_comparison(group, kind, monkeypatch):
-    # with a build record broken, prop26/k and the even-m certificate form
-    # the comparison, and J(P)^-1 J(P) is formed again once either matrix is
-    # replaced; the report is that of the comparisons alone
-    tamper, compared = PROVENANCE_TAMPERINGS[kind]
+    # with a build record broken, prop26/k, the even-m certificate and
+    # lemma21.4/k decline and their statements compare, with no coordinate
+    # comparison kept; J(P)^-1 J(P) is formed again once either matrix is
+    # replaced; the report is that of the statements alone
+    tamper, declined = PROVENANCE_TAMPERINGS[kind]
     ctx = fresh_context(*group)
     pair = ctx.jac_P_inv, ctx.jac_P
     tamper(ctx)
     got = _outcomes(run_suites(ctx, "all", 3, 7, 3))
-    assert compared <= set(ctx.kept)
+    assert not any(decision(index, ctx) for decision, index in declined)
+    assert _deleted_comparisons(ctx.kept) == []
     assert saito._dual(ctx) == (True,) * ctx.rank
     formed_again = any(a is not b for a, b in zip(ctx.kept[("dual", 0)][0], pair))
     assert formed_again == ("jac_P" in kind)
@@ -322,23 +332,31 @@ def test_replaced_build_records_take_the_comparison(group, kind, monkeypatch):
 
 
 def _records_agree(ctx, monkeypatch):
-    """For k <= 3 and even m <= 6, `prop26_holds(k)` and the even step of
-    `w_stable(m)` are decided by the build records, asking `_kept` for no
-    comparison, and agree with the comparisons formed here."""
+    """For k <= 3 and even m <= 6, `prop26_holds(k)`, the even step of
+    `w_stable(m)` and `bk_step(k)` are decided by the build records, asking
+    `_kept` for no comparison, and agree with the comparisons formed here;
+    so does the record of G with J^T A J, J and A formed from the datum."""
     asked, kept = [], saito._kept
     monkeypatch.setattr(saito, "_kept", lambda ctx, key, objects, build: (
         asked.append(key) or kept(ctx, key, objects, build)))
     decided = ([prop26_holds(k, ctx) for k in (1, 2, 3)]
-               + [w_stable(m, ctx) for m in (2, 4, 6)])
+               + [w_stable(m, ctx) for m in (2, 4, 6)]
+               + [bk_step(k, ctx) for k in (1, 2, 3)])
     monkeypatch.undo()
-    assert not [key for key in asked if key[0] == "prop26"
-                or key[0] == "stable" and key[1] % 2 == 0]
+    assert _deleted_comparisons(asked) == []
     jac = jacobian(ctx.invariants.polys, ctx.rank)
+    b1 = bk_matrix(1, ctx)
     formed = ([columns(xi_basis(2 * k + 1, ctx)) == lead(k, ctx) * ctx.metric_G
                for k in (1, 2, 3)]
               + [columns(xi_basis(m, ctx)) * jac == columns(xi_basis(m + 1, ctx))
-                 for m in (2, 4, 6)])
-    assert decided == formed == [True] * 6
+                 for m in (2, 4, 6)]
+              + [bk_matrix(k + 1, ctx) - bk_matrix(k, ctx) == b1 + b1.transpose()
+                 for k in (1, 2, 3)])
+    assert decided == formed == [True] * 9
+    (jp, a), g = ctx.kept[("G", 0)]
+    gram = Matrix.from_scalars(ctx.datum.gram, ctx.rank, ctx.datum.field)
+    assert jp is ctx.jac_P and a is ctx.gram_poly and g is ctx.metric_G
+    assert g == jac.transpose() * gram * jac
 
 
 @pytest.mark.parametrize("group", [("A", 3), ("B", 3), ("D", 4), ("I2", 5)])
@@ -362,11 +380,16 @@ def test_passing_run_divides_only_at_representatives(group):
 
 
 def test_consistent_xi3_passes_prop26_and_fails_its_other_premise():
+    # the replaced xi^(3) is no build record, so prop26/k=1 passes by its
+    # statement; the certificate of xi^(3) still fails on the other premise
     for kind in ("G.12+x1, xi3 by prop26", "bk_table[1].ll+x1, xi3 by prop26"):
         ctx = fresh_context("B", 2)
         TAMPERINGS[kind](ctx)
-        assert prop26_holds(1, ctx) and invariance_defect(1, ctx) is None
+        assert not prop26_holds(1, ctx) and invariance_defect(1, ctx) is None
         assert not w_stable(3, ctx) and invariance_defect(3, ctx) is not None
+        prop26 = next(r for r in verify.check_thm24_thm25_prop26(ctx, 1, 0)
+                      if r.name == "prop26/k=1")
+        assert (prop26.status, prop26.witness, prop26.integrity) == ("pass", None, False)
 
 
 def test_representatives_cover_every_orbit(monkeypatch):
@@ -421,6 +444,28 @@ def test_concurrent_certificates_agree_with_a_cold_context(kind):
             results = list(pool.map(lambda _: _certificate_verdicts(ctx), range(16)))
         assert all(got == want for got in results)
     assert all(want[0]) == (kind is None)
+
+
+def _record_verdicts(ctx):
+    return ([prop26_holds(k, ctx) for k in (3, 2, 1)] + [w_stable(m, ctx) for m in (6, 4, 2)]
+            + [bk_step(k, ctx) for k in (3, 2, 1)])
+
+
+def test_racing_fills_keep_one_object_per_record():
+    # threads that race to build one context store one object per record and
+    # table entry, so every decision made from the build records holds in
+    # every thread; a short switch interval makes the races frequent
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            ctx = fresh_context("I2", 8)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_record_verdicts, ctx) for _ in range(16)]
+                results = [future.result(timeout=120) for future in futures]
+            assert results == [[True] * 9] * 16
+    finally:
+        sys.setswitchinterval(interval)
 
 
 DIFFERENTIAL_GROUPS = ([("A", n) for n in (1, 2, 3, 4)] + [("B", n) for n in (2, 3, 4)]
