@@ -20,10 +20,11 @@ the hyperplanes (`contact_defect`).
 W-invariance of xi^(1), the A-gradients of the basic invariants, is read from
 its form and carried up the chain of Proposition 2.6 (`w_stable`); a row so
 certified is W-stable, so its contact orders are tested on the first
-hyperplane of each W-orbit alone.  Each row, G and B^(k), k >= 2, are kept
-with what they were built from, and these records alone decide Proposition
-2.6, the chain's even step and Lemma 2.1 (4), by associativity of exact
-products (`_xi_built`, `bk_step`); a broken record leaves the decision to the
+hyperplane of each W-orbit alone.  Each row, G, T_0 = I and B^(k), k >= 2,
+are kept with what they were built from; these records alone decide
+Proposition 2.6, the chain's even step, Lemma 2.1 (4) and the xi^(1) facts
+of the chain's base, by associativity of exact products (`_xi_built`,
+`bk_step`, `_xi1_metric`); a broken record leaves the decision to the
 statement, the substitution or the full scan.  B^(k), k >= 2, is invariant
 as the sum B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a passing run
 substitutes only the entries of B^(1).
@@ -32,7 +33,8 @@ Theorem 2.4 (1)-(2), the G_0 membership of nabla_D^p xi^(2p-1) and Lemma 2.2
 follow from the same facts (`chain_holds`, `primitive_dual`, `connection_base`):
 B^(1) is Gamma*_l, cols(xi^(1)) == A J(P), G == J(P)^T cols(xi^(1)), and per
 level and step Lemma 2.1 (1), (2), (4) and Proposition 2.6.  A passing run
-differentiates no xi row and not G, and forms neither det G nor G^-1.
+differentiates no xi row and not G, and forms no det G, no G^-1 and no
+Gamma*_t for t < l, which W-invariance makes polynomial.
 
 A derivation is held by its coefficients in the coordinate frame d/dX_i and
 nowhere else, and acts on functions as its coefficient row times their
@@ -148,7 +150,8 @@ class SaitoContext:
         self.christoffel_table: dict = {}
         self.xi_table: dict = {}
         self.kept: dict = {("dual", 0): ((self.jac_P_inv, self.jac_P), (True,) * ell),
-                           ("G", 0): ((self.jac_P, self.gram_poly), self.metric_G)}
+                           ("G", 0): ((self.jac_P, self.gram_poly), self.metric_G),
+                           ("jdkx_inv", 0): ((), self.jdkx_inv_table[0])}
         self.form_bases: dict = {}
         self._metric_G_inv = self._metric_G_error = None
 
@@ -572,9 +575,9 @@ def bk_step(k: int, ctx: SaitoContext) -> bool:
 def chain_base(ctx: SaitoContext) -> bool:
     """The base of the Theorem 2.4 chain: `bk_matrix(1)` is Gamma*_l
     (`_gamma_star`, so B^(1) = J(P)^T A D[J(P)]), A is constant and
-    symmetric, and the two kept comparisons on xi^(1) hold, `_xi1_gradient`
-    and `_xi1_metric`, so G = J(P)^T A J(P).  False on a failure; an error
-    is raised, and `verify` reads it as a failure (`verify._holds`).
+    symmetric, and the records of T_0, xi^(1) and G give cols(xi^(1)) ==
+    A J(P) and G == J(P)^T A J(P) (`_xi1_metric`).  False on a failure; an
+    error is raised, and `verify` reads it as a failure (`verify._holds`).
 
     D is a derivation and A is constant, so D[G] = D[J(P)]^T A J(P) +
     J(P)^T A D[J(P)] = B^(1) + (B^(1))^T, which `flat.detDG` reads; every
@@ -582,40 +585,47 @@ def chain_base(ctx: SaitoContext) -> bool:
     a = ctx.gram_poly
     return (bk_matrix(1, ctx) is _gamma_star(ctx.rank, ctx) and a == a.transpose()
             and all(e.constant_value() is not None for r in a.entries for e in r)
-            and _xi1_gradient(ctx) and _xi1_metric(ctx))
+            and _xi1_metric(ctx))
 
 
 def _xi1_gradient(ctx: SaitoContext) -> bool:
-    """cols(xi^(1)) == A J(P): column j is the A-gradient of P_j; kept with
-    the row, A and J(P)."""
-    row, a, jp = xi_basis(1, ctx), ctx.gram_poly, ctx.jac_P
-    return _kept(ctx, ("stable", 1), (row, a, jp), lambda: columns(row) == a * jp)
+    """cols(xi^(1)) == A J(P), column j the A-gradient of P_j, by
+    construction: T_0 is the identity `SaitoContext` keeps, and xi^(1) the
+    recorded (A T_0) J(P) (`_xi_built`).  Else False."""
+    return _built(ctx, ("jdkx_inv", 0), ctx.jdkx_inv_table.get(0)) and _xi_built(1, ctx)
 
 
 def _xi1_metric(ctx: SaitoContext) -> bool:
-    """G == J(P)^T cols(xi^(1)): G_ij = xi^(1)_j(P_i); kept with the row,
-    J(P) and G."""
-    row, jp, g = xi_basis(1, ctx), ctx.jac_P, ctx.metric_G
-    return _kept(ctx, ("metric", 1), (row, jp, g),
-                 lambda: g == jp.transpose() * columns(row))
+    """G == J(P)^T cols(xi^(1)), G_ij = xi^(1)_j(P_i), by construction:
+    `_xi1_gradient`, and G is the recorded J(P)^T A J(P).  Else False."""
+    return _xi1_gradient(ctx) and _built(ctx, ("G", 0), ctx.metric_G, ctx.jac_P, ctx.gram_poly)
 
 
 def connection_base(ctx: SaitoContext) -> bool:
     """The base of Lemma 2.2: `chain_base`, `_own_frame`, J(P)^-1 J(P) == I
-    (`_dual`) and every `christoffel_star(t)` the kept `_gamma_star(t)`.
-    False on a failure; an error is raised, as in `chain_base`.
+    (`_dual`) and, for each t (other threads fill the table), no entry t in
+    `christoffel_table` or the record `_gamma_star(t)` of the current J(P),
+    J(P)^-1 and A.  False on a failure; an error is raised, as in `chain_base`.
 
     So A is the datum's nonsingular symmetric Gram matrix, G == J^T A J with
     J = J(P) the Jacobian of the basic invariants, and the rows of J^-1 are
-    the fields d/dP_k.  (2): d/dP_k G = Gamma*_k + (Gamma*_k)^T by the product
-    rule.  det G = det A (det J)^2 = c q^2.  (B): sum_t G_kt d/dP_t is
-    xi^(1)_k, so T[k,(i,j)] = grad P_i^T A Hess(P_j) A grad P_k, symmetric in
-    i and k.  (4): Gamma*_l is B^(1), one object.  (1)+(3): a symmetric G with
-    det G = c q^2 has one metric-compatible, torsion-free connection, its
-    Levi-Civita connection, so Gamma*_k = -G Gamma_k."""
-    return (chain_base(ctx) and _own_frame(ctx) and all(_dual(ctx))
-            and all(christoffel_star(t, ctx) is _gamma_star(t, ctx)
-                    for t in range(1, ctx.rank + 1)))
+    the fields d/dP_k.  Only Gamma*_l is formed, as B^(1), yet every Gamma*_t
+    is polynomial: (Gamma*_t)_ij = (nabla_{d/dP_t} xi^(1)_j)(P_i).  Each g
+    in W is linear with g^T A g = A (`CoxeterDatum`) and P o g = P (ingest),
+    so g fixes d/dP_t, xi^(1)_j and the flat nabla, and the entry is a
+    W-invariant fraction over q^1, as J^-1 is.  Every reflection negates
+    q = c Q, so it negates the polynomial q (Gamma*_t)_ij, and Q divides it
+    (Humphreys, "Reflection groups and Coxeter groups", ch. 3).  (2): d/dP_k
+    G = Gamma*_k + (Gamma*_k)^T by the product rule.  det G = det A (det J)^2
+    = c q^2.  (B): sum_t G_kt d/dP_t is xi^(1)_k, so T[k,(i,j)] =
+    grad P_i^T A Hess(P_j) A grad P_k, symmetric in i and k.  (4): Gamma*_l
+    is B^(1), one object.  (1)+(3): a symmetric G with det G = c q^2 has one
+    metric-compatible, torsion-free connection, its Levi-Civita connection,
+    so Gamma*_k = -G Gamma_k."""
+    table, read = ctx.christoffel_table, (ctx.jac_P, ctx.jac_P_inv, ctx.gram_poly)
+    return (chain_base(ctx) and _own_frame(ctx) and all(_dual(ctx)) and all(
+        (star := table.get(t)) is None or _built(ctx, ("gamma_star", t), star, *read)
+        for t in range(1, ctx.rank + 1)))
 
 
 def chain_holds(levels: int, steps: int, ctx: SaitoContext) -> bool:
@@ -680,17 +690,17 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
     certifies anyway; False on any failure or error, which leaves the
     decision to the substitution and the full scan.
 
-    m = 1: `_own_frame` and `_xi1_gradient` give cols(xi^(1)) == A J with the
-    datum's A and the invariants' J.  Each generator g is an involution with
-    g^T A g = A (`CoxeterDatum`) and P o g^T = P (ingest), so with S = g^T
-    the image S A (grad P)(Sx) = S A S^-T grad P(x) is A grad P(x), T_g = 1.
-    m = 2k+1: xi^(2k-1) is certified; G == J^T cols(xi^(1)) (`_xi1_metric`,
-    J(P) == J by `_own_frame`), so G_ij = xi^(1)_j(P_i) is invariant; B^(k)
-    is (`bk_moved`); and
-    xi^(2k+1) = xi^(2k-1) K (`prop26_holds`) with K = -(B^(k))^-1 G, whose
-    entries are invariant since det B^(k) is a nonzero constant.  The action
-    is linear over invariants, g(theta K) = g(theta) K, so xi^(2k+1) is
-    W-invariant, T_g = 1.
+    m = 1: `_own_frame` and the records of `_xi1_gradient`, T_0 = I and
+    xi^(1) = (A T_0) J(P), give cols(xi^(1)) == A J with the datum's A and
+    the invariants' J.  Each generator g is an involution with g^T A g = A
+    (`CoxeterDatum`) and P o g^T = P (ingest), so with S = g^T the image
+    S A (grad P)(Sx) = S A S^-T grad P(x) is A grad P(x), T_g = 1.
+    m = 2k+1: xi^(2k-1) is certified; G == J^T cols(xi^(1)) by the record of
+    G (`_xi1_metric`, J(P) == J by `_own_frame`), so G_ij = xi^(1)_j(P_i) is
+    invariant; B^(k) is (`bk_moved`); and xi^(2k+1) = xi^(2k-1) K
+    (`prop26_holds`) with K = -(B^(k))^-1 G, whose entries are invariant since
+    det B^(k) is a nonzero constant.  The action is linear over invariants,
+    g(theta K) = g(theta) K, so xi^(2k+1) is W-invariant, T_g = 1.
     m = 2k: xi^(2k+1) is certified and cols(xi^(2k)) J == cols(xi^(2k+1)),
     J the Jacobian of the basic invariants.  P(gx) = P(x) gives
     J^-1(gx) = J^-1(x) g^T, so g xi^(2k) = xi^(2k) g^T.  The identity holds

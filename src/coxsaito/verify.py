@@ -15,10 +15,10 @@ beside the statement (`_Runner.run`): the check passes when it holds, and
 a decision that raises does not hold (`_holds`), so a decision can only
 pass and only an error of the statement is an integrity failure.
 Every `lemma22` check passes from one decision, the base of Lemma 2.2
-(`saito.connection_base`), so a passing run forms no det G, G^-1 or T = G S
-and differentiates no G.  Otherwise `lemma22.2` differentiates G,
-`lemma22.13/k` runs the standard Christoffel formula, the one place G^-1 is
-formed and differentiated, and `lemma22.B` forms T.
+(`saito.connection_base`), so a passing run forms no det G, G^-1, T = G S
+or Gamma*_t for t < l, and differentiates no G.  Otherwise `lemma22.2`
+differentiates G, `lemma22.13/k` runs the standard Christoffel formula, the
+one place G^-1 is formed and differentiated, and `lemma22.B` forms T.
 `thm24.1/k`, `thm24.2/k` and `hodge.g0/p` pass from the premise chain of
 `saito.chain_holds`, which forms no nabla_D; under its base, `flat.detDG`
 reads D[G] as B^(1) + (B^(1))^T, and `metric/recompute` and (with D[B^(1)]
@@ -538,21 +538,11 @@ def run_suites(ctx: SaitoContext, suites, k_max: int, m_max: int, p_max: int,
     for name in chosen:
         if name not in SUITE_ORDER:
             raise ConfigError(f"unknown suite {name!r}; available: {SUITE_ORDER}")
-    results: list[CheckResult] = []
-    for name in SUITE_ORDER:
-        if name not in chosen:
-            continue
-        if name == "metric":
-            results.extend(check_metric(ctx))
-        elif name == "lemma21":
-            results.extend(check_lemma21(ctx, k_max))
-        elif name == "lemma22":
-            results.extend(check_lemma22(ctx))
-        elif name == "theorems":
-            results.extend(check_thm24_thm25_prop26(ctx, k_max, m_max))
-        elif name == "hodge":
-            results.extend(check_hodge(ctx, p_max))
-        elif name == "flat":
-            results.extend(check_flat_remark(ctx, k_max))
-    return CheckReport(ctx.datum.label(), ctx.datum.field.describe(),
-                       invariants_id, results)
+    suite = {"metric": lambda: check_metric(ctx),
+             "lemma21": lambda: check_lemma21(ctx, k_max),
+             "lemma22": lambda: check_lemma22(ctx),
+             "theorems": lambda: check_thm24_thm25_prop26(ctx, k_max, m_max),
+             "hodge": lambda: check_hodge(ctx, p_max),
+             "flat": lambda: check_flat_remark(ctx, k_max)}
+    return CheckReport(ctx.datum.label(), ctx.datum.field.describe(), invariants_id,
+                       [r for name in SUITE_ORDER if name in chosen for r in suite[name]()])

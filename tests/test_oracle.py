@@ -1,7 +1,7 @@
 """An independent oracle: B^(k), xi^(1), xi^(2) to xi^(5), nabla_D xi^(1),
 nabla_D xi^(3), D[G], det G, Gamma*_k and the torsion form T recomputed in
 sympy from the raw datum, Proposition 2.6 at k = 1, 2 tested there, and the
-W-invariance of xi^(1) and B^(k) decided by sympy substitution.
+W-invariance of xi^(1), B^(k) and Gamma*_k decided by sympy substitution.
 
 Every other reference in the suite runs on the kernels it checks.  Here the
 basic invariants, the Gram matrix A and the generators are read off the
@@ -158,10 +158,13 @@ def test_nabla_rows_and_dg_match_sympy(label, rank):
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
 def test_lemma22_base_facts_match_sympy(label, rank):
     # what the base of Lemma 2.2 decides without forming it: det G = c Q^2,
-    # Gamma*_k = J(P)^T A d/dP_k[J(P)] for k < l (Gamma*_l is B^(1)), and
+    # Gamma*_k = J(P)^T A d/dP_k[J(P)] for k < l (Gamma*_l is B^(1)), each
+    # entry W-invariant, which makes Gamma*_k polynomial, and
     # T[k,(i,j)] = sum_t G_kt (Gamma*_t)_ij, which is the Hessian form
     # grad P_i^T A Hess(P_j) A grad P_k and so symmetric in i and k
     ctx = fresh_context(label, rank)
+    assert connection_base(ctx)
+    assert [key for key in ctx.kept if key[0] == "gamma_star" and key[1] < rank] == []
     xs, gram, jp, _, _ = oracle_frame(ctx)
     polys = [to_sympy(p, xs) for p in ctx.invariants.polys]
     g = jp.T * gram * jp
@@ -179,6 +182,12 @@ def test_lemma22_base_facts_match_sympy(label, rank):
     stars = [(jp.T * gram * dp(k, jp)).applyfunc(sympy.cancel) for k in range(rank)]
     for k in range(rank - 1):
         assert_equals_sympy(christoffel_star(k + 1, ctx), stars[k], xs, f"Gamma*_{k + 1}")
+    for gen in ctx.datum.generators:
+        s = sympy.Matrix(gen).applyfunc(_rational).T
+        image = dict(zip(xs, s * sympy.Matrix(xs)))
+        for k, star in enumerate(stars, start=1):
+            moved = (star.subs(image, simultaneous=True) - star).applyfunc(sympy.cancel)
+            assert moved == sympy.zeros(rank, rank), (gen, f"Gamma*_{k}")
     grads = [sympy.Matrix([sympy.diff(p, x) for x in xs]) for p in polys]
     for i in range(rank):
         for j in range(rank):

@@ -3,9 +3,10 @@
 Pins the exact check names, order, and statuses of a default full run, so any
 accidental change to suite composition, naming, or canonical ordering shows up
 as a diff here rather than silently shifting the report schema.  For seven
-more groups, and for the H3 test file at the h3-file benchmark's bounds and
-at the CLI defaults, the whole report, timings removed, is pinned by hash:
-names, paper references, statuses and any witness text.  So are B2 and A3
+more groups, for A5 at kmax = mmax = pmax = 1, and for the H3 test file at
+the h3-file benchmark's bounds and at the CLI defaults, the whole report,
+timings removed, is pinned by hash: names, paper references, statuses and
+any witness text.  So are B2 and A3
 under three tamperings that reach the d/dP_k checks, with the failing
 witnesses of lemma21.1d and flat.D2G also spelled out.
 """
@@ -120,9 +121,10 @@ def every_ref_nonempty(doc) -> bool:
 
 
 # SHA-256 of json.dumps(report.to_dict() without "ms", indent=2,
-# sort_keys=True): run_suites(ctx, "all", 3, 7, 3) for the built-in groups,
-# the H3 test file at the h3-file benchmark's suites and bounds and at the
-# CLI defaults, and the F4 test file at the CLI defaults
+# sort_keys=True): run_suites(ctx, "all", 3, 7, 3) for the built-in groups
+# but A5, which runs at kmax = mmax = pmax = 1, the H3 test file at the
+# h3-file benchmark's suites and bounds and at the CLI defaults, and the F4
+# test file at the CLI defaults
 REPORT_SHA256 = {
     ("A", 2): "69404529fa03a0a8426a52af083be564e2012dcd6704a752eae60691e049ec42",
     ("B", 2): "cefe2483abba625c2defb5922e94ef002ea420365fa02204827325a0a2b2a155",
@@ -134,6 +136,7 @@ REPORT_SHA256 = {
     ("H3", "file"): "83da0326da8c89810f4a31673ee6f63dbcc7b9baa3baa6fddfb0d40ab6b150ee",
     ("H3", "defaults"): "a0e5e2a00b89655701abe581eec68075cb327e3d24878ff39e49a1103e1a510d",
     ("F4", "defaults"): "6ac4eda24dbf3f66dfe1f9930327b34c8e71bbfa7d0e3e8a7d5efc0bb3d941f7",
+    ("A", 5): "a6c57d8b5c902380acfd2655a7a67d91aff1ed6dd1715e943d752691b3f1fe8c",
 }
 
 
@@ -146,6 +149,8 @@ def test_full_report_matches_pinned_hash(label, rank, request):
     elif label == "H3":
         report = run_suites(request.getfixturevalue("h3_context"),
                             ("metric", "theorems", "flat"), 1, 1, 1)
+    elif (label, rank) == ("A", 5):
+        report = shared_report(label, rank, 1, 1, 1)
     else:
         report = shared_report(label, rank, 3, 7, 3)
     assert _stripped_sha256(report) == REPORT_SHA256[(label, rank)]

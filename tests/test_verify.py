@@ -132,15 +132,15 @@ def _chain_off(monkeypatch):
 
 def test_lemma22_differentiates_g_inverse_only_on_fallback(monkeypatch):
     # a passing run decides every lemma22 check by the base of Lemma 2.2: G
-    # is not differentiated and G^-1 is never built; only christoffel_star
-    # differentiates J(P), one direction at a time, so that an integrity
-    # error stays with its own k
+    # is not differentiated and G^-1 is never built; J(P) is differentiated
+    # only in direction l, for B^(1) = Gamma*_l, and christoffel_star takes
+    # one direction at a time, so that an integrity error stays with its k
     ctx = fresh_context("A", 3)
     seen = _spy_dp_matrix(monkeypatch)
     assert all(r.status == "pass" for r in check_lemma22(ctx))
     every = (1, 2, 3)
-    assert sorted(ks for m, ks in seen if m is ctx.jac_P) == [(1,), (2,), (3,)]
-    assert len(seen) == 3
+    assert [ks for m, ks in seen if m is ctx.jac_P] == [(3,)]
+    assert len(seen) == 1
     assert ctx._metric_G_inv is None
     # with Gamma*_1 tampered the base fails, and the statements differentiate
     # G and G^-1 exactly once each, in every direction
@@ -636,13 +636,15 @@ def test_constant_metric_fails_det_dg_as_zero(monkeypatch):
 
 def _jac_p_plus_x1_cubed(ctx):
     """J(P) with x1^3 added at (1, l) before anything is built, and q, J(P)^-1
-    and G rebuilt from it: the chain's base holds for this J(P), but it is
-    the Jacobian of no invariants, so D[B^(1)] is not zero."""
+    and G rebuilt from it, G kept with its build record as `SaitoContext`
+    keeps it: the chain's base holds for this J(P), but it is the Jacobian
+    of no invariants, so D[B^(1)] is not zero."""
     ell = ctx.rank - 1
     jp = with_entry(ctx.jac_P, 0, ell, ctx.jac_P[0, ell] + _x1(ctx) ** 3)
     ctx.jac_P, ctx.q_base = jp, PowerBase(jp.det())
     ctx.jac_P_inv = jp.inverse(ctx.q_base)
     ctx.metric_G = jp.transpose() * ctx.gram_poly * jp
+    ctx.kept[("G", 0)] = (jp, ctx.gram_poly), ctx.metric_G
 
 
 def test_d2g_under_the_base_reports_its_statement_witness():

@@ -220,7 +220,7 @@ def test_hodge_alone_reaches_the_certificate(monkeypatch):
     derivations, polys = _spy_substitutions(monkeypatch)
     assert not run_suites(ctx, ["hodge"], 3, 7, 3).failed
     assert derivations == [] and _b1_entries_once_per_generator(polys, ctx)
-    assert w_stable(1, ctx) and ("stable", 1) in ctx.kept
+    assert w_stable(1, ctx) and ("stable", 1) not in ctx.kept
 
 
 @pytest.mark.parametrize("group", [("A", 3), ("B", 3), ("I2", 5)])
@@ -244,6 +244,10 @@ def test_passing_run_forms_no_prop26_product(group, monkeypatch):
     assert not run_suites(ctx, "all", 3, 7, 3).failed
     assert products == [] and even == []
     assert _deleted_comparisons(ctx.kept) == []
+    # the xi^(1) premises are read from the build records, and Gamma*_t is
+    # formed for t = l alone, as B^(1)
+    assert [key for key in ctx.kept if key in (("stable", 1), ("metric", 1))
+            or key[0] == "gamma_star" and key[1] < ctx.rank] == []
 
 
 def _copy_row(m):
@@ -297,6 +301,14 @@ PROVENANCE_TAMPERINGS = {
     "G.11+1": (TAMPERINGS["G.11+1"], {(prop26_holds, 1), (prop26_holds, 2)}),
     "jac_P copy": (_copy_frame("jac_P"), {(prop26_holds, 1), (w_stable, 2)}),
     "jac_P_inv copy": (_copy_frame("jac_P_inv"), set()),
+    # T_0 replaced before anything is built: xi^(1) is then the recorded
+    # build (A T_0) J(P), and only the record of T_0 tells that it is not
+    # A J(P).  2 I doubles every row, which stay a basis
+    "jdkx_inv_table[0] copy": (_replace_level("jdkx_inv_table", 0, saito.jdkx_inv,
+                                              rows=False), {(w_stable, 1)}),
+    "jdkx_inv_table[0]=2I": (_replace_level("jdkx_inv_table", 0, saito.jdkx_inv,
+                                            lambda ctx, m: m + m, rows=False),
+                             {(w_stable, 1)}),
 }
 
 
