@@ -690,7 +690,7 @@ def w_stable(m: int, ctx: SaitoContext) -> bool:
     certifies anyway; False on any failure or error, which leaves the
     decision to the substitution and the full scan.
 
-    m = 1: `_own_frame` and the records of `_xi1_gradient`, T_0 = I and
+    m = 1: `_own_frame` and `_xi1_gradient`, the records T_0 = I and
     xi^(1) = (A T_0) J(P), give cols(xi^(1)) == A J with the datum's A and
     the invariants' J.  Each generator g is an involution with g^T A g = A
     (`CoxeterDatum`) and P o g^T = P (ingest), so with S = g^T the image
