@@ -2,13 +2,14 @@
 
 Everything here is sized by the group rank (<= 5 in practice), so one
 memoized Laplace table of minors (`MinorTable`) gives both the determinant and
-the adjugate.  The one inverse is that of a polynomial matrix whose
-determinant is certified to be c * q^e for a given denominator base q (a
-nonzero constant c without one; `unit_power`): the adjugate times c^-1 over
-q^e, every entry exact, and a polynomial matrix without a base.  Scalar
-matrices -- Gram and reflection matrices -- are matrices of constant
-polynomials (`Matrix.from_scalars`), so they share the same product,
-equality and determinant.
+the adjugate.  A matrix keeps the table that its first `det` or `inverse`
+forms, so no determinant of one matrix is formed twice.  The one inverse is
+that of a polynomial matrix whose determinant is certified to be c * q^e for
+a given denominator base q (a nonzero constant c without one; `unit_power`):
+the adjugate times c^-1 over q^e, every entry exact, and a polynomial matrix
+without a base.  Scalar matrices -- Gram and reflection matrices -- are
+matrices of constant polynomials (`Matrix.from_scalars`), so they share the
+same product, equality and determinant.
 
 A product entry sum_t a_it b_tj is one packed sum of products, read back
 once (`poly.sum_of_products`; `fraction.fraction_sum_of_products` when a
@@ -28,7 +29,7 @@ from .poly import MultiPoly, sum_of_products
 class Matrix:
     """Rectangular matrix with MultiPoly or FactoredFraction entries."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_minors")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -45,6 +46,7 @@ class Matrix:
         self.entries = entries
         self.rows = len(entries)
         self.cols = cols
+        self._minors = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -143,7 +145,10 @@ class Matrix:
     # -- determinant / inverse ------------------------------------------------------
 
     def det(self):
-        return MinorTable(self).det()
+        """From the matrix's `MinorTable`, formed on first use and kept."""
+        if self._minors is None:
+            self._minors = MinorTable(self)
+        return self._minors.det()
 
     def inverse(self, base: PowerBase | None = None) -> "Matrix":
         """Adjugate over determinant, for a polynomial matrix.
@@ -155,10 +160,9 @@ class Matrix:
         """
         if self.is_fraction_mode:
             raise TypeError("only polynomial matrices are inverted")
-        table = MinorTable(self)
-        det = table.det()
+        det = self.det()
         c, e = unit_power(det, base)
-        inv = table.adjugate() * det.field.invert(c)
+        inv = self._minors.adjugate() * det.field.invert(c)
         return inv if base is None else inv.map_entries(
             lambda a: FactoredFraction(a, base, e))
 

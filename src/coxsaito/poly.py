@@ -34,13 +34,12 @@ ints for every field: the field packs the operands (over an extension as for
 a product), maps each step's leading int to a quotient term and rebuilds the
 quotient at the end.  Every result passes through the field's canonical
 form.  Field elements are built only where a coefficient leaves the
-polynomial: `leading`, `constant_value`, `evaluate` and `iter_terms`.
+polynomial: `leading`, `constant_value` and `iter_terms`.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 
 from .errors import DimensionMismatch, DivisionByZero
 from .field import RATIONALS, FieldContext
@@ -189,13 +188,6 @@ class MultiPoly:
         if len(self.terms) == 1 and 0 in self.terms:
             return self.field.element(self.terms[0], self.content)
         return None
-
-    def evaluate(self, point):
-        """The value at a point of integers, one field element."""
-        places = [(x, (self.nvars - 1 - i) * LIMB) for i, x in enumerate(point)]
-        total = sum(c * math.prod([x ** (k >> s & MASK) for x, s in places])
-                    for k, c in self.terms.items())
-        return self.field.element(total, self.content)
 
     def iter_terms(self):
         """(exponent vector, coefficient) pairs in descending graded-lex order."""

@@ -24,10 +24,11 @@ hyperplane of each W-orbit alone.  Each row, G, T_0 = I and B^(k), k >= 2,
 are kept with what they were built from; these records alone decide
 Proposition 2.6, the chain's even step, Lemma 2.1 (4) and the xi^(1) facts
 of the chain's base, by associativity of exact products (`_xi_built`,
-`bk_step`, `_xi1_metric`); a broken record leaves the decision to the
-statement, the substitution or the full scan.  B^(k), k >= 2, is invariant
-as the sum B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a passing run
-substitutes only the entries of B^(1).
+`bk_step`, `_xi1_metric`), and the basis certificate of Theorem 2.5 (1), by
+multiplicativity of det (`basis_holds`); a broken record leaves the
+decision to the statement, the substitution or the full scan.  B^(k),
+k >= 2, is invariant as the sum B^(k-1) + B^(1) + (B^(1))^T (`bk_moved`): a
+passing run substitutes only the entries of B^(1).
 
 Theorem 2.4 (1)-(2), the G_0 membership of nabla_D^p xi^(2p-1) and Lemma 2.2
 follow from the same facts (`chain_holds`, `primitive_dual`, `connection_base`):
@@ -126,8 +127,7 @@ class SaitoContext:
     __slots__ = ("datum", "invariants", "jac_P", "jac_P_inv", "gram_poly",
                  "metric_G", "dkx_table", "jdkx_table", "jdkx_inv_table",
                  "bk_table", "christoffel_table", "xi_table", "kept",
-                 "form_bases", "q_base", "_bk_memo", "_metric_G_inv",
-                 "_metric_G_error")
+                 "form_bases", "q_base", "_bk_memo", "_metric_G_inv")
 
     def __init__(self, datum: CoxeterDatum, invariants: BasicInvariants):
         if not invariants.validated:
@@ -153,7 +153,7 @@ class SaitoContext:
                            ("G", 0): ((self.jac_P, self.gram_poly), self.metric_G),
                            ("jdkx_inv", 0): ((), self.jdkx_inv_table[0])}
         self.form_bases: dict = {}
-        self._metric_G_inv = self._metric_G_error = None
+        self._metric_G_inv = None
 
     @property
     def rank(self) -> int:
@@ -161,15 +161,10 @@ class SaitoContext:
 
     def metric_G_inv(self) -> Matrix:
         """G^-1 over q, built once, for the per-k fallback of `lemma22.13`.
-        A failed inversion is kept and raised again, so that it forms one
-        determinant of G per context."""
-        if self._metric_G_inv is None and self._metric_G_error is None:
-            try:
-                self._metric_G_inv = self.metric_G.inverse(self.q_base)
-            except CoxsaitoError as exc:
-                self._metric_G_error = exc
-        if self._metric_G_error is not None:
-            raise self._metric_G_error
+        A failed inversion raises on every call, and each retry reads the
+        `MinorTable` that G keeps: one determinant of G per context."""
+        if self._metric_G_inv is None:
+            self._metric_G_inv = self.metric_G.inverse(self.q_base)
         return self._metric_G_inv
 
 
@@ -544,6 +539,40 @@ def prop26_holds(k: int, ctx: SaitoContext) -> bool:
             and _built(ctx, ("jdkx_inv", k), t.get(k), t.get(k - 1),
                        _bk_inverse(k, bk_matrix(k, ctx), ctx), ctx.jac_P, ctx.gram_poly)
             and _built(ctx, ("G", 0), ctx.metric_G, ctx.jac_P, ctx.gram_poly))
+
+
+def jacobian_criterion(ctx: SaitoContext) -> bool:
+    """det J(P) = c Q, c a nonzero constant and Q the product of the
+    hyperplane forms, by one exact division; kept with J(P), whose kept
+    `MinorTable` also gave the base q and J(P)^-1 (`SaitoContext`)."""
+    return _kept(ctx, ("jacobian", 0), (ctx.jac_P,), lambda: ctx.jac_P.det()
+                 .constant_quotient([ctx.datum.form_product()]) is not None)
+
+
+def basis_holds(m: int, ctx: SaitoContext) -> bool:
+    """det cols(xi^(m)) = c_m Q^m with c_m a nonzero constant, Theorem 2.5
+    (1)'s basis certificate, from the build records of the xi tower: xi^(m)
+    is the recorded build (`_xi_built`), T_0 the recorded I and, for
+    1 <= j <= m // 2, T_j = `jdkx_inv_table[j]` the recorded
+    -T_(j-1) J N_j J^T A, with J = J(P) and N_j the kept (B^(j))^-1 that
+    `Matrix.inverse` certified; A is the datum's Gram matrix (`_own_frame`)
+    and det J = c Q (`jacobian_criterion`).  Else False.  It builds no row,
+    level or inverse.
+
+    By multiplicativity of det: with k = m // 2, cols(xi^(m)) = A T_k J^(m
+    mod 2), so det cols(xi^(m)) = det A det T_k (det J)^(m mod 2).  det T_0
+    = 1 and det T_j = (-1)^l det T_(j-1) (det J)^2 det N_j det A.  N_j is
+    the adjugate of a B^(j) whose determinant `Matrix.inverse` certified a
+    nonzero constant, over that constant, so det N_j = 1 / det B^(j); det A
+    is a nonzero constant, as `CoxeterDatum` certifies.  By induction det T_k
+    = c'_k Q^(2k) with c'_k != 0, and det cols(xi^(m)) = c_m Q^m with c_m =
+    det A c'_k c^(m mod 2) != 0."""
+    t, jp, a = ctx.jdkx_inv_table, ctx.jac_P, ctx.gram_poly
+    return (_xi_built(m, ctx) and _built(ctx, ("jdkx_inv", 0), t.get(0))
+            and all(_built(ctx, ("jdkx_inv", j), t.get(j), t.get(j - 1),
+                           ctx.kept.get(("bk_inverse", j), ((), None))[1], jp, a)
+                    for j in range(1, m // 2 + 1))
+            and _own_frame(ctx) and jacobian_criterion(ctx))
 
 
 def bk_moved(k: int, ctx: SaitoContext):

@@ -26,10 +26,13 @@ reads D[G] as B^(1) + (B^(1))^T, and `metric/recompute` and (with D[B^(1)]
 alone (`saito.prop26_holds`, `saito.bk_step`).  Otherwise `thm24.1`,
 `thm24.2` and `prop26` compare their two sides in the invariant frame they
 are stated in, and `hodge.g0` forms each bracket [D, eta] in turn.
-`thm25.basis` is Saito's criterion: with contact order >= m along every H
-and homogeneous columns, Q^m divides det M, M the xi^(m) coefficient
-matrix, so det M = c Q^m exactly when its degree sum is m N and det M(x0)
-!= 0 at one point off the hyperplanes; det M itself only when that fails.
+`thm25.basis/m` passes from the build records of the xi tower
+(`saito.basis_holds`): det is multiplicative, so det cols(xi^(m)) = det A
+det T_k (det J(P))^(m mod 2) with T_k = J(D^k[X])^-1, k = m // 2, and det T_k
+= (-1)^l det T_(k-1) (det J(P))^2 det A / det B^(k); with det J(P) = c Q
+(`saito.jacobian_criterion`, which `metric/jacobian` reads) it is c_m Q^m.
+Otherwise it forms the determinant of the coefficient matrix and divides it
+m times by Q.
 `hodge.winv/p` substitutes nothing on a passing run: it passes from the
 W-stability certificate of `saito.w_stable`, whose Proposition 2.6 step
 `prop26/k` shares; the contact orders of `thm25.member/m` are then tested
@@ -40,7 +43,6 @@ only the entries of B^(1); B^(k), k >= 2, follows the sum rule of `bk_moved`.
 
 from __future__ import annotations
 
-import itertools
 import time
 from functools import cache
 
@@ -48,11 +50,12 @@ from .coxeter import anti_invariant_Q, poincare_closed_form, poincare_equal
 from .errors import ConfigError, CoxsaitoError
 from .matrix import Matrix
 from .poly import MultiPoly
-from .saito import (SaitoContext, bk_matrix, bk_moved, bk_step, chain_base,
-                    chain_holds, christoffel_star, columns, connection_base,
-                    contact_defect, d_bk, derivation_apply, derivation_bracket,
-                    derivation_degree, dp_matrix, invariance_defect, lead,
-                    nabla_xi, primitive_derivation, primitive_dual, prop26_holds,
+from .saito import (SaitoContext, basis_holds, bk_matrix, bk_moved, bk_step,
+                    chain_base, chain_holds, christoffel_star, columns,
+                    connection_base, contact_defect, d_bk, derivation_apply,
+                    derivation_bracket, derivation_degree, dp_matrix,
+                    invariance_defect, jacobian_criterion, lead, nabla_xi,
+                    primitive_derivation, primitive_dual, prop26_holds,
                     w_stable, xi_basis)
 
 
@@ -179,13 +182,8 @@ def check_metric(ctx: SaitoContext):
           lambda: _cmp_matrices(
               ctx.metric_G, ctx.jac_P.transpose() * ctx.gram_poly * ctx.jac_P),
           decided=lambda: chain_base(ctx))
-
-    def jacobian_criterion():
-        if ctx.jac_P.det().constant_quotient([ctx.datum.form_product()]) is None:
-            return False, "det J(P) is not a nonzero constant multiple of Q"
-        return True, None
-
-    r.run("metric/jacobian", "det J(P) = c Q", jacobian_criterion)
+    r.run("metric/jacobian", "det J(P) = c Q", lambda: (
+        jacobian_criterion(ctx), "det J(P) is not a nonzero constant multiple of Q"))
     return r.results
 
 
@@ -322,23 +320,11 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
     h = ctx.datum.coxeter_number
     exps = ctx.datum.exponents
     q = anti_invariant_Q(ctx.datum)
-    # x0 = (1, t, ..., t^(l-1)) for the least t = 1, 2, ... off every hyperplane
-    points = (tuple(t ** i for i in range(ctx.rank)) for t in itertools.count(1))
-    x0 = next(p for p in points if all(f.evaluate(p) for f in ctx.datum.form_polys()))
     for m in range(0, m_max + 1):
 
         def basis_det(m=m):
-            row = xi_basis(m, ctx)
-            cols = [theta.poly_coeffs() for theta in row]
-            degrees = [derivation_degree(theta) for theta in row]
-            if contact_defect(m, ctx) is None and None not in degrees:
-                # Saito's criterion: Q^m divides det, of degree sum(degrees)
-                at_x0 = [[c.evaluate(x0) for c in col] for col in cols]
-                holds = (sum(degrees) == m * len(ctx.datum.forms)
-                         and Matrix.from_scalars(at_x0, ctx.rank, ctx.datum.field).det())
-            else:
-                holds = Matrix(cols).det().constant_quotient([q] * m) is not None
-            if not holds:
+            cols = [theta.poly_coeffs() for theta in xi_basis(m, ctx)]
+            if Matrix(cols).det().constant_quotient([q] * m) is None:
                 return False, (f"det of xi^({m}) coefficient matrix is not a "
                                f"nonzero constant multiple of Q^{m}")
             return True, None
@@ -356,7 +342,8 @@ def check_thm24_thm25_prop26(ctx: SaitoContext, k_max: int, m_max: int):
               "Theorem 2.5 (1): xi^(m)_j lie in D^(m)(A)",
               lambda m=m: _contact_membership(m, ctx))
         r.run(f"thm25.basis/m={m}",
-              "Theorem 2.5 (1) basis certificate: det = c Q^m", basis_det)
+              "Theorem 2.5 (1) basis certificate: det = c Q^m", basis_det,
+              decided=lambda m=m: basis_holds(m, ctx))
         r.run(f"thm25.2/m={m}",
               "Theorem 2.5 (2): deg xi^(m)_j = kh resp. kh + m_j", degree_law)
 

@@ -1,7 +1,8 @@
 """An independent oracle: B^(k), xi^(1), xi^(2) to xi^(5), nabla_D xi^(1),
 nabla_D xi^(3), D[G], det G, Gamma*_k and the torsion form T recomputed in
-sympy from the raw datum, Proposition 2.6 at k = 1, 2 tested there, and the
-W-invariance of xi^(1), B^(k) and Gamma*_k decided by sympy substitution.
+sympy from the raw datum, Proposition 2.6 at k = 1, 2 and det xi^(m) = c_m Q^m
+for m <= 5 tested there, and the W-invariance of xi^(1), B^(k) and Gamma*_k
+decided by sympy substitution.
 
 Every other reference in the suite runs on the kernels it checks.  Here the
 basic invariants, the Gram matrix A and the generators are read off the
@@ -22,9 +23,9 @@ import pytest
 import sympy
 from conftest import fresh_context
 
-from coxsaito.saito import (bk_matrix, bk_moved, chain_holds, christoffel_star,
-                            columns, connection_base, lead, prop26_holds, w_stable,
-                            xi_basis)
+from coxsaito.saito import (basis_holds, bk_matrix, bk_moved, chain_holds,
+                            christoffel_star, columns, connection_base, lead,
+                            prop26_holds, w_stable, xi_basis)
 
 
 def _rational(v):
@@ -50,6 +51,12 @@ def oracle_frame(ctx):
 
     jp = jac(polys)
     return xs, gram, jp, list(jp.inv()[ell - 1, :]), jac
+
+
+def oracle_q(ctx, xs):
+    """Q, the product of the hyperplane forms, in sympy."""
+    return sympy.Mul(*(sum(_rational(a) * x for a, x in zip(form, xs))
+                       for form in ctx.datum.forms))
 
 
 def oracle_bk(ctx, k_max):
@@ -135,6 +142,28 @@ def test_xi_tower_and_prop26_match_sympy(label, rank):
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
+def test_xi_determinants_are_powers_of_q_by_sympy(label, rank):
+    # Theorem 2.5 (1) as `thm25.basis` states it, with no build record read:
+    # xi^(0) = A, xi^(1) = A J(P), xi^(2k) = A J(D^k[X])^-1 and xi^(2k+1) =
+    # xi^(2k) J(P) are built in sympy from the raw datum, and for m <= 5 the
+    # determinant of each is c_m Q^m with c_m a nonzero number; the
+    # package's decision from the records agrees
+    ctx = fresh_context(label, rank)
+    xs, gram, jp, d, jac = oracle_frame(ctx)
+    dkx, rows = list(xs), [gram, gram * jp]
+    for _ in (1, 2):
+        dkx = [sympy.cancel(sum(di * sympy.diff(f, x) for di, x in zip(d, xs)))
+               for f in dkx]
+        even = (gram * jac(dkx).inv()).applyfunc(sympy.cancel)
+        rows += [even, (even * jp).applyfunc(sympy.cancel)]
+    q = oracle_q(ctx, xs)
+    for m, xi in enumerate(rows):
+        c = sympy.cancel(xi.det() / q ** m)
+        assert c.is_number and c != 0, m
+    assert all(basis_holds(m, ctx) for m in range(6))
+
+
+@pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
 def test_nabla_rows_and_dg_match_sympy(label, rank):
     # what the Theorem 2.4 chain decides without forming it: nabla_D xi^(1)
     # in the invariant frame is B^(1), nabla_D xi^(3) is lead(1) B^(2) in the
@@ -169,9 +198,7 @@ def test_lemma22_base_facts_match_sympy(label, rank):
     polys = [to_sympy(p, xs) for p in ctx.invariants.polys]
     g = jp.T * gram * jp
     assert_equals_sympy(ctx.metric_G, g, xs, "G")
-    q = sympy.Mul(*(sum(_rational(a) * x for a, x in zip(form, xs))
-                    for form in ctx.datum.forms))
-    c = sympy.cancel(g.det() / q ** 2)
+    c = sympy.cancel(g.det() / oracle_q(ctx, xs) ** 2)
     assert c.is_number and c != 0
     jp_inv = jp.inv()
 

@@ -318,7 +318,8 @@ def test_passing_lemma22_forms_nothing_from_g(label, rank, request, monkeypatch)
 @pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3)])
 def test_failed_inversion_of_g_forms_one_determinant(label, rank, monkeypatch):
     # with G(1,2) + 1, det G is no c q^a: every lemma22.13/k fails on the
-    # inversion of G, which is tried once per context and raised again
+    # inversion of G, and each try reads the table G keeps, so the run forms
+    # one determinant of G
     ctx = fresh_context(label, rank)
     _plus_at("metric_G", 0, 1, _one)(ctx)
     tables = _spy_minor_tables(monkeypatch)
@@ -1152,10 +1153,10 @@ def _spy_minor_tables(monkeypatch):
 
 @pytest.mark.parametrize("label,rank", [("A", 3), ("D", 3), ("B", 2), ("I2", 5)])
 def test_passing_basis_checks_form_no_polynomial_determinant(label, rank, monkeypatch):
-    # at the CLI defaults each thm25.basis/m forms one determinant, of the
-    # scalars xi^(m) takes at x0; with a constant added to a coefficient of
-    # xi^(3)_1 the columns are not homogeneous, and thm25.basis/m=3 alone
-    # forms the determinant of the xi^(3) coefficient matrix
+    # at the CLI defaults every thm25.basis/m passes from the build records
+    # of the xi tower and forms no determinant; with a constant added to a
+    # coefficient of xi^(3)_1 the row is no recorded build, and
+    # thm25.basis/m=3 alone forms the determinant of its coefficient matrix
     tables = _spy_minor_tables(monkeypatch)
 
     def basis_tables(ctx):
@@ -1167,12 +1168,26 @@ def test_passing_basis_checks_form_no_polynomial_determinant(label, rank, monkey
 
     report, basis = basis_tables(fresh_context(label, rank))
     assert not report.failed
-    assert basis == [(f"thm25.basis/m={m}", False) for m in range(8)]
+    assert basis == []
     ctx = fresh_context(label, rank)
     _perturb_xi(3, _one)(ctx)
     report, basis = basis_tables(ctx)
     assert {r.name: r.status for r in report.results}["thm25.basis/m=3"] == "fail"
     assert [t for t in basis if t[1]] == [("thm25.basis/m=3", True)]
+
+
+@pytest.mark.parametrize("label,rank", [("A", 3), ("D", 4), ("I2", 5), ("H3", 3)])
+def test_a_passing_run_forms_each_determinant_once(label, rank, request, monkeypatch):
+    # a matrix keeps its table of minors: det J(P) is formed once, in
+    # build_context, for the base q and J(P)^-1, and metric/jacobian and the
+    # basis decisions read its verdict; lemma21.2/k and the inverse of B^(k)
+    # share one det B^(k)
+    tables = _spy_minor_tables(monkeypatch)
+    ctx = _fresh_group_context(label, rank, request)
+    assert not run_suites(ctx, "all", 3, 7, 3).failed
+    assert [name for name, m in tables if m is ctx.jac_P] == [None]
+    assert [name for name, _ in tables if name == "metric/jacobian"] == []
+    assert [sum(m is bk_matrix(k, ctx) for _, m in tables) for k in (1, 2, 3)] == [1, 1, 1]
 
 
 def test_report_json_shape():

@@ -10,15 +10,16 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from conftest import fresh_context, reference_contact_defect, shared_context, with_entry
+from conftest import (determinant_route_basis, fresh_context, reference_contact_defect,
+                      shared_context, with_entry)
 from test_verify import _one, _perturb_xi, _plus_at, _tamper_contact, _x1
 
 from coxsaito import saito, verify
 from coxsaito.coxeter import first_moved, jacobian
 from coxsaito.matrix import Matrix
 from coxsaito.poly import MultiPoly
-from coxsaito.saito import (PolyDerivation, _first_moved_derivation, bk_matrix,
-                            bk_moved, bk_step, columns, contact_defect,
+from coxsaito.saito import (PolyDerivation, _first_moved_derivation, basis_holds,
+                            bk_matrix, bk_moved, bk_step, columns, contact_defect,
                             invariance_defect, lead, prop26_holds, w_stable, xi_basis)
 from coxsaito.verify import run_suites
 
@@ -280,35 +281,58 @@ def _copy_frame(attr):
     return tamper
 
 
+def _copy_bk_inverse(ctx):
+    """Tamper: the kept (B^(1))^-1 replaced by an equal matrix once xi^(3) is
+    built, so that only the record of T_1 names another N_1."""
+    xi_basis(3, ctx)
+    read, inv = ctx.kept[("bk_inverse", 1)]
+    ctx.kept[("bk_inverse", 1)] = read, Matrix(inv.entries)
+
+
+def _bases(*ms):
+    return {(basis_holds, m) for m in ms}
+
+
 # each tampering replaces an object that a build record names; the decisions
 # (decision, index) that the broken record turns down.  J(P)^-1 enters no
 # record of the towers, so its copy reaches the dual verdict alone
 PROVENANCE_TAMPERINGS = {
     "jdkx_inv_table[2] copy": (_replace_level("jdkx_inv_table", 2, saito.jdkx_inv),
-                               {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4)}),
+                               {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4),
+                                *_bases(4, 5, 6, 7)}),
     "jdkx_inv_table[2].11+x1": (_replace_level("jdkx_inv_table", 2, saito.jdkx_inv, _plus_x1),
-                                {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4)}),
+                                {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4),
+                                 *_bases(4, 5, 6, 7)}),
     # xi^(4) and xi^(5) are then built from the replaced T_2: only the record
     # of `jdkx_inv(2)` tells that T_2 is not -T_1 J (B^(2))^-1 J^T A
     "jdkx_inv_table[2].11+x1 before xi^(4)": (
         _replace_level("jdkx_inv_table", 2, saito.jdkx_inv, _plus_x1, rows=False),
-        {(prop26_holds, 2)}),
-    "xi_table[4] copy": (_copy_row(4), {(w_stable, 4)}),
-    "xi_table[3] copy": (_copy_row(3), {(prop26_holds, 1), (prop26_holds, 2), (w_stable, 2)}),
-    "xi_table[5] copy": (_copy_row(5), {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4)}),
+        {(prop26_holds, 2), *_bases(4, 5, 6, 7)}),
+    "xi_table[4] copy": (_copy_row(4), {(w_stable, 4), *_bases(4)}),
+    "xi_table[3] copy": (_copy_row(3), {(prop26_holds, 1), (prop26_holds, 2), (w_stable, 2),
+                                        *_bases(3)}),
+    "xi_table[5] copy": (_copy_row(5), {(prop26_holds, 2), (prop26_holds, 3), (w_stable, 4),
+                                        *_bases(5)}),
+    # the run inverts the copy (`_bk_inverse` of `bk_matrix(2)`): the kept
+    # N_2 is then another object than the one the record of T_2 names
     "bk_table[2] copy": (_replace_level("bk_table", 2, bk_matrix),
-                         {(prop26_holds, 2), (bk_step, 1), (bk_step, 2)}),
+                         {(prop26_holds, 2), (bk_step, 1), (bk_step, 2), *_bases(4, 5, 6, 7)}),
     "G.11+1": (TAMPERINGS["G.11+1"], {(prop26_holds, 1), (prop26_holds, 2)}),
-    "jac_P copy": (_copy_frame("jac_P"), {(prop26_holds, 1), (w_stable, 2)}),
+    "jac_P copy": (_copy_frame("jac_P"), {(prop26_holds, 1), (w_stable, 2),
+                                          *_bases(2, 3, 4, 5, 6, 7)}),
     "jac_P_inv copy": (_copy_frame("jac_P_inv"), set()),
     # T_0 replaced before anything is built: xi^(1) is then the recorded
     # build (A T_0) J(P), and only the record of T_0 tells that it is not
     # A J(P).  2 I doubles every row, which stay a basis
     "jdkx_inv_table[0] copy": (_replace_level("jdkx_inv_table", 0, saito.jdkx_inv,
-                                              rows=False), {(w_stable, 1)}),
+                                              rows=False),
+                               {(w_stable, 1), *_bases(0, 1, 2, 3, 4, 5, 6, 7)}),
     "jdkx_inv_table[0]=2I": (_replace_level("jdkx_inv_table", 0, saito.jdkx_inv,
                                             lambda ctx, m: m + m, rows=False),
-                             {(w_stable, 1)}),
+                             {(w_stable, 1), *_bases(0, 1, 2, 3, 4, 5, 6, 7)}),
+    # N_1 alone: T_1 and every row stay the recorded builds
+    "kept bk_inverse[1] copy": (_copy_bk_inverse, {(prop26_holds, 1), (w_stable, 2),
+                                                   *_bases(2, 3, 4, 5, 6, 7)}),
 }
 
 
@@ -347,14 +371,17 @@ def _records_agree(ctx, monkeypatch):
     """For k <= 3 and even m <= 6, `prop26_holds(k)`, the even step of
     `w_stable(m)` and `bk_step(k)` are decided by the build records, asking
     `_kept` for no comparison, and agree with the comparisons formed here;
-    so does the record of G with J^T A J, J and A formed from the datum."""
+    so do `basis_holds(m)`, m <= 7, with the determinant route, and the
+    record of G with J^T A J, J and A formed from the datum."""
     asked, kept = [], saito._kept
     monkeypatch.setattr(saito, "_kept", lambda ctx, key, objects, build: (
         asked.append(key) or kept(ctx, key, objects, build)))
     decided = ([prop26_holds(k, ctx) for k in (1, 2, 3)]
                + [w_stable(m, ctx) for m in (2, 4, 6)]
                + [bk_step(k, ctx) for k in (1, 2, 3)])
+    bases = [basis_holds(m, ctx) for m in range(8)]
     monkeypatch.undo()
+    assert bases == [r.status == "pass" for r in determinant_route_basis(ctx, 7)] == [True] * 8
     assert _deleted_comparisons(asked) == []
     jac = jacobian(ctx.invariants.polys, ctx.rank)
     b1 = bk_matrix(1, ctx)
