@@ -723,8 +723,8 @@ def stated_route_checks(ctx, k_max, p_max):
 def determinant_route_basis(ctx, m_max):
     """`thm25.basis/m` for m <= m_max by the Laplace determinant of the xi^(m)
     coefficient matrix, divided m times by Q.  The reference for `verify`,
-    which forms that determinant only where Saito's criterion does not
-    decide the check."""
+    which forms that determinant only where the build records of the xi
+    tower do not decide the check (`saito.basis_holds`)."""
     r = _Runner()
     q = anti_invariant_Q(ctx.datum)
     for m in range(m_max + 1):

@@ -1115,11 +1115,11 @@ BASIS_TAMPERINGS = {
                                         ("H3", 3)])
 @pytest.mark.parametrize("tamper", list(BASIS_TAMPERINGS))
 def test_basis_reports_as_the_determinant_route(label, rank, tamper, request):
-    # thm25.basis decides by Saito's criterion where contact order holds and
-    # the columns are homogeneous, else by the determinant: on every
+    # thm25.basis passes from the build records of the xi tower, which a
+    # replaced row breaks, and else takes the determinant: on every
     # tampering the statuses, witnesses and integrity flags are those of the
     # determinant divided m times by Q; the last tampering replaces each row
-    # after a first run has judged its contact order
+    # after a first run has decided it
     ctx = _fresh_group_context(label, rank, request)
     change = BASIS_TAMPERINGS[tamper]
     if tamper == "diagonal after a run":
@@ -1133,6 +1133,46 @@ def test_basis_reports_as_the_determinant_route(label, rank, tamper, request):
     assert [strip(r) for r in got] == [strip(r) for r in want]
     assert (tamper in ("none", "unimodular recombination")) == all(
         r.status == "pass" for r in want)
+
+
+def _singular_gram(ctx):
+    """A replaced by a singular matrix, every row its first, before anything
+    is built."""
+    ctx.gram_poly = Matrix([ctx.gram_poly.entries[0]] * ctx.rank)
+
+
+def _p1_plus_x1(ctx):
+    """P_1 + x1 as P_1 and J(P) + E_11 as J(P), before anything is built: J(P)
+    is the Jacobian of the invariants, and det J(P) is no c Q."""
+    polys = ctx.invariants.polys
+    ctx.invariants = BasicInvariants((polys[0] + _x1(ctx), *polys[1:]), True)
+    ctx.jac_P = with_entry(ctx.jac_P, 0, 0, ctx.jac_P[0, 0] + _one(ctx))
+
+
+# the one premise of `saito.basis_holds` beside the build records that each
+# tampering breaks
+BASIS_PREMISE_TAMPERINGS = {"singular A": (_singular_gram, "own frame"),
+                            "P_1 + x1": (_p1_plus_x1, "jacobian criterion")}
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("A", 3), ("I2", 5)])
+@pytest.mark.parametrize("kind", list(BASIS_PREMISE_TAMPERINGS))
+def test_each_basis_premise_is_broken_alone(label, rank, kind):
+    # xi^(0) and xi^(1) are the recorded builds from T_0 = I, yet det A = 0
+    # or det J(P) is no c Q: thm25.basis declines, and reports as the
+    # determinant route, which fails
+    tamper, broken = BASIS_PREMISE_TAMPERINGS[kind]
+    ctx = fresh_context(label, rank)
+    tamper(ctx)
+    got = [r for r in check_thm24_thm25_prop26(ctx, 0, 1) if r.name.startswith("thm25.basis")]
+    holds = {"records": all(saito._xi_built(m, ctx) for m in (0, 1)),
+             "own frame": saito._own_frame(ctx),
+             "jacobian criterion": saito.jacobian_criterion(ctx)}
+    assert [name for name, ok in holds.items() if not ok] == [broken]
+    want = determinant_route_basis(ctx, 1)
+    strip = lambda r: (r.name, r.status, r.witness, r.integrity)
+    assert [strip(r) for r in got] == [strip(r) for r in want]
+    assert "fail" in [r.status for r in want]
 
 
 def _spy_minor_tables(monkeypatch):
